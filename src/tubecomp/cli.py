@@ -1,6 +1,7 @@
 """Command-line interface: scenario listing, tube-volume tables, verification runs.
 
-Exit codes: 0 success, 1 bound-check failure, 2 usage/config/IO error.
+Exit codes: 0 success, 1 bound-check failure, 2 usage/config/IO error or
+numerical breakdown (a ray integration failure or a singular metric).
 All randomness flows from the single --seed (or config seed); identical
 config + seed reproduce byte-identical CSV/JSON outputs.
 """
@@ -19,9 +20,11 @@ import numpy as np
 
 from . import manifolds as manifold_registry
 from . import scenarios as scenario_registry
+from .geometry import SingularMetricError
 from .models import first_zero, hk_integrand, thm1_bound, thm1_constants
 from .quadrature import gauss_legendre_panels
 from .submanifolds import SUBMANIFOLD_BUILDERS
+from .transport import RayIntegrationError
 from .tubes import QuadratureSpec
 from .verification import Scenario, run_suite
 
@@ -316,8 +319,11 @@ def main(argv=None) -> int:
                 cfg = {"scenario": args.scenario}
         else:
             raise ConfigError("need --config or --scenario")
-        built = scenarios_from_config(cfg, seed=args.seed,
-                                      tolerance=args.tolerance, radii=radii)
+        try:
+            built = scenarios_from_config(cfg, seed=args.seed,
+                                          tolerance=args.tolerance, radii=radii)
+        except (ValueError, TypeError) as exc:   # a builder rejected a parameter
+            raise ConfigError(f"cannot build the scenario: {exc}") from exc
 
         if args.command == "tube-volume":
             all_rows = None
@@ -347,6 +353,9 @@ def main(argv=None) -> int:
         code, summary = cmd_verify(built, out_dir, args.format)
         print(summary)
         return code
+    except (RayIntegrationError, SingularMetricError) as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -379,7 +379,7 @@ def rho_k_at(M: ChartManifold, x: np.ndarray, k: int, *,
     wrapped = M.domain.wrap(x)
     if M.curvature_support is not None and not M.curvature_support.contains(wrapped):
         return 0.0  # metric is exactly flat outside the declared support
-    key = (k, directions, tuple(np.round(wrapped, 12)))
+    key = (k, directions, refine_rounds, tuple(np.round(wrapped, 12)))
     cached = M._rho_cache.get(key)
     if cached is not None:
         return cached
@@ -428,7 +428,8 @@ def lp_deficit_norm(M: ChartManifold, region: Box | None, k: int, H: float,
     """L^p norm of (rho_k - H)_- over a chart region, with error estimate.
 
     Integrates against the Riemannian volume element; the error estimate
-    is the difference against a coarser tensor grid. When the manifold
+    is the difference against a strictly coarser tensor grid, so
+    ``resolution`` must be at least 2. When the manifold
     declares a curvature support box and H <= 0 the integration is
     restricted to it (the deficit vanishes identically outside).
     ``inflation`` is added to the negative part everywhere, implementing
@@ -436,6 +437,8 @@ def lp_deficit_norm(M: ChartManifold, region: Box | None, k: int, H: float,
     """
     if p < 1.0:
         raise ValueError(f"need p >= 1, got {p}")
+    if resolution < 2:
+        raise ValueError(f"need resolution >= 2, got {resolution}")
     region = region if region is not None else M.domain
     if M.curvature_support is not None and H <= 0.0:
         try:
@@ -453,7 +456,7 @@ def lp_deficit_norm(M: ChartManifold, region: Box | None, k: int, H: float,
         deficit = np.array([max(H - rho_fn(pt), 0.0) + inflation for pt in pts])
         return float(np.sum(w * dens * deficit**p))
 
-    coarse = max(3, (2 * resolution) // 3)
+    coarse = min(resolution - 1, max(3, (2 * resolution) // 3))
     v_fine = integral(resolution) ** (1.0 / p)
     v_coarse = integral(coarse) ** (1.0 / p)
     return DeficitNorm(value=v_fine, error_estimate=abs(v_fine - v_coarse))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -20,12 +21,21 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_panels(a: float, b: float, panels: int = 1,
                           nodes_per_panel: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [a, b] split into equal panels."""
     if b < a:
         raise ValueError(f"empty interval [{a}, {b}]")
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x, w = _leggauss(nodes_per_panel)
     edges = np.linspace(a, b, panels + 1)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -72,7 +82,7 @@ def product_angle_sphere(d: int, polar: int = 16,
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if d == 1:
         return circle_grid(azimuth)
-    u, wu = np.polynomial.legendre.leggauss(polar)
+    u, wu = _leggauss(polar)
     sub_pts, sub_w = product_angle_sphere(d - 1, polar, azimuth)
     rho = np.sqrt(1.0 - u * u)
     pts = np.concatenate([

@@ -15,9 +15,20 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.base import ConstantDenseOutput
+from scipy.integrate._ivp.ivp import MESSAGES
+from scipy.integrate._ivp.rk import (
+    DOP853 as _DOP853,
+    MAX_FACTOR,
+    MIN_FACTOR,
+    SAFETY,
+    Dop853DenseOutput,
+)
+from scipy.optimize import brentq
 
-from .geometry import ChartManifold, connection_and_curvature
+from .geometry import ChartManifold, _curvature_batch, connection_and_curvature
 from .submanifolds import EmbeddedSubmanifold, NonNormalVectorError, second_fundamental_at
 from .geometry import complete_frame
 
@@ -28,6 +39,7 @@ __all__ = [
     "TransportState",
     "RaySolution",
     "integrate_ray",
+    "integrate_rays",
     "volume_density",
     "shape_operator",
     "split_mean_curvature",
@@ -38,12 +50,21 @@ __all__ = [
 ]
 
 
-class RayIntegrationError(RuntimeError):
-    """Adaptive step-size collapse (metric singularity) along a ray."""
+_EPS = np.finfo(float).eps
+_ERROR_EXPONENT = -1.0 / (_DOP853.error_estimator_order + 1)
+_EVENT_MESSAGE = MESSAGES[1]
 
-    def __init__(self, message: str, t: float):
+
+class RayIntegrationError(RuntimeError):
+    """Chart exit or adaptive step-size collapse along a ray.
+
+    ``t`` is the failure time, ``index`` the ray's position in its batch.
+    """
+
+    def __init__(self, message: str, t: float, index: int = 0):
         super().__init__(message)
         self.t = t
+        self.index = index
 
 
 class FocalSingularityError(ValueError):
@@ -121,7 +142,7 @@ def _initial_data(M: ChartManifold, sigma: EmbeddedSubmanifold, ray: NormalRay):
 
 @dataclass(eq=False)
 class RaySolution:
-    """Dense solution of one ray; states() samples it anywhere in [0, t_max]."""
+    """Dense solution of one ray; state_at() samples it anywhere in [0, t_max]."""
 
     manifold: ChartManifold
     sigma: EmbeddedSubmanifold
@@ -130,7 +151,6 @@ class RaySolution:
     sol: object
     t_max: float
     weingarten0: np.ndarray
-    states: Sequence[TransportState] = None
     _det_grid: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _focal: float | None | str = field(default="unset", repr=False)
 
@@ -151,9 +171,6 @@ class RaySolution:
         if not 0.0 <= t <= self.t_max + 1e-12:
             raise ValueError(f"t={t} outside integrated range [0, {self.t_max}]")
         return self._unpack(self.sol(min(t, self.t_max)), t)
-
-    def sample(self, ts) -> list[TransportState]:
-        return [self.state_at(float(t)) for t in np.atleast_1d(ts)]
 
     def jacobi_dets(self, resolution: int = 512) -> tuple[np.ndarray, np.ndarray]:
         """(ts, det J(ts)) on a cached uniform grid."""
@@ -246,52 +263,220 @@ class RaySolution:
         return y[start:start + sz].reshape(n - 1, n - 1)
 
 
-def integrate_ray(M: ChartManifold, sigma: EmbeddedSubmanifold, ray: NormalRay,
-                  output_points: int = 65) -> RaySolution:
-    """Integrate geodesic + parallel frame + Jacobi system along one ray."""
-    n, m = M.dim, sigma.dim
-    x0, xi, frame0, J0, Jp0, S_xi = _initial_data(M, sigma, ray)
-    y0 = np.concatenate([x0, xi, frame0.ravel(), J0.ravel(), Jp0.ravel()])
+def _ray_rhs(M: ChartManifold, Y: np.ndarray) -> np.ndarray:
+    """Derivative of every row of Y: geodesic, parallel frame, Jacobi pair.
 
-    def rhs(t, y):
-        x = y[:n]
-        v = y[n:2 * n]
-        E = y[2 * n:2 * n + (n - 1) * n].reshape(n - 1, n)
-        sz = (n - 1) * (n - 1)
-        J = y[2 * n + (n - 1) * n:2 * n + (n - 1) * n + sz].reshape(n - 1, n - 1)
-        Jp = y[2 * n + (n - 1) * n + sz:].reshape(n - 1, n - 1)
-        g, gamma, rm = connection_and_curvature(M, x)
-        acc = -np.einsum("ijk,j,k->i", gamma, v, v)
-        dE = -np.einsum("ijk,j,ak->ai", gamma, v, E)
-        rmat = np.einsum("ijkl,ai,j,bk,l->ab", rm, E, v, E, v)
-        rmat = 0.5 * (rmat + rmat.T)
-        return np.concatenate([v, acc, dE.ravel(), Jp.ravel(), (-rmat @ J).ravel()])
+    One curvature evaluation covers all rows; each row's result does not
+    depend on the other rows.
+    """
+    n, B = M.dim, len(Y)
+    v = Y[:, n:2 * n]
+    E = Y[:, 2 * n:2 * n + (n - 1) * n].reshape(B, n - 1, n)
+    sz = (n - 1) * (n - 1)
+    J = Y[:, 2 * n + (n - 1) * n:2 * n + (n - 1) * n + sz].reshape(B, n - 1, n - 1)
+    Jp = Y[:, 2 * n + (n - 1) * n + sz:]
+    _, gamma, rm = _curvature_batch(M, Y[:, :n], want_gamma=True)
+    acc = -np.einsum("bijk,bj,bk->bi", gamma, v, v)
+    dE = -np.einsum("bijk,bj,bak->bai", gamma, v, E)
+    w = np.einsum("bijkl,bj,bl->bik", rm, v, v)
+    rmat = E @ w @ np.transpose(E, (0, 2, 1))
+    rmat = 0.5 * (rmat + np.transpose(rmat, (0, 2, 1)))
+    return np.concatenate([v, acc, dE.reshape(B, -1), Jp,
+                           (-rmat @ J).reshape(B, -1)], axis=1)
 
+
+def _chart_exit_fn(M: ChartManifold):
+    """Event function of the state rows: negative once a ray leaves the chart."""
+    n = M.dim
     lo, hi = M.domain.lo, M.domain.hi
     margin = 0.05 * np.max(M.domain.widths())
     periodic = np.array(M.domain.periodic)
 
-    def chart_exit(t, y):
+    def chart_exit(y):
         # periodic coordinates wrap; open ones must stay inside the chart
-        pos = y[:n]
+        pos = y[..., :n]
         over = np.where(periodic, -1.0,
                         np.maximum(lo - margin - pos, pos - hi - margin))
-        return -float(np.max(over))
+        return -np.max(over, axis=-1)
+    return chart_exit
 
-    chart_exit.terminal = True
 
-    sol = solve_ivp(rhs, (0.0, ray.t_max), y0, method="DOP853",
-                    rtol=ray.tolerance, atol=ray.tolerance * 1e-2,
-                    dense_output=True, events=chart_exit)
-    if not sol.success or sol.status == 1:
-        t_fail = float(sol.t_events[0][0]) if sol.status == 1 else float(sol.t[-1])
+def _combine(coeffs: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_s coeffs[s] K[s] over the nonzero coefficients, elementwise."""
+    out = None
+    for c, k in zip(coeffs, K):
+        if c != 0.0:
+            out = c * k if out is None else out + c * k
+    return out
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(x * x, axis=1)) / math.sqrt(x.shape[1])
+
+
+def _initial_steps(M, y0, f0, t_end, rtol, atol) -> np.ndarray:
+    """scipy's ``select_initial_step`` for every row, starting at t = 0."""
+    scale = atol[:, None] + np.abs(y0) * rtol[:, None]
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, t_end)
+        f1 = _ray_rhs(M, y0 + h0[:, None] * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (1.0 / (_DOP853.error_estimator_order + 1)))
+    return np.minimum(np.minimum(100.0 * h0, h1), t_end)
+
+
+def _dop853_step(M, y, h, K) -> np.ndarray:
+    """One DOP853 step of every row; K[0] holds f(y), K[1:13] get the stages."""
+    hcol = h[:, None]
+    for s in range(1, _DOP853.n_stages):
+        K[s] = _ray_rhs(M, y + _combine(_DOP853.A[s, :s], K[:s]) * hcol)
+    y_new = y + hcol * _combine(_DOP853.B, K[:_DOP853.n_stages])
+    K[_DOP853.n_stages] = _ray_rhs(M, y_new)
+    return y_new
+
+
+def _error_norms(K, h, scale) -> np.ndarray:
+    """DOP853's blended 5th/3rd-order RMS error norm of every row."""
+    err5 = _combine(_DOP853.E5, K) / scale
+    err3 = _combine(_DOP853.E3, K) / scale
+    e5 = np.sum(err5 * err5, axis=1)
+    e3 = np.sum(err3 * err3, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * scale.shape[1])
+    return np.where((e5 == 0.0) & (e3 == 0.0), 0.0, norm)
+
+
+def _dense_coefficients(M, K, y_old, y_new, h) -> np.ndarray:
+    """Dop853DenseOutput coefficients F (7, rows, state) of accepted steps."""
+    hcol = h[:, None]
+    for s in range(_DOP853.n_stages + 1, dop853_coefficients.N_STAGES_EXTENDED):
+        K[s] = _ray_rhs(M, y_old + _combine(dop853_coefficients.A[s, :s], K[:s]) * hcol)
+    f_old, f_new = K[0], K[_DOP853.n_stages]
+    delta = y_new - y_old
+    F = np.empty((dop853_coefficients.INTERPOLATOR_POWER,) + y_old.shape)
+    F[0] = delta
+    F[1] = hcol * f_old - delta
+    F[2] = 2 * delta - hcol * (f_new + f_old)
+    for row, d in enumerate(dop853_coefficients.D, start=3):
+        F[row] = hcol * _combine(d, K)
+    return F
+
+
+def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
+                   rays: Sequence[NormalRay]) -> list[RaySolution]:
+    """Integrate geodesic + parallel frame + Jacobi system along many rays.
+
+    All rays advance together as one (rays, state) array through scipy's
+    DOP853 tables, so each Runge-Kutta stage makes one curvature call.
+    Every step rule of ``solve_ivp(method="DOP853")`` applies per ray: the
+    initial step, the RMS error norm over the ray's own state (rtol is the
+    ray's tolerance, atol 1e-2 rtol), the step factors, the minimum-step
+    collapse and the chart-exit event, rooted on the ray's dense segment.
+    A ray's solution therefore does not depend on the batch it is in.
+    Raises RayIntegrationError for the lowest-index ray that fails.
+    """
+    rays = list(rays)
+    if not rays:
+        return []
+    starts = [_initial_data(M, sigma, ray) for ray in rays]
+    y = np.array([np.concatenate([x0, xi, frame0.ravel(), J0.ravel(), Jp0.ravel()])
+                  for x0, xi, frame0, J0, Jp0, _ in starts])
+    R = len(rays)
+    t_end = np.array([float(ray.t_max) for ray in rays])
+    if np.any(t_end < 0.0):
+        raise ValueError("ray horizons t_max must be nonnegative")
+    rtol = np.array([float(ray.tolerance) for ray in rays])
+    atol = rtol * 1e-2
+    chart_exit = _chart_exit_fn(M)
+
+    f = _ray_rhs(M, y)
+    h_abs = _initial_steps(M, y, f, t_end, rtol, atol)
+    g = chart_exit(y)
+    t = np.zeros(R)
+    rejected = np.zeros(R, dtype=bool)
+    active = t_end > 0.0
+    knots = [[0.0] for _ in rays]
+    segments: list[list] = [[] for _ in rays]
+    for i in np.flatnonzero(~active):
+        knots[i].append(0.0)
+        segments[i].append(ConstantDenseOutput(0.0, 0.0, y[i]))
+    failures: dict[int, tuple[float, str]] = {}
+
+    def fail(i: int, t_fail: float, message: str):
+        failures[i] = (float(t_fail), message)
+        active[i:] = False        # later rays cannot change which error is raised
+
+    K_all = np.empty((dop853_coefficients.N_STAGES_EXTENDED,) + y.shape)
+    while active.any():
+        idx = np.flatnonzero(active)
+        t0 = t[idx]
+        min_step = 10.0 * np.abs(np.nextafter(t0, np.inf) - t0)
+        h = h_abs[idx]
+        h = np.where(~rejected[idx] & (h < min_step), min_step, h)
+        collapsed = h < min_step
+        for i, t_fail in zip(idx[collapsed], t0[collapsed]):
+            fail(int(i), t_fail, _DOP853.TOO_SMALL_STEP)
+        keep = active[idx]
+        idx, t0, h = idx[keep], t0[keep], h[keep]
+        if not idx.size:
+            continue
+        t_new = np.minimum(t0 + h, t_end[idx])
+        h = t_new - t0
+        y0 = y[idx]
+        K = K_all[:, :len(idx)]
+        K[0] = f[idx]
+        y_new = _dop853_step(M, y0, h, K)
+        scale = atol[idx, None] + np.maximum(np.abs(y0), np.abs(y_new)) * rtol[idx, None]
+        err = _error_norms(K[:_DOP853.n_stages + 1], h, scale)
+        ok = err < 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = SAFETY * err ** _ERROR_EXPONENT
+        grow = np.where(err == 0.0, MAX_FACTOR,
+                        np.where(factor < MAX_FACTOR, factor, MAX_FACTOR))
+        grow = np.where(rejected[idx], np.minimum(grow, 1.0), grow)
+        shrink = np.where(factor > MIN_FACTOR, factor, MIN_FACTOR)
+        h_abs[idx] = np.abs(h) * np.where(ok, grow, shrink)
+        rejected[idx] = ~ok
+        if not ok.any():
+            continue
+
+        acc = idx[ok]
+        y_old, y_acc, t_old, t_acc = y0[ok], y_new[ok], t0[ok], t_new[ok]
+        K_acc = K[:, ok]
+        F = _dense_coefficients(M, K_acc, y_old, y_acc, h[ok])
+        g_new = chart_exit(y_acc)
+        crossed = (((g[acc] <= 0) & (g_new >= 0)) | ((g[acc] >= 0) & (g_new <= 0)))
+        for j, i in enumerate(acc):
+            seg = Dop853DenseOutput(float(t_old[j]), float(t_acc[j]), y_old[j], F[:, j])
+            segments[i].append(seg)
+            knots[i].append(float(t_acc[j]))
+            if crossed[j]:
+                root = brentq(lambda s, _seg=seg: chart_exit(_seg(s)),
+                              float(t_old[j]), float(t_acc[j]),
+                              xtol=4 * _EPS, rtol=4 * _EPS)
+                fail(int(i), root, _EVENT_MESSAGE)
+        t[acc], y[acc], f[acc], g[acc] = t_acc, y_acc, K_acc[_DOP853.n_stages], g_new
+        active[acc[t_acc >= t_end[acc]]] = False
+
+    if failures:
+        i = min(failures)
+        t_fail, message = failures[i]
         raise RayIntegrationError(
             f"ray left the chart or step size collapsed at t={t_fail:.6g}"
-            f" ({sol.message})", t=t_fail)
-    result = RaySolution(manifold=M, sigma=sigma, ray=ray, m=m, sol=sol.sol,
-                         t_max=ray.t_max, weingarten0=S_xi)
-    result.states = result.sample(np.linspace(0.0, ray.t_max, output_points))
-    return result
+            f" ({message})", t=t_fail, index=i)
+    return [RaySolution(manifold=M, sigma=sigma, ray=ray, m=sigma.dim,
+                        sol=OdeSolution(knots[i], segments[i]), t_max=ray.t_max,
+                        weingarten0=starts[i][5])
+            for i, ray in enumerate(rays)]
+
+
+def integrate_ray(M: ChartManifold, sigma: EmbeddedSubmanifold,
+                  ray: NormalRay) -> RaySolution:
+    """Integrate geodesic + parallel frame + Jacobi system along one ray."""
+    return integrate_rays(M, sigma, [ray])[0]
 
 
 # ---------------------------------------------------------------------------

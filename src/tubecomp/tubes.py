@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import ChartManifold, rho_k_at
 from .quadrature import gauss_legendre_panels
 from .submanifolds import EmbeddedSubmanifold, NormalFiberGrid, unit_normal_grid
-from .transport import NormalRay, RayIntegrationError, RaySolution, integrate_ray
+from .transport import NormalRay, RayIntegrationError, RaySolution, integrate_rays
 
 __all__ = [
     "QuadratureSpec",
@@ -79,25 +79,26 @@ class TubeSampler:
             fiber_resolution=self.spec.fiber_resolution,
             mc_samples=self.spec.fiber_mc_samples,
             rng=self.spec.rng() if needs_mc else None)
-        self.rays: list[RaySolution] = []
+        rays: list[NormalRay] = []
         self.weights: list[float] = []
         self.ray_index: list[tuple[int, int]] = []
         for b in range(len(self.grid.base_params)):
             for f in range(len(self.grid.fiber_coeffs)):
-                xi = self.grid.normal_vector(b, f)
-                ray = NormalRay(base_param=self.grid.base_params[b], xi=xi,
-                                t_max=self.r_max,
-                                tolerance=self.spec.ray_tolerance)
-                try:
-                    self.rays.append(integrate_ray(M, sigma, ray))
-                except RayIntegrationError as exc:
-                    raise RayIntegrationError(
-                        f"ray s={np.array2string(ray.base_param, precision=6)} "
-                        f"xi={np.array2string(xi, precision=6)} failed: {exc}",
-                        t=exc.t) from exc
+                rays.append(NormalRay(base_param=self.grid.base_params[b],
+                                      xi=self.grid.normal_vector(b, f),
+                                      t_max=self.r_max,
+                                      tolerance=self.spec.ray_tolerance))
                 self.weights.append(self.grid.base_weights[b]
                                     * self.grid.fiber_weights[f])
                 self.ray_index.append((b, f))
+        try:
+            self.rays: list[RaySolution] = integrate_rays(M, sigma, rays)
+        except RayIntegrationError as exc:
+            ray = rays[exc.index]
+            raise RayIntegrationError(
+                f"ray s={np.array2string(ray.base_param, precision=6)} "
+                f"xi={np.array2string(ray.xi, precision=6)} failed: {exc}",
+                t=exc.t, index=exc.index) from exc
 
     def _radial_nodes(self, sol: RaySolution, r: float):
         focal = sol.focal_time()
@@ -224,8 +225,9 @@ def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,
     from .submanifolds import second_fundamental_at, frames_at
     from .geometry import complete_frame
 
-    values = np.empty(n_rays)
-    for i in range(n_rays):
+    # draw every ray's randomness first, in the order of one ray at a time
+    rays, scales, t_samples = [], [], []
+    for _ in range(n_rays):
         s = (np.zeros(0) if m == 0
              else rng.uniform(box.lo, box.hi))
         x = sigma.embed(s)
@@ -243,11 +245,13 @@ def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,
             _, normal = frames_at(sigma, M, s)
         c = rng.standard_normal(n - m)
         c /= np.linalg.norm(c)
-        xi = c @ normal
-        sol = integrate_ray(M, sigma, NormalRay(s, xi, t_max=r,
-                                                tolerance=spec.ray_tolerance))
+        rays.append(NormalRay(s, c @ normal, t_max=r, tolerance=spec.ray_tolerance))
+        scales.append(param_measure * gram_density * sphere_volume(d) * r)
+        t_samples.append(rng.uniform(0.0, r, size=t_draws))
+    values = np.empty(n_rays)
+    for i, sol in enumerate(integrate_rays(M, sigma, rays)):
         focal = sol.focal_time()
-        ts = rng.uniform(0.0, r, size=t_draws)
+        ts = t_samples[i]
         if focal is not None:
             keep = ts < focal
         else:
@@ -259,8 +263,7 @@ def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,
             sz = (n - 1) * (n - 1)
             Js = ys[start:start + sz].T.reshape(-1, n - 1, n - 1)
             dens[keep] = np.linalg.det(Js)
-        values[i] = (param_measure * gram_density * sphere_volume(d)
-                     * r * float(np.mean(dens)))
+        values[i] = scales[i] * float(np.mean(dens))
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_rays))
     return estimate, stderr

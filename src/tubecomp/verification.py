@@ -27,7 +27,7 @@ from .quadrature import gauss_legendre_panels
 from .submanifolds import EmbeddedSubmanifold
 from .transport import (
     NormalRay,
-    integrate_ray,
+    integrate_rays,
     shape_operator,
     structural_residuals,
 )
@@ -289,16 +289,15 @@ def check_focal_radius(scenario: Scenario, n_rays: int | None = None) -> BoundRe
     idx = _ray_subsample(sampler, n_rays or max(32, scenario.check_rays), rng)
     # each normal line focuses within the bound (flip xi when <eta, xi> > 0),
     # so the measured quantity is the max over lines of the +-pair minimum
-    pair_minima = []
     M, sigma = scenario.manifold, scenario.sigma
-    for i in idx:
-        sol = sampler.rays[i]
-        b, _ = sampler.ray_index[i]
-        plus = sol.focal_time()
-        ray_minus = NormalRay(base_param=sampler.grid.base_params[b],
-                              xi=-sol.ray.xi, t_max=horizon,
-                              tolerance=scenario.quad.ray_tolerance)
-        minus = integrate_ray(M, sigma, ray_minus).focal_time()
+    minus_rays = [NormalRay(base_param=sampler.grid.base_params[sampler.ray_index[i][0]],
+                            xi=-sampler.rays[i].ray.xi, t_max=horizon,
+                            tolerance=scenario.quad.ray_tolerance) for i in idx]
+    minus_sols = integrate_rays(M, sigma, minus_rays)
+    pair_minima = []
+    for i, minus_sol in zip(idx, minus_sols):
+        plus = sampler.rays[i].focal_time()
+        minus = minus_sol.focal_time()
         candidates = [t for t in (plus, minus) if t is not None]
         if not candidates:
             return BoundReport.precondition_violation(
@@ -620,13 +619,16 @@ class SuiteReport:
 
 def run_suite(scenarios, checks: tuple[str, ...] | None = None) -> SuiteReport:
     """Run every enabled check on every scenario, sorted by scenario name."""
-    entries = []
-    for scenario in sorted(scenarios, key=lambda s: s.name):
-        enabled = checks if checks is not None else scenario.checks
+    plan = [(scenario, checks if checks is not None else scenario.checks)
+            for scenario in sorted(scenarios, key=lambda s: s.name)]
+    for _, enabled in plan:     # reject unknown names before any check runs
         for check in enabled:
             if check not in CHECK_DISPATCH:
                 raise KeyError(f"unknown check '{check}'; known: "
                                f"{sorted(CHECK_DISPATCH)}")
+    entries = []
+    for scenario, enabled in plan:
+        for check in enabled:
             for rep in CHECK_DISPATCH[check](scenario):
                 entries.append((scenario.name, rep))
     return SuiteReport(entries=entries)

@@ -191,3 +191,37 @@ class TestVerify:
             outs.append(((out / "report.json").read_bytes(),
                          (out / "report.csv").read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestExitCodes:
+    """Exit 2 for bad input or numerical breakdown, never a traceback."""
+
+    @pytest.mark.parametrize("manifold, fragment", [
+        ({"name": "bump_torus", "n": 4, "width": 4.0}, "width"),
+        ({"name": "flat_torus", "n": "four"}, "cannot build"),
+    ])
+    def test_builder_rejection_exit_2(self, tmp_path, capsys, manifold, fragment):
+        cfg = dict(FAST_CONFIG, manifold=manifold)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+        assert fragment in capsys.readouterr().err
+
+    def test_unknown_check_rejected_before_any_check_runs(self, tmp_path,
+                                                          monkeypatch, capsys):
+        from tubecomp import verification
+
+        ran = []
+        monkeypatch.setitem(verification.CHECK_DISPATCH, "hessian",
+                            lambda sc: ran.append(sc.name) or [])
+        cfg = {"scenario": "hyperbolic_point", "checks": ["hessian", "nosuchcheck"]}
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+        assert ran == []
+        assert "nosuchcheck" in capsys.readouterr().err
+
+    def test_ray_failure_exit_2(self, tmp_path, capsys):
+        # every ray of radius 5 leaves the euclidean box of halfwidth 1
+        cfg = {"manifold": {"name": "euclidean", "n": 3, "halfwidth": 1.0},
+               "submanifold": {"name": "point", "location": [0.0, 0.0, 0.0]},
+               "radii": [5.0], "quadrature": {"fiber_resolution": 2},
+               "checks": ["hk"]}
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "numerical breakdown" in capsys.readouterr().err

@@ -309,6 +309,15 @@ class TestRhoK:
                 rnk = rho_k_at(M, x, n - k - 1, directions=256, refine_rounds=0)
                 assert max(-rnk, 0.0) <= max(-rk, 0.0) + 1e-9
 
+    def test_cache_keyed_on_refine_rounds(self):
+        # a coarse call must not answer a later refined call at the same point
+        x = np.array([math.pi + 0.3, math.pi - 0.2, math.pi + 0.1, math.pi])
+        M = manifolds.bump_torus(4)
+        coarse = rho_k_at(M, x, 1, refine_rounds=0)
+        fresh = rho_k_at(manifolds.bump_torus(4), x, 1, refine_rounds=3)
+        assert coarse != fresh
+        assert rho_k_at(M, x, 1, refine_rounds=3) == fresh
+
 
 class TestLpDeficitNorm:
     def test_flat_torus_zero(self):
@@ -359,6 +368,19 @@ class TestLpDeficitNorm:
             x = M.domain.wrap(x)
             rho = rho_k_at(M, x, 1, directions=128, refine_rounds=0)
             assert abs(rho) <= 1e-12
+
+    def test_error_estimate_positive_at_resolution_3(self):
+        # the coarse comparison grid is strictly coarser than the fine one
+        M = manifolds.bump_torus(4)
+        res = lp_deficit_norm(M, None, 1, -0.1, 4.0, resolution=3,
+                              directions=256, refine_rounds=1)
+        assert res.value > 0.0
+        assert res.error_estimate > 0.0
+
+    def test_resolution_below_two_rejected(self):
+        with pytest.raises(ValueError, match="resolution"):
+            lp_deficit_norm(manifolds.flat_torus(3), None, 1, 0.0, 2.0,
+                            resolution=1)
 
     def test_inflation_reported_variant(self):
         M = manifolds.flat_torus(3)

@@ -15,6 +15,7 @@ from tubecomp.submanifolds import (
     sphere_point,
     sub_torus,
     build_submanifold,
+    unit_normal_grid,
 )
 from tubecomp.transport import (
     FocalSingularityError,
@@ -22,6 +23,7 @@ from tubecomp.transport import (
     RayIntegrationError,
     focal_distance,
     integrate_ray,
+    integrate_rays,
     jy_factors,
     partial_trace_shape,
     shape_operator,
@@ -105,6 +107,104 @@ class TestIntegrateRay:
         with pytest.raises(RayIntegrationError) as err:
             integrate_ray(M, sigma, ray)
         assert 1.9 <= err.value.t <= 2.3
+
+
+def _grid_rays(M, sigma, t_max):
+    grid = unit_normal_grid(sigma, M, base_resolution=3, fiber_resolution=3)
+    return [NormalRay(grid.base_params[b], grid.normal_vector(b, f), t_max=t_max)
+            for b in range(len(grid.base_params))
+            for f in range(len(grid.fiber_coeffs))]
+
+
+def s3_grid_rays():
+    M = manifolds.sphere(3, axes=S3_POLAR_AXES)
+    sigma = great_circle(M)
+    return M, sigma, _grid_rays(M, sigma, 2.0)
+
+
+def bump_grid_rays():
+    M = manifolds.bump_torus(4, amplitude=0.1, width=1.2)
+    sigma = sub_torus(M, [0], np.array([0.0, math.pi - 2.3, math.pi, math.pi]))
+    return M, sigma, _grid_rays(M, sigma, 2.0)
+
+
+def _solve_ivp_reference(M, sigma, ray):
+    """Dense solution of one ray by scipy's solve_ivp, the integrator's reference."""
+    from scipy.integrate import solve_ivp
+
+    from tubecomp.geometry import connection_and_curvature
+    from tubecomp.transport import _initial_data
+
+    n = M.dim
+    x0, xi, frame0, J0, Jp0, _ = _initial_data(M, sigma, ray)
+    y0 = np.concatenate([x0, xi, frame0.ravel(), J0.ravel(), Jp0.ravel()])
+    start, sz = 2 * n + (n - 1) * n, (n - 1) * (n - 1)
+
+    def rhs(t, y):
+        v = y[n:2 * n]
+        E = y[2 * n:start].reshape(n - 1, n)
+        J = y[start:start + sz].reshape(n - 1, n - 1)
+        _, gamma, rm = connection_and_curvature(M, y[:n])
+        rmat = np.einsum("ijkl,ai,j,bk,l->ab", rm, E, v, E, v)
+        rmat = 0.5 * (rmat + rmat.T)
+        return np.concatenate([v, -np.einsum("ijk,j,k->i", gamma, v, v),
+                               -np.einsum("ijk,j,ak->ai", gamma, v, E).ravel(),
+                               y[start + sz:], (-rmat @ J).ravel()])
+
+    return solve_ivp(rhs, (0.0, ray.t_max), y0, method="DOP853",
+                     rtol=ray.tolerance, atol=ray.tolerance * 1e-2,
+                     dense_output=True).sol
+
+
+class TestBatchedRays:
+    @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays])
+    def test_batch_equals_one_at_a_time(self, maker):
+        # a ray's dense solution is bitwise the same alone and in any batch
+        M, sigma, rays = maker()
+        ts = np.linspace(0.0, 2.0, 41)
+        together = integrate_rays(M, sigma, rays)
+        odd = integrate_rays(M, sigma, rays[1::2])
+        for i, ray in enumerate(rays):
+            alone = integrate_ray(M, sigma, ray).sol(ts)
+            assert np.array_equal(alone, together[i].sol(ts))
+            if i % 2:
+                assert np.array_equal(alone, odd[i // 2].sol(ts))
+
+    @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays])
+    def test_matches_solve_ivp(self, maker):
+        # same tables and step rules; only rounding differs, far below the
+        # requested tolerance
+        M, sigma, rays = maker()
+        rays = rays[:6]
+        ts = np.linspace(0.0, 2.0, 41)
+        for ray, sol in zip(rays, integrate_rays(M, sigma, rays)):
+            reference = _solve_ivp_reference(M, sigma, ray)(ts)
+            assert np.allclose(sol.sol(ts), reference, rtol=0.0,
+                               atol=ray.tolerance)
+
+    def test_chart_exit_names_lowest_failing_ray(self):
+        M = manifolds.euclidean(3, halfwidth=2.0)
+        sigma = point(M, [0.0, 0.0, 0.0])
+        e = np.eye(3)
+        diagonal = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        inside = NormalRay(np.zeros(0), e[1], t_max=1.5)
+        axis = NormalRay(np.zeros(0), e[0], t_max=10.0)       # exits near t = 2.2
+        slanted = NormalRay(np.zeros(0), diagonal, t_max=10.0)  # exits near t = 3.1
+        down = NormalRay(np.zeros(0), -e[2], t_max=10.0)
+        with pytest.raises(RayIntegrationError) as err:
+            integrate_rays(M, sigma, [inside, axis, slanted, down])
+        assert err.value.index == 1
+        assert 1.9 <= err.value.t <= 2.3
+        assert "left the chart" in str(err.value)
+        # the batch position decides, not the failure time
+        with pytest.raises(RayIntegrationError) as err:
+            integrate_rays(M, sigma, [inside, slanted, axis])
+        assert err.value.index == 1
+        assert 2.9 <= err.value.t <= 3.3
+
+    def test_empty_batch(self):
+        M, sigma, _ = flat_circle_ray()
+        assert integrate_rays(M, sigma, []) == []
 
 
 class TestShapeOperator:
