@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,8 +22,7 @@ import numpy as np
 from . import manifolds as manifold_registry
 from . import scenarios as scenario_registry
 from .geometry import SingularMetricError
-from .models import first_zero, hk_integrand, thm1_bound, thm1_constants
-from .quadrature import gauss_legendre_panels
+from .models import thm1_bound, thm1_constants
 from .submanifolds import SUBMANIFOLD_BUILDERS
 from .transport import RayIntegrationError
 from .tubes import QuadratureSpec
@@ -128,14 +128,28 @@ def _build_from_registry(kind: str, registry, spec: dict):
 def parse_radii(text: str) -> tuple[float, ...]:
     """Parse 'a:b:n' into n equally spaced radii, or a single float."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return (float(parts[0]),)
-    if len(parts) != 3:
-        raise ConfigError(f"--radii expects 'a:b:n' or a single value, got '{text}'")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1:
-        raise ConfigError("radii count must be >= 1")
-    return tuple(np.linspace(a, b, n))
+    malformed = ConfigError(f"--radii expects 'a:b:n' or a single value, got '{text}'")
+    if len(parts) not in (1, 3):
+        raise malformed
+    try:
+        if len(parts) == 1:
+            radii = (float(parts[0]),)
+        else:
+            a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+            radii = tuple(np.linspace(a, b, n))
+    except ValueError as exc:
+        raise malformed from exc
+    return _valid_radii(radii, "--radii")
+
+
+def _valid_radii(radii, source: str) -> tuple:
+    """The radii as given, once they are a nonempty list of numbers r >= 0."""
+    if (not isinstance(radii, (list, tuple)) or not radii
+            or not all(isinstance(r, (int, float)) and not isinstance(r, bool)
+                       and 0.0 <= r < math.inf for r in radii)):
+        raise ConfigError(f"{source} must be a nonempty list of finite numbers "
+                          f">= 0, got {radii!r}")
+    return tuple(radii)
 
 
 def scenarios_from_config(cfg: dict, seed: int | None = None,
@@ -169,7 +183,7 @@ def scenarios_from_config(cfg: dict, seed: int | None = None,
             manifold=M, sigma=sigma,
             k=int(pars.get("k", 1)), H=float(pars.get("H", 0.0)),
             p=float(pars.get("p", M.dim + 1)),
-            radii=tuple(cfg.get("radii", (0.5,))),
+            radii=_valid_radii(cfg.get("radii", (0.5,)), "'radii'"),
             quad=QuadratureSpec(**quad_cfg),
             tolerance=tol_val,
             checks=tuple(cfg.get("checks", ())),
@@ -222,16 +236,7 @@ def cmd_tube_volume(scenario: Scenario, radii: tuple[float, ...]) -> list[list[s
     thm1_applicable = (0 < m < n - 1) and H <= 0.0 and p > n - k
     for r in radii:
         res = sampler.volume(r)
-        hk_val = ""
-        if hk_applicable and r > 0.0:
-            total = 0.0
-            for (b, f), w in zip(sampler.ray_index, sampler.weights):
-                e = sampler.grid.eta_dot_xi(b, f)
-                z = first_zero(H, n, m, e, r)
-                ts, tw = gauss_legendre_panels(0.0, z, 1, 24)
-                total += w * float(tw @ np.array(
-                    [hk_integrand(H, n, m, e, t) for t in ts]))
-            hk_val = _fmt(total)
+        hk_val = _fmt(sampler.hk_bound(H, r)) if hk_applicable and r > 0.0 else ""
         thm1_val = ""
         if thm1_applicable:
             # table uses the tube-restricted deficit norm (the verify command

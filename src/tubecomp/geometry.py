@@ -32,8 +32,10 @@ __all__ = [
     "ric_k",
     "rho_k_at",
     "lp_deficit_norm",
+    "frame_curvature",
     "gram_schmidt",
     "complete_frame",
+    "complete_euclidean",
 ]
 
 
@@ -108,10 +110,12 @@ class ChartManifold:
     """Riemannian metric field on one chart.
 
     metric(x) must map points of shape (..., n) to SPD matrices of shape
-    (..., n, n). Optional analytic callbacks supply first derivatives
-    (``metric_grad`` with layout dg[..., k, i, j] = d_k g_ij) and second
-    derivatives (``metric_hess`` with d2g[..., k, l, i, j]); otherwise
-    central finite differences with the stated steps are used.
+    (..., n, n), for any leading batch axes. Optional analytic callbacks,
+    batched the same way, supply first derivatives (``metric_grad`` with
+    layout dg[..., k, i, j] = d_k g_ij) and second derivatives
+    (``metric_hess`` with d2g[..., k, l, i, j]); otherwise central finite
+    differences with the stated steps are used. ``extra`` holds builder
+    facts such as a sphere's radius and chart axes.
     """
 
     dim: int
@@ -123,20 +127,13 @@ class ChartManifold:
     volume_validity_radius: float | None = None
     fd_step_first: float = 1e-5
     fd_step_second: float = 1e-4
-    vectorized: bool = True
     rho_exact: dict[int, float] | None = None
     curvature_support: Box | None = None
+    extra: dict = field(default_factory=dict)
     _rho_cache: dict = field(default_factory=dict, repr=False)
 
     def metric_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.vectorized:
-            return np.asarray(self.metric(pts), dtype=float)
-        if pts.ndim == 1:
-            return np.asarray(self.metric(pts), dtype=float)
-        flat = pts.reshape(-1, self.dim)
-        out = np.stack([np.asarray(self.metric(x), dtype=float) for x in flat])
-        return out.reshape(pts.shape[:-1] + (self.dim, self.dim))
+        return np.asarray(self.metric(np.asarray(pts, dtype=float)), dtype=float)
 
     def sqrt_det_at(self, pts: np.ndarray) -> np.ndarray:
         g = self.metric_at(pts)
@@ -153,9 +150,7 @@ class ChartManifold:
 def _grad_at(M: ChartManifold, xs: np.ndarray) -> np.ndarray:
     """dg[b, k, i, j] = d_k g_ij at each row of xs (B, n)."""
     if M.metric_grad is not None:
-        if M.vectorized:
-            return np.asarray(M.metric_grad(xs), dtype=float)
-        return np.stack([np.asarray(M.metric_grad(x), dtype=float) for x in xs])
+        return np.asarray(M.metric_grad(xs), dtype=float)
     n, h = M.dim, M.fd_step_first
     eye = np.eye(n)
     pts = np.concatenate([xs[:, None, :] + h * eye, xs[:, None, :] - h * eye], axis=1)
@@ -166,9 +161,7 @@ def _grad_at(M: ChartManifold, xs: np.ndarray) -> np.ndarray:
 def _hess_at(M: ChartManifold, xs: np.ndarray) -> np.ndarray:
     """d2g[b, k, l, i, j] = d_k d_l g_ij at each row of xs (B, n)."""
     if M.metric_hess is not None:
-        if M.vectorized:
-            return np.asarray(M.metric_hess(xs), dtype=float)
-        return np.stack([np.asarray(M.metric_hess(x), dtype=float) for x in xs])
+        return np.asarray(M.metric_hess(xs), dtype=float)
     n, h = M.dim, M.fd_step_second
     B = xs.shape[0]
     eye = np.eye(n)
@@ -208,23 +201,20 @@ def _inverse_spd(g: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     return chol, np.linalg.inv(g)
 
 
-def _christoffel_batch(M: ChartManifold, xs: np.ndarray) -> np.ndarray:
+def _connection_batch(M: ChartManifold, xs: np.ndarray):
+    """(g, g^-1, dg, A, Gamma) at each row of xs, Gamma^i_lj = g^ia A_alj / 2."""
     g = M.metric_at(xs)
     _, ginv = _inverse_spd(g, M.name)
     dg = _grad_at(M, xs)
     A = np.einsum("blaj->balj", dg) + np.einsum("bjal->balj", dg) - dg
-    return 0.5 * np.einsum("bia,balj->bilj", ginv, A)
+    return g, ginv, dg, A, 0.5 * np.einsum("bia,balj->bilj", ginv, A)
 
 
 def _curvature_batch(M: ChartManifold, xs: np.ndarray,
                      want_gamma: bool = False):
     """Batched all-lowered curvature tensor Rm[b,i,j,k,l] (and optionally Gamma)."""
-    g = M.metric_at(xs)
-    _, ginv = _inverse_spd(g, M.name)
-    dg = _grad_at(M, xs)
+    g, ginv, dg, A, gamma = _connection_batch(M, xs)
     d2g = _hess_at(M, xs)
-    A = np.einsum("blaj->balj", dg) + np.einsum("bjal->balj", dg) - dg
-    gamma = 0.5 * np.einsum("bia,balj->bilj", ginv, A)
     dA = (np.einsum("bklaj->bkalj", d2g) + np.einsum("bkjal->bkalj", d2g) - d2g)
     dginv = -np.einsum("bic,bkcd,bda->bkia", ginv, dg, ginv)
     dgamma = 0.5 * (np.einsum("bkia,balj->bkilj", dginv, A)
@@ -240,7 +230,7 @@ def _curvature_batch(M: ChartManifold, xs: np.ndarray,
 
 def christoffel_at(M: ChartManifold, x: np.ndarray) -> np.ndarray:
     """Levi-Civita coefficients Gamma[i, j, k] = Gamma^i_jk, symmetric in (j, k)."""
-    return _christoffel_batch(M, np.asarray(x, dtype=float)[None])[0]
+    return _connection_batch(M, np.asarray(x, dtype=float)[None])[-1][0]
 
 
 def curvature_tensor_at(M: ChartManifold, x: np.ndarray) -> np.ndarray:
@@ -252,6 +242,16 @@ def connection_and_curvature(M: ChartManifold, x: np.ndarray):
     """(metric, Gamma, Rm) at one point; shares the derivative evaluations."""
     g, gamma, rm = _curvature_batch(M, np.asarray(x, dtype=float)[None], want_gamma=True)
     return g[0], gamma[0], rm[0]
+
+
+def frame_curvature(rm: np.ndarray, E: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetrized R(E_a, v, E_b, v) over leading batch axes.
+
+    rm (..., n, n, n, n), frame rows E (..., r, n), v (..., n) -> (..., r, r).
+    """
+    w = np.einsum("...ijkl,...j,...l->...ik", rm, v, v)
+    mat = E @ w @ np.swapaxes(E, -1, -2)
+    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +282,22 @@ def gram_schmidt(g: np.ndarray, vectors, drop_tol: float = 1e-10) -> np.ndarray:
                 w = w / math.sqrt(w @ g @ w)
             basis.append(w)
     return np.array(basis) if basis else np.zeros((0, len(g)))
+
+
+def complete_euclidean(first_row: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of R^d (rows) with the given unit vector first."""
+    d = len(first_row)
+    basis = [first_row]
+    for e in np.eye(d):
+        v = e.copy()
+        for b in basis:
+            v -= (b @ v) * b
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-8:
+            basis.append(v / nrm)
+        if len(basis) == d:
+            break
+    return np.array(basis)
 
 
 def complete_frame(g: np.ndarray, seed_vectors) -> np.ndarray:
@@ -316,9 +332,8 @@ def directional_curvature_operator(M: ChartManifold, x: np.ndarray,
     norm = math.sqrt(u @ g @ u)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"direction must be g-unit, |u|_g = {norm}")
-    rm = curvature_tensor_at(M, x)
     frame = complete_frame(g, [u])[1:]
-    mat = np.einsum("ijkl,ai,j,bk,l->ab", rm, frame, u, frame, u)
+    mat = frame_curvature(curvature_tensor_at(M, x), frame, u)
     return CurvatureOperatorAt(point=x, direction=u, frame=frame, matrix=mat)
 
 
@@ -332,9 +347,7 @@ def ric_k(M: ChartManifold, x: np.ndarray, u: np.ndarray, V) -> float:
     basis = gram_schmidt(g, [u] + list(V))
     if len(basis) != 1 + len(V):
         raise ValueError("V is not orthonormalizable inside u-perp (dimension mismatch)")
-    rm = curvature_tensor_at(M, x)
-    e = basis[1:]
-    return float(np.einsum("ijkl,ai,j,ak,l->", rm, e, u, e, u))
+    return float(np.trace(frame_curvature(curvature_tensor_at(M, x), basis[1:], u)))
 
 
 def _pencil_eigenvalues(rm: np.ndarray, linv: np.ndarray,

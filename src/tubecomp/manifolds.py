@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .geometry import Box, ChartManifold
+from .geometry import Box, ChartManifold, complete_euclidean
 
 __all__ = [
     "euclidean",
@@ -74,19 +74,7 @@ def axes_with_pole(pole: np.ndarray) -> np.ndarray:
     quadrature ray of a scenario.
     """
     pole = np.asarray(pole, dtype=float)
-    pole = pole / np.linalg.norm(pole)
-    d = len(pole)
-    cols = [pole]
-    for e in np.eye(d):
-        v = e.copy()
-        for b in cols:
-            v -= (b @ v) * b
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            cols.append(v / nrm)
-        if len(cols) == d:
-            break
-    return np.vstack(cols[1:] + [pole])
+    return np.roll(complete_euclidean(pole / np.linalg.norm(pole)), -1, axis=0)
 
 
 def sphere(n: int, radius: float = 1.0, axes: np.ndarray | None = None,
@@ -128,11 +116,10 @@ def sphere(n: int, radius: float = 1.0, axes: np.ndarray | None = None,
         return d2c[..., :, :, None, None] * eye
 
     domain = Box(-halfwidth * np.ones(n), halfwidth * np.ones(n), (False,) * n)
-    M = ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
-                      metric_hess=hess, name=f"sphere{n}_r{radius:g}",
-                      rho_exact={k: k / R2 for k in range(1, n)})
-    M.extra = {"kind": "sphere", "radius": radius, "axes": axes}
-    return M
+    return ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
+                         metric_hess=hess, name=f"sphere{n}_r{radius:g}",
+                         rho_exact={k: k / R2 for k in range(1, n)},
+                         extra={"kind": "sphere", "radius": radius, "axes": axes})
 
 
 def sphere_to_chart(M: ChartManifold, q: np.ndarray) -> np.ndarray:
@@ -198,11 +185,10 @@ def sphere_colatitude(n: int, radius: float = 1.0) -> ChartManifold:
     lo = np.concatenate([np.full(n - 1, 1e-8), [0.0]])
     hi = np.concatenate([np.full(n - 1, math.pi - 1e-8), [2.0 * math.pi]])
     periodic = tuple([False] * (n - 1) + [True])
-    M = ChartManifold(dim=n, metric=metric, domain=Box(lo, hi, periodic),
-                      name=f"sphere{n}_colat_r{radius:g}",
-                      rho_exact={k: k / R2 for k in range(1, n)})
-    M.extra = {"kind": "sphere_colatitude", "radius": radius}
-    return M
+    return ChartManifold(dim=n, metric=metric, domain=Box(lo, hi, periodic),
+                         name=f"sphere{n}_colat_r{radius:g}",
+                         rho_exact={k: k / R2 for k in range(1, n)},
+                         extra={"kind": "sphere_colatitude", "radius": radius})
 
 
 def hyperbolic(n: int, z_range: tuple[float, float] = (0.02, 20.0),
@@ -274,11 +260,10 @@ def product(Ma: ChartManifold, Mb: ChartManifold,
     domain = Box(np.concatenate([Ma.domain.lo, Mb.domain.lo]),
                  np.concatenate([Ma.domain.hi, Mb.domain.hi]),
                  Ma.domain.periodic + Mb.domain.periodic)
-    M = ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
-                      metric_hess=hess, name=f"{Ma.name}_x_{Mb.name}",
-                      rho_exact=rho_exact)
-    M.extra = {"kind": "product", "factors": (Ma, Mb)}
-    return M
+    return ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
+                         metric_hess=hess, name=f"{Ma.name}_x_{Mb.name}",
+                         rho_exact=rho_exact,
+                         extra={"kind": "product", "factors": (Ma, Mb)})
 
 
 def warped_product(fiber_dim: int, warp, dwarp=None, d2warp=None,
@@ -410,12 +395,11 @@ def bump_torus(n: int, side: float = 2.0 * math.pi, amplitude: float = 0.1,
 
     domain = Box(np.zeros(n), side * np.ones(n), (True,) * n)
     support = Box(center - width, center + width, (False,) * n)
-    M = ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
-                      metric_hess=hess, name=f"bump_torus{n}_eps{amplitude:g}",
-                      curvature_support=support)
-    M.extra = {"kind": "bump_torus", "amplitude": amplitude,
-               "center": center, "width": width, "side": side}
-    return M
+    return ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
+                         metric_hess=hess, name=f"bump_torus{n}_eps{amplitude:g}",
+                         curvature_support=support,
+                         extra={"kind": "bump_torus", "amplitude": amplitude,
+                                "center": center, "width": width, "side": side})
 
 
 MANIFOLD_BUILDERS = {

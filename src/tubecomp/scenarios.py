@@ -18,7 +18,6 @@ from .submanifolds import (
     great_circle,
     point,
     round_sphere,
-    sphere_point,
     sub_torus,
 )
 from .tubes import QuadratureSpec

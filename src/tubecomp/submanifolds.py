@@ -16,8 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Box, ChartManifold, christoffel_at, complete_frame, gram_schmidt
+from .geometry import complete_euclidean
 from .manifolds import ambient_tangent_to_chart, sphere_to_chart
-from .quadrature import gauss_legendre_panels, periodic_trapezoid, unit_sphere_quadrature
+from .quadrature import unit_sphere_quadrature
 
 __all__ = [
     "RankDeficiencyError",
@@ -131,24 +132,14 @@ class EmbeddedSubmanifold:
         """Parameter nodes and coordinate-measure weights (no metric factor)."""
         if self.dim == 0:
             return np.zeros((1, 0)), np.ones(1)
-        box = self.param_domain
-        if np.isscalar(resolution):
-            resolution = [int(resolution)] * self.dim
-        axes, weights = [], []
-        for i, res in enumerate(resolution):
-            if box.periodic[i]:
-                nodes, w = periodic_trapezoid(box.hi[i] - box.lo[i], res, box.lo[i])
-            else:
-                nodes, w = gauss_legendre_panels(box.lo[i], box.hi[i], 1, res)
-            axes.append(nodes)
-            weights.append(w)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([mm.ravel() for mm in mesh], axis=-1)
-        wmesh = np.meshgrid(*weights, indexing="ij")
-        w = np.ones(len(pts))
-        for wm in wmesh:
-            w *= wm.ravel()
-        return pts, w
+        return self.param_domain.quadrature_grid(resolution)
+
+
+def _normal_frame(sigma: EmbeddedSubmanifold, s, x, g, tangent) -> np.ndarray:
+    """The declared normal frame at x = embed(s), else the g-orthonormal completion."""
+    if sigma.normal_frame_fn is not None:
+        return np.asarray(sigma.normal_frame_fn(s, x, g, tangent))
+    return complete_frame(g, list(tangent))[len(tangent):]
 
 
 def frames_at(sigma: EmbeddedSubmanifold, M: ChartManifold,
@@ -158,20 +149,13 @@ def frames_at(sigma: EmbeddedSubmanifold, M: ChartManifold,
     x = sigma.embed(s)
     g = M.metric_at(x)
     m = sigma.dim
-    if m == 0:
-        tangent = np.zeros((0, M.dim))
-        if sigma.normal_frame_fn is not None:
-            return tangent, np.asarray(sigma.normal_frame_fn(s, x, g, tangent))
-        return tangent, complete_frame(g, [])
-    J = sigma.jacobian_at(s)
-    tangent = gram_schmidt(g, list(J.T))
-    if len(tangent) != m:
-        raise RankDeficiencyError(
-            f"embedding differential of {sigma.name} has rank {len(tangent)} < {m} at s={s}")
-    if sigma.normal_frame_fn is not None:
-        return tangent, np.asarray(sigma.normal_frame_fn(s, x, g, tangent))
-    full = complete_frame(g, list(tangent))
-    return full[:m], full[m:]
+    tangent = np.zeros((0, M.dim))
+    if m > 0:
+        tangent = gram_schmidt(g, list(sigma.jacobian_at(s).T))
+        if len(tangent) != m:
+            raise RankDeficiencyError(f"embedding differential of {sigma.name} has "
+                                      f"rank {len(tangent)} < {m} at s={s}")
+    return tangent, _normal_frame(sigma, s, x, g, tangent)
 
 
 def second_fundamental_at(sigma: EmbeddedSubmanifold, M: ChartManifold,
@@ -197,10 +181,7 @@ def second_fundamental_at(sigma: EmbeddedSubmanifold, M: ChartManifold,
             f"embedding differential of {sigma.name} rank-deficient at s={s}") from exc
     coeff = np.linalg.inv(L)                  # tangent frame = coeff @ J.T
     tangent = coeff @ J.T
-    if sigma.normal_frame_fn is not None:
-        normal = np.asarray(sigma.normal_frame_fn(s, x, g, tangent))
-    else:
-        normal = complete_frame(g, list(tangent))[m:]
+    normal = _normal_frame(sigma, s, x, g, tangent)
     H2 = sigma.hessian_at(s)                  # (m, m, n) coordinate second derivatives
     gamma = christoffel_at(M, x)
     K_coord = H2 + np.einsum("ijk,ja,kb->abi", gamma, J, J)
@@ -221,18 +202,22 @@ def weingarten(sigma: EmbeddedSubmanifold, M: ChartManifold, s,
     return -np.einsum("abi,ij,j->ab", K, g, xi)
 
 
+def _mean_curvature(K: np.ndarray, g: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """eta = -sum over normal rows nu of <tr K, nu> nu / m, K of shape (m, m, n)."""
+    trace_K = np.einsum("aai->i", K)
+    eta = np.zeros(len(g))
+    for nu in normal:
+        eta += (-(trace_K @ g @ nu) / len(K)) * nu
+    return eta
+
+
 def mean_curvature_vector(sigma: EmbeddedSubmanifold, M: ChartManifold,
                           s) -> np.ndarray:
     """Normal vector eta with <eta, xi> = tr(S_xi)/m; zero vector for m = 0."""
     if sigma.dim == 0:
         return np.zeros(M.dim)
-    tangent, normal, K, x = second_fundamental_at(sigma, M, s)
-    g = M.metric_at(x)
-    eta = np.zeros(M.dim)
-    trace_K = np.einsum("aai->i", K)
-    for nu in normal:
-        eta += (-(trace_K @ g @ nu) / sigma.dim) * nu
-    return eta
+    _, normal, K, x = second_fundamental_at(sigma, M, s)
+    return _mean_curvature(K, M.metric_at(x), normal)
 
 
 @dataclass(eq=False)
@@ -258,6 +243,13 @@ class NormalFiberGrid:
     @property
     def total_weight(self) -> float:
         return float(np.sum(self.base_weights) * np.sum(self.fiber_weights))
+
+    @property
+    def eta_max(self) -> float:
+        """Largest g-norm of the mean curvature vector over the base nodes."""
+        return max((math.sqrt(max(0.0, eta @ self.manifold.metric_at(x) @ eta))
+                    for eta, x in zip(self.mean_curvature, self.positions)),
+                   default=0.0)
 
     def normal_vector(self, b: int, f: int) -> np.ndarray:
         return self.fiber_coeffs[f] @ self.normal_frames[b]
@@ -297,15 +289,9 @@ def unit_normal_grid(sigma: EmbeddedSubmanifold, M: ChartManifold,
     weights = np.empty(B)
     for b, s in enumerate(params):
         if m == 0:
-            x = sigma.embed(s)
-            g = M.metric_at(x)
-            tangents[b] = np.zeros((0, n))
-            if sigma.normal_frame_fn is not None:
-                normals[b] = np.asarray(sigma.normal_frame_fn(s, x, g, tangents[b]))
-            else:
-                normals[b] = complete_frame(g, [])
+            tangents[b], normals[b] = frames_at(sigma, M, s)
             eta[b] = 0.0
-            positions[b] = x
+            positions[b] = sigma.embed(s)
             weights[b] = par_w[b]
             continue
         tangent, normal, K, x = second_fundamental_at(sigma, M, s)
@@ -316,11 +302,7 @@ def unit_normal_grid(sigma: EmbeddedSubmanifold, M: ChartManifold,
         tangents[b] = tangent
         normals[b] = normal
         second[b] = K
-        trace_K = np.einsum("aai->i", K)
-        ev = np.zeros(n)
-        for nu in normal:
-            ev += (-(trace_K @ g @ nu) / m) * nu
-        eta[b] = ev
+        eta[b] = _mean_curvature(K, g, normal)
         weights[b] = par_w[b] * math.sqrt(np.linalg.det(gram))
     fiber_coeffs, fiber_w = unit_sphere_quadrature(
         n - m - 1, resolution=fiber_resolution, mc_samples=mc_samples, rng=rng)
@@ -349,19 +331,10 @@ def point(M: ChartManifold, location, normal_frame_fn=None) -> EmbeddedSubmanifo
 
 def sphere_point(M: ChartManifold, ambient_location) -> EmbeddedSubmanifold:
     """Point of a stereographic round sphere with a deterministic ambient frame."""
-    q0 = np.asarray(ambient_location, dtype=float)
-    radius = M.extra["radius"]
-    q0 = radius * q0 / np.linalg.norm(q0)
-    basis = []
-    for e in np.eye(M.dim + 1):
-        v = e - (e @ q0) * q0 / radius**2
-        for b in basis:
-            v = v - (b @ v) * b
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            basis.append(v / nrm)
-        if len(basis) == M.dim:
-            break
+    unit = np.asarray(ambient_location, dtype=float)
+    unit = unit / np.linalg.norm(unit)
+    q0 = M.extra["radius"] * unit
+    basis = complete_euclidean(unit)[1:]
 
     def normal_frame(_s, _x, _g, _tangent):
         return np.stack([ambient_tangent_to_chart(M, q0, w) for w in basis])
@@ -486,7 +459,7 @@ def round_sphere(M: ChartManifold, radius: float,
     ``center``. In a stereographic round-sphere ambient S^3: the distance
     sphere of geodesic radius ``radius`` about the last coordinate pole.
     """
-    kind = getattr(M, "extra", {}).get("kind", "euclidean")
+    kind = M.extra.get("kind", "euclidean")
     if kind == "sphere":
         if M.dim != 3:
             raise ValueError("geodesic round_sphere implemented for S^3 ambients")

@@ -29,8 +29,8 @@ from scipy.integrate._ivp.rk import (
 from scipy.optimize import brentq
 
 from .geometry import ChartManifold, _curvature_batch, connection_and_curvature
+from .geometry import complete_euclidean, complete_frame, frame_curvature
 from .submanifolds import EmbeddedSubmanifold, NonNormalVectorError, second_fundamental_at
-from .geometry import complete_frame
 
 __all__ = [
     "RayIntegrationError",
@@ -45,6 +45,7 @@ __all__ = [
     "split_mean_curvature",
     "partial_trace_shape",
     "focal_distance",
+    "split_traces",
     "structural_residuals",
     "jy_factors",
 ]
@@ -94,20 +95,27 @@ class TransportState:
     solution: "RaySolution" = field(repr=False, default=None)
 
 
-def _complete_euclidean(first_row: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of R^d with the given unit vector as first row."""
-    d = len(first_row)
-    basis = [first_row]
-    for e in np.eye(d):
-        v = e.copy()
-        for b in basis:
-            v -= (b @ v) * b
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            basis.append(v / nrm)
-        if len(basis) == d:
-            break
-    return np.array(basis)
+def _split(Y: np.ndarray, n: int):
+    """(x, v, E, J, J') views of ray states Y of shape (..., state).
+
+    The state of a ray is position x (n), velocity v (n), parallel frame
+    rows E (n-1, n), and the Jacobi pair J, J' (n-1, n-1 each), in this
+    order; this function and ``_pack`` are the only code that knows it.
+    """
+    lead = Y.shape[:-1]
+    e_end = 2 * n + (n - 1) * n
+    j_end = e_end + (n - 1) * (n - 1)
+    return (Y[..., :n], Y[..., n:2 * n],
+            Y[..., 2 * n:e_end].reshape(lead + (n - 1, n)),
+            Y[..., e_end:j_end].reshape(lead + (n - 1, n - 1)),
+            Y[..., j_end:].reshape(lead + (n - 1, n - 1)))
+
+
+def _pack(x, v, E, J, Jp) -> np.ndarray:
+    """Ray states (..., state) from their parts; the inverse of ``_split``."""
+    lead = np.shape(x)[:-1]
+    return np.concatenate([x, v] + [np.reshape(a, lead + (-1,)) for a in (E, J, Jp)],
+                          axis=-1)
 
 
 def _initial_data(M: ChartManifold, sigma: EmbeddedSubmanifold, ray: NormalRay):
@@ -129,7 +137,7 @@ def _initial_data(M: ChartManifold, sigma: EmbeddedSubmanifold, ray: NormalRay):
         S_xi = -np.einsum("abi,ij,j->ab", K, g, xi)
     # orthonormal basis of the normal space with xi first, in frame coefficients
     coeff = normal @ g @ xi
-    nperp = _complete_euclidean(coeff / np.linalg.norm(coeff))[1:] @ normal
+    nperp = complete_euclidean(coeff / np.linalg.norm(coeff))[1:] @ normal
     frame0 = np.vstack([tangent, nperp])           # (n-1, n)
     d = n - m - 1
     J0 = np.zeros((n - 1, n - 1))
@@ -158,39 +166,32 @@ class RaySolution:
     def n(self) -> int:
         return self.manifold.dim
 
-    def _unpack(self, y: np.ndarray, t: float) -> TransportState:
-        n = self.n
-        frame = y[2 * n:2 * n + (n - 1) * n].reshape(n - 1, n)
-        sz = (n - 1) * (n - 1)
-        J = y[2 * n + (n - 1) * n:2 * n + (n - 1) * n + sz].reshape(n - 1, n - 1)
-        Jp = y[2 * n + (n - 1) * n + sz:].reshape(n - 1, n - 1)
-        return TransportState(t=t, position=y[:n], velocity=y[n:2 * n],
-                              frame=frame, J_mat=J, J_prime=Jp, solution=self)
+    def fields(self, ts):
+        """(x, v, E, J, J') at a time t or along a 1-D array of times ts."""
+        return _split(self.sol(ts).T, self.n)
+
+    def density(self, ts):
+        """Polar volume density det J at the time or times ts."""
+        return np.linalg.det(self.fields(ts)[3])
 
     def state_at(self, t: float) -> TransportState:
         if not 0.0 <= t <= self.t_max + 1e-12:
             raise ValueError(f"t={t} outside integrated range [0, {self.t_max}]")
-        return self._unpack(self.sol(min(t, self.t_max)), t)
+        x, v, E, J, Jp = self.fields(min(t, self.t_max))
+        return TransportState(t=t, position=x, velocity=v, frame=E, J_mat=J,
+                              J_prime=Jp, solution=self)
 
     def jacobi_dets(self, resolution: int = 512) -> tuple[np.ndarray, np.ndarray]:
         """(ts, det J(ts)) on a cached uniform grid."""
         if self._det_grid is None or len(self._det_grid[0]) < resolution:
             ts = np.linspace(0.0, self.t_max, resolution + 1)
-            ys = self.sol(ts)
-            n = self.n
-            sz = (n - 1) * (n - 1)
-            start = 2 * n + (n - 1) * n
-            Js = ys[start:start + sz].T.reshape(-1, n - 1, n - 1)
-            self._det_grid = (ts, np.linalg.det(Js))
+            self._det_grid = (ts, self.density(ts))
         return self._det_grid
 
     def det_scale(self, t: float) -> float:
         ts, dets = self.jacobi_dets()
         mask = ts <= t + 1e-12
         return max(1.0, float(np.max(np.abs(dets[mask])))) if mask.any() else 1.0
-
-    def _det_at(self, t: float) -> float:
-        return float(np.linalg.det(self._J_at(t)))
 
     def focal_time(self) -> float | None:
         """First zero of det J in (0, t_max], or None.
@@ -212,7 +213,7 @@ class RaySolution:
                 fa = dets[i - 1]
                 while b - a > 1e-10:
                     mid = 0.5 * (a + b)
-                    fm = self._det_at(mid)
+                    fm = self.density(mid)
                     if (fa > 0) == (fm > 0):
                         a, fa = mid, fm
                     else:
@@ -223,7 +224,7 @@ class RaySolution:
                     and abs(dets[i]) < abs(dets[i - 1])
                     and abs(dets[i]) <= abs(dets[i + 1])):
                 tstar = self._refine_touching_zero(ts[i - 1], ts[i + 1])
-                if tstar is not None and abs(self._det_at(tstar)) <= 1e-9 * scale:
+                if tstar is not None and abs(self.density(tstar)) <= 1e-9 * scale:
                     focal = tstar
                     break
         if focal is None and abs(dets[-1]) <= 1e-9 * scale:
@@ -238,9 +239,9 @@ class RaySolution:
         def slope(t):
             lo = max(t - h, 0.0)
             hi = min(t + h, self.t_max)
-            return (self._det_at(hi) - self._det_at(lo)) / (hi - lo)
+            return (self.density(hi) - self.density(lo)) / (hi - lo)
 
-        sign0 = self._det_at(0.5 * (a + b)) >= 0.0
+        sign0 = self.density(0.5 * (a + b)) >= 0.0
         sa = slope(a) if sign0 else -slope(a)
         sb = slope(b) if sign0 else -slope(b)
         if not (sa < 0.0 < sb):
@@ -255,13 +256,6 @@ class RaySolution:
                 b = mid
         return 0.5 * (a + b)
 
-    def _J_at(self, t: float) -> np.ndarray:
-        n = self.n
-        y = self.sol(t)
-        start = 2 * n + (n - 1) * n
-        sz = (n - 1) * (n - 1)
-        return y[start:start + sz].reshape(n - 1, n - 1)
-
 
 def _ray_rhs(M: ChartManifold, Y: np.ndarray) -> np.ndarray:
     """Derivative of every row of Y: geodesic, parallel frame, Jacobi pair.
@@ -269,20 +263,11 @@ def _ray_rhs(M: ChartManifold, Y: np.ndarray) -> np.ndarray:
     One curvature evaluation covers all rows; each row's result does not
     depend on the other rows.
     """
-    n, B = M.dim, len(Y)
-    v = Y[:, n:2 * n]
-    E = Y[:, 2 * n:2 * n + (n - 1) * n].reshape(B, n - 1, n)
-    sz = (n - 1) * (n - 1)
-    J = Y[:, 2 * n + (n - 1) * n:2 * n + (n - 1) * n + sz].reshape(B, n - 1, n - 1)
-    Jp = Y[:, 2 * n + (n - 1) * n + sz:]
-    _, gamma, rm = _curvature_batch(M, Y[:, :n], want_gamma=True)
+    x, v, E, J, Jp = _split(Y, M.dim)
+    _, gamma, rm = _curvature_batch(M, x, want_gamma=True)
     acc = -np.einsum("bijk,bj,bk->bi", gamma, v, v)
     dE = -np.einsum("bijk,bj,bak->bai", gamma, v, E)
-    w = np.einsum("bijkl,bj,bl->bik", rm, v, v)
-    rmat = E @ w @ np.transpose(E, (0, 2, 1))
-    rmat = 0.5 * (rmat + np.transpose(rmat, (0, 2, 1)))
-    return np.concatenate([v, acc, dE.reshape(B, -1), Jp,
-                           (-rmat @ J).reshape(B, -1)], axis=1)
+    return _pack(v, acc, dE, Jp, -frame_curvature(rm, E, v) @ J)
 
 
 def _chart_exit_fn(M: ChartManifold):
@@ -294,7 +279,7 @@ def _chart_exit_fn(M: ChartManifold):
 
     def chart_exit(y):
         # periodic coordinates wrap; open ones must stay inside the chart
-        pos = y[..., :n]
+        pos = _split(y, n)[0]
         over = np.where(periodic, -1.0,
                         np.maximum(lo - margin - pos, pos - hi - margin))
         return -np.max(over, axis=-1)
@@ -382,8 +367,7 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
     if not rays:
         return []
     starts = [_initial_data(M, sigma, ray) for ray in rays]
-    y = np.array([np.concatenate([x0, xi, frame0.ravel(), J0.ravel(), Jp0.ravel()])
-                  for x0, xi, frame0, J0, Jp0, _ in starts])
+    y = np.array([_pack(*start[:5]) for start in starts])
     R = len(rays)
     t_end = np.array([float(ray.t_max) for ray in rays])
     if np.any(t_end < 0.0):
@@ -535,21 +519,15 @@ def focal_distance(M: ChartManifold, sigma: EmbeddedSubmanifold, ray: NormalRay,
     return solution.focal_time()
 
 
-def _scalar_trace_grids(solution: RaySolution, t: float, npts: int = 513):
-    """phi and psi sampled on a uniform grid of (0, t] for quadrature."""
-    n, m = solution.n, solution.m
-    eps = min(1e-8, 0.1 * t)
-    ts = np.linspace(eps, t, npts)
-    ys = solution.sol(ts)
-    start = 2 * n + (n - 1) * n
-    sz = (n - 1) * (n - 1)
-    Js = ys[start:start + sz].T.reshape(-1, n - 1, n - 1)
-    Jps = ys[start + sz:].T.reshape(-1, n - 1, n - 1)
-    S = np.linalg.solve(np.transpose(Js, (0, 2, 1)), np.transpose(Jps, (0, 2, 1)))
-    S = np.transpose(S, (0, 2, 1))     # Jp J^{-1} = solve(J^T, Jp^T)^T
-    phi = np.trace(S[:, :m, :m], axis1=1, axis2=2)
-    psi = np.trace(S[:, m:, m:], axis1=1, axis2=2)
-    return ts, phi, psi
+def split_traces(J: np.ndarray, Jp: np.ndarray, m: int):
+    """(phi, psi): traces of S = J' J^-1 over the tangent- and normal-born blocks.
+
+    J and J' may carry leading batch axes; the traces keep them.
+    """
+    S = np.swapaxes(np.linalg.solve(np.swapaxes(J, -1, -2), np.swapaxes(Jp, -1, -2)),
+                    -1, -2)    # J' J^{-1} = solve(J^T, J'^T)^T
+    return (np.trace(S[..., :m, :m], axis1=-2, axis2=-1),
+            np.trace(S[..., m:, m:], axis1=-2, axis2=-1))
 
 
 def _simpson(vals: np.ndarray, ts: np.ndarray) -> float:
@@ -592,12 +570,10 @@ def structural_residuals(solution: RaySolution, ts=None) -> dict:
         S0 = shape_operator(st)
         Sdot = s_derivative(t)
         _, _, rm = connection_and_curvature(M, st.position)
-        rmat = np.einsum("ijkl,ai,j,bk,l->ab", rm, st.frame, st.velocity,
-                         st.frame, st.velocity)
+        rmat = frame_curvature(rm, st.frame, st.velocity)
         out["riccati"] = max(out["riccati"], float(np.linalg.norm(
             Sdot + S0 @ S0 + rmat, ord="fro")))
-        a_m = float(np.linalg.det(solution.state_at(t - h).J_mat))
-        a_p = float(np.linalg.det(solution.state_at(t + h).J_mat))
+        a_m, a_p = float(solution.density(t - h)), float(solution.density(t + h))
         dlog = (a_p - a_m) / (2.0 * h * float(np.linalg.det(J)))
         out["log_density"] = max(out["log_density"],
                                  float(abs(dlog - np.trace(S0))))
@@ -635,7 +611,8 @@ def jy_factors(state: TransportState) -> tuple[float, float]:
     if focal is not None and state.t >= focal - 1e-9:
         raise FocalSingularityError(
             f"jy_factors needs t before the focal time {focal:.9g}, got {state.t}")
-    ts, phi, psi = _scalar_trace_grids(solution, state.t)
+    ts = np.linspace(min(1e-8, 0.1 * state.t), state.t, 513)
+    phi, psi = split_traces(*solution.fields(ts)[3:], m)
     j_scalar = math.exp(_simpson(phi / m, ts)) if m >= 1 else 1.0
     if d >= 1:
         y_scalar = state.t * math.exp(_simpson((psi - d / ts) / d, ts))

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ChartManifold, rho_k_at
+from .models import first_zero, hk_integrand, sphere_volume
 from .quadrature import gauss_legendre_panels
-from .submanifolds import EmbeddedSubmanifold, NormalFiberGrid, unit_normal_grid
+from .submanifolds import EmbeddedSubmanifold, NormalFiberGrid, frames_at, unit_normal_grid
 from .transport import NormalRay, RayIntegrationError, RaySolution, integrate_rays
 
 __all__ = [
@@ -106,17 +107,12 @@ class TubeSampler:
         truncated = focal is not None and focal < r
         return top, truncated
 
-    def _density_at(self, sol: RaySolution, ts: np.ndarray) -> np.ndarray:
-        n = self.M.dim
-        ys = sol.sol(ts)
-        start = 2 * n + (n - 1) * n
-        sz = (n - 1) * (n - 1)
-        Js = ys[start:start + sz].T.reshape(-1, n - 1, n - 1)
-        return np.linalg.det(Js)
-
-    def volume(self, r: float) -> TubeVolumeResult:
+    def _check_horizon(self, r: float):
         if r > self.r_max + 1e-12:
             raise ValueError(f"radius {r} beyond integrated horizon {self.r_max}")
+
+    def volume(self, r: float) -> TubeVolumeResult:
+        self._check_horizon(r)
         if r <= 0.0:
             return TubeVolumeResult(0.0, 0.0, len(self.rays),
                                     [False] * len(self.rays))
@@ -131,10 +127,10 @@ class TubeSampler:
                 continue
             ts, tw = gauss_legendre_panels(0.0, top, spec.t_panels,
                                            spec.t_nodes_per_panel)
-            total += w * float(tw @ self._density_at(sol, ts))
+            total += w * float(tw @ sol.density(ts))
             ts2, tw2 = gauss_legendre_panels(0.0, top, spec.t_panels,
                                              max(4, spec.t_nodes_per_panel // 2))
-            total_coarse += w * float(tw2 @ self._density_at(sol, ts2))
+            total_coarse += w * float(tw2 @ sol.density(ts2))
         validity = self.M.volume_validity_radius
         return TubeVolumeResult(value=total,
                                 error_estimate=abs(total - total_coarse),
@@ -144,6 +140,7 @@ class TubeSampler:
                                                    and r > validity + 1e-12))
 
     def area(self, t: float) -> float:
+        self._check_horizon(t)
         if t <= 0.0:
             return 0.0
         total = 0.0
@@ -151,7 +148,7 @@ class TubeSampler:
             focal = sol.focal_time()
             if focal is not None and t >= focal:
                 continue
-            total += w * float(self._density_at(sol, np.array([t]))[0])
+            total += w * float(sol.density(np.array([t]))[0])
         return total
 
     def lp_deficit(self, t: float, k: int, H: float, p: float,
@@ -159,25 +156,40 @@ class TubeSampler:
         """Tube-restricted ||(rho_k - H)_-||_p via the same Fubini quadrature."""
         if p < 1.0:
             raise ValueError(f"need p >= 1, got {p}")
+        self._check_horizon(t)
         spec = self.spec
         if rho_fn is None:
             def rho_fn(x):
                 return rho_k_at(self.M, x, k, directions=spec.rho_directions,
                                 refine_rounds=spec.rho_refine_rounds)
         total = 0.0
-        n = self.M.dim
         for sol, w in zip(self.rays, self.weights):
             top, _ = self._radial_nodes(sol, t)
             if top <= 0.0:
                 continue
             ts, tw = gauss_legendre_panels(0.0, top, spec.t_panels,
                                            spec.t_nodes_per_panel)
-            dens = self._density_at(sol, ts)
-            positions = sol.sol(ts)[:n].T
+            dens = sol.density(ts)
+            positions = sol.fields(ts)[0]
             deficit = np.array([max(H - rho_fn(x), 0.0) + inflation
                                 for x in positions])
             total += w * float(tw @ (deficit**p * dens))
         return total ** (1.0 / p)
+
+    def hk_bound(self, H: float, r: float) -> float:
+        """Heintze-Karcher comparison volume of the tube of radius r > 0.
+
+        The model density of curvature H is integrated to its first zero
+        with 24 Gauss-Legendre nodes for every (node, fiber) direction.
+        """
+        n, m = self.M.dim, self.sigma.dim
+        total = 0.0
+        for (b, f), w in zip(self.ray_index, self.weights):
+            e = self.grid.eta_dot_xi(b, f)
+            z = first_zero(H, n, m, e, r)
+            ts, tw = gauss_legendre_panels(0.0, z, 1, 24)
+            total += w * float(tw @ np.array([hk_integrand(H, n, m, e, t) for t in ts]))
+        return total
 
 
 def tube_volume(M: ChartManifold, sigma: EmbeddedSubmanifold, r: float,
@@ -221,28 +233,18 @@ def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,
     n_rays = max(8, spec.mc_samples // t_draws)
     box = sigma.param_domain
     param_measure = 1.0 if m == 0 else float(np.prod(box.widths()))
-    from .models import sphere_volume
-    from .submanifolds import second_fundamental_at, frames_at
-    from .geometry import complete_frame
 
     # draw every ray's randomness first, in the order of one ray at a time
     rays, scales, t_samples = [], [], []
     for _ in range(n_rays):
         s = (np.zeros(0) if m == 0
              else rng.uniform(box.lo, box.hi))
-        x = sigma.embed(s)
-        g = M.metric_at(x)
-        if m == 0:
-            tangent = np.zeros((0, n))
-            normal = (np.asarray(sigma.normal_frame_fn(s, x, g, tangent))
-                      if sigma.normal_frame_fn is not None
-                      else complete_frame(g, []))
-            gram_density = 1.0
-        else:
+        gram_density = 1.0
+        if m > 0:
             J = sigma.jacobian_at(s)
-            gram = J.T @ g @ J
+            gram = J.T @ M.metric_at(sigma.embed(s)) @ J
             gram_density = math.sqrt(np.linalg.det(gram))
-            _, normal = frames_at(sigma, M, s)
+        _, normal = frames_at(sigma, M, s)
         c = rng.standard_normal(n - m)
         c /= np.linalg.norm(c)
         rays.append(NormalRay(s, c @ normal, t_max=r, tolerance=spec.ray_tolerance))
@@ -258,11 +260,7 @@ def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,
             keep = np.ones(t_draws, dtype=bool)
         dens = np.zeros(t_draws)
         if keep.any():
-            ys = sol.sol(ts[keep])
-            start = 2 * n + (n - 1) * n
-            sz = (n - 1) * (n - 1)
-            Js = ys[start:start + sz].T.reshape(-1, n - 1, n - 1)
-            dens[keep] = np.linalg.det(Js)
+            dens[keep] = sol.density(ts[keep])
         values[i] = scales[i] * float(np.mean(dens))
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_rays))

@@ -9,26 +9,27 @@ quadrature/integration error estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import ChartManifold, lp_deficit_norm, rho_k_at
+from .geometry import curvature_tensor_at, frame_curvature
 from .models import (
     BoundReport,
-    first_zero,
-    hk_integrand,
+    _denominator_first_zero,
     model_shape_trace,
     thm1_bound,
     thm1_constants,
 )
-from .quadrature import gauss_legendre_panels
 from .submanifolds import EmbeddedSubmanifold
 from .transport import (
     NormalRay,
     integrate_rays,
     shape_operator,
+    split_traces,
     structural_residuals,
 )
 from .tubes import QuadratureSpec, TubeSampler, tube_volume_monte_carlo
@@ -101,11 +102,14 @@ class Scenario:
                         refine_rounds=self.quad.rho_refine_rounds)
 
     def sampler(self, r_max: float) -> TubeSampler:
+        """Shared ray cache; rebuilt when the geometry or quadrature changed."""
         key = round(float(r_max), 12)
-        if key not in self._sampler_cache:
-            self._sampler_cache[key] = TubeSampler(self.manifold, self.sigma,
-                                                   r_max, self.quad)
-        return self._sampler_cache[key]
+        cached = self._sampler_cache.get(key)
+        if (cached is None or cached.M is not self.manifold
+                or cached.sigma is not self.sigma or cached.spec != self.quad):
+            cached = TubeSampler(self.manifold, self.sigma, r_max, self.quad)
+            self._sampler_cache[key] = cached
+        return cached
 
     def horizon(self) -> float:
         if self.ray_horizon is not None:
@@ -155,14 +159,6 @@ def _random_orthonormal(rng: np.random.Generator, k: int, dim: int) -> np.ndarra
     return q[:, :k].T
 
 
-def _curvature_matrix(M: ChartManifold, state) -> np.ndarray:
-    from .geometry import connection_and_curvature
-    _, _, rm = connection_and_curvature(M, state.position)
-    mat = np.einsum("ijkl,ai,j,bk,l->ab", rm, state.frame, state.velocity,
-                    state.frame, state.velocity)
-    return 0.5 * (mat + mat.T)
-
-
 def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
                              n_times: int = 8,
                              n_random_w: int = 3) -> list[BoundReport]:
@@ -190,11 +186,10 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
         acc[branch] = {"worst_slack": math.inf, "max_abs": 0.0, "worst": None,
                        "margin": math.inf, "count": 0}
 
-    generic_blow = math.pi / math.sqrt(H) if H > 1e-8 else math.inf
     for i in idx:
         sol = sampler.rays[i]
         focal = sol.focal_time()
-        frames = []   # (branch, W, w0, domain_end)
+        frames = []   # (branch, W, w0); w0 is None on the generic branch
         if "tangential" in acc:
             cands = [np.eye(sol.n - 1)[:k]]
             for _ in range(n_random_w):
@@ -205,23 +200,25 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
             for W in cands:
                 w0 = float(np.einsum("ai,ij,aj->", W[:, :m], sol.weingarten0,
                                      W[:, :m])) / k
-                frames.append(("tangential", W, w0, _tangential_domain_end(H, w0)))
+                frames.append(("tangential", W, w0))
         if "generic" in acc:
             for _ in range(n_random_w + 1):
                 frames.append(("generic",
-                               _random_orthonormal(rng, k, sol.n - 1),
-                               None, generic_blow))
+                               _random_orthonormal(rng, k, sol.n - 1), None))
         hi_all = min(scenario.horizon(),
                      0.98 * focal if focal is not None else math.inf)
-        hi_frame = [min(hi_all, 0.98 * fr[3]) for fr in frames]
+        # each frame's model trace is defined up to its denominator's first zero
+        hi_frame = [min(hi_all, 0.98 * _denominator_first_zero(H, w0))
+                    for _, _, w0 in frames]
         hi_max = max(hi_frame, default=0.0)
         if hi_max <= 0.03:
             continue
         for t in np.linspace(max(0.05, hi_max / n_times), hi_max, n_times):
             st = sol.state_at(float(t))
             S = shape_operator(st)
-            rmat = _curvature_matrix(M, st)
-            for (branch, W, w0, _), hi in zip(frames, hi_frame):
+            rmat = frame_curvature(curvature_tensor_at(M, st.position), st.frame,
+                                   st.velocity)
+            for (branch, W, w0), hi in zip(frames, hi_frame):
                 if t > hi:
                     continue
                 a = acc[branch]
@@ -256,16 +253,6 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
         rep.equality = a["max_abs"] <= 10.0 * err_est
         reports.append(rep)
     return reports
-
-
-def _tangential_domain_end(H: float, w0: float) -> float:
-    if abs(H) < 1e-8:
-        return -1.0 / w0 if w0 < 0 else math.inf
-    if H > 0:
-        s = math.sqrt(H)
-        return (math.atan(w0 / s) + math.pi / 2.0) / s
-    s = math.sqrt(-H)
-    return math.atanh(s / -w0) / s if w0 < -s else math.inf
 
 
 def check_focal_radius(scenario: Scenario, n_rays: int | None = None) -> BoundReport:
@@ -326,12 +313,7 @@ def check_hk_bound(scenario: Scenario, r: float) -> BoundReport:
             certification=cert)
     sampler = scenario.sampler(max(r, max(scenario.radii, default=r)))
     measured = sampler.volume(r)
-    rhs = 0.0
-    for (b, f), w in zip(sampler.ray_index, sampler.weights):
-        e = sampler.grid.eta_dot_xi(b, f)
-        z = first_zero(H, n, m, e, r)
-        ts, tw = gauss_legendre_panels(0.0, z, 1, 24)
-        rhs += w * float(tw @ np.array([hk_integrand(H, n, m, e, t) for t in ts]))
+    rhs = sampler.hk_bound(H, r)
     err = measured.error_estimate + 1e-10 * max(1.0, rhs)
     return BoundReport.from_values(
         "hk_bound", measured=measured.value, bound=rhs,
@@ -363,9 +345,7 @@ def check_integral_bound(scenario: Scenario, r: float,
         return [BoundReport.precondition_violation(
             "integral_bound", f"needs k = min(m, n-m-1) = {min(m, n-m-1)}, got {k}")]
     sampler = scenario.sampler(max(r, max(scenario.radii, default=r)))
-    g_etas = [math.sqrt(max(0.0, eta @ M.metric_at(x) @ eta))
-              for eta, x in zip(sampler.grid.mean_curvature, sampler.grid.positions)]
-    eta_max = max(g_etas) if g_etas else 0.0
+    eta_max = sampler.grid.eta_max
     if eta_max > 1e-6:
         return [BoundReport.precondition_violation(
             "integral_bound",
@@ -374,11 +354,11 @@ def check_integral_bound(scenario: Scenario, r: float,
     vol_sigma = sampler.grid.sigma_volume
     rho = scenario.rho_fn(k)
     grid_rho = rho is None
-    global_norm = lp_deficit_norm(M, None, k, H, p,
-                                  resolution=scenario.quad.chart_resolution,
-                                  directions=scenario.quad.rho_directions,
-                                  refine_rounds=scenario.quad.rho_refine_rounds,
-                                  rho_fn=rho)
+    chart_norm = functools.partial(
+        lp_deficit_norm, M, None, k, H, p, resolution=scenario.quad.chart_resolution,
+        directions=scenario.quad.rho_directions,
+        refine_rounds=scenario.quad.rho_refine_rounds)
+    global_norm = chart_norm(rho_fn=rho)
     tube_norm = sampler.lp_deficit(r, k, H, p, rho_fn=rho)
     measured = sampler.volume(r)
     details_common = {
@@ -387,10 +367,7 @@ def check_integral_bound(scenario: Scenario, r: float,
         "mean_curvature_check": "passed",
     }
     if grid_rho:
-        inflated_global = lp_deficit_norm(
-            M, None, k, H, p, resolution=scenario.quad.chart_resolution,
-            directions=scenario.quad.rho_directions,
-            refine_rounds=scenario.quad.rho_refine_rounds, inflation=1e-3)
+        inflated_global = chart_norm(inflation=1e-3)
         details_common["global_norm_inflated"] = inflated_global.value
         details_common["bound_inflated"] = thm1_bound(
             constants, vol_sigma, inflated_global.value, r)
@@ -438,17 +415,12 @@ def check_lemma_51_52(scenario: Scenario, n_rays: int | None = None,
     rng = scenario.rng()
     sampler = scenario.sampler(scenario.horizon())
     idx = _ray_subsample(sampler, n_rays or scenario.check_rays, rng)
-    rho_m_fn = scenario.rho_fn(m)
-    rho_k_fn = scenario.rho_fn(k)
     worst_51 = math.inf
     worst_52 = math.inf
     worst_52_ratio = None
     jy_resid = 0.0
-    eta_max = max(math.sqrt(max(0.0, eta @ M.metric_at(x) @ eta))
-                  for eta, x in zip(sampler.grid.mean_curvature,
-                                    sampler.grid.positions))
-    minimal_ok = eta_max <= 1e-6
-    if not minimal_ok:
+    eta_max = sampler.grid.eta_max
+    if eta_max > 1e-6:
         return [BoundReport.precondition_violation(
             "lemma_51_52", f"minimality violated: max |eta| = {eta_max:.3e}")]
     coef_52 = (2.0 * p - 1.0) / (p - (n - k))
@@ -458,27 +430,11 @@ def check_lemma_51_52(scenario: Scenario, n_rays: int | None = None,
         hi = min(sol.t_max, 0.95 * focal if focal is not None else math.inf)
         eps = 1e-6
         ts = np.linspace(eps, hi, grid_points)
-        ys = sol.sol(ts)
-        start = 2 * n + (n - 1) * n
-        sz = (n - 1) * (n - 1)
-        Js = ys[start:start + sz].T.reshape(-1, n - 1, n - 1)
-        Jps = ys[start + sz:].T.reshape(-1, n - 1, n - 1)
-        S = np.transpose(np.linalg.solve(np.transpose(Js, (0, 2, 1)),
-                                         np.transpose(Jps, (0, 2, 1))), (0, 2, 1))
-        phi = np.trace(S[:, :m, :m], axis1=1, axis2=2)
-        psi = np.trace(S[:, m:, m:], axis1=1, axis2=2)
+        positions, _, _, Js, Jps = sol.fields(ts)
+        phi, psi = split_traces(Js, Jps, m)
         A = np.linalg.det(Js)
-        positions = ys[:n].T
-        if rho_m_fn is not None:
-            rho_m = np.full(len(ts), rho_m_fn(positions[0]))
-        else:
-            rho_m = np.array([scenario.rho_at(x, m) for x in positions])
-        if k == m:
-            rho_k = rho_m
-        elif rho_k_fn is not None:
-            rho_k = np.full(len(ts), rho_k_fn(positions[0]))
-        else:
-            rho_k = np.array([scenario.rho_at(x, k) for x in positions])
+        rho_m = np.array([scenario.rho_at(x, m) for x in positions])
+        rho_k = rho_m if k == m else np.array([scenario.rho_at(x, k) for x in positions])
         pos_prod = np.maximum(phi, 0.0) * np.maximum(psi, 0.0)
         # cumulative trapezoid integrals from 0; the [0, eps] sliver is O(eps)
         def cum(vals):

@@ -7,6 +7,7 @@ pass lines. Heavy suite runs are shared through module-scoped fixtures.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from tubecomp.submanifolds import point, sub_torus
 from tubecomp.transport import NormalRay, integrate_ray, partial_trace_shape
 from tubecomp.tubes import QuadratureSpec, tube_volume
 from tubecomp.verification import run_suite
+
+
+GOLDEN = Path(__file__).parent / "golden" / "acceptance_reports.json"
 
 
 def _report(entries, scenario, check):
@@ -254,3 +258,42 @@ def test_criterion_10_determinism(tmp_path):
     assert payload["ok"] is True
     print("\n[criterion 10] PASS determinism: byte-identical verify reports "
           f"({len(outputs[0][0])} bytes JSON, {len(outputs[0][1])} bytes CSV)")
+
+
+def _golden_rows(entries):
+    """status, measured, bound and error_estimate (or reason) of every report."""
+    rows = []
+    for scenario, rep in entries:
+        row = {"scenario": scenario, "name": rep.name, "status": rep.status}
+        if rep.status == "precondition-violation":
+            row["reason"] = rep.details["reason"]
+        else:
+            row.update(measured=float(rep.measured), bound=float(rep.bound),
+                       error_estimate=float(rep.error_estimate))
+        rows.append(row)
+    return rows
+
+
+def test_golden_reports(spaceform_reports, product_reports, bump_reports,
+                        bump05_reports):
+    """Every fixture report matches the recorded one within its error estimate.
+
+    ``tests/golden/acceptance_reports.json`` holds ``_golden_rows`` of the four
+    fixtures, recorded before the ray-state and formula refactor. A value
+    may move by the recorded report's error estimate, floored at
+    1e-9 * max(1, |value|); a precondition violation must keep its reason.
+    """
+    golden = json.loads(GOLDEN.read_text())
+    rows = _golden_rows(spaceform_reports + product_reports + bump_reports
+                        + bump05_reports)
+    assert ([(r["scenario"], r["name"], r["status"]) for r in rows]
+            == [(g["scenario"], g["name"], g["status"]) for g in golden])
+    for row, ref in zip(rows, golden):
+        if ref["status"] == "precondition-violation":
+            assert row["reason"] == ref["reason"]
+            continue
+        for key in ("measured", "bound", "error_estimate"):
+            tol = max(ref["error_estimate"], 1e-9 * max(1.0, abs(ref[key])))
+            assert abs(row[key] - ref[key]) <= tol, (
+                f"{row['scenario']}::{row['name']} {key} {row[key]!r}, "
+                f"recorded {ref[key]!r}")

@@ -217,6 +217,25 @@ class TestExitCodes:
         assert ran == []
         assert "nosuchcheck" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--radii", "abc"],
+        ["verify", "--radii", "0.1:0.5:x"],
+        ["tube-volume", "--radii", "0.1:x:3"],
+        ["tube-volume", "--radii", "0.1:0.5:0"],
+        ["tube-volume", "--radii=-0.5"],
+    ])
+    def test_malformed_radii_option_exit_2(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        assert main(argv + ["--config", cfg]) == 2
+        assert "--radii" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "tube-volume"])
+    @pytest.mark.parametrize("radii", [["a"], "0.5", [], [-1.0]])
+    def test_malformed_config_radii_exit_2(self, tmp_path, capsys, command, radii):
+        cfg = dict(FAST_CONFIG, radii=radii)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "'radii' must be a nonempty list" in capsys.readouterr().err
+
     def test_ray_failure_exit_2(self, tmp_path, capsys):
         # every ray of radius 5 leaves the euclidean box of halfwidth 1
         cfg = {"manifold": {"name": "euclidean", "n": 3, "halfwidth": 1.0},

@@ -38,7 +38,7 @@ def check_tensor_symmetries(Rm, tol):
 def strip_analytic(M):
     """Copy of a manifold forced onto the finite-difference derivative path."""
     return ChartManifold(dim=M.dim, metric=M.metric, domain=M.domain,
-                         name=M.name + "_fd", vectorized=M.vectorized)
+                         name=M.name + "_fd")
 
 
 class TestChristoffel:

@@ -157,6 +157,28 @@ class TestTubeLpDeficit:
         assert inflated > base
 
 
+class TestHorizon:
+    @pytest.fixture(scope="class")
+    def short_sampler(self):
+        M = manifolds.sphere(3, axes=axes_with_pole(
+            [0.0, 0.0, math.cos(0.196), math.sin(0.196)]))
+        spec = QuadratureSpec(base_resolution=4, fiber_resolution=4)
+        return TubeSampler(M, great_circle(M), 0.5, spec)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda s: s.volume(0.9),
+        lambda s: s.area(0.9),
+        lambda s: s.lp_deficit(0.9, 1, 1.0, 4.0, rho_fn=lambda x: 0.0),
+    ], ids=["volume", "area", "lp_deficit"])
+    def test_beyond_integrated_horizon_rejected(self, short_sampler, evaluate):
+        with pytest.raises(ValueError, match="beyond integrated horizon"):
+            evaluate(short_sampler)
+
+    def test_at_horizon_accepted(self, short_sampler):
+        assert short_sampler.area(0.5) == pytest.approx(
+            4.0 * math.pi**2 * math.sin(0.5) * math.cos(0.5), rel=1e-6)
+
+
 class TestRayFailurePropagation:
     def test_failed_ray_reports_base_and_direction(self):
         from tubecomp.submanifolds import point

@@ -1,5 +1,6 @@
 """Scenario checks: equality detection, precondition guards, suite aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,25 @@ def fast_flat_scenario(**overrides):
 @pytest.fixture(scope="module")
 def flat_scenario():
     return fast_flat_scenario()
+
+
+class TestSamplerCache:
+    def test_rebuilt_after_quadrature_change(self):
+        sc = fast_flat_scenario()
+        before = len(sc.sampler(0.5).rays)    # base_resolution 4
+        sc.quad = dataclasses.replace(sc.quad, base_resolution=[8])
+        assert len(sc.sampler(0.5).rays) == 2 * before
+        # reused while nothing changes; a JSON list compares by value
+        rebuilt = sc.sampler(0.5)
+        sc.quad = dataclasses.replace(sc.quad, base_resolution=[8])
+        assert sc.sampler(0.5) is rebuilt
+
+    def test_rebuilt_after_geometry_change(self):
+        sc = fast_flat_scenario()
+        first = sc.sampler(0.5)
+        sc.sigma = sub_torus(sc.manifold, [1], np.array([0.0, 1.0, 2.0, 3.0]))
+        assert sc.sampler(0.5).sigma is sc.sigma
+        assert sc.sampler(0.5) is not first
 
 
 class TestCertification:
