@@ -236,16 +236,14 @@ def cmd_tube_volume(scenario: Scenario, radii: tuple[float, ...]) -> list[list[s
     thm1_applicable = (0 < m < n - 1) and H <= 0.0 and p > n - k
     for r in radii:
         res = sampler.volume(r)
-        hk_val = _fmt(sampler.hk_bound(H, r)) if hk_applicable and r > 0.0 else ""
+        hk_val = _fmt(sampler.hk_bound(H, r)) if hk_applicable else ""
         thm1_val = ""
         if thm1_applicable:
             # table uses the tube-restricted deficit norm (the verify command
             # reports both variants); declared homogeneous rho short-circuits
             consts = thm1_constants(n, m, p, H)
             rho = scenario.rho_fn(k)
-            if r <= 0.0:
-                norm = 0.0
-            elif rho is not None:
+            if rho is not None:
                 const_deficit = max(H - rho(M.domain.lo), 0.0)
                 norm = const_deficit * res.value ** (1.0 / p)
             else:

@@ -23,6 +23,7 @@ __all__ = [
     "Box",
     "ChartManifold",
     "CurvatureOperatorAt",
+    "DEFICIT_INFLATION",
     "DeficitNorm",
     "christoffel_at",
     "curvature_tensor_at",
@@ -130,7 +131,6 @@ class ChartManifold:
     rho_exact: dict[int, float] | None = None
     curvature_support: Box | None = None
     extra: dict = field(default_factory=dict)
-    _rho_cache: dict = field(default_factory=dict, repr=False)
 
     def metric_at(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.metric(np.asarray(pts, dtype=float)), dtype=float)
@@ -389,13 +389,9 @@ def rho_k_at(M: ChartManifold, x: np.ndarray, k: int, *,
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     x = np.asarray(x, dtype=float)
-    wrapped = M.domain.wrap(x)
-    if M.curvature_support is not None and not M.curvature_support.contains(wrapped):
+    if (M.curvature_support is not None
+            and not M.curvature_support.contains(M.domain.wrap(x))):
         return 0.0  # metric is exactly flat outside the declared support
-    key = (k, directions, refine_rounds, tuple(np.round(wrapped, 12)))
-    cached = M._rho_cache.get(key)
-    if cached is not None:
-        return cached
     g = M.metric_at(x)
     chol, _ = _inverse_spd(g[None], M.name)
     linv = np.linalg.inv(chol[0])
@@ -425,18 +421,21 @@ def rho_k_at(M: ChartManifold, x: np.ndarray, k: int, *,
             else:
                 break
         step *= 0.2
-    M._rho_cache[key] = best
     return best
+
+
+DEFICIT_INFLATION = 1e-3   # safety margin added to the deficit at every node
 
 
 class DeficitNorm(NamedTuple):
     value: float
     error_estimate: float
+    inflated: float   # fine-grid norm of (rho_k - H)_- + DEFICIT_INFLATION
 
 
 def lp_deficit_norm(M: ChartManifold, region: Box | None, k: int, H: float,
                     p: float, *, resolution: int = 8, directions: int = 2048,
-                    refine_rounds: int = 3, inflation: float = 0.0,
+                    refine_rounds: int = 3,
                     rho_fn: Callable[[np.ndarray], float] | None = None) -> DeficitNorm:
     """L^p norm of (rho_k - H)_- over a chart region, with error estimate.
 
@@ -445,8 +444,8 @@ def lp_deficit_norm(M: ChartManifold, region: Box | None, k: int, H: float,
     ``resolution`` must be at least 2. When the manifold
     declares a curvature support box and H <= 0 the integration is
     restricted to it (the deficit vanishes identically outside).
-    ``inflation`` is added to the negative part everywhere, implementing
-    the safety-inflated variant reported by verification.
+    ``inflated`` is the safety-inflated variant reported by verification,
+    formed from the same fine-grid deficits as ``value``.
     """
     if p < 1.0:
         raise ValueError(f"need p >= 1, got {p}")
@@ -457,19 +456,19 @@ def lp_deficit_norm(M: ChartManifold, region: Box | None, k: int, H: float,
         try:
             region = region.intersect(M.curvature_support)
         except ValueError:
-            return DeficitNorm(0.0, 0.0)  # region misses the support entirely
+            return DeficitNorm(0.0, 0.0, 0.0)  # region misses the support entirely
     if rho_fn is None:
         def rho_fn(pt):
             return rho_k_at(M, pt, k, directions=directions,
                             refine_rounds=refine_rounds)
 
-    def integral(res: int) -> float:
+    def norms(res: int, *shifts: float) -> list[float]:
+        """One grid walk; the norm of the deficit plus each shift."""
         pts, w = region.quadrature_grid(res)
-        dens = M.sqrt_det_at(pts)
-        deficit = np.array([max(H - rho_fn(pt), 0.0) + inflation for pt in pts])
-        return float(np.sum(w * dens * deficit**p))
+        wd = w * M.sqrt_det_at(pts)
+        deficit = np.array([max(H - rho_fn(pt), 0.0) for pt in pts])
+        return [float(np.sum(wd * (deficit + s)**p)) ** (1.0 / p) for s in shifts]
 
-    coarse = min(resolution - 1, max(3, (2 * resolution) // 3))
-    v_fine = integral(resolution) ** (1.0 / p)
-    v_coarse = integral(coarse) ** (1.0 / p)
-    return DeficitNorm(value=v_fine, error_estimate=abs(v_fine - v_coarse))
+    value, inflated = norms(resolution, 0.0, DEFICIT_INFLATION)
+    (coarse,) = norms(min(resolution - 1, max(3, (2 * resolution) // 3)), 0.0)
+    return DeficitNorm(value, abs(value - coarse), inflated)

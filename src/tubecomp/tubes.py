@@ -152,7 +152,7 @@ class TubeSampler:
         return total
 
     def lp_deficit(self, t: float, k: int, H: float, p: float,
-                   rho_fn=None, inflation: float = 0.0) -> float:
+                   rho_fn=None) -> float:
         """Tube-restricted ||(rho_k - H)_-||_p via the same Fubini quadrature."""
         if p < 1.0:
             raise ValueError(f"need p >= 1, got {p}")
@@ -169,19 +169,19 @@ class TubeSampler:
                 continue
             ts, tw = gauss_legendre_panels(0.0, top, spec.t_panels,
                                            spec.t_nodes_per_panel)
-            dens = sol.density(ts)
-            positions = sol.fields(ts)[0]
-            deficit = np.array([max(H - rho_fn(x), 0.0) + inflation
-                                for x in positions])
-            total += w * float(tw @ (deficit**p * dens))
+            positions, _, _, J, _ = sol.fields(ts)
+            deficit = np.array([max(H - rho_fn(x), 0.0) for x in positions])
+            total += w * float(tw @ (deficit**p * np.linalg.det(J)))
         return total ** (1.0 / p)
 
     def hk_bound(self, H: float, r: float) -> float:
-        """Heintze-Karcher comparison volume of the tube of radius r > 0.
+        """Heintze-Karcher comparison volume of the tube of radius r (0 at r <= 0).
 
         The model density of curvature H is integrated to its first zero
         with 24 Gauss-Legendre nodes for every (node, fiber) direction.
         """
+        if r <= 0.0:
+            return 0.0
         n, m = self.M.dim, self.sigma.dim
         total = 0.0
         for (b, f), w in zip(self.ray_index, self.weights):
@@ -209,10 +209,10 @@ def equidistant_area(M: ChartManifold, sigma: EmbeddedSubmanifold, t: float,
 def tube_lp_deficit(M: ChartManifold, sigma: EmbeddedSubmanifold, t: float,
                     k: int, H: float, p: float,
                     spec: QuadratureSpec | None = None,
-                    rho_fn=None, inflation: float = 0.0) -> float:
+                    rho_fn=None) -> float:
     """Tube-restricted L^p deficit norm over T(Sigma, t)."""
     sampler = TubeSampler(M, sigma, max(t, 1e-6), spec)
-    return sampler.lp_deficit(t, k, H, p, rho_fn=rho_fn, inflation=inflation)
+    return sampler.lp_deficit(t, k, H, p, rho_fn=rho_fn)
 
 
 def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,

@@ -9,7 +9,6 @@ quadrature/integration error estimate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -301,94 +300,96 @@ def check_focal_radius(scenario: Scenario, n_rays: int | None = None) -> BoundRe
     return rep
 
 
-def check_hk_bound(scenario: Scenario, r: float) -> BoundReport:
-    """Tube volume against the constant-curvature comparison integrand."""
+def check_hk_bound(scenario: Scenario, radii) -> list[BoundReport]:
+    """Tube volume against the constant-curvature comparison integrand, per radius."""
     M, sigma = scenario.manifold, scenario.sigma
     n, m = M.dim, sigma.dim
     k, H = scenario.k, scenario.H
     cert = certify_rho_lower_bound(scenario, k, H)
     if not cert["ok"]:
-        return BoundReport.precondition_violation(
+        return [BoundReport.precondition_violation(
             "hk_bound", f"rho_{k} certification failed (margin {cert['margin']:.3e})",
-            certification=cert)
-    sampler = scenario.sampler(max(r, max(scenario.radii, default=r)))
-    measured = sampler.volume(r)
-    rhs = sampler.hk_bound(H, r)
-    err = measured.error_estimate + 1e-10 * max(1.0, rhs)
-    return BoundReport.from_values(
-        "hk_bound", measured=measured.value, bound=rhs,
-        tolerance=scenario.tolerance, error_estimate=max(err, 1e-9),
-        constants={"n": n, "m": m, "k": k, "H": H, "r": r},
-        certification=cert, rays=measured.rays_used,
-        truncated=sum(measured.truncated_at_focal))
+            certification=cert) for _ in radii]
+    reports = []
+    for r in radii:
+        sampler = scenario.sampler(max(r, max(scenario.radii, default=r)))
+        measured = sampler.volume(r)
+        rhs = sampler.hk_bound(H, r)
+        err = measured.error_estimate + 1e-10 * max(1.0, rhs)
+        reports.append(BoundReport.from_values(
+            "hk_bound", measured=measured.value, bound=rhs,
+            tolerance=scenario.tolerance, error_estimate=max(err, 1e-9),
+            constants={"n": n, "m": m, "k": k, "H": H, "r": r},
+            certification=cert, rays=measured.rays_used,
+            truncated=sum(measured.truncated_at_focal)))
+    return reports
 
 
-def check_integral_bound(scenario: Scenario, r: float,
+def check_integral_bound(scenario: Scenario, radii,
                          monte_carlo_check: bool = False) -> list[BoundReport]:
     """Measured tube volume against the integral-curvature upper bound.
 
-    Emits two reports: one with the global deficit norm (the theorem as
-    stated; this is the pass/fail one) and one with the tube-restricted
-    norm. Safety-inflated norms are recorded in the details whenever the
-    grid rho estimator was used.
+    Emits two reports per radius, in order: one with the global deficit
+    norm (the theorem as stated; this is the pass/fail one) and one with
+    the tube-restricted norm. The global norm is computed once for all
+    radii; its safety-inflated variant is recorded in the details whenever
+    the grid rho estimator was used.
     """
     M, sigma = scenario.manifold, scenario.sigma
     n, m = M.dim, sigma.dim
     k, H, p = scenario.k, scenario.H, scenario.p
+    reason = None
     if not (0 < m < n - 1):
-        return [BoundReport.precondition_violation(
-            "integral_bound", f"needs 0 < m < n-1, got m={m}, n={n}")]
-    if H > 0.0:
-        return [BoundReport.precondition_violation(
-            "integral_bound", f"needs H <= 0, got {H}")]
-    if k != min(m, n - m - 1):
-        return [BoundReport.precondition_violation(
-            "integral_bound", f"needs k = min(m, n-m-1) = {min(m, n-m-1)}, got {k}")]
-    sampler = scenario.sampler(max(r, max(scenario.radii, default=r)))
-    eta_max = sampler.grid.eta_max
-    if eta_max > 1e-6:
-        return [BoundReport.precondition_violation(
-            "integral_bound",
-            f"minimality violated: max |eta| = {eta_max:.3e} > 1e-6")]
+        reason = f"needs 0 < m < n-1, got m={m}, n={n}"
+    elif H > 0.0:
+        reason = f"needs H <= 0, got {H}"
+    elif k != min(m, n - m - 1):
+        reason = f"needs k = min(m, n-m-1) = {min(m, n-m-1)}, got {k}"
+    else:
+        samplers = [scenario.sampler(max(r, max(scenario.radii, default=r)))
+                    for r in radii]
+        eta_max = max((s.grid.eta_max for s in samplers), default=0.0)
+        if eta_max > 1e-6:
+            reason = f"minimality violated: max |eta| = {eta_max:.3e} > 1e-6"
+    if reason is not None or not radii:
+        return [BoundReport.precondition_violation("integral_bound", reason)
+                for _ in radii]
     constants = thm1_constants(n, m, p, H)
-    vol_sigma = sampler.grid.sigma_volume
     rho = scenario.rho_fn(k)
-    grid_rho = rho is None
-    chart_norm = functools.partial(
-        lp_deficit_norm, M, None, k, H, p, resolution=scenario.quad.chart_resolution,
+    global_norm = lp_deficit_norm(
+        M, None, k, H, p, resolution=scenario.quad.chart_resolution,
         directions=scenario.quad.rho_directions,
-        refine_rounds=scenario.quad.rho_refine_rounds)
-    global_norm = chart_norm(rho_fn=rho)
-    tube_norm = sampler.lp_deficit(r, k, H, p, rho_fn=rho)
-    measured = sampler.volume(r)
-    details_common = {
-        "vol_sigma": vol_sigma, "eta_max": eta_max, "r": r,
-        "rho_k_method": "grid+refinement" if grid_rho else "declared",
-        "mean_curvature_check": "passed",
-    }
-    if grid_rho:
-        inflated_global = chart_norm(inflation=1e-3)
-        details_common["global_norm_inflated"] = inflated_global.value
-        details_common["bound_inflated"] = thm1_bound(
-            constants, vol_sigma, inflated_global.value, r)
-    if monte_carlo_check:
-        mc_value, mc_err = tube_volume_monte_carlo(M, sigma, r, scenario.quad)
-        details_common["mc_volume"] = mc_value
-        details_common["mc_stderr"] = mc_err
-        details_common["mc_consistent"] = bool(
-            abs(mc_value - measured.value) <= 3.0 * max(mc_err, 1e-12))
+        refine_rounds=scenario.quad.rho_refine_rounds, rho_fn=rho)
     reports = []
-    for label, norm_value, norm_err in (
-            ("global", global_norm.value, global_norm.error_estimate),
-            ("tube", tube_norm, 0.0)):
-        bound = thm1_bound(constants, vol_sigma, norm_value, r)
-        err = measured.error_estimate + abs(norm_err) + 1e-10 * max(1.0, bound)
-        rep = BoundReport.from_values(
-            f"integral_bound[{label}]", measured=measured.value, bound=bound,
-            tolerance=scenario.tolerance, constants=constants,
-            error_estimate=max(err, 1e-9), deficit_norm=norm_value,
-            norm_variant=label, **details_common)
-        reports.append(rep)
+    for r, sampler in zip(radii, samplers):
+        vol_sigma = sampler.grid.sigma_volume
+        tube_norm = sampler.lp_deficit(r, k, H, p, rho_fn=rho)
+        measured = sampler.volume(r)
+        details_common = {
+            "vol_sigma": vol_sigma, "eta_max": eta_max, "r": r,
+            "rho_k_method": "grid+refinement" if rho is None else "declared",
+            "mean_curvature_check": "passed",
+        }
+        if rho is None:
+            details_common["global_norm_inflated"] = global_norm.inflated
+            details_common["bound_inflated"] = thm1_bound(
+                constants, vol_sigma, global_norm.inflated, r)
+        if monte_carlo_check:
+            mc_value, mc_err = tube_volume_monte_carlo(M, sigma, r, scenario.quad)
+            details_common["mc_volume"] = mc_value
+            details_common["mc_stderr"] = mc_err
+            details_common["mc_consistent"] = bool(
+                abs(mc_value - measured.value) <= 3.0 * max(mc_err, 1e-12))
+        for label, norm_value, norm_err in (
+                ("global", global_norm.value, global_norm.error_estimate),
+                ("tube", tube_norm, 0.0)):
+            bound = thm1_bound(constants, vol_sigma, norm_value, r)
+            err = measured.error_estimate + abs(norm_err) + 1e-10 * max(1.0, bound)
+            reports.append(BoundReport.from_values(
+                f"integral_bound[{label}]", measured=measured.value, bound=bound,
+                tolerance=scenario.tolerance, constants=constants,
+                error_estimate=max(err, 1e-9), deficit_norm=norm_value,
+                norm_variant=label, **details_common))
     return reports
 
 
@@ -505,12 +506,10 @@ def check_structural_residuals(scenario: Scenario, n_rays: int = 8) -> BoundRepo
 CHECK_DISPATCH = {
     "hessian": lambda sc: check_hessian_comparison(sc),
     "focal": lambda sc: [check_focal_radius(sc)],
-    "hk": lambda sc: [check_hk_bound(sc, r) for r in sc.radii],
-    "integral": lambda sc: [rep for r in sc.radii
-                            for rep in check_integral_bound(sc, r)],
-    "integral_mc": lambda sc: [rep for r in sc.radii[-1:]
-                               for rep in check_integral_bound(
-                                   sc, r, monte_carlo_check=True)],
+    "hk": lambda sc: check_hk_bound(sc, sc.radii),
+    "integral": lambda sc: check_integral_bound(sc, sc.radii),
+    "integral_mc": lambda sc: check_integral_bound(sc, sc.radii[-1:],
+                                                   monte_carlo_check=True),
     "lemmas": lambda sc: check_lemma_51_52(sc),
     "residuals": lambda sc: [check_structural_residuals(sc)],
 }

@@ -143,7 +143,6 @@ def test_criterion_5_rho_k_product_oracle():
     rho3 = rho_k_at(P, x, 3)
     assert rho2 == pytest.approx(0.0, abs=1e-3)
     assert rho3 == pytest.approx(1.0, abs=1e-3)
-    P._rho_cache.clear()
     dense2 = rho_k_at(P, x, 2, directions=8192, refine_rounds=3)
     dense3 = rho_k_at(P, x, 3, directions=8192, refine_rounds=3)
     assert rho2 == pytest.approx(dense2, abs=1e-3)

@@ -244,3 +244,21 @@ class TestExitCodes:
                "checks": ["hk"]}
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
         assert "numerical breakdown" in capsys.readouterr().err
+
+    def test_hk_at_radius_zero_exit_0(self, tmp_path):
+        cfg = dict(FAST_CONFIG, radii=[0.0])
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]
+        assert main(argv) == 0
+        (rep,) = json.loads((out / "report.json").read_text())["reports"]
+        assert rep["name"] == "hk_bound" and rep["status"] == "ok"
+        assert rep["measured"] == 0.0 and rep["bound"] == 0.0
+
+    def test_tube_volume_hk_bound_at_radius_zero(self, tmp_path, capsys):
+        cfg = dict(FAST_CONFIG, radii=[0.0, 0.4])
+        assert main(["tube-volume", "--config", write_config(tmp_path, cfg)]) == 0
+        header, first = capsys.readouterr().out.splitlines()[:2]
+        row = dict(zip(header.split(","), first.split(",")))
+        assert row["r"] == "0.0"
+        assert row["hk_bound"] == "0.0"

@@ -264,9 +264,7 @@ class TestRhoK:
         M, x = maker()
         k = min(2, M.dim - 1)
         coarse = rho_k_at(M, x, k, directions=256, refine_rounds=0)
-        M._rho_cache.clear()
         refined = rho_k_at(M, x, k, directions=256, refine_rounds=3)
-        M._rho_cache.clear()
         dense = rho_k_at(M, x, k, directions=8192, refine_rounds=3)
         assert coarse >= refined - 1e-12
         assert refined >= dense - 1e-12
@@ -310,7 +308,7 @@ class TestRhoK:
                 assert max(-rnk, 0.0) <= max(-rk, 0.0) + 1e-9
 
     def test_cache_keyed_on_refine_rounds(self):
-        # a coarse call must not answer a later refined call at the same point
+        # a coarse call must not change a later refined call at the same point
         x = np.array([math.pi + 0.3, math.pi - 0.2, math.pi + 0.1, math.pi])
         M = manifolds.bump_torus(4)
         coarse = rho_k_at(M, x, 1, refine_rounds=0)
@@ -385,9 +383,10 @@ class TestLpDeficitNorm:
     def test_inflation_reported_variant(self):
         M = manifolds.flat_torus(3)
         res = lp_deficit_norm(M, None, 1, 0.0, 2.0, resolution=4,
-                              directions=64, refine_rounds=0, inflation=1e-3)
+                              directions=64, refine_rounds=0)
         expect = (1e-3**2 * (2.0 * math.pi)**3) ** 0.5
-        assert res.value == pytest.approx(expect, rel=1e-10)
+        assert res.value == pytest.approx(0.0, abs=1e-12)
+        assert res.inflated == pytest.approx(expect, rel=1e-10)
 
 
 class TestFrames:

@@ -147,15 +147,6 @@ class TestTubeLpDeficit:
         computed = sampler.lp_deficit(0.4, 1, 1.0, 2.0)
         assert computed == pytest.approx(declared, rel=1e-6)
 
-    def test_inflation_variant_larger(self, flat_setup):
-        M, sigma = flat_setup
-        spec = QuadratureSpec(base_resolution=4, fiber_resolution=2)
-        sampler = TubeSampler(M, sigma, 0.5, spec)
-        base = sampler.lp_deficit(0.5, 1, 0.0, 2.0, rho_fn=lambda x: 0.0)
-        inflated = sampler.lp_deficit(0.5, 1, 0.0, 2.0, rho_fn=lambda x: 0.0,
-                                      inflation=1e-3)
-        assert inflated > base
-
 
 class TestHorizon:
     @pytest.fixture(scope="class")

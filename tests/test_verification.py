@@ -74,14 +74,14 @@ class TestCertification:
 
 class TestHkCheck:
     def test_flat_equality(self, flat_scenario):
-        rep = check_hk_bound(flat_scenario, 0.4)
+        (rep,) = check_hk_bound(flat_scenario, [0.4])
         assert rep.passed and rep.equality
         assert rep.measured == pytest.approx(
             2.0 * math.pi * (4.0 / 3.0) * math.pi * 0.4**3, rel=1e-9)
 
     def test_violated_precondition_reported(self, flat_scenario):
         bad = fast_flat_scenario(H=0.3)  # flat torus has rho_1 = 0 < k H
-        rep = check_hk_bound(bad, 0.4)
+        (rep,) = check_hk_bound(bad, [0.4])
         assert rep.status == "precondition-violation"
         assert not rep.passed
         assert "certification" in rep.details
@@ -89,7 +89,7 @@ class TestHkCheck:
 
 class TestIntegralCheck:
     def test_flat_equality_both_norms(self, flat_scenario):
-        reports = check_integral_bound(flat_scenario, 0.4)
+        reports = check_integral_bound(flat_scenario, [0.4])
         assert len(reports) == 2
         for rep in reports:
             assert rep.passed and rep.equality
@@ -103,13 +103,13 @@ class TestIntegralCheck:
         sc = Scenario(name="bad", manifold=M, sigma=sigma, k=1, H=0.0, p=4.0,
                       radii=(0.3,), quad=QuadratureSpec(base_resolution=4,
                                                         fiber_resolution=2))
-        reports = check_integral_bound(sc, 0.3)
+        reports = check_integral_bound(sc, [0.3])
         assert len(reports) == 1
         assert reports[0].status == "precondition-violation"
 
     def test_positive_H_rejected(self, flat_scenario):
         bad = fast_flat_scenario(H=1.0)
-        reports = check_integral_bound(bad, 0.4)
+        reports = check_integral_bound(bad, [0.4])
         assert reports[0].status == "precondition-violation"
 
     def test_nonminimal_rejected(self):
@@ -135,9 +135,86 @@ class TestIntegralCheck:
         sc = Scenario(name="nonminimal", manifold=M, sigma=sigma, k=1, H=0.0,
                       p=4.0, radii=(0.2,),
                       quad=QuadratureSpec(base_resolution=4, fiber_resolution=2))
-        rep = check_integral_bound(sc, 0.2)[0]
+        rep = check_integral_bound(sc, [0.2])[0]
         assert rep.status == "precondition-violation"
         assert "minimality" in rep.details["reason"]
+
+
+def toy_bump_scenario(radii=(0.3, 0.5)):
+    """3-D bump torus around a geodesic circle that misses the bump; grid rho."""
+    M = manifolds.bump_torus(3, amplitude=0.1, width=1.2)
+    sigma = sub_torus(M, [0], np.array([0.0, math.pi - 2.3, math.pi]))
+    quad = QuadratureSpec(base_resolution=2, fiber_resolution=2,
+                          t_nodes_per_panel=8, chart_resolution=3,
+                          rho_directions=64, rho_refine_rounds=0)
+    return Scenario(name="toy_bump", manifold=M, sigma=sigma, k=1, H=-0.1,
+                    p=4.0, radii=radii, quad=quad, checks=("integral",),
+                    minimal=True)
+
+
+class TestRadiusIndependentWork:
+    """Work that does not depend on the radius runs once per check."""
+
+    def test_integral_check_walks_each_chart_node_once(self, monkeypatch):
+        from tubecomp import geometry
+        from tubecomp.verification import CHECK_DISPATCH
+
+        sc = toy_bump_scenario()
+        calls = []
+        original = geometry.rho_k_at
+
+        def counted(M, x, k, **kwargs):
+            calls.append(tuple(np.asarray(x, dtype=float)))
+            return original(M, x, k, **kwargs)
+
+        monkeypatch.setattr(geometry, "rho_k_at", counted)
+        reports = CHECK_DISPATCH["integral"](sc)
+        assert [rep.details["r"] for rep in reports] == [0.3, 0.3, 0.5, 0.5]
+        assert all(rep.status == "ok" for rep in reports)
+        region = sc.manifold.domain.intersect(sc.manifold.curvature_support)
+        fine, _ = region.quadrature_grid(3)      # chart_resolution
+        coarse, _ = region.quadrature_grid(2)    # the strictly coarser grid
+        nodes = {tuple(x) for x in np.concatenate([fine, coarse])}
+        assert len(nodes) == len(fine) + len(coarse)
+        assert len(calls) == len(nodes)
+        assert set(calls) == nodes
+
+    def test_global_norm_inflated_recomputed(self):
+        from tubecomp.geometry import DEFICIT_INFLATION, lp_deficit_norm, rho_k_at
+
+        sc = toy_bump_scenario(radii=(0.4,))
+        M, k, H, p = sc.manifold, sc.k, sc.H, sc.p
+        region = M.domain.intersect(M.curvature_support)
+        pts, w = region.quadrature_grid(sc.quad.chart_resolution)
+        deficit = np.array([max(H - rho_k_at(M, x, k, directions=64,
+                                              refine_rounds=0), 0.0)
+                            for x in pts])
+        dens = M.sqrt_det_at(pts)
+        expect = float(np.sum(w * dens * (deficit + 1e-3) ** p)) ** (1.0 / p)
+        assert DEFICIT_INFLATION == 1e-3
+        assert expect > float(np.sum(w * dens * deficit**p)) ** (1.0 / p)
+        norm = lp_deficit_norm(M, None, k, H, p, resolution=3, directions=64,
+                               refine_rounds=0)
+        assert norm.inflated == pytest.approx(expect, rel=1e-12)
+        glob = check_integral_bound(sc, sc.radii)[0]
+        assert glob.details["global_norm_inflated"] == norm.inflated
+
+    def test_hk_check_certifies_once(self, monkeypatch):
+        from tubecomp import verification
+
+        sc = fast_flat_scenario(radii=(0.3, 0.4))
+        certified = []
+        original = verification.certify_rho_lower_bound
+
+        def counted(*args, **kwargs):
+            certified.append(args[1:])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "certify_rho_lower_bound", counted)
+        reports = verification.CHECK_DISPATCH["hk"](sc)
+        assert len(certified) == 1
+        assert [rep.constants["r"] for rep in reports] == [0.3, 0.4]
+        assert all(rep.passed for rep in reports)
 
 
 class TestFocalCheck:
