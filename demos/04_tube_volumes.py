@@ -12,20 +12,16 @@ import numpy as np
 from tubecomp import manifolds
 from tubecomp.manifolds import axes_with_pole
 from tubecomp.submanifolds import great_circle, sub_torus
-from tubecomp.tubes import (
-    QuadratureSpec,
-    TubeSampler,
-    tube_volume,
-    tube_volume_monte_carlo,
-)
+from tubecomp.tubes import QuadratureSpec, TubeSampler, tube_volume_monte_carlo
 
 print("== flat T^4, coordinate circle ==")
 M = manifolds.flat_torus(4)
 M.volume_validity_radius = math.pi
 sigma = sub_torus(M, [0], np.array([0.0, 1.0, 2.0, 3.0]))
-spec = QuadratureSpec(base_resolution=8, fiber_resolution=4)
+flat_sampler = TubeSampler(M, sigma, 0.5,
+                           QuadratureSpec(base_resolution=8, fiber_resolution=4))
 for r in (0.25, 0.5):
-    res = tube_volume(M, sigma, r, spec)
+    res = flat_sampler.volume(r)
     oracle = 2.0 * math.pi * (4.0 / 3.0) * math.pi * r**3
     print(f"  V({r}) = {res.value:.9f}  oracle vol(S^1)*vol(B^3) = {oracle:.9f}"
           f"  (error est {res.error_estimate:.1e})")

@@ -25,8 +25,6 @@ __all__ = [
     "bump_torus",
     "axes_with_pole",
     "sphere_to_chart",
-    "chart_to_sphere",
-    "build_manifold",
     "MANIFOLD_BUILDERS",
 ]
 
@@ -130,17 +128,6 @@ def sphere_to_chart(M: ChartManifold, q: np.ndarray) -> np.ndarray:
     comps = q @ axes.T
     denom = 1.0 - comps[..., -1]
     return comps[..., :-1] / denom[..., None]
-
-
-def chart_to_sphere(M: ChartManifold, y: np.ndarray) -> np.ndarray:
-    """Stereographic coordinates -> ambient R^(n+1) point (length = radius)."""
-    radius = M.extra["radius"]
-    axes = M.extra["axes"]
-    y = np.asarray(y, dtype=float)
-    u = 1.0 + np.sum(y * y, axis=-1)
-    comps = np.concatenate([2.0 * y / u[..., None],
-                            ((u - 2.0) / u)[..., None]], axis=-1)
-    return radius * (comps @ axes)
 
 
 def ambient_tangent_to_chart(M: ChartManifold, q: np.ndarray,
@@ -413,9 +400,3 @@ MANIFOLD_BUILDERS = {
     "bump_torus": bump_torus,
 }
 
-
-def build_manifold(name: str, **params) -> ChartManifold:
-    """Construct a built-in manifold by registry name."""
-    if name not in MANIFOLD_BUILDERS:
-        raise KeyError(f"unknown manifold '{name}'; known: {sorted(MANIFOLD_BUILDERS)}")
-    return MANIFOLD_BUILDERS[name](**params)

@@ -101,52 +101,22 @@ def hk_integrand(H: float, n: int, m: int, eta_dot_xi: float, t: float) -> float
     return (cs + eta_dot_xi * sn) ** m * sn ** (n - m - 1)
 
 
-def _march_bisect_first_zero(f, r: float, H: float) -> float:
-    """First zero of f in (0, r] by coarse marching then bisection.
-
-    f must be positive just after 0 and cross zero transversally. Returns
-    math.inf when no zero is found in (0, r].
-    """
-    step = min(r, math.pi / math.sqrt(max(H, 1e-12))) / 256.0
-    t_prev = 0.0
-    nsteps = int(math.ceil(r / step))
-    for j in range(1, nsteps + 1):
-        t = min(j * step, r)
-        v = f(t)
-        if v == 0.0:
-            return t
-        if v < 0.0:
-            a, b = t_prev, t
-            while (b - a) > 1e-12 * max(1.0, b):
-                mid = 0.5 * (a + b)
-                if f(mid) < 0.0:
-                    b = mid
-                else:
-                    a = mid
-            return 0.5 * (a + b)
-        t_prev = t
-    return math.inf
-
-
 def first_zero(H: float, n: int, m: int, eta_dot_xi: float, r: float) -> float:
     """min(r, first t > 0 where the Heintze-Karcher integrand vanishes).
 
-    The integrand's zeros come from its two smooth factors; each factor is
-    bracketed by marching and refined by bisection to 1e-12 relative, which
-    stays correct when even powers make the product touch zero without a
-    sign change.
+    The integrand's zeros are those of its two factors, cs_H + <eta,xi> sn_H
+    (when m >= 1) and sn_H (when n-m-1 >= 1), and each factor's first zero
+    has a closed form; even powers that make the product touch zero without
+    a sign change do not matter.
     """
     if r <= 0.0:
         raise ValueError(f"need r > 0, got {r}")
-    z = math.inf
+    zeros = [r]
     if m >= 1:
-        z = min(z, _march_bisect_first_zero(
-            lambda t: sn_cs(H, t)[1] + eta_dot_xi * sn_cs(H, t)[0], r, H))
+        zeros.append(_denominator_first_zero(H, eta_dot_xi))
     if n - m - 1 >= 1:
-        # sn_H vanishes first at pi/sqrt(H) for H > 0, never on (0, r] otherwise.
-        if H > _FLAT_EPS:
-            z = min(z, math.pi / math.sqrt(H))
-    return min(r, z)
+        zeros.append(_denominator_first_zero(H, None))
+    return min(zeros)
 
 
 def sphere_volume(d: int) -> float:

@@ -30,19 +30,22 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre_panels(a: float, b: float, panels: int = 1,
+def gauss_legendre_panels(a: float, b, panels: int = 1,
                           nodes_per_panel: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [a, b] split into equal panels."""
-    if b < a:
+    """Composite Gauss-Legendre nodes/weights on [a, b] split into equal panels.
+
+    ``b`` may be an array of right ends; the rules then stack along its
+    axes, each bitwise the rule of its scalar ``b``.
+    """
+    if np.any(b < a):
         raise ValueError(f"empty interval [{a}, {b}]")
     x, w = _leggauss(nodes_per_panel)
-    edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (x + 1.0))
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.linspace(a, b, panels + 1, axis=-1)
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    nodes = edges[..., :-1, None] + half[..., None] * (x + 1.0)
+    weights = half[..., None] * w
+    shape = np.shape(b) + (-1,)
+    return nodes.reshape(shape), weights.reshape(shape)
 
 
 def periodic_trapezoid(period: float, count: int,

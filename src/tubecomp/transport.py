@@ -15,17 +15,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import OdeSolution
 from scipy.integrate._ivp import dop853_coefficients
-from scipy.integrate._ivp.base import ConstantDenseOutput
 from scipy.integrate._ivp.ivp import MESSAGES
-from scipy.integrate._ivp.rk import (
-    DOP853 as _DOP853,
-    MAX_FACTOR,
-    MIN_FACTOR,
-    SAFETY,
-    Dop853DenseOutput,
-)
+from scipy.integrate._ivp.rk import DOP853 as _DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
 from .geometry import ChartManifold, _curvature_batch, connection_and_curvature
@@ -38,6 +30,7 @@ __all__ = [
     "NormalRay",
     "TransportState",
     "RaySolution",
+    "RayBatch",
     "integrate_ray",
     "integrate_rays",
     "volume_density",
@@ -148,18 +141,93 @@ def _initial_data(M: ChartManifold, sigma: EmbeddedSubmanifold, ray: NormalRay):
     return x0, xi, frame0, J0, Jp0, S_xi
 
 
+def _dense_states(knots, starts, coeffs, last, ts) -> np.ndarray:
+    """States (rays, q, state) of stored rays at their own times ts (rays, q).
+
+    Repeats scipy's ``OdeSolution`` and ``Dop853DenseOutput`` operation for
+    operation, so every state is bitwise what scipy returns: a time picks
+    the segment whose knot interval holds it (the lower one at a knot),
+    clamped to the ray's first and last segment, and that segment's
+    interpolant is evaluated by the same Horner scheme in
+    x = (t - t_old) / h.
+    """
+    rows = np.arange(len(knots))[:, None]
+    # knots[:, 0] = 0, so counting the later knots below t gives
+    # searchsorted(knots, t) - 1 already floored at segment 0
+    seg = np.minimum((knots[:, None, 1:] < ts[..., None]).sum(axis=-1),
+                     last[:, None])
+    t_old = knots[rows, seg]
+    x = ((ts - t_old) / (knots[rows, seg + 1] - t_old))[..., None]
+    one_minus_x = 1.0 - x
+    y = np.zeros(ts.shape + starts.shape[-1:])
+    for i in range(coeffs.shape[2]):
+        y += coeffs[rows, seg, -1 - i]
+        y *= x if i % 2 == 0 else one_minus_x
+    return y + starts[rows, seg]
+
+
+@dataclass(eq=False)
+class RayBatch(Sequence):
+    """Dense output of a batch of rays, kept as arrays; item i is ray i's view.
+
+    Segment s of ray i covers [knots[i, s], knots[i, s + 1]], starts at the
+    state starts[i, s] and has the (7, state) DOP853 interpolant
+    coefficients coeffs[i, s]; last[i] is the ray's last segment, and knots
+    past it are +inf. A ray with t_max = 0 has the one segment [0, inf)
+    with zero coefficients, so it evaluates to its initial state. Only this
+    module knows the layout.
+    """
+
+    manifold: ChartManifold
+    sigma: EmbeddedSubmanifold
+    rays: list[NormalRay]
+    weingarten0: list[np.ndarray]
+    knots: np.ndarray        # (rays, segments + 1)
+    starts: np.ndarray       # (rays, segments, state)
+    coeffs: np.ndarray       # (rays, segments, 7, state)
+    last: np.ndarray         # (rays,)
+
+    def __post_init__(self):
+        arrays = (self.knots, self.starts, self.coeffs, self.last)
+        self._views = [RaySolution(manifold=self.manifold, sigma=self.sigma, ray=ray,
+                                   m=self.sigma.dim, t_max=ray.t_max, weingarten0=w0,
+                                   store=tuple(a[i:i + 1] for a in arrays))
+                       for i, (ray, w0) in enumerate(zip(self.rays, self.weingarten0))]
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, i):
+        return self._views[i]
+
+    def fields(self, ts):
+        """(x, v, E, J, J') of every ray at its own times ts (rays, q)."""
+        y = _dense_states(self.knots, self.starts, self.coeffs, self.last,
+                          np.asarray(ts, dtype=float))
+        return _split(y, self.manifold.dim)
+
+    def density(self, ts) -> np.ndarray:
+        """det J of every ray at its own times ts (rays, q)."""
+        return np.linalg.det(self.fields(ts)[3])
+
+    def focal_times(self) -> np.ndarray:
+        """Every ray's first focal time (``RaySolution.focal_time``), inf if none."""
+        return np.array([math.inf if f is None else f
+                         for f in (sol.focal_time() for sol in self)])
+
+
 @dataclass(eq=False)
 class RaySolution:
-    """Dense solution of one ray; state_at() samples it anywhere in [0, t_max]."""
+    """One ray of a RayBatch; state_at() samples it anywhere in [0, t_max]."""
 
     manifold: ChartManifold
     sigma: EmbeddedSubmanifold
     ray: NormalRay
     m: int
-    sol: object
     t_max: float
     weingarten0: np.ndarray
-    _det_grid: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    store: tuple = field(repr=False)     # the ray's rows of its RayBatch arrays
+    _dets: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _focal: float | None | str = field(default="unset", repr=False)
 
     @property
@@ -168,7 +236,9 @@ class RaySolution:
 
     def fields(self, ts):
         """(x, v, E, J, J') at a time t or along a 1-D array of times ts."""
-        return _split(self.sol(ts).T, self.n)
+        ts = np.asarray(ts, dtype=float)
+        y = _dense_states(*self.store, ts.reshape(1, -1))
+        return _split(y.reshape(ts.shape + y.shape[-1:]), self.n)
 
     def density(self, ts):
         """Polar volume density det J at the time or times ts."""
@@ -181,12 +251,12 @@ class RaySolution:
         return TransportState(t=t, position=x, velocity=v, frame=E, J_mat=J,
                               J_prime=Jp, solution=self)
 
-    def jacobi_dets(self, resolution: int = 512) -> tuple[np.ndarray, np.ndarray]:
-        """(ts, det J(ts)) on a cached uniform grid."""
-        if self._det_grid is None or len(self._det_grid[0]) < resolution:
-            ts = np.linspace(0.0, self.t_max, resolution + 1)
-            self._det_grid = (ts, self.density(ts))
-        return self._det_grid
+    def jacobi_dets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ts, det J(ts)) on the ray's uniform 1025-point grid, computed once."""
+        if self._dets is None:
+            ts = np.linspace(0.0, self.t_max, 1025)
+            self._dets = (ts, self.density(ts))
+        return self._dets
 
     def det_scale(self, t: float) -> float:
         ts, dets = self.jacobi_dets()
@@ -199,16 +269,25 @@ class RaySolution:
         Odd-multiplicity zeros are located by sign-change bisection;
         even-multiplicity ones (det touches zero, e.g. cos^2 blocks) by
         bisecting the sign change of d(det)/dt at a near-zero local
-        minimum of |det|. The t -> 0 degeneracy det ~ t^(n-m-1) is not a
-        local minimum and is never reported.
+        minimum of |det|. Candidates are tried in grid order. The t -> 0
+        degeneracy det ~ t^(n-m-1) is not a local minimum and is never
+        reported.
         """
         if self._focal != "unset":
             return self._focal
-        ts, dets = self.jacobi_dets(resolution=1024)
-        scale = max(1.0, float(np.max(np.abs(dets))))
+        ts, dets = self.jacobi_dets()
+        size = np.abs(dets)
+        scale = max(1.0, float(np.max(size)))
+        # sign[i - 1]: det changes sign on [ts[i-1], ts[i]]; touch[i - 1]:
+        # |det| has a near-zero local minimum at the interior node ts[i]
+        sign = (((dets[:-1] > 0.0) & (dets[1:] < 0.0))
+                | ((dets[:-1] < 0.0) & (dets[1:] > 0.0)))
+        touch = np.zeros_like(sign)
+        touch[:-1] = ((size[1:-1] <= 1e-4 * scale) & (size[1:-1] < size[:-2])
+                      & (size[1:-1] <= size[2:]))
         focal = None
-        for i in range(1, len(ts)):
-            if dets[i - 1] > 0.0 > dets[i] or dets[i - 1] < 0.0 < dets[i]:
+        for i in np.flatnonzero(sign | touch) + 1:
+            if sign[i - 1]:
                 a, b = ts[i - 1], ts[i]
                 fa = dets[i - 1]
                 while b - a > 1e-10:
@@ -220,13 +299,10 @@ class RaySolution:
                         b = mid
                 focal = 0.5 * (a + b)
                 break
-            if (i < len(ts) - 1 and abs(dets[i]) <= 1e-4 * scale
-                    and abs(dets[i]) < abs(dets[i - 1])
-                    and abs(dets[i]) <= abs(dets[i + 1])):
-                tstar = self._refine_touching_zero(ts[i - 1], ts[i + 1])
-                if tstar is not None and abs(self.density(tstar)) <= 1e-9 * scale:
-                    focal = tstar
-                    break
+            tstar = self._refine_touching_zero(ts[i - 1], ts[i + 1])
+            if tstar is not None and abs(self.density(tstar)) <= 1e-9 * scale:
+                focal = tstar
+                break
         if focal is None and abs(dets[-1]) <= 1e-9 * scale:
             focal = float(ts[-1])
         self._focal = focal
@@ -335,7 +411,7 @@ def _error_norms(K, h, scale) -> np.ndarray:
 
 
 def _dense_coefficients(M, K, y_old, y_new, h) -> np.ndarray:
-    """Dop853DenseOutput coefficients F (7, rows, state) of accepted steps."""
+    """DOP853 dense-output coefficients F (7, rows, state) of accepted steps."""
     hcol = h[:, None]
     for s in range(_DOP853.n_stages + 1, dop853_coefficients.N_STAGES_EXTENDED):
         K[s] = _ray_rhs(M, y_old + _combine(dop853_coefficients.A[s, :s], K[:s]) * hcol)
@@ -351,7 +427,7 @@ def _dense_coefficients(M, K, y_old, y_new, h) -> np.ndarray:
 
 
 def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
-                   rays: Sequence[NormalRay]) -> list[RaySolution]:
+                   rays: Sequence[NormalRay]) -> RayBatch:
     """Integrate geodesic + parallel frame + Jacobi system along many rays.
 
     All rays advance together as one (rays, state) array through scipy's
@@ -361,13 +437,16 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
     ray's tolerance, atol 1e-2 rtol), the step factors, the minimum-step
     collapse and the chart-exit event, rooted on the ray's dense segment.
     A ray's solution therefore does not depend on the batch it is in.
-    Raises RayIntegrationError for the lowest-index ray that fails.
+    Every accepted step's dense coefficients go into one RayBatch store
+    (an empty list for no rays). Raises RayIntegrationError for the
+    lowest-index ray that fails.
     """
     rays = list(rays)
     if not rays:
         return []
-    starts = [_initial_data(M, sigma, ray) for ray in rays]
-    y = np.array([_pack(*start[:5]) for start in starts])
+    initial = [_initial_data(M, sigma, ray) for ray in rays]
+    y = np.array([_pack(*data[:5]) for data in initial])
+    y_init = y.copy()
     R = len(rays)
     t_end = np.array([float(ray.t_max) for ray in rays])
     if np.any(t_end < 0.0):
@@ -382,11 +461,8 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
     t = np.zeros(R)
     rejected = np.zeros(R, dtype=bool)
     active = t_end > 0.0
-    knots = [[0.0] for _ in rays]
-    segments: list[list] = [[] for _ in rays]
-    for i in np.flatnonzero(~active):
-        knots[i].append(0.0)
-        segments[i].append(ConstantDenseOutput(0.0, 0.0, y[i]))
+    counts = np.zeros(R, dtype=int)     # accepted steps (segments) per ray
+    steps = []                          # (rays, their segment index, t_new, y_old, F)
     failures: dict[int, tuple[float, str]] = {}
 
     def fail(i: int, t_fail: float, message: str):
@@ -430,18 +506,17 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
         acc = idx[ok]
         y_old, y_acc, t_old, t_acc = y0[ok], y_new[ok], t0[ok], t_new[ok]
         K_acc = K[:, ok]
-        F = _dense_coefficients(M, K_acc, y_old, y_acc, h[ok])
+        F = np.moveaxis(_dense_coefficients(M, K_acc, y_old, y_acc, h[ok]), 0, 1)
+        steps.append((acc, counts[acc], t_acc, y_old, F))
+        counts[acc] += 1
         g_new = chart_exit(y_acc)
         crossed = (((g[acc] <= 0) & (g_new >= 0)) | ((g[acc] >= 0) & (g_new <= 0)))
-        for j, i in enumerate(acc):
-            seg = Dop853DenseOutput(float(t_old[j]), float(t_acc[j]), y_old[j], F[:, j])
-            segments[i].append(seg)
-            knots[i].append(float(t_acc[j]))
-            if crossed[j]:
-                root = brentq(lambda s, _seg=seg: chart_exit(_seg(s)),
-                              float(t_old[j]), float(t_acc[j]),
-                              xtol=4 * _EPS, rtol=4 * _EPS)
-                fail(int(i), root, _EVENT_MESSAGE)
+        for j in np.flatnonzero(crossed):
+            step = (np.array([[t_old[j], t_acc[j]]]), y_old[None, j:j + 1],
+                    F[None, j:j + 1], np.zeros(1, dtype=int))
+            root = brentq(lambda s: chart_exit(_dense_states(*step, np.array([[s]]))[0, 0]),
+                          float(t_old[j]), float(t_acc[j]), xtol=4 * _EPS, rtol=4 * _EPS)
+            fail(int(acc[j]), root, _EVENT_MESSAGE)
         t[acc], y[acc], f[acc], g[acc] = t_acc, y_acc, K_acc[_DOP853.n_stages], g_new
         active[acc[t_acc >= t_end[acc]]] = False
 
@@ -451,10 +526,19 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
         raise RayIntegrationError(
             f"ray left the chart or step size collapsed at t={t_fail:.6g}"
             f" ({message})", t=t_fail, index=i)
-    return [RaySolution(manifold=M, sigma=sigma, ray=ray, m=sigma.dim,
-                        sol=OdeSolution(knots[i], segments[i]), t_max=ray.t_max,
-                        weingarten0=starts[i][5])
-            for i, ray in enumerate(rays)]
+    S = max(int(counts.max()), 1)
+    knots = np.full((R, S + 1), np.inf)
+    knots[:, 0] = 0.0
+    starts = np.zeros((R, S) + y.shape[1:])
+    starts[:, 0] = y_init
+    coeffs = np.zeros((R, S, dop853_coefficients.INTERPOLATOR_POWER) + y.shape[1:])
+    for acc, seg, t_new, y_old, F in steps:
+        knots[acc, seg + 1] = t_new
+        starts[acc, seg] = y_old
+        coeffs[acc, seg] = F
+    return RayBatch(manifold=M, sigma=sigma, rays=rays,
+                    weingarten0=[data[5] for data in initial], knots=knots,
+                    starts=starts, coeffs=coeffs, last=np.maximum(counts - 1, 0))
 
 
 def integrate_ray(M: ChartManifold, sigma: EmbeddedSubmanifold,
@@ -507,16 +591,10 @@ def partial_trace_shape(state: TransportState, W: np.ndarray) -> float:
     return float(np.einsum("ai,ij,aj->", W, S, W))
 
 
-def focal_distance(M: ChartManifold, sigma: EmbeddedSubmanifold, ray: NormalRay,
-                   t_max: float | None = None,
-                   solution: RaySolution | None = None) -> float | None:
-    """First t in (0, t_max] with det J(t) = 0, or None when none in range."""
-    if solution is None or (t_max is not None and t_max > solution.t_max):
-        horizon = t_max if t_max is not None else ray.t_max
-        ray = NormalRay(base_param=ray.base_param, xi=ray.xi, t_max=horizon,
-                        tolerance=ray.tolerance)
-        solution = integrate_ray(M, sigma, ray)
-    return solution.focal_time()
+def focal_distance(M: ChartManifold, sigma: EmbeddedSubmanifold,
+                   ray: NormalRay) -> float | None:
+    """First t in (0, ray.t_max] with det J(t) = 0, or None when none in range."""
+    return integrate_ray(M, sigma, ray).focal_time()
 
 
 def split_traces(J: np.ndarray, Jp: np.ndarray, m: int):

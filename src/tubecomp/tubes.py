@@ -18,17 +18,24 @@ from .geometry import ChartManifold, rho_k_at
 from .models import first_zero, hk_integrand, sphere_volume
 from .quadrature import gauss_legendre_panels
 from .submanifolds import EmbeddedSubmanifold, NormalFiberGrid, frames_at, unit_normal_grid
-from .transport import NormalRay, RayIntegrationError, RaySolution, integrate_rays
+from .transport import NormalRay, RayBatch, RayIntegrationError, integrate_rays
 
 __all__ = [
     "QuadratureSpec",
     "TubeVolumeResult",
     "TubeSampler",
-    "tube_volume",
-    "equidistant_area",
-    "tube_lp_deficit",
     "tube_volume_monte_carlo",
 ]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row i, each by the same dot product as 1-D ``@``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _ray_sum(values: np.ndarray) -> float:
+    """Sum of per-ray values as a running total in ray order (fixed order)."""
+    return float(np.cumsum(values)[-1])
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ class TubeSampler:
             mc_samples=self.spec.fiber_mc_samples,
             rng=self.spec.rng() if needs_mc else None)
         rays: list[NormalRay] = []
-        self.weights: list[float] = []
+        weights: list[float] = []
         self.ray_index: list[tuple[int, int]] = []
         for b in range(len(self.grid.base_params)):
             for f in range(len(self.grid.fiber_coeffs)):
@@ -89,23 +96,17 @@ class TubeSampler:
                                       xi=self.grid.normal_vector(b, f),
                                       t_max=self.r_max,
                                       tolerance=self.spec.ray_tolerance))
-                self.weights.append(self.grid.base_weights[b]
-                                    * self.grid.fiber_weights[f])
+                weights.append(self.grid.base_weights[b] * self.grid.fiber_weights[f])
                 self.ray_index.append((b, f))
+        self.weights = np.array(weights)
         try:
-            self.rays: list[RaySolution] = integrate_rays(M, sigma, rays)
+            self.rays: RayBatch = integrate_rays(M, sigma, rays)
         except RayIntegrationError as exc:
             ray = rays[exc.index]
             raise RayIntegrationError(
                 f"ray s={np.array2string(ray.base_param, precision=6)} "
                 f"xi={np.array2string(ray.xi, precision=6)} failed: {exc}",
                 t=exc.t, index=exc.index) from exc
-
-    def _radial_nodes(self, sol: RaySolution, r: float):
-        focal = sol.focal_time()
-        top = min(r, focal) if focal is not None else r
-        truncated = focal is not None and focal < r
-        return top, truncated
 
     def _check_horizon(self, r: float):
         if r > self.r_max + 1e-12:
@@ -117,25 +118,20 @@ class TubeSampler:
             return TubeVolumeResult(0.0, 0.0, len(self.rays),
                                     [False] * len(self.rays))
         spec = self.spec
-        total = 0.0
-        total_coarse = 0.0
-        flags = []
-        for sol, w in zip(self.rays, self.weights):
-            top, truncated = self._radial_nodes(sol, r)
-            flags.append(truncated)
-            if top <= 0.0:
-                continue
-            ts, tw = gauss_legendre_panels(0.0, top, spec.t_panels,
-                                           spec.t_nodes_per_panel)
-            total += w * float(tw @ sol.density(ts))
-            ts2, tw2 = gauss_legendre_panels(0.0, top, spec.t_panels,
-                                             max(4, spec.t_nodes_per_panel // 2))
-            total_coarse += w * float(tw2 @ sol.density(ts2))
+        focal = self.rays.focal_times()
+        # every ray's radial rules on [0, min(r, its focal time)]
+        tops = np.minimum(r, focal)
+        ts, tw = gauss_legendre_panels(0.0, tops, spec.t_panels, spec.t_nodes_per_panel)
+        ts2, tw2 = gauss_legendre_panels(0.0, tops, spec.t_panels,
+                                         max(4, spec.t_nodes_per_panel // 2))
+        dens = self.rays.density(np.concatenate([ts, ts2], axis=1))
+        total = _ray_sum(self.weights * _row_dots(tw, dens[:, :ts.shape[1]]))
+        total_coarse = _ray_sum(self.weights * _row_dots(tw2, dens[:, ts.shape[1]:]))
         validity = self.M.volume_validity_radius
         return TubeVolumeResult(value=total,
                                 error_estimate=abs(total - total_coarse),
                                 rays_used=len(self.rays),
-                                truncated_at_focal=flags,
+                                truncated_at_focal=(focal < r).tolist(),
                                 validity_exceeded=(validity is not None
                                                    and r > validity + 1e-12))
 
@@ -143,13 +139,8 @@ class TubeSampler:
         self._check_horizon(t)
         if t <= 0.0:
             return 0.0
-        total = 0.0
-        for sol, w in zip(self.rays, self.weights):
-            focal = sol.focal_time()
-            if focal is not None and t >= focal:
-                continue
-            total += w * float(sol.density(np.array([t]))[0])
-        return total
+        dens = self.rays.density(np.full((len(self.rays), 1), t))[:, 0]
+        return _ray_sum(np.where(t < self.rays.focal_times(), self.weights * dens, 0.0))
 
     def lp_deficit(self, t: float, k: int, H: float, p: float,
                    rho_fn=None) -> float:
@@ -157,22 +148,20 @@ class TubeSampler:
         if p < 1.0:
             raise ValueError(f"need p >= 1, got {p}")
         self._check_horizon(t)
+        if t <= 0.0:
+            return 0.0
         spec = self.spec
         if rho_fn is None:
             def rho_fn(x):
                 return rho_k_at(self.M, x, k, directions=spec.rho_directions,
                                 refine_rounds=spec.rho_refine_rounds)
-        total = 0.0
-        for sol, w in zip(self.rays, self.weights):
-            top, _ = self._radial_nodes(sol, t)
-            if top <= 0.0:
-                continue
-            ts, tw = gauss_legendre_panels(0.0, top, spec.t_panels,
-                                           spec.t_nodes_per_panel)
-            positions, _, _, J, _ = sol.fields(ts)
-            deficit = np.array([max(H - rho_fn(x), 0.0) for x in positions])
-            total += w * float(tw @ (deficit**p * np.linalg.det(J)))
-        return total ** (1.0 / p)
+        ts, tw = gauss_legendre_panels(0.0, np.minimum(t, self.rays.focal_times()),
+                                       spec.t_panels, spec.t_nodes_per_panel)
+        positions, _, _, J, _ = self.rays.fields(ts)
+        deficit = np.array([max(H - rho_fn(x), 0.0)
+                            for x in positions.reshape(-1, self.M.dim)])
+        integrand = deficit.reshape(ts.shape) ** p * np.linalg.det(J)
+        return _ray_sum(self.weights * _row_dots(tw, integrand)) ** (1.0 / p)
 
     def hk_bound(self, H: float, r: float) -> float:
         """Heintze-Karcher comparison volume of the tube of radius r (0 at r <= 0).
@@ -190,29 +179,6 @@ class TubeSampler:
             ts, tw = gauss_legendre_panels(0.0, z, 1, 24)
             total += w * float(tw @ np.array([hk_integrand(H, n, m, e, t) for t in ts]))
         return total
-
-
-def tube_volume(M: ChartManifold, sigma: EmbeddedSubmanifold, r: float,
-                spec: QuadratureSpec | None = None) -> TubeVolumeResult:
-    """vol(T(Sigma, r)) by normal-bundle quadrature, density zero past focal."""
-    sampler = TubeSampler(M, sigma, r, spec)
-    return sampler.volume(r)
-
-
-def equidistant_area(M: ChartManifold, sigma: EmbeddedSubmanifold, t: float,
-                     spec: QuadratureSpec | None = None) -> float:
-    """Area v(t) of the distance-t level set (regular part)."""
-    sampler = TubeSampler(M, sigma, max(t, 1e-6), spec)
-    return sampler.area(t)
-
-
-def tube_lp_deficit(M: ChartManifold, sigma: EmbeddedSubmanifold, t: float,
-                    k: int, H: float, p: float,
-                    spec: QuadratureSpec | None = None,
-                    rho_fn=None) -> float:
-    """Tube-restricted L^p deficit norm over T(Sigma, t)."""
-    sampler = TubeSampler(M, sigma, max(t, 1e-6), spec)
-    return sampler.lp_deficit(t, k, H, p, rho_fn=rho_fn)
 
 
 def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,
@@ -250,18 +216,10 @@ def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,
         rays.append(NormalRay(s, c @ normal, t_max=r, tolerance=spec.ray_tolerance))
         scales.append(param_measure * gram_density * sphere_volume(d) * r)
         t_samples.append(rng.uniform(0.0, r, size=t_draws))
-    values = np.empty(n_rays)
-    for i, sol in enumerate(integrate_rays(M, sigma, rays)):
-        focal = sol.focal_time()
-        ts = t_samples[i]
-        if focal is not None:
-            keep = ts < focal
-        else:
-            keep = np.ones(t_draws, dtype=bool)
-        dens = np.zeros(t_draws)
-        if keep.any():
-            dens[keep] = sol.density(ts[keep])
-        values[i] = scales[i] * float(np.mean(dens))
+    batch = integrate_rays(M, sigma, rays)
+    ts = np.array(t_samples)
+    dens = np.where(ts < batch.focal_times()[:, None], batch.density(ts), 0.0)
+    values = np.array(scales) * np.mean(dens, axis=1)
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_rays))
     return estimate, stderr

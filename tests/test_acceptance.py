@@ -19,7 +19,7 @@ from tubecomp.models import cheeger_delta, thm1_bound, thm1_constants
 from tubecomp.scenarios import build_scenario
 from tubecomp.submanifolds import point, sub_torus
 from tubecomp.transport import NormalRay, integrate_ray, partial_trace_shape
-from tubecomp.tubes import QuadratureSpec, tube_volume
+from tubecomp.tubes import QuadratureSpec, TubeSampler
 from tubecomp.verification import run_suite
 
 
@@ -68,7 +68,7 @@ def test_criterion_1_flat_tube_equality():
     M.volume_validity_radius = math.pi
     sigma = sub_torus(M, [0], np.array([0.0, 1.0, 2.0, 3.0]))
     spec = QuadratureSpec(base_resolution=8, fiber_resolution=4)
-    res = tube_volume(M, sigma, 0.5, spec)
+    res = TubeSampler(M, sigma, 0.5, spec).volume(0.5)
     constants = thm1_constants(4, 1, 4.0, 0.0)
     bound = thm1_bound(constants, 2.0 * math.pi, 0.0, 0.5)
     elapsed = time.time() - start

@@ -1,11 +1,14 @@
-"""Static hygiene of the package sources: every import is used."""
+"""Static hygiene of the package sources: every import and definition is used."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "tubecomp").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "tubecomp").glob("*.py"))
+# the code that may read a definition: the package, its tests and its demos
+READERS = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +40,47 @@ def test_detector_flags_only_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names and attribute names a tree reads, outside the subtree ``skip``.
+
+    Strings do not count, so a name listed only in ``__all__`` is not read.
+    """
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skipped}
+
+
+def unreferenced_definitions(source: str, read_elsewhere: set[str]) -> list[str]:
+    """Module-level functions and classes that neither other code nor the
+    module itself (outside the definition) reads."""
+    tree = ast.parse(source)
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in read_elsewhere
+            and node.name not in names_read(tree, skip=node)]
+
+
+def test_definition_detector_flags_only_unread_names():
+    source = ("__all__ = ['called', 'exported', 'recursive', 'Local']\n"
+              "def called(): pass\n"
+              "def exported(): pass\n"
+              "def recursive(n): return recursive(n - 1)\n"
+              "def by_attribute(): pass\n"
+              "class Local: pass\n"
+              "LOCAL = Local()\n")
+    readers = ["from pkg import called\ncalled()\n", "import pkg\npkg.by_attribute()\n"]
+    read = set().union(*(names_read(ast.parse(r)) for r in readers))
+    assert unreferenced_definitions(source, read) == ["exported", "recursive"]
+
+
+def test_every_definition_is_referenced():
+    read = {path: names_read(ast.parse(path.read_text())) for path in READERS}
+    unread = []
+    for path in SOURCES:
+        elsewhere = set().union(*(names for p, names in read.items() if p != path))
+        unread += [f"{path.name}:{name}"
+                   for name in unreferenced_definitions(path.read_text(), elsewhere)]
+    assert unread == []

@@ -170,6 +170,14 @@ class TestFirstZero:
     def test_hyperbolic_no_zero(self):
         assert first_zero(-1.0, 3, 1, 0.0, 3.0) == 3.0
 
+    def test_even_power_touching_zero(self):
+        # m = 2: (cos t - 0.5 sin t)^2 sin t touches zero at tan t = 2
+        # without changing sign
+        z = first_zero(1.0, 4, 2, -0.5, 3.0)
+        assert z == pytest.approx(math.atan(2.0), rel=1e-14)
+        assert hk_integrand(1.0, 4, 2, -0.5, z - 1e-3) > 0.0
+        assert hk_integrand(1.0, 4, 2, -0.5, z + 1e-3) > 0.0
+
     @given(st.floats(-2.0, 2.0), st.floats(-1.5, 1.5), st.integers(1, 3),
            st.floats(0.5, 4.0))
     @settings(max_examples=150, deadline=None)

@@ -21,6 +21,7 @@ from tubecomp.transport import (
     FocalSingularityError,
     NormalRay,
     RayIntegrationError,
+    _pack,
     focal_distance,
     integrate_ray,
     integrate_rays,
@@ -156,6 +157,11 @@ def _solve_ivp_reference(M, sigma, ray):
                      dense_output=True).sol
 
 
+def _states(sol, ts):
+    """A ray's flat states at the times ts, read through its fields."""
+    return _pack(*sol.fields(ts))
+
+
 class TestBatchedRays:
     @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays])
     def test_batch_equals_one_at_a_time(self, maker):
@@ -165,10 +171,10 @@ class TestBatchedRays:
         together = integrate_rays(M, sigma, rays)
         odd = integrate_rays(M, sigma, rays[1::2])
         for i, ray in enumerate(rays):
-            alone = integrate_ray(M, sigma, ray).sol(ts)
-            assert np.array_equal(alone, together[i].sol(ts))
+            alone = _states(integrate_ray(M, sigma, ray), ts)
+            assert np.array_equal(alone, _states(together[i], ts))
             if i % 2:
-                assert np.array_equal(alone, odd[i // 2].sol(ts))
+                assert np.array_equal(alone, _states(odd[i // 2], ts))
 
     @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays])
     def test_matches_solve_ivp(self, maker):
@@ -179,7 +185,7 @@ class TestBatchedRays:
         ts = np.linspace(0.0, 2.0, 41)
         for ray, sol in zip(rays, integrate_rays(M, sigma, rays)):
             reference = _solve_ivp_reference(M, sigma, ray)(ts)
-            assert np.allclose(sol.sol(ts), reference, rtol=0.0,
+            assert np.allclose(_states(sol, ts).T, reference, rtol=0.0,
                                atol=ray.tolerance)
 
     def test_chart_exit_names_lowest_failing_ray(self):
@@ -207,6 +213,53 @@ class TestBatchedRays:
         assert integrate_rays(M, sigma, []) == []
 
 
+def _scipy_reference(batch, i):
+    """Ray i of a store rebuilt as scipy's OdeSolution of Dop853DenseOutput segments."""
+    from scipy.integrate import OdeSolution
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+    count = batch.last[i] + 1
+    knots = batch.knots[i, :count + 1]
+    return OdeSolution(knots, [
+        Dop853DenseOutput(float(knots[s]), float(knots[s + 1]), batch.starts[i, s],
+                          batch.coeffs[i, s])
+        for s in range(count)])
+
+
+class TestRayStore:
+    @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays])
+    def test_fields_equal_scipy_dense_output(self, maker):
+        # interior times, every knot, and times just outside [0, t_max]
+        M, sigma, rays = maker()
+        batch = integrate_rays(M, sigma, rays[:6])
+        rng = np.random.default_rng(4)
+        times = []
+        for i, sol in enumerate(batch):
+            reference = _scipy_reference(batch, i)
+            assert len(reference.interpolants) > 3
+            ts = np.concatenate([rng.uniform(0.0, sol.t_max, 32), reference.ts,
+                                 [-1e-3, -1e-12, sol.t_max + 1e-12, sol.t_max + 1e-3]])
+            assert np.array_equal(_states(sol, ts), reference(ts).T)
+            for t in ts[::7]:
+                assert np.array_equal(_states(sol, t), reference(t))
+            times.append(ts[:40])
+        # all rays in one call, each at its own times
+        times = np.array(times)
+        states = _pack(*batch.fields(times))
+        for i in range(len(batch)):
+            assert np.array_equal(states[i], _scipy_reference(batch, i)(times[i]).T)
+
+    def test_zero_horizon_ray_is_its_initial_state(self):
+        from tubecomp.transport import _initial_data
+
+        M, sigma, ray = s3_circle_ray(t_max=0.0)
+        sol = integrate_ray(M, sigma, ray)
+        initial = _pack(*_initial_data(M, sigma, ray)[:5])
+        assert np.array_equal(_states(sol, 0.0), initial)
+        assert np.array_equal(_states(sol, np.array([0.0, 0.5])),
+                              np.array([initial, initial]))
+
+
 class TestShapeOperator:
     def test_hyperbolic_coth(self):
         M, sigma, ray = hyperbolic_point_ray()
@@ -231,6 +284,16 @@ class TestShapeOperator:
         phi, psi = split_mean_curvature(sol.state_at(t))
         assert phi == pytest.approx(-1.0, abs=1e-8)
         assert psi == pytest.approx(1.0, abs=1e-8)
+
+    def test_det_scale_independent_of_call_order(self):
+        # one det grid serves det_scale and focal_time, whichever runs first
+        M, sigma, ray = hyperbolic_point_ray(t_max=2.0)
+        before = integrate_ray(M, sigma, ray)
+        scale = before.det_scale(1.0025)
+        after = integrate_ray(M, sigma, ray)
+        assert after.focal_time() is None
+        assert after.det_scale(1.0025) == scale
+        assert scale == pytest.approx(math.sinh(1.0025) ** 2, rel=5e-3)
 
     def test_focal_singularity_error(self):
         M, sigma, ray = s3_circle_ray(t_max=2.0)

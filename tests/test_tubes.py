@@ -11,9 +11,6 @@ from tubecomp.submanifolds import great_circle, point, sub_torus
 from tubecomp.tubes import (
     QuadratureSpec,
     TubeSampler,
-    equidistant_area,
-    tube_lp_deficit,
-    tube_volume,
     tube_volume_monte_carlo,
 )
 
@@ -39,8 +36,8 @@ def s3_sampler():
 class TestTubeVolume:
     def test_flat_circle_ball_product(self, flat_setup):
         M, sigma = flat_setup
-        res = tube_volume(M, sigma, 0.5, QuadratureSpec(base_resolution=6,
-                                                        fiber_resolution=4))
+        res = TubeSampler(M, sigma, 0.5, QuadratureSpec(
+            base_resolution=6, fiber_resolution=4)).volume(0.5)
         assert res.value == pytest.approx(math.pi**2 / 3.0, rel=1e-10)
         assert res.error_estimate <= 1e-6
         assert not any(res.truncated_at_focal)
@@ -48,8 +45,8 @@ class TestTubeVolume:
 
     def test_zero_radius(self, flat_setup):
         M, sigma = flat_setup
-        res = tube_volume(M, sigma, 0.0, QuadratureSpec(base_resolution=4,
-                                                        fiber_resolution=2))
+        res = TubeSampler(M, sigma, 0.0, QuadratureSpec(
+            base_resolution=4, fiber_resolution=2)).volume(0.0)
         assert res.value == 0.0
 
     def test_s3_great_circle_equalities(self, s3_sampler):
@@ -68,13 +65,14 @@ class TestTubeVolume:
         for side in (2.0 * math.pi, 4.0 * math.pi):
             M = manifolds.flat_torus(4, side=side)
             sigma = sub_torus(M, [0], np.array([0.0, 1.0, 2.0, 3.0]))
-            vols.append(tube_volume(M, sigma, 0.5, spec).value)
+            vols.append(TubeSampler(M, sigma, 0.5, spec).volume(0.5).value)
         assert vols[1] == pytest.approx(2.0 * vols[0], rel=1e-12)
 
     def test_validity_flag(self, flat_setup):
         M, sigma = flat_setup
-        res = tube_volume(M, sigma, math.pi + 0.5,
-                          QuadratureSpec(base_resolution=4, fiber_resolution=2))
+        r = math.pi + 0.5
+        res = TubeSampler(M, sigma, r, QuadratureSpec(
+            base_resolution=4, fiber_resolution=2)).volume(r)
         assert res.validity_exceeded
 
     def test_ball_in_hyperbolic_space(self):
@@ -82,7 +80,7 @@ class TestTubeVolume:
         M = manifolds.hyperbolic(3)
         sigma = point(M, [0.0, 0.0, 1.0])
         r = 1.2
-        res = tube_volume(M, sigma, r, QuadratureSpec(fiber_resolution=6))
+        res = TubeSampler(M, sigma, r, QuadratureSpec(fiber_resolution=6)).volume(r)
         expect = math.pi * (math.sinh(2.0 * r) - 2.0 * r)
         assert res.value == pytest.approx(expect, rel=1e-7)
 
@@ -90,8 +88,8 @@ class TestTubeVolume:
 class TestEquidistantArea:
     def test_flat_area(self, flat_setup):
         M, sigma = flat_setup
-        area = equidistant_area(M, sigma, 0.5,
-                                QuadratureSpec(base_resolution=6, fiber_resolution=4))
+        area = TubeSampler(M, sigma, 0.5, QuadratureSpec(
+            base_resolution=6, fiber_resolution=4)).area(0.5)
         assert area == pytest.approx(2.0 * math.pi * 4.0 * math.pi * 0.25, rel=1e-10)
 
     def test_s3_area(self, s3_sampler):
@@ -117,9 +115,9 @@ class TestEquidistantArea:
 class TestTubeLpDeficit:
     def test_flat_zero(self, flat_setup):
         M, sigma = flat_setup
-        val = tube_lp_deficit(M, sigma, 0.5, 1, 0.0, 4.0,
-                              QuadratureSpec(base_resolution=4, fiber_resolution=2),
-                              rho_fn=lambda x: 0.0)
+        sampler = TubeSampler(M, sigma, 0.5,
+                              QuadratureSpec(base_resolution=4, fiber_resolution=2))
+        val = sampler.lp_deficit(0.5, 1, 0.0, 4.0, rho_fn=lambda x: 0.0)
         assert val == 0.0
 
     def test_scaled_s3_constant_integrand(self):
