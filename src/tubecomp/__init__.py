@@ -30,6 +30,7 @@ from .geometry import (
     directional_curvature_operator,
     lp_deficit_norm,
     ric_k,
+    rho_k,
     rho_k_at,
 )
 from . import (
@@ -64,6 +65,7 @@ __all__ = [
     "directional_curvature_operator",
     "lp_deficit_norm",
     "ric_k",
+    "rho_k",
     "rho_k_at",
     "manifolds",
     "quadrature",

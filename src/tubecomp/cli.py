@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -242,12 +243,11 @@ def cmd_tube_volume(scenario: Scenario, radii: tuple[float, ...]) -> list[list[s
             # table uses the tube-restricted deficit norm (the verify command
             # reports both variants); declared homogeneous rho short-circuits
             consts = thm1_constants(n, m, p, H)
-            rho = scenario.rho_fn(k)
-            if rho is not None:
-                const_deficit = max(H - rho(M.domain.lo), 0.0)
-                norm = const_deficit * res.value ** (1.0 / p)
+            declared = scenario.declared_rho(k)
+            if declared is not None:
+                norm = max(H - declared, 0.0) * res.value ** (1.0 / p)
             else:
-                norm = sampler.lp_deficit(r, k, H, p)
+                norm = sampler.lp_deficit(r, H, p, functools.partial(scenario.rho, k=k))
             thm1_val = _fmt(thm1_bound(consts, sampler.grid.sigma_volume, norm, r))
         rows.append([scenario.name, _fmt(r), _fmt(res.value),
                      _fmt(res.error_estimate), str(res.rays_used),

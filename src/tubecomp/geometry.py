@@ -31,6 +31,7 @@ __all__ = [
     "directional_curvature_operator",
     "curvature_eigenvalues",
     "ric_k",
+    "rho_k",
     "rho_k_at",
     "lp_deficit_norm",
     "frame_curvature",
@@ -76,9 +77,10 @@ class Box:
                 x[..., i] = self.lo[i] + np.mod(x[..., i] - self.lo[i], w)
         return x
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Whether each point (row) of x lies in the box, after wrapping."""
         x = self.wrap(x)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+        return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
 
     def intersect(self, other: "Box") -> "Box":
         lo = np.maximum(self.lo, other.lo)
@@ -350,23 +352,24 @@ def ric_k(M: ChartManifold, x: np.ndarray, u: np.ndarray, V) -> float:
     return float(np.trace(frame_curvature(curvature_tensor_at(M, x), basis[1:], u)))
 
 
-def _pencil_eigenvalues(rm: np.ndarray, linv: np.ndarray,
-                        dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of R(., u)u on u-perp for a batch of Euclidean directions.
+def _k_plane_minima(rm: np.ndarray, linv: np.ndarray, dirs: np.ndarray,
+                    k: int) -> np.ndarray:
+    """Minimum of Ric_k over k-planes for a batch of Euclidean directions.
 
     Directions s on the Euclidean sphere map to g-unit vectors u = L^-T s.
     The n x n form B_u = Rm(., u, ., u) has u in its kernel; the pencil
-    spectrum is the u-perp spectrum plus one spurious zero, which is dropped.
-    Returns (eigenvalues (B, n-1) ascending, g-unit directions (B, n)).
+    spectrum is the u-perp spectrum plus one spurious zero, which is
+    dropped, and the minimum is the sum of the k smallest of the rest.
+    Leading axes of rm (..., n, n, n, n) and linv (..., n, n) pair with
+    those of dirs (..., S, n); the result has shape (..., S).
     """
     U = dirs @ linv
-    B = np.einsum("ijkl,sj,sl->sik", rm, U, U)
-    C = np.einsum("ai,sik,bk->sab", linv, B, linv)
+    B = np.einsum("...ijkl,...sj,...sl->...sik", rm, U, U)
+    C = np.einsum("...ai,...sik,...bk->...sab", linv, B, linv)
     w = np.linalg.eigvalsh(C)
-    drop = np.argmin(np.abs(w), axis=1)
     keep = np.ones(w.shape, dtype=bool)
-    keep[np.arange(len(w)), drop] = False
-    return w[keep].reshape(len(w), -1), U
+    np.put_along_axis(keep, np.argmin(np.abs(w), axis=-1)[..., None], False, axis=-1)
+    return w[keep].reshape(w.shape[:-1] + (-1,))[..., :k].sum(axis=-1)
 
 
 def curvature_eigenvalues(M: ChartManifold, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -375,53 +378,66 @@ def curvature_eigenvalues(M: ChartManifold, x: np.ndarray, u: np.ndarray) -> np.
     return np.linalg.eigvalsh(op.matrix)
 
 
-def rho_k_at(M: ChartManifold, x: np.ndarray, k: int, *,
-             directions: int = 2048, refine_rounds: int = 3) -> float:
-    """Pointwise minimum of Ric_k over unit directions and k-planes.
+RHO_BLOCK = 64   # points per curvature batch; bounds the (rows, n, n, n, n) temporaries
+
+
+def rho_k(M: ChartManifold, X: np.ndarray, k: int, *,
+          directions: int = 2048, refine_rounds: int = 3) -> np.ndarray:
+    """Pointwise minimum of Ric_k over unit directions and k-planes, per row of X.
 
     The inner minimum over k-planes is the sum of the k smallest
     eigenvalues of the directional operator (exact); the outer minimum
     over directions uses a deterministic sphere grid plus a greedy
-    coordinate pattern search. The result is an upper bound for the true
-    minimum (the grid may miss the global minimizer).
+    coordinate pattern search. Each value is an upper bound for the true
+    minimum (the grid may miss the global minimizer) and does not depend
+    on the other rows. Rows outside a declared curvature support are 0.0.
     """
     n = M.dim
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    x = np.asarray(x, dtype=float)
-    if (M.curvature_support is not None
-            and not M.curvature_support.contains(M.domain.wrap(x))):
-        return 0.0  # metric is exactly flat outside the declared support
-    g = M.metric_at(x)
-    chol, _ = _inverse_spd(g[None], M.name)
-    linv = np.linalg.inv(chol[0])
-    rm = curvature_tensor_at(M, x)
-
-    def sums(dirs):
-        eigs, _ = _pencil_eigenvalues(rm, linv, dirs)
-        return eigs[:, :k].sum(axis=1)
-
+    X = np.asarray(X, dtype=float)
+    out = np.zeros(len(X))
+    rows = np.arange(len(X))
+    if M.curvature_support is not None:
+        # the metric is exactly flat outside the declared support
+        rows = rows[M.curvature_support.contains(M.domain.wrap(X))]
+    if len(rows) == 0:
+        return out
     grid = direction_search_grid(n, directions)
-    vals = sums(grid)
-    best_idx = int(np.argmin(vals))
-    best_s = grid[best_idx]
-    best = float(vals[best_idx])
-
-    step = 0.15
     eye = np.eye(n)
-    for _ in range(refine_rounds):
-        for _ in range(24):
-            cands = np.concatenate([best_s + step * eye, best_s - step * eye])
-            cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-            cvals = sums(cands)
-            j = int(np.argmin(cvals))
-            if cvals[j] < best - 1e-15:
-                best = float(cvals[j])
-                best_s = cands[j]
-            else:
-                break
-        step *= 0.2
-    return best
+    for start in range(0, len(rows), RHO_BLOCK):
+        block = rows[start:start + RHO_BLOCK]
+        g, rm = _curvature_batch(M, X[block])
+        linv = np.linalg.inv(np.linalg.cholesky(g))
+        # point-by-point grid scan: jointly, B and C are 17 MB each (n = 4, 2048 dirs)
+        vals = np.array([_k_plane_minima(rm[i], linv[i], grid, k)
+                         for i in range(len(block))])
+        j = np.argmin(vals, axis=1)
+        best, best_s = vals[np.arange(len(block)), j], grid[j]
+        step = 0.15
+        for _ in range(refine_rounds):
+            active = np.arange(len(block))
+            for _ in range(24):
+                cands = np.concatenate([best_s[active, None] + step * eye,
+                                        best_s[active, None] - step * eye], axis=1)
+                cands /= np.linalg.norm(cands, axis=-1, keepdims=True)
+                cvals = _k_plane_minima(rm[active], linv[active], cands, k)
+                pick = np.arange(len(active)), np.argmin(cvals, axis=1)
+                better = cvals[pick] < best[active] - 1e-15
+                active = active[better]
+                best[active] = cvals[pick][better]
+                best_s[active] = cands[pick][better]
+                if len(active) == 0:
+                    break
+            step *= 0.2
+        out[block] = best
+    return out
+
+
+def rho_k_at(M: ChartManifold, x: np.ndarray, k: int, *,
+             directions: int = 2048, refine_rounds: int = 3) -> float:
+    """rho_k at one point (see ``rho_k``)."""
+    return float(rho_k(M, [x], k, directions=directions, refine_rounds=refine_rounds)[0])
 
 
 DEFICIT_INFLATION = 1e-3   # safety margin added to the deficit at every node
@@ -433,12 +449,12 @@ class DeficitNorm(NamedTuple):
     inflated: float   # fine-grid norm of (rho_k - H)_- + DEFICIT_INFLATION
 
 
-def lp_deficit_norm(M: ChartManifold, region: Box | None, k: int, H: float,
-                    p: float, *, resolution: int = 8, directions: int = 2048,
-                    refine_rounds: int = 3,
-                    rho_fn: Callable[[np.ndarray], float] | None = None) -> DeficitNorm:
+def lp_deficit_norm(M: ChartManifold, region: Box | None, H: float, p: float,
+                    rho: Callable[[np.ndarray], np.ndarray], *,
+                    resolution: int = 8) -> DeficitNorm:
     """L^p norm of (rho_k - H)_- over a chart region, with error estimate.
 
+    ``rho`` maps points (P, n) to rho_k (P,), e.g. ``partial(rho_k, M, k=k)``.
     Integrates against the Riemannian volume element; the error estimate
     is the difference against a strictly coarser tensor grid, so
     ``resolution`` must be at least 2. When the manifold
@@ -457,16 +473,12 @@ def lp_deficit_norm(M: ChartManifold, region: Box | None, k: int, H: float,
             region = region.intersect(M.curvature_support)
         except ValueError:
             return DeficitNorm(0.0, 0.0, 0.0)  # region misses the support entirely
-    if rho_fn is None:
-        def rho_fn(pt):
-            return rho_k_at(M, pt, k, directions=directions,
-                            refine_rounds=refine_rounds)
 
     def norms(res: int, *shifts: float) -> list[float]:
         """One grid walk; the norm of the deficit plus each shift."""
         pts, w = region.quadrature_grid(res)
         wd = w * M.sqrt_det_at(pts)
-        deficit = np.array([max(H - rho_fn(pt), 0.0) for pt in pts])
+        deficit = np.maximum(H - rho(pts), 0.0)
         return [float(np.sum(wd * (deficit + s)**p)) ** (1.0 / p) for s in shifts]
 
     value, inflated = norms(resolution, 0.0, DEFICIT_INFLATION)

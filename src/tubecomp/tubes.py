@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChartManifold, rho_k_at
+from .geometry import ChartManifold
 from .models import first_zero, hk_integrand, sphere_volume
 from .quadrature import gauss_legendre_panels
 from .submanifolds import EmbeddedSubmanifold, NormalFiberGrid, frames_at, unit_normal_grid
@@ -99,6 +99,7 @@ class TubeSampler:
                 weights.append(self.grid.base_weights[b] * self.grid.fiber_weights[f])
                 self.ray_index.append((b, f))
         self.weights = np.array(weights)
+        self.eta_xi = np.array([self.grid.eta_dot_xi(b, f) for b, f in self.ray_index])
         try:
             self.rays: RayBatch = integrate_rays(M, sigma, rays)
         except RayIntegrationError as exc:
@@ -142,24 +143,18 @@ class TubeSampler:
         dens = self.rays.density(np.full((len(self.rays), 1), t))[:, 0]
         return _ray_sum(np.where(t < self.rays.focal_times(), self.weights * dens, 0.0))
 
-    def lp_deficit(self, t: float, k: int, H: float, p: float,
-                   rho_fn=None) -> float:
-        """Tube-restricted ||(rho_k - H)_-||_p via the same Fubini quadrature."""
+    def lp_deficit(self, t: float, H: float, p: float, rho) -> float:
+        """Tube-restricted ||(rho_k - H)_-||_p; ``rho`` maps points (P, n) to (P,)."""
         if p < 1.0:
             raise ValueError(f"need p >= 1, got {p}")
         self._check_horizon(t)
         if t <= 0.0:
             return 0.0
         spec = self.spec
-        if rho_fn is None:
-            def rho_fn(x):
-                return rho_k_at(self.M, x, k, directions=spec.rho_directions,
-                                refine_rounds=spec.rho_refine_rounds)
         ts, tw = gauss_legendre_panels(0.0, np.minimum(t, self.rays.focal_times()),
                                        spec.t_panels, spec.t_nodes_per_panel)
         positions, _, _, J, _ = self.rays.fields(ts)
-        deficit = np.array([max(H - rho_fn(x), 0.0)
-                            for x in positions.reshape(-1, self.M.dim)])
+        deficit = np.maximum(H - rho(positions.reshape(-1, self.M.dim)), 0.0)
         integrand = deficit.reshape(ts.shape) ** p * np.linalg.det(J)
         return _ray_sum(self.weights * _row_dots(tw, integrand)) ** (1.0 / p)
 
@@ -167,18 +162,18 @@ class TubeSampler:
         """Heintze-Karcher comparison volume of the tube of radius r (0 at r <= 0).
 
         The model density of curvature H is integrated to its first zero
-        with 24 Gauss-Legendre nodes for every (node, fiber) direction.
+        with 24 Gauss-Legendre nodes once per distinct <eta, xi> of the rays.
         """
         if r <= 0.0:
             return 0.0
         n, m = self.M.dim, self.sigma.dim
-        total = 0.0
-        for (b, f), w in zip(self.ray_index, self.weights):
-            e = self.grid.eta_dot_xi(b, f)
-            z = first_zero(H, n, m, e, r)
-            ts, tw = gauss_legendre_panels(0.0, z, 1, 24)
-            total += w * float(tw @ np.array([hk_integrand(H, n, m, e, t) for t in ts]))
-        return total
+        values, which = np.unique(self.eta_xi, return_inverse=True)
+        integrals = []
+        for e in values.tolist():
+            ts, tw = gauss_legendre_panels(0.0, first_zero(H, n, m, e, r), 1, 24)
+            integrals.append(float(tw @ np.array([hk_integrand(H, n, m, e, t)
+                                                  for t in ts])))
+        return _ray_sum(self.weights * np.array(integrals)[which])
 
 
 def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,

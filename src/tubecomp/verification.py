@@ -9,12 +9,13 @@ quadrature/integration error estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ChartManifold, lp_deficit_norm, rho_k_at
+from .geometry import ChartManifold, lp_deficit_norm, rho_k
 from .geometry import curvature_tensor_at, frame_curvature
 from .models import (
     BoundReport,
@@ -83,22 +84,19 @@ class Scenario:
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
-    def rho_fn(self, k: int):
-        """Declared homogeneous rho_k callback, or None for the grid method."""
+    def declared_rho(self, k: int) -> float | None:
+        """Declared homogeneous rho_k (the config's over the manifold's), or None."""
         declared = dict(self.manifold.rho_exact or {})
         declared.update(self.rho_declared or {})
-        if k in declared:
-            val = declared[k]
-            return lambda x: val
-        return None
+        return declared.get(k)
 
-    def rho_at(self, x, k: int) -> float:
-        fn = self.rho_fn(k)
-        if fn is not None:
-            return fn(x)
-        return rho_k_at(self.manifold, x, k,
-                        directions=self.quad.rho_directions,
-                        refine_rounds=self.quad.rho_refine_rounds)
+    def rho(self, X: np.ndarray, k: int) -> np.ndarray:
+        """rho_k at each row of X (P, n): the declared value, else the grid estimate."""
+        declared = self.declared_rho(k)
+        if declared is not None:
+            return np.full(len(X), declared)
+        return rho_k(self.manifold, X, k, directions=self.quad.rho_directions,
+                     refine_rounds=self.quad.rho_refine_rounds)
 
     def sampler(self, r_max: float) -> TubeSampler:
         """Shared ray cache; rebuilt when the geometry or quadrature changed."""
@@ -125,19 +123,13 @@ def certify_rho_lower_bound(scenario: Scenario, k: int, H: float,
     contributes the full direction-grid minimum, so ``samples`` counts
     point-direction pairs in the spec's sense.
     """
-    M = scenario.manifold
-    rng = scenario.rng()
+    M, box = scenario.manifold, scenario.manifold.domain
     n_points = max(8, samples // 64)
-    worst = math.inf
-    declared_gap = 0.0
-    fn = scenario.rho_fn(k)
-    box = M.domain
-    for _ in range(n_points):
-        x = box.wrap(rng.uniform(box.lo, box.hi))
-        val = rho_k_at(M, x, k, directions=256, refine_rounds=1)
-        worst = min(worst, val)
-        if fn is not None:
-            declared_gap = max(declared_gap, abs(val - fn(x)))
+    X = box.wrap(scenario.rng().uniform(box.lo, box.hi, size=(n_points, M.dim)))
+    vals = rho_k(M, X, k, directions=256, refine_rounds=1)
+    worst = float(np.min(vals))
+    declared = scenario.declared_rho(k)
+    declared_gap = 0.0 if declared is None else float(np.max(np.abs(vals - declared)))
     margin = worst - k * H
     return {"min_rho_k": worst, "margin": margin, "ok": margin >= -1e-9,
             "samples": n_points * 256, "k": k, "H": H,
@@ -355,22 +347,21 @@ def check_integral_bound(scenario: Scenario, radii,
         return [BoundReport.precondition_violation("integral_bound", reason)
                 for _ in radii]
     constants = thm1_constants(n, m, p, H)
-    rho = scenario.rho_fn(k)
-    global_norm = lp_deficit_norm(
-        M, None, k, H, p, resolution=scenario.quad.chart_resolution,
-        directions=scenario.quad.rho_directions,
-        refine_rounds=scenario.quad.rho_refine_rounds, rho_fn=rho)
+    declared = scenario.declared_rho(k)
+    rho = functools.partial(scenario.rho, k=k)
+    global_norm = lp_deficit_norm(M, None, H, p, rho,
+                                  resolution=scenario.quad.chart_resolution)
     reports = []
     for r, sampler in zip(radii, samplers):
         vol_sigma = sampler.grid.sigma_volume
-        tube_norm = sampler.lp_deficit(r, k, H, p, rho_fn=rho)
+        tube_norm = sampler.lp_deficit(r, H, p, rho)
         measured = sampler.volume(r)
         details_common = {
             "vol_sigma": vol_sigma, "eta_max": eta_max, "r": r,
-            "rho_k_method": "grid+refinement" if rho is None else "declared",
+            "rho_k_method": "grid+refinement" if declared is None else "declared",
             "mean_curvature_check": "passed",
         }
-        if rho is None:
+        if declared is None:
             details_common["global_norm_inflated"] = global_norm.inflated
             details_common["bound_inflated"] = thm1_bound(
                 constants, vol_sigma, global_norm.inflated, r)
@@ -434,8 +425,8 @@ def check_lemma_51_52(scenario: Scenario, n_rays: int | None = None,
         positions, _, _, Js, Jps = sol.fields(ts)
         phi, psi = split_traces(Js, Jps, m)
         A = np.linalg.det(Js)
-        rho_m = np.array([scenario.rho_at(x, m) for x in positions])
-        rho_k = rho_m if k == m else np.array([scenario.rho_at(x, k) for x in positions])
+        rho_m = scenario.rho(positions, m)
+        rho_k = rho_m if k == m else scenario.rho(positions, k)
         pos_prod = np.maximum(phi, 0.0) * np.maximum(psi, 0.0)
         # cumulative trapezoid integrals from 0; the [0, eps] sliver is O(eps)
         def cum(vals):

@@ -1,5 +1,6 @@
 """Curvature, k-Ricci, and deficit-norm tests on the built-in manifolds."""
 
+import functools
 import math
 
 import numpy as np
@@ -18,8 +19,11 @@ from tubecomp.geometry import (
     gram_schmidt,
     lp_deficit_norm,
     ric_k,
+    rho_k,
     rho_k_at,
 )
+from tubecomp.geometry import _inverse_spd
+from tubecomp.quadrature import direction_search_grid
 
 
 def space_form_tensor(g, c):
@@ -237,6 +241,99 @@ class TestRicK:
             ric_k(M, x, u, [u])  # V parallel to u collapses under projection
 
 
+def reference_rho_k_at(M, x, k, *, directions=2048, refine_rounds=3):
+    """Per-point rho_k: one curvature evaluation and one pattern search per call.
+
+    The unbatched search ``rho_k`` must reproduce bitwise: same grid, same
+    steps (0.15, then x0.2 per round), at most 24 moves per round, a move
+    only on a drop below best - 1e-15, and the pencil's spurious zero dropped.
+    """
+    n = M.dim
+    x = np.asarray(x, dtype=float)
+    if (M.curvature_support is not None
+            and not M.curvature_support.contains(M.domain.wrap(x))):
+        return 0.0
+    g = M.metric_at(x)
+    chol, _ = _inverse_spd(g[None], M.name)
+    linv = np.linalg.inv(chol[0])
+    rm = curvature_tensor_at(M, x)
+
+    def sums(dirs):
+        U = dirs @ linv
+        B = np.einsum("ijkl,sj,sl->sik", rm, U, U)
+        w = np.linalg.eigvalsh(np.einsum("ai,sik,bk->sab", linv, B, linv))
+        keep = np.ones(w.shape, dtype=bool)
+        keep[np.arange(len(w)), np.argmin(np.abs(w), axis=1)] = False
+        return w[keep].reshape(len(w), -1)[:, :k].sum(axis=1)
+
+    grid = direction_search_grid(n, directions)
+    vals = sums(grid)
+    best_idx = int(np.argmin(vals))
+    best_s, best = grid[best_idx], float(vals[best_idx])
+    step = 0.15
+    eye = np.eye(n)
+    for _ in range(refine_rounds):
+        for _ in range(24):
+            cands = np.concatenate([best_s + step * eye, best_s - step * eye])
+            cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+            cvals = sums(cands)
+            j = int(np.argmin(cvals))
+            if cvals[j] < best - 1e-15:
+                best, best_s = float(cvals[j]), cands[j]
+            else:
+                break
+        step *= 0.2
+    return best
+
+
+def batched_rho_k(M, X, k, batch, **kwargs):
+    """rho_k over X in consecutive calls of ``batch`` rows each."""
+    return np.concatenate([rho_k(M, X[i:i + batch], k, **kwargs)
+                           for i in range(0, len(X), batch)])
+
+
+class TestRhoKBatched:
+    """The batched search against the per-point reference, bitwise."""
+
+    KW = dict(directions=256, refine_rounds=3)
+
+    def test_bump_torus_inside_and_outside_support(self):
+        M = manifolds.bump_torus(4)
+        rng = np.random.default_rng(7)
+        X = M.extra["center"] + rng.uniform(-1.25, 1.25, size=(150, 4))
+        inside = M.curvature_support.contains(M.domain.wrap(X))
+        assert 30 <= inside.sum() <= 120
+        for k in (1, 2, 3):
+            expect = np.array([reference_rho_k_at(M, x, k, **self.KW) for x in X])
+            assert np.all(expect[~inside] == 0.0)
+            assert np.all(expect[inside] != 0.0)
+            for batch in (1, 63, 64, 65, len(X)):
+                got = batched_rho_k(M, X, k, batch, **self.KW)
+                assert got.shape == (len(X),)
+                assert np.array_equal(got, expect), (k, batch)
+
+    @pytest.mark.parametrize("M", [
+        manifolds.sphere(3),
+        manifolds.product(manifolds.sphere(2), manifolds.sphere(2)),
+    ], ids=["sphere3", "s2xs2"])
+    def test_manifolds_without_support(self, M):
+        rng = np.random.default_rng(3)
+        X = M.domain.lo + rng.uniform(0.1, 0.9, size=(70, M.dim)) * M.domain.widths()
+        for k in range(1, M.dim):
+            expect = np.array([reference_rho_k_at(M, x, k, **self.KW) for x in X])
+            assert np.array_equal(rho_k(M, X, k, **self.KW), expect)
+            assert np.array_equal(batched_rho_k(M, X, k, 1, **self.KW), expect)
+
+    def test_empty_input(self):
+        for M in (manifolds.bump_torus(4), manifolds.sphere(3)):
+            assert rho_k(M, np.zeros((0, M.dim)), 1).shape == (0,)
+
+    def test_scalar_view(self):
+        M = manifolds.bump_torus(4)
+        x = M.extra["center"] + 0.3
+        assert rho_k_at(M, x, 2, **self.KW) == reference_rho_k_at(M, x, 2, **self.KW)
+
+
 class TestRhoK:
     def test_space_forms_exact(self):
         for M, c in [(manifolds.sphere(3), 1.0), (manifolds.hyperbolic(3), -1.0),
@@ -317,20 +414,23 @@ class TestRhoK:
         assert rho_k_at(M, x, 1, refine_rounds=3) == fresh
 
 
+def grid_rho(M, k, directions, refine_rounds):
+    """The grid rho_k of M as the (P, n) -> (P,) callable lp_deficit_norm takes."""
+    return functools.partial(rho_k, M, k=k, directions=directions,
+                             refine_rounds=refine_rounds)
+
+
 class TestLpDeficitNorm:
     def test_flat_torus_zero(self):
         M = manifolds.flat_torus(3)
-        res = lp_deficit_norm(M, None, 1, -1.0, 2.0, resolution=4,
-                              directions=128, refine_rounds=0)
+        res = lp_deficit_norm(M, None, -1.0, 2.0, grid_rho(M, 1, 128, 0), resolution=4)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_round_sphere_constant_integrand(self):
         M = manifolds.sphere_colatitude(2, radius=2.0)  # sec = 1/4, area 16 pi
-        res1 = lp_deficit_norm(M, None, 1, 1.0, 1.0, resolution=24,
-                               directions=128, refine_rounds=1)
+        res1 = lp_deficit_norm(M, None, 1.0, 1.0, grid_rho(M, 1, 128, 1), resolution=24)
         assert res1.value == pytest.approx(12.0 * math.pi, rel=1e-5)
-        res2 = lp_deficit_norm(M, None, 1, 1.0, 2.0, resolution=24,
-                               directions=128, refine_rounds=1)
+        res2 = lp_deficit_norm(M, None, 1.0, 2.0, grid_rho(M, 1, 128, 1), resolution=24)
         assert res2.value == pytest.approx(3.0 * math.sqrt(math.pi), rel=1e-5)
         assert res1.error_estimate >= 0.0
 
@@ -339,19 +439,19 @@ class TestLpDeficitNorm:
         c = M.extra["center"]
         small = Box(c - 0.5, c + 0.5, (False,) * 3)
         big = Box(c - 1.0, c + 1.0, (False,) * 3)
-        kwargs = dict(resolution=6, directions=256, refine_rounds=1)
-        v_small = lp_deficit_norm(M, small, 1, 0.0, 3.0, **kwargs).value
-        v_big = lp_deficit_norm(M, big, 1, 0.0, 3.0, **kwargs).value
+        rho = grid_rho(M, 1, 256, 1)
+        v_small = lp_deficit_norm(M, small, 0.0, 3.0, rho, resolution=6).value
+        v_big = lp_deficit_norm(M, big, 0.0, 3.0, rho, resolution=6).value
         assert 0.0 <= v_small <= v_big + 1e-12
 
     def test_support_restriction_matches_full_domain(self):
         M = manifolds.bump_torus(2, amplitude=0.1)
-        res_support = lp_deficit_norm(M, None, 1, -0.05, 2.0, resolution=24,
-                                      directions=256, refine_rounds=1)
+        res_support = lp_deficit_norm(M, None, -0.05, 2.0, grid_rho(M, 1, 256, 1),
+                                      resolution=24)
         M_nosupport = manifolds.bump_torus(2, amplitude=0.1)
         M_nosupport.curvature_support = None
-        res_full = lp_deficit_norm(M_nosupport, None, 1, -0.05, 2.0, resolution=64,
-                                   directions=256, refine_rounds=1)
+        res_full = lp_deficit_norm(M_nosupport, None, -0.05, 2.0,
+                                   grid_rho(M_nosupport, 1, 256, 1), resolution=64)
         assert res_support.value == pytest.approx(
             res_full.value, rel=0.02, abs=1e-6)
 
@@ -370,20 +470,18 @@ class TestLpDeficitNorm:
     def test_error_estimate_positive_at_resolution_3(self):
         # the coarse comparison grid is strictly coarser than the fine one
         M = manifolds.bump_torus(4)
-        res = lp_deficit_norm(M, None, 1, -0.1, 4.0, resolution=3,
-                              directions=256, refine_rounds=1)
+        res = lp_deficit_norm(M, None, -0.1, 4.0, grid_rho(M, 1, 256, 1), resolution=3)
         assert res.value > 0.0
         assert res.error_estimate > 0.0
 
     def test_resolution_below_two_rejected(self):
+        M = manifolds.flat_torus(3)
         with pytest.raises(ValueError, match="resolution"):
-            lp_deficit_norm(manifolds.flat_torus(3), None, 1, 0.0, 2.0,
-                            resolution=1)
+            lp_deficit_norm(M, None, 0.0, 2.0, grid_rho(M, 1, 2048, 3), resolution=1)
 
     def test_inflation_reported_variant(self):
         M = manifolds.flat_torus(3)
-        res = lp_deficit_norm(M, None, 1, 0.0, 2.0, resolution=4,
-                              directions=64, refine_rounds=0)
+        res = lp_deficit_norm(M, None, 0.0, 2.0, grid_rho(M, 1, 64, 0), resolution=4)
         expect = (1e-3**2 * (2.0 * math.pi)**3) ** 0.5
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.inflated == pytest.approx(expect, rel=1e-10)

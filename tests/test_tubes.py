@@ -1,11 +1,13 @@
 """Tube volume, equidistant area, and tube-norm quadrature tests."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from tubecomp import manifolds
+from tubecomp.geometry import rho_k
 from tubecomp.manifolds import axes_with_pole
 from tubecomp.submanifolds import great_circle, point, sub_torus
 from tubecomp.tubes import (
@@ -117,7 +119,7 @@ class TestTubeLpDeficit:
         M, sigma = flat_setup
         sampler = TubeSampler(M, sigma, 0.5,
                               QuadratureSpec(base_resolution=4, fiber_resolution=2))
-        val = sampler.lp_deficit(0.5, 1, 0.0, 4.0, rho_fn=lambda x: 0.0)
+        val = sampler.lp_deficit(0.5, 0.0, 4.0, rho=lambda X: np.full(len(X), 0.0))
         assert val == 0.0
 
     def test_scaled_s3_constant_integrand(self):
@@ -130,7 +132,7 @@ class TestTubeLpDeficit:
         sampler = TubeSampler(M, sigma, 0.6, spec)
         t = 0.6
         vol = sampler.volume(t).value
-        norm = sampler.lp_deficit(t, 1, 1.0, 2.0, rho_fn=lambda x: 0.25)
+        norm = sampler.lp_deficit(t, 1.0, 2.0, rho=lambda X: np.full(len(X), 0.25))
         assert norm == pytest.approx(0.75 * math.sqrt(vol), rel=1e-10)
 
     def test_grid_rho_matches_declared_on_space_form(self):
@@ -138,12 +140,42 @@ class TestTubeLpDeficit:
             [0.0, 0.0, math.cos(0.196), math.sin(0.196)]))
         sigma = great_circle(M)
         spec = QuadratureSpec(base_resolution=4, fiber_resolution=2,
-                              t_nodes_per_panel=8, rho_directions=256,
-                              rho_refine_rounds=1)
+                              t_nodes_per_panel=8)
         sampler = TubeSampler(M, sigma, 0.4, spec)
-        declared = sampler.lp_deficit(0.4, 1, 1.0, 2.0, rho_fn=lambda x: 0.25)
-        computed = sampler.lp_deficit(0.4, 1, 1.0, 2.0)
+        declared = sampler.lp_deficit(0.4, 1.0, 2.0, rho=lambda X: np.full(len(X), 0.25))
+        computed = sampler.lp_deficit(0.4, 1.0, 2.0, rho=functools.partial(
+            rho_k, M, k=1, directions=256, refine_rounds=1))
         assert computed == pytest.approx(declared, rel=1e-6)
+
+
+class TestHkBound:
+    def test_one_rule_per_distinct_eta_xi(self, monkeypatch):
+        from tubecomp import tubes
+        from tubecomp.models import first_zero, hk_integrand
+        from tubecomp.quadrature import gauss_legendre_panels
+
+        M = manifolds.sphere(3, axes=axes_with_pole(
+            [0.0, 0.0, math.cos(0.196), math.sin(0.196)]))
+        sampler = TubeSampler(M, great_circle(M), 1.2,
+                              QuadratureSpec(base_resolution=4, fiber_resolution=8))
+        zeros = []
+
+        def counted(*args):
+            zeros.append(args)
+            return first_zero(*args)
+
+        monkeypatch.setattr(tubes, "first_zero", counted)
+        for H, r in ((1.0, 0.7), (1.0, 1.2), (0.0, 0.5), (-1.0, 1.0)):
+            zeros.clear()
+            # the per-ray loop: one first zero and one 24-node rule per ray
+            expect = 0.0
+            for (b, f), w in zip(sampler.ray_index, sampler.weights):
+                e = sampler.grid.eta_dot_xi(b, f)
+                ts, tw = gauss_legendre_panels(0.0, first_zero(H, 3, 1, e, r), 1, 24)
+                expect += w * float(tw @ np.array([hk_integrand(H, 3, 1, e, t)
+                                                   for t in ts]))
+            assert sampler.hk_bound(H, r) == expect
+            assert len(zeros) == len(np.unique(sampler.eta_xi)) < len(sampler.rays)
 
 
 class TestHorizon:
@@ -157,7 +189,7 @@ class TestHorizon:
     @pytest.mark.parametrize("evaluate", [
         lambda s: s.volume(0.9),
         lambda s: s.area(0.9),
-        lambda s: s.lp_deficit(0.9, 1, 1.0, 4.0, rho_fn=lambda x: 0.0),
+        lambda s: s.lp_deficit(0.9, 1.0, 4.0, rho=lambda X: np.full(len(X), 0.0)),
     ], ids=["volume", "area", "lp_deficit"])
     def test_beyond_integrated_horizon_rejected(self, short_sampler, evaluate):
         with pytest.raises(ValueError, match="beyond integrated horizon"):

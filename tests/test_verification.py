@@ -1,6 +1,7 @@
 """Scenario checks: equality detection, precondition guards, suite aggregation."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -70,6 +71,69 @@ class TestCertification:
         cert = certify_rho_lower_bound(flat_scenario, 1, 0.5, samples=128)
         assert not cert["ok"]
         assert cert["margin"] == pytest.approx(-0.5, abs=1e-9)
+
+    def test_batched_draws_match_per_point_draws(self):
+        # one (points, n) draw is the same stream as one draw per point
+        from tubecomp.geometry import rho_k_at
+
+        sc = toy_bump_scenario()
+        sc.rho_declared = {1: 0.0}
+        M, box = sc.manifold, sc.manifold.domain
+        cert = certify_rho_lower_bound(sc, 1, -0.1, samples=64 * 48)
+        rng = sc.rng()
+        vals = [rho_k_at(M, box.wrap(rng.uniform(box.lo, box.hi)), 1,
+                         directions=256, refine_rounds=1) for _ in range(48)]
+        assert min(vals) < 0.0 < max(abs(v) for v in vals)
+        assert cert["min_rho_k"] == min(vals)
+        assert cert["declared_gap"] == max(abs(v - 0.0) for v in vals)
+
+
+class TestDeclaredRho:
+    def test_config_overrides_manifold(self):
+        from tubecomp.cli import scenarios_from_config
+
+        (sc,) = scenarios_from_config({
+            "manifold": {"name": "product", "a": {"name": "sphere", "n": 2},
+                         "b": {"name": "sphere", "n": 2},
+                         "rho_exact": {"1": 0.0, "2": 0.0, "3": 1.0}},
+            "submanifold": {"name": "point", "location": [0.1, 0.2, 0.0, 0.3]},
+            "declared": {"rho_exact": {"1": -0.25}},
+        })
+        X = np.array([[0.1, 0.2, 0.0, 0.3], [0.4, -0.2, 0.1, 0.0]])
+        assert sc.declared_rho(1) == -0.25
+        assert np.array_equal(sc.rho(X, 1), [-0.25, -0.25])
+        assert np.array_equal(sc.rho(X, 3), [1.0, 1.0])
+
+    def test_undeclared_uses_the_quadrature_grid(self):
+        from tubecomp.geometry import rho_k
+
+        sc = toy_bump_scenario()
+        X = sc.manifold.extra["center"] + np.array([[0.1, 0.2, -0.3], [0.5, 0.0, 0.2]])
+        assert sc.declared_rho(1) is None
+        assert np.array_equal(sc.rho(X, 1), rho_k(sc.manifold, X, 1, directions=64,
+                                                   refine_rounds=0))
+
+    def test_flat_checks_never_evaluate_curvature(self, monkeypatch):
+        from tubecomp import geometry, verification
+
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("rho_k called on a declared scenario")
+
+        monkeypatch.setattr(verification, "rho_k", refuse)
+        monkeypatch.setattr(geometry, "rho_k", refuse)
+        sc = build_scenario("flat_t4_circle")
+        sc.quad = QuadratureSpec(base_resolution=4, fiber_resolution=2,
+                                 chart_resolution=3)
+        sc.check_rays = 4
+        reports = (verification.CHECK_DISPATCH["integral"](sc)
+                   + verification.CHECK_DISPATCH["lemmas"](sc))
+        assert calls == []
+        assert all(rep.status == "ok" for rep in reports)
+        assert {rep.details["rho_k_method"] for rep in reports
+                if rep.name.startswith("integral")} == {"declared"}
 
 
 class TestHkCheck:
@@ -156,18 +220,18 @@ class TestRadiusIndependentWork:
     """Work that does not depend on the radius runs once per check."""
 
     def test_integral_check_walks_each_chart_node_once(self, monkeypatch):
-        from tubecomp import geometry
+        from tubecomp import verification
         from tubecomp.verification import CHECK_DISPATCH
 
         sc = toy_bump_scenario()
-        calls = []
-        original = geometry.rho_k_at
+        rows = []
+        original = verification.rho_k
 
-        def counted(M, x, k, **kwargs):
-            calls.append(tuple(np.asarray(x, dtype=float)))
-            return original(M, x, k, **kwargs)
+        def counted(M, X, k, **kwargs):
+            rows.extend(tuple(x) for x in np.asarray(X, dtype=float))
+            return original(M, X, k, **kwargs)
 
-        monkeypatch.setattr(geometry, "rho_k_at", counted)
+        monkeypatch.setattr(verification, "rho_k", counted)
         reports = CHECK_DISPATCH["integral"](sc)
         assert [rep.details["r"] for rep in reports] == [0.3, 0.3, 0.5, 0.5]
         assert all(rep.status == "ok" for rep in reports)
@@ -175,12 +239,16 @@ class TestRadiusIndependentWork:
         fine, _ = region.quadrature_grid(3)      # chart_resolution
         coarse, _ = region.quadrature_grid(2)    # the strictly coarser grid
         nodes = {tuple(x) for x in np.concatenate([fine, coarse])}
-        assert len(nodes) == len(fine) + len(coarse)
-        assert len(calls) == len(nodes)
-        assert set(calls) == nodes
+        assert len(nodes) == len(fine) + len(coarse) == 35
+        node_rows = [x for x in rows if x in nodes]
+        assert len(node_rows) == len(nodes)
+        assert set(node_rows) == nodes
+        # every other row is a radial node of a tube norm, one norm per radius
+        per_radius = len(sc.sampler(max(sc.radii)).rays) * sc.quad.t_nodes_per_panel
+        assert len(rows) - len(node_rows) == len(sc.radii) * per_radius
 
     def test_global_norm_inflated_recomputed(self):
-        from tubecomp.geometry import DEFICIT_INFLATION, lp_deficit_norm, rho_k_at
+        from tubecomp.geometry import DEFICIT_INFLATION, lp_deficit_norm, rho_k, rho_k_at
 
         sc = toy_bump_scenario(radii=(0.4,))
         M, k, H, p = sc.manifold, sc.k, sc.H, sc.p
@@ -193,8 +261,8 @@ class TestRadiusIndependentWork:
         expect = float(np.sum(w * dens * (deficit + 1e-3) ** p)) ** (1.0 / p)
         assert DEFICIT_INFLATION == 1e-3
         assert expect > float(np.sum(w * dens * deficit**p)) ** (1.0 / p)
-        norm = lp_deficit_norm(M, None, k, H, p, resolution=3, directions=64,
-                               refine_rounds=0)
+        norm = lp_deficit_norm(M, None, H, p, functools.partial(
+            rho_k, M, k=k, directions=64, refine_rounds=0), resolution=3)
         assert norm.inflated == pytest.approx(expect, rel=1e-12)
         glob = check_integral_bound(sc, sc.radii)[0]
         assert glob.details["global_norm_inflated"] == norm.inflated
