@@ -10,6 +10,7 @@ in the suite pins this sign.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -345,10 +346,18 @@ def sphere_point(M: ChartManifold, ambient_location) -> EmbeddedSubmanifold:
 
 
 def sub_torus(M: ChartManifold, axes, offset) -> EmbeddedSubmanifold:
-    """Coordinate sub-torus of a (possibly bumped) flat torus chart."""
-    axes = list(axes)
-    offset = np.asarray(offset, dtype=float)
+    """Coordinate sub-torus of a (possibly bumped) flat torus chart.
+
+    ``axes`` are distinct chart coordinates (at least one) that the torus
+    spans; ``offset`` (length n) fixes the other coordinates.
+    """
     n = M.dim
+    axes = [operator.index(a) for a in axes]
+    offset = np.asarray(offset, dtype=float)
+    if (not axes or len(set(axes)) < len(axes) or not set(axes) <= set(range(n))
+            or offset.shape != (n,)):
+        raise ValueError(f"sub_torus needs distinct axes in range({n}) and an offset of"
+                         f" length {n}, got axes {axes} and offset shape {offset.shape}")
     m = len(axes)
     side = M.domain.widths()[axes[0]]
 
@@ -391,10 +400,15 @@ def great_circle(M: ChartManifold, plane=(0, 1), phase: float = 0.0) -> Embedded
 
     The normal frame at each point is the (constant) family of ambient
     axes outside the circle's plane, pushed into the chart, so fiber
-    angles correspond exactly to ambient directions.
+    angles correspond exactly to ambient directions. ``plane`` is two
+    distinct ambient axes in range(n + 1).
     """
     radius = M.extra["radius"]
     n_amb = M.dim + 1
+    plane = [operator.index(c) for c in plane]
+    if len(plane) != 2 or plane[0] == plane[1] or not set(plane) <= set(range(n_amb)):
+        raise ValueError(f"great_circle plane must be two distinct axes in range({n_amb}),"
+                         f" got {plane}")
     e1 = np.eye(n_amb)[plane[0]]
     e2 = np.eye(n_amb)[plane[1]]
     others = [np.eye(n_amb)[c] for c in range(n_amb) if c not in plane]

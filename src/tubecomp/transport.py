@@ -4,8 +4,11 @@ The singular Riccati initial data (1/t) P_xi is never integrated: the
 linear Jacobi system J'' = -R(t) J with block initial conditions
 J(0) = diag(I_m, 0), J'(0) = diag(S_xi, I_{n-m-1}) carries the same
 information and is regular at t = 0. The shape operator of the distance
-level sets is recovered as S(t) = J'(t) J(t)^{-1}, the polar volume
-density as det J(t).
+level sets is recovered as S(t) = J'(t) J(t)^{-1} by ``shape_operator``,
+the one place that forms it, and the polar volume density as det J(t).
+A ray is read through arrays of times only: ``RaySolution.fields(ts)``
+gives the state parts, and ``RaySolution.shape_fields(ts)`` adds S behind
+the guards that keep it away from t = 0 and the first focal time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy.integrate._ivp.ivp import MESSAGES
 from scipy.integrate._ivp.rk import DOP853 as _DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
-from .geometry import ChartManifold, _curvature_batch, connection_and_curvature
+from .geometry import ChartManifold, _curvature_batch
 from .geometry import complete_euclidean, complete_frame, frame_curvature
 from .submanifolds import EmbeddedSubmanifold, NonNormalVectorError, second_fundamental_at
 
@@ -28,16 +31,12 @@ __all__ = [
     "RayIntegrationError",
     "FocalSingularityError",
     "NormalRay",
-    "TransportState",
     "RaySolution",
     "RayBatch",
     "integrate_ray",
     "integrate_rays",
-    "volume_density",
     "shape_operator",
-    "split_mean_curvature",
-    "partial_trace_shape",
-    "focal_distance",
+    "partial_trace",
     "split_traces",
     "structural_residuals",
     "jy_factors",
@@ -73,19 +72,6 @@ class NormalRay:
     xi: np.ndarray
     t_max: float
     tolerance: float = 1e-9
-
-
-@dataclass(eq=False)
-class TransportState:
-    """Snapshot along a ray; frame rows 0..m-1 start tangent, the rest normal."""
-
-    t: float
-    position: np.ndarray
-    velocity: np.ndarray
-    frame: np.ndarray        # (n-1, n) parallel g-orthonormal rows
-    J_mat: np.ndarray        # (n-1, n-1)
-    J_prime: np.ndarray      # (n-1, n-1)
-    solution: "RaySolution" = field(repr=False, default=None)
 
 
 def _split(Y: np.ndarray, n: int):
@@ -218,7 +204,13 @@ class RayBatch(Sequence):
 
 @dataclass(eq=False)
 class RaySolution:
-    """One ray of a RayBatch; state_at() samples it anywhere in [0, t_max]."""
+    """One ray of a RayBatch, read at arrays of times in [0, t_max].
+
+    ``fields(ts)`` gives (x, v, E, J, J'): position, velocity, parallel
+    frame rows (rows 0..m-1 start tangent, the rest normal), and the Jacobi
+    pair; ``density(ts)`` gives det J; ``shape_fields(ts)`` gives the shape
+    operator S = J' J^{-1} together with the fields it was formed from.
+    """
 
     manifold: ChartManifold
     sigma: EmbeddedSubmanifold
@@ -244,12 +236,33 @@ class RaySolution:
         """Polar volume density det J at the time or times ts."""
         return np.linalg.det(self.fields(ts)[3])
 
-    def state_at(self, t: float) -> TransportState:
-        if not 0.0 <= t <= self.t_max + 1e-12:
-            raise ValueError(f"t={t} outside integrated range [0, {self.t_max}]")
-        x, v, E, J, Jp = self.fields(min(t, self.t_max))
-        return TransportState(t=t, position=x, velocity=v, frame=E, J_mat=J,
-                              J_prime=Jp, solution=self)
+    def shape_fields(self, ts):
+        """(S, (x, v, E, J, J')) at a time t or along a 1-D array of times ts.
+
+        S = J' J^{-1} comes from the same single read as the fields. Raises
+        ValueError for a time outside [0, t_max], and FocalSingularityError
+        for t <= 0, t at or past the first focal time (within 1e-9), or
+        |det J| below 1e-12 times ``det_scale(t)``.
+        """
+        ts = np.asarray(ts, dtype=float)
+        out = ~((ts >= 0.0) & (ts <= self.t_max + 1e-12))
+        if out.any():
+            raise ValueError(f"t={ts[out].flat[0]} outside integrated range [0, {self.t_max}]")
+        if (ts <= 0.0).any():
+            raise FocalSingularityError("shape operator singular at t = 0")
+        focal = self.focal_time()
+        if focal is not None and (ts >= focal - 1e-9).any():
+            raise FocalSingularityError(
+                f"t={ts[ts >= focal - 1e-9].flat[0]} at/beyond focal time {focal:.9g}")
+        fields = self.fields(np.minimum(ts, self.t_max))
+        J = fields[3]
+        det = np.linalg.det(J)
+        small = np.abs(det) < 1e-12 * self.det_scale(ts)
+        if small.any():
+            raise FocalSingularityError(
+                f"det J = {det[small].flat[0]:.3e} at t={ts[small].flat[0]}:"
+                " at/beyond focal time")
+        return shape_operator(J, fields[4]), fields
 
     def jacobi_dets(self) -> tuple[np.ndarray, np.ndarray]:
         """(ts, det J(ts)) on the ray's uniform 1025-point grid, computed once."""
@@ -258,10 +271,12 @@ class RaySolution:
             self._dets = (ts, self.density(ts))
         return self._dets
 
-    def det_scale(self, t: float) -> float:
-        ts, dets = self.jacobi_dets()
-        mask = ts <= t + 1e-12
-        return max(1.0, float(np.max(np.abs(dets[mask])))) if mask.any() else 1.0
+    def det_scale(self, ts):
+        """max(1, |det J|) over the det grid up to each time of ts."""
+        grid, dets = self.jacobi_dets()
+        running = np.maximum(1.0, np.maximum.accumulate(np.abs(dets)))
+        last = np.searchsorted(grid, np.asarray(ts) + 1e-12, side="right") - 1
+        return np.where(last >= 0, running[np.maximum(last, 0)], 1.0)
 
     def focal_time(self) -> float | None:
         """First zero of det J in (0, t_max], or None.
@@ -548,53 +563,20 @@ def integrate_ray(M: ChartManifold, sigma: EmbeddedSubmanifold,
 
 
 # ---------------------------------------------------------------------------
-# operations on transport states
+# the shape operator and its traces
 
 
-def volume_density(state: TransportState) -> float:
-    """Polar volume density A(t, xi) = det J(t)."""
-    return float(np.linalg.det(state.J_mat))
+def shape_operator(J: np.ndarray, Jp: np.ndarray) -> np.ndarray:
+    """S = J' J^{-1} in the parallel frame, over any leading batch axes."""
+    return Jp @ np.linalg.inv(J)
 
 
-def shape_operator(state: TransportState) -> np.ndarray:
-    """S(t) = J'(t) J(t)^{-1} in the parallel frame; needs t before focal time."""
-    if state.t <= 0.0:
-        raise FocalSingularityError("shape operator singular at t = 0")
-    det = float(np.linalg.det(state.J_mat))
-    scale = 1.0
-    if state.solution is not None:
-        scale = state.solution.det_scale(state.t)
-        focal = state.solution.focal_time()
-        if focal is not None and state.t >= focal - 1e-9:
-            raise FocalSingularityError(
-                f"t={state.t} at/beyond focal time {focal:.9g}")
-    if abs(det) < 1e-12 * scale:
-        raise FocalSingularityError(
-            f"det J = {det:.3e} at t={state.t}: at/beyond focal time")
-    return state.J_prime @ np.linalg.inv(state.J_mat)
-
-
-def split_mean_curvature(state: TransportState) -> tuple[float, float]:
-    """(phi, psi): traces of S over the tangent-born and normal-born blocks."""
-    S = shape_operator(state)
-    m = state.solution.m
-    return float(np.trace(S[:m, :m])), float(np.trace(S[m:, m:]))
-
-
-def partial_trace_shape(state: TransportState, W: np.ndarray) -> float:
-    """Trace of S over the span of orthonormal frame-coefficient rows W."""
+def partial_trace(S: np.ndarray, W) -> np.ndarray:
+    """Trace of S (..., r, r) over the span of orthonormal frame-coefficient rows W."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    gram = W @ W.T
-    if np.max(np.abs(gram - np.eye(len(W)))) > 1e-8:
+    if np.max(np.abs(W @ W.T - np.eye(len(W)))) > 1e-8:
         raise ValueError("W rows must be orthonormal frame coefficients")
-    S = shape_operator(state)
-    return float(np.einsum("ai,ij,aj->", W, S, W))
-
-
-def focal_distance(M: ChartManifold, sigma: EmbeddedSubmanifold,
-                   ray: NormalRay) -> float | None:
-    """First t in (0, ray.t_max] with det J(t) = 0, or None when none in range."""
-    return integrate_ray(M, sigma, ray).focal_time()
+    return np.einsum("ai,...ij,aj->...", W, S, W)
 
 
 def split_traces(J: np.ndarray, Jp: np.ndarray, m: int):
@@ -602,8 +584,7 @@ def split_traces(J: np.ndarray, Jp: np.ndarray, m: int):
 
     J and J' may carry leading batch axes; the traces keep them.
     """
-    S = np.swapaxes(np.linalg.solve(np.swapaxes(J, -1, -2), np.swapaxes(Jp, -1, -2)),
-                    -1, -2)    # J' J^{-1} = solve(J^T, J'^T)^T
+    S = shape_operator(J, Jp)
     return (np.trace(S[..., :m, :m], axis1=-2, axis2=-1),
             np.trace(S[..., m:, m:], axis1=-2, axis2=-1))
 
@@ -614,55 +595,58 @@ def _simpson(vals: np.ndarray, ts: np.ndarray) -> float:
                             + 2.0 * vals[2:-2:2].sum()))
 
 
-def structural_residuals(solution: RaySolution, ts=None) -> dict:
+def structural_residuals(solution: RaySolution) -> dict | None:
     """Max magnitudes of the evolution-law residuals along one ray.
 
     Keys: wronskian (J'^T J - J^T J' drift), log_density (d/dt log det J
     vs tr S), riccati (S' + S^2 + R in Frobenius norm), density_power
     (det J / t^(n-m-1) - 1 at t = 1e-3) and taylor_shape (t S - the block
     limit, plus tangential block vs the Weingarten map, at t = 1e-3).
+
+    The laws are sampled at 9 times from 0.25 (or a quarter of the usable
+    horizon, when that is below 0.3) to the usable horizon, min(t_max -
+    2h, 0.9 focal time), each with its derivative stencil t +- h/2, t +- h
+    (h = 1e-4). All 46 times are one ``shape_fields`` read and the 9
+    curvature matrices one curvature call. Returns None when the first
+    sample time would not come after t = 1e-3: the ray is too short.
     """
-    M = solution.manifold
     n, m = solution.n, solution.m
     d = n - m - 1
     focal = solution.focal_time()
-    hi = solution.t_max if focal is None else 0.9 * focal
-    h = 1e-4
-    hi = min(hi, solution.t_max - 2.0 * h)
-    if ts is None:
-        ts = np.linspace(0.25, max(0.3, hi), 9)
-    ts = np.asarray([t for t in np.atleast_1d(ts) if 0.0 < t <= hi + 1e-12])
-    out = {"wronskian": 0.0, "log_density": 0.0, "riccati": 0.0}
-
-    def s_derivative(t):
-        def central(step):
-            return (shape_operator(solution.state_at(t + step))
-                    - shape_operator(solution.state_at(t - step))) / (2.0 * step)
-        return (4.0 * central(h / 2.0) - central(h)) / 3.0
-
-    for t in ts:
-        st = solution.state_at(float(t))
-        J, Jp = st.J_mat, st.J_prime
-        out["wronskian"] = max(out["wronskian"],
-                               float(np.max(np.abs(Jp.T @ J - J.T @ Jp))))
-        S0 = shape_operator(st)
-        Sdot = s_derivative(t)
-        _, _, rm = connection_and_curvature(M, st.position)
-        rmat = frame_curvature(rm, st.frame, st.velocity)
-        out["riccati"] = max(out["riccati"], float(np.linalg.norm(
-            Sdot + S0 @ S0 + rmat, ord="fro")))
-        a_m, a_p = float(solution.density(t - h)), float(solution.density(t + h))
-        dlog = (a_p - a_m) / (2.0 * h * float(np.linalg.det(J)))
-        out["log_density"] = max(out["log_density"],
-                                 float(abs(dlog - np.trace(S0))))
-    t0 = 1e-3
-    st0 = solution.state_at(t0)
+    h, t0 = 1e-4, 1e-3
+    hi = min(solution.t_max if focal is None else 0.9 * focal, solution.t_max - 2.0 * h)
+    lo = 0.25 if hi >= 0.3 else hi / 4.0
+    if lo <= t0:
+        return None
+    ts = np.linspace(lo, hi, 9)
+    # rows 5i..5i+4: ts[i] + (0, h/2, -h/2, h, -h); the last row is t0
+    offsets = np.array([0.0, h / 2.0, -h / 2.0, h, -h])
+    S_all, (x, v, E, J_all, Jp_all) = solution.shape_fields(
+        np.append((ts[:, None] + offsets).ravel(), t0))
+    dets = np.linalg.det(J_all)
+    S, dets_t = S_all[:-1].reshape((9, 5) + S_all.shape[1:]), dets[:-1].reshape(9, 5)
+    at_t = slice(0, -1, 5)
+    S0, J, Jp = S[:, 0], J_all[at_t], Jp_all[at_t]
+    central = [(S[:, i] - S[:, i + 1]) / (2.0 * step) for i, step in ((1, h / 2.0), (3, h))]
+    Sdot = (4.0 * central[0] - central[1]) / 3.0
+    rmat = frame_curvature(_curvature_batch(solution.manifold, x[at_t])[1],
+                           E[at_t], v[at_t])
+    dlog = (dets_t[:, 3] - dets_t[:, 4]) / (2.0 * h * dets_t[:, 0])
+    out = {
+        "wronskian": float(np.max(np.abs(np.swapaxes(Jp, -1, -2) @ J
+                                         - np.swapaxes(J, -1, -2) @ Jp))),
+        "log_density": float(np.max(np.abs(dlog - np.trace(S0, axis1=-2, axis2=-1)))),
+        # one matrix at a time: a 2-D Frobenius norm sums by a dot product,
+        # a batched one by a reduction, so the two round differently
+        "riccati": max(float(np.linalg.norm(r, ord="fro"))
+                       for r in Sdot + S0 @ S0 + rmat),
+    }
     # A / t^d = 1 + t tr(S_xi) + O(t^2); compare against the linear Taylor
     # (the linear term vanishes on totally geodesic submanifolds)
     linear = 1.0 + t0 * float(np.trace(solution.weingarten0)) if m > 0 else 1.0
-    ratio = float(np.linalg.det(st0.J_mat)) / (t0**d if d > 0 else 1.0)
+    ratio = float(dets[-1]) / (t0**d if d > 0 else 1.0)
     out["density_power"] = abs(ratio - linear)
-    S_small = shape_operator(st0)
+    S_small = S_all[-1]
     block_limit = np.zeros((n - 1, n - 1))
     block_limit[m:, m:] = np.eye(d)
     taylor = float(np.max(np.abs(t0 * S_small - block_limit)))
@@ -673,27 +657,26 @@ def structural_residuals(solution: RaySolution, ts=None) -> dict:
     return out
 
 
-def jy_factors(state: TransportState) -> tuple[float, float]:
-    """Scalar factors (J, Y) with J^m Y^(n-m-1) = det J_mat.
+def jy_factors(solution: RaySolution, t: float) -> tuple[float, float]:
+    """Scalar factors (J, Y) with J^m Y^(n-m-1) = det J at time t.
 
     J = exp(int phi/m); Y is integrated in the regularized form
     Y = t * exp(int (psi - (n-m-1)/s) / (n-m-1) ds) so the 1/t part of psi
     is handled exactly.
     """
-    solution = state.solution
     n, m = solution.n, solution.m
     d = n - m - 1
-    if state.t <= 0.0:
+    if t <= 0.0:
         return 1.0, 0.0
     focal = solution.focal_time()
-    if focal is not None and state.t >= focal - 1e-9:
+    if focal is not None and t >= focal - 1e-9:
         raise FocalSingularityError(
-            f"jy_factors needs t before the focal time {focal:.9g}, got {state.t}")
-    ts = np.linspace(min(1e-8, 0.1 * state.t), state.t, 513)
+            f"jy_factors needs t before the focal time {focal:.9g}, got {t}")
+    ts = np.linspace(min(1e-8, 0.1 * t), t, 513)
     phi, psi = split_traces(*solution.fields(ts)[3:], m)
     j_scalar = math.exp(_simpson(phi / m, ts)) if m >= 1 else 1.0
     if d >= 1:
-        y_scalar = state.t * math.exp(_simpson((psi - d / ts) / d, ts))
+        y_scalar = t * math.exp(_simpson((psi - d / ts) / d, ts))
     else:
         y_scalar = 1.0
     return float(j_scalar), float(y_scalar)

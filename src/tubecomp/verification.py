@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ChartManifold, lp_deficit_norm, rho_k
-from .geometry import curvature_tensor_at, frame_curvature
+from .geometry import ChartManifold, _curvature_batch, frame_curvature, lp_deficit_norm
+from .geometry import rho_k
 from .models import (
     BoundReport,
     _denominator_first_zero,
@@ -28,7 +28,7 @@ from .submanifolds import EmbeddedSubmanifold
 from .transport import (
     NormalRay,
     integrate_rays,
-    shape_operator,
+    partial_trace,
     split_traces,
     structural_residuals,
 )
@@ -151,14 +151,14 @@ def _random_orthonormal(rng: np.random.Generator, k: int, dim: int) -> np.ndarra
 
 
 def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
-                             n_times: int = 8,
-                             n_random_w: int = 3) -> list[BoundReport]:
+                             n_times: int = 8) -> list[BoundReport]:
     """Partial traces of S(t) against the model trace, both branches.
 
-    For every sampled (ray, W, t) the hypothesis Ric_k(velocity, W_t) >= kH
-    is evaluated exactly from the parallel-frame curvature matrix; a
-    hypothesis failure yields a precondition-violation report instead of a
-    bound verdict.
+    Each ray gets four k-frames W per branch (tangential: the first k
+    tangent directions and three random ones). For every (ray, W, t) the
+    hypothesis Ric_k(velocity, W_t) >= kH is evaluated exactly from the
+    parallel-frame curvature matrix; a hypothesis failure yields a
+    precondition-violation report instead of a bound verdict.
     """
     M, sigma = scenario.manifold, scenario.sigma
     k = scenario.k
@@ -183,17 +183,16 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
         frames = []   # (branch, W, w0); w0 is None on the generic branch
         if "tangential" in acc:
             cands = [np.eye(sol.n - 1)[:k]]
-            for _ in range(n_random_w):
+            for _ in range(3):
                 rot = _random_orthonormal(rng, k, m)
                 W = np.zeros((k, sol.n - 1))
                 W[:, :m] = rot
                 cands.append(W)
             for W in cands:
-                w0 = float(np.einsum("ai,ij,aj->", W[:, :m], sol.weingarten0,
-                                     W[:, :m])) / k
+                w0 = float(partial_trace(sol.weingarten0, W[:, :m])) / k
                 frames.append(("tangential", W, w0))
         if "generic" in acc:
-            for _ in range(n_random_w + 1):
+            for _ in range(4):
                 frames.append(("generic",
                                _random_orthonormal(rng, k, sol.n - 1), None))
         hi_all = min(scenario.horizon(),
@@ -204,18 +203,17 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
         hi_max = max(hi_frame, default=0.0)
         if hi_max <= 0.03:
             continue
-        for t in np.linspace(max(0.05, hi_max / n_times), hi_max, n_times):
-            st = sol.state_at(float(t))
-            S = shape_operator(st)
-            rmat = frame_curvature(curvature_tensor_at(M, st.position), st.frame,
-                                   st.velocity)
+        ts = np.linspace(max(0.05, hi_max / n_times), hi_max, n_times)
+        shapes, (x, v, E, _, _) = sol.shape_fields(ts)
+        rmats = frame_curvature(_curvature_batch(M, x)[1], E, v)
+        for t, S, rmat in zip(ts, shapes, rmats):
             for (branch, W, w0), hi in zip(frames, hi_frame):
                 if t > hi:
                     continue
                 a = acc[branch]
-                ric = float(np.einsum("ai,ij,aj->", W, rmat, W))
+                ric = float(partial_trace(rmat, W))
                 a["margin"] = min(a["margin"], ric - k * H)
-                tr = float(np.einsum("ai,ij,aj->", W, S, W))
+                tr = float(partial_trace(S, W))
                 model = model_shape_trace(H, k, w0, float(t))
                 slack = model - tr
                 a["count"] += 1
@@ -485,6 +483,10 @@ def check_structural_residuals(scenario: Scenario, n_rays: int = 8) -> BoundRepo
     worst = {key: 0.0 for key in RESIDUAL_LIMITS}
     for i in idx:
         res = structural_residuals(sampler.rays[i])
+        if res is None:
+            return BoundReport.precondition_violation("structural_residuals", (
+                f"ray {i} too short for the residual stencil after t = 1e-3"
+                f" (ray horizon {scenario.horizon():g})"))
         for key in worst:
             worst[key] = max(worst[key], res[key])
     ratio = max(worst[key] / lim for key, lim in RESIDUAL_LIMITS.items())

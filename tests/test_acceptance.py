@@ -18,7 +18,7 @@ from tubecomp.geometry import rho_k_at
 from tubecomp.models import cheeger_delta, thm1_bound, thm1_constants
 from tubecomp.scenarios import build_scenario
 from tubecomp.submanifolds import point, sub_torus
-from tubecomp.transport import NormalRay, integrate_ray, partial_trace_shape
+from tubecomp.transport import NormalRay, integrate_ray, partial_trace
 from tubecomp.tubes import QuadratureSpec, TubeSampler
 from tubecomp.verification import run_suite
 
@@ -103,20 +103,18 @@ def test_criterion_3_hessian_comparison_equalities():
     xi = np.array([0.4, 0.1, 0.6])
     xi = xi / math.sqrt(xi @ g @ xi)
     sol = integrate_ray(M, sigma, NormalRay(np.zeros(0), xi, t_max=2.05))
-    worst_hyp = 0.0
-    for t in np.linspace(0.1, 2.0, 20):
-        tr = partial_trace_shape(sol.state_at(float(t)), np.eye(2))
-        worst_hyp = max(worst_hyp, abs(tr - 2.0 / math.tanh(t)))
+    ts = np.linspace(0.1, 2.0, 20)
+    tr = partial_trace(sol.shape_fields(ts)[0], np.eye(2))
+    worst_hyp = float(np.max(np.abs(tr - 2.0 / np.tanh(ts))))
     assert worst_hyp <= 1e-5
 
     sc = build_scenario("s3_great_circle")
     sampler = sc.sampler(1.4)
     worst_gen = 0.0
+    ts = np.linspace(0.1, 1.3, 10)
     for i in (0, 31, 64):
-        sol3 = sampler.rays[i]
-        for t in np.linspace(0.1, 1.3, 10):
-            tr = partial_trace_shape(sol3.state_at(float(t)), np.eye(2)[1:])
-            worst_gen = max(worst_gen, abs(tr - 1.0 / math.tan(t)))
+        tr = partial_trace(sampler.rays[i].shape_fields(ts)[0], np.eye(2)[1:])
+        worst_gen = max(worst_gen, float(np.max(np.abs(tr - 1.0 / np.tan(ts)))))
     assert worst_gen <= 1e-5
     print(f"\n[criterion 3] PASS Hessian comparison equalities: hyperbolic "
           f"max|trS-2coth|={worst_hyp:.2e}; S^3 generic max|trS-cot|={worst_gen:.2e}")

@@ -205,6 +205,27 @@ class TestExitCodes:
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "tube-volume"])
+    @pytest.mark.parametrize("manifold, submanifold, fragment", [
+        ({"name": "flat_torus", "n": 4},
+         {"name": "sub_torus", "axes": [0, 0], "offset": [0.0, 1.0, 2.0, 3.0]},
+         "axes"),
+        ({"name": "flat_torus", "n": 4},
+         {"name": "sub_torus", "axes": [7], "offset": [0.0, 1.0, 2.0, 3.0]},
+         "axes"),
+        ({"name": "flat_torus", "n": 4},
+         {"name": "sub_torus", "axes": [0], "offset": [0.0, 1.0, 2.0]},
+         "offset"),
+        ({"name": "sphere", "n": 3},
+         {"name": "great_circle", "plane": [0, 0]},
+         "plane"),
+    ])
+    def test_malformed_submanifold_exit_2(self, tmp_path, capsys, command,
+                                          manifold, submanifold, fragment):
+        cfg = dict(FAST_CONFIG, manifold=manifold, submanifold=submanifold)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert fragment in capsys.readouterr().err
+
     def test_unknown_check_rejected_before_any_check_runs(self, tmp_path,
                                                           monkeypatch, capsys):
         from tubecomp import verification

@@ -1,6 +1,7 @@
 """Static hygiene of the package sources: every import and definition is used."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,17 @@ def test_detector_flags_only_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_entries_resolve_once(path):
+    # the unused-import scan counts __all__ names as read, so a stale entry
+    # would pass it silently while ``import *`` fails
+    name = "tubecomp" if path.stem == "__init__" else f"tubecomp.{path.stem}"
+    module = importlib.import_module(name)
+    entries = list(module.__all__)
+    assert len(entries) == len(set(entries))
+    assert [e for e in entries if not hasattr(module, e)] == []
 
 
 def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:

@@ -22,15 +22,12 @@ from tubecomp.transport import (
     NormalRay,
     RayIntegrationError,
     _pack,
-    focal_distance,
     integrate_ray,
     integrate_rays,
     jy_factors,
-    partial_trace_shape,
-    shape_operator,
-    split_mean_curvature,
+    partial_trace,
+    split_traces,
     structural_residuals,
-    volume_density,
 )
 from tubecomp.models import model_shape_trace
 
@@ -70,33 +67,30 @@ class TestIntegrateRay:
     def test_flat_torus_linear_jacobi(self):
         M, sigma, ray = flat_circle_ray()
         sol = integrate_ray(M, sigma, ray)
-        st = sol.state_at(1.3)
-        assert np.allclose(st.J_mat, np.diag([1.0, 1.3, 1.3]), atol=1e-10)
-        assert np.allclose(st.J_prime, np.diag([0.0, 1.0, 1.0]), atol=1e-10)
-        assert volume_density(st) == pytest.approx(1.3**2, rel=1e-9)
+        J, Jp = sol.fields(1.3)[3:]
+        assert np.allclose(J, np.diag([1.0, 1.3, 1.3]), atol=1e-10)
+        assert np.allclose(Jp, np.diag([0.0, 1.0, 1.0]), atol=1e-10)
+        assert sol.density(1.3) == pytest.approx(1.3**2, rel=1e-9)
 
     def test_s3_great_circle_blocks(self):
         M, sigma, ray = s3_circle_ray()
         sol = integrate_ray(M, sigma, ray)
         t = 0.9
-        st = sol.state_at(t)
-        assert np.allclose(st.J_mat, np.diag([math.cos(t), math.sin(t)]), atol=1e-8)
-        assert volume_density(st) == pytest.approx(math.cos(t) * math.sin(t), abs=1e-8)
+        assert np.allclose(sol.fields(t)[3], np.diag([math.cos(t), math.sin(t)]), atol=1e-8)
+        assert sol.density(t) == pytest.approx(math.cos(t) * math.sin(t), abs=1e-8)
 
     def test_hyperbolic_point_sinh(self):
         M, sigma, ray = hyperbolic_point_ray()
         sol = integrate_ray(M, sigma, ray)
-        st = sol.state_at(1.0)
-        assert np.allclose(st.J_mat, math.sinh(1.0) * np.eye(2), atol=1e-8)
+        assert np.allclose(sol.fields(1.0)[3], math.sinh(1.0) * np.eye(2), atol=1e-8)
 
     def test_unit_speed_and_frame_orthonormality(self):
         M, sigma, ray = s3_circle_ray()
         sol = integrate_ray(M, sigma, ray)
-        for t in (0.2, 0.7, 1.2):
-            st = sol.state_at(t)
-            g = M.metric_at(st.position)
-            assert st.velocity @ g @ st.velocity == pytest.approx(1.0, abs=1e-8)
-            rows = np.vstack([st.frame, st.velocity])
+        for x, v, E in zip(*sol.fields(np.array([0.2, 0.7, 1.2]))[:3]):
+            g = M.metric_at(x)
+            assert v @ g @ v == pytest.approx(1.0, abs=1e-8)
+            rows = np.vstack([E, v])
             gram = rows @ g @ rows.T
             assert np.max(np.abs(gram - np.eye(3))) <= 1e-8
 
@@ -264,24 +258,23 @@ class TestShapeOperator:
     def test_hyperbolic_coth(self):
         M, sigma, ray = hyperbolic_point_ray()
         sol = integrate_ray(M, sigma, ray)
-        st = sol.state_at(1.0)
-        S = shape_operator(st)
+        S, _ = sol.shape_fields(1.0)
         assert np.allclose(S, (1.0 / math.tanh(1.0)) * np.eye(2), atol=1e-8)
         assert np.max(np.abs(S - S.T)) <= 1e-7
 
     def test_flat_blocks(self):
         M, sigma, ray = flat_circle_ray()
         sol = integrate_ray(M, sigma, ray)
-        st = sol.state_at(0.8)
-        assert np.allclose(shape_operator(st), np.diag([0.0, 1.25, 1.25]), atol=1e-9)
+        assert np.allclose(sol.shape_fields(0.8)[0], np.diag([0.0, 1.25, 1.25]),
+                           atol=1e-9)
 
     def test_s3_blocks_and_split(self):
         M, sigma, ray = s3_circle_ray()
         sol = integrate_ray(M, sigma, ray)
         t = math.pi / 4.0
-        S = shape_operator(sol.state_at(t))
+        S, (_, _, _, J, Jp) = sol.shape_fields(t)
         assert np.allclose(S, np.diag([-math.tan(t), 1.0 / math.tan(t)]), atol=1e-8)
-        phi, psi = split_mean_curvature(sol.state_at(t))
+        phi, psi = split_traces(J, Jp, sol.m)
         assert phi == pytest.approx(-1.0, abs=1e-8)
         assert psi == pytest.approx(1.0, abs=1e-8)
 
@@ -299,61 +292,107 @@ class TestShapeOperator:
         M, sigma, ray = s3_circle_ray(t_max=2.0)
         sol = integrate_ray(M, sigma, ray)
         with pytest.raises(FocalSingularityError):
-            shape_operator(sol.state_at(math.pi / 2.0))
+            sol.shape_fields(math.pi / 2.0)
 
     def test_space_form_totally_geodesic_split(self):
         # phi = -m H sn/cs, psi = (n-m-1) cs/sn in a space form around
         # a totally geodesic submanifold
         M, sigma, ray = s3_circle_ray()
         sol = integrate_ray(M, sigma, ray)
-        for t in (0.3, 0.8, 1.2):
-            phi, psi = split_mean_curvature(sol.state_at(t))
+        ts = np.array([0.3, 0.8, 1.2])
+        for t, phi, psi in zip(ts, *split_traces(*sol.fields(ts)[3:], sol.m)):
             assert phi == pytest.approx(-math.tan(t), abs=1e-8)
             assert psi == pytest.approx(1.0 / math.tan(t), abs=1e-8)
+
+
+def _shape_reference(sol, t):
+    """S = J' inv(J) from a read at the one time t."""
+    J, Jp = sol.fields(t)[3:]
+    return Jp @ np.linalg.inv(J)
+
+
+class TestShapeFields:
+    @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays])
+    def test_batched_read_equals_per_time_reference(self, maker):
+        M, sigma, rays = maker()
+        sol = integrate_ray(M, sigma, rays[4])
+        focal = sol.focal_time()
+        ts = np.linspace(0.05, sol.t_max if focal is None else 0.9 * focal, 46)
+        S, fields = sol.shape_fields(ts)
+        for got, want in zip(fields, sol.fields(ts)):
+            assert np.array_equal(got, want)
+        for i, t in enumerate(ts):
+            assert np.array_equal(S[i], _shape_reference(sol, t))
+        assert np.array_equal(sol.shape_fields(ts[7])[0], _shape_reference(sol, ts[7]))
+
+    def test_out_of_range_is_a_value_error(self):
+        M, sigma, ray = s3_circle_ray(t_max=1.5)
+        sol = integrate_ray(M, sigma, ray)
+        for ts in (-0.1, 1.5 + 1e-9, np.array([0.5, 1.6]), math.nan):
+            with pytest.raises(ValueError, match="outside integrated range"):
+                sol.shape_fields(ts)
+
+    def test_zero_and_focal_times_are_singular(self):
+        M, sigma, ray = s3_circle_ray(t_max=2.0)
+        sol = integrate_ray(M, sigma, ray)
+        focal = sol.focal_time()
+        assert focal == pytest.approx(math.pi / 2.0, abs=1e-9)
+        for ts in (0.0, focal, np.array([0.5, focal]), 1.8):
+            with pytest.raises(FocalSingularityError):
+                sol.shape_fields(ts)
+
+    def test_det_scale_is_the_masked_grid_maximum(self):
+        M, sigma, ray = hyperbolic_point_ray(t_max=2.0)
+        sol = integrate_ray(M, sigma, ray)
+        grid, dets = sol.jacobi_dets()
+        ts = np.concatenate([[-1.0, 0.0], grid[::37], grid[::41] + 1e-13, [2.0]])
+        want = [max(1.0, float(np.max(np.abs(dets[grid <= t + 1e-12]))))
+                if (grid <= t + 1e-12).any() else 1.0 for t in ts]
+        assert np.array_equal(sol.det_scale(ts), want)
 
 
 class TestPartialTrace:
     def test_full_trace_is_mean_curvature(self):
         M, sigma, ray = s3_circle_ray()
         sol = integrate_ray(M, sigma, ray)
-        st = sol.state_at(0.6)
-        full = partial_trace_shape(st, np.eye(2))
-        phi, psi = split_mean_curvature(st)
+        S, (_, _, _, J, Jp) = sol.shape_fields(0.6)
+        full = partial_trace(S, np.eye(2))
+        phi, psi = split_traces(J, Jp, sol.m)
         assert full == pytest.approx(phi + psi, abs=1e-10)
 
     def test_first_block_is_phi(self):
         M, sigma, ray = flat_circle_ray()
         sol = integrate_ray(M, sigma, ray)
-        st = sol.state_at(0.9)
-        assert partial_trace_shape(st, np.eye(3)[:1]) == pytest.approx(
-            split_mean_curvature(st)[0], abs=1e-12)
+        S, (_, _, _, J, Jp) = sol.shape_fields(0.9)
+        assert partial_trace(S, np.eye(3)[:1]) == pytest.approx(
+            split_traces(J, Jp, sol.m)[0], abs=1e-12)
 
     def test_isotropic_any_subspace(self):
         M, sigma, ray = hyperbolic_point_ray()
         sol = integrate_ray(M, sigma, ray)
-        st = sol.state_at(1.3)
+        S, _ = sol.shape_fields(1.3)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(2)
         v /= np.linalg.norm(v)
-        val = partial_trace_shape(st, v[None, :])
+        val = partial_trace(S, v[None, :])
         assert val == pytest.approx(1.0 / math.tanh(1.3), abs=1e-8)
 
     def test_basis_independence(self):
         M, sigma, ray = s3_circle_ray()
         sol = integrate_ray(M, sigma, ray)
-        st = sol.state_at(0.5)
-        a = partial_trace_shape(st, np.eye(2))
+        S, _ = sol.shape_fields(0.5)
+        a = partial_trace(S, np.eye(2))
         ang = 0.37
         rot = np.array([[math.cos(ang), math.sin(ang)],
                         [-math.sin(ang), math.cos(ang)]])
-        b = partial_trace_shape(st, rot)
+        b = partial_trace(S, rot)
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_rejects_non_orthonormal(self):
         M, sigma, ray = flat_circle_ray()
         sol = integrate_ray(M, sigma, ray)
         with pytest.raises(ValueError):
-            partial_trace_shape(sol.state_at(0.5), np.array([[1.0, 1.0, 0.0]]))
+            partial_trace(sol.shape_fields(0.5)[0], np.array([[1.0, 1.0, 0.0]]))
 
 
 class TestFocalDistance:
@@ -363,7 +402,7 @@ class TestFocalDistance:
         s = np.array([0.9, 2.1])
         _, normal = frames_at(sigma, M, s)
         ray = NormalRay(s, normal[0], t_max=2.2)
-        t = focal_distance(M, sigma, ray)
+        t = integrate_ray(M, sigma, ray).focal_time()
         assert t == pytest.approx(math.pi / 2.0, abs=1e-9)
 
     def test_point_conjugate_at_pi(self):
@@ -376,12 +415,12 @@ class TestFocalDistance:
                                       np.array([0.0, 0.4, -0.5, math.sqrt(1 - 0.41)]))
         xi = xi / math.sqrt(xi @ g @ xi)
         ray = NormalRay(np.zeros(0), xi, t_max=3.5)
-        t = focal_distance(M, sigma, ray)
+        t = integrate_ray(M, sigma, ray).focal_time()
         assert t == pytest.approx(math.pi, abs=1e-8)
 
     def test_flat_none_in_range(self):
         M, sigma, ray = flat_circle_ray(t_max=10.0)
-        assert focal_distance(M, sigma, ray) is None
+        assert integrate_ray(M, sigma, ray).focal_time() is None
 
     def test_small_sphere_inward_focus(self):
         M = manifolds.sphere(3, axes=S3_TILTED_AXES)
@@ -391,7 +430,7 @@ class TestFocalDistance:
         focals = []
         for sgn in (1.0, -1.0):
             ray = NormalRay(s, sgn * normal[0], t_max=2.6)
-            focals.append(focal_distance(M, sigma, ray))
+            focals.append(integrate_ray(M, sigma, ray).focal_time())
         assert min(focals) == pytest.approx(0.8, abs=1e-7)
         assert max(focals) == pytest.approx(math.pi - 0.8, abs=1e-7)
 
@@ -400,7 +439,7 @@ class TestJYFactors:
     def test_flat(self):
         M, sigma, ray = flat_circle_ray()
         sol = integrate_ray(M, sigma, ray)
-        jj, yy = jy_factors(sol.state_at(1.1))
+        jj, yy = jy_factors(sol, 1.1)
         assert jj == pytest.approx(1.0, abs=1e-9)
         assert yy == pytest.approx(1.1, rel=1e-9)
 
@@ -408,7 +447,7 @@ class TestJYFactors:
         M, sigma, ray = s3_circle_ray()
         sol = integrate_ray(M, sigma, ray)
         t = 0.9
-        jj, yy = jy_factors(sol.state_at(t))
+        jj, yy = jy_factors(sol, t)
         assert jj == pytest.approx(math.cos(t), abs=1e-8)
         assert yy == pytest.approx(math.sin(t), abs=1e-8)
 
@@ -421,9 +460,8 @@ class TestJYFactors:
         xi = xi / math.sqrt(xi @ g @ xi)
         sol = integrate_ray(M, sigma, NormalRay(np.array([0.4]), xi, t_max=1.6))
         for t in (0.5, 1.0, 1.5):
-            st = sol.state_at(t)
-            jj, yy = jy_factors(st)
-            assert jj**1 * yy**2 == pytest.approx(volume_density(st), rel=1e-7)
+            jj, yy = jy_factors(sol, t)
+            assert jj**1 * yy**2 == pytest.approx(sol.density(t), rel=1e-7)
 
 
 class TestStructuralResiduals:
@@ -472,14 +510,13 @@ class TestScalarRiccatiInequality:
             k = int(rng.integers(1, 4))
             W = np.linalg.qr(rng.standard_normal((3, k)))[0][:, :k].T
             for t in (0.4, 0.9, 1.4):
-                w_at = lambda s: partial_trace_shape(sol.state_at(s), W) / k
-                wdot = (w_at(t + h) - w_at(t - h)) / (2.0 * h)
-                st = sol.state_at(t)
-                _, _, rm = connection_and_curvature(M, st.position)
-                rmat = np.einsum("ijkl,ai,j,bk,l->ab", rm, st.frame,
-                                 st.velocity, st.frame, st.velocity)
+                S, (x, v, E, _, _) = sol.shape_fields(np.array([t, t + h, t - h]))
+                w_at, w_plus, w_minus = partial_trace(S, W) / k
+                wdot = (w_plus - w_minus) / (2.0 * h)
+                _, _, rm = connection_and_curvature(M, x[0])
+                rmat = np.einsum("ijkl,ai,j,bk,l->ab", rm, E[0], v[0], E[0], v[0])
                 ric = float(np.einsum("ai,ij,aj->", W, rmat, W))
-                assert wdot + w_at(t) ** 2 <= -ric / k + 1e-5
+                assert wdot + w_at ** 2 <= -ric / k + 1e-5
 
 
 class TestHessianComparisonAlongRays:
@@ -487,9 +524,8 @@ class TestHessianComparisonAlongRays:
         # totally geodesic circle in the round sphere realizes equality
         M, sigma, ray = s3_circle_ray()
         sol = integrate_ray(M, sigma, ray)
-        for t in (0.3, 0.7, 1.1):
-            st = sol.state_at(t)
-            tr = partial_trace_shape(st, np.eye(2)[:1])
+        ts = np.array([0.3, 0.7, 1.1])
+        for t, tr in zip(ts, partial_trace(sol.shape_fields(ts)[0], np.eye(2)[:1])):
             model = model_shape_trace(1.0, 1, 0.0, t)
             assert tr <= model + 1e-6
             assert tr == pytest.approx(model, abs=1e-6)
@@ -497,9 +533,8 @@ class TestHessianComparisonAlongRays:
     def test_s3_generic_branch_equality(self):
         M, sigma, ray = s3_circle_ray()
         sol = integrate_ray(M, sigma, ray)
-        for t in (0.3, 0.7, 1.1):
-            st = sol.state_at(t)
-            tr = partial_trace_shape(st, np.eye(2)[1:])
+        ts = np.array([0.3, 0.7, 1.1])
+        for t, tr in zip(ts, partial_trace(sol.shape_fields(ts)[0], np.eye(2)[1:])):
             model = model_shape_trace(1.0, 1, None, t)
             assert tr <= model + 1e-6
             assert tr == pytest.approx(model, abs=1e-6)
@@ -507,7 +542,6 @@ class TestHessianComparisonAlongRays:
     def test_hyperbolic_laplacian_equality(self):
         M, sigma, ray = hyperbolic_point_ray()
         sol = integrate_ray(M, sigma, ray)
-        for t in np.linspace(0.1, 2.0, 8):
-            st = sol.state_at(float(t))
-            tr = partial_trace_shape(st, np.eye(2))
+        ts = np.linspace(0.1, 2.0, 8)
+        for t, tr in zip(ts, partial_trace(sol.shape_fields(ts)[0], np.eye(2))):
             assert tr == pytest.approx(2.0 / math.tanh(t), abs=1e-5)

@@ -339,6 +339,74 @@ class TestResidualCheck:
             "taylor_shape"}
 
 
+    def test_short_rays_sampled_below_their_horizon(self):
+        # below a usable horizon of 0.3 the nine sample times start at a
+        # quarter of it, so a short ray still reports its residuals; these
+        # rays stay in the flat part, where the Wronskian can be exactly 0
+        from tubecomp.cli import scenarios_from_config
+
+        (sc,) = scenarios_from_config(short_bump_config(0.2))
+        rep = check_structural_residuals(sc, n_rays=2)
+        assert rep.status == "ok" and rep.passed
+        for key in ("riccati", "log_density"):
+            assert rep.details["residuals"][key] > 0.0
+
+    def test_too_short_rays_are_a_precondition_violation(self):
+        from tubecomp.cli import scenarios_from_config
+
+        (sc,) = scenarios_from_config(short_bump_config(0.004))
+        rep = check_structural_residuals(sc, n_rays=2)
+        assert rep.status == "precondition-violation"
+        assert "horizon 0.004" in rep.details["reason"]
+
+
+def short_bump_config(horizon):
+    """The 4-D bump torus around a coordinate circle, rays of the given horizon."""
+    return {
+        "manifold": {"name": "bump_torus", "n": 4, "amplitude": 0.1, "width": 1.2},
+        "submanifold": {"name": "sub_torus", "axes": [0],
+                        "offset": [0.0, math.pi - 2.3, math.pi, math.pi]},
+        "parameters": {"k": 1, "H": -0.1, "p": 4.0},
+        "radii": [horizon],
+        "quadrature": {"base_resolution": 2, "fiber_resolution": 2},
+        "declared": {"ray_horizon": horizon},
+        "checks": ["residuals"],
+    }
+
+
+def curvature_rows(monkeypatch):
+    """Rows of every ``_curvature_batch`` call from here on, wherever it is bound."""
+    from tubecomp import geometry, transport, verification
+
+    rows = []
+    original = geometry._curvature_batch
+
+    def counted(M, xs, *args, **kwargs):
+        rows.append(len(xs))
+        return original(M, xs, *args, **kwargs)
+    for module in (geometry, transport, verification):
+        monkeypatch.setattr(module, "_curvature_batch", counted, raising=False)
+    return rows
+
+
+class TestOneReadPerRay:
+    """Per-ray checks read each ray's times together: one curvature call per ray."""
+
+    def test_hessian_check(self, monkeypatch):
+        sc = fast_flat_scenario()
+        sc.sampler(sc.horizon())      # rays integrated before counting
+        rows = curvature_rows(monkeypatch)
+        check_hessian_comparison(sc, n_rays=4, n_times=5)
+        assert rows == [5, 5, 5, 5]
+
+    def test_residual_check(self, monkeypatch):
+        sc = fast_flat_scenario()
+        sc.sampler(sc.horizon())
+        rows = curvature_rows(monkeypatch)
+        check_structural_residuals(sc, n_rays=3)
+        assert rows == [9, 9, 9]
+
+
 class TestRunSuite:
     def test_empty_set(self):
         report = run_suite([])
