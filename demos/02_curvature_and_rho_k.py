@@ -58,12 +58,12 @@ print("  (rho_2 = 0: a mixed direction with its worst 2-plane kills the sum;"
 
 print("\n== L^p deficit norms ==")
 M2big = manifolds.sphere_colatitude(2, radius=2.0)
-res = lp_deficit_norm(M2big, None, 1.0, 1.0, functools.partial(
+res = lp_deficit_norm(M2big, 1.0, 1.0, functools.partial(
     rho_k, M2big, k=1, directions=128, refine_rounds=1), resolution=24)
 print(f"  S^2(radius 2), k=1, H=1, p=1: {res.value:.6f} "
       f"(= (3/4) * 16 pi = {12 * math.pi:.6f}), error est {res.error_estimate:.1e}")
 Mb = manifolds.bump_torus(3, amplitude=0.1)
-res_b = lp_deficit_norm(Mb, None, -0.05, 3.0, functools.partial(
+res_b = lp_deficit_norm(Mb, -0.05, 3.0, functools.partial(
     rho_k, Mb, k=1, directions=512, refine_rounds=2), resolution=10)
 print(f"  bump 3-torus, k=1, H=-0.05, p=3: {res_b.value:.6f} "
       f"+- {res_b.error_estimate:.1e} (support-restricted quadrature)")

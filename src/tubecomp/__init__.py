@@ -23,7 +23,6 @@ from .models import (
 from .geometry import (
     Box,
     ChartManifold,
-    CurvatureOperatorAt,
     SingularMetricError,
     christoffel_at,
     curvature_tensor_at,
@@ -58,7 +57,6 @@ __all__ = [
     "thm1_constants",
     "Box",
     "ChartManifold",
-    "CurvatureOperatorAt",
     "SingularMetricError",
     "christoffel_at",
     "curvature_tensor_at",

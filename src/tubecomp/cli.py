@@ -41,9 +41,11 @@ _TOP_KEYS = {"scenario", "suite", "manifold", "submanifold", "parameters",
              "radii", "quadrature", "declared", "checks", "tolerance",
              "seed", "name"}
 _PARAM_KEYS = {"k", "H", "p"}
+# "minimal" is accepted but unused: the checks measure max |eta| instead
 _DECLARED_KEYS = {"minimal", "totally_geodesic", "validity_radius",
                   "rho_exact", "hessian_H", "ray_horizon", "check_rays"}
-_QUAD_KEYS = {f.name for f in dataclasses.fields(QuadratureSpec)}
+# the quadrature seed is always the scenario seed (config "seed" or --seed)
+_QUAD_KEYS = {f.name for f in dataclasses.fields(QuadratureSpec)} - {"seed"}
 
 
 def _reject_unknown(given: dict, allowed: set, where: str):
@@ -143,14 +145,37 @@ def parse_radii(text: str) -> tuple[float, ...]:
     return _valid_radii(radii, "--radii")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _valid_radii(radii, source: str) -> tuple:
     """The radii as given, once they are a nonempty list of numbers r >= 0."""
     if (not isinstance(radii, (list, tuple)) or not radii
-            or not all(isinstance(r, (int, float)) and not isinstance(r, bool)
-                       and 0.0 <= r < math.inf for r in radii)):
+            or not all(_is_number(r) and 0.0 <= r < math.inf for r in radii)):
         raise ConfigError(f"{source} must be a nonempty list of finite numbers "
                           f">= 0, got {radii!r}")
     return tuple(radii)
+
+
+_POSITIVE = (lambda v: _is_number(v) and 0.0 < v < math.inf, "a finite number > 0")
+_DECLARED_RULES = {
+    "check_rays": (lambda v: _is_number(v) and isinstance(v, int) and v > 0,
+                   "a positive integer"),
+    "ray_horizon": _POSITIVE,
+    "validity_radius": _POSITIVE,
+    "hessian_H": (lambda v: _is_number(v) and math.isfinite(v), "a finite number"),
+}
+
+
+def _valid_declared(declared: dict) -> dict:
+    """The declared facts, once their numbers are usable."""
+    for key, (ok, what) in _DECLARED_RULES.items():
+        if key in declared and not ok(declared[key]):
+            raise ConfigError(f"declared '{key}' must be {what}, "
+                              f"got {declared[key]!r}")
+    return declared
 
 
 def scenarios_from_config(cfg: dict, seed: int | None = None,
@@ -171,11 +196,10 @@ def scenarios_from_config(cfg: dict, seed: int | None = None,
             "submanifold", SUBMANIFOLD_BUILDERS, cfg["submanifold"])
         sigma = s_builder(M, **s_params)
         pars = cfg.get("parameters", {})
-        declared = cfg.get("declared", {})
+        declared = _valid_declared(cfg.get("declared", {}))
         if "validity_radius" in declared:
             M.volume_validity_radius = float(declared["validity_radius"])
-        quad_cfg = dict(cfg.get("quadrature", {}))
-        quad_cfg.setdefault("seed", seed_val)
+        quad_cfg = dict(cfg.get("quadrature", {}), seed=seed_val)
         rho_exact = declared.get("rho_exact")
         if rho_exact is not None:
             rho_exact = {int(k): float(v) for k, v in rho_exact.items()}
@@ -189,12 +213,11 @@ def scenarios_from_config(cfg: dict, seed: int | None = None,
             tolerance=tol_val,
             checks=tuple(cfg.get("checks", ())),
             seed=seed_val,
-            minimal=bool(declared.get("minimal", False)),
             totally_geodesic=bool(declared.get("totally_geodesic", False)),
             rho_declared=rho_exact,
             hessian_H=declared.get("hessian_H"),
             ray_horizon=declared.get("ray_horizon"),
-            check_rays=int(declared.get("check_rays", 16)),
+            check_rays=declared.get("check_rays", 16),
         )]
     else:
         raise ConfigError("config needs 'scenario', 'suite', or "

@@ -22,8 +22,9 @@ __all__ = [
     "SingularMetricError",
     "Box",
     "ChartManifold",
-    "CurvatureOperatorAt",
     "DEFICIT_INFLATION",
+    "FD_STEP_FIRST",
+    "FD_STEP_SECOND",
     "DeficitNorm",
     "christoffel_at",
     "curvature_tensor_at",
@@ -77,10 +78,10 @@ class Box:
                 x[..., i] = self.lo[i] + np.mod(x[..., i] - self.lo[i], w)
         return x
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """Whether each point (row) of x lies in the box, after wrapping."""
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        """Whether each point (row) of x lies in the box (to 1e-9), after wrapping."""
         x = self.wrap(x)
-        return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
+        return np.all((x >= self.lo - 1e-9) & (x <= self.hi + 1e-9), axis=-1)
 
     def intersect(self, other: "Box") -> "Box":
         lo = np.maximum(self.lo, other.lo)
@@ -96,7 +97,7 @@ class Box:
             if self.periodic[i]:
                 nodes, w = periodic_trapezoid(self.hi[i] - self.lo[i], res, self.lo[i])
             else:
-                nodes, w = gauss_legendre_panels(self.lo[i], self.hi[i], 1, res)
+                nodes, w = gauss_legendre_panels(self.lo[i], self.hi[i], res)
             axes.append(nodes)
             weights.append(w)
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -117,8 +118,8 @@ class ChartManifold:
     batched the same way, supply first derivatives (``metric_grad`` with
     layout dg[..., k, i, j] = d_k g_ij) and second derivatives
     (``metric_hess`` with d2g[..., k, l, i, j]); otherwise central finite
-    differences with the stated steps are used. ``extra`` holds builder
-    facts such as a sphere's radius and chart axes.
+    differences with steps FD_STEP_FIRST and FD_STEP_SECOND are used.
+    ``extra`` holds builder facts such as a sphere's radius and chart axes.
     """
 
     dim: int
@@ -128,8 +129,6 @@ class ChartManifold:
     metric_hess: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "chart"
     volume_validity_radius: float | None = None
-    fd_step_first: float = 1e-5
-    fd_step_second: float = 1e-4
     rho_exact: dict[int, float] | None = None
     curvature_support: Box | None = None
     extra: dict = field(default_factory=dict)
@@ -148,12 +147,15 @@ class ChartManifold:
 # ---------------------------------------------------------------------------
 # metric derivatives (analytic callbacks or central finite differences)
 
+FD_STEP_FIRST = 1e-5    # central-difference step for first derivatives
+FD_STEP_SECOND = 1e-4   # central-difference step for second derivatives
+
 
 def _grad_at(M: ChartManifold, xs: np.ndarray) -> np.ndarray:
     """dg[b, k, i, j] = d_k g_ij at each row of xs (B, n)."""
     if M.metric_grad is not None:
         return np.asarray(M.metric_grad(xs), dtype=float)
-    n, h = M.dim, M.fd_step_first
+    n, h = M.dim, FD_STEP_FIRST
     eye = np.eye(n)
     pts = np.concatenate([xs[:, None, :] + h * eye, xs[:, None, :] - h * eye], axis=1)
     vals = M.metric_at(pts)
@@ -164,7 +166,7 @@ def _hess_at(M: ChartManifold, xs: np.ndarray) -> np.ndarray:
     """d2g[b, k, l, i, j] = d_k d_l g_ij at each row of xs (B, n)."""
     if M.metric_hess is not None:
         return np.asarray(M.metric_hess(xs), dtype=float)
-    n, h = M.dim, M.fd_step_second
+    n, h = M.dim, FD_STEP_SECOND
     B = xs.shape[0]
     eye = np.eye(n)
     stencil = [xs]
@@ -260,10 +262,11 @@ def frame_curvature(rm: np.ndarray, E: np.ndarray, v: np.ndarray) -> np.ndarray:
 # frames
 
 
-def gram_schmidt(g: np.ndarray, vectors, drop_tol: float = 1e-10) -> np.ndarray:
+def gram_schmidt(g: np.ndarray, vectors) -> np.ndarray:
     """Modified Gram-Schmidt in the inner product g, with re-orthogonalization.
 
-    Near-dependent vectors (norm below drop_tol after projection) are dropped.
+    Near-dependent vectors (norm below 1e-10 of the original after
+    projection) are dropped.
     """
     basis: list[np.ndarray] = []
     for v in vectors:
@@ -275,7 +278,7 @@ def gram_schmidt(g: np.ndarray, vectors, drop_tol: float = 1e-10) -> np.ndarray:
             for b in basis:
                 w = w - (b @ g @ w) * b
         norm = math.sqrt(max(w @ g @ w, 0.0))
-        if norm > drop_tol * scale:
+        if norm > 1e-10 * scale:
             w = w / norm
             residual = max((abs(b @ g @ w) for b in basis), default=0.0)
             if residual > 1e-12:
@@ -316,18 +319,9 @@ def complete_frame(g: np.ndarray, seed_vectors) -> np.ndarray:
 # directional curvature, k-Ricci, rho_k
 
 
-@dataclass
-class CurvatureOperatorAt:
-    """Directional curvature operator R(., u)u on u-perp in an orthonormal frame."""
-
-    point: np.ndarray
-    direction: np.ndarray
-    frame: np.ndarray        # (n-1, n) rows: g-orthonormal basis of u-perp
-    matrix: np.ndarray       # (n-1, n-1), symmetric
-
-
 def directional_curvature_operator(M: ChartManifold, x: np.ndarray,
-                                   u: np.ndarray) -> CurvatureOperatorAt:
+                                   u: np.ndarray) -> np.ndarray:
+    """R(., u)u on u-perp in a g-orthonormal frame: symmetric (n-1, n-1)."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     g = M.metric_at(x)
@@ -335,8 +329,7 @@ def directional_curvature_operator(M: ChartManifold, x: np.ndarray,
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"direction must be g-unit, |u|_g = {norm}")
     frame = complete_frame(g, [u])[1:]
-    mat = frame_curvature(curvature_tensor_at(M, x), frame, u)
-    return CurvatureOperatorAt(point=x, direction=u, frame=frame, matrix=mat)
+    return frame_curvature(curvature_tensor_at(M, x), frame, u)
 
 
 def ric_k(M: ChartManifold, x: np.ndarray, u: np.ndarray, V) -> float:
@@ -374,8 +367,7 @@ def _k_plane_minima(rm: np.ndarray, linv: np.ndarray, dirs: np.ndarray,
 
 def curvature_eigenvalues(M: ChartManifold, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the directional curvature operator at (x, u)."""
-    op = directional_curvature_operator(M, x, u)
-    return np.linalg.eigvalsh(op.matrix)
+    return np.linalg.eigvalsh(directional_curvature_operator(M, x, u))
 
 
 RHO_BLOCK = 64   # points per curvature batch; bounds the (rows, n, n, n, n) temporaries
@@ -449,10 +441,10 @@ class DeficitNorm(NamedTuple):
     inflated: float   # fine-grid norm of (rho_k - H)_- + DEFICIT_INFLATION
 
 
-def lp_deficit_norm(M: ChartManifold, region: Box | None, H: float, p: float,
+def lp_deficit_norm(M: ChartManifold, H: float, p: float,
                     rho: Callable[[np.ndarray], np.ndarray], *,
                     resolution: int = 8) -> DeficitNorm:
-    """L^p norm of (rho_k - H)_- over a chart region, with error estimate.
+    """L^p norm of (rho_k - H)_- over the chart domain, with error estimate.
 
     ``rho`` maps points (P, n) to rho_k (P,), e.g. ``partial(rho_k, M, k=k)``.
     Integrates against the Riemannian volume element; the error estimate
@@ -467,12 +459,12 @@ def lp_deficit_norm(M: ChartManifold, region: Box | None, H: float, p: float,
         raise ValueError(f"need p >= 1, got {p}")
     if resolution < 2:
         raise ValueError(f"need resolution >= 2, got {resolution}")
-    region = region if region is not None else M.domain
+    region = M.domain
     if M.curvature_support is not None and H <= 0.0:
         try:
             region = region.intersect(M.curvature_support)
         except ValueError:
-            return DeficitNorm(0.0, 0.0, 0.0)  # region misses the support entirely
+            return DeficitNorm(0.0, 0.0, 0.0)  # the support misses the domain
 
     def norms(res: int, *shifts: float) -> list[float]:
         """One grid walk; the norm of the deficit plus each shift."""

@@ -30,22 +30,17 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre_panels(a: float, b, panels: int = 1,
-                          nodes_per_panel: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [a, b] split into equal panels.
+def gauss_legendre_panels(a: float, b, nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [a, b].
 
     ``b`` may be an array of right ends; the rules then stack along its
     axes, each bitwise the rule of its scalar ``b``.
     """
     if np.any(b < a):
         raise ValueError(f"empty interval [{a}, {b}]")
-    x, w = _leggauss(nodes_per_panel)
-    edges = np.linspace(a, b, panels + 1, axis=-1)
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
-    nodes = edges[..., :-1, None] + half[..., None] * (x + 1.0)
-    weights = half[..., None] * w
-    shape = np.shape(b) + (-1,)
-    return nodes.reshape(shape), weights.reshape(shape)
+    x, w = _leggauss(nodes)
+    half = 0.5 * (np.asarray(b, dtype=float)[..., None] - a)
+    return a + half * (x + 1.0), half * w
 
 
 def periodic_trapezoid(period: float, count: int,
@@ -107,19 +102,14 @@ def monte_carlo_sphere(d: int, count: int,
 
 
 def unit_sphere_quadrature(d: int, resolution: int = 16,
-                           mc_samples: int | None = None,
                            rng: np.random.Generator | None = None,
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature on S^d used for normal fibers.
 
     Deterministic product-angle grids up to d = 2; for d >= 3 a Monte
-    Carlo rule is used (per-sample standard errors are the caller's job),
-    unless mc_samples is given explicitly for lower d too.
+    Carlo rule of 256 * resolution points (per-sample standard errors are
+    the caller's job).
     """
-    if mc_samples is not None:
-        if rng is None:
-            raise ValueError("Monte Carlo fiber quadrature needs an rng")
-        return monte_carlo_sphere(d, mc_samples, rng)
     if d <= 2:
         return product_angle_sphere(d, polar=resolution, azimuth=2 * resolution)
     if rng is None:

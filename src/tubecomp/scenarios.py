@@ -38,7 +38,7 @@ def flat_t4_circle(seed: int = 0, tolerance: float = 1e-5) -> Scenario:
         radii=(0.25, 0.5), tolerance=tolerance, seed=seed,
         quad=QuadratureSpec(base_resolution=8, fiber_resolution=4, seed=seed),
         checks=("integral", "hk", "hessian", "lemmas", "residuals"),
-        minimal=True, totally_geodesic=True, check_rays=64,
+        totally_geodesic=True, check_rays=64,
         description="coordinate circle in the flat 4-torus; all equality cases")
 
 
@@ -51,7 +51,7 @@ def flat_t5_torus2(seed: int = 0, tolerance: float = 1e-5) -> Scenario:
         radii=(0.4,), tolerance=tolerance, seed=seed,
         quad=QuadratureSpec(base_resolution=6, fiber_resolution=4, seed=seed),
         checks=("integral", "hk", "residuals"),
-        minimal=True, totally_geodesic=True,
+        totally_geodesic=True,
         description="coordinate 2-torus in the flat 5-torus (k = m = 2)")
 
 
@@ -66,7 +66,7 @@ def s3_great_circle(seed: int = 0, tolerance: float = 1e-5) -> Scenario:
         radii=(math.pi / 4.0, math.pi / 2.0), tolerance=tolerance, seed=seed,
         quad=QuadratureSpec(base_resolution=8, fiber_resolution=8, seed=seed),
         checks=("hk", "hessian", "lemmas", "residuals"),
-        minimal=True, totally_geodesic=True, check_rays=64,
+        totally_geodesic=True, check_rays=64,
         description="great circle in the unit 3-sphere; space-form equality")
 
 
@@ -81,7 +81,7 @@ def sn_equator(seed: int = 0, tolerance: float = 1e-5) -> Scenario:
         radii=(1.0,), tolerance=tolerance, seed=seed,
         quad=QuadratureSpec(base_resolution=6, fiber_resolution=4, seed=seed),
         checks=("focal", "hessian", "residuals"),
-        minimal=True, totally_geodesic=True, ray_horizon=1.2,
+        totally_geodesic=True, ray_horizon=1.2,
         description="equatorial 2-sphere in S^3; focal radius equality pi/2")
 
 
@@ -97,7 +97,7 @@ def s3_small_sphere(seed: int = 0, tolerance: float = 1e-5) -> Scenario:
         radii=(0.6,), tolerance=tolerance, seed=seed,
         quad=QuadratureSpec(base_resolution=6, fiber_resolution=4, seed=seed),
         checks=("focal", "residuals"),
-        minimal=False, totally_geodesic=False, ray_horizon=0.5,
+        totally_geodesic=False, ray_horizon=0.5,
         description="distance sphere of radius 0.8 in S^3; focal strictly inside")
 
 
@@ -133,14 +133,13 @@ def s2xs2_factor(seed: int = 0, tolerance: float = 1e-5) -> Scenario:
         dim=2, embedding=embedding,
         param_domain=Box([1e-8, 0.0], [math.pi - 1e-8, 2.0 * math.pi],
                          (False, True)),
-        name="factor_sphere", is_minimal_declared=True,
-        totally_geodesic_declared=True, normal_frame_fn=normal_frame)
+        name="factor_sphere", normal_frame_fn=normal_frame)
     return Scenario(
         name="s2xs2_factor", manifold=M, sigma=sigma, k=1, H=0.0, p=4.0,
         radii=(0.4,), tolerance=tolerance, seed=seed,
         quad=QuadratureSpec(base_resolution=6, fiber_resolution=8, seed=seed),
         checks=("hk", "residuals"),
-        minimal=True, totally_geodesic=True,
+        totally_geodesic=True,
         description="factor 2-sphere in S^2 x S^2 (k=1, H=0); strict slack")
 
 
@@ -152,7 +151,7 @@ def hyperbolic_point(seed: int = 0, tolerance: float = 1e-5) -> Scenario:
         radii=(2.0,), tolerance=tolerance, seed=seed,
         quad=QuadratureSpec(base_resolution=1, fiber_resolution=6, seed=seed),
         checks=("hessian", "residuals"),
-        minimal=True, totally_geodesic=True, ray_horizon=2.1,
+        totally_geodesic=True, ray_horizon=2.1,
         description="distance from a point in hyperbolic 3-space; "
                     "Laplacian comparison equality 2 coth(t)")
 
@@ -171,7 +170,7 @@ def _bump_scenario(name: str, amplitude: float, p: float, seed: int,
         quad=QuadratureSpec(base_resolution=10, fiber_resolution=4, seed=seed,
                             chart_resolution=8),
         checks=("integral_mc", "lemmas", "hessian", "residuals"),
-        minimal=True, totally_geodesic=True, hessian_H=-0.6,
+        totally_geodesic=True, hessian_H=-0.6,
         ray_horizon=2.0, check_rays=64,
         description=f"conformal bump torus (eps={amplitude:g}, p={p:g}); "
                     "rays cross the curvature region, Sigma stays flat")

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .geometry import Box, ChartManifold, christoffel_at, complete_frame, gram_schmidt
-from .geometry import complete_euclidean
+from .geometry import FD_STEP_FIRST, FD_STEP_SECOND, Box, ChartManifold, christoffel_at
+from .geometry import complete_euclidean, complete_frame, gram_schmidt
 from .manifolds import ambient_tangent_to_chart, sphere_to_chart
 from .quadrature import unit_sphere_quadrature
 
@@ -58,7 +58,8 @@ class EmbeddedSubmanifold:
     ``embedding`` maps (..., m) parameter arrays into chart coordinates
     (..., n); for m = 0 use param_domain None and an embedding ignoring
     its argument. Analytic jacobian/hessian callbacks are optional;
-    central differences (1e-5 / 1e-4) are the fallback.
+    central differences (steps FD_STEP_FIRST / 20 * FD_STEP_SECOND) are
+    the fallback.
     """
 
     dim: int
@@ -68,11 +69,6 @@ class EmbeddedSubmanifold:
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None   # (..., n, m)
     hessian: Callable[[np.ndarray], np.ndarray] | None = None    # (..., m, m, n)
     normal_frame_fn: Callable | None = None   # (s, x, g, tangent) -> (n-m, n)
-    is_minimal_declared: bool = False
-    totally_geodesic_declared: bool = False
-    fd_step_first: float = 1e-5
-    fd_step_second: float = 1e-4
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim > 0 and (self.param_domain is None
@@ -91,7 +87,7 @@ class EmbeddedSubmanifold:
         s = np.asarray(s, dtype=float)
         if self.jacobian is not None:
             return np.asarray(self.jacobian(s), dtype=float)
-        h = self.fd_step_first
+        h = FD_STEP_FIRST
         eye = np.eye(self.dim)
         plus = self.embed(s[None, :] + h * eye)
         minus = self.embed(s[None, :] - h * eye)
@@ -126,7 +122,7 @@ class EmbeddedSubmanifold:
                     out[b, a] = mixed
             return out
 
-        h = 20.0 * self.fd_step_second
+        h = 20.0 * FD_STEP_SECOND
         return (4.0 * stencil(h / 2.0) - stencil(h)) / 3.0
 
     def base_quadrature(self, resolution) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +267,6 @@ class NormalFiberGrid:
 
 def unit_normal_grid(sigma: EmbeddedSubmanifold, M: ChartManifold,
                      base_resolution=8, fiber_resolution: int = 8,
-                     mc_samples: int | None = None,
                      rng: np.random.Generator | None = None) -> NormalFiberGrid:
     """Product quadrature over the unit normal bundle.
 
@@ -306,7 +301,7 @@ def unit_normal_grid(sigma: EmbeddedSubmanifold, M: ChartManifold,
         eta[b] = _mean_curvature(K, g, normal)
         weights[b] = par_w[b] * math.sqrt(np.linalg.det(gram))
     fiber_coeffs, fiber_w = unit_sphere_quadrature(
-        n - m - 1, resolution=fiber_resolution, mc_samples=mc_samples, rng=rng)
+        n - m - 1, resolution=fiber_resolution, rng=rng)
     return NormalFiberGrid(sigma=sigma, manifold=M, base_params=params,
                            base_weights=weights, positions=positions,
                            tangent_frames=tangents, normal_frames=normals,
@@ -325,9 +320,7 @@ def point(M: ChartManifold, location, normal_frame_fn=None) -> EmbeddedSubmanifo
         return loc.copy()
 
     return EmbeddedSubmanifold(dim=0, embedding=embedding, param_domain=None,
-                               name="point", is_minimal_declared=True,
-                               totally_geodesic_declared=True,
-                               normal_frame_fn=normal_frame_fn)
+                               name="point", normal_frame_fn=normal_frame_fn)
 
 
 def sphere_point(M: ChartManifold, ambient_location) -> EmbeddedSubmanifold:
@@ -340,9 +333,7 @@ def sphere_point(M: ChartManifold, ambient_location) -> EmbeddedSubmanifold:
     def normal_frame(_s, _x, _g, _tangent):
         return np.stack([ambient_tangent_to_chart(M, q0, w) for w in basis])
 
-    sigma = point(M, sphere_to_chart(M, q0), normal_frame_fn=normal_frame)
-    sigma.extra["ambient_location"] = q0
-    return sigma
+    return point(M, sphere_to_chart(M, q0), normal_frame_fn=normal_frame)
 
 
 def sub_torus(M: ChartManifold, axes, offset) -> EmbeddedSubmanifold:
@@ -382,8 +373,7 @@ def sub_torus(M: ChartManifold, axes, offset) -> EmbeddedSubmanifold:
     box = Box(np.zeros(m), side * np.ones(m), (True,) * m)
     return EmbeddedSubmanifold(dim=m, embedding=embedding, param_domain=box,
                                jacobian=jac, hessian=hess,
-                               name=f"sub_torus{m}", is_minimal_declared=True,
-                               totally_geodesic_declared=True)
+                               name=f"sub_torus{m}")
 
 
 def closed_geodesic(M: ChartManifold, axis: int = 0, offset=None) -> EmbeddedSubmanifold:
@@ -426,9 +416,7 @@ def great_circle(M: ChartManifold, plane=(0, 1), phase: float = 0.0) -> Embedded
 
     box = Box([0.0], [2.0 * math.pi], (True,))
     return EmbeddedSubmanifold(dim=1, embedding=embedding, param_domain=box,
-                               name="great_circle", is_minimal_declared=True,
-                               totally_geodesic_declared=True,
-                               normal_frame_fn=normal_frame)
+                               name="great_circle", normal_frame_fn=normal_frame)
 
 
 def equator(M: ChartManifold) -> EmbeddedSubmanifold:
@@ -460,9 +448,7 @@ def equator(M: ChartManifold) -> EmbeddedSubmanifold:
 
     box = Box([1e-8, 0.0], [math.pi - 1e-8, 2.0 * math.pi], (False, True))
     return EmbeddedSubmanifold(dim=2, embedding=embedding, param_domain=box,
-                               name="equator", is_minimal_declared=True,
-                               totally_geodesic_declared=True,
-                               normal_frame_fn=normal_frame)
+                               name="equator", normal_frame_fn=normal_frame)
 
 
 def round_sphere(M: ChartManifold, radius: float,

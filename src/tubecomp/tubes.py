@@ -1,10 +1,10 @@
 """Tube volumes, equidistant areas, and tube-restricted curvature norms.
 
 Everything is assembled by Fubini over the unit normal bundle: one ray
-integration per (base node, fiber direction), then composite
-Gauss-Legendre in the radial variable with the density set to zero past
-each ray's first focal time. Accumulation order is fixed, so results are
-bitwise reproducible for a given spec and seed.
+integration per (base node, fiber direction), then Gauss-Legendre in
+the radial variable with the density set to zero past each ray's first
+focal time. Accumulation order is fixed, so results are bitwise
+reproducible for a given spec and seed.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ class QuadratureSpec:
     """Node counts for the radial rule, fiber sphere, and parameter domain."""
 
     t_nodes_per_panel: int = 16
-    t_panels: int = 1
     base_resolution: int | tuple = 8
-    fiber_resolution: int = 4
-    fiber_mc_samples: int | None = None     # Monte Carlo fiber for n-m-1 >= 3
+    fiber_resolution: int = 4               # x 256 Monte Carlo points if n-m-1 >= 3
     mc_samples: int = 2048                  # volume cross-check sample budget
     seed: int = 0
     ray_tolerance: float = 1e-9
@@ -80,13 +78,9 @@ class TubeSampler:
         self.sigma = sigma
         self.spec = spec or QuadratureSpec()
         self.r_max = float(r_max)
-        fiber_dim = M.dim - sigma.dim - 1
-        needs_mc = self.spec.fiber_mc_samples is not None or fiber_dim >= 3
         self.grid: NormalFiberGrid = unit_normal_grid(
             sigma, M, base_resolution=self.spec.base_resolution,
-            fiber_resolution=self.spec.fiber_resolution,
-            mc_samples=self.spec.fiber_mc_samples,
-            rng=self.spec.rng() if needs_mc else None)
+            fiber_resolution=self.spec.fiber_resolution, rng=self.spec.rng())
         rays: list[NormalRay] = []
         weights: list[float] = []
         self.ray_index: list[tuple[int, int]] = []
@@ -118,13 +112,12 @@ class TubeSampler:
         if r <= 0.0:
             return TubeVolumeResult(0.0, 0.0, len(self.rays),
                                     [False] * len(self.rays))
-        spec = self.spec
+        nodes = self.spec.t_nodes_per_panel
         focal = self.rays.focal_times()
         # every ray's radial rules on [0, min(r, its focal time)]
         tops = np.minimum(r, focal)
-        ts, tw = gauss_legendre_panels(0.0, tops, spec.t_panels, spec.t_nodes_per_panel)
-        ts2, tw2 = gauss_legendre_panels(0.0, tops, spec.t_panels,
-                                         max(4, spec.t_nodes_per_panel // 2))
+        ts, tw = gauss_legendre_panels(0.0, tops, nodes)
+        ts2, tw2 = gauss_legendre_panels(0.0, tops, max(4, nodes // 2))
         dens = self.rays.density(np.concatenate([ts, ts2], axis=1))
         total = _ray_sum(self.weights * _row_dots(tw, dens[:, :ts.shape[1]]))
         total_coarse = _ray_sum(self.weights * _row_dots(tw2, dens[:, ts.shape[1]:]))
@@ -150,9 +143,8 @@ class TubeSampler:
         self._check_horizon(t)
         if t <= 0.0:
             return 0.0
-        spec = self.spec
         ts, tw = gauss_legendre_panels(0.0, np.minimum(t, self.rays.focal_times()),
-                                       spec.t_panels, spec.t_nodes_per_panel)
+                                       self.spec.t_nodes_per_panel)
         positions, _, _, J, _ = self.rays.fields(ts)
         deficit = np.maximum(H - rho(positions.reshape(-1, self.M.dim)), 0.0)
         integrand = deficit.reshape(ts.shape) ** p * np.linalg.det(J)
@@ -170,7 +162,7 @@ class TubeSampler:
         values, which = np.unique(self.eta_xi, return_inverse=True)
         integrals = []
         for e in values.tolist():
-            ts, tw = gauss_legendre_panels(0.0, first_zero(H, n, m, e, r), 1, 24)
+            ts, tw = gauss_legendre_panels(0.0, first_zero(H, n, m, e, r), 24)
             integrals.append(float(tw @ np.array([hk_integrand(H, n, m, e, t)
                                                   for t in ts])))
         return _ray_sum(self.weights * np.array(integrals)[which])

@@ -71,7 +71,6 @@ class Scenario:
     tolerance: float = 1e-5
     checks: tuple[str, ...] = ()
     seed: int = 0
-    minimal: bool = False
     totally_geodesic: bool = False
     rho_declared: dict[int, float] | None = None
     hessian_H: float | None = None   # None: certify a bound from samples
@@ -157,7 +156,8 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
     Each ray gets four k-frames W per branch (tangential: the first k
     tangent directions and three random ones). For every (ray, W, t) the
     hypothesis Ric_k(velocity, W_t) >= kH is evaluated exactly from the
-    parallel-frame curvature matrix; a hypothesis failure yields a
+    parallel-frame curvature matrix; a hypothesis failure, or a branch
+    with no sampled time inside the usable ray horizon, yields a
     precondition-violation report instead of a bound verdict.
     """
     M, sigma = scenario.manifold, scenario.sigma
@@ -169,13 +169,14 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
     idx = _ray_subsample(sampler, n_rays or scenario.check_rays, rng)
     err_est = max(1e-7, 100.0 * scenario.quad.ray_tolerance)
 
-    # branch -> accumulators: worst slack record, max |slack|, margin, count
+    # branch -> accumulators: worst slack record, max |slack|, margin, count,
+    # and the longest usable horizon of its frames
     acc = {}
     for branch in ("tangential", "generic"):
         if branch == "tangential" and m < k:
             continue
         acc[branch] = {"worst_slack": math.inf, "max_abs": 0.0, "worst": None,
-                       "margin": math.inf, "count": 0}
+                       "margin": math.inf, "count": 0, "horizon": 0.0}
 
     for i in idx:
         sol = sampler.rays[i]
@@ -200,6 +201,8 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
         # each frame's model trace is defined up to its denominator's first zero
         hi_frame = [min(hi_all, 0.98 * _denominator_first_zero(H, w0))
                     for _, _, w0 in frames]
+        for (branch, _, _), hi in zip(frames, hi_frame):
+            acc[branch]["horizon"] = max(acc[branch]["horizon"], hi)
         hi_max = max(hi_frame, default=0.0)
         if hi_max <= 0.03:
             continue
@@ -226,6 +229,11 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
     reports = []
     for branch, a in acc.items():
         if a["worst"] is None:
+            reports.append(BoundReport.precondition_violation(
+                f"hessian_comparison[{branch}]",
+                f"no sample on {len(idx)} rays: usable ray horizon "
+                f"{a['horizon']:g} (ray horizon {scenario.horizon():g})",
+                branch=branch, usable_horizon=a["horizon"]))
             continue
         if a["margin"] < -1e-8:
             reports.append(BoundReport.precondition_violation(
@@ -347,7 +355,7 @@ def check_integral_bound(scenario: Scenario, radii,
     constants = thm1_constants(n, m, p, H)
     declared = scenario.declared_rho(k)
     rho = functools.partial(scenario.rho, k=k)
-    global_norm = lp_deficit_norm(M, None, H, p, rho,
+    global_norm = lp_deficit_norm(M, H, p, rho,
                                   resolution=scenario.quad.chart_resolution)
     reports = []
     for r, sampler in zip(radii, samplers):

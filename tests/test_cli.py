@@ -257,6 +257,55 @@ class TestExitCodes:
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         assert "'radii' must be a nonempty list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("check_rays", 0),
+        ("check_rays", -1),
+        ("check_rays", 2.5),
+        ("ray_horizon", -1),
+        ("ray_horizon", 0),
+        ("ray_horizon", "x"),
+        ("validity_radius", 0),
+        ("hessian_H", "x"),
+        ("hessian_H", math.nan),
+    ])
+    def test_malformed_declared_number_exit_2(self, tmp_path, capsys, key, value):
+        declared = dict(FAST_CONFIG["declared"], **{key: value})
+        cfg = dict(FAST_CONFIG, declared=declared, checks=["hk", "lemmas"])
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"declared '{key}'" in capsys.readouterr().err
+
+    def test_quadrature_seed_rejected_exit_2(self, tmp_path, capsys):
+        cfg = dict(FAST_CONFIG, quadrature={"base_resolution": 4, "seed": 7})
+        argv = ["verify", "--config", write_config(tmp_path, cfg), "--seed", "5"]
+        assert main(argv) == 2
+        assert "unknown field 'seed' in quadrature" in capsys.readouterr().err
+
+    def test_scenario_seed_is_the_quadrature_seed(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path, FAST_CONFIG))   # seed 7
+        assert [(sc.seed, sc.quad.seed) for sc in cli.scenarios_from_config(cfg)] == [(7, 7)]
+        (sc,) = cli.scenarios_from_config(cfg, seed=5)
+        assert sc.seed == sc.quad.seed == 5
+        # a quadrature seed handed over without load_config does not win either
+        (sc,) = cli.scenarios_from_config(
+            dict(FAST_CONFIG, quadrature={"seed": 7}), seed=5)
+        assert sc.quad.seed == 5
+
+    def test_hessian_without_samples_is_a_precondition_violation(self, tmp_path,
+                                                                  capsys):
+        declared = dict(FAST_CONFIG["declared"], ray_horizon=0.02)
+        cfg = dict(FAST_CONFIG, radii=[0.02], declared=declared, checks=["hessian"])
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]
+        assert main(argv) == 0
+        assert "2 precondition violations" in capsys.readouterr().out
+        reports = json.loads((out / "report.json").read_text())["reports"]
+        assert [rep["name"] for rep in reports] == [
+            "hessian_comparison[tangential]", "hessian_comparison[generic]"]
+        for rep in reports:
+            assert rep["status"] == "precondition-violation"
+            assert "usable ray horizon 0.02" in rep["details"]["reason"]
+
     def test_ray_failure_exit_2(self, tmp_path, capsys):
         # every ray of radius 5 leaves the euclidean box of halfwidth 1
         cfg = {"manifold": {"name": "euclidean", "n": 3, "halfwidth": 1.0},

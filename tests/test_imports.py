@@ -96,3 +96,38 @@ def test_every_definition_is_referenced():
         unread += [f"{path.name}:{name}"
                    for name in unreferenced_definitions(path.read_text(), elsewhere)]
     assert unread == []
+
+
+def attributes_read(tree: ast.AST) -> set[str]:
+    """Attribute names a tree loads (``x.name`` read, not assigned)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(source: str, read: set[str]) -> list[str]:
+    """Annotated class fields (``Class.field``) whose name no reader loads."""
+    return [f"{cls.name}.{node.target.id}"
+            for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            and node.target.id not in read]
+
+
+def test_field_detector_flags_only_unread_fields():
+    source = ("class Spec:\n"
+              "    used: int = 1\n"
+              "    unread: float = 0.0\n"
+              "    written: int = 0\n"
+              "    LIMIT = 3\n"
+              "def touch(spec):\n"
+              "    spec.written = spec.used + spec.LIMIT\n")
+    readers = ["Spec(unread=2.0)\n", "def f(s): return s.used\n"]
+    read = set().union(*(attributes_read(ast.parse(r)) for r in [source] + readers))
+    assert unread_fields(source, read) == ["Spec.unread", "Spec.written"]
+
+
+def test_every_field_is_read():
+    read = set().union(*(attributes_read(ast.parse(p.read_text())) for p in READERS))
+    unread = [f"{path.name}:{name}" for path in SOURCES
+              for name in unread_fields(path.read_text(), read)]
+    assert unread == []

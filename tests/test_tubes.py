@@ -171,7 +171,7 @@ class TestHkBound:
             expect = 0.0
             for (b, f), w in zip(sampler.ray_index, sampler.weights):
                 e = sampler.grid.eta_dot_xi(b, f)
-                ts, tw = gauss_legendre_panels(0.0, first_zero(H, 3, 1, e, r), 1, 24)
+                ts, tw = gauss_legendre_panels(0.0, first_zero(H, 3, 1, e, r), 24)
                 expect += w * float(tw @ np.array([hk_integrand(H, 3, 1, e, t)
                                                    for t in ts]))
             assert sampler.hk_bound(H, r) == expect

@@ -31,7 +31,7 @@ def fast_flat_scenario(**overrides):
     defaults = dict(
         name="fast_flat", manifold=M, sigma=sigma, k=1, H=0.0, p=4.0,
         radii=(0.4,), quad=QuadratureSpec(base_resolution=4, fiber_resolution=2),
-        checks=("hk",), minimal=True, totally_geodesic=True, check_rays=6)
+        checks=("hk",), totally_geodesic=True, check_rays=6)
     defaults.update(overrides)
     return Scenario(**defaults)
 
@@ -212,8 +212,7 @@ def toy_bump_scenario(radii=(0.3, 0.5)):
                           t_nodes_per_panel=8, chart_resolution=3,
                           rho_directions=64, rho_refine_rounds=0)
     return Scenario(name="toy_bump", manifold=M, sigma=sigma, k=1, H=-0.1,
-                    p=4.0, radii=radii, quad=quad, checks=("integral",),
-                    minimal=True)
+                    p=4.0, radii=radii, quad=quad, checks=("integral",))
 
 
 class TestRadiusIndependentWork:
@@ -261,7 +260,7 @@ class TestRadiusIndependentWork:
         expect = float(np.sum(w * dens * (deficit + 1e-3) ** p)) ** (1.0 / p)
         assert DEFICIT_INFLATION == 1e-3
         assert expect > float(np.sum(w * dens * deficit**p)) ** (1.0 / p)
-        norm = lp_deficit_norm(M, None, H, p, functools.partial(
+        norm = lp_deficit_norm(M, H, p, functools.partial(
             rho_k, M, k=k, directions=64, refine_rounds=0), resolution=3)
         assert norm.inflated == pytest.approx(expect, rel=1e-12)
         glob = check_integral_bound(sc, sc.radii)[0]
