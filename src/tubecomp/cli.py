@@ -26,7 +26,6 @@ from .geometry import SingularMetricError
 from .models import thm1_bound, thm1_constants
 from .submanifolds import SUBMANIFOLD_BUILDERS
 from .transport import RayIntegrationError
-from .tubes import QuadratureSpec
 from .verification import Scenario, run_suite
 
 __all__ = ["main", "ConfigError", "cmd_scenario_list", "cmd_tube_volume",
@@ -37,22 +36,82 @@ class ConfigError(ValueError):
     """Schema violation or unusable field in a scenario config."""
 
 
-_TOP_KEYS = {"scenario", "suite", "manifold", "submanifold", "parameters",
-             "radii", "quadrature", "declared", "checks", "tolerance",
-             "seed", "name"}
-_PARAM_KEYS = {"k", "H", "p"}
-# "minimal" is accepted but unused: the checks measure max |eta| instead
-_DECLARED_KEYS = {"minimal", "totally_geodesic", "validity_radius",
-                  "rho_exact", "hessian_H", "ray_horizon", "check_rays"}
-# the quadrature seed is always the scenario seed (config "seed" or --seed)
-_QUAD_KEYS = {f.name for f in dataclasses.fields(QuadratureSpec)} - {"seed"}
+def _rule(what: str, least: float = -math.inf, above: bool = False,
+          integer: bool = False):
+    """A JSON number >= least (> least if ``above``), finite, an int if ``integer``."""
+    return (lambda v: isinstance(v, int if integer else (int, float))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+            and (v > least if above else v >= least)), what
 
 
-def _reject_unknown(given: dict, allowed: set, where: str):
+_STRING = (lambda v: isinstance(v, str), "a string")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_FINITE = _rule("a finite number")
+_NONNEGATIVE = _rule("a finite number >= 0", 0.0)
+_POSITIVE = _rule("a finite number > 0", 0.0, above=True)
+_POSITIVE_INT = _rule("a positive integer", 1, integer=True)
+_RADII = (lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(
+    _NONNEGATIVE[0](r) for r in v), "a nonempty list of finite numbers >= 0")
+
+# section -> key -> (accepts, what it accepts); "" is the top level, whose
+# keys that name a section are walked with that section's table
+_SCHEMA = {
+    "": {"scenario": _STRING, "suite": _STRING, "manifold": _OBJECT,
+         "submanifold": _OBJECT, "parameters": _OBJECT, "radii": _RADII,
+         "quadrature": _OBJECT, "declared": _OBJECT, "name": _STRING,
+         "checks": (lambda v: isinstance(v, list) and all(
+             isinstance(c, str) for c in v), "a list of strings"),
+         "tolerance": _NONNEGATIVE,
+         "seed": _rule("an integer >= 0", 0, integer=True)},
+    # k <= n - 1 is checked once the manifold is built
+    "parameters": {"k": _POSITIVE_INT, "H": _FINITE,
+                   "p": _rule("a finite number >= 1", 1.0)},
+    # no quadrature seed: the scenario seed seeds every random draw
+    "quadrature": {
+        "base_resolution": (lambda v: all(_POSITIVE_INT[0](b) for b in (
+            v if isinstance(v, list) and v else [v])),
+            "a positive integer or a list of them"),
+        "fiber_resolution": _POSITIVE_INT, "t_nodes_per_panel": _POSITIVE_INT,
+        "mc_samples": _POSITIVE_INT, "rho_directions": _POSITIVE_INT,
+        "rho_refine_rounds": _rule("an integer >= 0", 0, integer=True),
+        "chart_resolution": _rule("an integer >= 2", 2, integer=True),
+        "ray_tolerance": _POSITIVE},
+    # "minimal" is accepted but unused: the checks measure max |eta| instead
+    "declared": {"minimal": _BOOL, "totally_geodesic": _BOOL,
+                 "validity_radius": _POSITIVE, "rho_exact": _OBJECT,
+                 "hessian_H": _FINITE, "ray_horizon": _POSITIVE,
+                 "check_rays": _POSITIVE_INT},
+}
+
+
+def _check(rule, value, where: str):
+    """The value, once the rule accepts it."""
+    accepts, what = rule
+    if not accepts(value):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return value
+
+
+def _reject_unknown(given: dict, allowed, where: str):
     for key in given:
         if key not in allowed:
             raise ConfigError(
                 f"unknown field '{key}' in {where} (allowed: {sorted(allowed)})")
+
+
+def _rho_table(value, where: str) -> dict[int, float]:
+    """A declared rho_k table: integer k -> value."""
+    return {int(k): float(v) for k, v in _check(_OBJECT, value, where).items()}
+
+
+def _walk_schema(given: dict, section: str = "") -> None:
+    table = _SCHEMA[section]
+    _reject_unknown(given, table, section or "config")
+    for key, value in given.items():
+        _check(table[key], value, f"{section} '{key}'".lstrip())
+        if key in _SCHEMA:
+            _walk_schema(value, key)
 
 
 def load_config(path: str) -> dict:
@@ -65,13 +124,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(cfg, _TOP_KEYS, "config")
-    if "parameters" in cfg:
-        _reject_unknown(cfg["parameters"], _PARAM_KEYS, "parameters")
-    if "declared" in cfg:
-        _reject_unknown(cfg["declared"], _DECLARED_KEYS, "declared")
-    if "quadrature" in cfg:
-        _reject_unknown(cfg["quadrature"], _QUAD_KEYS, "quadrature")
+    _walk_schema(cfg)
     return cfg
 
 
@@ -91,11 +144,9 @@ def _build_manifold_from_config(spec: dict):
         if "a" not in spec or "b" not in spec:
             raise ConfigError("product manifold needs nested 'a' and 'b' configs")
         rho = spec.get("rho_exact")
-        if rho is not None:
-            rho = {int(k): float(v) for k, v in rho.items()}
-        return manifold_registry.product(_build_manifold_from_config(spec["a"]),
-                                         _build_manifold_from_config(spec["b"]),
-                                         rho_exact=rho)
+        return manifold_registry.product(
+            _build_manifold_from_config(spec["a"]), _build_manifold_from_config(spec["b"]),
+            rho_exact=None if rho is None else _rho_table(rho, "product 'rho_exact'"))
     if name == "warped_product":
         params = {k: v for k, v in spec.items() if k != "name"}
         _reject_unknown(params, {"fiber_dim", "warp", "base_interval",
@@ -142,92 +193,65 @@ def parse_radii(text: str) -> tuple[float, ...]:
             radii = tuple(np.linspace(a, b, n))
     except ValueError as exc:
         raise malformed from exc
-    return _valid_radii(radii, "--radii")
+    return _check(_RADII, radii, "--radii")
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _valid_radii(radii, source: str) -> tuple:
-    """The radii as given, once they are a nonempty list of numbers r >= 0."""
-    if (not isinstance(radii, (list, tuple)) or not radii
-            or not all(_is_number(r) and 0.0 <= r < math.inf for r in radii)):
-        raise ConfigError(f"{source} must be a nonempty list of finite numbers "
-                          f">= 0, got {radii!r}")
-    return tuple(radii)
-
-
-_POSITIVE = (lambda v: _is_number(v) and 0.0 < v < math.inf, "a finite number > 0")
-_DECLARED_RULES = {
-    "check_rays": (lambda v: _is_number(v) and isinstance(v, int) and v > 0,
-                   "a positive integer"),
-    "ray_horizon": _POSITIVE,
-    "validity_radius": _POSITIVE,
-    "hessian_H": (lambda v: _is_number(v) and math.isfinite(v), "a finite number"),
-}
-
-
-def _valid_declared(declared: dict) -> dict:
-    """The declared facts, once their numbers are usable."""
-    for key, (ok, what) in _DECLARED_RULES.items():
-        if key in declared and not ok(declared[key]):
-            raise ConfigError(f"declared '{key}' must be {what}, "
-                              f"got {declared[key]!r}")
-    return declared
+def _apply_settings(sc: Scenario, cfg: dict, seed: int | None,
+                    tolerance: float | None, radii: tuple | None) -> None:
+    """Set a config's values on a built scenario; the CLI's values win."""
+    pars, n = cfg.get("parameters", {}), sc.manifold.dim
+    if "k" in pars and not 1 <= pars["k"] <= n - 1:
+        raise ConfigError(f"parameters 'k' must be an integer in [1, {n - 1}], "
+                          f"got {pars['k']!r}")
+    for key, cast in (("k", int), ("H", float), ("p", float)):
+        if key in pars:
+            setattr(sc, key, cast(pars[key]))
+    sc.seed = int(seed if seed is not None else cfg.get("seed", sc.seed))
+    sc.tolerance = float(tolerance if tolerance is not None
+                         else cfg.get("tolerance", sc.tolerance))
+    sc.radii = tuple(radii if radii is not None else cfg.get("radii", sc.radii))
+    sc.quad = dataclasses.replace(sc.quad, **dict(cfg.get("quadrature", {}),
+                                                  seed=sc.seed))
+    for key, value in cfg.get("declared", {}).items():
+        if key == "validity_radius":
+            sc.manifold.volume_validity_radius = float(value)
+        elif key == "rho_exact":
+            sc.rho_declared = _rho_table(value, "declared 'rho_exact'")
+        elif key in ("totally_geodesic", "hessian_H", "ray_horizon", "check_rays"):
+            setattr(sc, key, value)
+    sc.checks = tuple(cfg.get("checks", sc.checks))
+    sc.name = cfg.get("name", sc.name)
 
 
 def scenarios_from_config(cfg: dict, seed: int | None = None,
                           tolerance: float | None = None,
                           radii: tuple[float, ...] | None = None) -> list[Scenario]:
-    """Instantiate the scenario(s) a config describes, with CLI overrides."""
-    seed_val = seed if seed is not None else int(cfg.get("seed", 0))
-    tol_val = tolerance if tolerance is not None else float(cfg.get("tolerance", 1e-5))
+    """The scenario(s) a config describes, each built once and then set.
+
+    A built-in or suite member keeps its own values unless the config sets
+    them; ``manifold`` + ``submanifold`` starts from k = 1, H = 0, p = n + 1
+    and radii (0.5,). The seed, tolerance and radii given here win over the
+    config's.
+    """
     if "suite" in cfg:
-        built = scenario_registry.build_suite(cfg["suite"], seed=seed_val,
-                                              tolerance=tol_val)
+        built = scenario_registry.build_suite(cfg["suite"])
     elif "scenario" in cfg:
-        built = [scenario_registry.build_scenario(cfg["scenario"], seed=seed_val,
-                                                  tolerance=tol_val)]
+        built = [scenario_registry.build_scenario(cfg["scenario"])]
     elif "manifold" in cfg and "submanifold" in cfg:
         M = _build_manifold_from_config(cfg["manifold"])
         s_builder, s_params = _build_from_registry(
             "submanifold", SUBMANIFOLD_BUILDERS, cfg["submanifold"])
         sigma = s_builder(M, **s_params)
-        pars = cfg.get("parameters", {})
-        declared = _valid_declared(cfg.get("declared", {}))
-        if "validity_radius" in declared:
-            M.volume_validity_radius = float(declared["validity_radius"])
-        quad_cfg = dict(cfg.get("quadrature", {}), seed=seed_val)
-        rho_exact = declared.get("rho_exact")
-        if rho_exact is not None:
-            rho_exact = {int(k): float(v) for k, v in rho_exact.items()}
-        built = [Scenario(
-            name=cfg.get("name", f"{M.name}/{sigma.name}"),
-            manifold=M, sigma=sigma,
-            k=int(pars.get("k", 1)), H=float(pars.get("H", 0.0)),
-            p=float(pars.get("p", M.dim + 1)),
-            radii=_valid_radii(cfg.get("radii", (0.5,)), "'radii'"),
-            quad=QuadratureSpec(**quad_cfg),
-            tolerance=tol_val,
-            checks=tuple(cfg.get("checks", ())),
-            seed=seed_val,
-            totally_geodesic=bool(declared.get("totally_geodesic", False)),
-            rho_declared=rho_exact,
-            hessian_H=declared.get("hessian_H"),
-            ray_horizon=declared.get("ray_horizon"),
-            check_rays=declared.get("check_rays", 16),
-        )]
+        built = [Scenario(name=f"{M.name}/{sigma.name}", manifold=M, sigma=sigma,
+                          k=1, H=0.0, p=float(M.dim + 1), radii=(0.5,))]
     else:
         raise ConfigError("config needs 'scenario', 'suite', or "
                           "'manifold' + 'submanifold'")
-    if radii is not None:
-        for sc in built:
-            sc.radii = tuple(radii)
-    if "checks" in cfg and ("scenario" in cfg or "suite" in cfg):
-        for sc in built:
-            sc.checks = tuple(cfg["checks"])
+    if "name" in cfg and len(built) != 1:
+        raise ConfigError("'name' is allowed only in a config that builds "
+                          "one scenario")
+    for sc in built:
+        _apply_settings(sc, cfg, seed, tolerance, radii)
     return built
 
 
@@ -335,6 +359,9 @@ def main(argv=None) -> int:
             print(cmd_scenario_list())
             return 0
 
+        for flag, value in (("seed", args.seed), ("tolerance", args.tolerance)):
+            if value is not None:
+                _check(_SCHEMA[""][flag], value, f"--{flag}")
         radii = parse_radii(args.radii) if args.radii else None
         if args.config:
             cfg = load_config(args.config)
@@ -352,13 +379,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot build the scenario: {exc}") from exc
 
         if args.command == "tube-volume":
-            all_rows = None
-            for sc in built:
-                rows = cmd_tube_volume(sc, sc.radii)
-                if all_rows is None:
-                    all_rows = rows
-                else:
-                    all_rows.extend(rows[1:])
+            tables = [cmd_tube_volume(sc, sc.radii) for sc in built]
+            all_rows = tables[0] + [row for rows in tables[1:] for row in rows[1:]]
             if args.out:
                 out_dir = Path(args.out)
                 if not out_dir.is_dir():

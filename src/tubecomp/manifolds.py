@@ -324,7 +324,8 @@ def bump_torus(n: int, side: float = 2.0 * math.pi, amplitude: float = 0.1,
 
     f = amplitude * prod_i b((x_i - c_i)/w_i) with b the standard
     mollifier, wrapped periodically. Curvature is supported exactly in the
-    declared box, which lp_deficit_norm exploits.
+    declared box, which lp_deficit_norm exploits; no box is declared when
+    the bump crosses the chart's seam.
     """
     if center is None:
         center = np.full(n, side / 2.0)
@@ -381,7 +382,8 @@ def bump_torus(n: int, side: float = 2.0 * math.pi, amplitude: float = 0.1,
         return (coef * np.exp(2.0 * f)[..., None, None])[..., :, :, None, None] * eye
 
     domain = Box(np.zeros(n), side * np.ones(n), (True,) * n)
-    support = Box(center - width, center + width, (False,) * n)
+    lo, hi = np.mod(center, side) - width, np.mod(center, side) + width
+    support = Box(lo, hi, (False,) * n) if np.all((lo >= 0) & (hi <= side)) else None
     return ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
                          metric_hess=hess, name=f"bump_torus{n}_eps{amplitude:g}",
                          curvature_support=support,

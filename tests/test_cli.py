@@ -199,6 +199,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("manifold, fragment", [
         ({"name": "bump_torus", "n": 4, "width": 4.0}, "width"),
         ({"name": "flat_torus", "n": "four"}, "cannot build"),
+        ({"name": "product", "a": {"name": "sphere", "n": 2},
+          "b": {"name": "sphere", "n": 2}, "rho_exact": 5}, "product 'rho_exact'"),
     ])
     def test_builder_rejection_exit_2(self, tmp_path, capsys, manifold, fragment):
         cfg = dict(FAST_CONFIG, manifold=manifold)
@@ -281,14 +283,41 @@ class TestExitCodes:
         assert "unknown field 'seed' in quadrature" in capsys.readouterr().err
 
     def test_scenario_seed_is_the_quadrature_seed(self, tmp_path):
-        cfg = cli.load_config(write_config(tmp_path, FAST_CONFIG))   # seed 7
-        assert [(sc.seed, sc.quad.seed) for sc in cli.scenarios_from_config(cfg)] == [(7, 7)]
-        (sc,) = cli.scenarios_from_config(cfg, seed=5)
-        assert sc.seed == sc.quad.seed == 5
+        for form, members in ((FAST_CONFIG, 1), ({"scenario": "flat_t4_circle"}, 1),
+                              ({"suite": "bumps"}, 2)):
+            cfg = cli.load_config(write_config(tmp_path, dict(form, seed=7)))
+            assert ([(sc.seed, sc.quad.seed) for sc in cli.scenarios_from_config(cfg)]
+                    == [(7, 7)] * members)
+            built = cli.scenarios_from_config(cfg, seed=5)
+            assert [(sc.seed, sc.quad.seed) for sc in built] == [(5, 5)] * members
         # a quadrature seed handed over without load_config does not win either
         (sc,) = cli.scenarios_from_config(
             dict(FAST_CONFIG, quadrature={"seed": 7}), seed=5)
         assert sc.quad.seed == 5
+
+    @pytest.mark.parametrize("cfg, argv, key", [
+        ({"scenario": "flat_t4_circle", "parameters": 5}, [], "'parameters'"),
+        (dict(FAST_CONFIG, tolerance=-1), [], "'tolerance'"),
+        (FAST_CONFIG, ["--tolerance", "nan"], "--tolerance"),
+        (dict(FAST_CONFIG, quadrature={"base_resolution": "x"}), [],
+         "'base_resolution'"),
+        (dict(FAST_CONFIG, quadrature={"base_resolution": 0}), [],
+         "'base_resolution'"),
+        (dict(FAST_CONFIG, quadrature={"ray_tolerance": -1}), [], "'ray_tolerance'"),
+        (dict(FAST_CONFIG, seed=-3), [], "'seed'"),
+        (FAST_CONFIG, ["--seed", "-1"], "--seed"),
+        (dict(FAST_CONFIG, checks="hk"), [], "'checks'"),
+        (dict(FAST_CONFIG, parameters={"k": 7}), [], "'k'"),   # n = 4
+        ({"scenario": "flat_t4_circle", "declared": {"check_rays": 0}}, [],
+         "declared 'check_rays'"),
+        ({"suite": "bumps", "name": "two"}, [], "'name'"),
+    ], ids=["parameters", "tolerance", "tolerance-flag", "resolution-text",
+            "resolution-zero", "ray-tolerance", "seed", "seed-flag", "checks", "k",
+            "builtin-declared", "suite-name"])
+    def test_malformed_setting_exit_2(self, tmp_path, capsys, cfg, argv, key):
+        assert main(["verify", "--config", write_config(tmp_path, cfg)] + argv) == 2
+        err = capsys.readouterr().err
+        assert key in err and err.count("\n") == 1
 
     def test_hessian_without_samples_is_a_precondition_violation(self, tmp_path,
                                                                   capsys):
@@ -332,3 +361,59 @@ class TestExitCodes:
         row = dict(zip(header.split(","), first.split(",")))
         assert row["r"] == "0.0"
         assert row["hk_bound"] == "0.0"
+
+
+class TestSettings:
+    """Every config key applies to every form: CLI, then config, then built-in."""
+
+    SETTINGS = {"parameters": {"k": 2, "H": -0.5, "p": 6}, "radii": [0.1],
+                "quadrature": {"base_resolution": 2, "chart_resolution": 3},
+                "declared": {"check_rays": 3, "ray_horizon": 0.2,
+                             "validity_radius": 1.0, "hessian_H": -2.0,
+                             "totally_geodesic": False, "rho_exact": {"2": 0.5}},
+                "checks": ["hk"], "tolerance": 0.01, "seed": 4}
+
+    def assert_set(self, sc, seed=4, tolerance=0.01, radii=(0.1,)):
+        assert (sc.k, sc.H, sc.p) == (2, -0.5, 6.0)
+        assert sc.radii == radii and sc.checks == ("hk",)
+        assert sc.seed == sc.quad.seed == seed and sc.tolerance == tolerance
+        assert (sc.quad.base_resolution, sc.quad.chart_resolution) == (2, 3)
+        assert (sc.check_rays, sc.ray_horizon, sc.hessian_H) == (3, 0.2, -2.0)
+        assert sc.totally_geodesic is False and sc.rho_declared == {2: 0.5}
+        assert sc.manifold.volume_validity_radius == 1.0
+
+    @pytest.mark.parametrize("form, names", [
+        ({"scenario": "flat_t4_circle", "name": "renamed"}, ["renamed"]),
+        ({"suite": "bumps"}, ["bump_torus", "bump_torus_eps05"]),
+        ({key: FAST_CONFIG[key] for key in ("manifold", "submanifold")},
+         ["flat_torus4/sub_torus1"]),
+    ], ids=["scenario", "suite", "manifold"])
+    def test_every_form_takes_every_setting(self, tmp_path, form, names):
+        cfg = cli.load_config(write_config(tmp_path, dict(self.SETTINGS, **form)))
+        built = cli.scenarios_from_config(cfg)
+        assert [sc.name for sc in built] == names
+        for sc in built:
+            self.assert_set(sc)
+        for sc in cli.scenarios_from_config(cfg, seed=9, tolerance=0.5,
+                                            radii=(0.3, 0.4)):
+            self.assert_set(sc, seed=9, tolerance=0.5, radii=(0.3, 0.4))
+
+    def test_builtin_report_follows_config(self, tmp_path):
+        cfg = {"scenario": "flat_t4_circle", "checks": ["hk"], "radii": [0.1],
+               "quadrature": {"base_resolution": 2}}
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]
+        assert main(argv) == 0
+        (rep,) = json.loads((out / "report.json").read_text())["reports"]
+        assert rep["name"] == "hk_bound" and rep["constants"]["r"] == 0.1
+        assert rep["details"]["rays"] == 2 * 32   # 2 base nodes x 32 fiber directions
+        assert rep["measured"] == pytest.approx(8.0 / 3.0 * math.pi**2 * 0.1**3,
+                                                rel=1e-9)
+
+    def test_schema_names_every_quadrature_field(self):
+        import dataclasses
+
+        from tubecomp.tubes import QuadratureSpec
+        fields = {f.name for f in dataclasses.fields(QuadratureSpec)} - {"seed"}
+        assert set(cli._SCHEMA["quadrature"]) == fields

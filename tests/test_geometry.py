@@ -457,6 +457,17 @@ class TestLpDeficitNorm:
             rho = rho_k_at(M, x, 1, directions=128, refine_rounds=0)
             assert abs(rho) <= 1e-12
 
+    def test_bump_across_chart_seam_declares_no_support(self):
+        # the bump centred at 0.3 wraps past 0; its curvature must not read 0
+        M = manifolds.bump_torus(4, center=[0.3] * 4, width=1.2)
+        assert M.curvature_support is None
+        centred = manifolds.bump_torus(4, center=[math.pi] * 4, width=1.2)
+        x = np.array([[6.083, 0.3, 0.4, 0.2]])
+        kw = dict(directions=128, refine_rounds=1)
+        expect = rho_k(centred, np.mod(x - 0.3 + math.pi, 2.0 * math.pi), 1, **kw)
+        assert expect[0] < 0.0
+        assert rho_k(M, x, 1, **kw) == pytest.approx(expect, rel=1e-9)
+
     def test_error_estimate_positive_at_resolution_3(self):
         # the coarse comparison grid is strictly coarser than the fine one
         M = manifolds.bump_torus(4)
