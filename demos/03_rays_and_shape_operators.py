@@ -17,8 +17,8 @@ from tubecomp.manifolds import ambient_tangent_to_chart, axes_with_pole
 from tubecomp.submanifolds import great_circle, point, sub_torus
 from tubecomp.transport import (
     NormalRay,
+    growth_factors,
     integrate_ray,
-    jy_factors,
     split_traces,
     structural_residuals,
 )
@@ -41,7 +41,10 @@ xi = ambient_tangent_to_chart(M3, q, np.array([0.0, 0.0, 1.0, 0.0]))
 sol3 = integrate_ray(M3, sigma3, NormalRay(np.array([0.7]), xi, t_max=2.0))
 t = math.pi / 4
 phi, psi = split_traces(*sol3.fields(t)[3:], sol3.m)
-jj, yy = jy_factors(sol3, t)
+# the J and Y factors integrate phi and psi from t = 1e-8 on a fine grid
+ts = np.linspace(1e-8, t, 16385)
+_, _, j_t, y_t = growth_factors(ts, *sol3.fields(ts)[3:], sol3.m)
+jj, yy = j_t[-1], y_t[-1]
 print(f"  A(pi/4) = {sol3.density(t):.9f} (= cos sin = 0.5)")
 print(f"  phi, psi = {phi:.6f}, {psi:.6f} (= -tan, cot = -1, 1)")
 print(f"  J, Y factors = {jj:.9f}, {yy:.9f} (= cos, sin = "

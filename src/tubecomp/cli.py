@@ -53,6 +53,8 @@ _POSITIVE = _rule("a finite number > 0", 0.0, above=True)
 _POSITIVE_INT = _rule("a positive integer", 1, integer=True)
 _RADII = (lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(
     _NONNEGATIVE[0](r) for r in v), "a nonempty list of finite numbers >= 0")
+_INTERVAL = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(
+    _FINITE[0](t) for t in v) and v[0] < v[1], "two finite numbers lo < hi")
 
 # section -> key -> (accepts, what it accepts); "" is the top level, whose
 # keys that name a section are walked with that section's table
@@ -82,6 +84,11 @@ _SCHEMA = {
                  "validity_radius": _POSITIVE, "rho_exact": _OBJECT,
                  "hessian_H": _FINITE, "ray_horizon": _POSITIVE,
                  "check_rays": _POSITIVE_INT},
+    # manifold specs that no builder signature describes, walked when built;
+    # the product's a and b are manifold specs in turn
+    "product": {"name": _STRING, "a": _OBJECT, "b": _OBJECT, "rho_exact": _OBJECT},
+    "warped_product": {"name": _STRING, "fiber_dim": _POSITIVE_INT, "warp": _STRING,
+                       "base_interval": _INTERVAL, "fiber_side": _POSITIVE},
 }
 
 
@@ -138,9 +145,9 @@ def _build_manifold_from_config(spec: dict):
     if "name" not in spec:
         raise ConfigError("manifold config needs a 'name' field")
     name = spec["name"]
+    if name in ("product", "warped_product"):
+        _walk_schema(spec, name)
     if name == "product":
-        _reject_unknown({k: v for k, v in spec.items() if k != "name"},
-                        {"a", "b", "rho_exact"}, "manifold 'product' parameters")
         if "a" not in spec or "b" not in spec:
             raise ConfigError("product manifold needs nested 'a' and 'b' configs")
         rho = spec.get("rho_exact")
@@ -149,8 +156,6 @@ def _build_manifold_from_config(spec: dict):
             rho_exact=None if rho is None else _rho_table(rho, "product 'rho_exact'"))
     if name == "warped_product":
         params = {k: v for k, v in spec.items() if k != "name"}
-        _reject_unknown(params, {"fiber_dim", "warp", "base_interval",
-                                 "fiber_side"}, "manifold 'warped_product' parameters")
         warp_name = params.pop("warp", "constant")
         if warp_name not in _WARP_TABLE:
             raise ConfigError(f"unknown warp '{warp_name}' "

@@ -22,6 +22,7 @@ __all__ = [
     "hk_integrand",
     "first_zero",
     "sphere_volume",
+    "lemma52_coefficient",
     "thm1_constants",
     "thm1_bound",
     "cheeger_delta",
@@ -144,6 +145,11 @@ class BoundConstants:
         return asdict(self)
 
 
+def lemma52_coefficient(n: int, k: int, p: float) -> float:
+    """Lemma 5.2's factor (2p - 1)/(p - (n - k)) between the ray L^p norms (p > n - k)."""
+    return (2.0 * p - 1.0) / (p - (n - k))
+
+
 def thm1_constants(n: int, m: int, p: float, H: float) -> BoundConstants:
     """Derive (k, alpha, beta, delta, kappa) for the integral tube bound.
 
@@ -161,7 +167,7 @@ def thm1_constants(n: int, m: int, p: float, H: float) -> BoundConstants:
         raise ValueError(f"need p > n-k = {n - k}, got p={p}")
     alpha = (n - k - 1) / (n - k)
     beta = 1.0 / (n - m - 1) - 1.0 / p
-    delta = 4.0 * (n - k - 1) + (4.0 / k) * ((2.0 * p - 1.0) / (p - n + k))
+    delta = 4.0 * (n - k - 1) + (4.0 / k) * lemma52_coefficient(n, k, p)
     kappa = (delta * abs(H)) ** alpha / (2.0 * alpha)
     return BoundConstants(n=n, m=m, p=float(p), H=float(H), k=k,
                           alpha=alpha, beta=beta, delta=delta, kappa=kappa)

@@ -11,6 +11,7 @@ from .models import sphere_volume
 
 __all__ = [
     "gauss_legendre_panels",
+    "cumulative_trapezoid",
     "periodic_trapezoid",
     "circle_grid",
     "fibonacci_sphere",
@@ -41,6 +42,13 @@ def gauss_legendre_panels(a: float, b, nodes: int = 16) -> tuple[np.ndarray, np.
     x, w = _leggauss(nodes)
     half = 0.5 * (np.asarray(b, dtype=float)[..., None] - a)
     return a + half * (x + 1.0), half * w
+
+
+def cumulative_trapezoid(vals: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of vals from ts[0] to every ts, along the last axis."""
+    out = np.zeros(np.shape(vals))
+    out[..., 1:] = np.cumsum(0.5 * (vals[..., 1:] + vals[..., :-1]) * np.diff(ts), axis=-1)
+    return out
 
 
 def periodic_trapezoid(period: float, count: int,

@@ -4,7 +4,9 @@ The Weingarten sign convention matches the ambient-derivative definition
 S_xi = (grad xi)^tangential, equivalently <S_xi X, Y> = -<II(X, Y), xi>,
 which makes <eta, xi> = tr(S_xi)/m and gives the round sphere in
 Euclidean space S_xi = +(1/a) I for the outward normal. The sphere test
-in the suite pins this sign.
+in the suite pins this sign. ``base_node`` is the only code that builds a
+node's frames and II tensor, and ``weingarten`` the only code that turns
+them into S_xi.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import FD_STEP_FIRST, FD_STEP_SECOND, Box, ChartManifold, christoffel_at
-from .geometry import complete_euclidean, complete_frame, gram_schmidt
+from .geometry import complete_euclidean, complete_frame
 from .manifolds import ambient_tangent_to_chart, sphere_to_chart
 from .quadrature import unit_sphere_quadrature
 
@@ -26,10 +28,9 @@ __all__ = [
     "NonNormalVectorError",
     "EmbeddedSubmanifold",
     "NormalFiberGrid",
-    "frames_at",
-    "second_fundamental_at",
+    "BaseNode",
+    "base_node",
     "weingarten",
-    "mean_curvature_vector",
     "unit_normal_grid",
     "point",
     "sphere_point",
@@ -139,37 +140,36 @@ def _normal_frame(sigma: EmbeddedSubmanifold, s, x, g, tangent) -> np.ndarray:
     return complete_frame(g, list(tangent))[len(tangent):]
 
 
-def frames_at(sigma: EmbeddedSubmanifold, M: ChartManifold,
-              s) -> tuple[np.ndarray, np.ndarray]:
-    """g-orthonormal (tangent frame (m, n), normal frame (n-m, n)) at embed(s)."""
-    s = np.asarray(s, dtype=float)
-    x = sigma.embed(s)
-    g = M.metric_at(x)
-    m = sigma.dim
-    tangent = np.zeros((0, M.dim))
-    if m > 0:
-        tangent = gram_schmidt(g, list(sigma.jacobian_at(s).T))
-        if len(tangent) != m:
-            raise RankDeficiencyError(f"embedding differential of {sigma.name} has "
-                                      f"rank {len(tangent)} < {m} at s={s}")
-    return tangent, _normal_frame(sigma, s, x, g, tangent)
+@dataclass(frozen=True, eq=False)
+class BaseNode:
+    """Everything the rays and the quadrature read about Sigma at one parameter.
+
+    ``second_fundamental`` K[a, b, :] is the ambient covariant second
+    derivative along the orthonormal tangent directions a, b; its normal
+    component is the second fundamental form. ``gram_density`` is
+    sqrt(det(J^T g J)) for the embedding differential J.
+    """
+
+    position: np.ndarray             # (n,)
+    metric: np.ndarray               # (n, n)
+    tangent: np.ndarray              # (m, n) g-orthonormal rows
+    normal: np.ndarray               # (n-m, n) g-orthonormal rows
+    second_fundamental: np.ndarray   # (m, m, n), empty for m = 0
+    mean_curvature: np.ndarray       # (n,) eta with <eta, xi> = tr(S_xi)/m
+    gram_density: float
 
 
-def second_fundamental_at(sigma: EmbeddedSubmanifold, M: ChartManifold,
-                          s) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(tangent frame, normal frame, II tensor, position) at embed(s).
+def base_node(sigma: EmbeddedSubmanifold, M: ChartManifold, s) -> BaseNode:
+    """Position, metric, frames, II tensor and mean curvature at embed(s), any m >= 0.
 
-    The II tensor K[a, b, :] holds the ambient covariant second derivative
-    along the orthonormal tangent directions; its normal component is the
-    second fundamental form.
+    The tangent frame is L^-1 J^T for the Cholesky factor L of J^T g J;
+    this is the only place a node's frames are built.
     """
     s = np.asarray(s, dtype=float)
     x = sigma.embed(s)
     g = M.metric_at(x)
     m = sigma.dim
-    if m == 0:
-        raise ValueError("second fundamental form undefined for a point (m = 0)")
-    J = sigma.jacobian_at(s)
+    J = sigma.jacobian_at(s)                  # (n, m)
     gram = J.T @ g @ J
     try:
         L = np.linalg.cholesky(gram)
@@ -180,58 +180,39 @@ def second_fundamental_at(sigma: EmbeddedSubmanifold, M: ChartManifold,
     tangent = coeff @ J.T
     normal = _normal_frame(sigma, s, x, g, tangent)
     H2 = sigma.hessian_at(s)                  # (m, m, n) coordinate second derivatives
-    gamma = christoffel_at(M, x)
-    K_coord = H2 + np.einsum("ijk,ja,kb->abi", gamma, J, J)
+    K_coord = H2 + np.einsum("ijk,ja,kb->abi", christoffel_at(M, x), J, J)
     K = np.einsum("ac,bd,cdi->abi", coeff, coeff, K_coord)
-    return tangent, normal, K, x
-
-
-def weingarten(sigma: EmbeddedSubmanifold, M: ChartManifold, s,
-               xi: np.ndarray) -> np.ndarray:
-    """Shape operator S_xi in the orthonormal tangent frame (m x m, symmetric)."""
-    tangent, normal, K, x = second_fundamental_at(sigma, M, s)
-    g = M.metric_at(x)
-    xi = np.asarray(xi, dtype=float)
-    if abs(xi @ g @ xi - 1.0) > 1e-8:
-        raise NonNormalVectorError(f"xi is not unit: |xi|^2 = {xi @ g @ xi}")
-    if np.max(np.abs(tangent @ g @ xi)) > 1e-6:
-        raise NonNormalVectorError("xi has a tangential component")
-    return -np.einsum("abi,ij,j->ab", K, g, xi)
-
-
-def _mean_curvature(K: np.ndarray, g: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """eta = -sum over normal rows nu of <tr K, nu> nu / m, K of shape (m, m, n)."""
-    trace_K = np.einsum("aai->i", K)
+    # eta = -sum over normal rows nu of <tr K, nu> nu / m
     eta = np.zeros(len(g))
-    for nu in normal:
-        eta += (-(trace_K @ g @ nu) / len(K)) * nu
-    return eta
+    if m > 0:
+        trace_K = np.einsum("aai->i", K)
+        for nu in normal:
+            eta += (-(trace_K @ g @ nu) / m) * nu
+    return BaseNode(position=x, metric=g, tangent=tangent, normal=normal,
+                    second_fundamental=K, mean_curvature=eta,
+                    gram_density=math.sqrt(np.linalg.det(gram)))
 
 
-def mean_curvature_vector(sigma: EmbeddedSubmanifold, M: ChartManifold,
-                          s) -> np.ndarray:
-    """Normal vector eta with <eta, xi> = tr(S_xi)/m; zero vector for m = 0."""
-    if sigma.dim == 0:
-        return np.zeros(M.dim)
-    _, normal, K, x = second_fundamental_at(sigma, M, s)
-    return _mean_curvature(K, M.metric_at(x), normal)
+def weingarten(K: np.ndarray, g: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Shape operator S_xi = -<K, xi>_g in the node's tangent frame, over leading axes.
+
+    K (..., m, m, n) is a node's II tensor, g (..., n, n) its metric and
+    xi (..., n) a unit normal; the result (..., m, m) is symmetric.
+    """
+    return -np.einsum("...abi,...ij,...j->...ab", K, g, xi)
 
 
 @dataclass(eq=False)
 class NormalFiberGrid:
     """Product quadrature data over the unit normal bundle."""
 
-    sigma: EmbeddedSubmanifold
-    manifold: ChartManifold
     base_params: np.ndarray       # (B, m)
     base_weights: np.ndarray      # (B,) includes the induced volume density
-    positions: np.ndarray         # (B, n)
-    tangent_frames: np.ndarray    # (B, m, n)
-    normal_frames: np.ndarray     # (B, n-m, n)
-    second_fundamental: np.ndarray | None   # (B, m, m, n) or None for m = 0
-    mean_curvature: np.ndarray    # (B, n)
+    nodes: list[BaseNode]         # (B,) one per base parameter
     fiber_coeffs: np.ndarray      # (F, n-m) unit coefficient vectors
     fiber_weights: np.ndarray     # (F,)
+    normals: np.ndarray           # (B, F, n) unit normal of every (node, fiber)
+    eta_xi: np.ndarray            # (B, F) <eta, xi> of every (node, fiber)
 
     @property
     def sigma_volume(self) -> float:
@@ -244,25 +225,9 @@ class NormalFiberGrid:
     @property
     def eta_max(self) -> float:
         """Largest g-norm of the mean curvature vector over the base nodes."""
-        return max((math.sqrt(max(0.0, eta @ self.manifold.metric_at(x) @ eta))
-                    for eta, x in zip(self.mean_curvature, self.positions)),
+        return max((math.sqrt(max(0.0, node.mean_curvature @ node.metric
+                                  @ node.mean_curvature)) for node in self.nodes),
                    default=0.0)
-
-    def normal_vector(self, b: int, f: int) -> np.ndarray:
-        return self.fiber_coeffs[f] @ self.normal_frames[b]
-
-    def weingarten_block(self, b: int, f: int) -> np.ndarray:
-        """S_xi in the node's tangent frame for fiber direction f."""
-        m = self.sigma.dim
-        if m == 0:
-            return np.zeros((0, 0))
-        g = self.manifold.metric_at(self.positions[b])
-        xi = self.normal_vector(b, f)
-        return -np.einsum("abi,ij,j->ab", self.second_fundamental[b], g, xi)
-
-    def eta_dot_xi(self, b: int, f: int) -> float:
-        g = self.manifold.metric_at(self.positions[b])
-        return float(self.mean_curvature[b] @ g @ self.normal_vector(b, f))
 
 
 def unit_normal_grid(sigma: EmbeddedSubmanifold, M: ChartManifold,
@@ -274,39 +239,18 @@ def unit_normal_grid(sigma: EmbeddedSubmanifold, M: ChartManifold,
     normals of weight 1 for hypersurfaces); base weights integrate the
     induced volume, so the total weight is vol(Sigma) * vol(S^(n-m-1)).
     """
-    n, m = M.dim, sigma.dim
     params, par_w = sigma.base_quadrature(base_resolution)
-    B = len(params)
-    positions = np.empty((B, n))
-    tangents = np.empty((B, m, n))
-    normals = np.empty((B, n - m, n))
-    second = np.empty((B, m, m, n)) if m > 0 else None
-    eta = np.empty((B, n))
-    weights = np.empty(B)
-    for b, s in enumerate(params):
-        if m == 0:
-            tangents[b], normals[b] = frames_at(sigma, M, s)
-            eta[b] = 0.0
-            positions[b] = sigma.embed(s)
-            weights[b] = par_w[b]
-            continue
-        tangent, normal, K, x = second_fundamental_at(sigma, M, s)
-        g = M.metric_at(x)
-        J = sigma.jacobian_at(s)
-        gram = J.T @ g @ J
-        positions[b] = x
-        tangents[b] = tangent
-        normals[b] = normal
-        second[b] = K
-        eta[b] = _mean_curvature(K, g, normal)
-        weights[b] = par_w[b] * math.sqrt(np.linalg.det(gram))
+    nodes = [base_node(sigma, M, s) for s in params]
+    weights = np.array([w * node.gram_density for w, node in zip(par_w, nodes)])
     fiber_coeffs, fiber_w = unit_sphere_quadrature(
-        n - m - 1, resolution=fiber_resolution, rng=rng)
-    return NormalFiberGrid(sigma=sigma, manifold=M, base_params=params,
-                           base_weights=weights, positions=positions,
-                           tangent_frames=tangents, normal_frames=normals,
-                           second_fundamental=second, mean_curvature=eta,
-                           fiber_coeffs=fiber_coeffs, fiber_weights=fiber_w)
+        M.dim - sigma.dim - 1, resolution=fiber_resolution, rng=rng)
+    # one pair at a time, so each value is the same whatever the grid's size
+    normals = np.array([[c @ node.normal for c in fiber_coeffs] for node in nodes])
+    eta_xi = np.array([[float(node.mean_curvature @ node.metric @ xi) for xi in row]
+                       for node, row in zip(nodes, normals)])
+    return NormalFiberGrid(base_params=params, base_weights=weights, nodes=nodes,
+                           fiber_coeffs=fiber_coeffs, fiber_weights=fiber_w,
+                           normals=normals, eta_xi=eta_xi)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +259,8 @@ def unit_normal_grid(sigma: EmbeddedSubmanifold, M: ChartManifold,
 
 def point(M: ChartManifold, location, normal_frame_fn=None) -> EmbeddedSubmanifold:
     loc = np.asarray(location, dtype=float)
+    if loc.shape != (M.dim,):
+        raise ValueError(f"point location must have length {M.dim}, got shape {loc.shape}")
 
     def embedding(_s):
         return loc.copy()

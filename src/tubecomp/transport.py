@@ -25,7 +25,9 @@ from scipy.optimize import brentq
 
 from .geometry import ChartManifold, _curvature_batch
 from .geometry import complete_euclidean, complete_frame, frame_curvature
-from .submanifolds import EmbeddedSubmanifold, NonNormalVectorError, second_fundamental_at
+from .quadrature import cumulative_trapezoid
+from .submanifolds import BaseNode, EmbeddedSubmanifold, NonNormalVectorError
+from .submanifolds import base_node, weingarten
 
 __all__ = [
     "RayIntegrationError",
@@ -39,7 +41,7 @@ __all__ = [
     "partial_trace",
     "split_traces",
     "structural_residuals",
-    "jy_factors",
+    "growth_factors",
 ]
 
 
@@ -97,34 +99,32 @@ def _pack(x, v, E, J, Jp) -> np.ndarray:
                           axis=-1)
 
 
-def _initial_data(M: ChartManifold, sigma: EmbeddedSubmanifold, ray: NormalRay):
-    n, m = M.dim, sigma.dim
-    s = np.asarray(ray.base_param, dtype=float)
-    xi = np.asarray(ray.xi, dtype=float)
-    x0 = sigma.embed(s)
-    g = M.metric_at(x0)
+def _initial_state(node: BaseNode, xi) -> tuple[np.ndarray, np.ndarray]:
+    """(state, S_xi) of the ray leaving a base node along the unit normal xi.
+
+    The Jacobi data are J(0) = diag(I_m, 0), J'(0) = diag(S_xi, I); the
+    frame is the node's tangent frame followed by xi's orthogonal
+    complement in the normal space (for a point, in the whole space).
+    """
+    g = node.metric
+    m, n = node.tangent.shape
+    xi = np.asarray(xi, dtype=float)
     if abs(xi @ g @ xi - 1.0) > 1e-10:
         raise NonNormalVectorError(f"|xi|_g^2 = {xi @ g @ xi}, not unit")
-    if m == 0:
-        tangent = np.zeros((0, n))
-        normal = complete_frame(g, [xi])
-        S_xi = np.zeros((0, 0))
-    else:
-        tangent, normal, K, _ = second_fundamental_at(sigma, M, s)
-        if np.max(np.abs(tangent @ g @ xi)) > 1e-8:
-            raise NonNormalVectorError("xi is not normal to the submanifold")
-        S_xi = -np.einsum("abi,ij,j->ab", K, g, xi)
+    if np.max(np.abs(node.tangent @ g @ xi), initial=0.0) > 1e-8:
+        raise NonNormalVectorError("xi is not normal to the submanifold")
+    S_xi = weingarten(node.second_fundamental, g, xi)
+    normal = node.normal if m > 0 else complete_frame(g, [xi])
     # orthonormal basis of the normal space with xi first, in frame coefficients
     coeff = normal @ g @ xi
     nperp = complete_euclidean(coeff / np.linalg.norm(coeff))[1:] @ normal
-    frame0 = np.vstack([tangent, nperp])           # (n-1, n)
-    d = n - m - 1
+    frame0 = np.vstack([node.tangent, nperp])      # (n-1, n)
     J0 = np.zeros((n - 1, n - 1))
     J0[:m, :m] = np.eye(m)
     Jp0 = np.zeros((n - 1, n - 1))
     Jp0[:m, :m] = S_xi
-    Jp0[m:, m:] = np.eye(d)
-    return x0, xi, frame0, J0, Jp0, S_xi
+    Jp0[m:, m:] = np.eye(n - m - 1)
+    return _pack(node.position, xi, frame0, J0, Jp0), S_xi
 
 
 def _dense_states(knots, starts, coeffs, last, ts) -> np.ndarray:
@@ -452,15 +452,24 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
     ray's tolerance, atol 1e-2 rtol), the step factors, the minimum-step
     collapse and the chart-exit event, rooted on the ray's dense segment.
     A ray's solution therefore does not depend on the batch it is in.
-    Every accepted step's dense coefficients go into one RayBatch store
-    (an empty list for no rays). Raises RayIntegrationError for the
-    lowest-index ray that fails.
+    Each distinct base parameter's ``base_node`` is built once, and every
+    ray starts from its node. Every accepted step's dense coefficients go
+    into one RayBatch store (an empty list for no rays). Raises
+    NonNormalVectorError for a ray whose xi is not a unit normal, and
+    RayIntegrationError for the lowest-index ray that fails.
     """
     rays = list(rays)
     if not rays:
         return []
-    initial = [_initial_data(M, sigma, ray) for ray in rays]
-    y = np.array([_pack(*data[:5]) for data in initial])
+    nodes = {}      # one base node per distinct base parameter
+    initial = []
+    for ray in rays:
+        s = np.asarray(ray.base_param, dtype=float)
+        key = s.tobytes()
+        if key not in nodes:
+            nodes[key] = base_node(sigma, M, s)
+        initial.append(_initial_state(nodes[key], ray.xi))
+    y = np.array([state for state, _ in initial])
     y_init = y.copy()
     R = len(rays)
     t_end = np.array([float(ray.t_max) for ray in rays])
@@ -552,7 +561,7 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
         starts[acc, seg] = y_old
         coeffs[acc, seg] = F
     return RayBatch(manifold=M, sigma=sigma, rays=rays,
-                    weingarten0=[data[5] for data in initial], knots=knots,
+                    weingarten0=[S_xi for _, S_xi in initial], knots=knots,
                     starts=starts, coeffs=coeffs, last=np.maximum(counts - 1, 0))
 
 
@@ -587,12 +596,6 @@ def split_traces(J: np.ndarray, Jp: np.ndarray, m: int):
     S = shape_operator(J, Jp)
     return (np.trace(S[..., :m, :m], axis1=-2, axis2=-1),
             np.trace(S[..., m:, m:], axis1=-2, axis2=-1))
-
-
-def _simpson(vals: np.ndarray, ts: np.ndarray) -> float:
-    h = ts[1] - ts[0]
-    return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
-                            + 2.0 * vals[2:-2:2].sum()))
 
 
 def structural_residuals(solution: RaySolution) -> dict | None:
@@ -657,26 +660,22 @@ def structural_residuals(solution: RaySolution) -> dict | None:
     return out
 
 
-def jy_factors(solution: RaySolution, t: float) -> tuple[float, float]:
-    """Scalar factors (J, Y) with J^m Y^(n-m-1) = det J at time t.
+def growth_factors(ts: np.ndarray, J: np.ndarray, Jp: np.ndarray, m: int):
+    """(phi, psi, J factor, Y factor) of a ray's Jacobi pair along the times ts.
 
-    J = exp(int phi/m); Y is integrated in the regularized form
-    Y = t * exp(int (psi - (n-m-1)/s) / (n-m-1) ds) so the 1/t part of psi
-    is handled exactly.
+    phi and psi are the traces of S = J' J^-1 over the tangent- and
+    normal-born blocks (``split_traces``); the scalar factors
+    J = exp(int phi/m) and Y = t exp(int (psi - d/s)/d ds), d = n-m-1, with
+    J^m Y^d = det J, are integrated from ts[0] by the cumulative trapezoid
+    rule. The regularized form of Y handles the 1/t part of psi exactly.
+    J and J' carry the times on their last leading axis, and every result
+    keeps them on its last axis.
     """
-    n, m = solution.n, solution.m
-    d = n - m - 1
-    if t <= 0.0:
-        return 1.0, 0.0
-    focal = solution.focal_time()
-    if focal is not None and t >= focal - 1e-9:
-        raise FocalSingularityError(
-            f"jy_factors needs t before the focal time {focal:.9g}, got {t}")
-    ts = np.linspace(min(1e-8, 0.1 * t), t, 513)
-    phi, psi = split_traces(*solution.fields(ts)[3:], m)
-    j_scalar = math.exp(_simpson(phi / m, ts)) if m >= 1 else 1.0
+    phi, psi = split_traces(J, Jp, m)
+    d = J.shape[-1] - m
+    j_scalar = np.exp(cumulative_trapezoid(phi / m, ts)) if m >= 1 else np.ones_like(phi)
     if d >= 1:
-        y_scalar = t * math.exp(_simpson((psi - d / ts) / d, ts))
+        y_scalar = ts * np.exp(cumulative_trapezoid((psi - d / ts) / d, ts))
     else:
-        y_scalar = 1.0
-    return float(j_scalar), float(y_scalar)
+        y_scalar = np.ones_like(psi)
+    return phi, psi, j_scalar, y_scalar

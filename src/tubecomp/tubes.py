@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import ChartManifold
 from .models import first_zero, hk_integrand, sphere_volume
 from .quadrature import gauss_legendre_panels
-from .submanifolds import EmbeddedSubmanifold, NormalFiberGrid, frames_at, unit_normal_grid
+from .submanifolds import EmbeddedSubmanifold, NormalFiberGrid, base_node, unit_normal_grid
 from .transport import NormalRay, RayBatch, RayIntegrationError, integrate_rays
 
 __all__ = [
@@ -81,19 +81,14 @@ class TubeSampler:
         self.grid: NormalFiberGrid = unit_normal_grid(
             sigma, M, base_resolution=self.spec.base_resolution,
             fiber_resolution=self.spec.fiber_resolution, rng=self.spec.rng())
-        rays: list[NormalRay] = []
-        weights: list[float] = []
-        self.ray_index: list[tuple[int, int]] = []
-        for b in range(len(self.grid.base_params)):
-            for f in range(len(self.grid.fiber_coeffs)):
-                rays.append(NormalRay(base_param=self.grid.base_params[b],
-                                      xi=self.grid.normal_vector(b, f),
-                                      t_max=self.r_max,
-                                      tolerance=self.spec.ray_tolerance))
-                weights.append(self.grid.base_weights[b] * self.grid.fiber_weights[f])
-                self.ray_index.append((b, f))
-        self.weights = np.array(weights)
-        self.eta_xi = np.array([self.grid.eta_dot_xi(b, f) for b, f in self.ray_index])
+        grid = self.grid
+        self.ray_index = [(b, f) for b in range(len(grid.base_params))
+                          for f in range(len(grid.fiber_coeffs))]
+        rays = [NormalRay(base_param=grid.base_params[b], xi=grid.normals[b, f],
+                          t_max=self.r_max, tolerance=self.spec.ray_tolerance)
+                for b, f in self.ray_index]
+        self.weights = (grid.base_weights[:, None] * grid.fiber_weights).ravel()
+        self.eta_xi = grid.eta_xi.ravel()
         try:
             self.rays: RayBatch = integrate_rays(M, sigma, rays)
         except RayIntegrationError as exc:
@@ -192,16 +187,11 @@ def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,
     for _ in range(n_rays):
         s = (np.zeros(0) if m == 0
              else rng.uniform(box.lo, box.hi))
-        gram_density = 1.0
-        if m > 0:
-            J = sigma.jacobian_at(s)
-            gram = J.T @ M.metric_at(sigma.embed(s)) @ J
-            gram_density = math.sqrt(np.linalg.det(gram))
-        _, normal = frames_at(sigma, M, s)
+        node = base_node(sigma, M, s)
         c = rng.standard_normal(n - m)
         c /= np.linalg.norm(c)
-        rays.append(NormalRay(s, c @ normal, t_max=r, tolerance=spec.ray_tolerance))
-        scales.append(param_measure * gram_density * sphere_volume(d) * r)
+        rays.append(NormalRay(s, c @ node.normal, t_max=r, tolerance=spec.ray_tolerance))
+        scales.append(param_measure * node.gram_density * sphere_volume(d) * r)
         t_samples.append(rng.uniform(0.0, r, size=t_draws))
     batch = integrate_rays(M, sigma, rays)
     ts = np.array(t_samples)

@@ -20,16 +20,18 @@ from .geometry import rho_k
 from .models import (
     BoundReport,
     _denominator_first_zero,
+    lemma52_coefficient,
     model_shape_trace,
     thm1_bound,
     thm1_constants,
 )
+from .quadrature import cumulative_trapezoid
 from .submanifolds import EmbeddedSubmanifold
 from .transport import (
     NormalRay,
+    growth_factors,
     integrate_rays,
     partial_trace,
-    split_traces,
     structural_residuals,
 )
 from .tubes import QuadratureSpec, TubeSampler, tube_volume_monte_carlo
@@ -421,37 +423,33 @@ def check_lemma_51_52(scenario: Scenario, n_rays: int | None = None,
     if eta_max > 1e-6:
         return [BoundReport.precondition_violation(
             "lemma_51_52", f"minimality violated: max |eta| = {eta_max:.3e}")]
-    coef_52 = (2.0 * p - 1.0) / (p - (n - k))
+    coef_52 = lemma52_coefficient(n, k, p)
+    eps = 1e-6
     for i in idx:
         sol = sampler.rays[i]
         focal = sol.focal_time()
         hi = min(sol.t_max, 0.95 * focal if focal is not None else math.inf)
-        eps = 1e-6
+        if hi <= eps:
+            return [BoundReport.precondition_violation("lemma_51_52", (
+                f"ray {i} has no lemma grid after t = {eps:g}: usable ray horizon"
+                f" {hi:g} (ray horizon {scenario.horizon():g})"), usable_horizon=hi)]
         ts = np.linspace(eps, hi, grid_points)
         positions, _, _, Js, Jps = sol.fields(ts)
-        phi, psi = split_traces(Js, Jps, m)
+        phi, psi, j_scalar, y_scalar = growth_factors(ts, Js, Jps, m)
         A = np.linalg.det(Js)
         rho_m = scenario.rho(positions, m)
         rho_k = rho_m if k == m else scenario.rho(positions, k)
         pos_prod = np.maximum(phi, 0.0) * np.maximum(psi, 0.0)
-        # cumulative trapezoid integrals from 0; the [0, eps] sliver is O(eps)
-        def cum(vals):
-            out = np.zeros(len(ts))
-            out[1:] = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(ts))
-            return out
+        # cumulative integrals from t = eps; the [0, eps] sliver is O(eps)
         a_pow = A ** (1.0 / m)
-        int_rho = cum(np.maximum(-rho_m, 0.0) * a_pow)
-        int_prod = cum(pos_prod * a_pow)
-        # J and Y scalars from the phi/psi quadratures
-        log_j = cum(phi / m)
-        j_scalar = np.exp(log_j)
-        y_scalar = ts * np.exp(cum((psi - d / ts) / d) / 1.0) if d >= 1 else np.ones_like(ts)
+        int_rho = cumulative_trapezoid(np.maximum(-rho_m, 0.0) * a_pow, ts)
+        int_prod = cumulative_trapezoid(pos_prod * a_pow, ts)
         jp = (phi / m) * j_scalar
         lhs_51 = jp * y_scalar ** (d / m)
         rhs_51 = int_rho + int_prod / m**2
         worst_51 = min(worst_51, float(np.min(rhs_51 - lhs_51)))
-        int_prod_p = cum(pos_prod**p * A)
-        int_rho_p = cum(np.maximum(-rho_k, 0.0) ** p * A)
+        int_prod_p = cumulative_trapezoid(pos_prod**p * A, ts)
+        int_rho_p = cumulative_trapezoid(np.maximum(-rho_k, 0.0) ** p * A, ts)
         lhs_52 = int_prod_p ** (1.0 / p)
         rhs_52 = coef_52 * int_rho_p ** (1.0 / p)
         worst_52 = min(worst_52, float(np.min(rhs_52 - lhs_52)))

@@ -221,6 +221,9 @@ class TestExitCodes:
         ({"name": "sphere", "n": 3},
          {"name": "great_circle", "plane": [0, 0]},
          "plane"),
+        ({"name": "flat_torus", "n": 4},
+         {"name": "point", "location": [0.0, 1.0, 2.0]},
+         "location"),
     ])
     def test_malformed_submanifold_exit_2(self, tmp_path, capsys, command,
                                           manifold, submanifold, fragment):
@@ -311,9 +314,28 @@ class TestExitCodes:
         ({"scenario": "flat_t4_circle", "declared": {"check_rays": 0}}, [],
          "declared 'check_rays'"),
         ({"suite": "bumps", "name": "two"}, [], "'name'"),
+        (dict(FAST_CONFIG, manifold={"name": "product", "a": 5,
+                                     "b": {"name": "sphere", "n": 2}}), [],
+         "product 'a'"),
+        (dict(FAST_CONFIG, manifold={"name": "product", "a": {"name": "sphere", "n": 2},
+                                     "b": {"name": "warped_product", "fiber_dim": 0}}),
+         [], "warped_product 'fiber_dim'"),
+        (dict(FAST_CONFIG, manifold={"name": "warped_product", "base_interval": 5}), [],
+         "warped_product 'base_interval'"),
+        (dict(FAST_CONFIG, manifold={"name": "warped_product",
+                                     "base_interval": [1.0, -1.0]}), [],
+         "warped_product 'base_interval'"),
+        (dict(FAST_CONFIG, manifold={"name": "warped_product", "fiber_dim": "x"}), [],
+         "warped_product 'fiber_dim'"),
+        (dict(FAST_CONFIG, manifold={"name": "warped_product", "fiber_side": 0}), [],
+         "warped_product 'fiber_side'"),
+        (dict(FAST_CONFIG, manifold={"name": "warped_product", "warp": 3}), [],
+         "warped_product 'warp'"),
     ], ids=["parameters", "tolerance", "tolerance-flag", "resolution-text",
             "resolution-zero", "ray-tolerance", "seed", "seed-flag", "checks", "k",
-            "builtin-declared", "suite-name"])
+            "builtin-declared", "suite-name", "product-a", "product-nested",
+            "warped-interval", "warped-interval-order", "warped-fiber-dim",
+            "warped-fiber-side", "warped-warp"])
     def test_malformed_setting_exit_2(self, tmp_path, capsys, cfg, argv, key):
         assert main(["verify", "--config", write_config(tmp_path, cfg)] + argv) == 2
         err = capsys.readouterr().err
@@ -353,6 +375,16 @@ class TestExitCodes:
         (rep,) = json.loads((out / "report.json").read_text())["reports"]
         assert rep["name"] == "hk_bound" and rep["status"] == "ok"
         assert rep["measured"] == 0.0 and rep["bound"] == 0.0
+
+    @pytest.mark.parametrize("scenario", ["flat_t4_circle", "s3_great_circle"])
+    def test_zero_radius_verify_exit_0(self, capsys, scenario):
+        # the lemma check has no ray grid at horizon 0: a precondition violation
+        assert main(["verify", "--scenario", scenario, "--radii", "0"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "4 precondition violations" in captured.out
+        assert "lemma_51_52 :: ray 0 has no lemma grid" in captured.out
+        assert "usable ray horizon 0 " in captured.out
 
     def test_tube_volume_hk_bound_at_radius_zero(self, tmp_path, capsys):
         cfg = dict(FAST_CONFIG, radii=[0.0, 0.4])
@@ -417,3 +449,10 @@ class TestSettings:
         from tubecomp.tubes import QuadratureSpec
         fields = {f.name for f in dataclasses.fields(QuadratureSpec)} - {"seed"}
         assert set(cli._SCHEMA["quadrature"]) == fields
+
+    def test_schema_names_every_warped_product_parameter(self):
+        import inspect
+
+        from tubecomp.manifolds import warped_product
+        params = set(inspect.signature(warped_product).parameters) - {"dwarp", "d2warp"}
+        assert set(cli._SCHEMA["warped_product"]) == params | {"name"}

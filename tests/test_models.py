@@ -18,6 +18,7 @@ from tubecomp.models import (
     cheeger_delta,
     first_zero,
     hk_integrand,
+    lemma52_coefficient,
     model_shape_trace,
     sn_cs,
     sphere_volume,
@@ -216,6 +217,13 @@ class TestThm1Constants:
         assert c.alpha == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert c.beta == pytest.approx(0.3, rel=1e-15)
         assert c.delta == pytest.approx(17.0, rel=1e-15)
+
+    def test_delta_carries_lemma52_coefficient(self):
+        # (2p - 1)/(p - (n - k)): 7/1 at (4, 1, 4) and 9/2 at (5, 2, 5)
+        assert lemma52_coefficient(4, 1, 4.0) == 7.0
+        assert lemma52_coefficient(5, 2, 5.0) == 4.5
+        c = thm1_constants(4, 1, 6.0, -0.5)
+        assert c.delta == 4.0 * 2 + 4.0 * lemma52_coefficient(4, 1, 6.0)
 
     def test_kappa_negative_curvature(self):
         # mpmath oracle: 36^(2/3) / (4/3)

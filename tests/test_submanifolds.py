@@ -11,10 +11,9 @@ from tubecomp.submanifolds import (
     NonNormalVectorError,
     RankDeficiencyError,
     EmbeddedSubmanifold,
+    base_node,
     build_submanifold,
-    frames_at,
     great_circle,
-    mean_curvature_vector,
     point,
     round_sphere,
     sub_torus,
@@ -22,6 +21,7 @@ from tubecomp.submanifolds import (
     weingarten,
 )
 from tubecomp.geometry import Box
+from tubecomp.transport import NormalRay, integrate_ray
 
 
 def torus4():
@@ -32,7 +32,8 @@ class TestFrames:
     def test_sub_torus_coordinate_splitting(self):
         M = torus4()
         sigma = sub_torus(M, [0], np.array([0.0, 1.0, 2.0, 3.0]))
-        tangent, normal = frames_at(sigma, M, np.array([0.3]))
+        node = base_node(sigma, M, np.array([0.3]))
+        tangent, normal = node.tangent, node.normal
         assert np.allclose(np.abs(tangent), np.eye(4)[:1], atol=1e-12)
         assert np.allclose(np.abs(normal), np.eye(4)[1:], atol=1e-12)
 
@@ -41,17 +42,18 @@ class TestFrames:
         sigma = build_submanifold("equator", M)
         g_at = M.metric_at
         for s in ([0.7, 1.1], [2.0, 4.0]):
-            tangent, normal = frames_at(sigma, M, np.array(s))
+            node = base_node(sigma, M, np.array(s))
             x = sigma.embed(np.array(s))
             g = g_at(x)
-            full = np.vstack([tangent, normal])
+            full = np.vstack([node.tangent, node.normal])
             gram = full @ g @ full.T
             assert np.max(np.abs(gram - np.eye(3))) <= 1e-10
 
     def test_great_circle_frames(self):
         M = manifolds.sphere(3)
         sigma = great_circle(M)
-        tangent, normal = frames_at(sigma, M, np.array([1.2]))
+        node = base_node(sigma, M, np.array([1.2]))
+        tangent, normal = node.tangent, node.normal
         assert tangent.shape == (1, 3) and normal.shape == (2, 3)
         x = sigma.embed(np.array([1.2]))
         g = M.metric_at(x)
@@ -70,15 +72,15 @@ class TestFrames:
             dim=1, embedding=degenerate,
             param_domain=Box([0.0], [2.0 * math.pi], (True,)))
         with pytest.raises(RankDeficiencyError):
-            frames_at(sigma, M, np.array([0.1]))
+            base_node(sigma, M, np.array([0.1]))
 
 
 class TestWeingarten:
     def test_totally_geodesic_sub_torus(self):
         M = torus4()
         sigma = sub_torus(M, [0, 1], np.array([0.0, 0.0, 2.0, 3.0]))
-        tangent, normal = frames_at(sigma, M, np.array([0.3, 0.4]))
-        S = weingarten(sigma, M, np.array([0.3, 0.4]), normal[0])
+        node = base_node(sigma, M, np.array([0.3, 0.4]))
+        S = weingarten(node.second_fundamental, node.metric, node.normal[0])
         assert np.max(np.abs(S)) <= 1e-10
 
     def test_round_sphere_sign_mandatory(self):
@@ -90,10 +92,11 @@ class TestWeingarten:
         s = np.array([1.1, 0.6])
         x = sigma.embed(s)
         outward = x / np.linalg.norm(x)
-        S = weingarten(sigma, M, s, outward)
+        node = base_node(sigma, M, s)
+        S = weingarten(node.second_fundamental, node.metric, outward)
         assert np.allclose(S, (1.0 / a) * np.eye(2), atol=1e-6)
         assert np.max(np.abs(S - S.T)) <= 1e-8
-        eta = mean_curvature_vector(sigma, M, s)
+        eta = node.mean_curvature
         assert np.linalg.norm(eta) == pytest.approx(1.0 / a, abs=1e-6)
         assert eta @ outward == pytest.approx(1.0 / a, abs=1e-6)
 
@@ -101,31 +104,31 @@ class TestWeingarten:
         M = manifolds.sphere(3)
         sigma = build_submanifold("equator", M)
         s = np.array([0.9, 2.2])
-        _, normal = frames_at(sigma, M, s)
-        S = weingarten(sigma, M, s, normal[0])
+        node = base_node(sigma, M, s)
+        S = weingarten(node.second_fundamental, node.metric, node.normal[0])
         assert np.max(np.abs(S)) <= 1e-8
 
     def test_non_normal_vector_rejected(self):
         M = torus4()
         sigma = sub_torus(M, [0], np.array([0.0, 1.0, 2.0, 3.0]))
-        with pytest.raises(NonNormalVectorError):
-            weingarten(sigma, M, np.array([0.3]), np.eye(4)[0])  # tangent dir
-        with pytest.raises(NonNormalVectorError):
-            weingarten(sigma, M, np.array([0.3]), 2.0 * np.eye(4)[1])  # not unit
+        for xi in (np.eye(4)[0],            # tangent dir
+                   2.0 * np.eye(4)[1]):     # not unit
+            with pytest.raises(NonNormalVectorError):
+                integrate_ray(M, sigma, NormalRay(np.array([0.3]), xi, t_max=0.5))
 
 
 class TestMeanCurvature:
     def test_sub_torus_zero(self):
         M = torus4()
         sigma = sub_torus(M, [0], np.array([0.0, 1.0, 2.0, 3.0]))
-        eta = mean_curvature_vector(sigma, M, np.array([0.5]))
+        eta = base_node(sigma, M, np.array([0.5])).mean_curvature
         assert np.max(np.abs(eta)) <= 1e-10
 
     def test_great_circle_geodesic(self):
         M = manifolds.sphere(3)
         sigma = great_circle(M)
         for s in (0.0, 1.0, 2.5, 4.4):
-            eta = mean_curvature_vector(sigma, M, np.array([s]))
+            eta = base_node(sigma, M, np.array([s])).mean_curvature
             x = sigma.embed(np.array([s]))
             g = M.metric_at(x)
             assert math.sqrt(eta @ g @ eta) <= 1e-8
@@ -133,7 +136,10 @@ class TestMeanCurvature:
     def test_point_returns_zero(self):
         M = manifolds.hyperbolic(3)
         sigma = point(M, [0.0, 0.0, 1.0])
-        assert np.allclose(mean_curvature_vector(sigma, M, np.zeros(0)), 0.0)
+        node = base_node(sigma, M, np.zeros(0))
+        assert np.allclose(node.mean_curvature, 0.0)
+        assert node.tangent.shape == (0, 3) and node.normal.shape == (3, 3)
+        assert node.second_fundamental.shape == (0, 0, 3) and node.gram_density == 1.0
 
     def test_weingarten_trace_consistency(self):
         # <eta, xi> from weingarten traces vs the mean curvature vector
@@ -143,12 +149,12 @@ class TestMeanCurvature:
         s = np.array([1.2, 0.7])
         x = sigma.embed(s)
         g = M.metric_at(x)
-        _, normal = frames_at(sigma, M, s)
-        eta = mean_curvature_vector(sigma, M, s)
+        node = base_node(sigma, M, s)
+        normal, eta = node.normal, node.mean_curvature
         for _ in range(5):
             c = rng.standard_normal(1)
             xi = (c[0] * normal[0]) / abs(c[0])
-            S = weingarten(sigma, M, s, xi)
+            S = weingarten(node.second_fundamental, node.metric, xi)
             lhs = np.trace(S) / sigma.dim
             assert lhs == pytest.approx(float(eta @ g @ xi), abs=1e-9)
 
@@ -171,14 +177,14 @@ class TestMeanCurvature:
         s = np.array([0.9])
         x = sigma.embed(s)
         g = M.metric_at(x)
-        _, normal = frames_at(sigma, M, s)
-        eta = mean_curvature_vector(sigma, M, s)
+        node = base_node(sigma, M, s)
+        normal, eta = node.normal, node.mean_curvature
         assert np.linalg.norm(eta) > 1e-3  # genuinely curved
         for _ in range(6):
             c = rng.standard_normal(3)
             c /= np.linalg.norm(c)
             xi = c @ normal
-            S = weingarten(sigma, M, s, xi)
+            S = weingarten(node.second_fundamental, node.metric, xi)
             assert np.trace(S) / 1.0 == pytest.approx(float(eta @ g @ xi),
                                                       abs=1e-9)
 
@@ -213,9 +219,9 @@ class TestUnitNormalGrid:
         M = manifolds.sphere(3)
         sigma = great_circle(M)
         grid = unit_normal_grid(sigma, M, base_resolution=6, fiber_resolution=4)
-        for b in range(len(grid.base_params)):
-            g = M.metric_at(grid.positions[b])
-            full = np.vstack([grid.tangent_frames[b], grid.normal_frames[b]])
+        for node in grid.nodes:
+            g = M.metric_at(node.position)
+            full = np.vstack([node.tangent, node.normal])
             assert np.max(np.abs(full @ g @ full.T - np.eye(3))) <= 1e-10
 
     def test_eta_dot_xi_matches_weingarten_trace(self):
@@ -223,10 +229,11 @@ class TestUnitNormalGrid:
         sigma = round_sphere(M, 0.8)
         grid = unit_normal_grid(sigma, M, base_resolution=6, fiber_resolution=4)
         for b in (0, 3):
+            node = grid.nodes[b]
             for f in range(len(grid.fiber_coeffs)):
-                S = grid.weingarten_block(b, f)
+                S = weingarten(node.second_fundamental, node.metric, grid.normals[b, f])
                 assert np.trace(S) / sigma.dim == pytest.approx(
-                    grid.eta_dot_xi(b, f), abs=1e-9)
+                    grid.eta_xi[b, f], abs=1e-9)
 
     def test_great_circle_volume(self):
         M = manifolds.sphere(3, radius=1.0)

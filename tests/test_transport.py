@@ -8,7 +8,7 @@ import pytest
 from tubecomp import manifolds
 from tubecomp.manifolds import ambient_tangent_to_chart, axes_with_pole
 from tubecomp.submanifolds import (
-    frames_at,
+    base_node,
     great_circle,
     point,
     round_sphere,
@@ -22,9 +22,9 @@ from tubecomp.transport import (
     NormalRay,
     RayIntegrationError,
     _pack,
+    growth_factors,
     integrate_ray,
     integrate_rays,
-    jy_factors,
     partial_trace,
     split_traces,
     structural_residuals,
@@ -106,7 +106,7 @@ class TestIntegrateRay:
 
 def _grid_rays(M, sigma, t_max):
     grid = unit_normal_grid(sigma, M, base_resolution=3, fiber_resolution=3)
-    return [NormalRay(grid.base_params[b], grid.normal_vector(b, f), t_max=t_max)
+    return [NormalRay(grid.base_params[b], grid.normals[b, f], t_max=t_max)
             for b in range(len(grid.base_params))
             for f in range(len(grid.fiber_coeffs))]
 
@@ -128,11 +128,10 @@ def _solve_ivp_reference(M, sigma, ray):
     from scipy.integrate import solve_ivp
 
     from tubecomp.geometry import connection_and_curvature
-    from tubecomp.transport import _initial_data
+    from tubecomp.transport import _initial_state
 
     n = M.dim
-    x0, xi, frame0, J0, Jp0, _ = _initial_data(M, sigma, ray)
-    y0 = np.concatenate([x0, xi, frame0.ravel(), J0.ravel(), Jp0.ravel()])
+    y0, _ = _initial_state(base_node(sigma, M, ray.base_param), ray.xi)
     start, sz = 2 * n + (n - 1) * n, (n - 1) * (n - 1)
 
     def rhs(t, y):
@@ -244,11 +243,11 @@ class TestRayStore:
             assert np.array_equal(states[i], _scipy_reference(batch, i)(times[i]).T)
 
     def test_zero_horizon_ray_is_its_initial_state(self):
-        from tubecomp.transport import _initial_data
+        from tubecomp.transport import _initial_state
 
         M, sigma, ray = s3_circle_ray(t_max=0.0)
         sol = integrate_ray(M, sigma, ray)
-        initial = _pack(*_initial_data(M, sigma, ray)[:5])
+        initial, _ = _initial_state(base_node(sigma, M, ray.base_param), ray.xi)
         assert np.array_equal(_states(sol, 0.0), initial)
         assert np.array_equal(_states(sol, np.array([0.0, 0.5])),
                               np.array([initial, initial]))
@@ -400,7 +399,7 @@ class TestFocalDistance:
         M = manifolds.sphere(3, axes=S3_TILTED_AXES)
         sigma = build_submanifold("equator", M)
         s = np.array([0.9, 2.1])
-        _, normal = frames_at(sigma, M, s)
+        normal = base_node(sigma, M, s).normal
         ray = NormalRay(s, normal[0], t_max=2.2)
         t = integrate_ray(M, sigma, ray).focal_time()
         assert t == pytest.approx(math.pi / 2.0, abs=1e-9)
@@ -426,7 +425,7 @@ class TestFocalDistance:
         M = manifolds.sphere(3, axes=S3_TILTED_AXES)
         sigma = round_sphere(M, 0.8)
         s = np.array([1.1, 0.7])
-        _, normal = frames_at(sigma, M, s)
+        normal = base_node(sigma, M, s).normal
         focals = []
         for sgn in (1.0, -1.0):
             ray = NormalRay(s, sgn * normal[0], t_max=2.6)
@@ -435,11 +434,18 @@ class TestFocalDistance:
         assert max(focals) == pytest.approx(math.pi - 0.8, abs=1e-7)
 
 
+def jy_at(sol, t):
+    """(J, Y) factors at time t, from a 16385-point grid starting at 1e-8."""
+    ts = np.linspace(1e-8, t, 16385)
+    _, _, jj, yy = growth_factors(ts, *sol.fields(ts)[3:], sol.m)
+    return jj[-1], yy[-1]
+
+
 class TestJYFactors:
     def test_flat(self):
         M, sigma, ray = flat_circle_ray()
         sol = integrate_ray(M, sigma, ray)
-        jj, yy = jy_factors(sol, 1.1)
+        jj, yy = jy_at(sol, 1.1)
         assert jj == pytest.approx(1.0, abs=1e-9)
         assert yy == pytest.approx(1.1, rel=1e-9)
 
@@ -447,7 +453,7 @@ class TestJYFactors:
         M, sigma, ray = s3_circle_ray()
         sol = integrate_ray(M, sigma, ray)
         t = 0.9
-        jj, yy = jy_factors(sol, t)
+        jj, yy = jy_at(sol, t)
         assert jj == pytest.approx(math.cos(t), abs=1e-8)
         assert yy == pytest.approx(math.sin(t), abs=1e-8)
 
@@ -460,8 +466,20 @@ class TestJYFactors:
         xi = xi / math.sqrt(xi @ g @ xi)
         sol = integrate_ray(M, sigma, NormalRay(np.array([0.4]), xi, t_max=1.6))
         for t in (0.5, 1.0, 1.5):
-            jj, yy = jy_factors(sol, t)
+            jj, yy = jy_at(sol, t)
             assert jj**1 * yy**2 == pytest.approx(sol.density(t), rel=1e-7)
+
+    def test_factors_keep_leading_axes(self):
+        # a batch of rays gives each ray's own factors along the last axis
+        M, sigma, rays = s3_grid_rays()
+        batch = integrate_rays(M, sigma, rays[:3])
+        ts = np.linspace(1e-6, 1.0, 129)
+        J, Jp = batch.fields(np.broadcast_to(ts, (3, len(ts))))[3:]
+        together = growth_factors(ts, J, Jp, 1)
+        for i, sol in enumerate(batch):
+            alone = growth_factors(ts, *sol.fields(ts)[3:], 1)
+            for a, b in zip(together, alone):
+                assert a.shape == (3, len(ts)) and np.allclose(a[i], b, rtol=1e-12, atol=0)
 
 
 class TestStructuralResiduals:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from tubecomp import manifolds
 from tubecomp.geometry import rho_k
 from tubecomp.manifolds import axes_with_pole
-from tubecomp.submanifolds import great_circle, point, sub_torus
+from tubecomp import submanifolds
+from tubecomp.submanifolds import great_circle, point, round_sphere, sub_torus, weingarten
 from tubecomp.tubes import (
     QuadratureSpec,
     TubeSampler,
@@ -148,6 +150,44 @@ class TestTubeLpDeficit:
         assert computed == pytest.approx(declared, rel=1e-6)
 
 
+class TestBaseNodes:
+    """A sampler builds each base node at most twice, and every ray starts from it."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: (manifolds.sphere(3), great_circle),
+        lambda: (manifolds.hyperbolic(3), lambda M: point(M, [0.0, 0.0, 1.0])),
+    ], ids=["great_circle", "point"])
+    def test_node_routine_runs_at_most_twice_per_node(self, monkeypatch, make):
+        M, build = make()
+        original = submanifolds.base_node
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tubecomp") and vars(module).get("base_node") is original:
+                monkeypatch.setattr(module, "base_node", counted)
+        sampler = TubeSampler(M, build(M), 0.3,
+                              QuadratureSpec(base_resolution=4, fiber_resolution=4))
+        B, F = len(sampler.grid.base_params), len(sampler.grid.fiber_coeffs)
+        assert F > 1 and len(sampler.rays) == B * F
+        assert 0 < len(calls) <= 2 * B
+
+    def test_every_ray_starts_from_its_grid_node(self):
+        M = manifolds.sphere(3)
+        sampler = TubeSampler(M, round_sphere(M, 0.8), 0.3,
+                              QuadratureSpec(base_resolution=3))
+        for (b, f), sol in zip(sampler.ray_index, sampler.rays):
+            node = sampler.grid.nodes[b]
+            xi = sampler.grid.normals[b, f]
+            assert np.array_equal(sol.weingarten0,
+                                  weingarten(node.second_fundamental, node.metric, xi))
+            assert np.abs(sol.weingarten0).max() > 0.1
+            assert np.array_equal(sol.fields(0.0)[0], node.position)
+
+
 class TestHkBound:
     def test_one_rule_per_distinct_eta_xi(self, monkeypatch):
         from tubecomp import tubes
@@ -170,7 +210,7 @@ class TestHkBound:
             # the per-ray loop: one first zero and one 24-node rule per ray
             expect = 0.0
             for (b, f), w in zip(sampler.ray_index, sampler.weights):
-                e = sampler.grid.eta_dot_xi(b, f)
+                e = sampler.grid.eta_xi[b, f]
                 ts, tw = gauss_legendre_panels(0.0, first_zero(H, 3, 1, e, r), 24)
                 expect += w * float(tw @ np.array([hk_integrand(H, 3, 1, e, t)
                                                    for t in ts]))
