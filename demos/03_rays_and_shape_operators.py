@@ -30,7 +30,7 @@ sol = integrate_ray(M, sigma, NormalRay(np.array([0.5]), np.eye(4)[2], t_max=2.0
 S, _ = sol.shape_fields(1.3)
 print(f"  det J(1.3) = {sol.density(1.3):.9f} (= t^2 = {1.3**2})")
 print(f"  S(1.3) diag = {np.round(np.diagonal(S), 9)} (= 0, 1/t, 1/t)")
-print(f"  focal time: {sol.focal_time()} (flat rays never focus)")
+print(f"  focal time: {sol.focal_time()} (inf: flat rays never focus)")
 
 print("\n== great circle in the unit 3-sphere ==")
 M3 = manifolds.sphere(3, axes=axes_with_pole(

@@ -8,13 +8,15 @@ level sets is recovered as S(t) = J'(t) J(t)^{-1} by ``shape_operator``,
 the one place that forms it, and the polar volume density as det J(t).
 A ray is read through arrays of times only: ``RaySolution.fields(ts)``
 gives the state parts, and ``RaySolution.shape_fields(ts)`` adds S behind
-the guards that keep it away from t = 0 and the first focal time.
+the guards that keep it away from t = 0 and the first focal time, which
+``RayBatch.focal_times`` finds for all rays of a batch at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -127,8 +129,8 @@ def _initial_state(node: BaseNode, xi) -> tuple[np.ndarray, np.ndarray]:
     return _pack(node.position, xi, frame0, J0, Jp0), S_xi
 
 
-def _dense_states(knots, starts, coeffs, last, ts) -> np.ndarray:
-    """States (rays, q, state) of stored rays at their own times ts (rays, q).
+def _dense_states(knots, starts, coeffs, last, ts, rows=None) -> np.ndarray:
+    """States (k, q, state) of store rows ``rows`` (default all) at their own times ts (k, q).
 
     Repeats scipy's ``OdeSolution`` and ``Dop853DenseOutput`` operation for
     operation, so every state is bitwise what scipy returns: a time picks
@@ -137,11 +139,10 @@ def _dense_states(knots, starts, coeffs, last, ts) -> np.ndarray:
     interpolant is evaluated by the same Horner scheme in
     x = (t - t_old) / h.
     """
-    rows = np.arange(len(knots))[:, None]
+    rows = (np.arange(len(knots)) if rows is None else np.asarray(rows))[:, None]
     # knots[:, 0] = 0, so counting the later knots below t gives
     # searchsorted(knots, t) - 1 already floored at segment 0
-    seg = np.minimum((knots[:, None, 1:] < ts[..., None]).sum(axis=-1),
-                     last[:, None])
+    seg = np.minimum((knots[rows][..., 1:] < ts[..., None]).sum(axis=-1), last[rows])
     t_old = knots[rows, seg]
     x = ((ts - t_old) / (knots[rows, seg + 1] - t_old))[..., None]
     one_minus_x = 1.0 - x
@@ -161,7 +162,7 @@ class RayBatch(Sequence):
     coefficients coeffs[i, s]; last[i] is the ray's last segment, and knots
     past it are +inf. A ray with t_max = 0 has the one segment [0, inf)
     with zero coefficients, so it evaluates to its initial state. Only this
-    module knows the layout.
+    module knows the layout. ``det_grid`` and ``focal_times()`` are cached read-only.
     """
 
     manifold: ChartManifold
@@ -173,38 +174,111 @@ class RayBatch(Sequence):
     coeffs: np.ndarray       # (rays, segments, 7, state)
     last: np.ndarray         # (rays,)
 
-    def __post_init__(self):
-        arrays = (self.knots, self.starts, self.coeffs, self.last)
-        self._views = [RaySolution(manifold=self.manifold, sigma=self.sigma, ray=ray,
-                                   m=self.sigma.dim, t_max=ray.t_max, weingarten0=w0,
-                                   store=tuple(a[i:i + 1] for a in arrays))
-                       for i, (ray, w0) in enumerate(zip(self.rays, self.weingarten0))]
-
     def __len__(self) -> int:
-        return len(self._views)
+        return len(self.rays)
 
-    def __getitem__(self, i):
-        return self._views[i]
+    def __getitem__(self, i) -> RaySolution:
+        return RaySolution(self, range(len(self.rays))[i])
 
-    def fields(self, ts):
-        """(x, v, E, J, J') of every ray at its own times ts (rays, q)."""
+    def fields(self, ts, rows=None):
+        """(x, v, E, J, J') of rays ``rows`` (default all) at their own times ts (rows, q)."""
         y = _dense_states(self.knots, self.starts, self.coeffs, self.last,
-                          np.asarray(ts, dtype=float))
+                          np.asarray(ts, dtype=float), rows)
         return _split(y, self.manifold.dim)
 
-    def density(self, ts) -> np.ndarray:
-        """det J of every ray at its own times ts (rays, q)."""
-        return np.linalg.det(self.fields(ts)[3])
+    def density(self, ts, rows=None) -> np.ndarray:
+        """det J of rays ``rows`` (default all) at their own times ts (rows, q)."""
+        return np.linalg.det(self.fields(ts, rows)[3])
+
+    @cached_property
+    def det_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ts, det J(ts)), each (rays, 1025): every ray's uniform grid on [0, t_max]."""
+        ts = np.linspace(0.0, [float(ray.t_max) for ray in self.rays], 1025, axis=-1)
+        # one ray per read: a whole-batch read holds (rays, 1025, state) temporaries
+        dets = np.concatenate([self.density(ts[i:i + 1], [i]) for i in range(len(self))])
+        ts.flags.writeable = dets.flags.writeable = False
+        return ts, dets
 
     def focal_times(self) -> np.ndarray:
-        """Every ray's first focal time (``RaySolution.focal_time``), inf if none."""
-        return np.array([math.inf if f is None else f
-                         for f in (sol.focal_time() for sol in self)])
+        """Every ray's first zero of det J in (0, t_max], inf where there is none.
+
+        Every candidate of every ray is bisected to width 1e-10 in lockstep,
+        one store read per step. Candidates are det-grid steps where det J
+        changes sign, and nodes where |det J| has a local minimum below 1e-4
+        of the ray's scale max(1, max |det J|). Such a touching zero is
+        bisected on the sign of det J's central-difference slope (h =
+        min(1e-4, 5 % of the bracket)) and kept if |det J| <= 1e-9 scale
+        there. A ray takes its first kept candidate in grid order, else its
+        last node if |det J| <= 1e-9 scale there. The t -> 0 degeneracy
+        det ~ t^(n-m-1) is never reported.
+        """
+        return self._focal_times
+
+    @cached_property
+    def _focal_times(self) -> np.ndarray:
+        grid, dets = self.det_grid
+        scale = np.maximum(1.0, np.maximum(dets.max(axis=1), -dets.min(axis=1)))
+        found = []      # one ray at a time, so no (rays, 1025) temporaries
+        for i, (row, s) in enumerate(zip(dets, scale)):
+            size = np.abs(row)
+            # sign[j]: det changes sign on [ts[j], ts[j+1]]; touch[j]: |det|
+            # has a near-zero local minimum at the interior node ts[j+1]
+            sign = ((row[:-1] > 0.0) & (row[1:] < 0.0)) | ((row[:-1] < 0.0) & (row[1:] > 0.0))
+            touch = np.append((size[1:-1] <= 1e-4 * s) & (size[1:-1] < size[:-2])
+                              & (size[1:-1] <= size[2:]), False)
+            j = np.flatnonzero(sign | touch)
+            found.append((np.full(len(j), i), j, sign[j]))
+        ray, j, is_sign = (np.concatenate(c) for c in zip(*found))    # grid order per ray
+        a, f, cap = grid[ray, j], dets[ray, j], grid[ray, -1]
+        b = grid[ray, j + np.where(is_sign, 1, 2)]
+        # h = 0 reads a sign bracket's det J at the probe time itself
+        h = np.where(is_sign, 0.0, np.minimum(1e-4, 0.05 * (b - a)))
+        orient = np.ones(len(ray))
+        kept = is_sign.copy()
+
+        def stencil(k, t):
+            """(k, 2) times t -+ h of the brackets k, clamped to [0, t_max]."""
+            return np.stack([np.maximum(t - h[k], 0.0), np.minimum(t + h[k], cap[k])], axis=-1)
+
+        def slopes(k, times, d):
+            """Oriented central-difference slopes of the brackets k from dets d at times."""
+            return orient[k] * ((d[:, 1] - d[:, 0]) / (times[:, 1] - times[:, 0]))
+
+        # a touch bracket is bisected only if its slope goes from - to +
+        k = np.flatnonzero(~is_sign)
+        at_a, at_b = stencil(k, a[k]), stencil(k, b[k])
+        d = self.density(np.column_stack([0.5 * (a[k] + b[k]), at_a, at_b]), ray[k])
+        orient[k] = np.where(d[:, 0] >= 0.0, 1.0, -1.0)
+        f[k] = slopes(k, at_a, d[:, 1:3])
+        kept[k] = (f[k] < 0.0) & (0.0 < slopes(k, at_b, d[:, 3:]))
+        live = kept & (b - a > 1e-10)
+        while live.any():
+            k = np.flatnonzero(live)
+            mid = 0.5 * (a[k] + b[k])
+            times = stencil(k, mid)
+            d = self.density(times, ray[k])
+            # a sign bracket probes det J, a touch bracket its oriented slope
+            fm = d[:, 0]
+            touching = ~is_sign[k]
+            fm[touching] = slopes(k[touching], times[touching], d[touching])
+            low = np.where(is_sign[k], (f[k] > 0) == (fm > 0), (f[k] < 0) == (fm < 0))
+            a[k] = np.where(low, mid, a[k])
+            f[k] = np.where(low, fm, f[k])
+            b[k] = np.where(low, b[k], mid)
+            live[k] = b[k] - a[k] > 1e-10
+        root = 0.5 * (a + b)
+        k = np.flatnonzero(kept & ~is_sign)
+        kept[k] = np.abs(self.density(root[k, None], ray[k])[:, 0]) <= 1e-9 * scale[ray[k]]
+        focal = np.where(np.abs(dets[:, -1]) <= 1e-9 * scale, grid[:, -1], math.inf)
+        first_rays, first = np.unique(ray[kept], return_index=True)
+        focal[first_rays] = root[kept][first]
+        focal.flags.writeable = False
+        return focal
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RaySolution:
-    """One ray of a RayBatch, read at arrays of times in [0, t_max].
+    """Ray ``index`` of a RayBatch, a stateless view read at times in [0, t_max].
 
     ``fields(ts)`` gives (x, v, E, J, J'): position, velocity, parallel
     frame rows (rows 0..m-1 start tangent, the rest normal), and the Jacobi
@@ -212,25 +286,30 @@ class RaySolution:
     operator S = J' J^{-1} together with the fields it was formed from.
     """
 
-    manifold: ChartManifold
-    sigma: EmbeddedSubmanifold
-    ray: NormalRay
-    m: int
-    t_max: float
-    weingarten0: np.ndarray
-    store: tuple = field(repr=False)     # the ray's rows of its RayBatch arrays
-    _dets: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    _focal: float | None | str = field(default="unset", repr=False)
+    batch: RayBatch
+    index: int
 
     @property
     def n(self) -> int:
-        return self.manifold.dim
+        return self.batch.manifold.dim
+
+    @property
+    def m(self) -> int:
+        return self.batch.sigma.dim
+
+    @property
+    def t_max(self) -> float:
+        return self.batch.rays[self.index].t_max
+
+    @property
+    def weingarten0(self) -> np.ndarray:
+        return self.batch.weingarten0[self.index]
 
     def fields(self, ts):
         """(x, v, E, J, J') at a time t or along a 1-D array of times ts."""
         ts = np.asarray(ts, dtype=float)
-        y = _dense_states(*self.store, ts.reshape(1, -1))
-        return _split(y.reshape(ts.shape + y.shape[-1:]), self.n)
+        parts = self.batch.fields(ts.reshape(1, -1), [self.index])
+        return tuple(p[0].reshape(ts.shape + p.shape[2:]) for p in parts)
 
     def density(self, ts):
         """Polar volume density det J at the time or times ts."""
@@ -251,7 +330,7 @@ class RaySolution:
         if (ts <= 0.0).any():
             raise FocalSingularityError("shape operator singular at t = 0")
         focal = self.focal_time()
-        if focal is not None and (ts >= focal - 1e-9).any():
+        if (ts >= focal - 1e-9).any():
             raise FocalSingularityError(
                 f"t={ts[ts >= focal - 1e-9].flat[0]} at/beyond focal time {focal:.9g}")
         fields = self.fields(np.minimum(ts, self.t_max))
@@ -264,88 +343,16 @@ class RaySolution:
                 " at/beyond focal time")
         return shape_operator(J, fields[4]), fields
 
-    def jacobi_dets(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ts, det J(ts)) on the ray's uniform 1025-point grid, computed once."""
-        if self._dets is None:
-            ts = np.linspace(0.0, self.t_max, 1025)
-            self._dets = (ts, self.density(ts))
-        return self._dets
-
     def det_scale(self, ts):
-        """max(1, |det J|) over the det grid up to each time of ts."""
-        grid, dets = self.jacobi_dets()
+        """max(1, |det J|) over the ray's det grid up to each time of ts."""
+        grid, dets = (a[self.index] for a in self.batch.det_grid)
         running = np.maximum(1.0, np.maximum.accumulate(np.abs(dets)))
         last = np.searchsorted(grid, np.asarray(ts) + 1e-12, side="right") - 1
         return np.where(last >= 0, running[np.maximum(last, 0)], 1.0)
 
-    def focal_time(self) -> float | None:
-        """First zero of det J in (0, t_max], or None.
-
-        Odd-multiplicity zeros are located by sign-change bisection;
-        even-multiplicity ones (det touches zero, e.g. cos^2 blocks) by
-        bisecting the sign change of d(det)/dt at a near-zero local
-        minimum of |det|. Candidates are tried in grid order. The t -> 0
-        degeneracy det ~ t^(n-m-1) is not a local minimum and is never
-        reported.
-        """
-        if self._focal != "unset":
-            return self._focal
-        ts, dets = self.jacobi_dets()
-        size = np.abs(dets)
-        scale = max(1.0, float(np.max(size)))
-        # sign[i - 1]: det changes sign on [ts[i-1], ts[i]]; touch[i - 1]:
-        # |det| has a near-zero local minimum at the interior node ts[i]
-        sign = (((dets[:-1] > 0.0) & (dets[1:] < 0.0))
-                | ((dets[:-1] < 0.0) & (dets[1:] > 0.0)))
-        touch = np.zeros_like(sign)
-        touch[:-1] = ((size[1:-1] <= 1e-4 * scale) & (size[1:-1] < size[:-2])
-                      & (size[1:-1] <= size[2:]))
-        focal = None
-        for i in np.flatnonzero(sign | touch) + 1:
-            if sign[i - 1]:
-                a, b = ts[i - 1], ts[i]
-                fa = dets[i - 1]
-                while b - a > 1e-10:
-                    mid = 0.5 * (a + b)
-                    fm = self.density(mid)
-                    if (fa > 0) == (fm > 0):
-                        a, fa = mid, fm
-                    else:
-                        b = mid
-                focal = 0.5 * (a + b)
-                break
-            tstar = self._refine_touching_zero(ts[i - 1], ts[i + 1])
-            if tstar is not None and abs(self.density(tstar)) <= 1e-9 * scale:
-                focal = tstar
-                break
-        if focal is None and abs(dets[-1]) <= 1e-9 * scale:
-            focal = float(ts[-1])
-        self._focal = focal
-        return focal
-
-    def _refine_touching_zero(self, a: float, b: float) -> float | None:
-        """Locate a minimum of |det| inside [a, b] via the slope's sign change."""
-        h = min(1e-4, 0.05 * (b - a))
-
-        def slope(t):
-            lo = max(t - h, 0.0)
-            hi = min(t + h, self.t_max)
-            return (self.density(hi) - self.density(lo)) / (hi - lo)
-
-        sign0 = self.density(0.5 * (a + b)) >= 0.0
-        sa = slope(a) if sign0 else -slope(a)
-        sb = slope(b) if sign0 else -slope(b)
-        if not (sa < 0.0 < sb):
-            return None
-        fa = sa
-        while b - a > 1e-10:
-            mid = 0.5 * (a + b)
-            fm = slope(mid) if sign0 else -slope(mid)
-            if (fa < 0) == (fm < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        return 0.5 * (a + b)
+    def focal_time(self) -> float:
+        """The ray's first focal time from ``RayBatch.focal_times``, inf if none."""
+        return float(self.batch.focal_times()[self.index])
 
 
 def _ray_rhs(M: ChartManifold, Y: np.ndarray) -> np.ndarray:
@@ -610,16 +617,16 @@ def structural_residuals(solution: RaySolution) -> dict | None:
     horizon, when that is below 0.3) to the usable horizon, min(t_max -
     2h, 0.9 focal time), each with its derivative stencil t +- h/2, t +- h
     (h = 1e-4). All 46 times are one ``shape_fields`` read and the 9
-    curvature matrices one curvature call. Returns None when the first
-    sample time would not come after t = 1e-3: the ray is too short.
+    curvature matrices one curvature call. Returns None, the ray too short,
+    when the first sample would come before t = 0.025: there the stencil's
+    own error on the 1/t block of S, h^4 / (4 t^6) per entry, passes 1e-7.
     """
     n, m = solution.n, solution.m
     d = n - m - 1
-    focal = solution.focal_time()
     h, t0 = 1e-4, 1e-3
-    hi = min(solution.t_max if focal is None else 0.9 * focal, solution.t_max - 2.0 * h)
+    hi = min(0.9 * solution.focal_time(), solution.t_max - 2.0 * h)
     lo = 0.25 if hi >= 0.3 else hi / 4.0
-    if lo <= t0:
+    if lo < 0.025:
         return None
     ts = np.linspace(lo, hi, 9)
     # rows 5i..5i+4: ts[i] + (0, h/2, -h/2, h, -h); the last row is t0
@@ -632,7 +639,7 @@ def structural_residuals(solution: RaySolution) -> dict | None:
     S0, J, Jp = S[:, 0], J_all[at_t], Jp_all[at_t]
     central = [(S[:, i] - S[:, i + 1]) / (2.0 * step) for i, step in ((1, h / 2.0), (3, h))]
     Sdot = (4.0 * central[0] - central[1]) / 3.0
-    rmat = frame_curvature(_curvature_batch(solution.manifold, x[at_t])[1],
+    rmat = frame_curvature(_curvature_batch(solution.batch.manifold, x[at_t])[1],
                            E[at_t], v[at_t])
     dlog = (dets_t[:, 3] - dets_t[:, 4]) / (2.0 * h * dets_t[:, 0])
     out = {

@@ -182,7 +182,6 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
 
     for i in idx:
         sol = sampler.rays[i]
-        focal = sol.focal_time()
         frames = []   # (branch, W, w0); w0 is None on the generic branch
         if "tangential" in acc:
             cands = [np.eye(sol.n - 1)[:k]]
@@ -198,15 +197,14 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
             for _ in range(4):
                 frames.append(("generic",
                                _random_orthonormal(rng, k, sol.n - 1), None))
-        hi_all = min(scenario.horizon(),
-                     0.98 * focal if focal is not None else math.inf)
+        hi_all = min(scenario.horizon(), 0.98 * sol.focal_time())
         # each frame's model trace is defined up to its denominator's first zero
         hi_frame = [min(hi_all, 0.98 * _denominator_first_zero(H, w0))
                     for _, _, w0 in frames]
         for (branch, _, _), hi in zip(frames, hi_frame):
             acc[branch]["horizon"] = max(acc[branch]["horizon"], hi)
         hi_max = max(hi_frame, default=0.0)
-        if hi_max <= 0.03:
+        if hi_max < 0.05:
             continue
         ts = np.linspace(max(0.05, hi_max / n_times), hi_max, n_times)
         shapes, (x, v, E, _, _) = sol.shape_fields(ts)
@@ -277,19 +275,14 @@ def check_focal_radius(scenario: Scenario, n_rays: int | None = None) -> BoundRe
     # so the measured quantity is the max over lines of the +-pair minimum
     M, sigma = scenario.manifold, scenario.sigma
     minus_rays = [NormalRay(base_param=sampler.grid.base_params[sampler.ray_index[i][0]],
-                            xi=-sampler.rays[i].ray.xi, t_max=horizon,
+                            xi=-sampler.rays.rays[i].xi, t_max=horizon,
                             tolerance=scenario.quad.ray_tolerance) for i in idx]
-    minus_sols = integrate_rays(M, sigma, minus_rays)
-    pair_minima = []
-    for i, minus_sol in zip(idx, minus_sols):
-        plus = sampler.rays[i].focal_time()
-        minus = minus_sol.focal_time()
-        candidates = [t for t in (plus, minus) if t is not None]
-        if not candidates:
+    pair_minima = np.minimum(sampler.rays.focal_times()[idx],
+                             integrate_rays(M, sigma, minus_rays).focal_times())
+    for i, pair in zip(idx, pair_minima):
+        if pair == math.inf:
             return BoundReport.precondition_violation(
-                "focal_radius",
-                f"no focal point found within {horizon} on ray pair {i}")
-        pair_minima.append(min(candidates))
+                "focal_radius", f"no focal point found within {horizon} on ray pair {i}")
     worst = max(pair_minima)
     rep = BoundReport.from_values(
         "focal_radius", measured=worst, bound=bound + 1e-6,
@@ -427,8 +420,7 @@ def check_lemma_51_52(scenario: Scenario, n_rays: int | None = None,
     eps = 1e-6
     for i in idx:
         sol = sampler.rays[i]
-        focal = sol.focal_time()
-        hi = min(sol.t_max, 0.95 * focal if focal is not None else math.inf)
+        hi = min(sol.t_max, 0.95 * sol.focal_time())
         if hi <= eps:
             return [BoundReport.precondition_violation("lemma_51_52", (
                 f"ray {i} has no lemma grid after t = {eps:g}: usable ray horizon"
@@ -491,7 +483,7 @@ def check_structural_residuals(scenario: Scenario, n_rays: int = 8) -> BoundRepo
         res = structural_residuals(sampler.rays[i])
         if res is None:
             return BoundReport.precondition_violation("structural_residuals", (
-                f"ray {i} too short for the residual stencil after t = 1e-3"
+                f"ray {i} too short for the residual stencil from t = 0.025"
                 f" (ray horizon {scenario.horizon():g})"))
         for key in worst:
             worst[key] = max(worst[key], res[key])

@@ -386,6 +386,18 @@ class TestExitCodes:
         assert "lemma_51_52 :: ray 0 has no lemma grid" in captured.out
         assert "usable ray horizon 0 " in captured.out
 
+    @pytest.mark.parametrize("scenario", ["flat_t4_circle", "s3_great_circle"])
+    def test_horizon_below_hessian_samples_verify_exit_0(self, capsys, scenario):
+        # the Hessian check samples from t = 0.05 on, so a 0.04 horizon gives
+        # it no sample: a precondition violation, not a read past the horizon
+        assert main(["verify", "--scenario", scenario, "--radii", "0.04"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "0 failures" in captured.out
+        for branch in ("tangential", "generic"):
+            assert (f"hessian_comparison[{branch}] :: no sample on 64 rays: usable ray"
+                    " horizon 0.04 (ray horizon 0.04)") in captured.out
+
     def test_tube_volume_hk_bound_at_radius_zero(self, tmp_path, capsys):
         cfg = dict(FAST_CONFIG, radii=[0.0, 0.4])
         assert main(["tube-volume", "--config", write_config(tmp_path, cfg)]) == 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tubecomp import manifolds
+from tubecomp import manifolds, transport
 from tubecomp.manifolds import ambient_tangent_to_chart, axes_with_pole
 from tubecomp.submanifolds import (
     base_node,
@@ -283,7 +283,7 @@ class TestShapeOperator:
         before = integrate_ray(M, sigma, ray)
         scale = before.det_scale(1.0025)
         after = integrate_ray(M, sigma, ray)
-        assert after.focal_time() is None
+        assert after.focal_time() == math.inf
         assert after.det_scale(1.0025) == scale
         assert scale == pytest.approx(math.sinh(1.0025) ** 2, rel=5e-3)
 
@@ -315,8 +315,7 @@ class TestShapeFields:
     def test_batched_read_equals_per_time_reference(self, maker):
         M, sigma, rays = maker()
         sol = integrate_ray(M, sigma, rays[4])
-        focal = sol.focal_time()
-        ts = np.linspace(0.05, sol.t_max if focal is None else 0.9 * focal, 46)
+        ts = np.linspace(0.05, min(sol.t_max, 0.9 * sol.focal_time()), 46)
         S, fields = sol.shape_fields(ts)
         for got, want in zip(fields, sol.fields(ts)):
             assert np.array_equal(got, want)
@@ -343,7 +342,7 @@ class TestShapeFields:
     def test_det_scale_is_the_masked_grid_maximum(self):
         M, sigma, ray = hyperbolic_point_ray(t_max=2.0)
         sol = integrate_ray(M, sigma, ray)
-        grid, dets = sol.jacobi_dets()
+        grid, dets = (a[0] for a in sol.batch.det_grid)
         ts = np.concatenate([[-1.0, 0.0], grid[::37], grid[::41] + 1e-13, [2.0]])
         want = [max(1.0, float(np.max(np.abs(dets[grid <= t + 1e-12]))))
                 if (grid <= t + 1e-12).any() else 1.0 for t in ts]
@@ -419,7 +418,7 @@ class TestFocalDistance:
 
     def test_flat_none_in_range(self):
         M, sigma, ray = flat_circle_ray(t_max=10.0)
-        assert integrate_ray(M, sigma, ray).focal_time() is None
+        assert integrate_ray(M, sigma, ray).focal_time() == math.inf
 
     def test_small_sphere_inward_focus(self):
         M = manifolds.sphere(3, axes=S3_TILTED_AXES)
@@ -432,6 +431,145 @@ class TestFocalDistance:
             focals.append(integrate_ray(M, sigma, ray).focal_time())
         assert min(focals) == pytest.approx(0.8, abs=1e-7)
         assert max(focals) == pytest.approx(math.pi - 0.8, abs=1e-7)
+
+
+def equator_rays(count, t_max=1.8):
+    """The first count rays of the S^3 equator's 36 x 2 normal grid; det J = cos^2 t."""
+    M = manifolds.sphere(3, axes=S3_TILTED_AXES)
+    sigma = build_submanifold("equator", M)
+    grid = unit_normal_grid(sigma, M, base_resolution=6, fiber_resolution=1)
+    rays = [NormalRay(grid.base_params[b], grid.normals[b, f], t_max=t_max)
+            for b in range(len(grid.base_params)) for f in range(2)]
+    return M, sigma, rays[:count]
+
+
+def reference_focal_time(sol):
+    """One ray's focal time by the per-ray search: one single-time read per step."""
+    ts = np.linspace(0.0, sol.t_max, 1025)
+    dets = sol.density(ts)
+    size = np.abs(dets)
+    scale = max(1.0, float(np.max(size)))
+    sign = (((dets[:-1] > 0.0) & (dets[1:] < 0.0))
+            | ((dets[:-1] < 0.0) & (dets[1:] > 0.0)))
+    touch = np.zeros_like(sign)
+    touch[:-1] = ((size[1:-1] <= 1e-4 * scale) & (size[1:-1] < size[:-2])
+                  & (size[1:-1] <= size[2:]))
+    for i in np.flatnonzero(sign | touch) + 1:
+        if sign[i - 1]:
+            a, b, fa = ts[i - 1], ts[i], dets[i - 1]
+            while b - a > 1e-10:
+                mid = 0.5 * (a + b)
+                fm = sol.density(mid)
+                if (fa > 0) == (fm > 0):
+                    a, fa = mid, fm
+                else:
+                    b = mid
+            return 0.5 * (a + b)
+        a, b = ts[i - 1], ts[i + 1]
+        h = min(1e-4, 0.05 * (b - a))
+        sign0 = sol.density(0.5 * (a + b)) >= 0.0
+
+        def slope(t):
+            lo, hi = max(t - h, 0.0), min(t + h, sol.t_max)
+            d = (sol.density(hi) - sol.density(lo)) / (hi - lo)
+            return d if sign0 else -d
+
+        fa = slope(a)
+        if not (fa < 0.0 < slope(b)):
+            continue
+        while b - a > 1e-10:
+            mid = 0.5 * (a + b)
+            fm = slope(mid)
+            if (fa < 0) == (fm < 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        if abs(sol.density(0.5 * (a + b))) <= 1e-9 * scale:
+            return 0.5 * (a + b)
+    return float(ts[-1]) if abs(dets[-1]) <= 1e-9 * scale else math.inf
+
+
+def assert_batch_focal_is_per_ray(M, sigma, rays):
+    """The batch's focal times equal every ray's own, integrated alone, and
+    the per-ray search's, bitwise."""
+    batch = integrate_rays(M, sigma, rays)
+    got = batch.focal_times()
+    assert np.array_equal(got, [integrate_ray(M, sigma, ray).focal_time() for ray in rays])
+    assert np.array_equal(got, [reference_focal_time(sol) for sol in batch])
+    return got
+
+
+class TestFocalSearch:
+    def test_sign_changes_and_no_zero_mixed(self):
+        # det J = cos t sin t changes sign at pi/2; horizons on both sides of it
+        rays = [s3_circle_ray(t_max, psi)[2]
+                for t_max, psi in ((2.0, 0.0), (1.2, 0.4), (3.0, 1.1),
+                                   (1.5, 2.0), (1.65, -0.7))]
+        M, sigma, _ = s3_circle_ray()
+        got = assert_batch_focal_is_per_ray(M, sigma, rays)
+        assert np.array_equal(np.isinf(got), [False, True, False, True, False])
+        assert np.allclose(got[~np.isinf(got)], math.pi / 2.0, atol=1e-9)
+
+    def test_touching_zeros_mixed(self):
+        M, sigma, rays = equator_rays(6)
+        rays = [NormalRay(ray.base_param, ray.xi, t_max=t_max)
+                for ray, t_max in zip(rays, (1.8, 1.0, 2.2, 1.8, 1.4, 2.9))]
+        got = assert_batch_focal_is_per_ray(M, sigma, rays)
+        assert np.array_equal(np.isinf(got), [False, True, False, False, True, False])
+        assert np.allclose(got[~np.isinf(got)], math.pi / 2.0, atol=1e-9)
+
+    def test_first_of_two_zeros_wins(self):
+        # the inward ray of the 0.8 sphere focuses at 0.8 and again at 0.8 + pi
+        M = manifolds.sphere(3, axes=S3_TILTED_AXES)
+        sigma = round_sphere(M, 0.8)
+        s = np.array([1.1, 0.7])
+        normal = base_node(sigma, M, s).normal
+        rays = [NormalRay(s, sgn * normal[0], t_max=4.2) for sgn in (1.0, -1.0)]
+        got = assert_batch_focal_is_per_ray(M, sigma, rays)
+        assert min(got) == pytest.approx(0.8, abs=1e-7)
+        assert max(got) == pytest.approx(math.pi - 0.8, abs=1e-7)
+
+    @pytest.mark.parametrize("gap, focal", [(0.0, 0.5), (1e-7, math.inf)])
+    def test_touching_minimum_is_focal_only_at_a_zero(self, gap, focal):
+        # a one-segment store whose det J is (t - 1/2)^2 + gap on [0, 1]
+        M = manifolds.flat_torus(2)
+        sigma = point(M, [0.0, 0.0])
+        zero = (np.zeros(2), np.zeros(2), np.zeros((1, 2)))
+        start = _pack(*zero, np.array([[0.25 + gap]]), np.zeros((1, 1)))
+        coeffs = np.zeros((7, len(start)))
+        coeffs[1] = _pack(*zero, -np.ones((1, 1)), np.zeros((1, 1)))   # - x (1 - x)
+        batch = transport.RayBatch(
+            manifold=M, sigma=sigma, rays=[NormalRay(np.zeros(0), np.eye(2)[0], t_max=1.0)],
+            weingarten0=[np.zeros((0, 0))], knots=np.array([[0.0, 1.0]]),
+            starts=start[None, None], coeffs=coeffs[None, None], last=np.array([0]))
+        assert batch.focal_times()[0] == pytest.approx(focal, abs=1e-9)
+        assert batch.focal_times()[0] == reference_focal_time(batch[0])
+
+    @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays])
+    def test_grid_batches(self, maker):
+        assert_batch_focal_is_per_ray(*maker())
+
+    def test_search_reads_in_lockstep(self, monkeypatch):
+        # the store reads of the search do not grow with the number of rays
+        reads = []
+        for count in (8, 72):
+            batch = integrate_rays(*equator_rays(count))
+            batch.det_grid     # the per-ray grid reads are not counted
+            calls = []
+            dense = transport._dense_states
+            monkeypatch.setattr(transport, "_dense_states",
+                                lambda *args: calls.append(1) or dense(*args))
+            assert np.allclose(batch.focal_times(), math.pi / 2.0, atol=1e-9)
+            monkeypatch.undo()
+            reads.append(len(calls))
+        assert reads[0] == reads[1] < 40
+
+    def test_cached_arrays_are_read_only(self):
+        batch = integrate_rays(*equator_rays(2))
+        for a in (batch.focal_times(), *batch.det_grid):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert batch.focal_times() is batch.focal_times()
 
 
 def jy_at(sol, t):
@@ -494,6 +632,15 @@ class TestStructuralResiduals:
         assert res["riccati"] <= 1e-5
         assert res["density_power"] <= 1e-3
         assert res["taylor_shape"] <= 1e-2
+
+    def test_samples_start_at_0_025(self):
+        # before it the stencil's own error on the 1/t block of S, which is
+        # the whole Riccati residual of a flat ray, could pass the 1e-5 limit
+        M, sigma, _ = flat_circle_ray()
+        short = integrate_ray(M, sigma, flat_circle_ray(t_max=0.0995)[2])
+        assert structural_residuals(short) is None
+        res = structural_residuals(integrate_ray(M, sigma, flat_circle_ray(t_max=0.11)[2]))
+        assert 0.0 < res["riccati"] <= 1e-6
 
     def test_bump_ray(self):
         M = manifolds.bump_torus(4, amplitude=0.1, width=1.2)
