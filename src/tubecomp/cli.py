@@ -221,7 +221,8 @@ def _apply_settings(sc: Scenario, cfg: dict, seed: int | None,
         if key == "validity_radius":
             sc.manifold.volume_validity_radius = float(value)
         elif key == "rho_exact":
-            sc.rho_declared = _rho_table(value, "declared 'rho_exact'")
+            sc.manifold.rho_exact = {**(sc.manifold.rho_exact or {}),
+                                     **_rho_table(value, "declared 'rho_exact'")}
         elif key in ("totally_geodesic", "hessian_H", "ray_horizon", "check_rays"):
             setattr(sc, key, value)
     sc.checks = tuple(cfg.get("checks", sc.checks))

@@ -555,7 +555,9 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
         i = min(failures)
         t_fail, message = failures[i]
         raise RayIntegrationError(
-            f"ray left the chart or step size collapsed at t={t_fail:.6g}"
+            f"ray s={np.array2string(np.asarray(rays[i].base_param), precision=6)}"
+            f" xi={np.array2string(np.asarray(rays[i].xi), precision=6)}"
+            f" left the chart or step size collapsed at t={t_fail:.6g}"
             f" ({message})", t=t_fail, index=i)
     S = max(int(counts.max()), 1)
     knots = np.full((R, S + 1), np.inf)

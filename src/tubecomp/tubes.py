@@ -18,7 +18,7 @@ from .geometry import ChartManifold
 from .models import first_zero, hk_integrand, sphere_volume
 from .quadrature import gauss_legendre_panels
 from .submanifolds import EmbeddedSubmanifold, NormalFiberGrid, base_node, unit_normal_grid
-from .transport import NormalRay, RayBatch, RayIntegrationError, integrate_rays
+from .transport import NormalRay, RayBatch, integrate_rays
 
 __all__ = [
     "QuadratureSpec",
@@ -82,21 +82,12 @@ class TubeSampler:
             sigma, M, base_resolution=self.spec.base_resolution,
             fiber_resolution=self.spec.fiber_resolution, rng=self.spec.rng())
         grid = self.grid
-        self.ray_index = [(b, f) for b in range(len(grid.base_params))
-                          for f in range(len(grid.fiber_coeffs))]
-        rays = [NormalRay(base_param=grid.base_params[b], xi=grid.normals[b, f],
-                          t_max=self.r_max, tolerance=self.spec.ray_tolerance)
-                for b, f in self.ray_index]
+        rays = [NormalRay(base_param=s, xi=xi, t_max=self.r_max,
+                          tolerance=self.spec.ray_tolerance)
+                for s, row in zip(grid.base_params, grid.normals) for xi in row]
         self.weights = (grid.base_weights[:, None] * grid.fiber_weights).ravel()
         self.eta_xi = grid.eta_xi.ravel()
-        try:
-            self.rays: RayBatch = integrate_rays(M, sigma, rays)
-        except RayIntegrationError as exc:
-            ray = rays[exc.index]
-            raise RayIntegrationError(
-                f"ray s={np.array2string(ray.base_param, precision=6)} "
-                f"xi={np.array2string(ray.xi, precision=6)} failed: {exc}",
-                t=exc.t, index=exc.index) from exc
+        self.rays: RayBatch = integrate_rays(M, sigma, rays)
 
     def _check_horizon(self, r: float):
         if r > self.r_max + 1e-12:

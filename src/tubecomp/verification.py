@@ -26,7 +26,7 @@ from .models import (
     thm1_constants,
 )
 from .quadrature import cumulative_trapezoid
-from .submanifolds import EmbeddedSubmanifold
+from .submanifolds import EmbeddedSubmanifold, unit_normal_grid
 from .transport import (
     NormalRay,
     growth_factors,
@@ -56,6 +56,7 @@ RESIDUAL_LIMITS = {
     "density_power": 1e-3,
     "taylor_shape": 1e-2,
 }
+RESIDUAL_RAYS = 8   # residual subsample size, independent of check_rays
 
 
 @dataclass(eq=False)
@@ -74,10 +75,9 @@ class Scenario:
     checks: tuple[str, ...] = ()
     seed: int = 0
     totally_geodesic: bool = False
-    rho_declared: dict[int, float] | None = None
     hessian_H: float | None = None   # None: certify a bound from samples
     ray_horizon: float | None = None
-    check_rays: int = 16             # ray subsample size for per-ray checks
+    check_rays: int = 16             # rays per Hessian/lemma check; focal: >= 32
     description: str = ""
 
     _sampler_cache: dict = field(default_factory=dict, repr=False)
@@ -86,10 +86,8 @@ class Scenario:
         return np.random.default_rng(self.seed)
 
     def declared_rho(self, k: int) -> float | None:
-        """Declared homogeneous rho_k (the config's over the manifold's), or None."""
-        declared = dict(self.manifold.rho_exact or {})
-        declared.update(self.rho_declared or {})
-        return declared.get(k)
+        """Declared homogeneous rho_k of the manifold, or None."""
+        return (self.manifold.rho_exact or {}).get(k)
 
     def rho(self, X: np.ndarray, k: int) -> np.ndarray:
         """rho_k at each row of X (P, n): the declared value, else the grid estimate."""
@@ -137,9 +135,7 @@ def certify_rho_lower_bound(scenario: Scenario, k: int, H: float,
             "declared_gap": declared_gap}
 
 
-def _ray_subsample(sampler: TubeSampler, limit: int,
-                   rng: np.random.Generator) -> list[int]:
-    total = len(sampler.rays)
+def _ray_subsample(total: int, limit: int, rng: np.random.Generator) -> list[int]:
     if total <= limit:
         return list(range(total))
     return sorted(rng.choice(total, size=limit, replace=False).tolist())
@@ -151,8 +147,7 @@ def _random_orthonormal(rng: np.random.Generator, k: int, dim: int) -> np.ndarra
     return q[:, :k].T
 
 
-def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
-                             n_times: int = 8) -> list[BoundReport]:
+def check_hessian_comparison(scenario: Scenario) -> list[BoundReport]:
     """Partial traces of S(t) against the model trace, both branches.
 
     Each ray gets four k-frames W per branch (tangential: the first k
@@ -168,7 +163,7 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
     m = sigma.dim
     rng = scenario.rng()
     sampler = scenario.sampler(scenario.horizon())
-    idx = _ray_subsample(sampler, n_rays or scenario.check_rays, rng)
+    idx = _ray_subsample(len(sampler.rays), scenario.check_rays, rng)
     err_est = max(1e-7, 100.0 * scenario.quad.ray_tolerance)
 
     # branch -> accumulators: worst slack record, max |slack|, margin, count,
@@ -206,7 +201,7 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
         hi_max = max(hi_frame, default=0.0)
         if hi_max < 0.05:
             continue
-        ts = np.linspace(max(0.05, hi_max / n_times), hi_max, n_times)
+        ts = np.linspace(max(0.05, hi_max / 8), hi_max, 8)
         shapes, (x, v, E, _, _) = sol.shape_fields(ts)
         rmats = frame_curvature(_curvature_batch(M, x)[1], E, v)
         for t, S, rmat in zip(ts, shapes, rmats):
@@ -252,8 +247,12 @@ def check_hessian_comparison(scenario: Scenario, n_rays: int | None = None,
     return reports
 
 
-def check_focal_radius(scenario: Scenario, n_rays: int | None = None) -> BoundReport:
-    """Focal distances against pi / (2 sqrt(H)) under Ric_k >= kH > 0."""
+def check_focal_radius(scenario: Scenario) -> BoundReport:
+    """Focal distances against pi / (2 sqrt(H)) under Ric_k >= kH > 0.
+
+    The sampled lines of the scenario's normal-fiber grid are integrated
+    in one batch, each line as its +xi and -xi rays, to 2.5 times the bound.
+    """
     k, H = scenario.k, scenario.H
     if H <= 0.0:
         return BoundReport.precondition_violation(
@@ -268,17 +267,17 @@ def check_focal_radius(scenario: Scenario, n_rays: int | None = None) -> BoundRe
             certification=cert)
     bound = math.pi / (2.0 * math.sqrt(H))
     horizon = 2.5 * bound
-    rng = scenario.rng()
-    sampler = scenario.sampler(horizon)
-    idx = _ray_subsample(sampler, n_rays or max(32, scenario.check_rays), rng)
+    M, sigma, quad = scenario.manifold, scenario.sigma, scenario.quad
+    grid = unit_normal_grid(sigma, M, base_resolution=quad.base_resolution,
+                            fiber_resolution=quad.fiber_resolution, rng=quad.rng())
+    normals = grid.normals.reshape(-1, M.dim)      # ray i: node i // fibers
+    idx = _ray_subsample(len(normals), max(32, scenario.check_rays), scenario.rng())
     # each normal line focuses within the bound (flip xi when <eta, xi> > 0),
     # so the measured quantity is the max over lines of the +-pair minimum
-    M, sigma = scenario.manifold, scenario.sigma
-    minus_rays = [NormalRay(base_param=sampler.grid.base_params[sampler.ray_index[i][0]],
-                            xi=-sampler.rays.rays[i].xi, t_max=horizon,
-                            tolerance=scenario.quad.ray_tolerance) for i in idx]
-    pair_minima = np.minimum(sampler.rays.focal_times()[idx],
-                             integrate_rays(M, sigma, minus_rays).focal_times())
+    rays = [NormalRay(grid.base_params[i // len(grid.fiber_coeffs)], sign * normals[i],
+                      t_max=horizon, tolerance=quad.ray_tolerance)
+            for i in idx for sign in (1.0, -1.0)]
+    pair_minima = integrate_rays(M, sigma, rays).focal_times().reshape(-1, 2).min(axis=1)
     for i, pair in zip(idx, pair_minima):
         if pair == math.inf:
             return BoundReport.precondition_violation(
@@ -385,8 +384,7 @@ def check_integral_bound(scenario: Scenario, radii,
     return reports
 
 
-def check_lemma_51_52(scenario: Scenario, n_rays: int | None = None,
-                      grid_points: int = 129) -> list[BoundReport]:
+def check_lemma_51_52(scenario: Scenario) -> list[BoundReport]:
     """Per-ray growth-factor inequalities with accumulated ray integrals.
 
     Lemma A: J'(t) Y^((n-m-1)/m) <= int (rho_m)_- A^(1/m) + (1/m^2) int
@@ -407,7 +405,7 @@ def check_lemma_51_52(scenario: Scenario, n_rays: int | None = None,
     d = n - m - 1
     rng = scenario.rng()
     sampler = scenario.sampler(scenario.horizon())
-    idx = _ray_subsample(sampler, n_rays or scenario.check_rays, rng)
+    idx = _ray_subsample(len(sampler.rays), scenario.check_rays, rng)
     worst_51 = math.inf
     worst_52 = math.inf
     worst_52_ratio = None
@@ -425,7 +423,7 @@ def check_lemma_51_52(scenario: Scenario, n_rays: int | None = None,
             return [BoundReport.precondition_violation("lemma_51_52", (
                 f"ray {i} has no lemma grid after t = {eps:g}: usable ray horizon"
                 f" {hi:g} (ray horizon {scenario.horizon():g})"), usable_horizon=hi)]
-        ts = np.linspace(eps, hi, grid_points)
+        ts = np.linspace(eps, hi, 129)
         positions, _, _, Js, Jps = sol.fields(ts)
         phi, psi, j_scalar, y_scalar = growth_factors(ts, Js, Jps, m)
         A = np.linalg.det(Js)
@@ -473,11 +471,11 @@ def check_lemma_51_52(scenario: Scenario, n_rays: int | None = None,
     return [rep51, rep52]
 
 
-def check_structural_residuals(scenario: Scenario, n_rays: int = 8) -> BoundReport:
-    """Evolution-law residuals on a subsample of the scenario's rays."""
+def check_structural_residuals(scenario: Scenario) -> BoundReport:
+    """Evolution-law residuals on RESIDUAL_RAYS of the scenario's rays."""
     rng = scenario.rng()
     sampler = scenario.sampler(scenario.horizon())
-    idx = _ray_subsample(sampler, n_rays, rng)
+    idx = _ray_subsample(len(sampler.rays), RESIDUAL_RAYS, rng)
     worst = {key: 0.0 for key in RESIDUAL_LIMITS}
     for i in idx:
         res = structural_residuals(sampler.rays[i])

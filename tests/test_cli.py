@@ -423,7 +423,7 @@ class TestSettings:
         assert sc.seed == sc.quad.seed == seed and sc.tolerance == tolerance
         assert (sc.quad.base_resolution, sc.quad.chart_resolution) == (2, 3)
         assert (sc.check_rays, sc.ray_horizon, sc.hessian_H) == (3, 0.2, -2.0)
-        assert sc.totally_geodesic is False and sc.rho_declared == {2: 0.5}
+        assert sc.totally_geodesic is False and sc.manifold.rho_exact[2] == 0.5
         assert sc.manifold.volume_validity_radius == 1.0
 
     @pytest.mark.parametrize("form, names", [

@@ -195,6 +195,7 @@ class TestBatchedRays:
         assert err.value.index == 1
         assert 1.9 <= err.value.t <= 2.3
         assert "left the chart" in str(err.value)
+        assert "s=[] xi=[1. 0. 0.]" in str(err.value)
         # the batch position decides, not the failure time
         with pytest.raises(RayIntegrationError) as err:
             integrate_rays(M, sigma, [inside, slanted, axis])

@@ -179,7 +179,9 @@ class TestBaseNodes:
         M = manifolds.sphere(3)
         sampler = TubeSampler(M, round_sphere(M, 0.8), 0.3,
                               QuadratureSpec(base_resolution=3))
-        for (b, f), sol in zip(sampler.ray_index, sampler.rays):
+        F = len(sampler.grid.fiber_coeffs)
+        for i, sol in enumerate(sampler.rays):
+            b, f = divmod(i, F)
             node = sampler.grid.nodes[b]
             xi = sampler.grid.normals[b, f]
             assert np.array_equal(sol.weingarten0,
@@ -209,7 +211,8 @@ class TestHkBound:
             zeros.clear()
             # the per-ray loop: one first zero and one 24-node rule per ray
             expect = 0.0
-            for (b, f), w in zip(sampler.ray_index, sampler.weights):
+            for i, w in enumerate(sampler.weights):
+                b, f = divmod(i, len(sampler.grid.fiber_coeffs))
                 e = sampler.grid.eta_xi[b, f]
                 ts, tw = gauss_legendre_panels(0.0, first_zero(H, 3, 1, e, r), 24)
                 expect += w * float(tw @ np.array([hk_integrand(H, 3, 1, e, t)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tubecomp import manifolds
+from tubecomp import manifolds, verification
 from tubecomp.submanifolds import round_sphere, sub_torus
 from tubecomp.tubes import QuadratureSpec
 from tubecomp.verification import (
@@ -77,7 +77,7 @@ class TestCertification:
         from tubecomp.geometry import rho_k_at
 
         sc = toy_bump_scenario()
-        sc.rho_declared = {1: 0.0}
+        sc.manifold.rho_exact = {1: 0.0}
         M, box = sc.manifold, sc.manifold.domain
         cert = certify_rho_lower_bound(sc, 1, -0.1, samples=64 * 48)
         rng = sc.rng()
@@ -292,14 +292,51 @@ class TestFocalCheck:
     def test_equator_equality(self):
         sc = build_scenario("sn_equator")
         sc.quad = QuadratureSpec(base_resolution=4, fiber_resolution=2)
-        rep = check_focal_radius(sc, n_rays=6)
+        sc.check_rays = 6
+        rep = check_focal_radius(sc)
         assert rep.passed and rep.equality
         assert rep.measured == pytest.approx(math.pi / 2.0, abs=1e-6)
 
+    def test_one_batch_of_sampled_pairs(self, monkeypatch):
+        import sys
+
+        from tubecomp import transport, tubes
+
+        sc = build_scenario("sn_equator")
+        sc.quad = QuadratureSpec(base_resolution=4)
+        integrate_rays, sampler_class = transport.integrate_rays, tubes.TubeSampler
+        batches, builds = [], []
+
+        def counted_rays(M, sigma, rays):
+            batches.append(integrate_rays(M, sigma, rays))
+            return batches[-1]
+
+        def counted_sampler(*args, **kwargs):
+            builds.append(args)
+            return sampler_class(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("tubecomp"):
+                continue
+            if vars(module).get("integrate_rays") is integrate_rays:
+                monkeypatch.setattr(module, "integrate_rays", counted_rays)
+            if vars(module).get("TubeSampler") is sampler_class:
+                monkeypatch.setattr(module, "TubeSampler", counted_sampler)
+        rep = check_focal_radius(sc)
+        lines = rep.details["n_lines"]
+        assert len(batches) == 1 and len(batches[0]) == 2 * lines and not builds
+        (batch,) = batches
+        pairs = batch.focal_times().reshape(-1, 2).min(axis=1)
+        assert rep.measured == max(pairs) and rep.details["focal_radius"] == min(pairs)
+        for j, pair in enumerate(pairs):
+            alone = [integrate_rays(sc.manifold, sc.sigma, [ray]).focal_times()[0]
+                     for ray in batch.rays[2 * j:2 * j + 2]]
+            assert pair == min(alone)
+            assert np.array_equal(batch.rays[2 * j].xi, -batch.rays[2 * j + 1].xi)
+
 
 class TestHessianCheck:
-    def test_flat_both_branches(self, flat_scenario):
-        reports = check_hessian_comparison(flat_scenario, n_rays=4, n_times=5)
+    def test_flat_both_branches(self):
+        reports = check_hessian_comparison(fast_flat_scenario(check_rays=4))
         names = {rep.name for rep in reports}
         assert names == {"hessian_comparison[tangential]",
                          "hessian_comparison[generic]"}
@@ -309,14 +346,14 @@ class TestHessianCheck:
     def test_false_hypothesis_reported(self):
         # claiming H = 0.5 on the flat torus must be caught by the exact
         # per-sample Ric_k evaluation
-        sc = fast_flat_scenario(hessian_H=0.5, checks=("hessian",))
-        reports = check_hessian_comparison(sc, n_rays=4, n_times=4)
+        sc = fast_flat_scenario(hessian_H=0.5, checks=("hessian",), check_rays=4)
+        reports = check_hessian_comparison(sc)
         assert any(rep.status == "precondition-violation" for rep in reports)
 
 
 class TestLemmaCheck:
-    def test_flat_zero_cases(self, flat_scenario):
-        reports = check_lemma_51_52(flat_scenario, n_rays=4, grid_points=65)
+    def test_flat_zero_cases(self):
+        reports = check_lemma_51_52(fast_flat_scenario(check_rays=4))
         assert [rep.name for rep in reports] == ["lemma_51", "lemma_52"]
         for rep in reports:
             assert rep.passed
@@ -330,31 +367,34 @@ class TestLemmaCheck:
 
 
 class TestResidualCheck:
-    def test_flat_passes(self, flat_scenario):
-        rep = check_structural_residuals(flat_scenario, n_rays=3)
+    def test_flat_passes(self, flat_scenario, monkeypatch):
+        monkeypatch.setattr(verification, "RESIDUAL_RAYS", 3)
+        rep = check_structural_residuals(flat_scenario)
         assert rep.passed
         assert set(rep.details["residuals"]) == {
             "riccati", "log_density", "wronskian", "density_power",
             "taylor_shape"}
 
 
-    def test_short_rays_sampled_below_their_horizon(self):
+    def test_short_rays_sampled_below_their_horizon(self, monkeypatch):
         # below a usable horizon of 0.3 the nine sample times start at a
         # quarter of it, so a short ray still reports its residuals; these
         # rays stay in the flat part, where the Wronskian can be exactly 0
         from tubecomp.cli import scenarios_from_config
 
         (sc,) = scenarios_from_config(short_bump_config(0.2))
-        rep = check_structural_residuals(sc, n_rays=2)
+        monkeypatch.setattr(verification, "RESIDUAL_RAYS", 2)
+        rep = check_structural_residuals(sc)
         assert rep.status == "ok" and rep.passed
         for key in ("riccati", "log_density"):
             assert rep.details["residuals"][key] > 0.0
 
-    def test_too_short_rays_are_a_precondition_violation(self):
+    def test_too_short_rays_are_a_precondition_violation(self, monkeypatch):
         from tubecomp.cli import scenarios_from_config
 
         (sc,) = scenarios_from_config(short_bump_config(0.004))
-        rep = check_structural_residuals(sc, n_rays=2)
+        monkeypatch.setattr(verification, "RESIDUAL_RAYS", 2)
+        rep = check_structural_residuals(sc)
         assert rep.status == "precondition-violation"
         assert "horizon 0.004" in rep.details["reason"]
 
@@ -392,17 +432,18 @@ class TestOneReadPerRay:
     """Per-ray checks read each ray's times together: one curvature call per ray."""
 
     def test_hessian_check(self, monkeypatch):
-        sc = fast_flat_scenario()
+        sc = fast_flat_scenario(check_rays=4)
         sc.sampler(sc.horizon())      # rays integrated before counting
         rows = curvature_rows(monkeypatch)
-        check_hessian_comparison(sc, n_rays=4, n_times=5)
-        assert rows == [5, 5, 5, 5]
+        check_hessian_comparison(sc)
+        assert rows == [8, 8, 8, 8]
 
     def test_residual_check(self, monkeypatch):
         sc = fast_flat_scenario()
         sc.sampler(sc.horizon())
         rows = curvature_rows(monkeypatch)
-        check_structural_residuals(sc, n_rays=3)
+        monkeypatch.setattr(verification, "RESIDUAL_RAYS", 3)
+        check_structural_residuals(sc)
         assert rows == [9, 9, 9]
 
 
