@@ -5,7 +5,6 @@ forms, and shows the eigenvalue picture behind rho_k on the product of two
 round spheres (where rho_2 = 0 but rho_3 = 1).
 """
 
-import functools
 import math
 
 import numpy as np
@@ -13,8 +12,9 @@ import numpy as np
 from tubecomp import manifolds
 from tubecomp.geometry import (
     christoffel_at,
-    curvature_eigenvalues,
+    complete_frame,
     curvature_tensor_at,
+    frame_curvature,
     lp_deficit_norm,
     rho_k,
     rho_k_at,
@@ -42,11 +42,13 @@ print("\n== directional curvature eigenvalues on S^2 x S^2 ==")
 P = manifolds.product(manifolds.sphere(2), manifolds.sphere(2))
 xp = np.array([0.1, 0.3, -0.2, 0.4])
 gp = P.metric_at(xp)
+Rp = curvature_tensor_at(P, xp)
 for theta in (0.0, math.pi / 6, math.pi / 4):
     u = np.zeros(4)
     u[0] = math.cos(theta) / math.sqrt(gp[0, 0])
     u[2] = math.sin(theta) / math.sqrt(gp[2, 2])
-    eigs = np.sort(curvature_eigenvalues(P, xp, u))
+    # R(., u)u on u-perp, in a g-orthonormal frame completing u
+    eigs = np.linalg.eigvalsh(frame_curvature(Rp, complete_frame(gp, [u])[1:], u))
     print(f"  mixing angle {theta:.3f}: eigenvalues {np.round(eigs, 6)} "
           f"(expect 0, sin^2, cos^2)")
 
@@ -58,12 +60,12 @@ print("  (rho_2 = 0: a mixed direction with its worst 2-plane kills the sum;"
 
 print("\n== L^p deficit norms ==")
 M2big = manifolds.sphere_colatitude(2, radius=2.0)
-res = lp_deficit_norm(M2big, 1.0, 1.0, functools.partial(
-    rho_k, M2big, k=1, directions=128, refine_rounds=1), resolution=24)
+res = lp_deficit_norm(M2big, 1.0, 1.0, lambda X: rho_k(
+    M2big, X, 1, directions=128, refine_rounds=1).hi, resolution=24)
 print(f"  S^2(radius 2), k=1, H=1, p=1: {res.value:.6f} "
       f"(= (3/4) * 16 pi = {12 * math.pi:.6f}), error est {res.error_estimate:.1e}")
 Mb = manifolds.bump_torus(3, amplitude=0.1)
-res_b = lp_deficit_norm(Mb, -0.05, 3.0, functools.partial(
-    rho_k, Mb, k=1, directions=512, refine_rounds=2), resolution=10)
+res_b = lp_deficit_norm(Mb, -0.05, 3.0, lambda X: rho_k(
+    Mb, X, 1, directions=512, refine_rounds=2).hi, resolution=10)
 print(f"  bump 3-torus, k=1, H=-0.05, p=3: {res_b.value:.6f} "
       f"+- {res_b.error_estimate:.1e} (support-restricted quadrature)")

@@ -26,9 +26,7 @@ from .geometry import (
     SingularMetricError,
     christoffel_at,
     curvature_tensor_at,
-    directional_curvature_operator,
     lp_deficit_norm,
-    ric_k,
     rho_k,
     rho_k_at,
 )
@@ -60,9 +58,7 @@ __all__ = [
     "SingularMetricError",
     "christoffel_at",
     "curvature_tensor_at",
-    "directional_curvature_operator",
     "lp_deficit_norm",
-    "ric_k",
     "rho_k",
     "rho_k_at",
     "manifolds",

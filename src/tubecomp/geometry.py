@@ -29,9 +29,8 @@ __all__ = [
     "christoffel_at",
     "curvature_tensor_at",
     "connection_and_curvature",
-    "directional_curvature_operator",
-    "curvature_eigenvalues",
-    "ric_k",
+    "RhoBracket",
+    "rho_method",
     "rho_k",
     "rho_k_at",
     "lp_deficit_norm",
@@ -316,33 +315,7 @@ def complete_frame(g: np.ndarray, seed_vectors) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# directional curvature, k-Ricci, rho_k
-
-
-def directional_curvature_operator(M: ChartManifold, x: np.ndarray,
-                                   u: np.ndarray) -> np.ndarray:
-    """R(., u)u on u-perp in a g-orthonormal frame: symmetric (n-1, n-1)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    g = M.metric_at(x)
-    norm = math.sqrt(u @ g @ u)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"direction must be g-unit, |u|_g = {norm}")
-    frame = complete_frame(g, [u])[1:]
-    return frame_curvature(curvature_tensor_at(M, x), frame, u)
-
-
-def ric_k(M: ChartManifold, x: np.ndarray, u: np.ndarray, V) -> float:
-    """Partial trace of R(., u)u over the k-dim subspace V of u-perp."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    g = M.metric_at(x)
-    u = u / math.sqrt(u @ g @ u)
-    basis = gram_schmidt(g, [u] + list(V))
-    if len(basis) != 1 + len(V):
-        raise ValueError("V is not orthonormalizable inside u-perp (dimension mismatch)")
-    return float(np.trace(frame_curvature(curvature_tensor_at(M, x), basis[1:], u)))
+# rho_k: the pointwise minimum of Ric_k
 
 
 def _k_plane_minima(rm: np.ndarray, linv: np.ndarray, dirs: np.ndarray,
@@ -365,42 +338,145 @@ def _k_plane_minima(rm: np.ndarray, linv: np.ndarray, dirs: np.ndarray,
     return w[keep].reshape(w.shape[:-1] + (-1,))[..., :k].sum(axis=-1)
 
 
-def curvature_eigenvalues(M: ChartManifold, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the directional curvature operator at (x, u)."""
-    return np.linalg.eigvalsh(directional_curvature_operator(M, x, u))
+# Lambda^2 of an orthonormal 4-frame on the pairs (01, 02, 03, 12, 13, 23).
+# The Hodge star maps e01 <-> e23, e02 <-> -e13, e03 <-> e12: it reverses
+# the pair axis with these signs, and its matrix is the flipped diagonal.
+_PAIR_I = np.array([0, 0, 0, 1, 1, 2])
+_PAIR_J = np.array([1, 2, 3, 2, 3, 3])
+_STAR_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+_STAR = np.fliplr(np.diag(_STAR_SIGNS))
+THORPE_STEPS = 48   # bisection halvings of [-2|R|, 2|R|]
+THORPE_ROUNDING = 32.0 * np.finfo(float).eps   # eigh error per unit of |A|
+
+
+def _star(w: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Hodge star of 2-forms along ``axis`` (exact: a signed permutation)."""
+    shape = [1] * w.ndim
+    shape[axis] = 6
+    return np.flip(w, axis=axis) * _STAR_SIGNS.reshape(shape)
+
+
+def _thorpe_bracket(rm: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the minimum sectional curvature per row of 4-dim tensors.
+
+    R is the curvature operator on Lambda^2 in the orthonormal frame of
+    linv's rows. Thorpe's trick: min sec = max_t lambda_min(R + t *), with
+    equality because the joint numerical range of two real quadratic
+    forms is convex (Brickman). lambda_min(R + t *) is concave and
+    1-Lipschitz in t, and its maximum lies in |t| <= 2 |R|, since
+    lambda_min(R + t *) <= |R| - |t| and lambda_min(R) >= -|R|. Every row
+    bisects that interval in lockstep on the supergradient v.*v of the
+    bottom eigenvector v, so after THORPE_STEPS the maximizer is known to
+    4 |R| 2^-48 and lo to as much. ``lo`` is the largest lambda_min met,
+    less eigh's rounding allowance: a lower bound at any t. ``hi`` is the
+    least R(w, w) over unit decomposable 2-forms w (w.*w = 0), each the
+    curvature of a plane: the six frame planes, the normalized sum of the
+    normalized self-dual and anti-self-dual parts of v at the best t, and
+    the two decomposable elements of the span of the two bottom
+    eigenvectors there, which a double bottom eigenvalue (a kink of the
+    concave function) needs.
+    """
+    rf = np.einsum("bai,bijkl->bajkl", linv, rm)
+    rf = np.einsum("bcj,bajkl->backl", linv, rf)
+    rf = np.einsum("bdk,backl->bacdl", linv, rf)
+    rf = np.einsum("bel,bacdl->bacde", linv, rf)
+    R = rf[:, _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J]
+    R = 0.5 * (R + np.swapaxes(R, 1, 2))
+    radius = 2.0 * np.linalg.norm(R, axis=(1, 2))   # Frobenius >= operator norm
+    a, b = -radius, radius
+    lo = np.full(len(R), -np.inf)
+    vecs = np.zeros_like(R)
+    for _ in range(THORPE_STEPS):
+        t = 0.5 * (a + b)
+        w, V = np.linalg.eigh(R + t[:, None, None] * _STAR)
+        better = w[:, 0] > lo
+        lo[better] = w[better, 0]
+        vecs[better] = V[better]
+        v = V[:, :, 0]
+        rising = np.sum(v * _star(v), axis=1) > 0.0
+        a = np.where(rising, t, a)
+        b = np.where(rising, b, t)
+
+    candidates = []     # (rows, unit decomposable 2-forms of those rows)
+    v = vecs[:, :, 0]
+    plus, minus = 0.5 * (v + _star(v)), 0.5 * (v - _star(v))
+    n_plus, n_minus = np.linalg.norm(plus, axis=1), np.linalg.norm(minus, axis=1)
+    ok = (n_plus > 0.0) & (n_minus > 0.0)
+    candidates.append((ok, (plus[ok] / n_plus[ok, None]
+                            + minus[ok] / n_minus[ok, None]) / math.sqrt(2.0)))
+    # c -> c.Qc on the unit circle, Q = (v1, v2).*(v1, v2), reads
+    # m + r cos(2 theta - phi); its zeros are 2 theta = phi +- arccos(-m / r)
+    pair = vecs[:, :, :2]
+    Q = np.einsum("zia,zib->zab", pair, _star(pair, axis=1))
+    half_diff = 0.5 * (Q[:, 0, 0] - Q[:, 1, 1])
+    m = 0.5 * (Q[:, 0, 0] + Q[:, 1, 1])
+    r = np.hypot(half_diff, Q[:, 0, 1])
+    ok = r >= np.abs(m)
+    phi = np.arctan2(Q[ok, 0, 1], half_diff[ok])
+    turn = np.arccos(np.clip(-m[ok] / np.where(r[ok] > 0.0, r[ok], 1.0), -1.0, 1.0))
+    for theta in (0.5 * (phi + turn), 0.5 * (phi - turn)):
+        c = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        candidates.append((ok, np.einsum("bia,ba->bi", pair[ok], c)))
+    hi = np.min(np.diagonal(R, axis1=1, axis2=2), axis=1)
+    for ok, w2 in candidates:
+        hi[ok] = np.minimum(hi[ok], np.einsum("bi,bij,bj->b", w2, R[ok], w2))
+    # eigh's eigenvalues are exact for a matrix within a few eps |A| of A,
+    # |A| <= |R| + |t| <= 3 |R|_F; lo gives that back
+    lo -= THORPE_ROUNDING * 1.5 * radius
+    return lo, hi
+
+
+def rho_method(n: int, k: int) -> str:
+    """How ``rho_k`` evaluates (n, k): "thorpe" for n = 4, k = 1, else "grid"."""
+    return "thorpe" if (n, k) == (4, 1) else "grid"
+
+
+class RhoBracket(NamedTuple):
+    """Per-row bounds lo <= rho_k <= hi; ``hi`` is a value rho_k attains."""
+
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 RHO_BLOCK = 64   # points per curvature batch; bounds the (rows, n, n, n, n) temporaries
 
 
 def rho_k(M: ChartManifold, X: np.ndarray, k: int, *,
-          directions: int = 2048, refine_rounds: int = 3) -> np.ndarray:
+          directions: int = 2048, refine_rounds: int = 3) -> RhoBracket:
     """Pointwise minimum of Ric_k over unit directions and k-planes, per row of X.
 
-    The inner minimum over k-planes is the sum of the k smallest
-    eigenvalues of the directional operator (exact); the outer minimum
-    over directions uses a deterministic sphere grid plus a greedy
-    coordinate pattern search. Each value is an upper bound for the true
-    minimum (the grid may miss the global minimizer) and does not depend
-    on the other rows. Rows outside a declared curvature support are 0.0.
+    For n = 4, k = 1 (``rho_method``) rho_k is the minimum sectional
+    curvature, bracketed by ``_thorpe_bracket``: hi - lo is at rounding
+    level, and ``directions`` and ``refine_rounds`` are not read. Any other
+    (n, k) takes the direction grid: the inner minimum over k-planes is
+    the sum of the k smallest eigenvalues of the directional operator
+    (exact); the outer minimum over directions uses a deterministic
+    sphere grid plus a greedy coordinate pattern search, and its value,
+    which may miss the global minimizer, is returned as both lo and hi.
+    No value depends on the other rows. Rows outside a declared curvature
+    support are 0.0.
     """
     n = M.dim
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     X = np.asarray(X, dtype=float)
-    out = np.zeros(len(X))
+    lo, hi = np.zeros(len(X)), np.zeros(len(X))
     rows = np.arange(len(X))
     if M.curvature_support is not None:
         # the metric is exactly flat outside the declared support
         rows = rows[M.curvature_support.contains(M.domain.wrap(X))]
     if len(rows) == 0:
-        return out
-    grid = direction_search_grid(n, directions)
+        return RhoBracket(lo, hi)
+    thorpe = rho_method(n, k) == "thorpe"
+    grid = None if thorpe else direction_search_grid(n, directions)
     eye = np.eye(n)
     for start in range(0, len(rows), RHO_BLOCK):
         block = rows[start:start + RHO_BLOCK]
         g, rm = _curvature_batch(M, X[block])
         linv = np.linalg.inv(np.linalg.cholesky(g))
+        if thorpe:
+            lo[block], hi[block] = _thorpe_bracket(rm, linv)
+            continue
         # point-by-point grid scan: jointly, B and C are 17 MB each (n = 4, 2048 dirs)
         vals = np.array([_k_plane_minima(rm[i], linv[i], grid, k)
                          for i in range(len(block))])
@@ -422,14 +498,15 @@ def rho_k(M: ChartManifold, X: np.ndarray, k: int, *,
                 if len(active) == 0:
                     break
             step *= 0.2
-        out[block] = best
-    return out
+        lo[block] = hi[block] = best
+    return RhoBracket(lo, hi)
 
 
 def rho_k_at(M: ChartManifold, x: np.ndarray, k: int, *,
              directions: int = 2048, refine_rounds: int = 3) -> float:
-    """rho_k at one point (see ``rho_k``)."""
-    return float(rho_k(M, [x], k, directions=directions, refine_rounds=refine_rounds)[0])
+    """rho_k at one point: the attained end ``hi`` of ``rho_k``'s bracket."""
+    return float(rho_k(M, [x], k, directions=directions,
+                       refine_rounds=refine_rounds).hi[0])
 
 
 DEFICIT_INFLATION = 1e-3   # safety margin added to the deficit at every node
@@ -446,7 +523,8 @@ def lp_deficit_norm(M: ChartManifold, H: float, p: float,
                     resolution: int = 8) -> DeficitNorm:
     """L^p norm of (rho_k - H)_- over the chart domain, with error estimate.
 
-    ``rho`` maps points (P, n) to rho_k (P,), e.g. ``partial(rho_k, M, k=k)``.
+    ``rho`` maps points (P, n) to rho_k (P,), e.g. ``Scenario.rho`` or
+    ``lambda X: rho_k(M, X, k).hi``.
     Integrates against the Riemannian volume element; the error estimate
     is the difference against a strictly coarser tensor grid, so
     ``resolution`` must be at least 2. When the manifold
@@ -470,7 +548,11 @@ def lp_deficit_norm(M: ChartManifold, H: float, p: float,
         """One grid walk; the norm of the deficit plus each shift."""
         pts, w = region.quadrature_grid(res)
         wd = w * M.sqrt_det_at(pts)
-        deficit = np.maximum(H - rho(pts), 0.0)
+        vals = np.asarray(rho(pts), dtype=float)
+        if vals.shape != (len(pts),):
+            raise ValueError(f"rho must map {len(pts)} points to {len(pts)} values, "
+                             f"got shape {vals.shape}")
+        deficit = np.maximum(H - vals, 0.0)
         return [float(np.sum(wd * (deficit + s)**p)) ** (1.0 / p) for s in shifts]
 
     value, inflated = norms(resolution, 0.0, DEFICIT_INFLATION)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ChartManifold, _curvature_batch, frame_curvature, lp_deficit_norm
-from .geometry import rho_k
+from .geometry import rho_k, rho_method
 from .models import (
     BoundReport,
     _denominator_first_zero,
@@ -90,12 +90,17 @@ class Scenario:
         return (self.manifold.rho_exact or {}).get(k)
 
     def rho(self, X: np.ndarray, k: int) -> np.ndarray:
-        """rho_k at each row of X (P, n): the declared value, else the grid estimate."""
+        """rho_k at each row of X (P, n): the declared value, else ``rho_k``'s hi.
+
+        hi is a value rho_k attains, so a norm of (rho_k - H)_- formed from
+        it is no larger than the true norm, and a bound formed from that
+        norm is no larger than the theorem's: a pass stays earned.
+        """
         declared = self.declared_rho(k)
         if declared is not None:
             return np.full(len(X), declared)
         return rho_k(self.manifold, X, k, directions=self.quad.rho_directions,
-                     refine_rounds=self.quad.rho_refine_rounds)
+                     refine_rounds=self.quad.rho_refine_rounds).hi
 
     def sampler(self, r_max: float) -> TubeSampler:
         """Shared ray cache; rebuilt when the geometry or quadrature changed."""
@@ -117,22 +122,25 @@ def certify_rho_lower_bound(scenario: Scenario, k: int, H: float,
                             samples: int = 512) -> dict:
     """Sampled check that rho_k >= k H on the chart; records the margin.
 
-    Always uses the grid estimator (never declared values): certification
-    is the independent guard on the declared facts. Each sampled point
-    contributes the full direction-grid minimum, so ``samples`` counts
-    point-direction pairs in the spec's sense.
+    Always evaluates ``rho_k`` (never declared values): certification is
+    the independent guard on the declared facts. It reads the bracket's
+    lower end, which is certified on the Thorpe path and is the grid
+    minimum (256 directions, one refine round) elsewhere. ``samples``
+    counts point-direction pairs in the spec's sense; ``bracket_width`` is
+    the largest hi - lo over the sampled points.
     """
     M, box = scenario.manifold, scenario.manifold.domain
     n_points = max(8, samples // 64)
     X = box.wrap(scenario.rng().uniform(box.lo, box.hi, size=(n_points, M.dim)))
-    vals = rho_k(M, X, k, directions=256, refine_rounds=1)
-    worst = float(np.min(vals))
+    lo, hi = rho_k(M, X, k, directions=256, refine_rounds=1)
+    worst = float(np.min(lo))
     declared = scenario.declared_rho(k)
-    declared_gap = 0.0 if declared is None else float(np.max(np.abs(vals - declared)))
+    declared_gap = 0.0 if declared is None else float(np.max(np.abs(lo - declared)))
     margin = worst - k * H
     return {"min_rho_k": worst, "margin": margin, "ok": margin >= -1e-9,
             "samples": n_points * 256, "k": k, "H": H,
-            "declared_gap": declared_gap}
+            "declared_gap": declared_gap, "rho_k_method": rho_method(M.dim, k),
+            "bracket_width": float(np.max(hi - lo))}
 
 
 def _ray_subsample(total: int, limit: int, rng: np.random.Generator) -> list[int]:
@@ -252,6 +260,8 @@ def check_focal_radius(scenario: Scenario) -> BoundReport:
 
     The sampled lines of the scenario's normal-fiber grid are integrated
     in one batch, each line as its +xi and -xi rays, to 2.5 times the bound.
+    On a hypersurface the S^0 fiber grid holds both normals of each line,
+    so lines are drawn from fiber 0 alone and each is integrated once.
     """
     k, H = scenario.k, scenario.H
     if H <= 0.0:
@@ -270,11 +280,12 @@ def check_focal_radius(scenario: Scenario) -> BoundReport:
     M, sigma, quad = scenario.manifold, scenario.sigma, scenario.quad
     grid = unit_normal_grid(sigma, M, base_resolution=quad.base_resolution,
                             fiber_resolution=quad.fiber_resolution, rng=quad.rng())
-    normals = grid.normals.reshape(-1, M.dim)      # ray i: node i // fibers
+    lines = grid.normals[:, :1] if M.dim - sigma.dim == 1 else grid.normals
+    normals = lines.reshape(-1, M.dim)      # line i: node i // lines per node
     idx = _ray_subsample(len(normals), max(32, scenario.check_rays), scenario.rng())
     # each normal line focuses within the bound (flip xi when <eta, xi> > 0),
     # so the measured quantity is the max over lines of the +-pair minimum
-    rays = [NormalRay(grid.base_params[i // len(grid.fiber_coeffs)], sign * normals[i],
+    rays = [NormalRay(grid.base_params[i // lines.shape[1]], sign * normals[i],
                       t_max=horizon, tolerance=quad.ray_tolerance)
             for i in idx for sign in (1.0, -1.0)]
     pair_minima = integrate_rays(M, sigma, rays).focal_times().reshape(-1, 2).min(axis=1)
@@ -325,7 +336,11 @@ def check_integral_bound(scenario: Scenario, radii,
     norm (the theorem as stated; this is the pass/fail one) and one with
     the tube-restricted norm. The global norm is computed once for all
     radii; its safety-inflated variant is recorded in the details whenever
-    the grid rho estimator was used.
+    rho_k is evaluated rather than declared. ``rho_k_method`` names how
+    ("declared", "thorpe" or "grid"). With ``monte_carlo_check``,
+    ``mc_z`` = (Monte Carlo - quadrature volume) / Monte Carlo standard
+    error, and ``mc_consistent`` is |mc_z| <= 3: a Gaussian z-score
+    crosses 3 by chance in 0.27 % of runs.
     """
     M, sigma = scenario.manifold, scenario.sigma
     n, m = M.dim, sigma.dim
@@ -358,7 +373,7 @@ def check_integral_bound(scenario: Scenario, radii,
         measured = sampler.volume(r)
         details_common = {
             "vol_sigma": vol_sigma, "eta_max": eta_max, "r": r,
-            "rho_k_method": "grid+refinement" if declared is None else "declared",
+            "rho_k_method": rho_method(n, k) if declared is None else "declared",
             "mean_curvature_check": "passed",
         }
         if declared is None:
@@ -369,8 +384,8 @@ def check_integral_bound(scenario: Scenario, radii,
             mc_value, mc_err = tube_volume_monte_carlo(M, sigma, r, scenario.quad)
             details_common["mc_volume"] = mc_value
             details_common["mc_stderr"] = mc_err
-            details_common["mc_consistent"] = bool(
-                abs(mc_value - measured.value) <= 3.0 * max(mc_err, 1e-12))
+            details_common["mc_z"] = (mc_value - measured.value) / max(mc_err, 1e-12)
+            details_common["mc_consistent"] = bool(abs(details_common["mc_z"]) <= 3.0)
         for label, norm_value, norm_err in (
                 ("global", global_norm.value, global_norm.error_estimate),
                 ("tube", tube_norm, 0.0)):

@@ -51,9 +51,24 @@ def product_reports():
     return run_suite([build_scenario("s2xs2_factor")]).entries
 
 
+BUMP_GRID_SCANS = []   # direction_search_grid calls made by the bump_torus suite
+
+
 @pytest.fixture(scope="module")
 def bump_reports():
-    return run_suite([build_scenario("bump_torus")]).entries
+    from tubecomp import geometry
+
+    original = geometry.direction_search_grid
+
+    def counted(*args, **kwargs):
+        BUMP_GRID_SCANS.append(args)
+        return original(*args, **kwargs)
+
+    geometry.direction_search_grid = counted
+    try:
+        return run_suite([build_scenario("bump_torus")]).entries
+    finally:
+        geometry.direction_search_grid = original
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +224,15 @@ def test_criterion_8_bump_integral_bound(bump_reports):
     print(f"\n[criterion 8] PASS bump integral bound: measured={glob.measured:.6f} "
           f"bound={glob.bound:.4e} norm={glob.details['deficit_norm']:.6f} "
           f"MC={mc:.4f}+-{mc_err:.4f}")
+
+
+def test_bump_suite_reads_thorpe_brackets(bump_reports):
+    """The shipped bump_torus run takes rho_1 from Thorpe's bracket, never the grid."""
+    assert BUMP_GRID_SCANS == []
+    glob = _one(bump_reports, "bump_torus", "integral_bound[global]")
+    assert glob.details["rho_k_method"] == "thorpe"
+    z = (glob.details["mc_volume"] - glob.measured) / glob.details["mc_stderr"]
+    assert glob.details["mc_z"] == pytest.approx(z, rel=1e-12)
 
 
 def test_criterion_9_cheeger_round_trip():

@@ -1,6 +1,5 @@
 """Curvature, k-Ricci, and deficit-norm tests on the built-in manifolds."""
 
-import functools
 import math
 
 import numpy as np
@@ -13,17 +12,49 @@ from tubecomp.geometry import (
     ChartManifold,
     christoffel_at,
     complete_frame,
-    curvature_eigenvalues,
     curvature_tensor_at,
-    directional_curvature_operator,
+    frame_curvature,
     gram_schmidt,
     lp_deficit_norm,
-    ric_k,
     rho_k,
     rho_k_at,
+    rho_method,
 )
 from tubecomp.geometry import _inverse_spd
 from tubecomp.quadrature import direction_search_grid
+
+
+# -- brute-force oracle: the directional operator R(., u)u, one point at a time
+
+
+def directional_curvature_operator(M, x, u):
+    """R(., u)u on u-perp in a g-orthonormal frame: symmetric (n-1, n-1)."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    g = M.metric_at(x)
+    norm = math.sqrt(u @ g @ u)
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"direction must be g-unit, |u|_g = {norm}")
+    frame = complete_frame(g, [u])[1:]
+    return frame_curvature(curvature_tensor_at(M, x), frame, u)
+
+
+def curvature_eigenvalues(M, x, u):
+    """Ascending eigenvalues of the directional curvature operator at (x, u)."""
+    return np.linalg.eigvalsh(directional_curvature_operator(M, x, u))
+
+
+def ric_k(M, x, u, V):
+    """Partial trace of R(., u)u over the k-dim subspace V of u-perp."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    g = M.metric_at(x)
+    u = u / math.sqrt(u @ g @ u)
+    basis = gram_schmidt(g, [u] + list(V))
+    if len(basis) != 1 + len(V):
+        raise ValueError("V is not orthonormalizable inside u-perp (dimension mismatch)")
+    return float(np.trace(frame_curvature(curvature_tensor_at(M, x), basis[1:], u)))
 
 
 def space_form_tensor(g, c):
@@ -286,14 +317,25 @@ def reference_rho_k_at(M, x, k, *, directions=2048, refine_rounds=3):
     return best
 
 
+def grid_values(M, X, k, **kwargs):
+    """The grid path's rho_k at each row of X, which is both ends of its bracket."""
+    lo, hi = rho_k(M, X, k, **kwargs)
+    assert np.array_equal(lo, hi)
+    return hi
+
+
 def batched_rho_k(M, X, k, batch, **kwargs):
     """rho_k over X in consecutive calls of ``batch`` rows each."""
-    return np.concatenate([rho_k(M, X[i:i + batch], k, **kwargs)
+    return np.concatenate([grid_values(M, X[i:i + batch], k, **kwargs)
                            for i in range(0, len(X), batch)])
 
 
 class TestRhoKBatched:
-    """The batched search against the per-point reference, bitwise."""
+    """The batched grid search against the per-point reference, bitwise.
+
+    k = 1 on n = 4 takes the Thorpe bracket (``TestRhoBracket``), so the
+    4-dimensional cases start at k = 2.
+    """
 
     KW = dict(directions=256, refine_rounds=3)
 
@@ -303,7 +345,7 @@ class TestRhoKBatched:
         X = M.extra["center"] + rng.uniform(-1.25, 1.25, size=(150, 4))
         inside = M.curvature_support.contains(M.domain.wrap(X))
         assert 30 <= inside.sum() <= 120
-        for k in (1, 2, 3):
+        for k in (2, 3):
             expect = np.array([reference_rho_k_at(M, x, k, **self.KW) for x in X])
             assert np.all(expect[~inside] == 0.0)
             assert np.all(expect[inside] != 0.0)
@@ -319,14 +361,16 @@ class TestRhoKBatched:
     def test_manifolds_without_support(self, M):
         rng = np.random.default_rng(3)
         X = M.domain.lo + rng.uniform(0.1, 0.9, size=(70, M.dim)) * M.domain.widths()
-        for k in range(1, M.dim):
+        for k in range(2 if M.dim == 4 else 1, M.dim):
+            assert rho_method(M.dim, k) == "grid"
             expect = np.array([reference_rho_k_at(M, x, k, **self.KW) for x in X])
-            assert np.array_equal(rho_k(M, X, k, **self.KW), expect)
+            assert np.array_equal(grid_values(M, X, k, **self.KW), expect)
             assert np.array_equal(batched_rho_k(M, X, k, 1, **self.KW), expect)
 
     def test_empty_input(self):
         for M in (manifolds.bump_torus(4), manifolds.sphere(3)):
-            assert rho_k(M, np.zeros((0, M.dim)), 1).shape == (0,)
+            lo, hi = rho_k(M, np.zeros((0, M.dim)), 1)
+            assert lo.shape == hi.shape == (0,)
 
     def test_scalar_view(self):
         M = manifolds.bump_torus(4)
@@ -408,16 +452,127 @@ class TestRhoK:
         # a coarse call must not change a later refined call at the same point
         x = np.array([math.pi + 0.3, math.pi - 0.2, math.pi + 0.1, math.pi])
         M = manifolds.bump_torus(4)
-        coarse = rho_k_at(M, x, 1, refine_rounds=0)
-        fresh = rho_k_at(manifolds.bump_torus(4), x, 1, refine_rounds=3)
+        coarse = rho_k_at(M, x, 2, refine_rounds=0)
+        fresh = rho_k_at(manifolds.bump_torus(4), x, 2, refine_rounds=3)
         assert coarse != fresh
-        assert rho_k_at(M, x, 1, refine_rounds=3) == fresh
+        assert rho_k_at(M, x, 2, refine_rounds=3) == fresh
+
+
+def sampled_plane_minimum(rm, g, rng, count=20000):
+    """Least sectional curvature Rm(u, w, u, w) over random g-orthonormal planes."""
+    linv = np.linalg.inv(np.linalg.cholesky(g))
+    q, _ = np.linalg.qr(rng.standard_normal((count, len(g), 2)))
+    u, w = q[:, :, 0] @ linv, q[:, :, 1] @ linv
+    return float(np.min(np.einsum("ijkl,si,sj,sk,sl->s", rm, u, w, u, w, optimize=True)))
+
+
+def operator_norm_bound(rm, g):
+    """Frobenius norm of the curvature operator on Lambda^2 in a g-orthonormal frame."""
+    linv = np.linalg.inv(np.linalg.cholesky(g))
+    rf = np.einsum("ai,bj,ck,dl,ijkl->abcd", linv, linv, linv, linv, rm, optimize=True)
+    return 0.5 * float(np.linalg.norm(rf))
+
+
+def random_curvature_tensors(rng, count):
+    """Algebraic curvature tensors on R^4: sums of Kulkarni-Nomizu squares h o h."""
+    out = np.zeros((count, 4, 4, 4, 4))
+    for _ in range(6):
+        h = rng.standard_normal((count, 4, 4))
+        h = h + np.swapaxes(h, 1, 2)
+        sign = rng.choice([-1.0, 1.0], size=(count, 1, 1, 1, 1))
+        out += sign * (np.einsum("bik,bjl->bijkl", h, h) - np.einsum("bil,bjk->bijkl", h, h))
+    return out * rng.uniform(0.01, 10.0, size=(count, 1, 1, 1, 1))
+
+
+class TestRhoBracket:
+    """rho_1 in dimension 4: Thorpe's bracket lo <= min sec <= hi."""
+
+    def check_bracket(self, lo, hi, rms, gs, rng):
+        for lo_i, hi_i, rm, g in zip(lo, hi, rms, gs):
+            scale = max(1.0, operator_norm_bound(rm, g))
+            oracle = sampled_plane_minimum(rm, g, rng)
+            assert lo_i <= hi_i
+            assert hi_i - lo_i <= 1e-12 * scale
+            assert lo_i <= oracle
+            assert hi_i <= oracle + 1e-12 * scale   # hi is attained, the oracle only sampled
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: (manifolds.bump_torus(4),
+                     np.pi + rng.uniform(-1.1, 1.1, size=(12, 4))),
+        lambda rng: (manifolds.bump_torus(4),
+                     np.pi + np.sign(rng.standard_normal((6, 4))) * rng.uniform(1.3, 2.5, (6, 4))),
+        lambda rng: (manifolds.product(manifolds.sphere(2), manifolds.sphere(2)),
+                     rng.uniform(-1.5, 1.5, size=(12, 4))),
+        lambda rng: (manifolds.flat_torus(4), rng.uniform(0.0, 6.0, size=(6, 4))),
+    ], ids=["bump_inside", "bump_outside", "s2xs2_kink", "flat"])
+    def test_manifold_points(self, make):
+        rng = np.random.default_rng(17)
+        M, X = make(rng)
+        assert rho_method(M.dim, 1) == "thorpe"
+        lo, hi = rho_k(M, X, 1)
+        rms = [curvature_tensor_at(M, x) for x in X]
+        self.check_bracket(lo, hi, rms, M.metric_at(X), rng)
+        if M.curvature_support is not None:
+            inside = M.curvature_support.contains(M.domain.wrap(X))
+            assert np.all(lo[~inside] == 0.0) and np.all(hi[~inside] == 0.0)
+            assert np.all(hi[inside] < 0.0) or not inside.any()
+
+    def test_s2xs2_minimum_is_zero(self):
+        # the minimum sits on a kink of t -> lambda_min(R + t*): mixed planes
+        M = manifolds.product(manifolds.sphere(2), manifolds.sphere(2))
+        X = np.random.default_rng(2).uniform(-1.5, 1.5, size=(32, 4))
+        lo, hi = rho_k(M, X, 1)
+        assert np.all(np.abs(lo) <= 1e-12) and np.all(np.abs(hi) <= 1e-12)
+
+    def test_random_algebraic_tensors(self):
+        from tubecomp.geometry import _thorpe_bracket
+
+        rng = np.random.default_rng(5)
+        rms = random_curvature_tensors(rng, 24)
+        bianchi = (rms + np.einsum("bijkl->biklj", rms) + np.einsum("bijkl->biljk", rms))
+        assert np.max(np.abs(bianchi)) <= 1e-12 * np.max(np.abs(rms))
+        A = rng.standard_normal((24, 4, 4))
+        gs = np.einsum("bij,bkj->bik", A, A) + np.eye(4)
+        linv = np.linalg.inv(np.linalg.cholesky(gs))
+        lo, hi = _thorpe_bracket(rms, linv)
+        self.check_bracket(lo, hi, rms, gs, rng)
+
+    def test_hi_at_most_the_grid(self):
+        M = manifolds.bump_torus(4)
+        X = M.extra["center"] + np.random.default_rng(4).uniform(-1.0, 1.0, size=(16, 4))
+        lo, hi = rho_k(M, X, 1)
+        for x, h in zip(X, hi):
+            grid = reference_rho_k_at(M, x, 1, directions=2048, refine_rounds=3)
+            scale = max(1.0, operator_norm_bound(curvature_tensor_at(M, x), M.metric_at(x)))
+            assert h <= grid + 1e-12 * scale
+
+    def test_batch_invariance(self):
+        M = manifolds.bump_torus(4)
+        X = M.extra["center"] + np.random.default_rng(9).uniform(-1.25, 1.25, size=(150, 4))
+        lo, hi = rho_k(M, X, 1)
+        for batch in (1, 63, 64, 65):
+            parts = [rho_k(M, X[i:i + batch], 1) for i in range(0, len(X), batch)]
+            assert np.array_equal(np.concatenate([p.lo for p in parts]), lo), batch
+            assert np.array_equal(np.concatenate([p.hi for p in parts]), hi), batch
+        assert rho_k_at(M, X[0], 1) == hi[0]
+
+    def test_grid_settings_not_read(self):
+        M = manifolds.bump_torus(4)
+        X = M.extra["center"] + np.array([[0.3, -0.2, 0.1, 0.0], [0.5, 0.4, -0.6, 0.2]])
+        a = rho_k(M, X, 1)
+        b = rho_k(M, X, 1, directions=16, refine_rounds=0)
+        assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+
+    def test_deficit_norm_rejects_a_bracket(self):
+        M = manifolds.bump_torus(4)
+        with pytest.raises(ValueError, match="values"):
+            lp_deficit_norm(M, -0.1, 4.0, lambda X: rho_k(M, X, 1), resolution=2)
 
 
 def grid_rho(M, k, directions, refine_rounds):
-    """The grid rho_k of M as the (P, n) -> (P,) callable lp_deficit_norm takes."""
-    return functools.partial(rho_k, M, k=k, directions=directions,
-                             refine_rounds=refine_rounds)
+    """rho_k's hi on M as the (P, n) -> (P,) callable lp_deficit_norm takes."""
+    return lambda X: rho_k(M, X, k, directions=directions,
+                           refine_rounds=refine_rounds).hi
 
 
 class TestLpDeficitNorm:
@@ -464,9 +619,9 @@ class TestLpDeficitNorm:
         centred = manifolds.bump_torus(4, center=[math.pi] * 4, width=1.2)
         x = np.array([[6.083, 0.3, 0.4, 0.2]])
         kw = dict(directions=128, refine_rounds=1)
-        expect = rho_k(centred, np.mod(x - 0.3 + math.pi, 2.0 * math.pi), 1, **kw)
+        expect = rho_k(centred, np.mod(x - 0.3 + math.pi, 2.0 * math.pi), 1, **kw).hi
         assert expect[0] < 0.0
-        assert rho_k(M, x, 1, **kw) == pytest.approx(expect, rel=1e-9)
+        assert rho_k(M, x, 1, **kw).hi == pytest.approx(expect, rel=1e-9)
 
     def test_error_estimate_positive_at_resolution_3(self):
         # the coarse comparison grid is strictly coarser than the fine one

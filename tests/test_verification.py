@@ -1,7 +1,6 @@
 """Scenario checks: equality detection, precondition guards, suite aggregation."""
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -88,6 +87,28 @@ class TestCertification:
         assert cert["declared_gap"] == max(abs(v - 0.0) for v in vals)
 
 
+    def test_method_and_bracket_width(self, flat_scenario):
+        cert = certify_rho_lower_bound(flat_scenario, 1, 0.0, samples=128)
+        assert cert["rho_k_method"] == "thorpe" and cert["bracket_width"] == 0.0
+        cert = certify_rho_lower_bound(flat_scenario, 2, 0.0, samples=128)
+        assert cert["rho_k_method"] == "grid" and cert["bracket_width"] == 0.0
+        sc = build_scenario("bump_torus")
+        cert = certify_rho_lower_bound(sc, 1, -0.1, samples=64 * 16)
+        assert cert["rho_k_method"] == "thorpe"
+        assert 0.0 < cert["bracket_width"] <= 1e-12
+        assert cert["min_rho_k"] < 0.0
+
+    def test_reads_the_lower_end(self, monkeypatch):
+        from tubecomp.geometry import RhoBracket
+
+        sc = fast_flat_scenario()
+        monkeypatch.setattr(verification, "rho_k", lambda M, X, k, **kw: RhoBracket(
+            np.full(len(X), -0.25), np.zeros(len(X))))
+        cert = certify_rho_lower_bound(sc, 1, 0.0, samples=128)
+        assert cert["min_rho_k"] == -0.25 and not cert["ok"]
+        assert cert["bracket_width"] == 0.25
+
+
 class TestDeclaredRho:
     def test_config_overrides_manifold(self):
         from tubecomp.cli import scenarios_from_config
@@ -111,7 +132,7 @@ class TestDeclaredRho:
         X = sc.manifold.extra["center"] + np.array([[0.1, 0.2, -0.3], [0.5, 0.0, 0.2]])
         assert sc.declared_rho(1) is None
         assert np.array_equal(sc.rho(X, 1), rho_k(sc.manifold, X, 1, directions=64,
-                                                   refine_rounds=0))
+                                                   refine_rounds=0).hi)
 
     def test_flat_checks_never_evaluate_curvature(self, monkeypatch):
         from tubecomp import geometry, verification
@@ -160,6 +181,15 @@ class TestIntegralCheck:
             assert rep.details["rho_k_method"] == "declared"
         variants = {rep.details["norm_variant"] for rep in reports}
         assert variants == {"global", "tube"}
+
+    def test_method_and_monte_carlo_z_score(self):
+        sc = toy_bump_scenario(radii=(0.4,))
+        (glob, tube) = check_integral_bound(sc, sc.radii, monte_carlo_check=True)
+        for rep in (glob, tube):
+            assert rep.details["rho_k_method"] == "grid"
+            z = (rep.details["mc_volume"] - rep.measured) / rep.details["mc_stderr"]
+            assert rep.details["mc_z"] == pytest.approx(z, rel=1e-12)
+            assert rep.details["mc_consistent"] == (abs(rep.details["mc_z"]) <= 3.0)
 
     def test_hypersurface_rejected(self):
         M = manifolds.sphere(3)
@@ -260,8 +290,8 @@ class TestRadiusIndependentWork:
         expect = float(np.sum(w * dens * (deficit + 1e-3) ** p)) ** (1.0 / p)
         assert DEFICIT_INFLATION == 1e-3
         assert expect > float(np.sum(w * dens * deficit**p)) ** (1.0 / p)
-        norm = lp_deficit_norm(M, H, p, functools.partial(
-            rho_k, M, k=k, directions=64, refine_rounds=0), resolution=3)
+        norm = lp_deficit_norm(M, H, p, lambda X: rho_k(
+            M, X, k, directions=64, refine_rounds=0).hi, resolution=3)
         assert norm.inflated == pytest.approx(expect, rel=1e-12)
         glob = check_integral_bound(sc, sc.radii)[0]
         assert glob.details["global_norm_inflated"] == norm.inflated
@@ -296,6 +326,26 @@ class TestFocalCheck:
         rep = check_focal_radius(sc)
         assert rep.passed and rep.equality
         assert rep.measured == pytest.approx(math.pi / 2.0, abs=1e-6)
+
+    def test_hypersurface_lines_drawn_once(self, monkeypatch):
+        # the S^0 fiber holds both normals of a line; each line is drawn once
+        from tubecomp import transport
+
+        sc = build_scenario("sn_equator")
+        integrate_rays = transport.integrate_rays
+        batches = []
+
+        def counted_rays(M, sigma, rays):
+            batches.append(integrate_rays(M, sigma, rays))
+            return batches[-1]
+        monkeypatch.setattr(verification, "integrate_rays", counted_rays)
+        rep = check_focal_radius(sc)
+        (batch,) = batches
+        rays = {(tuple(np.atleast_1d(ray.base_param)), tuple(ray.xi)) for ray in batch.rays}
+        assert len(rays) == len(batch.rays) == 2 * rep.details["n_lines"] == 64
+        assert rep.passed and rep.equality
+        assert abs(rep.measured - math.pi / 2.0) <= 1e-7
+        assert abs(rep.details["focal_radius"] - math.pi / 2.0) <= 1e-7
 
     def test_one_batch_of_sampled_pairs(self, monkeypatch):
         import sys
