@@ -63,5 +63,6 @@ print(f"  tr S(1) = {np.trace(solh.shape_fields(1.0)[0]):.9f} "
 print(f"  det J(1) = {solh.density(1.0):.9f} (= sinh^2 1 = {math.sinh(1.0)**2:.9f})")
 
 print("\n== evolution-law residuals along the hyperbolic ray ==")
-for key, val in structural_residuals(solh).items():
-    print(f"  {key:>14}: {val:.3e}")
+res = structural_residuals(solh)
+for key, err in res.pop("error").items():
+    print(f"  {key:>14}: {res[key]:.3e}  (stencil error {err:.1e})")

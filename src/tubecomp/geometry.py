@@ -150,49 +150,48 @@ FD_STEP_FIRST = 1e-5    # central-difference step for first derivatives
 FD_STEP_SECOND = 1e-4   # central-difference step for second derivatives
 
 
+def fd_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
+    """d_k f at the points x (..., d) by central differences: (..., d) + f's shape."""
+    d, lead = x.shape[-1], x.ndim - 1
+    vals = np.moveaxis(f(np.concatenate([x[..., None, :] + h * np.eye(d),
+                                         x[..., None, :] - h * np.eye(d)], axis=-2)), lead, 0)
+    return np.moveaxis((vals[:d] - vals[d:]) / (2.0 * h), 0, lead)
+
+
+def fd_hessian(f, x: np.ndarray, h: float) -> np.ndarray:
+    """d_k d_l f at the points x (..., d) by central differences: (..., d, d) + f's shape.
+
+    (f(x + h e_k) - 2 f(x) + f(x - h e_k)) / h^2 on the diagonal and
+    (f(x + h(e_k + e_l)) - f(x + h(e_k - e_l)) - f(x - h(e_k - e_l))
+    + f(x - h(e_k + e_l))) / (4 h^2) off it; f reads every stencil point,
+    x first, in one call on (..., points, d).
+    """
+    d, lead = x.shape[-1], x.ndim - 1
+    eye = np.eye(d)
+    k, l = np.triu_indices(d, 1)
+    plus, minus = eye[k] + eye[l], eye[k] - eye[l]
+    steps = np.concatenate([np.zeros((1, d)), eye, -eye, plus, minus, -minus, -plus])
+    g0, gp, gm, gpp, gpm, gmp, gmm = np.split(np.moveaxis(f(x[..., None, :] + h * steps), lead, 0),
+                                              np.cumsum([1, d, d] + [len(k)] * 3))
+    g0 = g0[0]
+    out = np.empty((d, d) + g0.shape)
+    out[np.arange(d), np.arange(d)] = (gp - 2.0 * g0 + gm) / h**2
+    out[k, l] = out[l, k] = (gpp - gpm - gmp + gmm) / (4.0 * h**2)
+    return np.moveaxis(out, (0, 1), (lead, lead + 1))
+
+
 def _grad_at(M: ChartManifold, xs: np.ndarray) -> np.ndarray:
     """dg[b, k, i, j] = d_k g_ij at each row of xs (B, n)."""
     if M.metric_grad is not None:
         return np.asarray(M.metric_grad(xs), dtype=float)
-    n, h = M.dim, FD_STEP_FIRST
-    eye = np.eye(n)
-    pts = np.concatenate([xs[:, None, :] + h * eye, xs[:, None, :] - h * eye], axis=1)
-    vals = M.metric_at(pts)
-    return (vals[:, :n] - vals[:, n:]) / (2.0 * h)
+    return fd_gradient(M.metric_at, xs, FD_STEP_FIRST)
 
 
 def _hess_at(M: ChartManifold, xs: np.ndarray) -> np.ndarray:
     """d2g[b, k, l, i, j] = d_k d_l g_ij at each row of xs (B, n)."""
     if M.metric_hess is not None:
         return np.asarray(M.metric_hess(xs), dtype=float)
-    n, h = M.dim, FD_STEP_SECOND
-    B = xs.shape[0]
-    eye = np.eye(n)
-    stencil = [xs]
-    for k in range(n):
-        stencil.append(xs + h * eye[k])
-        stencil.append(xs - h * eye[k])
-    pair_index = {}
-    for k in range(n):
-        for l in range(k + 1, n):
-            pair_index[(k, l)] = len(stencil)
-            stencil.append(xs + h * (eye[k] + eye[l]))
-            stencil.append(xs + h * (eye[k] - eye[l]))
-            stencil.append(xs - h * (eye[k] - eye[l]))
-            stencil.append(xs - h * (eye[k] + eye[l]))
-    vals = M.metric_at(np.stack(stencil, axis=1))
-    g0 = vals[:, 0]
-    d2 = np.empty((B, n, n, n, n))
-    for k in range(n):
-        gp, gm = vals[:, 1 + 2 * k], vals[:, 2 + 2 * k]
-        d2[:, k, k] = (gp - 2.0 * g0 + gm) / h**2
-    for (k, l), base in pair_index.items():
-        gpp, gpm, gmp, gmm = (vals[:, base], vals[:, base + 1],
-                              vals[:, base + 2], vals[:, base + 3])
-        mixed = (gpp - gpm - gmp + gmm) / (4.0 * h**2)
-        d2[:, k, l] = mixed
-        d2[:, l, k] = mixed
-    return d2
+    return fd_hessian(M.metric_at, xs, FD_STEP_SECOND)
 
 
 def _inverse_spd(g: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -205,27 +204,35 @@ def _inverse_spd(g: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _connection_batch(M: ChartManifold, xs: np.ndarray):
-    """(g, g^-1, dg, A, Gamma) at each row of xs, Gamma^i_lj = g^ia A_alj / 2."""
+    """(g, A, Gamma) at each row of xs: A_alj = 2 Gamma_a,lj and Gamma^i_lj = g^ia A_alj / 2."""
     g = M.metric_at(xs)
     _, ginv = _inverse_spd(g, M.name)
     dg = _grad_at(M, xs)
+    B, n = dg.shape[:2]
     A = np.einsum("blaj->balj", dg) + np.einsum("bjal->balj", dg) - dg
-    return g, ginv, dg, A, 0.5 * np.einsum("bia,balj->bilj", ginv, A)
+    return g, A, 0.5 * (ginv @ A.reshape(B, n, n * n)).reshape(B, n, n, n)
 
 
 def _curvature_batch(M: ChartManifold, xs: np.ndarray,
                      want_gamma: bool = False):
-    """Batched all-lowered curvature tensor Rm[b,i,j,k,l] (and optionally Gamma)."""
-    g, ginv, dg, A, gamma = _connection_batch(M, xs)
+    """Batched all-lowered curvature tensor Rm[b,p,j,k,l] (and optionally Gamma).
+
+    From the lowered Christoffel symbols, with no derivative of g^-1:
+    Rm_pjkl = (d_k d_j g_pl - d_k d_p g_lj - d_l d_j g_pk + d_l d_p g_kj) / 2
+    + Q_lpkj - Q_kplj, Q_lpkj = sum_d A_dlp Gamma^d_kj / 2, where Q is one
+    batched (n^2, n) @ (n, n^2) product and the d2g terms are transposed
+    views. The metric, gradient and Hessian callbacks each read xs once (a
+    chart whose callbacks share one jet, like ``bump_torus``, evaluates it
+    once per call); every row's result depends on that row alone.
+    """
+    g, A, gamma = _connection_batch(M, xs)
     d2g = _hess_at(M, xs)
-    dA = (np.einsum("bklaj->bkalj", d2g) + np.einsum("bkjal->bkalj", d2g) - d2g)
-    dginv = -np.einsum("bic,bkcd,bda->bkia", ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum("bkia,balj->bkilj", dginv, A)
-                    + np.einsum("bia,bkalj->bkilj", ginv, dA))
-    rup = (np.einsum("bkilj->bijkl", dgamma) - np.einsum("blikj->bijkl", dgamma)
-           + np.einsum("bika,balj->bijkl", gamma, gamma)
-           - np.einsum("bila,bakj->bijkl", gamma, gamma))
-    rm = np.einsum("bia,bajkl->bijkl", g, rup)
+    B, n = A.shape[:2]
+    Q = 0.5 * (np.swapaxes(A.reshape(B, n, n * n), 1, 2)
+               @ gamma.reshape(B, n, n * n)).reshape(B, n, n, n, n)
+    rm = (0.5 * (d2g.transpose(0, 3, 2, 1, 4) - d2g.transpose(0, 2, 4, 1, 3)
+                 - d2g.transpose(0, 3, 2, 4, 1) + d2g.transpose(0, 2, 4, 3, 1))
+          + Q.transpose(0, 2, 4, 3, 1) - Q.transpose(0, 2, 4, 1, 3))
     if want_gamma:
         return g, gamma, rm
     return g, rm
@@ -338,15 +345,39 @@ def _k_plane_minima(rm: np.ndarray, linv: np.ndarray, dirs: np.ndarray,
     return w[keep].reshape(w.shape[:-1] + (-1,))[..., :k].sum(axis=-1)
 
 
-# Lambda^2 of an orthonormal 4-frame on the pairs (01, 02, 03, 12, 13, 23).
-# The Hodge star maps e01 <-> e23, e02 <-> -e13, e03 <-> e12: it reverses
-# the pair axis with these signs, and its matrix is the flipped diagonal.
-_PAIR_I = np.array([0, 0, 0, 1, 1, 2])
-_PAIR_J = np.array([1, 2, 3, 2, 3, 3])
+# Lambda^2 of an orthonormal 3- or 4-frame on the pairs i < j, in order. On
+# the 4-frame's (01, 02, 03, 12, 13, 23) the Hodge star maps e01 <-> e23,
+# e02 <-> -e13, e03 <-> e12: it reverses the pair axis with these signs, and
+# its matrix is the flipped diagonal.
+_PAIRS = {3: (np.array([0, 0, 1]), np.array([1, 2, 2])),
+          4: (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]))}
 _STAR_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 _STAR = np.fliplr(np.diag(_STAR_SIGNS))
 THORPE_STEPS = 48   # bisection halvings of [-2|R|, 2|R|]
 THORPE_ROUNDING = 32.0 * np.finfo(float).eps   # eigh error per unit of |A|
+
+
+def _frame_tensor(rm: np.ndarray, linv: np.ndarray) -> np.ndarray:
+    """Rm per row in the g-orthonormal frame of linv's rows."""
+    rf = np.einsum("bai,bijkl->bajkl", linv, rm)
+    rf = np.einsum("bcj,bajkl->backl", linv, rf)
+    rf = np.einsum("bdk,backl->bacdl", linv, rf)
+    return np.einsum("bel,bacdl->bacde", linv, rf)
+
+
+def _curvature_operator(rf: np.ndarray) -> np.ndarray:
+    """R(e_ij, e_kl) on the pairs i < j of a 3- or 4-frame, symmetrized."""
+    I, J = _PAIRS[rf.shape[1]]
+    R = rf[:, I[:, None], J[:, None], I, J]
+    return 0.5 * (R + np.swapaxes(R, 1, 2))
+
+
+def _least_eigenvalue(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of lambda_min per row of symmetric A: eigh's value less
+    THORPE_ROUNDING |A|_F, and the (attained) form at its eigenvector."""
+    w, V = np.linalg.eigh(A)
+    hi = np.einsum("bi,bij,bj->b", V[:, :, 0], A, V[:, :, 0])
+    return w[:, 0] - THORPE_ROUNDING * np.linalg.norm(A, axis=(1, 2)), hi
 
 
 def _star(w: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -376,12 +407,7 @@ def _thorpe_bracket(rm: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.nd
     eigenvectors there, which a double bottom eigenvalue (a kink of the
     concave function) needs.
     """
-    rf = np.einsum("bai,bijkl->bajkl", linv, rm)
-    rf = np.einsum("bcj,bajkl->backl", linv, rf)
-    rf = np.einsum("bdk,backl->bacdl", linv, rf)
-    rf = np.einsum("bel,bacdl->bacde", linv, rf)
-    R = rf[:, _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J]
-    R = 0.5 * (R + np.swapaxes(R, 1, 2))
+    R = _curvature_operator(_frame_tensor(rm, linv))
     radius = 2.0 * np.linalg.norm(R, axis=(1, 2))   # Frobenius >= operator norm
     a, b = -radius, radius
     lo = np.full(len(R), -np.inf)
@@ -427,8 +453,9 @@ def _thorpe_bracket(rm: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def rho_method(n: int, k: int) -> str:
-    """How ``rho_k`` evaluates (n, k): "thorpe" for n = 4, k = 1, else "grid"."""
-    return "thorpe" if (n, k) == (4, 1) else "grid"
+    """How ``rho_k`` evaluates (n, k): "thorpe", "curvature_operator", "ricci" or "grid"."""
+    return {(4, 1): "thorpe", (3, 1): "curvature_operator"}.get(
+        (n, k), "ricci" if k == n - 1 else "grid")
 
 
 class RhoBracket(NamedTuple):
@@ -446,11 +473,14 @@ def rho_k(M: ChartManifold, X: np.ndarray, k: int, *,
     """Pointwise minimum of Ric_k over unit directions and k-planes, per row of X.
 
     For n = 4, k = 1 (``rho_method``) rho_k is the minimum sectional
-    curvature, bracketed by ``_thorpe_bracket``: hi - lo is at rounding
-    level, and ``directions`` and ``refine_rounds`` are not read. Any other
-    (n, k) takes the direction grid: the inner minimum over k-planes is
-    the sum of the k smallest eigenvalues of the directional operator
-    (exact); the outer minimum over directions uses a deterministic
+    curvature, bracketed by ``_thorpe_bracket``. For k = n - 1 it is the
+    least eigenvalue of Ricci (Ric_(n-1)(u) = Ric(u, u)), and for n = 3,
+    k = 1 that of the curvature operator on Lambda^2 (every 2-form is
+    decomposable), each bracketed by ``_least_eigenvalue``. On these paths
+    hi - lo is at rounding level and ``directions`` and ``refine_rounds``
+    are not read. Any other (n, k) takes the direction grid: the inner
+    minimum over k-planes is the sum of the k smallest eigenvalues of the
+    directional operator (exact); the outer minimum over directions uses a deterministic
     sphere grid plus a greedy coordinate pattern search, and its value,
     which may miss the global minimizer, is returned as both lo and hi.
     No value depends on the other rows. Rows outside a declared curvature
@@ -467,15 +497,21 @@ def rho_k(M: ChartManifold, X: np.ndarray, k: int, *,
         rows = rows[M.curvature_support.contains(M.domain.wrap(X))]
     if len(rows) == 0:
         return RhoBracket(lo, hi)
-    thorpe = rho_method(n, k) == "thorpe"
-    grid = None if thorpe else direction_search_grid(n, directions)
+    method = rho_method(n, k)
+    grid = direction_search_grid(n, directions) if method == "grid" else None
     eye = np.eye(n)
     for start in range(0, len(rows), RHO_BLOCK):
         block = rows[start:start + RHO_BLOCK]
         g, rm = _curvature_batch(M, X[block])
         linv = np.linalg.inv(np.linalg.cholesky(g))
-        if thorpe:
+        if method == "thorpe":
             lo[block], hi[block] = _thorpe_bracket(rm, linv)
+            continue
+        if method != "grid":
+            rf = _frame_tensor(rm, linv)
+            A = (_curvature_operator(rf) if method == "curvature_operator"
+                 else np.einsum("bijil->bjl", rf))                 # Ricci
+            lo[block], hi[block] = _least_eigenvalue(0.5 * (A + np.swapaxes(A, 1, 2)))
             continue
         # point-by-point grid scan: jointly, B and C are 17 MB each (n = 4, 2048 dirs)
         vals = np.array([_k_plane_minima(rm[i], linv[i], grid, k)

@@ -317,6 +317,23 @@ def _mollifier(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b, db, d2b
 
 
+def _bump_jet(b, db, d2b, amplitude):
+    """(f, d_k f, d_k d_l f) of f = amplitude * prod_i b_i, one factor per axis.
+
+    b, db and d2b (..., n) hold each factor and its first two derivatives.
+    One masked product gives every partial product at once: ``rest[..., k,
+    l]`` leaves out the factors k and l (only k on the diagonal).
+    """
+    n = b.shape[-1]
+    eye = np.eye(n, dtype=bool)
+    rest = np.prod(np.where(eye[:, None, :] | eye[None, :, :], 1.0, b[..., None, None, :]),
+                   axis=-1)
+    fkl = amplitude * db[..., :, None] * db[..., None, :]
+    fkl[..., np.arange(n), np.arange(n)] = amplitude * d2b
+    return (amplitude * np.prod(b, axis=-1),
+            amplitude * db * np.diagonal(rest, axis1=-2, axis2=-1), fkl * rest)
+
+
 def bump_torus(n: int, side: float = 2.0 * math.pi, amplitude: float = 0.1,
                center: np.ndarray | None = None,
                width: np.ndarray | float = 1.0) -> ChartManifold:
@@ -334,50 +351,34 @@ def bump_torus(n: int, side: float = 2.0 * math.pi, amplitude: float = 0.1,
     if np.any(width >= side / 2.0):
         raise ValueError("bump width must be below half the period")
 
-    def parts(x):
+    def factors(x):
         x = np.asarray(x, dtype=float)
         s = (np.mod(x - center + side / 2.0, side) - side / 2.0) / width
         b, db, d2b = _mollifier(s)
-        db = db / width
-        d2b = d2b / width**2
-        prod_all = np.prod(b, axis=-1)
-        excl = np.empty_like(b)
-        for k in range(n):
-            bk = b.copy()
-            bk[..., k] = 1.0
-            excl[..., k] = np.prod(bk, axis=-1)
-        return b, db, d2b, prod_all, excl
+        return b, db / width, d2b / width**2
 
-    def f_and_derivs(x):
-        b, db, d2b, prod_all, excl = parts(x)
-        f = amplitude * prod_all
-        fk = amplitude * db * excl
-        n_ = b.shape[-1]
-        fkl = np.empty(b.shape[:-1] + (n_, n_))
-        for k in range(n_):
-            for l in range(n_):
-                if k == l:
-                    fkl[..., k, k] = amplitude * d2b[..., k] * excl[..., k]
-                else:
-                    bkl = b.copy()
-                    bkl[..., k] = 1.0
-                    bkl[..., l] = 1.0
-                    fkl[..., k, l] = (amplitude * db[..., k] * db[..., l]
-                                      * np.prod(bkl, axis=-1))
-        return f, fk, fkl
+    memo = {}
+
+    def jet(x):
+        # metric, grad and hess read the same rows in every curvature call:
+        # the last rows' jet is kept, keyed on their shape and bytes
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        if memo.get("key") != key:
+            memo["key"], memo["jet"] = key, _bump_jet(*factors(x), amplitude)
+        return memo["jet"]
 
     eye = np.eye(n)
 
     def metric(x):
-        f, _, _ = f_and_derivs(x)
-        return np.exp(2.0 * f)[..., None, None] * eye
+        return np.exp(2.0 * jet(x)[0])[..., None, None] * eye
 
     def grad(x):
-        f, fk, _ = f_and_derivs(x)
+        f, fk, _ = jet(x)
         return (2.0 * fk * np.exp(2.0 * f)[..., None])[..., :, None, None] * eye
 
     def hess(x):
-        f, fk, fkl = f_and_derivs(x)
+        f, fk, fkl = jet(x)
         coef = (2.0 * fkl + 4.0 * fk[..., :, None] * fk[..., None, :])
         return (coef * np.exp(2.0 * f)[..., None, None])[..., :, :, None, None] * eye
 
@@ -388,7 +389,8 @@ def bump_torus(n: int, side: float = 2.0 * math.pi, amplitude: float = 0.1,
                          metric_hess=hess, name=f"bump_torus{n}_eps{amplitude:g}",
                          curvature_support=support,
                          extra={"kind": "bump_torus", "amplitude": amplitude,
-                                "center": center, "width": width, "side": side})
+                                "center": center.copy(), "width": width.copy(),
+                                "side": side})
 
 
 MANIFOLD_BUILDERS = {

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 __all__ = [
     "DomainError",
     "InfeasibleBoundError",
@@ -78,20 +80,25 @@ def model_shape_trace(H: float, k: int, tangential_w0: float | None, t: float) -
     With ``tangential_w0`` supplied the tangential branch
     k*(w0*cs - H*sn)/(cs + w0*sn) is returned; otherwise the generic
     branch k*cs/sn. Raises DomainError at or beyond the first positive
-    zero of the relevant denominator.
+    zero of the relevant denominator. ``t`` may be an array of times, each
+    entry bitwise the scalar call's value.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if t <= 0.0:
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts <= 0.0):
         raise DomainError(f"model trace needs t > 0, got t={t}")
     zero = _denominator_first_zero(H, tangential_w0)
-    if t >= zero:
+    if np.any(ts >= zero):
         raise DomainError(f"t={t} at/beyond first denominator zero {zero}")
-    sn, cs = sn_cs(H, t)
+    pairs = np.array([sn_cs(H, s) for s in ts.ravel()]).reshape(ts.shape + (2,))
+    sn, cs = pairs[..., 0], pairs[..., 1]
     if tangential_w0 is None:
-        return k * cs / sn
-    w0 = tangential_w0
-    return k * (w0 * cs - H * sn) / (cs + w0 * sn)
+        out = k * cs / sn
+    else:
+        w0 = tangential_w0
+        out = k * (w0 * cs - H * sn) / (cs + w0 * sn)
+    return out if ts.ndim else float(out)
 
 
 def hk_integrand(H: float, n: int, m: int, eta_dot_xi: float, t: float) -> float:

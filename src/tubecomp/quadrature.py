@@ -14,7 +14,6 @@ __all__ = [
     "cumulative_trapezoid",
     "periodic_trapezoid",
     "circle_grid",
-    "fibonacci_sphere",
     "product_angle_sphere",
     "monte_carlo_sphere",
     "unit_sphere_quadrature",
@@ -64,16 +63,6 @@ def circle_grid(count: int, offset: float = 0.0) -> tuple[np.ndarray, np.ndarray
     theta, w = periodic_trapezoid(2.0 * math.pi, count, offset)
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
     return pts, w
-
-
-def fibonacci_sphere(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-angle spiral on S^2; quasi-uniform, equal weights 4 pi / N."""
-    i = np.arange(count)
-    z = 1.0 - (2.0 * i + 1.0) / count
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    pts = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-    return pts, np.full(count, 4.0 * math.pi / count)
 
 
 def product_angle_sphere(d: int, polar: int = 16,
@@ -126,15 +115,12 @@ def unit_sphere_quadrature(d: int, resolution: int = 16,
 
 
 def direction_search_grid(n: int, min_count: int = 2048) -> np.ndarray:
-    """Deterministic unit-direction grid in R^n for curvature minimization."""
+    """Deterministic unit-direction grid in R^n for curvature minimization.
+
+    ``rho_k`` reads it only for n >= 4 (n <= 3 has exact brackets).
+    """
     if n < 2:
         raise ValueError(f"need ambient dimension >= 2, got {n}")
-    if n == 2:
-        pts, _ = circle_grid(max(min_count, 256))
-        return pts
-    if n == 3:
-        pts, _ = fibonacci_sphere(max(min_count, 512))
-        return pts
     polar = 8
     azimuth = 16
     while True:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import FD_STEP_FIRST, FD_STEP_SECOND, Box, ChartManifold, christoffel_at
-from .geometry import complete_euclidean, complete_frame
+from .geometry import complete_euclidean, complete_frame, fd_gradient, fd_hessian
 from .manifolds import ambient_tangent_to_chart, sphere_to_chart
 from .quadrature import unit_sphere_quadrature
 
@@ -88,11 +88,7 @@ class EmbeddedSubmanifold:
         s = np.asarray(s, dtype=float)
         if self.jacobian is not None:
             return np.asarray(self.jacobian(s), dtype=float)
-        h = FD_STEP_FIRST
-        eye = np.eye(self.dim)
-        plus = self.embed(s[None, :] + h * eye)
-        minus = self.embed(s[None, :] - h * eye)
-        return ((plus - minus) / (2.0 * h)).T
+        return fd_gradient(self.embed, s, FD_STEP_FIRST).T
 
     def hessian_at(self, s: np.ndarray) -> np.ndarray:
         """Second parameter derivatives of the embedding: shape (m, m, n).
@@ -104,27 +100,11 @@ class EmbeddedSubmanifold:
         s = np.asarray(s, dtype=float)
         if self.hessian is not None:
             return np.asarray(self.hessian(s), dtype=float)
-
-        def stencil(h):
-            m = self.dim
-            eye = np.eye(m)
-            x0 = self.embed(s)
-            out = np.empty((m, m, x0.shape[-1]))
-            for a in range(m):
-                out[a, a] = (self.embed(s + h * eye[a]) - 2.0 * x0
-                             + self.embed(s - h * eye[a])) / h**2
-            for a in range(m):
-                for b in range(a + 1, m):
-                    mixed = (self.embed(s + h * (eye[a] + eye[b]))
-                             - self.embed(s + h * (eye[a] - eye[b]))
-                             - self.embed(s - h * (eye[a] - eye[b]))
-                             + self.embed(s - h * (eye[a] + eye[b]))) / (4.0 * h**2)
-                    out[a, b] = mixed
-                    out[b, a] = mixed
-            return out
+        def one_by_one(points):     # an embedding's batched call may round differently
+            return np.array([self.embed(p) for p in points])
 
         h = 20.0 * FD_STEP_SECOND
-        return (4.0 * stencil(h / 2.0) - stencil(h)) / 3.0
+        return (4.0 * fd_hessian(one_by_one, s, h / 2.0) - fd_hessian(one_by_one, s, h)) / 3.0
 
     def base_quadrature(self, resolution) -> tuple[np.ndarray, np.ndarray]:
         """Parameter nodes and coordinate-measure weights (no metric factor)."""

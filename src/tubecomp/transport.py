@@ -590,11 +590,16 @@ def shape_operator(J: np.ndarray, Jp: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(S: np.ndarray, W) -> np.ndarray:
-    """Trace of S (..., r, r) over the span of orthonormal frame-coefficient rows W."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    if np.max(np.abs(W @ W.T - np.eye(len(W)))) > 1e-8:
+    """Trace of S (..., r, r) over the span of orthonormal frame-coefficient rows W.
+
+    A stack of frames W (F, k, r) gives (..., F): every pair in one einsum.
+    """
+    W = np.asarray(W, dtype=float)
+    frames = W.reshape((-1,) + np.atleast_2d(W).shape[-2:])
+    if np.max(np.abs(frames @ np.swapaxes(frames, 1, 2) - np.eye(frames.shape[1]))) > 1e-8:
         raise ValueError("W rows must be orthonormal frame coefficients")
-    return np.einsum("ai,...ij,aj->...", W, S, W)
+    traces = np.einsum("fai,...ij,faj->...f", frames, S, frames)
+    return traces if W.ndim == 3 else traces[..., 0]
 
 
 def split_traces(J: np.ndarray, Jp: np.ndarray, m: int):
@@ -617,11 +622,17 @@ def structural_residuals(solution: RaySolution) -> dict | None:
 
     The laws are sampled at 9 times from 0.25 (or a quarter of the usable
     horizon, when that is below 0.3) to the usable horizon, min(t_max -
-    2h, 0.9 focal time), each with its derivative stencil t +- h/2, t +- h
-    (h = 1e-4). All 46 times are one ``shape_fields`` read and the 9
+    2h, 0.9 focal time), each with its derivative stencil t +- h/2, t +- h,
+    t +- 2h (h = 1e-4). All 64 times are one ``shape_fields`` read and the 9
     curvature matrices one curvature call. Returns None, the ray too short,
     when the first sample would come before t = 0.025: there the stencil's
     own error on the 1/t block of S, h^4 / (4 t^6) per entry, passes 1e-7.
+
+    ``error`` holds each residual's error estimate in its own units. A
+    central difference errs by c(h) - f' = a h^2 + b h^4 + ...: log_density
+    reads c(h) and gets 4/3 |c(h) - c(h/2)|; riccati reads R(h/2) = (4
+    c(h/2) - c(h)) / 3, which errs by -b h^4 / 4, and gets |R(h/2) - R(h)|
+    / 15 (Frobenius). The other three are direct evaluations and get 0.
     """
     n, m = solution.n, solution.m
     d = n - m - 1
@@ -631,19 +642,21 @@ def structural_residuals(solution: RaySolution) -> dict | None:
     if lo < 0.025:
         return None
     ts = np.linspace(lo, hi, 9)
-    # rows 5i..5i+4: ts[i] + (0, h/2, -h/2, h, -h); the last row is t0
-    offsets = np.array([0.0, h / 2.0, -h / 2.0, h, -h])
+    # rows 7i..7i+6: ts[i] + (0, h/2, -h/2, h, -h, 2h, -2h); the last row is t0
+    offsets = np.array([0.0, h / 2.0, -h / 2.0, h, -h, 2.0 * h, -2.0 * h])
     S_all, (x, v, E, J_all, Jp_all) = solution.shape_fields(
         np.append((ts[:, None] + offsets).ravel(), t0))
     dets = np.linalg.det(J_all)
-    S, dets_t = S_all[:-1].reshape((9, 5) + S_all.shape[1:]), dets[:-1].reshape(9, 5)
-    at_t = slice(0, -1, 5)
+    S, dets_t = S_all[:-1].reshape((9, 7) + S_all.shape[1:]), dets[:-1].reshape(9, 7)
+    at_t = slice(0, -1, 7)
     S0, J, Jp = S[:, 0], J_all[at_t], Jp_all[at_t]
-    central = [(S[:, i] - S[:, i + 1]) / (2.0 * step) for i, step in ((1, h / 2.0), (3, h))]
+    central = [(S[:, i] - S[:, i + 1]) / (2.0 * step)
+               for i, step in ((1, h / 2.0), (3, h), (5, 2.0 * h))]
     Sdot = (4.0 * central[0] - central[1]) / 3.0
     rmat = frame_curvature(_curvature_batch(solution.batch.manifold, x[at_t])[1],
                            E[at_t], v[at_t])
     dlog = (dets_t[:, 3] - dets_t[:, 4]) / (2.0 * h * dets_t[:, 0])
+    dlog_half = (dets_t[:, 1] - dets_t[:, 2]) / (h * dets_t[:, 0])
     out = {
         "wronskian": float(np.max(np.abs(np.swapaxes(Jp, -1, -2) @ J
                                          - np.swapaxes(J, -1, -2) @ Jp))),
@@ -666,6 +679,10 @@ def structural_residuals(solution: RaySolution) -> dict | None:
         taylor = max(taylor, float(np.max(np.abs(
             S_small[:m, :m] - solution.weingarten0))))
     out["taylor_shape"] = taylor
+    out["error"] = dict.fromkeys(out, 0.0)
+    out["error"]["log_density"] = float(np.max(np.abs(dlog - dlog_half))) * 4.0 / 3.0
+    out["error"]["riccati"] = max(float(np.linalg.norm(e, ord="fro")) for e in
+                                  Sdot - (4.0 * central[1] - central[2]) / 3.0) / 15.0
     return out
 
 

@@ -48,7 +48,7 @@ class QuadratureSpec:
     mc_samples: int = 2048                  # volume cross-check sample budget
     seed: int = 0
     ray_tolerance: float = 1e-9
-    rho_directions: int = 2048              # the grid rho_k only (not n = 4, k = 1)
+    rho_directions: int = 2048              # the grid rho_k only (n >= 4, 2 <= k <= n - 2)
     rho_refine_rounds: int = 3
     chart_resolution: int = 8               # per-axis nodes for chart-box norms
 

@@ -124,8 +124,9 @@ def certify_rho_lower_bound(scenario: Scenario, k: int, H: float,
 
     Always evaluates ``rho_k`` (never declared values): certification is
     the independent guard on the declared facts. It reads the bracket's
-    lower end, which is certified on the Thorpe path and is the grid
-    minimum (256 directions, one refine round) elsewhere. ``samples``
+    lower end, which is certified except on the grid path (n >= 4 and
+    2 <= k <= n - 2), where it is the grid minimum (256 directions, one
+    refine round). ``samples``
     counts point-direction pairs in the spec's sense; ``bracket_width`` is
     the largest hi - lo over the sampled points.
     """
@@ -163,7 +164,9 @@ def check_hessian_comparison(scenario: Scenario) -> list[BoundReport]:
     hypothesis Ric_k(velocity, W_t) >= kH is evaluated exactly from the
     parallel-frame curvature matrix; a hypothesis failure, or a branch
     with no sampled time inside the usable ray horizon, yields a
-    precondition-violation report instead of a bound verdict.
+    precondition-violation report instead of a bound verdict. A ray's
+    traces over all its (time, frame) pairs are one ``partial_trace`` read,
+    and its model traces one ``model_shape_trace`` call per frame.
     """
     M, sigma = scenario.manifold, scenario.sigma
     k = scenario.k
@@ -173,84 +176,77 @@ def check_hessian_comparison(scenario: Scenario) -> list[BoundReport]:
     sampler = scenario.sampler(scenario.horizon())
     idx = _ray_subsample(len(sampler.rays), scenario.check_rays, rng)
     err_est = max(1e-7, 100.0 * scenario.quad.ray_tolerance)
-
-    # branch -> accumulators: worst slack record, max |slack|, margin, count,
-    # and the longest usable horizon of its frames
-    acc = {}
-    for branch in ("tangential", "generic"):
-        if branch == "tangential" and m < k:
-            continue
-        acc[branch] = {"worst_slack": math.inf, "max_abs": 0.0, "worst": None,
-                       "margin": math.inf, "count": 0, "horizon": 0.0}
-
+    branches = ("generic",) if m < k else ("tangential", "generic")
+    # branch -> per-ray columns (t, model, trace, Ric_k, w0 or nan, ray) in
+    # (ray, time, frame) order, and the longest usable horizon of its frames
+    samples = {branch: [] for branch in branches}
+    horizon = dict.fromkeys(branches, 0.0)
     for i in idx:
         sol = sampler.rays[i]
         frames = []   # (branch, W, w0); w0 is None on the generic branch
-        if "tangential" in acc:
-            cands = [np.eye(sol.n - 1)[:k]]
-            for _ in range(3):
-                rot = _random_orthonormal(rng, k, m)
-                W = np.zeros((k, sol.n - 1))
-                W[:, :m] = rot
-                cands.append(W)
-            for W in cands:
-                w0 = float(partial_trace(sol.weingarten0, W[:, :m])) / k
-                frames.append(("tangential", W, w0))
-        if "generic" in acc:
-            for _ in range(4):
-                frames.append(("generic",
-                               _random_orthonormal(rng, k, sol.n - 1), None))
+        if "tangential" in branches:
+            cands = [np.eye(sol.n - 1)[:k]] + [
+                np.pad(_random_orthonormal(rng, k, m), ((0, 0), (0, sol.n - 1 - m)))
+                for _ in range(3)]
+            frames += [("tangential", W, float(partial_trace(sol.weingarten0, W[:, :m])) / k)
+                       for W in cands]
+        frames += [("generic", _random_orthonormal(rng, k, sol.n - 1), None)
+                   for _ in range(4)]
         hi_all = min(scenario.horizon(), 0.98 * sol.focal_time())
         # each frame's model trace is defined up to its denominator's first zero
         hi_frame = [min(hi_all, 0.98 * _denominator_first_zero(H, w0))
                     for _, _, w0 in frames]
         for (branch, _, _), hi in zip(frames, hi_frame):
-            acc[branch]["horizon"] = max(acc[branch]["horizon"], hi)
+            horizon[branch] = max(horizon[branch], hi)
         hi_max = max(hi_frame, default=0.0)
         if hi_max < 0.05:
             continue
         ts = np.linspace(max(0.05, hi_max / 8), hi_max, 8)
         shapes, (x, v, E, _, _) = sol.shape_fields(ts)
         rmats = frame_curvature(_curvature_batch(M, x)[1], E, v)
-        for t, S, rmat in zip(ts, shapes, rmats):
-            for (branch, W, w0), hi in zip(frames, hi_frame):
-                if t > hi:
-                    continue
-                a = acc[branch]
-                ric = float(partial_trace(rmat, W))
-                a["margin"] = min(a["margin"], ric - k * H)
-                tr = float(partial_trace(S, W))
-                model = model_shape_trace(H, k, w0, float(t))
-                slack = model - tr
-                a["count"] += 1
-                a["max_abs"] = max(a["max_abs"], abs(slack))
-                if slack < a["worst_slack"]:
-                    a["worst_slack"] = slack
-                    a["worst"] = {"t": float(t), "ray": i, "model": model,
-                                  "trace": tr, "w0": w0}
+        traces = partial_trace(np.stack([shapes, rmats]), np.array([W for _, W, _ in frames]))
+        use = ts[:, None] <= np.array(hi_frame)       # (time, frame)
+        model = np.zeros(use.shape)
+        for f, (_, _, w0) in enumerate(frames):
+            model[use[:, f], f] = model_shape_trace(H, k, w0, ts[use[:, f]])
+        w0s = np.array([math.nan if w0 is None else w0 for _, _, w0 in frames])
+        for branch in branches:
+            cols = [f for f, frame in enumerate(frames) if frame[0] == branch]
+            sel = use[:, cols]
+            samples[branch].append(np.stack([
+                np.broadcast_to(ts[:, None], sel.shape)[sel], model[:, cols][sel],
+                traces[0][:, cols][sel], traces[1][:, cols][sel],
+                np.broadcast_to(w0s[cols], sel.shape)[sel], np.full(sel.sum(), i)]))
 
     reports = []
-    for branch, a in acc.items():
-        if a["worst"] is None:
+    for branch in branches:
+        t, model, trace, ric, w0, ray = np.concatenate(samples[branch] + [np.zeros((6, 0))],
+                                                       axis=1)
+        if len(t) == 0:
             reports.append(BoundReport.precondition_violation(
                 f"hessian_comparison[{branch}]",
                 f"no sample on {len(idx)} rays: usable ray horizon "
-                f"{a['horizon']:g} (ray horizon {scenario.horizon():g})",
-                branch=branch, usable_horizon=a["horizon"]))
+                f"{horizon[branch]:g} (ray horizon {scenario.horizon():g})",
+                branch=branch, usable_horizon=horizon[branch]))
             continue
-        if a["margin"] < -1e-8:
+        margin = float(np.min(ric - k * H))
+        if margin < -1e-8:
             reports.append(BoundReport.precondition_violation(
                 f"hessian_comparison[{branch}]",
-                f"Ric_k along rays dips {a['margin']:.3e} below kH",
-                branch=branch, hypothesis_margin=a["margin"]))
+                f"Ric_k along rays dips {margin:.3e} below kH",
+                branch=branch, hypothesis_margin=margin))
             continue
+        slack = model - trace
+        j = int(np.argmin(slack))        # the first least slack
+        worst = {"t": float(t[j]), "ray": int(ray[j]), "model": float(model[j]),
+                 "trace": float(trace[j]), "w0": None if branch == "generic" else float(w0[j])}
+        max_abs = float(np.max(np.abs(slack)))
         rep = BoundReport.from_values(
-            f"hessian_comparison[{branch}]", measured=a["worst"]["trace"],
-            bound=a["worst"]["model"], tolerance=scenario.tolerance,
-            error_estimate=err_est, branch=branch, samples=a["count"],
-            hypothesis_margin=a["margin"], worst=a["worst"],
-            max_abs_slack=a["max_abs"])
-        rep.equality = a["max_abs"] <= 10.0 * err_est
+            f"hessian_comparison[{branch}]", measured=worst["trace"],
+            bound=worst["model"], tolerance=scenario.tolerance,
+            error_estimate=err_est, branch=branch, samples=len(t),
+            hypothesis_margin=margin, worst=worst, max_abs_slack=max_abs)
+        rep.equality = max_abs <= 10.0 * err_est
         reports.append(rep)
     return reports
 
@@ -487,11 +483,17 @@ def check_lemma_51_52(scenario: Scenario) -> list[BoundReport]:
 
 
 def check_structural_residuals(scenario: Scenario) -> BoundReport:
-    """Evolution-law residuals on RESIDUAL_RAYS of the scenario's rays."""
+    """Evolution-law residuals on RESIDUAL_RAYS of the scenario's rays.
+
+    measured is the largest residual / limit ratio and its error estimate
+    the largest stencil error / limit: a maximum moves by at most the
+    largest error of its terms.
+    """
     rng = scenario.rng()
     sampler = scenario.sampler(scenario.horizon())
     idx = _ray_subsample(len(sampler.rays), RESIDUAL_RAYS, rng)
-    worst = {key: 0.0 for key in RESIDUAL_LIMITS}
+    worst = dict.fromkeys(RESIDUAL_LIMITS, 0.0)
+    error = dict.fromkeys(RESIDUAL_LIMITS, 0.0)
     for i in idx:
         res = structural_residuals(sampler.rays[i])
         if res is None:
@@ -500,11 +502,13 @@ def check_structural_residuals(scenario: Scenario) -> BoundReport:
                 f" (ray horizon {scenario.horizon():g})"))
         for key in worst:
             worst[key] = max(worst[key], res[key])
-    ratio = max(worst[key] / lim for key, lim in RESIDUAL_LIMITS.items())
+            error[key] = max(error[key], res["error"][key])
     return BoundReport.from_values(
-        "structural_residuals", measured=ratio, bound=1.0,
-        tolerance=0.0, error_estimate=0.0, residuals=worst,
-        limits=dict(RESIDUAL_LIMITS), rays=len(idx))
+        "structural_residuals", bound=1.0, tolerance=0.0,
+        measured=max(worst[key] / lim for key, lim in RESIDUAL_LIMITS.items()),
+        error_estimate=max(error[key] / lim for key, lim in RESIDUAL_LIMITS.items()),
+        residuals=worst, residual_errors=error, limits=dict(RESIDUAL_LIMITS),
+        rays=len(idx))
 
 
 CHECK_DISPATCH = {

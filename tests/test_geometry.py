@@ -20,7 +20,8 @@ from tubecomp.geometry import (
     rho_k_at,
     rho_method,
 )
-from tubecomp.geometry import _inverse_spd
+from tubecomp.geometry import _curvature_batch, _grad_at, _hess_at, _inverse_spd
+from tubecomp.geometry import fd_gradient, fd_hessian
 from tubecomp.quadrature import direction_search_grid
 
 
@@ -105,6 +106,141 @@ class TestChristoffel:
                           domain=Box([-1, -1], [1, 1], (False, False)))
         with pytest.raises(SingularMetricError):
             christoffel_at(M, np.zeros(2))
+
+
+def einsum_chain_curvature(M, xs):
+    """(Gamma, Rm) by the raised-index chain: dg^-1, dGamma, R^i_jkl, then lowered."""
+    g = M.metric_at(xs)
+    ginv = np.linalg.inv(g)
+    dg, d2g = _grad_at(M, xs), _hess_at(M, xs)
+    A = np.einsum("blaj->balj", dg) + np.einsum("bjal->balj", dg) - dg
+    gamma = 0.5 * np.einsum("bia,balj->bilj", ginv, A)
+    dA = np.einsum("bklaj->bkalj", d2g) + np.einsum("bkjal->bkalj", d2g) - d2g
+    dginv = -np.einsum("bic,bkcd,bda->bkia", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("bkia,balj->bkilj", dginv, A)
+                    + np.einsum("bia,bkalj->bkilj", ginv, dA))
+    rup = (np.einsum("bkilj->bijkl", dgamma) - np.einsum("blikj->bijkl", dgamma)
+           + np.einsum("bika,balj->bijkl", gamma, gamma)
+           - np.einsum("bila,bakj->bijkl", gamma, gamma))
+    return gamma, np.einsum("bia,bajkl->bijkl", g, rup)
+
+
+KERNEL_CASES = {
+    "sphere": lambda rng: (manifolds.sphere(3, radius=1.3), rng.uniform(-1.0, 1.0, (15, 3))),
+    "hyperbolic": lambda rng: (manifolds.hyperbolic(3), rng.uniform(0.4, 2.0, (15, 3))),
+    "bump": lambda rng: (manifolds.bump_torus(4), math.pi + rng.uniform(-1.0, 1.0, (11, 4))),
+    "product": lambda rng: (manifolds.product(manifolds.sphere(2), manifolds.hyperbolic(2)),
+                            np.hstack([rng.uniform(-1, 1, (15, 2)), rng.uniform(0.5, 2, (15, 2))])),
+    "warped": lambda rng: (manifolds.warped_product(2, np.cosh, np.sinh, np.cosh),
+                           rng.uniform(-1.0, 1.0, (15, 3))),
+    "colatitude": lambda rng: (manifolds.sphere_colatitude(3), rng.uniform(0.4, 2.6, (15, 3))),
+    "fd_bump": lambda rng: (strip_analytic(manifolds.bump_torus(3, width=1.2)),
+                            math.pi + rng.uniform(-1.0, 1.0, (11, 3))),
+}
+
+
+class TestFiniteDifferences:
+    """``fd_gradient`` and ``fd_hessian``: the charts' and embeddings' one central-difference stencil."""
+
+    def test_exact_on_a_cubic_with_leading_axes(self):
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((3, 3))
+        A = A + A.T
+
+        def f(x):   # (..., 3) -> (..., 2): a quadratic form and x_0^3
+            return np.stack([np.einsum("...i,ij,...j->...", x, A, x), x[..., 0] ** 3], axis=-1)
+
+        x = rng.standard_normal((5, 2, 3))
+        grad, hess = fd_gradient(f, x, 1e-5), fd_hessian(f, x, 1e-4)
+        assert grad.shape == (5, 2, 3, 2) and hess.shape == (5, 2, 3, 3, 2)
+        assert np.allclose(grad[..., 0], 2.0 * x @ A, atol=1e-8)
+        assert np.allclose(hess[..., 0], 2.0 * A, atol=1e-6)
+        cubic = np.zeros((5, 2, 3, 3))
+        cubic[..., 0, 0] = 6.0 * x[..., 0]
+        assert np.allclose(hess[..., 1], cubic, atol=1e-6)
+
+
+class TestLoweredKernel:
+    """``_curvature_batch`` forms Rm from the lowered Christoffel symbols."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_matches_the_raised_index_chain(self, name):
+        M, X = KERNEL_CASES[name](np.random.default_rng(3))
+        g, gamma, rm = _curvature_batch(M, X, want_gamma=True)
+        gamma_ref, rm_ref = einsum_chain_curvature(M, X)
+        scale = max(1.0, np.max(np.abs(rm_ref)))
+        assert np.max(np.abs(rm - rm_ref)) <= 1e-14 * scale
+        assert np.max(np.abs(gamma - gamma_ref)) <= 1e-14 * max(1.0, np.max(np.abs(gamma_ref)))
+        assert np.array_equal(g, M.metric_at(X))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_batch_one_equals_batch_n(self, name):
+        M, X = KERNEL_CASES[name](np.random.default_rng(4))
+        _, gamma, rm = _curvature_batch(M, X, want_gamma=True)
+        for i, x in enumerate(X):
+            _, gamma_1, rm_1 = _curvature_batch(M, x[None], want_gamma=True)
+            assert np.array_equal(gamma_1[0], gamma[i]) and np.array_equal(rm_1[0], rm[i])
+
+
+def bump_jet_by_pairs(b, db, d2b, amplitude):
+    """(f, d_k f, d_k d_l f) of amplitude * prod b_i, one product per (k, l) pair."""
+    n = b.shape[-1]
+    excl = np.empty_like(b)
+    for k in range(n):
+        bk = b.copy()
+        bk[..., k] = 1.0
+        excl[..., k] = np.prod(bk, axis=-1)
+    fkl = np.empty(b.shape[:-1] + (n, n))
+    for k in range(n):
+        for l in range(n):
+            if k == l:
+                fkl[..., k, k] = amplitude * d2b[..., k] * excl[..., k]
+            else:
+                bkl = b.copy()
+                bkl[..., k] = 1.0
+                bkl[..., l] = 1.0
+                fkl[..., k, l] = amplitude * db[..., k] * db[..., l] * np.prod(bkl, axis=-1)
+    return amplitude * np.prod(b, axis=-1), amplitude * db * excl, fkl
+
+
+class TestBumpJet:
+    """The bump metric's 2-jet: one masked product, evaluated once per curvature call."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_masked_product_equals_the_pair_loop(self, n):
+        from tubecomp.manifolds import _bump_jet, _mollifier
+
+        rng = np.random.default_rng(n)
+        b, db, d2b = _mollifier(rng.uniform(-1.2, 1.2, size=(7, 5, n)))
+        for got, want in zip(_bump_jet(b, db, d2b, 0.1), bump_jet_by_pairs(b, db, d2b, 0.1)):
+            assert np.array_equal(got, want)
+
+    def test_rows_of_the_same_shape_get_fresh_values(self):
+        M = manifolds.bump_torus(4)
+        rng = np.random.default_rng(1)
+        X1, X2 = (math.pi + rng.uniform(-1.0, 1.0, (6, 4)) for _ in range(2))
+        for attr in ("metric", "metric_grad", "metric_hess"):
+            fresh = getattr(manifolds.bump_torus(4), attr)
+            first = getattr(M, attr)(X1)
+            assert np.array_equal(getattr(M, attr)(X2), fresh(X2))
+            assert np.array_equal(getattr(M, attr)(X1), first)
+        assert not np.array_equal(M.metric_hess(X1), M.metric_hess(X2))
+
+    def test_one_jet_per_curvature_call(self, monkeypatch):
+        from tubecomp import manifolds as module
+
+        calls = []
+        original = module._bump_jet
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return original(*args)
+        monkeypatch.setattr(module, "_bump_jet", counted)
+        M = manifolds.bump_torus(4)
+        rng = np.random.default_rng(2)
+        for rows in (1, 11, 11, 64):
+            _curvature_batch(M, math.pi + rng.uniform(-1.0, 1.0, (rows, 4)))
+        assert calls == [(1, 4), (11, 4), (11, 4), (64, 4)]
 
 
 class TestCurvatureTensor:
@@ -333,8 +469,9 @@ def batched_rho_k(M, X, k, batch, **kwargs):
 class TestRhoKBatched:
     """The batched grid search against the per-point reference, bitwise.
 
-    k = 1 on n = 4 takes the Thorpe bracket (``TestRhoBracket``), so the
-    4-dimensional cases start at k = 2.
+    k = 1 on n = 4 takes the Thorpe bracket (``TestRhoBracket``) and k = n - 1
+    and n = 3 take an exact eigenvalue (``TestExactBrackets``), so the grid
+    runs at n = 4, k = 2.
     """
 
     KW = dict(directions=256, refine_rounds=3)
@@ -345,7 +482,7 @@ class TestRhoKBatched:
         X = M.extra["center"] + rng.uniform(-1.25, 1.25, size=(150, 4))
         inside = M.curvature_support.contains(M.domain.wrap(X))
         assert 30 <= inside.sum() <= 120
-        for k in (2, 3):
+        for k in (2,):
             expect = np.array([reference_rho_k_at(M, x, k, **self.KW) for x in X])
             assert np.all(expect[~inside] == 0.0)
             assert np.all(expect[inside] != 0.0)
@@ -355,13 +492,12 @@ class TestRhoKBatched:
                 assert np.array_equal(got, expect), (k, batch)
 
     @pytest.mark.parametrize("M", [
-        manifolds.sphere(3),
         manifolds.product(manifolds.sphere(2), manifolds.sphere(2)),
-    ], ids=["sphere3", "s2xs2"])
+    ], ids=["s2xs2"])
     def test_manifolds_without_support(self, M):
         rng = np.random.default_rng(3)
         X = M.domain.lo + rng.uniform(0.1, 0.9, size=(70, M.dim)) * M.domain.widths()
-        for k in range(2 if M.dim == 4 else 1, M.dim):
+        for k in range(2, M.dim - 1):
             assert rho_method(M.dim, k) == "grid"
             expect = np.array([reference_rho_k_at(M, x, k, **self.KW) for x in X])
             assert np.array_equal(grid_values(M, X, k, **self.KW), expect)
@@ -567,6 +703,69 @@ class TestRhoBracket:
         M = manifolds.bump_torus(4)
         with pytest.raises(ValueError, match="values"):
             lp_deficit_norm(M, -0.1, 4.0, lambda X: rho_k(M, X, 1), resolution=2)
+
+
+def sampled_ricci_minimum(rm, g, rng, count=20000):
+    """Least Ric(u, u) over random g-unit directions u."""
+    linv = np.linalg.inv(np.linalg.cholesky(g))
+    q = rng.standard_normal((count, len(g)))
+    u = (q / np.linalg.norm(q, axis=1, keepdims=True)) @ linv
+    ricci = np.einsum("ik,ijkl->jl", np.linalg.inv(g), rm)
+    return float(np.min(np.einsum("sj,jl,sl->s", u, ricci, u)))
+
+
+class TestExactBrackets:
+    """rho_k for k = n - 1 (least Ricci eigenvalue) and n = 3, k = 1 (curvature operator)."""
+
+    @pytest.mark.parametrize("make, k, method", [
+        (lambda rng: (manifolds.bump_torus(3, width=1.2),
+                      math.pi + rng.uniform(-1.0, 1.0, (10, 3))), 1, "curvature_operator"),
+        (lambda rng: (manifolds.bump_torus(3, width=1.2),
+                      math.pi + rng.uniform(-1.0, 1.0, (10, 3))), 2, "ricci"),
+        (lambda rng: (manifolds.sphere(3, radius=1.3), rng.uniform(-1, 1, (6, 3))),
+         1, "curvature_operator"),
+        (lambda rng: (manifolds.hyperbolic(3), rng.uniform(0.5, 2.0, (6, 3))), 2, "ricci"),
+        (lambda rng: (manifolds.bump_torus(4), math.pi + rng.uniform(-1.0, 1.0, (10, 4))),
+         3, "ricci"),
+        (lambda rng: (manifolds.product(manifolds.sphere(2), manifolds.hyperbolic(2)),
+                      np.hstack([rng.uniform(-1, 1, (6, 2)), rng.uniform(0.5, 2, (6, 2))])),
+         3, "ricci"),
+        (lambda rng: (manifolds.bump_torus(2), math.pi + rng.uniform(-1.0, 1.0, (6, 2))),
+         1, "ricci"),
+    ], ids=["bump3_k1", "bump3_k2", "sphere3_k1", "hyperbolic3_k2", "bump4_k3",
+            "s2xh2_k3", "bump2_k1"])
+    def test_bracket_against_random_directions(self, make, k, method):
+        rng = np.random.default_rng(23)
+        M, X = make(rng)
+        assert rho_method(M.dim, k) == method
+        lo, hi = rho_k(M, X, k)
+        oracle = sampled_ricci_minimum if method == "ricci" else sampled_plane_minimum
+        for lo_i, hi_i, x in zip(lo, hi, X):
+            rm, g = curvature_tensor_at(M, x), M.metric_at(x)
+            scale = max(1.0, operator_norm_bound(rm, g))
+            sample = oracle(rm, g, rng)
+            assert lo_i <= hi_i <= lo_i + 1e-12 * scale
+            assert lo_i <= sample <= hi_i + 2e-2 * scale   # the oracle only samples
+            assert hi_i <= sample + 1e-12 * scale
+
+    def test_space_form_values(self):
+        for M, c in [(manifolds.sphere(3, radius=2.0), 0.25), (manifolds.hyperbolic(3), -1.0)]:
+            X = M.domain.lo + np.random.default_rng(5).uniform(0.3, 0.7, (8, 3)) * M.domain.widths()
+            for k in (1, 2):
+                lo, hi = rho_k(M, X, k)
+                assert np.all(np.abs(lo - k * c) <= 1e-12) and np.all(np.abs(hi - k * c) <= 1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_batch_invariance(self, k):
+        M = manifolds.bump_torus(3, width=1.2)
+        X = math.pi + np.random.default_rng(9).uniform(-1.5, 1.5, size=(150, 3))
+        lo, hi = rho_k(M, X, k)
+        for batch in (1, 63, 64, 65):
+            parts = [rho_k(M, X[i:i + batch], k) for i in range(0, len(X), batch)]
+            assert np.array_equal(np.concatenate([p.lo for p in parts]), lo), batch
+            assert np.array_equal(np.concatenate([p.hi for p in parts]), hi), batch
+        b = rho_k(M, X, k, directions=16, refine_rounds=0)
+        assert np.array_equal(b.lo, lo) and np.array_equal(b.hi, hi)
 
 
 def grid_rho(M, k, directions, refine_rounds):

@@ -137,6 +137,16 @@ class TestModelShapeTrace:
         resid = first_derivative(w, t, h=1e-5) + w(t) ** 2 + H
         assert abs(resid) <= 1e-6
 
+    def test_times_array_equals_scalar_calls(self):
+        ts = np.array([0.05, 0.3, 0.9, 1.2])
+        for H, w0 in [(1.0, None), (1.0, 0.2), (-1.0, None), (-1.0, -0.5), (0.0, -0.3)]:
+            got = model_shape_trace(H, 2, w0, ts)
+            assert got.shape == ts.shape
+            assert np.array_equal(got, [model_shape_trace(H, 2, w0, float(t)) for t in ts])
+        assert model_shape_trace(1.0, 2, None, ts[:0]).shape == (0,)
+        with pytest.raises(DomainError):
+            model_shape_trace(1.0, 1, None, np.array([0.5, math.pi]))
+
     def test_tangential_initial_value(self):
         # w(t) -> w0 as t -> 0 in the tangential branch
         for H in (-1.0, 0.0, 1.0):

@@ -393,6 +393,18 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(sol.shape_fields(0.5)[0], np.array([[1.0, 1.0, 0.0]]))
 
+    def test_frame_stack_reads_every_pair(self):
+        rng = np.random.default_rng(6)
+        S = rng.standard_normal((8, 3, 3))
+        frames = np.array([np.linalg.qr(rng.standard_normal((3, 2)))[0].T for _ in range(5)])
+        together = partial_trace(S, frames)
+        assert together.shape == (8, 5)
+        for f, W in enumerate(frames):
+            assert np.allclose(together[:, f], partial_trace(S, W), rtol=1e-15, atol=1e-15)
+        frames[3, 1] *= 1.5
+        with pytest.raises(ValueError):
+            partial_trace(S, frames)
+
 
 class TestFocalDistance:
     def test_equator_pi_over_two(self):
@@ -633,6 +645,22 @@ class TestStructuralResiduals:
         assert res["riccati"] <= 1e-5
         assert res["density_power"] <= 1e-3
         assert res["taylor_shape"] <= 1e-2
+
+    def test_log_density_error_is_the_stencil_error(self):
+        # det J = sinh^2 t: the h-central difference of log det J errs by
+        # exactly 2 coth t (sinh(2h) / (2h) - 1), largest at the first sample 0.25
+        M, sigma, ray = hyperbolic_point_ray()
+        res = structural_residuals(integrate_ray(M, sigma, ray))
+        h = 1e-4
+        exact = 2.0 / math.tanh(0.25) * ((2.0 * h) ** 2 / 6.0 + (2.0 * h) ** 4 / 120.0)
+        assert res["error"]["log_density"] == pytest.approx(exact, rel=1e-3)
+        # the residual is that stencil error plus the ray's own, which is smaller
+        assert abs(res["log_density"] - exact) <= res["error"]["log_density"]
+        # the Richardson derivative's error is far below the Riccati limit
+        assert 0.0 < res["error"]["riccati"] <= 1e-10
+        assert {key: res["error"][key] for key in
+                ("wronskian", "density_power", "taylor_shape")} == dict.fromkeys(
+                    ("wronskian", "density_power", "taylor_shape"), 0.0)
 
     def test_samples_start_at_0_025(self):
         # before it the stencil's own error on the 1/t block of S, which is

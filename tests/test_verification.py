@@ -73,15 +73,15 @@ class TestCertification:
 
     def test_batched_draws_match_per_point_draws(self):
         # one (points, n) draw is the same stream as one draw per point
-        from tubecomp.geometry import rho_k_at
+        from tubecomp.geometry import rho_k
 
         sc = toy_bump_scenario()
         sc.manifold.rho_exact = {1: 0.0}
         M, box = sc.manifold, sc.manifold.domain
         cert = certify_rho_lower_bound(sc, 1, -0.1, samples=64 * 48)
         rng = sc.rng()
-        vals = [rho_k_at(M, box.wrap(rng.uniform(box.lo, box.hi)), 1,
-                         directions=256, refine_rounds=1) for _ in range(48)]
+        vals = [rho_k(M, [box.wrap(rng.uniform(box.lo, box.hi))], 1,
+                      directions=256, refine_rounds=1).lo[0] for _ in range(48)]
         assert min(vals) < 0.0 < max(abs(v) for v in vals)
         assert cert["min_rho_k"] == min(vals)
         assert cert["declared_gap"] == max(abs(v - 0.0) for v in vals)
@@ -97,6 +97,17 @@ class TestCertification:
         assert cert["rho_k_method"] == "thorpe"
         assert 0.0 < cert["bracket_width"] <= 1e-12
         assert cert["min_rho_k"] < 0.0
+
+    def test_exact_lower_end_off_the_thorpe_path(self):
+        for name, k, method in (("s3_great_circle", 1, "curvature_operator"),
+                                ("hyperbolic_point", 2, "ricci")):
+            sc = build_scenario(name)
+            cert = certify_rho_lower_bound(sc, k, sc.H)
+            assert cert["rho_k_method"] == method
+            assert 0.0 < cert["bracket_width"] <= 1e-12
+            # Rm itself rounds at 1e-12 far out in the stereographic chart
+            exact = sc.declared_rho(k)
+            assert exact - 1e-10 <= cert["min_rho_k"] <= exact
 
     def test_reads_the_lower_end(self, monkeypatch):
         from tubecomp.geometry import RhoBracket
@@ -186,7 +197,7 @@ class TestIntegralCheck:
         sc = toy_bump_scenario(radii=(0.4,))
         (glob, tube) = check_integral_bound(sc, sc.radii, monte_carlo_check=True)
         for rep in (glob, tube):
-            assert rep.details["rho_k_method"] == "grid"
+            assert rep.details["rho_k_method"] == "curvature_operator"
             z = (rep.details["mc_volume"] - rep.measured) / rep.details["mc_stderr"]
             assert rep.details["mc_z"] == pytest.approx(z, rel=1e-12)
             assert rep.details["mc_consistent"] == (abs(rep.details["mc_z"]) <= 3.0)
@@ -235,7 +246,7 @@ class TestIntegralCheck:
 
 
 def toy_bump_scenario(radii=(0.3, 0.5)):
-    """3-D bump torus around a geodesic circle that misses the bump; grid rho."""
+    """3-D bump torus around a geodesic circle that misses the bump; evaluated rho."""
     M = manifolds.bump_torus(3, amplitude=0.1, width=1.2)
     sigma = sub_torus(M, [0], np.array([0.0, math.pi - 2.3, math.pi]))
     quad = QuadratureSpec(base_resolution=2, fiber_resolution=2,
@@ -439,6 +450,16 @@ class TestResidualCheck:
         for key in ("riccati", "log_density"):
             assert rep.details["residuals"][key] > 0.0
 
+    def test_error_estimate_is_the_largest_stencil_error_ratio(self):
+        rep = check_structural_residuals(build_scenario("hyperbolic_point"))
+        errors, limits = rep.details["residual_errors"], rep.details["limits"]
+        assert rep.error_estimate == max(errors[key] / limits[key] for key in limits)
+        assert errors["log_density"] > 0.0 and errors["riccati"] > 0.0
+        assert errors["wronskian"] == errors["density_power"] == errors["taylor_shape"] == 0.0
+        # the log-density stencil error dominates, well inside the limit
+        assert rep.error_estimate == errors["log_density"] / limits["log_density"] < 0.1
+        assert not rep.equality
+
     def test_too_short_rays_are_a_precondition_violation(self, monkeypatch):
         from tubecomp.cli import scenarios_from_config
 
@@ -487,6 +508,26 @@ class TestOneReadPerRay:
         rows = curvature_rows(monkeypatch)
         check_hessian_comparison(sc)
         assert rows == [8, 8, 8, 8]
+
+    def test_hessian_traces_in_one_read_per_ray(self, monkeypatch):
+        from tubecomp.models import model_shape_trace
+        from tubecomp.transport import partial_trace
+
+        shapes = []
+
+        def counted(S, W):
+            shapes.append(np.shape(W))
+            return partial_trace(S, W)
+        monkeypatch.setattr(verification, "partial_trace", counted)
+        sc = fast_flat_scenario(check_rays=4)
+        reports = check_hessian_comparison(sc)
+        # per ray: four w0 reads, then all (time, frame) pairs of both branches
+        assert shapes == ([(1, 1)] * 4 + [(8, 1, 3)]) * 4
+        for rep in reports:
+            worst = rep.details["worst"]
+            H = sc.hessian_H if sc.hessian_H is not None else sc.H
+            assert worst["model"] == model_shape_trace(H, sc.k, worst["w0"], worst["t"])
+            assert rep.details["samples"] == 4 * 8 * 4
 
     def test_residual_check(self, monkeypatch):
         sc = fast_flat_scenario()
