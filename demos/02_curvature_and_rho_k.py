@@ -17,7 +17,7 @@ from tubecomp.geometry import (
     frame_curvature,
     lp_deficit_norm,
     rho_k,
-    rho_k_at,
+    rho_method,
 )
 
 print("== Christoffel symbols on familiar charts ==")
@@ -54,18 +54,18 @@ for theta in (0.0, math.pi / 6, math.pi / 4):
 
 print("\n== rho_k: minimum of Ric_k over directions and k-planes ==")
 for k in (1, 2, 3):
-    print(f"  rho_{k}(S^2 x S^2) = {rho_k_at(P, xp, k):.6f}")
+    lo, hi = rho_k(P, [xp], k)
+    print(f"  rho_{k}(S^2 x S^2) in [{lo[0]:.2e}, {hi[0]:.2e}] ({rho_method(4, k)})")
 print("  (rho_2 = 0: a mixed direction with its worst 2-plane kills the sum;"
       " rho_3 = 1: the full trace is rigid)")
 
 print("\n== L^p deficit norms ==")
 M2big = manifolds.sphere_colatitude(2, radius=2.0)
-res = lp_deficit_norm(M2big, 1.0, 1.0, lambda X: rho_k(
-    M2big, X, 1, directions=128, refine_rounds=1).hi, resolution=24)
+res = lp_deficit_norm(M2big, 1.0, 1.0, lambda X: rho_k(M2big, X, 1).hi,
+                     resolution=24)
 print(f"  S^2(radius 2), k=1, H=1, p=1: {res.value:.6f} "
       f"(= (3/4) * 16 pi = {12 * math.pi:.6f}), error est {res.error_estimate:.1e}")
 Mb = manifolds.bump_torus(3, amplitude=0.1)
-res_b = lp_deficit_norm(Mb, -0.05, 3.0, lambda X: rho_k(
-    Mb, X, 1, directions=512, refine_rounds=2).hi, resolution=10)
+res_b = lp_deficit_norm(Mb, -0.05, 3.0, lambda X: rho_k(Mb, X, 1).hi, resolution=10)
 print(f"  bump 3-torus, k=1, H=-0.05, p=3: {res_b.value:.6f} "
       f"+- {res_b.error_estimate:.1e} (support-restricted quadrature)")

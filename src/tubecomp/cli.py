@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import inspect
 import json
 import math
@@ -79,7 +78,6 @@ _SCHEMA = {
         "rho_refine_rounds": _rule("an integer >= 0", 0, integer=True),
         "chart_resolution": _rule("an integer >= 2", 2, integer=True),
         "ray_tolerance": _POSITIVE},
-    # "minimal" is accepted but unused: the checks measure max |eta| instead
     "declared": {"minimal": _BOOL, "totally_geodesic": _BOOL,
                  "validity_radius": _POSITIVE, "rho_exact": _OBJECT,
                  "hessian_H": _FINITE, "ray_horizon": _POSITIVE,
@@ -90,6 +88,13 @@ _SCHEMA = {
     "warped_product": {"name": _STRING, "fiber_dim": _POSITIVE_INT, "warp": _STRING,
                        "base_interval": _INTERVAL, "fiber_side": _POSITIVE},
 }
+
+# (section, key) accepted and checked but ignored: "minimal" (the checks
+# measure max |eta| instead) and the settings of a rho_k direction grid that
+# no longer exists. They stay accepted because perfbench/workloads.py sends
+# them, and only a change to the benchmark may drop them.
+_RETIRED = {("declared", "minimal"), ("quadrature", "rho_directions"),
+            ("quadrature", "rho_refine_rounds")}
 
 
 def _check(rule, value, where: str):
@@ -215,8 +220,9 @@ def _apply_settings(sc: Scenario, cfg: dict, seed: int | None,
     sc.tolerance = float(tolerance if tolerance is not None
                          else cfg.get("tolerance", sc.tolerance))
     sc.radii = tuple(radii if radii is not None else cfg.get("radii", sc.radii))
-    sc.quad = dataclasses.replace(sc.quad, **dict(cfg.get("quadrature", {}),
-                                                  seed=sc.seed))
+    quad = {key: value for key, value in cfg.get("quadrature", {}).items()
+            if ("quadrature", key) not in _RETIRED}
+    sc.quad = dataclasses.replace(sc.quad, **dict(quad, seed=sc.seed))
     for key, value in cfg.get("declared", {}).items():
         if key == "validity_radius":
             sc.manifold.volume_validity_radius = float(value)
@@ -293,15 +299,10 @@ def cmd_tube_volume(scenario: Scenario, radii: tuple[float, ...]) -> list[list[s
         hk_val = _fmt(sampler.hk_bound(H, r)) if hk_applicable else ""
         thm1_val = ""
         if thm1_applicable:
-            # table uses the tube-restricted deficit norm (the verify command
-            # reports both variants); declared homogeneous rho short-circuits
-            consts = thm1_constants(n, m, p, H)
-            declared = scenario.declared_rho(k)
-            if declared is not None:
-                norm = max(H - declared, 0.0) * res.value ** (1.0 / p)
-            else:
-                norm = sampler.lp_deficit(r, H, p, functools.partial(scenario.rho, k=k))
-            thm1_val = _fmt(thm1_bound(consts, sampler.grid.sigma_volume, norm, r))
+            # the tube-restricted deficit norm (verify reports both variants)
+            norm = scenario.tube_deficit_norm(sampler, r, res.value)
+            thm1_val = _fmt(thm1_bound(thm1_constants(n, m, p, H),
+                                       sampler.grid.sigma_volume, norm, r))
         rows.append([scenario.name, _fmt(r), _fmt(res.value),
                      _fmt(res.error_estimate), str(res.rays_used),
                      str(sum(res.truncated_at_focal)),

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import direction_search_grid, gauss_legendre_panels, periodic_trapezoid
+from .quadrature import gauss_legendre_panels, periodic_trapezoid
 
 __all__ = [
     "SingularMetricError",
@@ -325,38 +325,6 @@ def complete_frame(g: np.ndarray, seed_vectors) -> np.ndarray:
 # rho_k: the pointwise minimum of Ric_k
 
 
-def _k_plane_minima(rm: np.ndarray, linv: np.ndarray, dirs: np.ndarray,
-                    k: int) -> np.ndarray:
-    """Minimum of Ric_k over k-planes for a batch of Euclidean directions.
-
-    Directions s on the Euclidean sphere map to g-unit vectors u = L^-T s.
-    The n x n form B_u = Rm(., u, ., u) has u in its kernel; the pencil
-    spectrum is the u-perp spectrum plus one spurious zero, which is
-    dropped, and the minimum is the sum of the k smallest of the rest.
-    Leading axes of rm (..., n, n, n, n) and linv (..., n, n) pair with
-    those of dirs (..., S, n); the result has shape (..., S).
-    """
-    U = dirs @ linv
-    B = np.einsum("...ijkl,...sj,...sl->...sik", rm, U, U)
-    C = np.einsum("...ai,...sik,...bk->...sab", linv, B, linv)
-    w = np.linalg.eigvalsh(C)
-    keep = np.ones(w.shape, dtype=bool)
-    np.put_along_axis(keep, np.argmin(np.abs(w), axis=-1)[..., None], False, axis=-1)
-    return w[keep].reshape(w.shape[:-1] + (-1,))[..., :k].sum(axis=-1)
-
-
-# Lambda^2 of an orthonormal 3- or 4-frame on the pairs i < j, in order. On
-# the 4-frame's (01, 02, 03, 12, 13, 23) the Hodge star maps e01 <-> e23,
-# e02 <-> -e13, e03 <-> e12: it reverses the pair axis with these signs, and
-# its matrix is the flipped diagonal.
-_PAIRS = {3: (np.array([0, 0, 1]), np.array([1, 2, 2])),
-          4: (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]))}
-_STAR_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
-_STAR = np.fliplr(np.diag(_STAR_SIGNS))
-THORPE_STEPS = 48   # bisection halvings of [-2|R|, 2|R|]
-THORPE_ROUNDING = 32.0 * np.finfo(float).eps   # eigh error per unit of |A|
-
-
 def _frame_tensor(rm: np.ndarray, linv: np.ndarray) -> np.ndarray:
     """Rm per row in the g-orthonormal frame of linv's rows."""
     rf = np.einsum("bai,bijkl->bajkl", linv, rm)
@@ -365,49 +333,64 @@ def _frame_tensor(rm: np.ndarray, linv: np.ndarray) -> np.ndarray:
     return np.einsum("bel,bacdl->bacde", linv, rf)
 
 
-def _curvature_operator(rf: np.ndarray) -> np.ndarray:
-    """R(e_ij, e_kl) on the pairs i < j of a 3- or 4-frame, symmetrized."""
-    I, J = _PAIRS[rf.shape[1]]
-    R = rf[:, I[:, None], J[:, None], I, J]
-    return 0.5 * (R + np.swapaxes(R, 1, 2))
+def _k_plane_minima(rf: np.ndarray, dirs: np.ndarray, k: int):
+    """(least, argmin) over unit directions dirs (B, S, n) of the minimum of
+    Ric_k over k-planes, per row of frame tensors rf (B, n, n, n, n).
 
-
-def _least_eigenvalue(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of lambda_min per row of symmetric A: eigh's value less
-    THORPE_ROUNDING |A|_F, and the (attained) form at its eigenvector."""
-    w, V = np.linalg.eigh(A)
-    hi = np.einsum("bi,bij,bj->b", V[:, :, 0], A, V[:, :, 0])
-    return w[:, 0] - THORPE_ROUNDING * np.linalg.norm(A, axis=(1, 2)), hi
-
-
-def _star(w: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Hodge star of 2-forms along ``axis`` (exact: a signed permutation)."""
-    shape = [1] * w.ndim
-    shape[axis] = 6
-    return np.flip(w, axis=axis) * _STAR_SIGNS.reshape(shape)
-
-
-def _thorpe_bracket(rm: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of the minimum sectional curvature per row of 4-dim tensors.
-
-    R is the curvature operator on Lambda^2 in the orthonormal frame of
-    linv's rows. Thorpe's trick: min sec = max_t lambda_min(R + t *), with
-    equality because the joint numerical range of two real quadratic
-    forms is convex (Brickman). lambda_min(R + t *) is concave and
-    1-Lipschitz in t, and its maximum lies in |t| <= 2 |R|, since
-    lambda_min(R + t *) <= |R| - |t| and lambda_min(R) >= -|R|. Every row
-    bisects that interval in lockstep on the supergradient v.*v of the
-    bottom eigenvector v, so after THORPE_STEPS the maximizer is known to
-    4 |R| 2^-48 and lo to as much. ``lo`` is the largest lambda_min met,
-    less eigh's rounding allowance: a lower bound at any t. ``hi`` is the
-    least R(w, w) over unit decomposable 2-forms w (w.*w = 0), each the
-    curvature of a plane: the six frame planes, the normalized sum of the
-    normalized self-dual and anti-self-dual parts of v at the best t, and
-    the two decomposable elements of the span of the two bottom
-    eigenvectors there, which a double bottom eigenvalue (a kink of the
-    concave function) needs.
+    The form B_s = Rm(., s, ., s) has s in its kernel; its spectrum is the
+    s-perp spectrum plus one spurious zero, which is dropped, and the
+    minimum over k-planes is the sum of the k smallest of the rest (exact).
     """
-    R = _curvature_operator(_frame_tensor(rm, linv))
+    w = np.linalg.eigvalsh(np.einsum("bajcl,bsj,bsl->bsac", rf, dirs, dirs))
+    keep = np.ones(w.shape, dtype=bool)
+    np.put_along_axis(keep, np.argmin(np.abs(w), axis=-1)[..., None], False, axis=-1)
+    vals = w[keep].reshape(w.shape[:-1] + (-1,))[..., :k].sum(axis=-1)
+    pick = np.arange(len(rf)), np.argmin(vals, axis=1)
+    return vals[pick], dirs[pick]
+
+
+def _plane_directions(forms: np.ndarray, n: int) -> np.ndarray:
+    """Top two eigenvectors of sum_i W_i^T W_i for 2-forms (B, i, pairs): (B, 2, n).
+
+    W_i is the i-th form as an n x n skew matrix on the pairs of
+    ``np.triu_indices(n, 1)``. For orthonormal forms u ^ e_i the sum is
+    k u u^T + sum_i e_i e_i^T, whose top eigenvector is u; for one form the
+    top two span the plane of its largest singular value.
+    """
+    I, J = np.triu_indices(n, 1)
+    W = np.zeros(forms.shape[:-1] + (n, n))
+    W[..., I, J] = forms
+    W[..., J, I] = -forms
+    _, V = np.linalg.eigh(np.einsum("biac,biad->bcd", W, W))
+    return np.swapaxes(V[:, :, -2:], 1, 2)
+
+
+# On Lambda^2 R^4's pairs (01, 02, 03, 12, 13, 23) the Hodge star maps
+# e01 <-> e23, e02 <-> -e13, e03 <-> e12: its matrix is the flipped diagonal
+# of these (palindromic) signs, symmetric, and a product with it is exact.
+_STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
+THORPE_STEPS = 48   # bisection halvings of [-2|R|, 2|R|]
+RHO_ROUNDING = 32.0 * np.finfo(float).eps   # eigh error per unit of |A|
+PATTERN_ROUNDS = 3  # pattern-search rounds on a row whose bracket stays open
+
+
+def _thorpe_search(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, candidate directions) for the minimum sectional curvature per row
+    of curvature operators R (B, 6, 6) on Lambda^2 R^4.
+
+    Thorpe's trick: min sec = max_t lambda_min(R + t *), with equality
+    because the joint numerical range of two real quadratic forms is convex
+    (Brickman). lambda_min(R + t *) is concave and 1-Lipschitz in t, and its
+    maximum lies in |t| <= 2 |R|, since lambda_min(R + t *) <= |R| - |t| and
+    lambda_min(R) >= -|R|. Every row bisects that interval in lockstep on
+    the supergradient v.*v of the bottom eigenvector v, so after
+    THORPE_STEPS the maximizer is known to 4 |R| 2^-48 and lo to as much.
+    ``lo`` is the largest lambda_min met, less eigh's rounding allowance: a
+    lower bound at any t. The directions (B, 6, 4) span the planes of the
+    bottom eigenvector at the best t and of the two decomposable elements of
+    the span of the two bottom eigenvectors there, which a double bottom
+    eigenvalue (a kink of the concave function) needs.
+    """
     radius = 2.0 * np.linalg.norm(R, axis=(1, 2))   # Frobenius >= operator norm
     a, b = -radius, radius
     lo = np.full(len(R), -np.inf)
@@ -419,43 +402,100 @@ def _thorpe_bracket(rm: np.ndarray, linv: np.ndarray) -> tuple[np.ndarray, np.nd
         lo[better] = w[better, 0]
         vecs[better] = V[better]
         v = V[:, :, 0]
-        rising = np.sum(v * _star(v), axis=1) > 0.0
+        rising = np.sum(v * (v @ _STAR), axis=1) > 0.0
         a = np.where(rising, t, a)
         b = np.where(rising, b, t)
 
-    candidates = []     # (rows, unit decomposable 2-forms of those rows)
-    v = vecs[:, :, 0]
-    plus, minus = 0.5 * (v + _star(v)), 0.5 * (v - _star(v))
-    n_plus, n_minus = np.linalg.norm(plus, axis=1), np.linalg.norm(minus, axis=1)
-    ok = (n_plus > 0.0) & (n_minus > 0.0)
-    candidates.append((ok, (plus[ok] / n_plus[ok, None]
-                            + minus[ok] / n_minus[ok, None]) / math.sqrt(2.0)))
     # c -> c.Qc on the unit circle, Q = (v1, v2).*(v1, v2), reads
     # m + r cos(2 theta - phi); its zeros are 2 theta = phi +- arccos(-m / r)
+    # (where r < |m| there is none, and the forms are mere candidates)
     pair = vecs[:, :, :2]
-    Q = np.einsum("zia,zib->zab", pair, _star(pair, axis=1))
+    Q = np.einsum("zia,zib->zab", pair, _STAR @ pair)
     half_diff = 0.5 * (Q[:, 0, 0] - Q[:, 1, 1])
     m = 0.5 * (Q[:, 0, 0] + Q[:, 1, 1])
     r = np.hypot(half_diff, Q[:, 0, 1])
-    ok = r >= np.abs(m)
-    phi = np.arctan2(Q[ok, 0, 1], half_diff[ok])
-    turn = np.arccos(np.clip(-m[ok] / np.where(r[ok] > 0.0, r[ok], 1.0), -1.0, 1.0))
-    for theta in (0.5 * (phi + turn), 0.5 * (phi - turn)):
-        c = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        candidates.append((ok, np.einsum("bia,ba->bi", pair[ok], c)))
-    hi = np.min(np.diagonal(R, axis1=1, axis2=2), axis=1)
-    for ok, w2 in candidates:
-        hi[ok] = np.minimum(hi[ok], np.einsum("bi,bij,bj->b", w2, R[ok], w2))
+    phi = np.arctan2(Q[:, 0, 1], half_diff)
+    turn = np.arccos(np.clip(-m / np.where(r > 0.0, r, 1.0), -1.0, 1.0))
+    forms = [pair[:, :, 0]] + [
+        np.einsum("bia,ba->bi", pair, np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+        for theta in (0.5 * (phi + turn), 0.5 * (phi - turn))]
+    dirs = np.concatenate([_plane_directions(f[:, None], 4) for f in forms], axis=1)
     # eigh's eigenvalues are exact for a matrix within a few eps |A| of A,
     # |A| <= |R| + |t| <= 3 |R|_F; lo gives that back
-    lo -= THORPE_ROUNDING * 1.5 * radius
+    return lo - RHO_ROUNDING * 1.5 * radius, dirs
+
+
+def _pattern_search(rf: np.ndarray, best: np.ndarray, best_s: np.ndarray,
+                    k: int) -> np.ndarray:
+    """Least ``_k_plane_minima`` found by a greedy coordinate pattern search
+    from the directions best_s (B, n), whose values are best (B,); updates both.
+
+    Each round moves a row to its best of the 2n neighbours best_s +- step
+    e_i (normalized) while that drops the value by more than 1e-15, at most
+    24 times; the step starts at 0.15 and shrinks by 5 per round.
+    """
+    eye = np.eye(rf.shape[1])
+    step = 0.15
+    for _ in range(PATTERN_ROUNDS):
+        active = np.arange(len(rf))
+        for _ in range(24):
+            cands = np.concatenate([best_s[active, None] + step * eye,
+                                    best_s[active, None] - step * eye], axis=1)
+            cands /= np.linalg.norm(cands, axis=-1, keepdims=True)
+            vals, dirs = _k_plane_minima(rf[active], cands, k)
+            better = vals < best[active] - 1e-15
+            active = active[better]
+            best[active] = vals[better]
+            best_s[active] = dirs[better]
+            if len(active) == 0:
+                break
+        step *= 0.2
+    return best
+
+
+def _rho_bracket(rf: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of rho_k per row of frame tensors rf (B, n, n, n, n), k <= n - 2
+    (or n = 3, k = 1).
+
+    R is the curvature operator on Lambda^2 on the pairs of
+    ``np.triu_indices(n, 1)``. For a unit u and orthonormal e_i in u-perp
+    the forms u ^ e_i are orthonormal and Ric_k(u, span e_i) =
+    sum_i R(u ^ e_i, u ^ e_i), so the sum of the k smallest eigenvalues of
+    R (Ky Fan), less eigh's rounding allowance, is ``lo``. ``hi`` is the
+    least exact inner minimum ``_k_plane_minima`` over candidate directions
+    (``_plane_directions`` of the k bottom eigenvectors, and the frame
+    axes), so rho_k attains it. A row whose bracket is wider than four
+    allowances is open: in dimension 4 with k = 1 it runs Thorpe's
+    bisection (``_thorpe_search``), whose lo is exact to rounding and which
+    gives hi more candidates; a row still open runs ``_pattern_search`` on
+    hi.
+    """
+    B, n = rf.shape[:2]
+    I, J = np.triu_indices(n, 1)
+    R = rf[:, I[:, None], J[:, None], I, J]
+    R = 0.5 * (R + np.swapaxes(R, 1, 2))
+    allowance = k * RHO_ROUNDING * np.linalg.norm(R, axis=(1, 2))
+    w, V = np.linalg.eigh(R)
+    lo = w[:, :k].sum(axis=1) - allowance
+    dirs = np.concatenate([_plane_directions(np.swapaxes(V[:, :, :k], 1, 2), n),
+                           np.broadcast_to(np.eye(n), (B, n, n))], axis=1)
+    hi, best_s = _k_plane_minima(rf, dirs, k)
+    rows = np.flatnonzero(hi - lo > 4.0 * allowance)
+    if rho_method(n, k) == "thorpe" and len(rows):
+        lo[rows], more = _thorpe_search(R[rows])
+        hi[rows], best_s[rows] = _k_plane_minima(
+            rf[rows], np.concatenate([dirs[rows], more], axis=1), k)
+        rows = rows[hi[rows] - lo[rows] > 4.0 * allowance[rows]]
+    if len(rows):
+        hi[rows] = _pattern_search(rf[rows], hi[rows], best_s[rows], k)
     return lo, hi
 
 
 def rho_method(n: int, k: int) -> str:
-    """How ``rho_k`` evaluates (n, k): "thorpe", "curvature_operator", "ricci" or "grid"."""
-    return {(4, 1): "thorpe", (3, 1): "curvature_operator"}.get(
-        (n, k), "ricci" if k == n - 1 else "grid")
+    """How ``rho_k`` evaluates (n, k): "thorpe", "curvature_operator" or "ricci"."""
+    if k == n - 1:
+        return "ricci"
+    return "thorpe" if (n, k) == (4, 1) else "curvature_operator"
 
 
 class RhoBracket(NamedTuple):
@@ -468,23 +508,19 @@ class RhoBracket(NamedTuple):
 RHO_BLOCK = 64   # points per curvature batch; bounds the (rows, n, n, n, n) temporaries
 
 
-def rho_k(M: ChartManifold, X: np.ndarray, k: int, *,
-          directions: int = 2048, refine_rounds: int = 3) -> RhoBracket:
+def rho_k(M: ChartManifold, X: np.ndarray, k: int) -> RhoBracket:
     """Pointwise minimum of Ric_k over unit directions and k-planes, per row of X.
 
-    For n = 4, k = 1 (``rho_method``) rho_k is the minimum sectional
-    curvature, bracketed by ``_thorpe_bracket``. For k = n - 1 it is the
-    least eigenvalue of Ricci (Ric_(n-1)(u) = Ric(u, u)), and for n = 3,
-    k = 1 that of the curvature operator on Lambda^2 (every 2-form is
-    decomposable), each bracketed by ``_least_eigenvalue``. On these paths
-    hi - lo is at rounding level and ``directions`` and ``refine_rounds``
-    are not read. Any other (n, k) takes the direction grid: the inner
-    minimum over k-planes is the sum of the k smallest eigenvalues of the
-    directional operator (exact); the outer minimum over directions uses a deterministic
-    sphere grid plus a greedy coordinate pattern search, and its value,
-    which may miss the global minimizer, is returned as both lo and hi.
-    No value depends on the other rows. Rows outside a declared curvature
-    support are 0.0.
+    For k = n - 1 (``rho_method`` "ricci") rho_k is the least eigenvalue
+    of Ricci (Ric_(n-1)(u) = Ric(u, u)): lo is eigh's value less its
+    rounding allowance and hi the Ricci form at its eigenvector. Every
+    other k is bracketed on the curvature operator by ``_rho_bracket``
+    ("thorpe" at n = 4, k = 1, where an open row runs Thorpe's bisection,
+    and "curvature_operator" otherwise). lo is always a certified lower
+    bound and hi a value rho_k attains; on conformally flat metrics,
+    products and space forms hi - lo is at rounding level, elsewhere it
+    may stay open. No value depends on the other rows. Rows outside a
+    declared curvature support are 0.0.
     """
     n = M.dim
     if not 1 <= k <= n - 1:
@@ -495,54 +531,24 @@ def rho_k(M: ChartManifold, X: np.ndarray, k: int, *,
     if M.curvature_support is not None:
         # the metric is exactly flat outside the declared support
         rows = rows[M.curvature_support.contains(M.domain.wrap(X))]
-    if len(rows) == 0:
-        return RhoBracket(lo, hi)
-    method = rho_method(n, k)
-    grid = direction_search_grid(n, directions) if method == "grid" else None
-    eye = np.eye(n)
     for start in range(0, len(rows), RHO_BLOCK):
         block = rows[start:start + RHO_BLOCK]
         g, rm = _curvature_batch(M, X[block])
-        linv = np.linalg.inv(np.linalg.cholesky(g))
-        if method == "thorpe":
-            lo[block], hi[block] = _thorpe_bracket(rm, linv)
-            continue
-        if method != "grid":
-            rf = _frame_tensor(rm, linv)
-            A = (_curvature_operator(rf) if method == "curvature_operator"
-                 else np.einsum("bijil->bjl", rf))                 # Ricci
-            lo[block], hi[block] = _least_eigenvalue(0.5 * (A + np.swapaxes(A, 1, 2)))
-            continue
-        # point-by-point grid scan: jointly, B and C are 17 MB each (n = 4, 2048 dirs)
-        vals = np.array([_k_plane_minima(rm[i], linv[i], grid, k)
-                         for i in range(len(block))])
-        j = np.argmin(vals, axis=1)
-        best, best_s = vals[np.arange(len(block)), j], grid[j]
-        step = 0.15
-        for _ in range(refine_rounds):
-            active = np.arange(len(block))
-            for _ in range(24):
-                cands = np.concatenate([best_s[active, None] + step * eye,
-                                        best_s[active, None] - step * eye], axis=1)
-                cands /= np.linalg.norm(cands, axis=-1, keepdims=True)
-                cvals = _k_plane_minima(rm[active], linv[active], cands, k)
-                pick = np.arange(len(active)), np.argmin(cvals, axis=1)
-                better = cvals[pick] < best[active] - 1e-15
-                active = active[better]
-                best[active] = cvals[pick][better]
-                best_s[active] = cands[pick][better]
-                if len(active) == 0:
-                    break
-            step *= 0.2
-        lo[block] = hi[block] = best
+        rf = _frame_tensor(rm, np.linalg.inv(np.linalg.cholesky(g)))
+        if k == n - 1:
+            A = np.einsum("bijil->bjl", rf)
+            A = 0.5 * (A + np.swapaxes(A, 1, 2))
+            w, V = np.linalg.eigh(A)
+            lo[block] = w[:, 0] - RHO_ROUNDING * np.linalg.norm(A, axis=(1, 2))
+            hi[block] = np.einsum("bi,bij,bj->b", V[:, :, 0], A, V[:, :, 0])
+        else:
+            lo[block], hi[block] = _rho_bracket(rf, k)
     return RhoBracket(lo, hi)
 
 
-def rho_k_at(M: ChartManifold, x: np.ndarray, k: int, *,
-             directions: int = 2048, refine_rounds: int = 3) -> float:
+def rho_k_at(M: ChartManifold, x: np.ndarray, k: int) -> float:
     """rho_k at one point: the attained end ``hi`` of ``rho_k``'s bracket."""
-    return float(rho_k(M, [x], k, directions=directions,
-                       refine_rounds=refine_rounds).hi[0])
+    return float(rho_k(M, [x], k).hi[0])
 
 
 DEFICIT_INFLATION = 1e-3   # safety margin added to the deficit at every node

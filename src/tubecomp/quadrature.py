@@ -17,7 +17,6 @@ __all__ = [
     "product_angle_sphere",
     "monte_carlo_sphere",
     "unit_sphere_quadrature",
-    "direction_search_grid",
 ]
 
 
@@ -113,19 +112,3 @@ def unit_sphere_quadrature(d: int, resolution: int = 16,
         raise ValueError(f"fiber dimension {d} >= 3 requires Monte Carlo sampling")
     return monte_carlo_sphere(d, 256 * resolution, rng)
 
-
-def direction_search_grid(n: int, min_count: int = 2048) -> np.ndarray:
-    """Deterministic unit-direction grid in R^n for curvature minimization.
-
-    ``rho_k`` reads it only for n >= 4 (n <= 3 has exact brackets).
-    """
-    if n < 2:
-        raise ValueError(f"need ambient dimension >= 2, got {n}")
-    polar = 8
-    azimuth = 16
-    while True:
-        pts, _ = product_angle_sphere(n - 1, polar=polar, azimuth=azimuth)
-        if len(pts) >= min_count:
-            return pts
-        polar += 4
-        azimuth += 8

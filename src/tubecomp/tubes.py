@@ -40,7 +40,8 @@ def _ray_sum(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts for the radial rule, fiber sphere, and parameter domain."""
+    """Node counts for the radial rule, fiber sphere, and parameter domain;
+    none for rho_k, whose bracket (``geometry.rho_k``) has no direction grid."""
 
     t_nodes_per_panel: int = 16
     base_resolution: int | tuple = 8
@@ -48,8 +49,6 @@ class QuadratureSpec:
     mc_samples: int = 2048                  # volume cross-check sample budget
     seed: int = 0
     ray_tolerance: float = 1e-9
-    rho_directions: int = 2048              # the grid rho_k only (n >= 4, 2 <= k <= n - 2)
-    rho_refine_rounds: int = 3
     chart_resolution: int = 8               # per-axis nodes for chart-box norms
 
     def rng(self) -> np.random.Generator:

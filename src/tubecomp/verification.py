@@ -99,8 +99,19 @@ class Scenario:
         declared = self.declared_rho(k)
         if declared is not None:
             return np.full(len(X), declared)
-        return rho_k(self.manifold, X, k, directions=self.quad.rho_directions,
-                     refine_rounds=self.quad.rho_refine_rounds).hi
+        return rho_k(self.manifold, X, k).hi
+
+    def tube_deficit_norm(self, sampler: TubeSampler, r: float, volume: float) -> float:
+        """||(rho_k - H)_-||_p over the tube of radius r, whose volume is ``volume``.
+
+        With a declared rho_k the deficit is the constant max(H - rho_k, 0),
+        so the norm is that constant times volume^(1/p) and no ray is read;
+        otherwise it is ``sampler.lp_deficit`` of ``rho``.
+        """
+        declared = self.declared_rho(self.k)
+        if declared is not None:
+            return max(self.H - declared, 0.0) * volume ** (1.0 / self.p)
+        return sampler.lp_deficit(r, self.H, self.p, functools.partial(self.rho, k=self.k))
 
     def sampler(self, r_max: float) -> TubeSampler:
         """Shared ray cache; rebuilt when the geometry or quadrature changed."""
@@ -119,27 +130,24 @@ class Scenario:
 
 
 def certify_rho_lower_bound(scenario: Scenario, k: int, H: float,
-                            samples: int = 512) -> dict:
+                            points: int = 8) -> dict:
     """Sampled check that rho_k >= k H on the chart; records the margin.
 
     Always evaluates ``rho_k`` (never declared values): certification is
     the independent guard on the declared facts. It reads the bracket's
-    lower end, which is certified except on the grid path (n >= 4 and
-    2 <= k <= n - 2), where it is the grid minimum (256 directions, one
-    refine round). ``samples``
-    counts point-direction pairs in the spec's sense; ``bracket_width`` is
-    the largest hi - lo over the sampled points.
+    lower end, which is certified for every (n, k), at ``points`` random
+    points (the report's ``samples``); ``bracket_width`` is the largest
+    hi - lo over them.
     """
     M, box = scenario.manifold, scenario.manifold.domain
-    n_points = max(8, samples // 64)
-    X = box.wrap(scenario.rng().uniform(box.lo, box.hi, size=(n_points, M.dim)))
-    lo, hi = rho_k(M, X, k, directions=256, refine_rounds=1)
+    X = box.wrap(scenario.rng().uniform(box.lo, box.hi, size=(points, M.dim)))
+    lo, hi = rho_k(M, X, k)
     worst = float(np.min(lo))
     declared = scenario.declared_rho(k)
     declared_gap = 0.0 if declared is None else float(np.max(np.abs(lo - declared)))
     margin = worst - k * H
     return {"min_rho_k": worst, "margin": margin, "ok": margin >= -1e-9,
-            "samples": n_points * 256, "k": k, "H": H,
+            "samples": points, "k": k, "H": H,
             "declared_gap": declared_gap, "rho_k_method": rho_method(M.dim, k),
             "bracket_width": float(np.max(hi - lo))}
 
@@ -333,7 +341,9 @@ def check_integral_bound(scenario: Scenario, radii,
     the tube-restricted norm. The global norm is computed once for all
     radii; its safety-inflated variant is recorded in the details whenever
     rho_k is evaluated rather than declared. ``rho_k_method`` names how
-    ("declared", "thorpe" or "grid"). With ``monte_carlo_check``,
+    ("declared", or ``rho_method``'s "thorpe", "curvature_operator" or
+    "ricci"); the tube norm is ``Scenario.tube_deficit_norm``. With
+    ``monte_carlo_check``,
     ``mc_z`` = (Monte Carlo - quadrature volume) / Monte Carlo standard
     error, and ``mc_consistent`` is |mc_z| <= 3: a Gaussian z-score
     crosses 3 by chance in 0.27 % of runs.
@@ -359,14 +369,13 @@ def check_integral_bound(scenario: Scenario, radii,
                 for _ in radii]
     constants = thm1_constants(n, m, p, H)
     declared = scenario.declared_rho(k)
-    rho = functools.partial(scenario.rho, k=k)
-    global_norm = lp_deficit_norm(M, H, p, rho,
+    global_norm = lp_deficit_norm(M, H, p, functools.partial(scenario.rho, k=k),
                                   resolution=scenario.quad.chart_resolution)
     reports = []
     for r, sampler in zip(radii, samplers):
         vol_sigma = sampler.grid.sigma_volume
-        tube_norm = sampler.lp_deficit(r, H, p, rho)
         measured = sampler.volume(r)
+        tube_norm = scenario.tube_deficit_norm(sampler, r, measured.value)
         details_common = {
             "vol_sigma": vol_sigma, "eta_max": eta_max, "r": r,
             "rho_k_method": rho_method(n, k) if declared is None else "declared",

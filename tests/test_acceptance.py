@@ -14,13 +14,14 @@ import pytest
 
 from tubecomp import manifolds
 from tubecomp.cli import main as cli_main
-from tubecomp.geometry import rho_k_at
+from tubecomp.geometry import curvature_tensor_at, rho_k_at
 from tubecomp.models import cheeger_delta, thm1_bound, thm1_constants
 from tubecomp.scenarios import build_scenario
 from tubecomp.submanifolds import point, sub_torus
 from tubecomp.transport import NormalRay, integrate_ray, partial_trace
 from tubecomp.tubes import QuadratureSpec, TubeSampler
 from tubecomp.verification import run_suite
+from test_geometry import sampled_rho_k
 
 
 GOLDEN = Path(__file__).parent / "golden" / "acceptance_reports.json"
@@ -51,24 +52,24 @@ def product_reports():
     return run_suite([build_scenario("s2xs2_factor")]).entries
 
 
-BUMP_GRID_SCANS = []   # direction_search_grid calls made by the bump_torus suite
+BUMP_THORPE_SEARCHES = []   # rows sent to Thorpe's bisection by the bump_torus suite
 
 
 @pytest.fixture(scope="module")
 def bump_reports():
     from tubecomp import geometry
 
-    original = geometry.direction_search_grid
+    original = geometry._thorpe_search
 
-    def counted(*args, **kwargs):
-        BUMP_GRID_SCANS.append(args)
-        return original(*args, **kwargs)
+    def counted(R):
+        BUMP_THORPE_SEARCHES.append(len(R))
+        return original(R)
 
-    geometry.direction_search_grid = counted
+    geometry._thorpe_search = counted
     try:
         return run_suite([build_scenario("bump_torus")]).entries
     finally:
-        geometry.direction_search_grid = original
+        geometry._thorpe_search = original
 
 
 @pytest.fixture(scope="module")
@@ -156,8 +157,9 @@ def test_criterion_5_rho_k_product_oracle():
     rho3 = rho_k_at(P, x, 3)
     assert rho2 == pytest.approx(0.0, abs=1e-3)
     assert rho3 == pytest.approx(1.0, abs=1e-3)
-    dense2 = rho_k_at(P, x, 2, directions=8192, refine_rounds=3)
-    dense3 = rho_k_at(P, x, 3, directions=8192, refine_rounds=3)
+    rng = np.random.default_rng(0)
+    rm, g = curvature_tensor_at(P, x), P.metric_at(x)
+    dense2, dense3 = (sampled_rho_k(rm, g, k, rng) for k in (2, 3))
     assert rho2 == pytest.approx(dense2, abs=1e-3)
     assert rho3 == pytest.approx(dense3, abs=1e-3)
     print(f"\n[criterion 5] PASS rho_k product oracle: rho_2={rho2:.2e} "
@@ -227,8 +229,9 @@ def test_criterion_8_bump_integral_bound(bump_reports):
 
 
 def test_bump_suite_reads_thorpe_brackets(bump_reports):
-    """The shipped bump_torus run takes rho_1 from Thorpe's bracket, never the grid."""
-    assert BUMP_GRID_SCANS == []
+    """The shipped bump_torus run brackets rho_1 on the curvature operator; every
+    row closes at t = 0, so none runs Thorpe's bisection."""
+    assert BUMP_THORPE_SEARCHES == []
     glob = _one(bump_reports, "bump_torus", "integral_bound[global]")
     assert glob.details["rho_k_method"] == "thorpe"
     z = (glob.details["mc_volume"] - glob.measured) / glob.details["mc_stderr"]

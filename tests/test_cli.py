@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -460,7 +461,27 @@ class TestSettings:
 
         from tubecomp.tubes import QuadratureSpec
         fields = {f.name for f in dataclasses.fields(QuadratureSpec)} - {"seed"}
-        assert set(cli._SCHEMA["quadrature"]) == fields
+        retired = {key for section, key in cli._RETIRED if section == "quadrature"}
+        assert set(cli._SCHEMA["quadrature"]) == fields | retired
+
+    def test_retired_keys_change_no_report(self, tmp_path, monkeypatch):
+        # the benchmark's bump config sends every retired key
+        monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+        from workloads import bump_config
+
+        with_keys = bump_config(0, toy=True)
+        without = json.loads(json.dumps(with_keys))
+        for section, key in cli._RETIRED:
+            assert key in with_keys[section]
+            del without[section][key]
+        outputs = []
+        for name, cfg in (("with", with_keys), ("without", without)):
+            out = tmp_path / name
+            out.mkdir()
+            assert main(["verify", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("report.json", "report.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_schema_names_every_warped_product_parameter(self):
         import inspect

@@ -20,9 +20,10 @@ from tubecomp.geometry import (
     rho_k_at,
     rho_method,
 )
-from tubecomp.geometry import _curvature_batch, _grad_at, _hess_at, _inverse_spd
+from tubecomp.geometry import _curvature_batch, _grad_at, _hess_at
 from tubecomp.geometry import fd_gradient, fd_hessian
-from tubecomp.quadrature import direction_search_grid
+from tubecomp.geometry import _frame_tensor, _rho_bracket
+from tubecomp.quadrature import product_angle_sphere
 
 
 # -- brute-force oracle: the directional operator R(., u)u, one point at a time
@@ -408,73 +409,79 @@ class TestRicK:
             ric_k(M, x, u, [u])  # V parallel to u collapses under projection
 
 
-def reference_rho_k_at(M, x, k, *, directions=2048, refine_rounds=3):
-    """Per-point rho_k: one curvature evaluation and one pattern search per call.
-
-    The unbatched search ``rho_k`` must reproduce bitwise: same grid, same
-    steps (0.15, then x0.2 per round), at most 24 moves per round, a move
-    only on a drop below best - 1e-15, and the pencil's spurious zero dropped.
-    """
-    n = M.dim
-    x = np.asarray(x, dtype=float)
-    if (M.curvature_support is not None
-            and not M.curvature_support.contains(M.domain.wrap(x))):
-        return 0.0
-    g = M.metric_at(x)
-    chol, _ = _inverse_spd(g[None], M.name)
-    linv = np.linalg.inv(chol[0])
-    rm = curvature_tensor_at(M, x)
-
-    def sums(dirs):
-        U = dirs @ linv
-        B = np.einsum("ijkl,sj,sl->sik", rm, U, U)
-        w = np.linalg.eigvalsh(np.einsum("ai,sik,bk->sab", linv, B, linv))
-        keep = np.ones(w.shape, dtype=bool)
-        keep[np.arange(len(w)), np.argmin(np.abs(w), axis=1)] = False
-        return w[keep].reshape(len(w), -1)[:, :k].sum(axis=1)
-
-    grid = direction_search_grid(n, directions)
-    vals = sums(grid)
-    best_idx = int(np.argmin(vals))
-    best_s, best = grid[best_idx], float(vals[best_idx])
-    step = 0.15
-    eye = np.eye(n)
-    for _ in range(refine_rounds):
-        for _ in range(24):
-            cands = np.concatenate([best_s + step * eye, best_s - step * eye])
-            cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-            cvals = sums(cands)
-            j = int(np.argmin(cvals))
-            if cvals[j] < best - 1e-15:
-                best, best_s = float(cvals[j]), cands[j]
-            else:
-                break
-        step *= 0.2
-    return best
+def frame_tensor(rm, g):
+    """Rm in a g-orthonormal frame (the rows of L^-1, g = L L^T)."""
+    linv = np.linalg.inv(np.linalg.cholesky(g))
+    return np.einsum("ai,bj,ck,dl,ijkl->abcd", linv, linv, linv, linv, rm, optimize=True)
 
 
-def grid_values(M, X, k, **kwargs):
-    """The grid path's rho_k at each row of X, which is both ends of its bracket."""
-    lo, hi = rho_k(M, X, k, **kwargs)
-    assert np.array_equal(lo, hi)
-    return hi
+def operator_norm_bound(rm, g):
+    """Frobenius norm of the curvature operator on Lambda^2 in a g-orthonormal frame."""
+    return 0.5 * float(np.linalg.norm(frame_tensor(rm, g)))
 
 
-def batched_rho_k(M, X, k, batch, **kwargs):
-    """rho_k over X in consecutive calls of ``batch`` rows each."""
-    return np.concatenate([grid_values(M, X[i:i + batch], k, **kwargs)
-                           for i in range(0, len(X), batch)])
+def least_ric_k(rm, g, k, dirs):
+    """Least Ric_k over the unit frame directions dirs (S, n): per direction s
+    the sum of the k smallest eigenvalues of Rm(., s, ., s) on an explicit
+    orthonormal basis of s-perp. Each value is attained, so the least is >= rho_k."""
+    rf = frame_tensor(rm, g)
+    n = len(g)
+    q, _ = np.linalg.qr(np.concatenate(
+        [dirs[:, :, None], np.broadcast_to(np.eye(n)[:, :n - 1], (len(dirs), n, n - 1))], axis=2))
+    perp = q[:, :, 1:]
+    B = np.einsum("ajcl,sj,sl->sac", rf, dirs, dirs, optimize=True)
+    C = np.einsum("sai,sac,scj->sij", perp, B, perp, optimize=True)
+    return float(np.min(np.linalg.eigvalsh(C)[:, :k].sum(axis=1)))
+
+
+def sampled_rho_k(rm, g, k, rng, count=20000):
+    """``least_ric_k`` over random directions: the dense random oracle."""
+    s = rng.standard_normal((count, len(g)))
+    return least_ric_k(rm, g, k, s / np.linalg.norm(s, axis=1, keepdims=True))
+
+
+def grid_rho_k(rm, g, k):
+    """``least_ric_k`` over a product-angle sphere grid (8,192 directions at n = 4)."""
+    dirs, _ = product_angle_sphere(len(g) - 1, polar=16, azimuth=32)
+    return least_ric_k(rm, g, k, dirs)
+
+
+def random_curvature_tensors(rng, count):
+    """Algebraic curvature tensors on R^4: sums of Kulkarni-Nomizu squares h o h."""
+    out = np.zeros((count, 4, 4, 4, 4))
+    for _ in range(6):
+        h = rng.standard_normal((count, 4, 4))
+        h = h + np.swapaxes(h, 1, 2)
+        sign = rng.choice([-1.0, 1.0], size=(count, 1, 1, 1, 1))
+        out += sign * (np.einsum("bik,bjl->bijkl", h, h) - np.einsum("bil,bjk->bijkl", h, h))
+    return out * rng.uniform(0.01, 10.0, size=(count, 1, 1, 1, 1))
+
+
+def random_metrics(rng, count):
+    A = rng.standard_normal((count, 4, 4))
+    return np.einsum("bij,bkj->bik", A, A) + np.eye(4)
+
+
+def check_against_oracle(lo, hi, rms, gs, k, rng, closed=True):
+    """lo <= dense random oracle <= hi + its sampling slack, hi attained below
+    the oracle, and (``closed``) hi - lo at rounding level."""
+    for lo_i, hi_i, rm, g in zip(lo, hi, rms, gs):
+        scale = max(1.0, operator_norm_bound(rm, g))
+        oracle = sampled_rho_k(rm, g, k, rng)
+        assert lo_i <= hi_i <= oracle + 1e-12 * scale
+        assert lo_i - 1e-12 * scale <= oracle <= hi_i + 2e-2 * scale   # both round
+        if closed:
+            assert hi_i - lo_i <= 1e-12 * scale
+
+
+def batched_rho_k(M, X, k, batch):
+    """rho_k over X in consecutive calls of ``batch`` rows each, as (lo, hi)."""
+    parts = [rho_k(M, X[i:i + batch], k) for i in range(0, len(X), batch)]
+    return (np.concatenate([p.lo for p in parts]), np.concatenate([p.hi for p in parts]))
 
 
 class TestRhoKBatched:
-    """The batched grid search against the per-point reference, bitwise.
-
-    k = 1 on n = 4 takes the Thorpe bracket (``TestRhoBracket``) and k = n - 1
-    and n = 3 take an exact eigenvalue (``TestExactBrackets``), so the grid
-    runs at n = 4, k = 2.
-    """
-
-    KW = dict(directions=256, refine_rounds=3)
+    """The curvature-operator bracket (k <= n - 2) row by row and in batches."""
 
     def test_bump_torus_inside_and_outside_support(self):
         M = manifolds.bump_torus(4)
@@ -482,26 +489,71 @@ class TestRhoKBatched:
         X = M.extra["center"] + rng.uniform(-1.25, 1.25, size=(150, 4))
         inside = M.curvature_support.contains(M.domain.wrap(X))
         assert 30 <= inside.sum() <= 120
-        for k in (2,):
-            expect = np.array([reference_rho_k_at(M, x, k, **self.KW) for x in X])
-            assert np.all(expect[~inside] == 0.0)
-            assert np.all(expect[inside] != 0.0)
+        for k in (1, 2):
+            lo, hi = rho_k(M, X, k)
+            assert np.all(lo[~inside] == 0.0) and np.all(hi[~inside] == 0.0)
+            assert np.all(hi[inside] < 0.0)
             for batch in (1, 63, 64, 65, len(X)):
-                got = batched_rho_k(M, X, k, batch, **self.KW)
-                assert got.shape == (len(X),)
-                assert np.array_equal(got, expect), (k, batch)
+                got = batched_rho_k(M, X, k, batch)
+                assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi), (k, batch)
 
     @pytest.mark.parametrize("M", [
         manifolds.product(manifolds.sphere(2), manifolds.sphere(2)),
-    ], ids=["s2xs2"])
+        manifolds.product(manifolds.sphere(2), manifolds.sphere(3)),
+    ], ids=["s2xs2", "s2xs3"])
     def test_manifolds_without_support(self, M):
         rng = np.random.default_rng(3)
-        X = M.domain.lo + rng.uniform(0.1, 0.9, size=(70, M.dim)) * M.domain.widths()
-        for k in range(2, M.dim - 1):
-            assert rho_method(M.dim, k) == "grid"
-            expect = np.array([reference_rho_k_at(M, x, k, **self.KW) for x in X])
-            assert np.array_equal(grid_values(M, X, k, **self.KW), expect)
-            assert np.array_equal(batched_rho_k(M, X, k, 1, **self.KW), expect)
+        X = M.domain.lo + rng.uniform(0.1, 0.9, size=(8, M.dim)) * M.domain.widths()
+        for k in range(1, M.dim - 1):
+            lo, hi = rho_k(M, X, k)
+            check_against_oracle(lo, hi, [curvature_tensor_at(M, x) for x in X],
+                                 M.metric_at(X), k, rng)
+            assert np.all(np.abs(hi) <= 1e-12)    # a factor direction with mixed planes
+            got = batched_rho_k(M, X, k, 1)
+            assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batch_one_equals_batch_n_in_dimension_5(self, k):
+        M = manifolds.bump_torus(5)
+        X = M.extra["center"] + np.random.default_rng(9).uniform(-1.1, 1.1, size=(70, 5))
+        lo, hi = rho_k(M, X, k)
+        got = batched_rho_k(M, X, k, 1)
+        assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_schouten_closed_form(self, n):
+        # conformally flat: Rm = A o g with A the Schouten tensor, whose
+        # frame eigenvalues a_1 <= ... <= a_n give rho_k = k a_1 + a_2 + ... + a_{k+1}
+        M = manifolds.bump_torus(n)
+        X = M.extra["center"] + np.random.default_rng(n).uniform(-1.0, 1.0, size=(6, n))
+        for k in range(1, n - 1):
+            lo, hi = rho_k(M, X, k)
+            for lo_i, hi_i, x in zip(lo, hi, X):
+                rm, g = curvature_tensor_at(M, x), M.metric_at(x)
+                ricci = np.einsum("ijil->jl", frame_tensor(rm, g))
+                a = np.linalg.eigvalsh((ricci - np.trace(ricci) / (2 * (n - 1)) * np.eye(n))
+                                       / (n - 2))
+                exact = k * a[0] + np.sum(a[1:k + 1])
+                scale = max(1.0, operator_norm_bound(rm, g))
+                assert lo_i <= exact + 1e-12 * scale and exact <= hi_i + 1e-12 * scale
+                assert hi_i - lo_i <= 1e-12 * scale
+
+    @pytest.mark.parametrize("fiber_dim", [2, 3])
+    def test_cosh_warped_product_is_hyperbolic(self, fiber_dim):
+        # dt^2 + cosh(t)^2 (flat fiber) has curvature -1: rho_k = -k
+        M = manifolds.warped_product(fiber_dim, np.cosh, np.sinh, np.cosh)
+        X = M.domain.lo + np.random.default_rng(1).uniform(0.2, 0.8, (8, M.dim)) * M.domain.widths()
+        for k in range(1, max(2, M.dim - 1)):
+            lo, hi = rho_k(M, X, k)
+            assert np.all(np.abs(lo + k) <= 1e-12 * k) and np.all(np.abs(hi + k) <= 1e-12 * k)
+
+    def test_random_algebraic_tensors_k2(self):
+        # the bracket may stay open here; the pattern search still finds an
+        # hi at or below a 20,000-direction scan
+        rng = np.random.default_rng(5)
+        rms, gs = random_curvature_tensors(rng, 24), random_metrics(rng, 24)
+        lo, hi = _rho_bracket(_frame_tensor(rms, np.linalg.inv(np.linalg.cholesky(gs))), 2)
+        check_against_oracle(lo, hi, rms, gs, 2, rng, closed=False)
 
     def test_empty_input(self):
         for M in (manifolds.bump_torus(4), manifolds.sphere(3)):
@@ -511,7 +563,7 @@ class TestRhoKBatched:
     def test_scalar_view(self):
         M = manifolds.bump_torus(4)
         x = M.extra["center"] + 0.3
-        assert rho_k_at(M, x, 2, **self.KW) == reference_rho_k_at(M, x, 2, **self.KW)
+        assert rho_k_at(M, x, 2) == rho_k(M, [x], 2).hi[0]
 
 
 class TestRhoK:
@@ -520,8 +572,7 @@ class TestRhoK:
                      (manifolds.flat_torus(3), 0.0)]:
             x = M.domain.lo + 0.5 * M.domain.widths()
             for k in (1, 2):
-                assert rho_k_at(M, x, k, directions=512, refine_rounds=1) == \
-                    pytest.approx(k * c, abs=1e-9)
+                assert rho_k_at(M, x, k) == pytest.approx(k * c, abs=1e-9)
 
     def test_product_spheres_oracle(self):
         P = manifolds.product(manifolds.sphere(2), manifolds.sphere(2))
@@ -538,14 +589,13 @@ class TestRhoK:
                  np.array([0.1, 0.3, -0.2, 0.4])),
     ])
     def test_grid_refined_oracle_chain(self, maker):
+        # lo <= hi <= a dense direction grid, which the bracket reaches
         M, x = maker()
         k = min(2, M.dim - 1)
-        coarse = rho_k_at(M, x, k, directions=256, refine_rounds=0)
-        refined = rho_k_at(M, x, k, directions=256, refine_rounds=3)
-        dense = rho_k_at(M, x, k, directions=8192, refine_rounds=3)
-        assert coarse >= refined - 1e-12
-        assert refined >= dense - 1e-12
-        assert refined <= dense + 1e-3  # refinement reaches the dense oracle
+        lo, hi = rho_k(M, [x], k)
+        dense = grid_rho_k(curvature_tensor_at(M, x), M.metric_at(x), k)
+        assert lo[0] <= hi[0] <= dense + 1e-12
+        assert dense <= hi[0] + 1e-3
 
     def test_eigenvalue_sum_monotonicity_chain(self):
         # sum_{k'} >= sum_k + (k'-k) * lambda_k for each sampled direction,
@@ -569,8 +619,8 @@ class TestRhoK:
         rng = np.random.default_rng(5)
         for _ in range(4):
             x = M.extra["center"] + rng.uniform(-0.8, 0.8, size=4)
-            r1 = rho_k_at(M, x, 1, directions=512, refine_rounds=1)
-            r2 = rho_k_at(M, x, 2, directions=512, refine_rounds=1)
+            r1 = rho_k_at(M, x, 1)
+            r2 = rho_k_at(M, x, 2)
             assert max(-r2, 0.0) / 2.0 <= max(-r1, 0.0) + 1e-9
 
     def test_verbatim_deficit_inequality_space_forms(self):
@@ -580,18 +630,16 @@ class TestRhoK:
             n = M.dim
             for m in range(1, n - 1):
                 k = min(m, n - m - 1)
-                rk = rho_k_at(M, x, k, directions=256, refine_rounds=0)
-                rnk = rho_k_at(M, x, n - k - 1, directions=256, refine_rounds=0)
+                rk = rho_k_at(M, x, k)
+                rnk = rho_k_at(M, x, n - k - 1)
                 assert max(-rnk, 0.0) <= max(-rk, 0.0) + 1e-9
 
-    def test_cache_keyed_on_refine_rounds(self):
-        # a coarse call must not change a later refined call at the same point
+    def test_no_state_between_calls(self):
+        # rho_k keeps no memo: a repeated call equals a call on a fresh manifold
         x = np.array([math.pi + 0.3, math.pi - 0.2, math.pi + 0.1, math.pi])
         M = manifolds.bump_torus(4)
-        coarse = rho_k_at(M, x, 2, refine_rounds=0)
-        fresh = rho_k_at(manifolds.bump_torus(4), x, 2, refine_rounds=3)
-        assert coarse != fresh
-        assert rho_k_at(M, x, 2, refine_rounds=3) == fresh
+        first = rho_k_at(M, x, 2)
+        assert rho_k_at(M, x, 2) == first == rho_k_at(manifolds.bump_torus(4), x, 2)
 
 
 def sampled_plane_minimum(rm, g, rng, count=20000):
@@ -600,24 +648,6 @@ def sampled_plane_minimum(rm, g, rng, count=20000):
     q, _ = np.linalg.qr(rng.standard_normal((count, len(g), 2)))
     u, w = q[:, :, 0] @ linv, q[:, :, 1] @ linv
     return float(np.min(np.einsum("ijkl,si,sj,sk,sl->s", rm, u, w, u, w, optimize=True)))
-
-
-def operator_norm_bound(rm, g):
-    """Frobenius norm of the curvature operator on Lambda^2 in a g-orthonormal frame."""
-    linv = np.linalg.inv(np.linalg.cholesky(g))
-    rf = np.einsum("ai,bj,ck,dl,ijkl->abcd", linv, linv, linv, linv, rm, optimize=True)
-    return 0.5 * float(np.linalg.norm(rf))
-
-
-def random_curvature_tensors(rng, count):
-    """Algebraic curvature tensors on R^4: sums of Kulkarni-Nomizu squares h o h."""
-    out = np.zeros((count, 4, 4, 4, 4))
-    for _ in range(6):
-        h = rng.standard_normal((count, 4, 4))
-        h = h + np.swapaxes(h, 1, 2)
-        sign = rng.choice([-1.0, 1.0], size=(count, 1, 1, 1, 1))
-        out += sign * (np.einsum("bik,bjl->bijkl", h, h) - np.einsum("bil,bjk->bijkl", h, h))
-    return out * rng.uniform(0.01, 10.0, size=(count, 1, 1, 1, 1))
 
 
 class TestRhoBracket:
@@ -661,24 +691,40 @@ class TestRhoBracket:
         assert np.all(np.abs(lo) <= 1e-12) and np.all(np.abs(hi) <= 1e-12)
 
     def test_random_algebraic_tensors(self):
-        from tubecomp.geometry import _thorpe_bracket
-
         rng = np.random.default_rng(5)
         rms = random_curvature_tensors(rng, 24)
         bianchi = (rms + np.einsum("bijkl->biklj", rms) + np.einsum("bijkl->biljk", rms))
         assert np.max(np.abs(bianchi)) <= 1e-12 * np.max(np.abs(rms))
-        A = rng.standard_normal((24, 4, 4))
-        gs = np.einsum("bij,bkj->bik", A, A) + np.eye(4)
-        linv = np.linalg.inv(np.linalg.cholesky(gs))
-        lo, hi = _thorpe_bracket(rms, linv)
+        gs = random_metrics(rng, 24)
+        lo, hi = _rho_bracket(_frame_tensor(rms, np.linalg.inv(np.linalg.cholesky(gs))), 1)
         self.check_bracket(lo, hi, rms, gs, rng)
+
+    def test_kink_directions_attain_the_minimum(self):
+        # an Einstein operator, diagonal on (anti-)self-dual forms, has
+        # min sec = (a_1 + b_1) / 2 on a kink of t -> lambda_min(R + t *):
+        # the bottom eigenvector's plane and both decomposable elements of
+        # the bottom pair attain it
+        from tubecomp.geometry import _k_plane_minima, _thorpe_search
+
+        I, J = np.triu_indices(4, 1)
+        sd = np.sqrt(0.5) * np.array([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0]])
+        asd = np.sqrt(0.5) * np.array([[1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]])
+        R = sd.T @ np.diag([-1.0, 0.5, 2.0]) @ sd + asd.T @ np.diag([0.2, 0.5, 0.8]) @ asd
+        rf = np.zeros((1, 4, 4, 4, 4))
+        for a, b, sign in ((I, J, 1.0), (J, I, -1.0)):
+            rf[0, a[:, None], b[:, None], I, J] = sign * R
+            rf[0, a[:, None], b[:, None], J, I] = -sign * R
+        lo, dirs = _thorpe_search(R[None])
+        assert lo[0] == pytest.approx(-0.4, abs=1e-12)
+        for pair in (dirs[:, 0:2], dirs[:, 2:4], dirs[:, 4:6]):
+            assert _k_plane_minima(rf, pair, 1)[0][0] == pytest.approx(-0.4, abs=1e-12)
 
     def test_hi_at_most_the_grid(self):
         M = manifolds.bump_torus(4)
         X = M.extra["center"] + np.random.default_rng(4).uniform(-1.0, 1.0, size=(16, 4))
         lo, hi = rho_k(M, X, 1)
         for x, h in zip(X, hi):
-            grid = reference_rho_k_at(M, x, 1, directions=2048, refine_rounds=3)
+            grid = grid_rho_k(curvature_tensor_at(M, x), M.metric_at(x), 1)
             scale = max(1.0, operator_norm_bound(curvature_tensor_at(M, x), M.metric_at(x)))
             assert h <= grid + 1e-12 * scale
 
@@ -691,13 +737,6 @@ class TestRhoBracket:
             assert np.array_equal(np.concatenate([p.lo for p in parts]), lo), batch
             assert np.array_equal(np.concatenate([p.hi for p in parts]), hi), batch
         assert rho_k_at(M, X[0], 1) == hi[0]
-
-    def test_grid_settings_not_read(self):
-        M = manifolds.bump_torus(4)
-        X = M.extra["center"] + np.array([[0.3, -0.2, 0.1, 0.0], [0.5, 0.4, -0.6, 0.2]])
-        a = rho_k(M, X, 1)
-        b = rho_k(M, X, 1, directions=16, refine_rounds=0)
-        assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
 
     def test_deficit_norm_rejects_a_bracket(self):
         M = manifolds.bump_torus(4)
@@ -764,38 +803,35 @@ class TestExactBrackets:
             parts = [rho_k(M, X[i:i + batch], k) for i in range(0, len(X), batch)]
             assert np.array_equal(np.concatenate([p.lo for p in parts]), lo), batch
             assert np.array_equal(np.concatenate([p.hi for p in parts]), hi), batch
-        b = rho_k(M, X, k, directions=16, refine_rounds=0)
-        assert np.array_equal(b.lo, lo) and np.array_equal(b.hi, hi)
 
 
-def grid_rho(M, k, directions, refine_rounds):
+def rho_hi(M, k):
     """rho_k's hi on M as the (P, n) -> (P,) callable lp_deficit_norm takes."""
-    return lambda X: rho_k(M, X, k, directions=directions,
-                           refine_rounds=refine_rounds).hi
+    return lambda X: rho_k(M, X, k).hi
 
 
 class TestLpDeficitNorm:
     def test_flat_torus_zero(self):
         M = manifolds.flat_torus(3)
-        res = lp_deficit_norm(M, -1.0, 2.0, grid_rho(M, 1, 128, 0), resolution=4)
+        res = lp_deficit_norm(M, -1.0, 2.0, rho_hi(M, 1), resolution=4)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_round_sphere_constant_integrand(self):
         M = manifolds.sphere_colatitude(2, radius=2.0)  # sec = 1/4, area 16 pi
-        res1 = lp_deficit_norm(M, 1.0, 1.0, grid_rho(M, 1, 128, 1), resolution=24)
+        res1 = lp_deficit_norm(M, 1.0, 1.0, rho_hi(M, 1), resolution=24)
         assert res1.value == pytest.approx(12.0 * math.pi, rel=1e-5)
-        res2 = lp_deficit_norm(M, 1.0, 2.0, grid_rho(M, 1, 128, 1), resolution=24)
+        res2 = lp_deficit_norm(M, 1.0, 2.0, rho_hi(M, 1), resolution=24)
         assert res2.value == pytest.approx(3.0 * math.sqrt(math.pi), rel=1e-5)
         assert res1.error_estimate >= 0.0
 
     def test_support_restriction_matches_full_domain(self):
         M = manifolds.bump_torus(2, amplitude=0.1)
-        res_support = lp_deficit_norm(M, -0.05, 2.0, grid_rho(M, 1, 256, 1),
+        res_support = lp_deficit_norm(M, -0.05, 2.0, rho_hi(M, 1),
                                       resolution=24)
         M_nosupport = manifolds.bump_torus(2, amplitude=0.1)
         M_nosupport.curvature_support = None
         res_full = lp_deficit_norm(M_nosupport, -0.05, 2.0,
-                                   grid_rho(M_nosupport, 1, 256, 1), resolution=64)
+                                   rho_hi(M_nosupport, 1), resolution=64)
         assert res_support.value == pytest.approx(
             res_full.value, rel=0.02, abs=1e-6)
 
@@ -808,7 +844,7 @@ class TestLpDeficitNorm:
         for _ in range(6):
             x = c + np.sign(rng.standard_normal(3)) * (w + rng.uniform(0.05, 0.5, 3))
             x = M.domain.wrap(x)
-            rho = rho_k_at(M, x, 1, directions=128, refine_rounds=0)
+            rho = rho_k_at(M, x, 1)
             assert abs(rho) <= 1e-12
 
     def test_bump_across_chart_seam_declares_no_support(self):
@@ -817,26 +853,25 @@ class TestLpDeficitNorm:
         assert M.curvature_support is None
         centred = manifolds.bump_torus(4, center=[math.pi] * 4, width=1.2)
         x = np.array([[6.083, 0.3, 0.4, 0.2]])
-        kw = dict(directions=128, refine_rounds=1)
-        expect = rho_k(centred, np.mod(x - 0.3 + math.pi, 2.0 * math.pi), 1, **kw).hi
+        expect = rho_k(centred, np.mod(x - 0.3 + math.pi, 2.0 * math.pi), 1).hi
         assert expect[0] < 0.0
-        assert rho_k(M, x, 1, **kw).hi == pytest.approx(expect, rel=1e-9)
+        assert rho_k(M, x, 1).hi == pytest.approx(expect, rel=1e-9)
 
     def test_error_estimate_positive_at_resolution_3(self):
         # the coarse comparison grid is strictly coarser than the fine one
         M = manifolds.bump_torus(4)
-        res = lp_deficit_norm(M, -0.1, 4.0, grid_rho(M, 1, 256, 1), resolution=3)
+        res = lp_deficit_norm(M, -0.1, 4.0, rho_hi(M, 1), resolution=3)
         assert res.value > 0.0
         assert res.error_estimate > 0.0
 
     def test_resolution_below_two_rejected(self):
         M = manifolds.flat_torus(3)
         with pytest.raises(ValueError, match="resolution"):
-            lp_deficit_norm(M, 0.0, 2.0, grid_rho(M, 1, 2048, 3), resolution=1)
+            lp_deficit_norm(M, 0.0, 2.0, rho_hi(M, 1), resolution=1)
 
     def test_inflation_reported_variant(self):
         M = manifolds.flat_torus(3)
-        res = lp_deficit_norm(M, 0.0, 2.0, grid_rho(M, 1, 64, 0), resolution=4)
+        res = lp_deficit_norm(M, 0.0, 2.0, rho_hi(M, 1), resolution=4)
         expect = (1e-3**2 * (2.0 * math.pi)**3) ** 0.5
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.inflated == pytest.approx(expect, rel=1e-10)

@@ -131,3 +131,24 @@ def test_every_field_is_read():
     unread = [f"{path.name}:{name}" for path in SOURCES
               for name in unread_fields(path.read_text(), read)]
     assert unread == []
+
+
+def test_every_setting_is_used_or_retired():
+    # a config key that nothing reads must be listed as retired, so a dead
+    # setting cannot come back unnoticed
+    import dataclasses
+
+    from tubecomp import cli
+    from tubecomp.tubes import QuadratureSpec
+
+    assert cli._RETIRED <= {(section, key) for section in ("quadrature", "declared")
+                            for key in cli._SCHEMA[section]}
+    fields = {f.name for f in dataclasses.fields(QuadratureSpec)}
+    assert [key for key in cli._SCHEMA["quadrature"]
+            if key not in fields and ("quadrature", key) not in cli._RETIRED] == []
+    tree = next(node for node in ast.parse((ROOT / "src" / "tubecomp" / "cli.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "_apply_settings")
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert [key for key in cli._SCHEMA["declared"]
+            if key not in strings and ("declared", key) not in cli._RETIRED] == []

@@ -144,8 +144,7 @@ class TestTubeLpDeficit:
                               t_nodes_per_panel=8)
         sampler = TubeSampler(M, sigma, 0.4, spec)
         declared = sampler.lp_deficit(0.4, 1.0, 2.0, rho=lambda X: np.full(len(X), 0.25))
-        computed = sampler.lp_deficit(0.4, 1.0, 2.0, rho=lambda X: rho_k(
-            M, X, 1, directions=256, refine_rounds=1).hi)
+        computed = sampler.lp_deficit(0.4, 1.0, 2.0, rho=lambda X: rho_k(M, X, 1).hi)
         assert computed == pytest.approx(declared, rel=1e-6)
 
 

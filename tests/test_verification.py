@@ -61,13 +61,13 @@ class TestSamplerCache:
 
 class TestCertification:
     def test_flat_nonnegative(self, flat_scenario):
-        cert = certify_rho_lower_bound(flat_scenario, 1, 0.0, samples=128)
+        cert = certify_rho_lower_bound(flat_scenario, 1, 0.0)
         assert cert["ok"]
         assert abs(cert["min_rho_k"]) <= 1e-9
         assert cert["declared_gap"] <= 1e-9
 
     def test_flat_fails_positive_bound(self, flat_scenario):
-        cert = certify_rho_lower_bound(flat_scenario, 1, 0.5, samples=128)
+        cert = certify_rho_lower_bound(flat_scenario, 1, 0.5)
         assert not cert["ok"]
         assert cert["margin"] == pytest.approx(-0.5, abs=1e-9)
 
@@ -78,22 +78,22 @@ class TestCertification:
         sc = toy_bump_scenario()
         sc.manifold.rho_exact = {1: 0.0}
         M, box = sc.manifold, sc.manifold.domain
-        cert = certify_rho_lower_bound(sc, 1, -0.1, samples=64 * 48)
+        cert = certify_rho_lower_bound(sc, 1, -0.1, points=48)
         rng = sc.rng()
-        vals = [rho_k(M, [box.wrap(rng.uniform(box.lo, box.hi))], 1,
-                      directions=256, refine_rounds=1).lo[0] for _ in range(48)]
+        vals = [rho_k(M, [box.wrap(rng.uniform(box.lo, box.hi))], 1).lo[0]
+                for _ in range(48)]
         assert min(vals) < 0.0 < max(abs(v) for v in vals)
         assert cert["min_rho_k"] == min(vals)
         assert cert["declared_gap"] == max(abs(v - 0.0) for v in vals)
 
 
     def test_method_and_bracket_width(self, flat_scenario):
-        cert = certify_rho_lower_bound(flat_scenario, 1, 0.0, samples=128)
+        cert = certify_rho_lower_bound(flat_scenario, 1, 0.0)
         assert cert["rho_k_method"] == "thorpe" and cert["bracket_width"] == 0.0
-        cert = certify_rho_lower_bound(flat_scenario, 2, 0.0, samples=128)
-        assert cert["rho_k_method"] == "grid" and cert["bracket_width"] == 0.0
+        cert = certify_rho_lower_bound(flat_scenario, 2, 0.0)
+        assert cert["rho_k_method"] == "curvature_operator" and cert["bracket_width"] == 0.0
         sc = build_scenario("bump_torus")
-        cert = certify_rho_lower_bound(sc, 1, -0.1, samples=64 * 16)
+        cert = certify_rho_lower_bound(sc, 1, -0.1, points=16)
         assert cert["rho_k_method"] == "thorpe"
         assert 0.0 < cert["bracket_width"] <= 1e-12
         assert cert["min_rho_k"] < 0.0
@@ -115,7 +115,7 @@ class TestCertification:
         sc = fast_flat_scenario()
         monkeypatch.setattr(verification, "rho_k", lambda M, X, k, **kw: RhoBracket(
             np.full(len(X), -0.25), np.zeros(len(X))))
-        cert = certify_rho_lower_bound(sc, 1, 0.0, samples=128)
+        cert = certify_rho_lower_bound(sc, 1, 0.0)
         assert cert["min_rho_k"] == -0.25 and not cert["ok"]
         assert cert["bracket_width"] == 0.25
 
@@ -142,8 +142,7 @@ class TestDeclaredRho:
         sc = toy_bump_scenario()
         X = sc.manifold.extra["center"] + np.array([[0.1, 0.2, -0.3], [0.5, 0.0, 0.2]])
         assert sc.declared_rho(1) is None
-        assert np.array_equal(sc.rho(X, 1), rho_k(sc.manifold, X, 1, directions=64,
-                                                   refine_rounds=0).hi)
+        assert np.array_equal(sc.rho(X, 1), rho_k(sc.manifold, X, 1).hi)
 
     def test_flat_checks_never_evaluate_curvature(self, monkeypatch):
         from tubecomp import geometry, verification
@@ -166,6 +165,26 @@ class TestDeclaredRho:
         assert all(rep.status == "ok" for rep in reports)
         assert {rep.details["rho_k_method"] for rep in reports
                 if rep.name.startswith("integral")} == {"declared"}
+
+    def test_declared_tube_norm_reads_no_ray(self, monkeypatch):
+        from tubecomp.tubes import TubeSampler
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lp_deficit called with a declared rho_k")
+
+        monkeypatch.setattr(TubeSampler, "lp_deficit", refuse)
+        glob, tube = check_integral_bound(fast_flat_scenario(), [0.4])
+        assert tube.details["norm_variant"] == "tube" and tube.details["deficit_norm"] == 0.0
+        assert glob.passed and tube.passed
+
+    def test_declared_tube_norm_matches_the_ray_integral(self):
+        # declared rho_1 = 0 and H = 0.5: the deficit is the constant 0.5
+        sc = fast_flat_scenario(H=0.5)
+        sampler = sc.sampler(0.4)
+        expect = sampler.lp_deficit(0.4, sc.H, sc.p, lambda X: sc.rho(X, 1))
+        assert expect > 0.0
+        got = sc.tube_deficit_norm(sampler, 0.4, sampler.volume(0.4).value)
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
 class TestHkCheck:
@@ -250,8 +269,7 @@ def toy_bump_scenario(radii=(0.3, 0.5)):
     M = manifolds.bump_torus(3, amplitude=0.1, width=1.2)
     sigma = sub_torus(M, [0], np.array([0.0, math.pi - 2.3, math.pi]))
     quad = QuadratureSpec(base_resolution=2, fiber_resolution=2,
-                          t_nodes_per_panel=8, chart_resolution=3,
-                          rho_directions=64, rho_refine_rounds=0)
+                          t_nodes_per_panel=8, chart_resolution=3)
     return Scenario(name="toy_bump", manifold=M, sigma=sigma, k=1, H=-0.1,
                     p=4.0, radii=radii, quad=quad, checks=("integral",))
 
@@ -294,15 +312,12 @@ class TestRadiusIndependentWork:
         M, k, H, p = sc.manifold, sc.k, sc.H, sc.p
         region = M.domain.intersect(M.curvature_support)
         pts, w = region.quadrature_grid(sc.quad.chart_resolution)
-        deficit = np.array([max(H - rho_k_at(M, x, k, directions=64,
-                                              refine_rounds=0), 0.0)
-                            for x in pts])
+        deficit = np.array([max(H - rho_k_at(M, x, k), 0.0) for x in pts])
         dens = M.sqrt_det_at(pts)
         expect = float(np.sum(w * dens * (deficit + 1e-3) ** p)) ** (1.0 / p)
         assert DEFICIT_INFLATION == 1e-3
         assert expect > float(np.sum(w * dens * deficit**p)) ** (1.0 / p)
-        norm = lp_deficit_norm(M, H, p, lambda X: rho_k(
-            M, X, k, directions=64, refine_rounds=0).hi, resolution=3)
+        norm = lp_deficit_norm(M, H, p, lambda X: rho_k(M, X, k).hi, resolution=3)
         assert norm.inflated == pytest.approx(expect, rel=1e-12)
         glob = check_integral_bound(sc, sc.radii)[0]
         assert glob.details["global_norm_inflated"] == norm.inflated
