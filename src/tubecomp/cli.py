@@ -89,12 +89,13 @@ _SCHEMA = {
                        "base_interval": _INTERVAL, "fiber_side": _POSITIVE},
 }
 
-# (section, key) accepted and checked but ignored: "minimal" (the checks
-# measure max |eta| instead) and the settings of a rho_k direction grid that
-# no longer exists. They stay accepted because perfbench/workloads.py sends
-# them, and only a change to the benchmark may drop them.
-_RETIRED = {("declared", "minimal"), ("quadrature", "rho_directions"),
-            ("quadrature", "rho_refine_rounds")}
+# (section, key) accepted and checked but ignored: "minimal" and
+# "totally_geodesic" (the checks measure max |eta| and the S_xi instead) and
+# the settings of a rho_k direction grid that no longer exists. They stay
+# accepted because perfbench/workloads.py sends them, and only a change to
+# the benchmark may drop them.
+_RETIRED = {("declared", "minimal"), ("declared", "totally_geodesic"),
+            ("quadrature", "rho_directions"), ("quadrature", "rho_refine_rounds")}
 
 
 def _check(rule, value, where: str):
@@ -229,7 +230,7 @@ def _apply_settings(sc: Scenario, cfg: dict, seed: int | None,
         elif key == "rho_exact":
             sc.manifold.rho_exact = {**(sc.manifold.rho_exact or {}),
                                      **_rho_table(value, "declared 'rho_exact'")}
-        elif key in ("totally_geodesic", "hessian_H", "ray_horizon", "check_rays"):
+        elif key in ("hessian_H", "ray_horizon", "check_rays"):
             setattr(sc, key, value)
     sc.checks = tuple(cfg.get("checks", sc.checks))
     sc.name = cfg.get("name", sc.name)

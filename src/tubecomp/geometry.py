@@ -22,7 +22,6 @@ __all__ = [
     "SingularMetricError",
     "Box",
     "ChartManifold",
-    "DEFICIT_INFLATION",
     "FD_STEP_FIRST",
     "FD_STEP_SECOND",
     "DeficitNorm",
@@ -518,9 +517,10 @@ def rho_k(M: ChartManifold, X: np.ndarray, k: int) -> RhoBracket:
     ("thorpe" at n = 4, k = 1, where an open row runs Thorpe's bisection,
     and "curvature_operator" otherwise). lo is always a certified lower
     bound and hi a value rho_k attains; on conformally flat metrics,
-    products and space forms hi - lo is at rounding level, elsewhere it
-    may stay open. No value depends on the other rows. Rows outside a
-    declared curvature support are 0.0.
+    space forms and products of space forms hi - lo is at rounding level,
+    elsewhere (products of curved factors among them) it may stay open.
+    No value depends on the other rows. Rows outside a declared curvature
+    support are 0.0.
     """
     n = M.dim
     if not 1 <= k <= n - 1:
@@ -551,13 +551,9 @@ def rho_k_at(M: ChartManifold, x: np.ndarray, k: int) -> float:
     return float(rho_k(M, [x], k).hi[0])
 
 
-DEFICIT_INFLATION = 1e-3   # safety margin added to the deficit at every node
-
-
 class DeficitNorm(NamedTuple):
     value: float
     error_estimate: float
-    inflated: float   # fine-grid norm of (rho_k - H)_- + DEFICIT_INFLATION
 
 
 def lp_deficit_norm(M: ChartManifold, H: float, p: float,
@@ -572,8 +568,6 @@ def lp_deficit_norm(M: ChartManifold, H: float, p: float,
     ``resolution`` must be at least 2. When the manifold
     declares a curvature support box and H <= 0 the integration is
     restricted to it (the deficit vanishes identically outside).
-    ``inflated`` is the safety-inflated variant reported by verification,
-    formed from the same fine-grid deficits as ``value``.
     """
     if p < 1.0:
         raise ValueError(f"need p >= 1, got {p}")
@@ -584,19 +578,17 @@ def lp_deficit_norm(M: ChartManifold, H: float, p: float,
         try:
             region = region.intersect(M.curvature_support)
         except ValueError:
-            return DeficitNorm(0.0, 0.0, 0.0)  # the support misses the domain
+            return DeficitNorm(0.0, 0.0)  # the support misses the domain
 
-    def norms(res: int, *shifts: float) -> list[float]:
-        """One grid walk; the norm of the deficit plus each shift."""
+    def norm(res: int) -> float:
         pts, w = region.quadrature_grid(res)
-        wd = w * M.sqrt_det_at(pts)
         vals = np.asarray(rho(pts), dtype=float)
         if vals.shape != (len(pts),):
             raise ValueError(f"rho must map {len(pts)} points to {len(pts)} values, "
                              f"got shape {vals.shape}")
         deficit = np.maximum(H - vals, 0.0)
-        return [float(np.sum(wd * (deficit + s)**p)) ** (1.0 / p) for s in shifts]
+        return float(np.sum(w * M.sqrt_det_at(pts) * deficit**p)) ** (1.0 / p)
 
-    value, inflated = norms(resolution, 0.0, DEFICIT_INFLATION)
-    (coarse,) = norms(min(resolution - 1, max(3, (2 * resolution) // 3)), 0.0)
-    return DeficitNorm(value, abs(value - coarse), inflated)
+    value = norm(resolution)
+    coarse = norm(min(resolution - 1, max(3, (2 * resolution) // 3)))
+    return DeficitNorm(value, abs(value - coarse))

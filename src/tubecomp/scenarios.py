@@ -35,8 +35,7 @@ def flat_t4_circle() -> Scenario:
     return Scenario(
         name="flat_t4_circle", manifold=M, sigma=sigma, k=1, H=0.0, p=4.0,
         radii=(0.25, 0.5), quad=QuadratureSpec(base_resolution=8, fiber_resolution=4),
-        checks=("integral", "hk", "hessian", "lemmas", "residuals"),
-        totally_geodesic=True, check_rays=64,
+        checks=("integral", "hk", "hessian", "lemmas", "residuals"), check_rays=64,
         description="coordinate circle in the flat 4-torus; all equality cases")
 
 
@@ -47,7 +46,7 @@ def flat_t5_torus2() -> Scenario:
     return Scenario(
         name="flat_t5_torus2", manifold=M, sigma=sigma, k=2, H=0.0, p=4.0,
         radii=(0.4,), quad=QuadratureSpec(base_resolution=6, fiber_resolution=4),
-        checks=("integral", "hk", "residuals"), totally_geodesic=True,
+        checks=("integral", "hk", "residuals"),
         description="coordinate 2-torus in the flat 5-torus (k = m = 2)")
 
 
@@ -61,8 +60,7 @@ def s3_great_circle() -> Scenario:
         name="s3_great_circle", manifold=M, sigma=sigma, k=1, H=1.0, p=4.0,
         radii=(math.pi / 4.0, math.pi / 2.0),
         quad=QuadratureSpec(base_resolution=8, fiber_resolution=8),
-        checks=("hk", "hessian", "lemmas", "residuals"),
-        totally_geodesic=True, check_rays=64,
+        checks=("hk", "hessian", "lemmas", "residuals"), check_rays=64,
         description="great circle in the unit 3-sphere; space-form equality")
 
 
@@ -75,8 +73,7 @@ def sn_equator() -> Scenario:
     return Scenario(
         name="sn_equator", manifold=M, sigma=sigma, k=1, H=1.0, p=4.0,
         radii=(1.0,), quad=QuadratureSpec(base_resolution=6, fiber_resolution=4),
-        checks=("focal", "hessian", "residuals"),
-        totally_geodesic=True, ray_horizon=1.2,
+        checks=("focal", "hessian", "residuals"), ray_horizon=1.2,
         description="equatorial 2-sphere in S^3; focal radius equality pi/2")
 
 
@@ -90,7 +87,7 @@ def s3_small_sphere() -> Scenario:
     return Scenario(
         name="s3_small_sphere", manifold=M, sigma=sigma, k=1, H=1.0, p=4.0,
         radii=(0.6,), quad=QuadratureSpec(base_resolution=6, fiber_resolution=4),
-        checks=("focal", "residuals"), totally_geodesic=False, ray_horizon=0.5,
+        checks=("focal", "residuals"), ray_horizon=0.5,
         description="distance sphere of radius 0.8 in S^3; focal strictly inside")
 
 
@@ -130,7 +127,7 @@ def s2xs2_factor() -> Scenario:
     return Scenario(
         name="s2xs2_factor", manifold=M, sigma=sigma, k=1, H=0.0, p=4.0,
         radii=(0.4,), quad=QuadratureSpec(base_resolution=6, fiber_resolution=8),
-        checks=("hk", "residuals"), totally_geodesic=True,
+        checks=("hk", "residuals"),
         description="factor 2-sphere in S^2 x S^2 (k=1, H=0); strict slack")
 
 
@@ -140,7 +137,7 @@ def hyperbolic_point() -> Scenario:
     return Scenario(
         name="hyperbolic_point", manifold=M, sigma=sigma, k=2, H=-1.0, p=4.0,
         radii=(2.0,), quad=QuadratureSpec(base_resolution=1, fiber_resolution=6),
-        checks=("hessian", "residuals"), totally_geodesic=True, ray_horizon=2.1,
+        checks=("hessian", "residuals"), ray_horizon=2.1,
         description="distance from a point in hyperbolic 3-space; "
                     "Laplacian comparison equality 2 coth(t)")
 
@@ -157,7 +154,7 @@ def _bump_scenario(name: str, amplitude: float, p: float) -> Scenario:
         radii=(2.0,), quad=QuadratureSpec(base_resolution=10, fiber_resolution=4,
                                           chart_resolution=8),
         checks=("integral_mc", "lemmas", "hessian", "residuals"),
-        totally_geodesic=True, hessian_H=-0.6, ray_horizon=2.0, check_rays=64,
+        hessian_H=-0.6, ray_horizon=2.0, check_rays=64,
         description=f"conformal bump torus (eps={amplitude:g}, p={p:g}); "
                     "rays cross the curvature region, Sigma stays flat")
 

@@ -1,10 +1,10 @@
 """Numerical verification of the comparison theorems on concrete scenarios.
 
-Each check first certifies its own curvature or minimality hypothesis by
-sampling and refuses to report a bound violation when the certification
-fails (a precondition-violation report is emitted instead). Equality is
-flagged only when the absolute slack is within ten times the combined
-quadrature/integration error estimate.
+Each check tests its own hypotheses and reports a precondition violation
+instead of a bound verdict when one fails: ``hk`` and ``focal`` certify
+rho_k >= kH only when it is declared (``certify_rho_lower_bound``), the
+others measure theirs (Ric_k along the rays, max |eta|). Equality is flagged
+only when the absolute slack is within ten times the combined error estimate.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ChartManifold, _curvature_batch, frame_curvature, lp_deficit_norm
-from .geometry import rho_k, rho_method
+from .geometry import ChartManifold, DeficitNorm, _curvature_batch, frame_curvature
+from .geometry import lp_deficit_norm, rho_k, rho_method
 from .models import (
     BoundReport,
     _denominator_first_zero,
@@ -57,6 +57,7 @@ RESIDUAL_LIMITS = {
     "taylor_shape": 1e-2,
 }
 RESIDUAL_RAYS = 8   # residual subsample size, independent of check_rays
+CERTIFY_POINTS = 8  # random chart points of the declared-rho_k check
 
 
 @dataclass(eq=False)
@@ -74,8 +75,7 @@ class Scenario:
     tolerance: float = 1e-5
     checks: tuple[str, ...] = ()
     seed: int = 0
-    totally_geodesic: bool = False
-    hessian_H: float | None = None   # None: certify a bound from samples
+    hessian_H: float | None = None   # None: the Hessian check uses H
     ray_horizon: float | None = None
     check_rays: int = 16             # rays per Hessian/lemma check; focal: >= 32
     description: str = ""
@@ -129,27 +129,36 @@ class Scenario:
         return max(self.radii) if self.radii else 1.0
 
 
-def certify_rho_lower_bound(scenario: Scenario, k: int, H: float,
-                            points: int = 8) -> dict:
-    """Sampled check that rho_k >= k H on the chart; records the margin.
+def certify_rho_lower_bound(scenario: Scenario, k: int, H: float) -> dict:
+    """Certify rho_k >= k H on the chart, or refuse; ``basis`` says how.
 
-    Always evaluates ``rho_k`` (never declared values): certification is
-    the independent guard on the declared facts. It reads the bracket's
-    lower end, which is certified for every (n, k), at ``points`` random
-    points (the report's ``samples``); ``bracket_width`` is the largest
-    hi - lo over them.
+    A declared rho_k is constant: ``rho_k``'s lower end (never the declared
+    value, which this guards) must clear k H at CERTIFY_POINTS random chart
+    points (``samples``; ``bracket_width`` is the largest hi - lo there).
+    An undeclared rho_k is refused unevaluated, with a ``reason``: samples
+    bound nothing between them without a bound on rho_k's variation
+    (Piyavskii, USSR Comput. Math. 12, 1972), and none is known.
     """
-    M, box = scenario.manifold, scenario.manifold.domain
-    X = box.wrap(scenario.rng().uniform(box.lo, box.hi, size=(points, M.dim)))
+    M = scenario.manifold
+    method = rho_method(M.dim, k)
+    declared = scenario.declared_rho(k)
+    if declared is None:
+        return {"ok": False, "basis": None, "k": k, "H": H, "rho_k_method": method,
+                "reason": f"rho_{k} is not declared: no bound on rho_k between "
+                          "chart points is known"}
+    box = M.domain
+    X = box.wrap(scenario.rng().uniform(box.lo, box.hi, size=(CERTIFY_POINTS, M.dim)))
     lo, hi = rho_k(M, X, k)
     worst = float(np.min(lo))
-    declared = scenario.declared_rho(k)
-    declared_gap = 0.0 if declared is None else float(np.max(np.abs(lo - declared)))
     margin = worst - k * H
-    return {"min_rho_k": worst, "margin": margin, "ok": margin >= -1e-9,
-            "samples": points, "k": k, "H": H,
-            "declared_gap": declared_gap, "rho_k_method": rho_method(M.dim, k),
-            "bracket_width": float(np.max(hi - lo))}
+    cert = {"min_rho_k": worst, "margin": margin, "ok": margin >= -1e-9,
+            "samples": CERTIFY_POINTS, "k": k, "H": H,
+            "declared_gap": float(np.max(np.abs(lo - declared))),
+            "rho_k_method": method, "bracket_width": float(np.max(hi - lo)),
+            "basis": "declared"}
+    if not cert["ok"]:
+        cert["reason"] = f"rho_{k} certification failed (margin {margin:.3e})"
+    return cert
 
 
 def _ray_subsample(total: int, limit: int, rng: np.random.Generator) -> list[int]:
@@ -276,9 +285,8 @@ def check_focal_radius(scenario: Scenario) -> BoundReport:
             "focal_radius", f"needs dim Sigma >= k, got m={scenario.sigma.dim}, k={k}")
     cert = certify_rho_lower_bound(scenario, k, H)
     if not cert["ok"]:
-        return BoundReport.precondition_violation(
-            "focal_radius", f"rho_{k} certification failed (margin {cert['margin']:.3e})",
-            certification=cert)
+        return BoundReport.precondition_violation("focal_radius", cert["reason"],
+                                                  certification=cert)
     bound = math.pi / (2.0 * math.sqrt(H))
     horizon = 2.5 * bound
     M, sigma, quad = scenario.manifold, scenario.sigma, scenario.quad
@@ -292,18 +300,21 @@ def check_focal_radius(scenario: Scenario) -> BoundReport:
     rays = [NormalRay(grid.base_params[i // lines.shape[1]], sign * normals[i],
                       t_max=horizon, tolerance=quad.ray_tolerance)
             for i in idx for sign in (1.0, -1.0)]
-    pair_minima = integrate_rays(M, sigma, rays).focal_times().reshape(-1, 2).min(axis=1)
+    batch = integrate_rays(M, sigma, rays)
+    pair_minima = batch.focal_times().reshape(-1, 2).min(axis=1)
     for i, pair in zip(idx, pair_minima):
         if pair == math.inf:
             return BoundReport.precondition_violation(
                 "focal_radius", f"no focal point found within {horizon} on ray pair {i}")
     worst = max(pair_minima)
+    weingarten_max = float(np.max(np.abs(batch.weingarten0)))
     rep = BoundReport.from_values(
         "focal_radius", measured=worst, bound=bound + 1e-6,
         tolerance=scenario.tolerance, error_estimate=1e-7,
         certification=cert, n_lines=len(idx),
-        focal_radius=min(pair_minima))
-    rep.equality = (abs(worst - bound) <= 1e-6) and scenario.totally_geodesic
+        focal_radius=min(pair_minima), weingarten_max=weingarten_max)
+    # the equality case needs Sigma totally geodesic: every S_xi vanishes
+    rep.equality = abs(worst - bound) <= 1e-6 and weingarten_max <= 1e-6
     return rep
 
 
@@ -314,9 +325,9 @@ def check_hk_bound(scenario: Scenario, radii) -> list[BoundReport]:
     k, H = scenario.k, scenario.H
     cert = certify_rho_lower_bound(scenario, k, H)
     if not cert["ok"]:
-        return [BoundReport.precondition_violation(
-            "hk_bound", f"rho_{k} certification failed (margin {cert['margin']:.3e})",
-            certification=cert) for _ in radii]
+        return [BoundReport.precondition_violation("hk_bound", cert["reason"],
+                                                   certification=cert)
+                for _ in radii]
     reports = []
     for r in radii:
         sampler = scenario.sampler(max(r, max(scenario.radii, default=r)))
@@ -338,11 +349,13 @@ def check_integral_bound(scenario: Scenario, radii,
 
     Emits two reports per radius, in order: one with the global deficit
     norm (the theorem as stated; this is the pass/fail one) and one with
-    the tube-restricted norm. The global norm is computed once for all
-    radii; its safety-inflated variant is recorded in the details whenever
-    rho_k is evaluated rather than declared. ``rho_k_method`` names how
-    ("declared", or ``rho_method``'s "thorpe", "curvature_operator" or
-    "ricci"); the tube norm is ``Scenario.tube_deficit_norm``. With
+    the tube-restricted norm (``Scenario.tube_deficit_norm``). The global
+    norm is computed once for all radii. ``rho_k_method`` names how rho_k
+    is read ("declared", or ``rho_method``'s "thorpe", "curvature_operator"
+    or "ricci"). The norms read ``rho_k``'s attained end hi, so a pass is
+    earned; a global failure at an evaluated rho_k stands only if it also
+    fails at the norm from the certified end lo, walked only then, and is
+    otherwise a precondition violation that names both norms. With
     ``monte_carlo_check``,
     ``mc_z`` = (Monte Carlo - quadrature volume) / Monte Carlo standard
     error, and ``mc_consistent`` is |mc_z| <= 3: a Gaussian z-score
@@ -371,6 +384,8 @@ def check_integral_bound(scenario: Scenario, radii,
     declared = scenario.declared_rho(k)
     global_norm = lp_deficit_norm(M, H, p, functools.partial(scenario.rho, k=k),
                                   resolution=scenario.quad.chart_resolution)
+    global_lo = functools.cache(lambda: lp_deficit_norm(   # walked at the first failure
+        M, H, p, lambda X: rho_k(M, X, k).lo, resolution=scenario.quad.chart_resolution))
     reports = []
     for r, sampler in zip(radii, samplers):
         vol_sigma = sampler.grid.sigma_volume
@@ -381,26 +396,30 @@ def check_integral_bound(scenario: Scenario, radii,
             "rho_k_method": rho_method(n, k) if declared is None else "declared",
             "mean_curvature_check": "passed",
         }
-        if declared is None:
-            details_common["global_norm_inflated"] = global_norm.inflated
-            details_common["bound_inflated"] = thm1_bound(
-                constants, vol_sigma, global_norm.inflated, r)
         if monte_carlo_check:
             mc_value, mc_err = tube_volume_monte_carlo(M, sigma, r, scenario.quad)
             details_common["mc_volume"] = mc_value
             details_common["mc_stderr"] = mc_err
             details_common["mc_z"] = (mc_value - measured.value) / max(mc_err, 1e-12)
             details_common["mc_consistent"] = bool(abs(details_common["mc_z"]) <= 3.0)
-        for label, norm_value, norm_err in (
-                ("global", global_norm.value, global_norm.error_estimate),
-                ("tube", tube_norm, 0.0)):
-            bound = thm1_bound(constants, vol_sigma, norm_value, r)
-            err = measured.error_estimate + abs(norm_err) + 1e-10 * max(1.0, bound)
-            reports.append(BoundReport.from_values(
+
+        def report(label, norm):
+            bound = thm1_bound(constants, vol_sigma, norm.value, r)
+            err = measured.error_estimate + abs(norm.error_estimate) + 1e-10 * max(1.0, bound)
+            return BoundReport.from_values(
                 f"integral_bound[{label}]", measured=measured.value, bound=bound,
                 tolerance=scenario.tolerance, constants=constants,
-                error_estimate=max(err, 1e-9), deficit_norm=norm_value,
-                norm_variant=label, **details_common))
+                error_estimate=max(err, 1e-9), deficit_norm=norm.value,
+                norm_variant=label, **details_common)
+
+        glob = report("global", global_norm)
+        if not glob.passed and declared is None and report("global", global_lo()).passed:
+            glob = BoundReport.precondition_violation(glob.name, (
+                f"fails at the deficit norm {global_norm.value:.6g} from rho_{k}'s attained "
+                f"end but holds at {global_lo().value:.6g} from its certified lower end"),
+                deficit_norm=global_norm.value, deficit_norm_lo=global_lo().value,
+                norm_variant="global", **details_common)
+        reports += [glob, report("tube", DeficitNorm(tube_norm, 0.0))]
     return reports
 
 
@@ -410,8 +429,8 @@ def check_lemma_51_52(scenario: Scenario) -> list[BoundReport]:
     Lemma A: J'(t) Y^((n-m-1)/m) <= int (rho_m)_- A^(1/m) + (1/m^2) int
     (phi+ psi+) A^(1/m). Lemma B (needs minimal Sigma and p > n-k):
     || (phi+ psi+) ||_{p, ray} <= (2p-1)/(p-(n-k)) || (rho_k)_- ||_{p, ray}.
-    Both pointwise-minimum and parallel-partial-trace curvature variants
-    are recorded; the asserted one uses the pointwise minimum.
+    The curvature term is the pointwise minimum. All sampled rays are read
+    at once, each on its own 129-point grid up to min(t_max, 0.95 focal).
     """
     M, sigma = scenario.manifold, scenario.sigma
     n, m = M.dim, sigma.dim
@@ -423,71 +442,58 @@ def check_lemma_51_52(scenario: Scenario) -> list[BoundReport]:
         return [BoundReport.precondition_violation(
             "lemma_51_52", f"needs p > n-k = {n - k}, got p={p}")]
     d = n - m - 1
-    rng = scenario.rng()
     sampler = scenario.sampler(scenario.horizon())
-    idx = _ray_subsample(len(sampler.rays), scenario.check_rays, rng)
-    worst_51 = math.inf
-    worst_52 = math.inf
-    worst_52_ratio = None
-    jy_resid = 0.0
+    idx = _ray_subsample(len(sampler.rays), scenario.check_rays, scenario.rng())
     eta_max = sampler.grid.eta_max
     if eta_max > 1e-6:
         return [BoundReport.precondition_violation(
             "lemma_51_52", f"minimality violated: max |eta| = {eta_max:.3e}")]
     coef_52 = lemma52_coefficient(n, k, p)
     eps = 1e-6
-    for i in idx:
-        sol = sampler.rays[i]
-        hi = min(sol.t_max, 0.95 * sol.focal_time())
+    his = np.minimum([sampler.rays.rays[i].t_max for i in idx],
+                     0.95 * sampler.rays.focal_times()[idx])
+    for i, hi in zip(idx, his):
         if hi <= eps:
             return [BoundReport.precondition_violation("lemma_51_52", (
                 f"ray {i} has no lemma grid after t = {eps:g}: usable ray horizon"
                 f" {hi:g} (ray horizon {scenario.horizon():g})"), usable_horizon=hi)]
-        ts = np.linspace(eps, hi, 129)
-        positions, _, _, Js, Jps = sol.fields(ts)
-        phi, psi, j_scalar, y_scalar = growth_factors(ts, Js, Jps, m)
-        A = np.linalg.det(Js)
-        rho_m = scenario.rho(positions, m)
-        rho_k = rho_m if k == m else scenario.rho(positions, k)
-        pos_prod = np.maximum(phi, 0.0) * np.maximum(psi, 0.0)
-        # cumulative integrals from t = eps; the [0, eps] sliver is O(eps)
-        a_pow = A ** (1.0 / m)
-        int_rho = cumulative_trapezoid(np.maximum(-rho_m, 0.0) * a_pow, ts)
-        int_prod = cumulative_trapezoid(pos_prod * a_pow, ts)
-        jp = (phi / m) * j_scalar
-        lhs_51 = jp * y_scalar ** (d / m)
-        rhs_51 = int_rho + int_prod / m**2
-        worst_51 = min(worst_51, float(np.min(rhs_51 - lhs_51)))
-        int_prod_p = cumulative_trapezoid(pos_prod**p * A, ts)
-        int_rho_p = cumulative_trapezoid(np.maximum(-rho_k, 0.0) ** p * A, ts)
-        lhs_52 = int_prod_p ** (1.0 / p)
-        rhs_52 = coef_52 * int_rho_p ** (1.0 / p)
-        worst_52 = min(worst_52, float(np.min(rhs_52 - lhs_52)))
-        tail = slice(len(ts) // 4, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(lhs_52[tail] > 1e-14,
-                              rhs_52[tail] / np.maximum(lhs_52[tail], 1e-300), np.inf)
-        r_min = float(np.min(ratios))
-        if worst_52_ratio is None or r_min < worst_52_ratio:
-            worst_52_ratio = r_min
-        # spot-check of the J'' differential inequality (finite differences)
-        if m >= 1 and len(ts) >= 5:
-            mid = slice(2, -2)
-            h = ts[1] - ts[0]
-            j2 = (j_scalar[3:-1] - 2.0 * j_scalar[2:-2] + j_scalar[1:-3]) / h**2
-            lim = (-rho_m[mid] / m) * j_scalar[mid]
-            jy_resid = max(jy_resid, float(np.max(j2 - lim)))
+    ts = np.linspace(eps, his, 129, axis=-1)          # (rays, times)
+    positions, _, _, Js, Jps = sampler.rays.fields(ts, idx)
+    phi, psi, j_scalar, y_scalar = growth_factors(ts, Js, Jps, m)
+    A = np.linalg.det(Js)
+    points = positions.reshape(-1, n)
+    rho_m = scenario.rho(points, m).reshape(ts.shape)
+    rho_k = rho_m if k == m else scenario.rho(points, k).reshape(ts.shape)
+    pos_prod = np.maximum(phi, 0.0) * np.maximum(psi, 0.0)
+    # cumulative integrals from t = eps; the [0, eps] sliver is O(eps)
+    a_pow = A ** (1.0 / m)
+    int_rho = cumulative_trapezoid(np.maximum(-rho_m, 0.0) * a_pow, ts)
+    int_prod = cumulative_trapezoid(pos_prod * a_pow, ts)
+    lhs_51 = (phi / m) * j_scalar * y_scalar ** (d / m)
+    worst_51 = float(np.min(int_rho + int_prod / m**2 - lhs_51))
+    lhs_52 = cumulative_trapezoid(pos_prod**p * A, ts) ** (1.0 / p)
+    rhs_52 = coef_52 * cumulative_trapezoid(np.maximum(-rho_k, 0.0) ** p * A, ts) ** (1.0 / p)
+    worst_52 = float(np.min(rhs_52 - lhs_52))
+    tail = slice(ts.shape[-1] // 4, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(lhs_52[:, tail] > 1e-14,
+                          rhs_52[:, tail] / np.maximum(lhs_52[:, tail], 1e-300), np.inf)
+    # spot-check of the J'' differential inequality (finite differences)
+    h = ts[:, 1:2] - ts[:, :1]
+    j2 = (j_scalar[:, 3:-1] - 2.0 * j_scalar[:, 2:-2] + j_scalar[:, 1:-3]) / h**2
+    lim = (-rho_m[:, 2:-2] / m) * j_scalar[:, 2:-2]
+    jy_resid = max(0.0, float(np.max(j2 - lim)))
     rep51 = BoundReport.from_values(
         "lemma_51", measured=-worst_51, bound=0.0, tolerance=scenario.tolerance,
         error_estimate=1e-7, rays=len(idx),
-        note="measured = worst (lhs - rhs); bound holds when <= tolerance")
+        note="measured = worst (lhs - rhs); bound holds when <= tolerance",
+        jy_second_derivative_residual=jy_resid)
     rep52 = BoundReport.from_values(
         "lemma_52", measured=-worst_52, bound=0.0, tolerance=scenario.tolerance,
         error_estimate=1e-7, rays=len(idx), coefficient=coef_52,
-        min_rhs_over_lhs=worst_52_ratio,
+        min_rhs_over_lhs=float(np.min(ratios)),
         jy_second_derivative_residual=jy_resid,
         note="measured = worst (lhs - rhs); bound holds when <= tolerance")
-    rep51.details["jy_second_derivative_residual"] = jy_resid
     return [rep51, rep52]
 
 

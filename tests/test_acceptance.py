@@ -219,7 +219,6 @@ def test_criterion_8_bump_integral_bound(bump_reports):
     assert glob.slack > 0.0
     assert glob.details["deficit_norm"] > 0.0
     assert glob.details["mc_consistent"] is True
-    assert "global_norm_inflated" in glob.details
     assert tube.passed
     mc, mc_err = glob.details["mc_volume"], glob.details["mc_stderr"]
     assert abs(mc - glob.measured) <= 3.0 * mc_err

@@ -3,6 +3,7 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -192,6 +193,43 @@ class TestVerify:
             outs.append(((out / "report.json").read_bytes(),
                          (out / "report.csv").read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestEarnedVerdicts:
+    """A verdict follows what the checks measure, never a declared flag."""
+
+    @pytest.mark.parametrize("H", [-0.01, -0.1])
+    def test_hk_on_undeclared_bump_is_refused(self, tmp_path, H):
+        # rho_1 reaches -0.248 inside the bump, which samples can miss
+        from tubecomp.verification import run_suite
+
+        cfg = {"scenario": "bump_torus", "checks": ["hk"], "parameters": {"H": H}}
+        (sc,) = cli.scenarios_from_config(cfg)
+        reports = [rep for _, rep in run_suite([sc]).entries]
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["verify", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        written = json.loads((out / "report.json").read_text())["reports"]
+        assert len(reports) == len(written) == len(sc.radii)
+        for rep in reports + [SimpleNamespace(**rep) for rep in written]:
+            assert rep.name == "hk_bound" and rep.status == "precondition-violation"
+            assert rep.details["certification"]["basis"] is None
+            assert "no bound on rho_k between chart points" in rep.details["reason"]
+
+    @pytest.mark.parametrize("scenario, equality", [
+        ("sn_equator", True), ("s3_small_sphere", False)])
+    def test_focal_equality_is_measured(self, tmp_path, scenario, equality):
+        cfg = {"scenario": scenario, "checks": ["focal"],
+               "declared": {"totally_geodesic": not equality}}
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["verify", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        (rep,) = json.loads((out / "report.json").read_text())["reports"]
+        assert rep["name"] == "focal_radius" and rep["passed"]
+        assert rep["equality"] is equality
+        assert (rep["details"]["weingarten_max"] <= 1e-6) is equality
 
 
 class TestExitCodes:
@@ -424,7 +462,7 @@ class TestSettings:
         assert sc.seed == sc.quad.seed == seed and sc.tolerance == tolerance
         assert (sc.quad.base_resolution, sc.quad.chart_resolution) == (2, 3)
         assert (sc.check_rays, sc.ray_horizon, sc.hessian_H) == (3, 0.2, -2.0)
-        assert sc.totally_geodesic is False and sc.manifold.rho_exact[2] == 0.5
+        assert sc.manifold.rho_exact[2] == 0.5
         assert sc.manifold.volume_validity_radius == 1.0
 
     @pytest.mark.parametrize("form, names", [

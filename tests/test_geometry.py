@@ -869,13 +869,6 @@ class TestLpDeficitNorm:
         with pytest.raises(ValueError, match="resolution"):
             lp_deficit_norm(M, 0.0, 2.0, rho_hi(M, 1), resolution=1)
 
-    def test_inflation_reported_variant(self):
-        M = manifolds.flat_torus(3)
-        res = lp_deficit_norm(M, 0.0, 2.0, rho_hi(M, 1), resolution=4)
-        expect = (1e-3**2 * (2.0 * math.pi)**3) ** 0.5
-        assert res.value == pytest.approx(0.0, abs=1e-12)
-        assert res.inflated == pytest.approx(expect, rel=1e-10)
-
 
 class TestFrames:
     def test_gram_schmidt_residual(self):

@@ -30,7 +30,7 @@ def fast_flat_scenario(**overrides):
     defaults = dict(
         name="fast_flat", manifold=M, sigma=sigma, k=1, H=0.0, p=4.0,
         radii=(0.4,), quad=QuadratureSpec(base_resolution=4, fiber_resolution=2),
-        checks=("hk",), totally_geodesic=True, check_rays=6)
+        checks=("hk",), check_rays=6)
     defaults.update(overrides)
     return Scenario(**defaults)
 
@@ -71,32 +71,49 @@ class TestCertification:
         assert not cert["ok"]
         assert cert["margin"] == pytest.approx(-0.5, abs=1e-9)
 
-    def test_batched_draws_match_per_point_draws(self):
+    def test_batched_draws_match_per_point_draws(self, monkeypatch):
         # one (points, n) draw is the same stream as one draw per point
         from tubecomp.geometry import rho_k
 
         sc = toy_bump_scenario()
         sc.manifold.rho_exact = {1: 0.0}
         M, box = sc.manifold, sc.manifold.domain
-        cert = certify_rho_lower_bound(sc, 1, -0.1, points=48)
+        monkeypatch.setattr(verification, "CERTIFY_POINTS", 48)
+        cert = certify_rho_lower_bound(sc, 1, -0.1)
         rng = sc.rng()
         vals = [rho_k(M, [box.wrap(rng.uniform(box.lo, box.hi))], 1).lo[0]
                 for _ in range(48)]
         assert min(vals) < 0.0 < max(abs(v) for v in vals)
         assert cert["min_rho_k"] == min(vals)
         assert cert["declared_gap"] == max(abs(v - 0.0) for v in vals)
+        assert cert["samples"] == 48 and cert["basis"] == "declared"
 
-
-    def test_method_and_bracket_width(self, flat_scenario):
+    def test_method_and_bracket_width(self, flat_scenario, monkeypatch):
         cert = certify_rho_lower_bound(flat_scenario, 1, 0.0)
         assert cert["rho_k_method"] == "thorpe" and cert["bracket_width"] == 0.0
+        assert cert["basis"] == "declared" and cert["samples"] == verification.CERTIFY_POINTS
         cert = certify_rho_lower_bound(flat_scenario, 2, 0.0)
         assert cert["rho_k_method"] == "curvature_operator" and cert["bracket_width"] == 0.0
+        # a declared value on the bump is checked against the evaluated lower end
         sc = build_scenario("bump_torus")
-        cert = certify_rho_lower_bound(sc, 1, -0.1, points=16)
+        sc.manifold.rho_exact = {1: -0.3}
+        monkeypatch.setattr(verification, "CERTIFY_POINTS", 16)
+        cert = certify_rho_lower_bound(sc, 1, -0.1)
         assert cert["rho_k_method"] == "thorpe"
         assert 0.0 < cert["bracket_width"] <= 1e-12
-        assert cert["min_rho_k"] < 0.0
+        assert cert["min_rho_k"] < 0.0 < cert["declared_gap"]
+
+    def test_undeclared_rho_is_refused(self, monkeypatch):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("an undeclared rho_k is not sampled")
+
+        monkeypatch.setattr(verification, "rho_k", evaluated)
+        sc = build_scenario("bump_torus")
+        for H in (-0.01, -0.1):
+            cert = certify_rho_lower_bound(sc, 1, H)
+            assert not cert["ok"] and cert["basis"] is None
+            assert cert["rho_k_method"] == "thorpe"
+            assert "no bound on rho_k between chart points is known" in cert["reason"]
 
     def test_exact_lower_end_off_the_thorpe_path(self):
         for name, k, method in (("s3_great_circle", 1, "curvature_operator"),
@@ -263,6 +280,44 @@ class TestIntegralCheck:
         assert rep.status == "precondition-violation"
         assert "minimality" in rep.details["reason"]
 
+    def test_failure_stands_only_at_both_bracket_ends(self, monkeypatch):
+        # an open bracket: rho_k attains hi, and lo sits 1 below it
+        from tubecomp.geometry import RhoBracket, rho_k
+        from tubecomp.models import thm1_bound, thm1_constants
+
+        def open_bracket(M, X, k):
+            hi = rho_k(M, X, k).hi
+            return RhoBracket(hi - 1.0, hi)
+
+        monkeypatch.setattr(verification, "rho_k", open_bracket)
+        sc = toy_bump_scenario(radii=(0.4,))
+        passing = check_integral_bound(sc, sc.radii)
+        assert [rep.details["norm_variant"] for rep in passing] == ["global", "tube"]
+        assert all(rep.passed for rep in passing)
+        original = verification.TubeSampler.volume
+
+        def integral_at(volume):
+            def moved(self, r):
+                res = original(self, r)
+                res.value = volume
+                return res
+            monkeypatch.setattr(verification.TubeSampler, "volume", moved)
+            return check_integral_bound(sc, sc.radii)
+
+        # past both bounds at hi, inside the global one at lo: refused
+        glob, tube = integral_at((1.0 + 1e-3) * max(rep.bound for rep in passing))
+        assert glob.status == "precondition-violation"
+        assert glob.details["deficit_norm"] == passing[0].details["deficit_norm"]
+        assert glob.details["deficit_norm_lo"] > glob.details["deficit_norm"]
+        assert "certified lower end" in glob.details["reason"]
+        assert tube.status == "ok" and not tube.passed    # only the global norm is rechecked
+        # past the global bound at lo as well: the failure stands, at hi
+        lo_bound = thm1_bound(thm1_constants(3, 1, sc.p, sc.H), glob.details["vol_sigma"],
+                              glob.details["deficit_norm_lo"], 0.4)
+        glob, _ = integral_at(2.0 * lo_bound)
+        assert glob.status == "ok" and not glob.passed
+        assert glob.bound == passing[0].bound
+
 
 def toy_bump_scenario(radii=(0.3, 0.5)):
     """3-D bump torus around a geodesic circle that misses the bump; evaluated rho."""
@@ -305,22 +360,21 @@ class TestRadiusIndependentWork:
         per_radius = len(sc.sampler(max(sc.radii)).rays) * sc.quad.t_nodes_per_panel
         assert len(rows) - len(node_rows) == len(sc.radii) * per_radius
 
-    def test_global_norm_inflated_recomputed(self):
-        from tubecomp.geometry import DEFICIT_INFLATION, lp_deficit_norm, rho_k, rho_k_at
+    def test_global_norm_recomputed(self):
+        from tubecomp.geometry import lp_deficit_norm, rho_k, rho_k_at
 
         sc = toy_bump_scenario(radii=(0.4,))
         M, k, H, p = sc.manifold, sc.k, sc.H, sc.p
         region = M.domain.intersect(M.curvature_support)
         pts, w = region.quadrature_grid(sc.quad.chart_resolution)
         deficit = np.array([max(H - rho_k_at(M, x, k), 0.0) for x in pts])
-        dens = M.sqrt_det_at(pts)
-        expect = float(np.sum(w * dens * (deficit + 1e-3) ** p)) ** (1.0 / p)
-        assert DEFICIT_INFLATION == 1e-3
-        assert expect > float(np.sum(w * dens * deficit**p)) ** (1.0 / p)
+        expect = float(np.sum(w * M.sqrt_det_at(pts) * deficit**p)) ** (1.0 / p)
+        assert expect > 0.0
         norm = lp_deficit_norm(M, H, p, lambda X: rho_k(M, X, k).hi, resolution=3)
-        assert norm.inflated == pytest.approx(expect, rel=1e-12)
+        assert norm.value == pytest.approx(expect, rel=1e-12)
         glob = check_integral_bound(sc, sc.radii)[0]
-        assert glob.details["global_norm_inflated"] == norm.inflated
+        assert glob.details["deficit_norm"] == norm.value
+        assert "global_norm_inflated" not in glob.details
 
     def test_hk_check_certifies_once(self, monkeypatch):
         from tubecomp import verification
