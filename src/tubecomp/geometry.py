@@ -221,8 +221,8 @@ def _curvature_batch(M: ChartManifold, xs: np.ndarray,
     + Q_lpkj - Q_kplj, Q_lpkj = sum_d A_dlp Gamma^d_kj / 2, where Q is one
     batched (n^2, n) @ (n, n^2) product and the d2g terms are transposed
     views. The metric, gradient and Hessian callbacks each read xs once (a
-    chart whose callbacks share one jet, like ``bump_torus``, evaluates it
-    once per call); every row's result depends on that row alone.
+    conformally flat chart from ``manifolds._conformal`` evaluates its
+    shared jet once per call); every row's result depends on that row alone.
     """
     g, A, gamma = _connection_batch(M, xs)
     d2g = _hess_at(M, xs)

@@ -1,9 +1,10 @@
 """Built-in chart manifolds: space forms, tori, products, warped and bump metrics.
 
-All metric callables are vectorized over leading batch axes and the hot
-ones (space forms, conformal bumps) carry analytic first and second
-derivative callbacks, so ray integration never pays finite-difference
-costs on them.
+All metric callables are vectorized over leading batch axes. Every
+conformally flat chart (flat tori, stereographic spheres, the upper
+half-space and the conformal bump) is g = phi * I, built by ``_conformal``
+from one 2-jet of phi that its metric, gradient and Hessian callbacks
+share, so ray integration never pays finite-difference costs on them.
 """
 
 from __future__ import annotations
@@ -29,27 +30,44 @@ __all__ = [
 ]
 
 
-def _flat_metric(n):
+def _conformal(n, jet):
+    """metric, grad and hess of g = phi * I from the 2-jet (phi, d_k phi, d_k d_l phi).
+
+    ``jet`` maps rows x (..., n) to arrays (...), (..., n) and (..., n, n).
+    The three callbacks read the same rows in every curvature call, so the
+    last rows' jet is kept, keyed on their shape and bytes.
+    """
     eye = np.eye(n)
+    memo = {}
+
+    def shared(x):
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        if memo.get("key") != key:
+            memo["key"], memo["jet"] = key, jet(x)
+        return memo["jet"]
 
     def metric(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(eye, x.shape[:-1] + (n, n)).copy()
+        return shared(x)[0][..., None, None] * eye
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (n, n, n))
+        return shared(x)[1][..., :, None, None] * eye
 
     def hess(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (n, n, n, n))
+        return shared(x)[2][..., :, :, None, None] * eye
 
     return metric, grad, hess
 
 
+def _flat_jet(x):
+    # broadcast views: the kept jet of a flat chart allocates nothing per row
+    return (np.broadcast_to(1.0, x.shape[:-1]), np.broadcast_to(0.0, x.shape),
+            np.broadcast_to(0.0, x.shape + x.shape[-1:]))
+
+
 def euclidean(n: int, halfwidth: float = 6.0) -> ChartManifold:
     """Flat R^n on an open box chart."""
-    metric, grad, hess = _flat_metric(n)
+    metric, grad, hess = _conformal(n, _flat_jet)
     domain = Box(-halfwidth * np.ones(n), halfwidth * np.ones(n), (False,) * n)
     return ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
                          metric_hess=hess, name=f"euclidean{n}",
@@ -58,7 +76,7 @@ def euclidean(n: int, halfwidth: float = 6.0) -> ChartManifold:
 
 def flat_torus(n: int, side: float = 2.0 * math.pi) -> ChartManifold:
     """Flat torus with all periods equal to ``side``."""
-    metric, grad, hess = _flat_metric(n)
+    metric, grad, hess = _conformal(n, _flat_jet)
     domain = Box(np.zeros(n), side * np.ones(n), (True,) * n)
     return ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
                          metric_hess=hess, name=f"flat_torus{n}",
@@ -88,31 +106,15 @@ def sphere(n: int, radius: float = 1.0, axes: np.ndarray | None = None,
         axes = np.eye(n + 1)
     axes = np.asarray(axes, dtype=float)
     R2 = radius * radius
+    eye = np.eye(n)
 
-    def conformal(x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 + np.sum(x * x, axis=-1)
+    def jet(x):
+        u = 1.0 + np.sum(x * x, axis=-1)
+        return (4.0 * R2 / u**2, -16.0 * R2 * x / (u**3)[..., None],
+                -16.0 * R2 * eye * (u**-3)[..., None, None]
+                + 96.0 * R2 * (x[..., :, None] * x[..., None, :]) * (u**-4)[..., None, None])
 
-    def metric(x):
-        x = np.asarray(x, dtype=float)
-        u = conformal(x)
-        eye = np.eye(n)
-        return (4.0 * R2 / u**2)[..., None, None] * eye
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        u = conformal(x)
-        dc = -16.0 * R2 * x / (u**3)[..., None]              # (..., k)
-        return dc[..., :, None, None] * np.eye(n)
-
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        u = conformal(x)
-        eye = np.eye(n)
-        d2c = (-16.0 * R2 * eye * (u**-3)[..., None, None]
-               + 96.0 * R2 * (x[..., :, None] * x[..., None, :]) * (u**-4)[..., None, None])
-        return d2c[..., :, :, None, None] * eye
-
+    metric, grad, hess = _conformal(n, jet)
     domain = Box(-halfwidth * np.ones(n), halfwidth * np.ones(n), (False,) * n)
     return ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
                          metric_hess=hess, name=f"sphere{n}_r{radius:g}",
@@ -180,27 +182,17 @@ def sphere_colatitude(n: int, radius: float = 1.0) -> ChartManifold:
 
 def hyperbolic(n: int, z_range: tuple[float, float] = (0.02, 20.0),
                halfwidth: float = 8.0) -> ChartManifold:
-    """Hyperbolic space (curvature -1) in the upper half-space chart."""
+    """Hyperbolic space (curvature -1) in the upper half-space chart: g = z^-2 * I."""
 
-    def metric(x):
-        x = np.asarray(x, dtype=float)
+    def jet(x):
         z = x[..., -1]
-        return (z**-2.0)[..., None, None] * np.eye(n)
+        dphi = np.zeros(x.shape)
+        dphi[..., n - 1] = -2.0 * z**-3.0
+        d2phi = np.zeros(x.shape + (n,))
+        d2phi[..., n - 1, n - 1] = 6.0 * z**-4.0
+        return z**-2.0, dphi, d2phi
 
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        z = x[..., -1]
-        out = np.zeros(x.shape[:-1] + (n, n, n))
-        out[..., n - 1, :, :] = (-2.0 * z**-3.0)[..., None, None] * np.eye(n)
-        return out
-
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        z = x[..., -1]
-        out = np.zeros(x.shape[:-1] + (n, n, n, n))
-        out[..., n - 1, n - 1, :, :] = (6.0 * z**-4.0)[..., None, None] * np.eye(n)
-        return out
-
+    metric, grad, hess = _conformal(n, jet)
     lo = np.concatenate([-halfwidth * np.ones(n - 1), [z_range[0]]])
     hi = np.concatenate([halfwidth * np.ones(n - 1), [z_range[1]]])
     return ChartManifold(dim=n, metric=metric, domain=Box(lo, hi, (False,) * n),
@@ -351,37 +343,14 @@ def bump_torus(n: int, side: float = 2.0 * math.pi, amplitude: float = 0.1,
     if np.any(width >= side / 2.0):
         raise ValueError("bump width must be below half the period")
 
-    def factors(x):
-        x = np.asarray(x, dtype=float)
-        s = (np.mod(x - center + side / 2.0, side) - side / 2.0) / width
-        b, db, d2b = _mollifier(s)
-        return b, db / width, d2b / width**2
-
-    memo = {}
-
     def jet(x):
-        # metric, grad and hess read the same rows in every curvature call:
-        # the last rows' jet is kept, keyed on their shape and bytes
-        x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        if memo.get("key") != key:
-            memo["key"], memo["jet"] = key, _bump_jet(*factors(x), amplitude)
-        return memo["jet"]
+        b, db, d2b = _mollifier((np.mod(x - center + side / 2.0, side) - side / 2.0) / width)
+        f, fk, fkl = _bump_jet(b, db / width, d2b / width**2, amplitude)
+        phi = np.exp(2.0 * f)
+        return (phi, 2.0 * fk * phi[..., None],
+                (2.0 * fkl + 4.0 * fk[..., :, None] * fk[..., None, :]) * phi[..., None, None])
 
-    eye = np.eye(n)
-
-    def metric(x):
-        return np.exp(2.0 * jet(x)[0])[..., None, None] * eye
-
-    def grad(x):
-        f, fk, _ = jet(x)
-        return (2.0 * fk * np.exp(2.0 * f)[..., None])[..., :, None, None] * eye
-
-    def hess(x):
-        f, fk, fkl = jet(x)
-        coef = (2.0 * fkl + 4.0 * fk[..., :, None] * fk[..., None, :])
-        return (coef * np.exp(2.0 * f)[..., None, None])[..., :, :, None, None] * eye
-
+    metric, grad, hess = _conformal(n, jet)
     domain = Box(np.zeros(n), side * np.ones(n), (True,) * n)
     lo, hi = np.mod(center, side) - width, np.mod(center, side) + width
     support = Box(lo, hi, (False,) * n) if np.all((lo >= 0) & (hi <= side)) else None

@@ -14,9 +14,12 @@ import numpy as np
 from . import manifolds
 from .manifolds import axes_with_pole
 from .submanifolds import (
+    POLAR_BOX,
+    EmbeddedSubmanifold,
     build_submanifold,
     great_circle,
     point,
+    polar_direction,
     round_sphere,
     sub_torus,
 )
@@ -99,13 +102,8 @@ def s2xs2_factor() -> Scenario:
     c0 = manifolds.sphere_to_chart(Ma, np.array([1.0, 0.0, 0.0]))
 
     def embedding(s):
-        s = np.asarray(s, dtype=float)
-        theta, phi = s[..., 0], s[..., 1]
-        q = np.stack([np.sin(theta) * np.cos(phi),
-                      np.sin(theta) * np.sin(phi),
-                      np.cos(theta)], axis=-1)
-        second = manifolds.sphere_to_chart(Mb, q)
-        first = np.broadcast_to(c0, s.shape[:-1] + (2,))
+        second = manifolds.sphere_to_chart(Mb, polar_direction(s))
+        first = np.broadcast_to(c0, second.shape[:-1] + (2,))
         return np.concatenate([first, second], axis=-1)
 
     def normal_frame(_s, x, g, _tangent):
@@ -117,13 +115,8 @@ def s2xs2_factor() -> Scenario:
         e1[1] = 1.0 / math.sqrt(g[1, 1])
         return np.stack([e0, e1])
 
-    from .geometry import Box
-    from .submanifolds import EmbeddedSubmanifold
-    sigma = EmbeddedSubmanifold(
-        dim=2, embedding=embedding,
-        param_domain=Box([1e-8, 0.0], [math.pi - 1e-8, 2.0 * math.pi],
-                         (False, True)),
-        name="factor_sphere", normal_frame_fn=normal_frame)
+    sigma = EmbeddedSubmanifold(dim=2, embedding=embedding, param_domain=POLAR_BOX,
+                                name="factor_sphere", normal_frame_fn=normal_frame)
     return Scenario(
         name="s2xs2_factor", manifold=M, sigma=sigma, k=1, H=0.0, p=4.0,
         radii=(0.4,), quad=QuadratureSpec(base_resolution=6, fiber_resolution=8),

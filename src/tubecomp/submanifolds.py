@@ -39,6 +39,8 @@ __all__ = [
     "great_circle",
     "equator",
     "round_sphere",
+    "POLAR_BOX",
+    "polar_direction",
     "SUBMANIFOLD_BUILDERS",
     "build_submanifold",
 ]
@@ -236,6 +238,39 @@ def unit_normal_grid(sigma: EmbeddedSubmanifold, M: ChartManifold,
 # ---------------------------------------------------------------------------
 # built-in submanifolds
 
+# polar parameters (theta, phi) of a 2-sphere, kept off its poles
+POLAR_BOX = Box([1e-8, 0.0], [math.pi - 1e-8, 2.0 * math.pi], (False, True))
+
+
+def polar_direction(s) -> np.ndarray:
+    """Unit vector (sin t cos p, sin t sin p, cos t) of polar parameters (..., 2) -> (..., 3)."""
+    s = np.asarray(s, dtype=float)
+    theta, phi = s[..., 0], s[..., 1]
+    return np.stack([np.sin(theta) * np.cos(phi),
+                     np.sin(theta) * np.sin(phi),
+                     np.cos(theta)], axis=-1)
+
+
+def _on_sphere(M: ChartManifold, dim: int, box: Box | None, ambient_point,
+               ambient_normals, name: str) -> EmbeddedSubmanifold:
+    """Submanifold of a stereographic round sphere from its ambient parametrization.
+
+    ``ambient_point`` maps parameters (..., dim) to points of the sphere of
+    radius R in R^(n+1); ``ambient_normals`` maps one parameter to the rows
+    of an ambient orthonormal normal frame there. The frame is pushed into
+    the chart, so fiber angles correspond exactly to ambient directions.
+    """
+    def embedding(s):
+        return sphere_to_chart(M, ambient_point(np.asarray(s, dtype=float)))
+
+    def normal_frame(s, _x, _g, _tangent):
+        s = np.asarray(s, dtype=float)
+        q = ambient_point(s)
+        return np.stack([ambient_tangent_to_chart(M, q, w) for w in ambient_normals(s)])
+
+    return EmbeddedSubmanifold(dim=dim, embedding=embedding, param_domain=box,
+                               name=name, normal_frame_fn=normal_frame)
+
 
 def point(M: ChartManifold, location, normal_frame_fn=None) -> EmbeddedSubmanifold:
     loc = np.asarray(location, dtype=float)
@@ -255,11 +290,7 @@ def sphere_point(M: ChartManifold, ambient_location) -> EmbeddedSubmanifold:
     unit = unit / np.linalg.norm(unit)
     q0 = M.extra["radius"] * unit
     basis = complete_euclidean(unit)[1:]
-
-    def normal_frame(_s, _x, _g, _tangent):
-        return np.stack([ambient_tangent_to_chart(M, q0, w) for w in basis])
-
-    return point(M, sphere_to_chart(M, q0), normal_frame_fn=normal_frame)
+    return _on_sphere(M, 0, None, lambda _s: q0, lambda _s: basis, "point")
 
 
 def sub_torus(M: ChartManifold, axes, offset) -> EmbeddedSubmanifold:
@@ -314,10 +345,8 @@ def closed_geodesic(M: ChartManifold, axis: int = 0, offset=None) -> EmbeddedSub
 def great_circle(M: ChartManifold, plane=(0, 1), phase: float = 0.0) -> EmbeddedSubmanifold:
     """Great circle of a stereographic round sphere, in the ambient plane given.
 
-    The normal frame at each point is the (constant) family of ambient
-    axes outside the circle's plane, pushed into the chart, so fiber
-    angles correspond exactly to ambient directions. ``plane`` is two
-    distinct ambient axes in range(n + 1).
+    The normal frame is the ambient axes outside the circle's plane.
+    ``plane`` is two distinct ambient axes in range(n + 1).
     """
     radius = M.extra["radius"]
     n_amb = M.dim + 1
@@ -330,19 +359,11 @@ def great_circle(M: ChartManifold, plane=(0, 1), phase: float = 0.0) -> Embedded
     others = [np.eye(n_amb)[c] for c in range(n_amb) if c not in plane]
 
     def ambient_point(s):
-        ang = np.asarray(s, dtype=float)[..., 0] + phase
+        ang = s[..., 0] + phase
         return radius * (np.cos(ang)[..., None] * e1 + np.sin(ang)[..., None] * e2)
 
-    def embedding(s):
-        return sphere_to_chart(M, ambient_point(s))
-
-    def normal_frame(s, _x, _g, _tangent):
-        q = ambient_point(np.asarray(s, dtype=float))
-        return np.stack([ambient_tangent_to_chart(M, q, w) for w in others])
-
-    box = Box([0.0], [2.0 * math.pi], (True,))
-    return EmbeddedSubmanifold(dim=1, embedding=embedding, param_domain=box,
-                               name="great_circle", normal_frame_fn=normal_frame)
+    return _on_sphere(M, 1, Box([0.0], [2.0 * math.pi], (True,)), ambient_point,
+                      lambda _s: others, "great_circle")
 
 
 def equator(M: ChartManifold) -> EmbeddedSubmanifold:
@@ -357,24 +378,11 @@ def equator(M: ChartManifold) -> EmbeddedSubmanifold:
         raise ValueError("equator builder implemented for S^2 and S^3 ambients")
 
     def ambient_point(s):
-        s = np.asarray(s, dtype=float)
-        theta, phi = s[..., 0], s[..., 1]
-        return radius * np.stack([np.sin(theta) * np.cos(phi),
-                                  np.sin(theta) * np.sin(phi),
-                                  np.cos(theta),
-                                  np.zeros_like(theta)], axis=-1)
+        v = polar_direction(s)
+        return radius * np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
 
-    def embedding(s):
-        return sphere_to_chart(M, ambient_point(s))
-
-    def normal_frame(s, _x, _g, _tangent):
-        q = ambient_point(np.asarray(s, dtype=float))
-        e4 = np.array([0.0, 0.0, 0.0, 1.0])
-        return ambient_tangent_to_chart(M, q, e4)[None, :]
-
-    box = Box([1e-8, 0.0], [math.pi - 1e-8, 2.0 * math.pi], (False, True))
-    return EmbeddedSubmanifold(dim=2, embedding=embedding, param_domain=box,
-                               name="equator", normal_frame_fn=normal_frame)
+    e4 = np.eye(4)[3:]
+    return _on_sphere(M, 2, POLAR_BOX, ambient_point, lambda _s: e4, "equator")
 
 
 def round_sphere(M: ChartManifold, radius: float,
@@ -392,43 +400,24 @@ def round_sphere(M: ChartManifold, radius: float,
         R = M.extra["radius"]
         rho = radius
 
-        def direction(s):
-            s = np.asarray(s, dtype=float)
-            theta, phi = s[..., 0], s[..., 1]
-            return np.stack([np.sin(theta) * np.cos(phi),
-                             np.sin(theta) * np.sin(phi),
-                             np.cos(theta)], axis=-1)
+        def ambient_point(s):
+            v = polar_direction(s)
+            return R * np.concatenate([math.sin(rho) * v,
+                                       math.cos(rho) * np.ones(v.shape[:-1] + (1,))], axis=-1)
 
-        def embedding(s):
-            v = direction(s)
-            q = R * np.concatenate([math.sin(rho) * v,
-                                    math.cos(rho) * np.ones(v.shape[:-1] + (1,))],
-                                   axis=-1)
-            return sphere_to_chart(M, q)
+        def ambient_normal(s):
+            return np.concatenate([math.cos(rho) * polar_direction(s), [-math.sin(rho)]])[None]
 
-        def normal_frame(s, _x, _g, _tangent):
-            v = direction(np.asarray(s, dtype=float))
-            q = R * np.concatenate([math.sin(rho) * v, [math.cos(rho)]])
-            nu = np.concatenate([math.cos(rho) * v, [-math.sin(rho)]])
-            return ambient_tangent_to_chart(M, q, nu)[None, :]
-
-        box = Box([1e-8, 0.0], [math.pi - 1e-8, 2.0 * math.pi], (False, True))
-        return EmbeddedSubmanifold(dim=2, embedding=embedding, param_domain=box,
-                                   name=f"round_sphere_rho{radius:g}",
-                                   normal_frame_fn=normal_frame)
+        return _on_sphere(M, 2, POLAR_BOX, ambient_point, ambient_normal,
+                          f"round_sphere_rho{radius:g}")
     if M.dim != 3:
         raise ValueError("euclidean round_sphere implemented for R^3 ambients")
     c = np.zeros(3) if center is None else np.asarray(center, dtype=float)
 
     def embedding(s):
-        s = np.asarray(s, dtype=float)
-        theta, phi = s[..., 0], s[..., 1]
-        return c + radius * np.stack([np.sin(theta) * np.cos(phi),
-                                      np.sin(theta) * np.sin(phi),
-                                      np.cos(theta)], axis=-1)
+        return c + radius * polar_direction(s)
 
-    box = Box([1e-8, 0.0], [math.pi - 1e-8, 2.0 * math.pi], (False, True))
-    return EmbeddedSubmanifold(dim=2, embedding=embedding, param_domain=box,
+    return EmbeddedSubmanifold(dim=2, embedding=embedding, param_domain=POLAR_BOX,
                                name=f"round_sphere_a{radius:g}")
 
 

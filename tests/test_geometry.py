@@ -21,7 +21,7 @@ from tubecomp.geometry import (
     rho_method,
 )
 from tubecomp.geometry import _curvature_batch, _grad_at, _hess_at
-from tubecomp.geometry import fd_gradient, fd_hessian
+from tubecomp.geometry import FD_STEP_FIRST, FD_STEP_SECOND, fd_gradient, fd_hessian
 from tubecomp.geometry import _frame_tensor, _rho_bracket
 from tubecomp.quadrature import product_angle_sphere
 
@@ -161,6 +161,50 @@ class TestFiniteDifferences:
         assert np.allclose(hess[..., 1], cubic, atol=1e-6)
 
 
+def _tilted_sphere():
+    return manifolds.sphere(3, radius=1.3,
+                            axes=manifolds.axes_with_pole([0.3, -0.2, 0.5, 0.8]))
+
+
+# charts with analytic callbacks, each with a sampler of points inside its domain
+ANALYTIC_CHARTS = {
+    "euclidean3": (lambda: manifolds.euclidean(3), lambda rng, k: rng.uniform(-2, 2, (k, 3))),
+    "flat_torus4": (lambda: manifolds.flat_torus(4), lambda rng, k: rng.uniform(0, 6, (k, 4))),
+    "tilted_sphere3": (_tilted_sphere, lambda rng, k: rng.uniform(-1.5, 1.5, (k, 3))),
+    "hyperbolic3": (lambda: manifolds.hyperbolic(3),
+                    lambda rng, k: np.hstack([rng.uniform(-1, 1, (k, 2)),
+                                              rng.uniform(0.5, 2, (k, 1))])),
+    "bump_torus3": (lambda: manifolds.bump_torus(3),
+                    lambda rng, k: math.pi + rng.uniform(-0.9, 0.9, (k, 3))),
+    "bump_torus4": (lambda: manifolds.bump_torus(4),
+                    lambda rng, k: math.pi + rng.uniform(-0.9, 0.9, (k, 4))),
+    "sphere2_x_hyperbolic2": (lambda: manifolds.product(manifolds.sphere(2),
+                                                        manifolds.hyperbolic(2)),
+                              lambda rng, k: np.hstack([rng.uniform(-1, 1, (k, 2)),
+                                                        rng.uniform(-1, 1, (k, 1)),
+                                                        rng.uniform(0.5, 2, (k, 1))])),
+    "cosh_warped3": (lambda: manifolds.warped_product(2, np.cosh, np.sinh, np.cosh),
+                     lambda rng, k: np.hstack([rng.uniform(-1.5, 1.5, (k, 1)),
+                                               rng.uniform(0, 6, (k, 2))])),
+}
+
+
+class TestAnalyticCharts:
+    """Each chart's analytic gradient and Hessian against central differences of its metric."""
+
+    @pytest.mark.parametrize("name", sorted(ANALYTIC_CHARTS))
+    def test_callbacks_match_central_differences(self, name):
+        build, points = ANALYTIC_CHARTS[name]
+        M = build()
+        X = points(np.random.default_rng(11), 20)
+        assert np.all(M.domain.contains(X))
+        dg, d2g = M.metric_grad(X), M.metric_hess(X)
+        assert np.max(np.abs(dg - fd_gradient(M.metric, X, FD_STEP_FIRST))) <= (
+            1e-8 * max(1.0, np.max(np.abs(dg))))
+        assert np.max(np.abs(d2g - fd_hessian(M.metric, X, FD_STEP_SECOND))) <= (
+            1e-6 * max(1.0, np.max(np.abs(d2g))))
+
+
 class TestLoweredKernel:
     """``_curvature_batch`` forms Rm from the lowered Christoffel symbols."""
 
@@ -204,8 +248,19 @@ def bump_jet_by_pairs(b, db, d2b, amplitude):
     return amplitude * np.prod(b, axis=-1), amplitude * db * excl, fkl
 
 
+# every conformally flat chart (g = phi * I) in dimension 4, with a center
+# that rows within 1 of stay inside its domain (and the bump's support)
+CONFORMAL_CHARTS = {
+    "euclidean": (lambda: manifolds.euclidean(4), 0.0),
+    "flat_torus": (lambda: manifolds.flat_torus(4), math.pi),
+    "sphere": (lambda: manifolds.sphere(4), 0.0),
+    "hyperbolic": (lambda: manifolds.hyperbolic(4), np.array([0.0, 0.0, 0.0, 2.0])),
+    "bump_torus": (lambda: manifolds.bump_torus(4), math.pi),
+}
+
+
 class TestBumpJet:
-    """The bump metric's 2-jet: one masked product, evaluated once per curvature call."""
+    """Conformal charts' 2-jet: the bump's one masked product, and one jet per curvature call."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_masked_product_equals_the_pair_loop(self, n):
@@ -216,31 +271,41 @@ class TestBumpJet:
         for got, want in zip(_bump_jet(b, db, d2b, 0.1), bump_jet_by_pairs(b, db, d2b, 0.1)):
             assert np.array_equal(got, want)
 
-    def test_rows_of_the_same_shape_get_fresh_values(self):
-        M = manifolds.bump_torus(4)
+    @pytest.mark.parametrize("name", sorted(CONFORMAL_CHARTS))
+    def test_rows_of_the_same_shape_get_fresh_values(self, name):
+        build, center = CONFORMAL_CHARTS[name]
+        M = build()
         rng = np.random.default_rng(1)
-        X1, X2 = (math.pi + rng.uniform(-1.0, 1.0, (6, 4)) for _ in range(2))
+        X1, X2 = (center + rng.uniform(-1.0, 1.0, (6, 4)) for _ in range(2))
         for attr in ("metric", "metric_grad", "metric_hess"):
-            fresh = getattr(manifolds.bump_torus(4), attr)
+            fresh = getattr(build(), attr)
             first = getattr(M, attr)(X1)
             assert np.array_equal(getattr(M, attr)(X2), fresh(X2))
             assert np.array_equal(getattr(M, attr)(X1), first)
-        assert not np.array_equal(M.metric_hess(X1), M.metric_hess(X2))
+            # the same bytes under other leading axes are other rows
+            grid = getattr(M, attr)(X1.reshape(2, 3, 4))
+            assert grid.shape == (2, 3) + first.shape[1:]
+            assert np.array_equal(grid, first.reshape(grid.shape))
+            assert np.array_equal(getattr(M, attr)(X1[0]), first[0])
+        assert name in ("euclidean", "flat_torus") or not np.array_equal(
+            M.metric_hess(X1), M.metric_hess(X2))
 
-    def test_one_jet_per_curvature_call(self, monkeypatch):
-        from tubecomp import manifolds as module
-
+    @pytest.mark.parametrize("name", sorted(CONFORMAL_CHARTS))
+    def test_one_jet_per_curvature_call(self, name, monkeypatch):
         calls = []
-        original = module._bump_jet
+        original = manifolds._conformal
 
-        def counted(*args):
-            calls.append(args[0].shape)
-            return original(*args)
-        monkeypatch.setattr(module, "_bump_jet", counted)
-        M = manifolds.bump_torus(4)
+        def counted_conformal(n, jet):
+            def counted(x):
+                calls.append(x.shape)
+                return jet(x)
+            return original(n, counted)
+        monkeypatch.setattr(manifolds, "_conformal", counted_conformal)
+        build, center = CONFORMAL_CHARTS[name]
+        M = build()
         rng = np.random.default_rng(2)
         for rows in (1, 11, 11, 64):
-            _curvature_batch(M, math.pi + rng.uniform(-1.0, 1.0, (rows, 4)))
+            _curvature_batch(M, center + rng.uniform(-1.0, 1.0, (rows, 4)))
         assert calls == [(1, 4), (11, 4), (11, 4), (64, 4)]
 
 

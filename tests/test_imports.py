@@ -154,3 +154,28 @@ def test_every_setting_is_used_or_retired():
             if key not in strings and ("declared", key) not in cli._RETIRED] == []
     # and a retired key is ignored: _apply_settings names none of them
     assert sorted(key for _, key in cli._RETIRED if key in strings) == []
+
+
+def test_conformal_charts_share_one_jet_helper():
+    # a chart whose metric is phi * I is built by manifolds._conformal, so no
+    # builder hand-rolls its own metric, gradient and Hessian triple again
+    import numpy as np
+
+    from tubecomp import manifolds
+
+    args = {"product": (manifolds.sphere(2), manifolds.hyperbolic(2)),
+            "warped_product": (2, np.cosh, np.sinh, np.cosh)}
+    rng = np.random.default_rng(0)
+    conformal, other = [], []
+    for name, build in manifolds.MANIFOLD_BUILDERS.items():
+        M = build(*args.get(name, (3,)))
+        if M.metric_grad is None or M.metric_hess is None:
+            continue
+        lo, hi = M.domain.lo, M.domain.hi
+        g = M.metric_at(lo + rng.uniform(0.1, 0.9, (5, M.dim)) * (hi - lo))
+        multiple_of_eye = np.allclose(g, g[:, :1, :1] * np.eye(M.dim), rtol=0.0, atol=1e-14)
+        (conformal if multiple_of_eye else other).append(name)
+        if multiple_of_eye:
+            assert M.metric.__qualname__.startswith("_conformal."), name
+    assert {"bump_torus", "euclidean", "flat_torus", "hyperbolic", "sphere"} <= set(conformal)
+    assert sorted(other) == ["product", "warped_product"]

@@ -16,10 +16,12 @@ from tubecomp.submanifolds import (
     great_circle,
     point,
     round_sphere,
+    sphere_point,
     sub_torus,
     unit_normal_grid,
     weingarten,
 )
+from tubecomp.scenarios import build_scenario
 from tubecomp.geometry import Box
 from tubecomp.transport import NormalRay, integrate_ray
 
@@ -189,6 +191,35 @@ class TestMeanCurvature:
                                                       abs=1e-9)
 
 
+def tilted_s3():
+    return manifolds.sphere(3, axes=manifolds.axes_with_pole([0.2, -0.4, 0.5, 0.7]))
+
+
+def on(M, build):
+    return M, build(M)
+
+
+def factor_sphere():
+    scenario = build_scenario("s2xs2_factor")
+    return scenario.manifold, scenario.sigma
+
+
+POLAR = ([1e-8, 0.0], [math.pi - 1e-8, 2.0 * math.pi], (False, True))
+# every submanifold of a stereographic sphere: (build, name, parameter box)
+SPHERE_SUBMANIFOLDS = {
+    "great_circle": (lambda: on(tilted_s3(), great_circle), "great_circle",
+                     ([0.0], [2.0 * math.pi], (True,))),
+    "equator": (lambda: on(tilted_s3(), lambda M: build_submanifold("equator", M)),
+                "equator", POLAR),
+    # the tilted pole lies near this sphere, where its finite-difference frames miss 1e-10
+    "geodesic_round_sphere": (lambda: on(manifolds.sphere(3), lambda M: round_sphere(M, 0.8)),
+                              "round_sphere_rho0.8", POLAR),
+    "sphere_point": (lambda: on(tilted_s3(), lambda M: sphere_point(M, [1.0, 2.0, 0.5, 0.3])),
+                     "point", None),
+    "s2xs2_factor": (factor_sphere, "factor_sphere", POLAR),
+}
+
+
 class TestUnitNormalGrid:
     def test_sub_torus_total_weight(self):
         M = torus4()
@@ -215,14 +246,21 @@ class TestUnitNormalGrid:
         assert grid.sigma_volume == pytest.approx(4.0 * math.pi, rel=1e-6)
         assert grid.total_weight == pytest.approx(8.0 * math.pi, rel=1e-6)
 
-    def test_frames_orthonormal_at_nodes(self):
-        M = manifolds.sphere(3)
-        sigma = great_circle(M)
+    @pytest.mark.parametrize("name", sorted(SPHERE_SUBMANIFOLDS))
+    def test_frames_orthonormal_at_nodes(self, name):
+        build, expect_name, expect_box = SPHERE_SUBMANIFOLDS[name]
+        M, sigma = build()
+        assert sigma.name == expect_name
+        if expect_box is None:
+            assert sigma.param_domain is None
+        else:
+            box = sigma.param_domain
+            assert (box.lo.tolist(), box.hi.tolist(), box.periodic) == expect_box
         grid = unit_normal_grid(sigma, M, base_resolution=6, fiber_resolution=4)
         for node in grid.nodes:
             g = M.metric_at(node.position)
             full = np.vstack([node.tangent, node.normal])
-            assert np.max(np.abs(full @ g @ full.T - np.eye(3))) <= 1e-10
+            assert np.max(np.abs(full @ g @ full.T - np.eye(M.dim))) <= 1e-10
 
     def test_eta_dot_xi_matches_weingarten_trace(self):
         M = manifolds.sphere(3)
