@@ -10,6 +10,7 @@ which ``Rm[i,j,k,l] = g_ik g_jl - g_il g_jk`` on the unit round sphere, so
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -212,6 +213,14 @@ def _connection_batch(M: ChartManifold, xs: np.ndarray):
     return g, A, 0.5 * (ginv @ A.reshape(B, n, n * n)).reshape(B, n, n, n)
 
 
+@functools.cache
+def _rm_gathers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat source indices of Rm's four d2g terms (4, n^4) and two Q terms (2, n^4)."""
+    d2 = np.array([np.arange(n**4).reshape((n,) * 4).transpose(p).ravel()
+                   for p in ((2, 1, 0, 3), (1, 3, 0, 2), (2, 1, 3, 0), (1, 3, 2, 0))])
+    return d2, d2[[3, 1]]
+
+
 def _curvature_batch(M: ChartManifold, xs: np.ndarray,
                      want_gamma: bool = False):
     """Batched all-lowered curvature tensor Rm[b,p,j,k,l] (and optionally Gamma).
@@ -219,19 +228,20 @@ def _curvature_batch(M: ChartManifold, xs: np.ndarray,
     From the lowered Christoffel symbols, with no derivative of g^-1:
     Rm_pjkl = (d_k d_j g_pl - d_k d_p g_lj - d_l d_j g_pk + d_l d_p g_kj) / 2
     + Q_lpkj - Q_kplj, Q_lpkj = sum_d A_dlp Gamma^d_kj / 2, where Q is one
-    batched (n^2, n) @ (n, n^2) product and the d2g terms are transposed
-    views. The metric, gradient and Hessian callbacks each read xs once (a
-    conformally flat chart from ``manifolds._conformal`` evaluates its
-    shared jet once per call); every row's result depends on that row alone.
+    batched (n^2, n) @ (n, n^2) product and the permuted terms are gathered
+    from the flat (B, n^4) d2g and Q by ``_rm_gathers``. The metric, gradient
+    and Hessian callbacks each read xs once (``manifolds._conformal`` shares
+    one jet per call); every row's result depends on that row alone.
     """
     g, A, gamma = _connection_batch(M, xs)
     d2g = _hess_at(M, xs)
     B, n = A.shape[:2]
-    Q = 0.5 * (np.swapaxes(A.reshape(B, n, n * n), 1, 2)
-               @ gamma.reshape(B, n, n * n)).reshape(B, n, n, n, n)
-    rm = (0.5 * (d2g.transpose(0, 3, 2, 1, 4) - d2g.transpose(0, 2, 4, 1, 3)
-                 - d2g.transpose(0, 3, 2, 4, 1) + d2g.transpose(0, 2, 4, 3, 1))
-          + Q.transpose(0, 2, 4, 3, 1) - Q.transpose(0, 2, 4, 1, 3))
+    Q = 0.5 * (np.swapaxes(A.reshape(B, n, n * n), 1, 2) @ gamma.reshape(B, n, n * n))
+    t = np.take(d2g.reshape(B, -1), _rm_gathers(n)[0], axis=1)
+    rm = 0.5 * (t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3])
+    del t   # the Q gather reuses its memory; holding both makes calls page-fault
+    t = np.take(Q.reshape(B, -1), _rm_gathers(n)[1], axis=1)
+    rm = (rm + t[:, 0] - t[:, 1]).reshape(B, n, n, n, n)
     if want_gamma:
         return g, gamma, rm
     return g, rm

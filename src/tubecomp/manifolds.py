@@ -102,9 +102,9 @@ def sphere(n: int, radius: float = 1.0, axes: np.ndarray | None = None,
     scenarios park it away from every quadrature ray. Christoffel symbols
     are bounded on the whole chart.
     """
-    if axes is None:
-        axes = np.eye(n + 1)
-    axes = np.asarray(axes, dtype=float)
+    axes = np.eye(n + 1) if axes is None else np.asarray(axes, dtype=float)
+    if axes.shape != (n + 1, n + 1) or np.max(np.abs(axes @ axes.T - np.eye(n + 1))) > 1e-10:
+        raise ValueError(f"sphere axes must be an orthonormal {n + 1}x{n + 1} matrix")
     R2 = radius * radius
     eye = np.eye(n)
 

@@ -272,16 +272,12 @@ def _on_sphere(M: ChartManifold, dim: int, box: Box | None, ambient_point,
                                name=name, normal_frame_fn=normal_frame)
 
 
-def point(M: ChartManifold, location, normal_frame_fn=None) -> EmbeddedSubmanifold:
+def point(M: ChartManifold, location) -> EmbeddedSubmanifold:
     loc = np.asarray(location, dtype=float)
     if loc.shape != (M.dim,):
         raise ValueError(f"point location must have length {M.dim}, got shape {loc.shape}")
-
-    def embedding(_s):
-        return loc.copy()
-
-    return EmbeddedSubmanifold(dim=0, embedding=embedding, param_domain=None,
-                               name="point", normal_frame_fn=normal_frame_fn)
+    return EmbeddedSubmanifold(dim=0, embedding=lambda _s: loc.copy(), param_domain=None,
+                               name="point")
 
 
 def sphere_point(M: ChartManifold, ambient_location) -> EmbeddedSubmanifold:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -78,20 +78,22 @@ class NormalRay:
     tolerance: float = 1e-9
 
 
-def _split(Y: np.ndarray, n: int):
-    """(x, v, E, J, J') views of ray states Y of shape (..., state).
+@cache
+def _layout(n: int) -> dict[str, tuple[slice, tuple]]:
+    """{part: (column slice, shape)} of a ray state, in order; read-only.
 
     The state of a ray is position x (n), velocity v (n), parallel frame
     rows E (n-1, n), and the Jacobi pair J, J' (n-1, n-1 each), in this
     order; this function and ``_pack`` are the only code that knows it.
     """
-    lead = Y.shape[:-1]
-    e_end = 2 * n + (n - 1) * n
-    j_end = e_end + (n - 1) * (n - 1)
-    return (Y[..., :n], Y[..., n:2 * n],
-            Y[..., 2 * n:e_end].reshape(lead + (n - 1, n)),
-            Y[..., e_end:j_end].reshape(lead + (n - 1, n - 1)),
-            Y[..., j_end:].reshape(lead + (n - 1, n - 1)))
+    shapes = {"x": (n,), "v": (n,), "E": (n - 1, n), "J": (n - 1, n - 1), "Jp": (n - 1, n - 1)}
+    ends = np.cumsum([0] + [math.prod(s) for s in shapes.values()]).tolist()
+    return {p: (slice(a, b), s) for (p, s), a, b in zip(shapes.items(), ends, ends[1:])}
+
+
+def _split(Y: np.ndarray, n: int):
+    """(x, v, E, J, J') views of ray states Y of shape (..., state)."""
+    return tuple(Y[..., c].reshape(Y.shape[:-1] + s) for c, s in _layout(n).values())
 
 
 def _pack(x, v, E, J, Jp) -> np.ndarray:
@@ -129,15 +131,15 @@ def _initial_state(node: BaseNode, xi) -> tuple[np.ndarray, np.ndarray]:
     return _pack(node.position, xi, frame0, J0, Jp0), S_xi
 
 
-def _dense_states(knots, starts, coeffs, last, ts, rows=None) -> np.ndarray:
-    """States (k, q, state) of store rows ``rows`` (default all) at their own times ts (k, q).
+def _dense_states(knots, starts, coeffs, last, ts, rows=None, cols=None) -> list[np.ndarray]:
+    """Columns (k, q, width) of store rows ``rows`` (default all) at their own times ts (k, q).
 
-    Repeats scipy's ``OdeSolution`` and ``Dop853DenseOutput`` operation for
-    operation, so every state is bitwise what scipy returns: a time picks
-    the segment whose knot interval holds it (the lower one at a knot),
-    clamped to the ray's first and last segment, and that segment's
-    interpolant is evaluated by the same Horner scheme in
-    x = (t - t_old) / h.
+    One array per column slice of ``cols`` (default the whole state); no other
+    column is evaluated. Repeats scipy's ``OdeSolution`` and ``Dop853DenseOutput``
+    operation for operation, so every value is bitwise what scipy returns: a
+    time picks the segment whose knot interval holds it (the lower one at a
+    knot), clamped to the ray's first and last segment, and that segment's
+    interpolant is evaluated by the same Horner scheme in x = (t - t_old) / h.
     """
     rows = (np.arange(len(knots)) if rows is None else np.asarray(rows))[:, None]
     # knots[:, 0] = 0, so counting the later knots below t gives
@@ -146,11 +148,14 @@ def _dense_states(knots, starts, coeffs, last, ts, rows=None) -> np.ndarray:
     t_old = knots[rows, seg]
     x = ((ts - t_old) / (knots[rows, seg + 1] - t_old))[..., None]
     one_minus_x = 1.0 - x
-    y = np.zeros(ts.shape + starts.shape[-1:])
-    for i in range(coeffs.shape[2]):
-        y += coeffs[rows, seg, -1 - i]
-        y *= x if i % 2 == 0 else one_minus_x
-    return y + starts[rows, seg]
+    out = []
+    for c in cols or [slice(None)]:
+        y = np.zeros(ts.shape + starts[0, 0, c].shape)
+        for i in range(coeffs.shape[2]):
+            y += coeffs[rows, seg, -1 - i, c]
+            y *= x if i % 2 == 0 else one_minus_x
+        out.append(y + starts[rows, seg, c])
+    return out
 
 
 @dataclass(eq=False)
@@ -162,7 +167,8 @@ class RayBatch(Sequence):
     coefficients coeffs[i, s]; last[i] is the ray's last segment, and knots
     past it are +inf. A ray with t_max = 0 has the one segment [0, inf)
     with zero coefficients, so it evaluates to its initial state. Only this
-    module knows the layout. ``det_grid`` and ``focal_times()`` are cached read-only.
+    module knows the layout. A read evaluates only the columns of the parts it
+    asks for. ``det_grid`` and ``focal_times()`` are cached read-only.
     """
 
     manifold: ChartManifold
@@ -180,21 +186,24 @@ class RayBatch(Sequence):
     def __getitem__(self, i) -> RaySolution:
         return RaySolution(self, range(len(self.rays))[i])
 
-    def fields(self, ts, rows=None):
-        """(x, v, E, J, J') of rays ``rows`` (default all) at their own times ts (rows, q)."""
-        y = _dense_states(self.knots, self.starts, self.coeffs, self.last,
-                          np.asarray(ts, dtype=float), rows)
-        return _split(y, self.manifold.dim)
+    def fields(self, ts, rows=None, parts=None):
+        """``parts`` (x v E J Jp by default) of rays ``rows`` at their own times ts (rows, q)."""
+        n, ts = self.manifold.dim, np.asarray(ts, dtype=float)
+        cols = parts and [_layout(n)[p][0] for p in parts]
+        ys = _dense_states(self.knots, self.starts, self.coeffs, self.last, ts, rows, cols)
+        if parts is None:
+            return _split(ys[0], n)
+        return tuple(y.reshape(y.shape[:-1] + _layout(n)[p][1]) for y, p in zip(ys, parts))
 
     def density(self, ts, rows=None) -> np.ndarray:
         """det J of rays ``rows`` (default all) at their own times ts (rows, q)."""
-        return np.linalg.det(self.fields(ts, rows)[3])
+        return np.linalg.det(self.fields(ts, rows, ("J",))[0])
 
     @cached_property
     def det_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """(ts, det J(ts)), each (rays, 1025): every ray's uniform grid on [0, t_max]."""
         ts = np.linspace(0.0, [float(ray.t_max) for ray in self.rays], 1025, axis=-1)
-        # one ray per read: a whole-batch read holds (rays, 1025, state) temporaries
+        # one ray per read: a whole-batch read holds (rays, 1025, (n-1)^2) temporaries
         dets = np.concatenate([self.density(ts[i:i + 1], [i]) for i in range(len(self))])
         ts.flags.writeable = dets.flags.writeable = False
         return ts, dets
@@ -305,15 +314,15 @@ class RaySolution:
     def weingarten0(self) -> np.ndarray:
         return self.batch.weingarten0[self.index]
 
-    def fields(self, ts):
-        """(x, v, E, J, J') at a time t or along a 1-D array of times ts."""
+    def fields(self, ts, parts=None):
+        """``parts`` (default (x, v, E, J, J')) at a time t or along a 1-D array of times ts."""
         ts = np.asarray(ts, dtype=float)
-        parts = self.batch.fields(ts.reshape(1, -1), [self.index])
-        return tuple(p[0].reshape(ts.shape + p.shape[2:]) for p in parts)
+        values = self.batch.fields(ts.reshape(1, -1), [self.index], parts)
+        return tuple(p[0].reshape(ts.shape + p.shape[2:]) for p in values)
 
     def density(self, ts):
         """Polar volume density det J at the time or times ts."""
-        return np.linalg.det(self.fields(ts)[3])
+        return np.linalg.det(self.fields(ts, ("J",))[0])
 
     def shape_fields(self, ts):
         """(S, (x, v, E, J, J')) at a time t or along a 1-D array of times ts.
@@ -545,7 +554,7 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
         for j in np.flatnonzero(crossed):
             step = (np.array([[t_old[j], t_acc[j]]]), y_old[None, j:j + 1],
                     F[None, j:j + 1], np.zeros(1, dtype=int))
-            root = brentq(lambda s: chart_exit(_dense_states(*step, np.array([[s]]))[0, 0]),
+            root = brentq(lambda s: chart_exit(_dense_states(*step, np.array([[s]]))[0][0, 0]),
                           float(t_old[j]), float(t_acc[j]), xtol=4 * _EPS, rtol=4 * _EPS)
             fail(int(acc[j]), root, _EVENT_MESSAGE)
         t[acc], y[acc], f[acc], g[acc] = t_acc, y_acc, K_acc[_DOP853.n_stages], g_new

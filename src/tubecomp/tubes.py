@@ -130,7 +130,7 @@ class TubeSampler:
             return 0.0
         ts, tw = gauss_legendre_panels(0.0, np.minimum(t, self.rays.focal_times()),
                                        self.spec.t_nodes_per_panel)
-        positions, _, _, J, _ = self.rays.fields(ts)
+        positions, J = self.rays.fields(ts, parts=("x", "J"))
         deficit = np.maximum(H - rho(positions.reshape(-1, self.M.dim)), 0.0)
         integrand = deficit.reshape(ts.shape) ** p * np.linalg.det(J)
         return _ray_sum(self.weights * _row_dots(tw, integrand)) ** (1.0 / p)

@@ -458,7 +458,7 @@ def check_lemma_51_52(scenario: Scenario) -> list[BoundReport]:
                 f"ray {i} has no lemma grid after t = {eps:g}: usable ray horizon"
                 f" {hi:g} (ray horizon {scenario.horizon():g})"), usable_horizon=hi)]
     ts = np.linspace(eps, his, 129, axis=-1)          # (rays, times)
-    positions, _, _, Js, Jps = sampler.rays.fields(ts, idx)
+    positions, Js, Jps = sampler.rays.fields(ts, idx, ("x", "J", "Jp"))
     phi, psi, j_scalar, y_scalar = growth_factors(ts, Js, Jps, m)
     A = np.linalg.det(Js)
     points = positions.reshape(-1, n)

@@ -246,6 +246,22 @@ class TestExitCodes:
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifold, submanifold, fragment", [
+        ({"name": "sphere", "n": 3, "axes": 5}, {"name": "great_circle"}, "orthonormal"),
+        ({"name": "sphere", "n": 3, "axes": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                             [0, 0, 0, 2]]},
+         {"name": "great_circle"}, "orthonormal"),
+        ({"name": "flat_torus", "n": 3},
+         {"name": "point", "location": [0, 0, 0], "normal_frame_fn": 5},
+         "unknown field 'normal_frame_fn'"),
+    ], ids=["axes-scalar", "axes-scaled-row", "point-normal-frame-fn"])
+    def test_rejected_builder_argument_exit_2(self, tmp_path, capsys, manifold,
+                                              submanifold, fragment):
+        cfg = dict(FAST_CONFIG, manifold=manifold, submanifold=submanifold)
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert fragment in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["verify", "tube-volume"])
     @pytest.mark.parametrize("manifold, submanifold, fragment", [
         ({"name": "flat_torus", "n": 4},

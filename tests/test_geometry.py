@@ -20,7 +20,7 @@ from tubecomp.geometry import (
     rho_k_at,
     rho_method,
 )
-from tubecomp.geometry import _curvature_batch, _grad_at, _hess_at
+from tubecomp.geometry import _connection_batch, _curvature_batch, _grad_at, _hess_at
 from tubecomp.geometry import FD_STEP_FIRST, FD_STEP_SECOND, fd_gradient, fd_hessian
 from tubecomp.geometry import _frame_tensor, _rho_bracket
 from tubecomp.quadrature import product_angle_sphere
@@ -217,6 +217,29 @@ class TestLoweredKernel:
         assert np.max(np.abs(rm - rm_ref)) <= 1e-14 * scale
         assert np.max(np.abs(gamma - gamma_ref)) <= 1e-14 * max(1.0, np.max(np.abs(gamma_ref)))
         assert np.array_equal(g, M.metric_at(X))
+
+    @pytest.mark.parametrize("batch", [1, 65])
+    @pytest.mark.parametrize("name", sorted(manifolds.MANIFOLD_BUILDERS))
+    def test_gathers_equal_the_transposed_views(self, name, batch):
+        # the six permuted terms as strided transposed views, combined in
+        # the kernel's order: Rm is the same bits, signed zeros included
+        args = {"product": (manifolds.sphere(2), manifolds.hyperbolic(2)),
+                "warped_product": (2, np.cosh, np.sinh, np.cosh)}
+        M = manifolds.MANIFOLD_BUILDERS[name](*args.get(name, (4,)))
+        lo, hi = M.domain.lo, M.domain.hi
+        X = lo + np.random.default_rng(batch).uniform(0.35, 0.65, (batch, M.dim)) * (hi - lo)
+        _, A, gamma = _connection_batch(M, X)
+        d2g = _hess_at(M, X)
+        n = M.dim
+        Q = 0.5 * (np.swapaxes(A.reshape(batch, n, n * n), 1, 2)
+                   @ gamma.reshape(batch, n, n * n)).reshape((batch,) + (n,) * 4)
+        views = (0.5 * (d2g.transpose(0, 3, 2, 1, 4) - d2g.transpose(0, 2, 4, 1, 3)
+                        - d2g.transpose(0, 3, 2, 4, 1) + d2g.transpose(0, 2, 4, 3, 1))
+                 + Q.transpose(0, 2, 4, 3, 1) - Q.transpose(0, 2, 4, 1, 3))
+        rm = _curvature_batch(M, X)[1]
+        assert rm.flags.c_contiguous and np.any(rm != 0.0) == (name not in (
+            "euclidean", "flat_torus"))
+        assert rm.tobytes() == views.tobytes()
 
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
     def test_batch_one_equals_batch_n(self, name):

@@ -1,5 +1,6 @@
 """Ray integration: Jacobi matrices, shape operators, focal times, residual laws."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -583,6 +584,117 @@ class TestFocalSearch:
             with pytest.raises(ValueError):
                 a[0] = 0.0
         assert batch.focal_times() is batch.focal_times()
+
+
+def sphere_point_rays(n):
+    """Rays from a point of the round S^n at horizons 0, 0.7 and 2.5: the
+    shorter rays have fewer segments, so their rows of the store are padded."""
+    M = manifolds.sphere(n)
+    sigma = point(M, np.full(n, 0.1))
+    g = M.metric_at(np.full(n, 0.1))
+    dirs = np.random.default_rng(n).standard_normal((3, n))
+    return M, sigma, [NormalRay(np.zeros(0), u / math.sqrt(u @ g @ u), t_max=t_max)
+                      for u, t_max in zip(dirs, (0.0, 0.7, 2.5))]
+
+
+def full_state_density(batch, ts, rows=None):
+    """det J from a read of the whole state: what a J-only read must equal bitwise."""
+    return np.linalg.det(batch.fields(ts, rows)[3])
+
+
+class TestPartialReads:
+    """A read of some state parts is bitwise the same parts of a whole-state read."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_density_is_det_of_the_full_read(self, n):
+        M, sigma, rays = sphere_point_rays(n)
+        batch = integrate_rays(M, sigma, rays)
+        assert batch.last[0] == 0 and batch.last[1] < batch.last[2]
+        # uniform times, each ray's first knots and times outside [0, t_max]
+        ts = np.concatenate([np.linspace(0.0, 2.5, 37)[None].repeat(3, axis=0),
+                             np.minimum(batch.knots[:, :3], 2.5),
+                             [[-1e-3, 0.7, 2.5]] * 3], axis=1)
+        got = batch.density(ts)
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == full_state_density(batch, ts).tobytes()
+        assert batch.density(ts[[2, 1]], [2, 1]).tobytes() == got[[2, 1]].tobytes()
+        for i, sol in enumerate(batch):
+            assert sol.density(ts[i]).tobytes() == got[i].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_any_parts_equal_the_full_read(self, n):
+        M, sigma, rays = sphere_point_rays(n)
+        batch = integrate_rays(M, sigma, rays)
+        ts = np.linspace(0.0, 2.5, 29)[None].repeat(3, axis=0)
+        full = dict(zip("x v E J Jp".split(), batch.fields(ts)))
+        for parts in (("x", "J"), ("x", "J", "Jp"), ("Jp", "v"), ("E",)):
+            for p, got in zip(parts, batch.fields(ts, None, parts)):
+                assert got.tobytes() == full[p].tobytes()
+                assert got.shape == full[p].shape
+
+    @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays,
+                                       lambda: equator_rays(12)])
+    def test_det_grid_and_focal_times_equal_the_full_read(self, maker, monkeypatch):
+        M, sigma, rays = maker()
+        batch = integrate_rays(M, sigma, rays)
+        got_grid, got_focal = batch.det_grid[1], batch.focal_times()
+        ts = batch.det_grid[0]
+        grid = np.concatenate([full_state_density(batch, ts[i:i + 1], [i])
+                               for i in range(len(batch))])
+        assert got_grid.tobytes() == grid.tobytes()
+        monkeypatch.setattr(transport.RayBatch, "density", full_state_density)
+        again = dataclasses.replace(batch)
+        assert again.det_grid[1].tobytes() == grid.tobytes()
+        assert again.focal_times().tobytes() == got_focal.tobytes()
+
+    def test_deficit_and_lemma_reads_equal_the_full_read(self, monkeypatch):
+        from tubecomp.tubes import QuadratureSpec, TubeSampler
+        from tubecomp.verification import Scenario, check_lemma_51_52
+
+        M, sigma, _ = bump_grid_rays()
+        quad = QuadratureSpec(base_resolution=2, fiber_resolution=2, t_nodes_per_panel=8)
+
+        def outputs():
+            sampler = TubeSampler(M, sigma, 1.5, quad)
+            norm = sampler.lp_deficit(1.5, 0.3, 4.0, lambda X: np.sin(X).sum(axis=1))
+            sc = Scenario(name="bump4", manifold=M, sigma=sigma, k=1, H=-0.1, p=4.0,
+                          radii=(1.5,), quad=quad, check_rays=4)
+            return repr(norm), repr([rep.as_dict() for rep in check_lemma_51_52(sc)])
+
+        partial = outputs()
+        whole = transport.RayBatch.fields
+
+        def full_read(self, ts, rows=None, parts=None):
+            values = dict(zip("x v E J Jp".split(), whole(self, ts, rows)))
+            return tuple(values[p] for p in parts or values)
+        monkeypatch.setattr(transport.RayBatch, "fields", full_read)
+        assert outputs() == partial
+        assert "precondition" not in partial[1]
+
+    @pytest.mark.parametrize("maker", [bump_grid_rays, lambda: equator_rays(12)])
+    def test_jacobi_reads_evaluate_only_the_jacobi_columns(self, maker, monkeypatch):
+        M, sigma, rays = maker()
+        batch = integrate_rays(M, sigma, rays)
+        n = M.dim
+        widths = []
+        dense = transport._dense_states
+        state = batch.starts.shape[-1]
+
+        def counted(*args):
+            ys = dense(*args)
+            widths.append(sum(y.shape[-1] for y in ys))
+            return ys
+        monkeypatch.setattr(transport, "_dense_states", counted)
+        batch.density(np.zeros((len(batch), 3)))
+        assert widths == [(n - 1) ** 2]
+        for read in (lambda: batch.det_grid, batch.focal_times):
+            widths.clear()
+            read()
+            assert widths and set(widths) == {(n - 1) ** 2}
+        widths.clear()
+        batch.fields(np.zeros((len(batch), 3)))
+        batch.fields(np.zeros((len(batch), 3)), None, ("x", "J", "Jp"))
+        assert widths == [state, n + 2 * (n - 1) ** 2]
 
 
 def jy_at(sol, t):
