@@ -285,25 +285,22 @@ def _fmt(x) -> str:
 
 
 def cmd_tube_volume(scenario: Scenario, radii: tuple[float, ...]) -> list[list[str]]:
-    """CSV rows: one per radius with measured volume and applicable bounds."""
+    """CSV rows, one per radius: the measured volume, and each bound whose rows hold."""
     rows = [["scenario", "r", "value", "error_estimate", "rays",
              "truncated_rays", "validity_exceeded", "hk_bound", "thm1_bound"]]
-    r_max = max(radii)
-    sampler = scenario.sampler(max(r_max, 1e-6))
-    M, sigma = scenario.manifold, scenario.sigma
-    n, m = M.dim, sigma.dim
-    k, H, p = scenario.k, scenario.H, scenario.p
-    hk_applicable = k == min(m, n - m - 1) and k >= 1
-    thm1_applicable = (0 < m < n - 1) and H <= 0.0 and p > n - k
+    sampler = scenario.sampler(max(*radii, 1e-6))
+    H = scenario.H
+    hk_holds = scenario.unmet_hypothesis("hk") is None
+    constants = None if scenario.unmet_hypothesis("integral") else thm1_constants(
+        scenario.manifold.dim, scenario.sigma.dim, scenario.p, H)
     for r in radii:
         res = sampler.volume(r)
-        hk_val = _fmt(sampler.hk_bound(H, r)) if hk_applicable else ""
+        hk_val = _fmt(sampler.hk_bound(H, r)) if hk_holds else ""
         thm1_val = ""
-        if thm1_applicable:
+        if constants is not None:
             # the tube-restricted deficit norm (verify reports both variants)
             norm = scenario.tube_deficit_norm(sampler, r, res.value)
-            thm1_val = _fmt(thm1_bound(thm1_constants(n, m, p, H),
-                                       sampler.grid.sigma_volume, norm, r))
+            thm1_val = _fmt(thm1_bound(constants, sampler.grid.sigma_volume, norm, r))
         rows.append([scenario.name, _fmt(r), _fmt(res.value),
                      _fmt(res.error_estimate), str(res.rays_used),
                      str(sum(res.truncated_at_focal)),
@@ -342,24 +339,19 @@ def main(argv=None) -> int:
 
     sub.add_parser("scenario-list", help="list built-in scenarios")
 
-    p_tube = sub.add_parser("tube-volume", help="tabulate tube volumes vs bounds")
-    p_tube.add_argument("--config", type=str, default=None)
-    p_tube.add_argument("--scenario", type=str, default=None)
-    p_tube.add_argument("--radii", type=str, default=None, help="a:b:n grid")
-    p_tube.add_argument("--out", type=str, default=None, help="output directory")
-    p_tube.add_argument("--seed", type=int, default=None)
-    p_tube.add_argument("--tolerance", type=float, default=None)
-    p_tube.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p_ver = sub.add_parser("verify", help="run verification checks")
-    p_ver.add_argument("--config", type=str, default=None)
-    p_ver.add_argument("--scenario", type=str, default=None,
-                       help="built-in scenario or suite name")
-    p_ver.add_argument("--radii", type=str, default=None)
-    p_ver.add_argument("--out", type=str, default=None)
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--tolerance", type=float, default=None)
-    p_ver.add_argument("--format", choices=("csv", "json", "both"), default="both")
+    # the two commands share their options; the first format is the default
+    for command, what, formats in (
+            ("tube-volume", "tabulate tube volumes vs bounds", ("csv", "json")),
+            ("verify", "run verification checks", ("both", "csv", "json"))):
+        p_cmd = sub.add_parser(command, help=what)
+        p_cmd.add_argument("--config", type=str, default=None)
+        p_cmd.add_argument("--scenario", type=str, default=None,
+                           help="built-in scenario or suite name")
+        p_cmd.add_argument("--radii", type=str, default=None, help="a:b:n grid")
+        p_cmd.add_argument("--out", type=str, default=None, help="output directory")
+        p_cmd.add_argument("--seed", type=int, default=None)
+        p_cmd.add_argument("--tolerance", type=float, default=None)
+        p_cmd.add_argument("--format", choices=formats, default=formats[0])
 
     args = parser.parse_args(argv)
     try:
@@ -374,10 +366,8 @@ def main(argv=None) -> int:
         if args.config:
             cfg = load_config(args.config)
         elif args.scenario:
-            if args.scenario in scenario_registry.SUITES:
-                cfg = {"suite": args.scenario}
-            else:
-                cfg = {"scenario": args.scenario}
+            kind = "suite" if args.scenario in scenario_registry.SUITES else "scenario"
+            cfg = {kind: args.scenario}
         else:
             raise ConfigError("need --config or --scenario")
         try:

@@ -10,7 +10,7 @@ machinery is touched here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "thm1_constants",
     "thm1_bound",
     "cheeger_delta",
+    "unmet_hypothesis",
 ]
 
 # Below this |H| the flat branch is used; avoids 0/0 cancellation in sin(s*r)/s.
@@ -102,11 +103,14 @@ def model_shape_trace(H: float, k: int, tangential_w0: float | None, t: float) -
 
 
 def hk_integrand(H: float, n: int, m: int, eta_dot_xi: float, t: float) -> float:
-    """Model tube density (cs_H + <eta,xi> sn_H)^m * sn_H^(n-m-1)."""
+    """Model tube density (cs_H + <eta,xi> sn_H)^m * sn_H^(n-m-1); +inf past the floats."""
     if not 0 <= m <= n - 1:
         raise ValueError(f"need 0 <= m <= n-1, got n={n}, m={m}")
-    sn, cs = sn_cs(H, t)
-    return (cs + eta_dot_xi * sn) ** m * sn ** (n - m - 1)
+    try:
+        sn, cs = sn_cs(H, t)
+        return (cs + eta_dot_xi * sn) ** m * sn ** (n - m - 1)
+    except OverflowError:
+        return math.inf
 
 
 def first_zero(H: float, n: int, m: int, eta_dot_xi: float, r: float) -> float:
@@ -152,6 +156,33 @@ class BoundConstants:
         return asdict(self)
 
 
+# bound -> its parameter hypotheses, (holds, reason) rows tested in order over n, m,
+# k, p, H, kmax = min(m, n - m - 1) and n_k = n - k. Ric_k >= kH gives Ric_k' >= k'H
+# for k' >= k (average over k-subplanes): the hk theorem at kmax covers every k below.
+_P_ABOVE_N_K = (lambda p, n, k, **_: p > n - k, "needs p > n-k = {n_k}, got p={p}")
+HYPOTHESES = {
+    "hk": ((lambda k, kmax, **_: 1 <= k <= kmax,
+            "needs 1 <= k <= min(m, n-m-1) = {kmax}, got k={k}"),),
+    "focal": ((lambda H, **_: H > 0.0, "needs H > 0, scenario has H = {H}"),
+              (lambda m, k, **_: m >= k, "needs dim Sigma >= k, got m={m}, k={k}")),
+    "integral": ((lambda m, n, **_: 0 < m < n - 1, "needs 0 < m < n-1, got m={m}, n={n}"),
+                 (lambda H, **_: H <= 0.0, "needs H <= 0, got {H}"),
+                 (lambda k, kmax, **_: k == kmax, "needs k = min(m, n-m-1) = {kmax}, got {k}"),
+                 _P_ABOVE_N_K),
+    "lemmas": ((lambda m, n, **_: 0 < m < n - 1, "needs 0 < m < n-1, got m={m}"),
+               _P_ABOVE_N_K),
+}
+
+
+def unmet_hypothesis(bound: str, n: int, m: int, k: int, p: float, H: float) -> str | None:
+    """The reason of the first row of ``HYPOTHESES[bound]`` that fails, or None."""
+    values = {"n": n, "m": m, "k": k, "p": p, "H": H, "kmax": min(m, n - m - 1), "n_k": n - k}
+    for holds, reason in HYPOTHESES[bound]:
+        if not holds(**values):
+            return reason.format(**values)
+    return None
+
+
 def lemma52_coefficient(n: int, k: int, p: float) -> float:
     """Lemma 5.2's factor (2p - 1)/(p - (n - k)) between the ray L^p norms (p > n - k)."""
     return (2.0 * p - 1.0) / (p - (n - k))
@@ -160,18 +191,13 @@ def lemma52_coefficient(n: int, k: int, p: float) -> float:
 def thm1_constants(n: int, m: int, p: float, H: float) -> BoundConstants:
     """Derive (k, alpha, beta, delta, kappa) for the integral tube bound.
 
-    Requires n >= 3, 0 < m < n-1, H <= 0 and p > n-k where
-    k = min(m, n-m-1).
+    Raises ValueError with the reason of the first unmet ``integral``
+    hypothesis at k = min(m, n-m-1).
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if not 0 < m < n - 1:
-        raise ValueError(f"need 0 < m < n-1, got m={m}, n={n}")
-    if H > 0.0:
-        raise ValueError(f"need H <= 0, got {H}")
     k = min(m, n - m - 1)
-    if p <= n - k:
-        raise ValueError(f"need p > n-k = {n - k}, got p={p}")
+    reason = unmet_hypothesis("integral", n, m, k, p, H)
+    if reason is not None:
+        raise ValueError(reason)
     alpha = (n - k - 1) / (n - k)
     beta = 1.0 / (n - m - 1) - 1.0 / p
     delta = 4.0 * (n - k - 1) + (4.0 / k) * lemma52_coefficient(n, k, p)
@@ -185,22 +211,23 @@ def thm1_bound(constants: BoundConstants, vol_sigma: float,
     """Upper bound for vol(T(Sigma, r)) from the integral curvature bound.
 
     Evaluates (w^(n-m-1) + 2^(p/alpha) * norm^(beta p) * w^p) * exp(kappa r^(2 alpha))
-    with w(r) the curvature-weighted radius polynomial.
+    with w(r) the curvature-weighted radius polynomial; a value past the
+    floats is +inf, a vacuous but true bound.
     """
-    if vol_sigma < 0.0:
-        raise ValueError(f"vol_sigma must be nonnegative, got {vol_sigma}")
-    if deficit_norm < 0.0:
-        raise ValueError(f"deficit_norm must be nonnegative, got {deficit_norm}")
-    if r < 0.0:
-        raise ValueError(f"r must be nonnegative, got {r}")
+    for name, value in (("vol_sigma", vol_sigma), ("deficit_norm", deficit_norm), ("r", r)):
+        if value < 0.0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     c = constants
     n, m, p = c.n, c.m, c.p
     fiber_dim = n - m - 1
-    w = ((c.alpha / fiber_dim) ** (1.0 / (n - c.k - 1))
-         * (sphere_volume(fiber_dim) * vol_sigma * r ** (n - m)) ** (1.0 / fiber_dim)
-         + c.delta * deficit_norm ** (1.0 - c.beta) * r ** 2)
-    main = w ** fiber_dim + 2.0 ** (p / c.alpha) * deficit_norm ** (c.beta * p) * w ** p
-    return main * math.exp(c.kappa * r ** (2.0 * c.alpha))
+    try:
+        w = ((c.alpha / fiber_dim) ** (1.0 / (n - c.k - 1))
+             * (sphere_volume(fiber_dim) * vol_sigma * r ** (n - m)) ** (1.0 / fiber_dim)
+             + c.delta * deficit_norm ** (1.0 - c.beta) * r ** 2)
+        main = w ** fiber_dim + 2.0 ** (p / c.alpha) * deficit_norm ** (c.beta * p) * w ** p
+        return main * math.exp(c.kappa * r ** (2.0 * c.alpha))
+    except OverflowError:
+        return math.inf
 
 
 def cheeger_delta(n: int, m: int, p: float, H: float,
@@ -266,7 +293,7 @@ class BoundReport:
             constants=dict(constants or {}),
             tolerance=tolerance,
             passed=slack >= -tolerance,
-            equality=abs(slack) <= 10.0 * error_estimate,
+            equality=math.isfinite(slack) and abs(slack) <= 10.0 * error_estimate,
             error_estimate=error_estimate,
             details=details,
         )
@@ -280,19 +307,9 @@ class BoundReport:
         return report
 
     def as_dict(self) -> dict:
-        return _jsonable({
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "bound": self.bound,
-            "slack": self.slack,
-            "constants": self.constants,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "equality": self.equality,
-            "error_estimate": self.error_estimate,
-            "details": self.details,
-        })
+        """Every field, name and status first."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return _jsonable({"name": self.name, "status": self.status, **values})
 
 
 def _jsonable(obj):

@@ -1,10 +1,11 @@
 """Numerical verification of the comparison theorems on concrete scenarios.
 
 Each check tests its own hypotheses and reports a precondition violation
-instead of a bound verdict when one fails: ``hk`` and ``focal`` certify
-rho_k >= kH only when it is declared (``certify_rho_lower_bound``), the
-others measure theirs (Ric_k along the rays, max |eta|). Equality is flagged
-only when the absolute slack is within ten times the combined error estimate.
+instead of a bound verdict when one fails. It reads its parameter rows from
+``models.HYPOTHESES``; ``hk`` and ``focal`` then certify a declared
+rho_k >= kH (``certify_rho_lower_bound``), the others measure Ric_k along
+the rays or max |eta|. Equality is flagged only when the absolute slack is
+within ten times the combined error estimate.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .models import (
     model_shape_trace,
     thm1_bound,
     thm1_constants,
+    unmet_hypothesis,
 )
 from .quadrature import cumulative_trapezoid
 from .submanifolds import EmbeddedSubmanifold, unit_normal_grid
@@ -85,6 +87,11 @@ class Scenario:
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
+    def unmet_hypothesis(self, bound: str) -> str | None:
+        """``models.unmet_hypothesis`` of ``bound`` at this scenario's n, m, k, p, H."""
+        return unmet_hypothesis(bound, self.manifold.dim, self.sigma.dim,
+                                self.k, self.p, self.H)
+
     def declared_rho(self, k: int) -> float | None:
         """Declared homogeneous rho_k of the manifold, or None."""
         return (self.manifold.rho_exact or {}).get(k)
@@ -124,9 +131,7 @@ class Scenario:
         return cached
 
     def horizon(self) -> float:
-        if self.ray_horizon is not None:
-            return self.ray_horizon
-        return max(self.radii) if self.radii else 1.0
+        return self.ray_horizon if self.ray_horizon is not None else max(self.radii, default=1.0)
 
 
 def certify_rho_lower_bound(scenario: Scenario, k: int, H: float) -> dict:
@@ -159,6 +164,12 @@ def certify_rho_lower_bound(scenario: Scenario, k: int, H: float) -> dict:
     if not cert["ok"]:
         cert["reason"] = f"rho_{k} certification failed (margin {margin:.3e})"
     return cert
+
+
+def _minimality(samplers) -> tuple[float, str | None]:
+    """max |eta| over the samplers' grids, and a reason when it tops 1e-6."""
+    eta = max((s.grid.eta_max for s in samplers), default=0.0)
+    return eta, f"minimality violated: max |eta| = {eta:.3e} > 1e-6" if eta > 1e-6 else None
 
 
 def _ray_subsample(total: int, limit: int, rng: np.random.Generator) -> list[int]:
@@ -277,12 +288,9 @@ def check_focal_radius(scenario: Scenario) -> BoundReport:
     so lines are drawn from fiber 0 alone and each is integrated once.
     """
     k, H = scenario.k, scenario.H
-    if H <= 0.0:
-        return BoundReport.precondition_violation(
-            "focal_radius", f"needs H > 0, scenario has H = {H}")
-    if scenario.sigma.dim < k:
-        return BoundReport.precondition_violation(
-            "focal_radius", f"needs dim Sigma >= k, got m={scenario.sigma.dim}, k={k}")
+    reason = scenario.unmet_hypothesis("focal")
+    if reason is not None:
+        return BoundReport.precondition_violation("focal_radius", reason)
     cert = certify_rho_lower_bound(scenario, k, H)
     if not cert["ok"]:
         return BoundReport.precondition_violation("focal_radius", cert["reason"],
@@ -320,9 +328,10 @@ def check_focal_radius(scenario: Scenario) -> BoundReport:
 
 def check_hk_bound(scenario: Scenario, radii) -> list[BoundReport]:
     """Tube volume against the constant-curvature comparison integrand, per radius."""
-    M, sigma = scenario.manifold, scenario.sigma
-    n, m = M.dim, sigma.dim
     k, H = scenario.k, scenario.H
+    reason = scenario.unmet_hypothesis("hk")
+    if reason is not None:
+        return [BoundReport.precondition_violation("hk_bound", reason) for _ in radii]
     cert = certify_rho_lower_bound(scenario, k, H)
     if not cert["ok"]:
         return [BoundReport.precondition_violation("hk_bound", cert["reason"],
@@ -337,7 +346,8 @@ def check_hk_bound(scenario: Scenario, radii) -> list[BoundReport]:
         reports.append(BoundReport.from_values(
             "hk_bound", measured=measured.value, bound=rhs,
             tolerance=scenario.tolerance, error_estimate=max(err, 1e-9),
-            constants={"n": n, "m": m, "k": k, "H": H, "r": r},
+            constants={"n": scenario.manifold.dim, "m": scenario.sigma.dim,
+                       "k": k, "H": H, "r": r},
             certification=cert, rays=measured.rays_used,
             truncated=sum(measured.truncated_at_focal)))
     return reports
@@ -364,19 +374,11 @@ def check_integral_bound(scenario: Scenario, radii,
     M, sigma = scenario.manifold, scenario.sigma
     n, m = M.dim, sigma.dim
     k, H, p = scenario.k, scenario.H, scenario.p
-    reason = None
-    if not (0 < m < n - 1):
-        reason = f"needs 0 < m < n-1, got m={m}, n={n}"
-    elif H > 0.0:
-        reason = f"needs H <= 0, got {H}"
-    elif k != min(m, n - m - 1):
-        reason = f"needs k = min(m, n-m-1) = {min(m, n-m-1)}, got {k}"
-    else:
+    reason = scenario.unmet_hypothesis("integral")
+    if reason is None:
         samplers = [scenario.sampler(max(r, max(scenario.radii, default=r)))
                     for r in radii]
-        eta_max = max((s.grid.eta_max for s in samplers), default=0.0)
-        if eta_max > 1e-6:
-            reason = f"minimality violated: max |eta| = {eta_max:.3e} > 1e-6"
+        eta_max, reason = _minimality(samplers)
     if reason is not None or not radii:
         return [BoundReport.precondition_violation("integral_bound", reason)
                 for _ in radii]
@@ -432,22 +434,17 @@ def check_lemma_51_52(scenario: Scenario) -> list[BoundReport]:
     The curvature term is the pointwise minimum. All sampled rays are read
     at once, each on its own 129-point grid up to min(t_max, 0.95 focal).
     """
-    M, sigma = scenario.manifold, scenario.sigma
-    n, m = M.dim, sigma.dim
+    n, m = scenario.manifold.dim, scenario.sigma.dim
     k, p = scenario.k, scenario.p
-    if not (0 < m < n - 1):
-        return [BoundReport.precondition_violation(
-            "lemma_51_52", f"needs 0 < m < n-1, got m={m}")]
-    if p <= n - k:
-        return [BoundReport.precondition_violation(
-            "lemma_51_52", f"needs p > n-k = {n - k}, got p={p}")]
+    reason = scenario.unmet_hypothesis("lemmas")
+    if reason is not None:
+        return [BoundReport.precondition_violation("lemma_51_52", reason)]
     d = n - m - 1
     sampler = scenario.sampler(scenario.horizon())
     idx = _ray_subsample(len(sampler.rays), scenario.check_rays, scenario.rng())
-    eta_max = sampler.grid.eta_max
-    if eta_max > 1e-6:
-        return [BoundReport.precondition_violation(
-            "lemma_51_52", f"minimality violated: max |eta| = {eta_max:.3e}")]
+    _, reason = _minimality([sampler])
+    if reason is not None:
+        return [BoundReport.precondition_violation("lemma_51_52", reason)]
     coef_52 = lemma52_coefficient(n, k, p)
     eps = 1e-6
     his = np.minimum([sampler.rays.rays[i].t_max for i in idx],
@@ -599,14 +596,9 @@ def run_suite(scenarios, checks: tuple[str, ...] | None = None) -> SuiteReport:
     """Run every enabled check on every scenario, sorted by scenario name."""
     plan = [(scenario, checks if checks is not None else scenario.checks)
             for scenario in sorted(scenarios, key=lambda s: s.name)]
-    for _, enabled in plan:     # reject unknown names before any check runs
-        for check in enabled:
-            if check not in CHECK_DISPATCH:
-                raise KeyError(f"unknown check '{check}'; known: "
-                               f"{sorted(CHECK_DISPATCH)}")
-    entries = []
-    for scenario, enabled in plan:
-        for check in enabled:
-            for rep in CHECK_DISPATCH[check](scenario):
-                entries.append((scenario.name, rep))
-    return SuiteReport(entries=entries)
+    unknown = [check for _, enabled in plan for check in enabled
+               if check not in CHECK_DISPATCH]
+    if unknown:     # reject unknown names before any check runs
+        raise KeyError(f"unknown check '{unknown[0]}'; known: {sorted(CHECK_DISPATCH)}")
+    return SuiteReport(entries=[(scenario.name, rep) for scenario, enabled in plan
+                                for check in enabled for rep in CHECK_DISPATCH[check](scenario)])

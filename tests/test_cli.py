@@ -413,13 +413,46 @@ class TestExitCodes:
             assert "usable ray horizon 0.02" in rep["details"]["reason"]
 
     def test_ray_failure_exit_2(self, tmp_path, capsys):
-        # every ray of radius 5 leaves the euclidean box of halfwidth 1
+        # every ray of radius 5 leaves the euclidean box of halfwidth 1 (the
+        # residual check integrates them; hk refuses a point before any ray)
         cfg = {"manifold": {"name": "euclidean", "n": 3, "halfwidth": 1.0},
                "submanifold": {"name": "point", "location": [0.0, 0.0, 0.0]},
                "radii": [5.0], "quadrature": {"fiber_resolution": 2},
-               "checks": ["hk"]}
+               "checks": ["residuals"]}
         assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
         assert "numerical breakdown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, parameters", [
+        ("flat_t4_circle", {"p": 2.5}),
+        ("flat_t4_circle", {"k": 2, "p": 2.5}),
+        ("s2xs2_factor", {"k": 3, "H": 0.3333333333}),
+        ("flat_t4_circle", {"H": -1e6}),
+    ], ids=["p-at-most-n-k", "k-and-p", "hk-k-above-kmax", "bounds-overflow"])
+    def test_hypotheses_decide_verdict_and_table_alike(self, tmp_path, capsys,
+                                                       scenario, parameters):
+        # these ended in a traceback or a false FAIL, each with exit 1: now a
+        # table cell is blank exactly when verify refuses its bound, and a
+        # bound past the floats is +inf, which passes without equality
+        cfg = {"scenario": scenario, "parameters": parameters, "checks": ["hk", "integral"],
+               "radii": [0.25, 0.5], "quadrature": {"base_resolution": 2, "fiber_resolution": 2}}
+        path, out = write_config(tmp_path, cfg), tmp_path / "out"
+        out.mkdir()
+        assert main(["verify", "--config", path, "--out", str(out)]) == 0
+        assert main(["tube-volume", "--config", path, "--out", str(out),
+                     "--format", "json"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        reports = json.loads((out / "report.json").read_text())["reports"]
+        rows = json.loads((out / "tube_volume.json").read_text())
+        for prefix, column in (("hk_bound", "hk_bound"), ("integral_bound", "thm1_bound")):
+            reps = [rep for rep in reports if rep["name"].startswith(prefix)
+                    and not rep["name"].endswith("[global]")]
+            assert len(reps) == len(rows) == 2
+            for rep, row in zip(reps, rows):
+                refused = rep["status"] == "precondition-violation"
+                assert (row[column] == "") is refused, (rep, row)
+                if not refused:
+                    assert rep["passed"] and float(row[column]) == rep["bound"]
+                    assert not rep["equality"] or math.isfinite(rep["slack"])
 
     def test_hk_at_radius_zero_exit_0(self, tmp_path):
         cfg = dict(FAST_CONFIG, radii=[0.0])

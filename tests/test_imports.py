@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -179,3 +180,33 @@ def test_conformal_charts_share_one_jet_helper():
             assert M.metric.__qualname__.startswith("_conformal."), name
     assert {"bump_torus", "euclidean", "flat_torus", "hyperbolic", "sphere"} <= set(conformal)
     assert sorted(other) == ["product", "warped_product"]
+
+
+# a parameter hypothesis of a bound, as code would spell it: k's ceiling, p
+# against n - k, the codimension range, and the sign of H
+HYPOTHESIS_SPELLINGS = (r"\bmin\(m, n - m - 1\)", r"\bp [<>]=? n - k\b",
+                        r"\bm < n - 1\b", r"\bH [<>]=? 0")
+# attribute reads that name n, m, k, p or H, so that spelling counts too
+DIMENSION_READS = ((r"\b[\w.]*sigma\.dim\b", "m"), (r"\b[\w.]*(manifold|\bM)\.dim\b", "n"),
+                   (r"\b\w+\.(k|p|H)\b", r"\1"))
+
+
+def hypothesis_spellings(source: str) -> list[str]:
+    """Comparisons and calls of ``source`` that spell a bound's hypothesis."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Compare, ast.Call)):
+            text = ast.unparse(node)
+            for pattern, name in DIMENSION_READS:
+                text = re.sub(pattern, name, text)
+            found += [text for pattern in HYPOTHESIS_SPELLINGS if re.search(pattern, text)]
+    return found
+
+
+def test_hypotheses_are_stated_once_in_models():
+    # the checks and the tube-volume table read models.HYPOTHESES, so neither
+    # may decide a bound's parameter hypothesis of its own again
+    src = ROOT / "src" / "tubecomp"
+    assert len(set(hypothesis_spellings((src / "models.py").read_text()))) >= 4
+    for name in ("verification.py", "cli.py"):
+        assert hypothesis_spellings((src / name).read_text()) == [], name

@@ -24,6 +24,7 @@ from tubecomp.models import (
     sphere_volume,
     thm1_bound,
     thm1_constants,
+    unmet_hypothesis,
 )
 
 
@@ -168,6 +169,10 @@ class TestHkIntegrand:
         for e in (-5.0, 0.0, 3.0):
             assert hk_integrand(0.0, 3, 0, e, 1.7) == pytest.approx(1.7**2)
 
+    @pytest.mark.parametrize("t", [0.5, 1.0])   # sn^2 overflows; sinh(1000) does
+    def test_past_the_floats_is_inf(self, t):
+        assert hk_integrand(-1e6, 4, 1, 0.0, t) == math.inf
+
 
 class TestFirstZero:
     def test_flat_inward(self):
@@ -250,8 +255,40 @@ class TestThm1Constants:
         with pytest.raises(ValueError):
             thm1_constants(2, 1, 4.0, 0.0)      # n < 3
 
+    def test_raises_iff_integral_row_unmet(self):
+        for n in range(2, 7):
+            for m in range(n):
+                k = min(m, n - m - 1)
+                for p in (1.0, n - k, n - k + 0.5, 2.5, 8.0):
+                    for H in (-1e6, -1.0, 0.0, 0.3):
+                        reason = unmet_hypothesis("integral", n, m, k, p, H)
+                        if reason is None:
+                            assert thm1_constants(n, m, p, H).k == k
+                        else:
+                            with pytest.raises(ValueError) as err:
+                                thm1_constants(n, m, p, H)
+                            assert str(err.value) == reason
+
+    def test_rows_in_order_with_their_reasons(self):
+        assert unmet_hypothesis("integral", 4, 3, 1, 2.0, 1.0) == "needs 0 < m < n-1, got m=3, n=4"
+        assert unmet_hypothesis("integral", 4, 1, 2, 2.0, 0.0) == (
+            "needs k = min(m, n-m-1) = 1, got 2")
+        assert unmet_hypothesis("lemmas", 4, 1, 1, 2.5, 1.0) == "needs p > n-k = 3, got p=2.5"
+        assert unmet_hypothesis("focal", 4, 1, 2, 4.0, 0.0) == "needs H > 0, scenario has H = 0.0"
+        assert unmet_hypothesis("focal", 4, 1, 2, 4.0, 1.0) == (
+            "needs dim Sigma >= k, got m=1, k=2")
+        # hk at k = min(m, n-m-1) covers every smaller k, and nothing above it
+        assert unmet_hypothesis("hk", 5, 2, 1, 4.0, 1.0) is None
+        assert unmet_hypothesis("hk", 4, 2, 3, 4.0, 0.5) == (
+            "needs 1 <= k <= min(m, n-m-1) = 1, got k=3")
+        assert unmet_hypothesis("hk", 3, 0, 1, 4.0, 0.0) is not None
+
 
 class TestThm1Bound:
+    def test_past_the_floats_is_inf(self):
+        c = thm1_constants(4, 1, 4.0, -1e6)
+        assert thm1_bound(c, 2.0 * math.pi, 0.0, 0.5) == math.inf
+
     def test_flat_tube_equality(self):
         c = thm1_constants(4, 1, 4.0, 0.0)
         val = thm1_bound(c, 2.0 * math.pi, 0.0, 0.5)
@@ -330,3 +367,8 @@ class TestBoundReport:
         r2 = BoundReport.from_values("x", measured=1.0, bound=1.1,
                                      tolerance=1e-5, error_estimate=1e-8)
         assert not r2.equality
+
+    def test_infinite_slack_is_no_equality(self):
+        r = BoundReport.from_values("x", measured=1.0, bound=math.inf,
+                                    tolerance=1e-5, error_estimate=math.inf)
+        assert r.passed and not r.equality
