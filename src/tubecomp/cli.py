@@ -143,7 +143,7 @@ def load_config(path: str) -> dict:
 
 _WARP_TABLE = {
     "cosh": (np.cosh, np.sinh, np.cosh),
-    "constant": (lambda t: np.ones_like(np.asarray(t, dtype=float)), None, None),
+    "constant": (np.ones_like, np.zeros_like, np.zeros_like),
 }
 
 
@@ -323,7 +323,7 @@ def cmd_verify(scenarios: list[Scenario], out_dir: Path | None,
         if not out_dir.is_dir():
             raise OSError(f"output directory {out_dir} does not exist")
         if fmt in ("json", "both"):
-            payload = json.dumps(report.as_dict(), sort_keys=True, indent=2)
+            payload = json.dumps(report.as_dict(), sort_keys=True, indent=2, allow_nan=False)
             (out_dir / "report.json").write_text(payload + "\n")
         if fmt in ("csv", "both"):
             _write_csv(out_dir / "report.csv", report.csv_rows())
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
                     header, data = all_rows[0], all_rows[1:]
                     payload = [dict(zip(header, row)) for row in data]
                     (out_dir / "tube_volume.json").write_text(
-                        json.dumps(payload, sort_keys=True, indent=2) + "\n")
+                        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
             else:
                 for row in all_rows:
                     print(",".join(str(c) for c in row))

@@ -1,9 +1,9 @@
 """Chart-based Riemannian metrics with curvature and k-Ricci machinery.
 
 A manifold is a metric tensor field on a single coordinate chart (periodic
-directions model tori). Curvature is assembled from analytic metric
-derivative callbacks when the chart supplies them, otherwise from central
-finite differences. All curvature quantities use the sign convention in
+directions model tori). Curvature is assembled from the chart's exact
+metric gradient and Hessian callbacks, which every chart supplies. All
+curvature quantities use the sign convention in
 which ``Rm[i,j,k,l] = g_ik g_jl - g_il g_jk`` on the unit round sphere, so
 ``Rm(x, u, x, u)`` is the sectional curvature of an orthonormal pair.
 """
@@ -23,8 +23,6 @@ __all__ = [
     "SingularMetricError",
     "Box",
     "ChartManifold",
-    "FD_STEP_FIRST",
-    "FD_STEP_SECOND",
     "DeficitNorm",
     "christoffel_at",
     "curvature_tensor_at",
@@ -113,19 +111,18 @@ class ChartManifold:
     """Riemannian metric field on one chart.
 
     metric(x) must map points of shape (..., n) to SPD matrices of shape
-    (..., n, n), for any leading batch axes. Optional analytic callbacks,
-    batched the same way, supply first derivatives (``metric_grad`` with
-    layout dg[..., k, i, j] = d_k g_ij) and second derivatives
-    (``metric_hess`` with d2g[..., k, l, i, j]); otherwise central finite
-    differences with steps FD_STEP_FIRST and FD_STEP_SECOND are used.
+    (..., n, n), for any leading batch axes. The exact first derivatives
+    (``metric_grad``, layout dg[..., k, i, j] = d_k g_ij) and second
+    derivatives (``metric_hess``, d2g[..., k, l, i, j]) are required
+    callbacks, batched the same way.
     ``extra`` holds builder facts such as a sphere's radius and chart axes.
     """
 
     dim: int
     metric: Callable[[np.ndarray], np.ndarray]
     domain: Box
-    metric_grad: Callable[[np.ndarray], np.ndarray] | None = None
-    metric_hess: Callable[[np.ndarray], np.ndarray] | None = None
+    metric_grad: Callable[[np.ndarray], np.ndarray]
+    metric_hess: Callable[[np.ndarray], np.ndarray]
     name: str = "chart"
     volume_validity_radius: float | None = None
     rho_exact: dict[int, float] | None = None
@@ -144,54 +141,7 @@ class ChartManifold:
 
 
 # ---------------------------------------------------------------------------
-# metric derivatives (analytic callbacks or central finite differences)
-
-FD_STEP_FIRST = 1e-5    # central-difference step for first derivatives
-FD_STEP_SECOND = 1e-4   # central-difference step for second derivatives
-
-
-def fd_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
-    """d_k f at the points x (..., d) by central differences: (..., d) + f's shape."""
-    d, lead = x.shape[-1], x.ndim - 1
-    vals = np.moveaxis(f(np.concatenate([x[..., None, :] + h * np.eye(d),
-                                         x[..., None, :] - h * np.eye(d)], axis=-2)), lead, 0)
-    return np.moveaxis((vals[:d] - vals[d:]) / (2.0 * h), 0, lead)
-
-
-def fd_hessian(f, x: np.ndarray, h: float) -> np.ndarray:
-    """d_k d_l f at the points x (..., d) by central differences: (..., d, d) + f's shape.
-
-    (f(x + h e_k) - 2 f(x) + f(x - h e_k)) / h^2 on the diagonal and
-    (f(x + h(e_k + e_l)) - f(x + h(e_k - e_l)) - f(x - h(e_k - e_l))
-    + f(x - h(e_k + e_l))) / (4 h^2) off it; f reads every stencil point,
-    x first, in one call on (..., points, d).
-    """
-    d, lead = x.shape[-1], x.ndim - 1
-    eye = np.eye(d)
-    k, l = np.triu_indices(d, 1)
-    plus, minus = eye[k] + eye[l], eye[k] - eye[l]
-    steps = np.concatenate([np.zeros((1, d)), eye, -eye, plus, minus, -minus, -plus])
-    g0, gp, gm, gpp, gpm, gmp, gmm = np.split(np.moveaxis(f(x[..., None, :] + h * steps), lead, 0),
-                                              np.cumsum([1, d, d] + [len(k)] * 3))
-    g0 = g0[0]
-    out = np.empty((d, d) + g0.shape)
-    out[np.arange(d), np.arange(d)] = (gp - 2.0 * g0 + gm) / h**2
-    out[k, l] = out[l, k] = (gpp - gpm - gmp + gmm) / (4.0 * h**2)
-    return np.moveaxis(out, (0, 1), (lead, lead + 1))
-
-
-def _grad_at(M: ChartManifold, xs: np.ndarray) -> np.ndarray:
-    """dg[b, k, i, j] = d_k g_ij at each row of xs (B, n)."""
-    if M.metric_grad is not None:
-        return np.asarray(M.metric_grad(xs), dtype=float)
-    return fd_gradient(M.metric_at, xs, FD_STEP_FIRST)
-
-
-def _hess_at(M: ChartManifold, xs: np.ndarray) -> np.ndarray:
-    """d2g[b, k, l, i, j] = d_k d_l g_ij at each row of xs (B, n)."""
-    if M.metric_hess is not None:
-        return np.asarray(M.metric_hess(xs), dtype=float)
-    return fd_hessian(M.metric_at, xs, FD_STEP_SECOND)
+# connection and curvature from the chart's exact metric jet
 
 
 def _inverse_spd(g: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +157,7 @@ def _connection_batch(M: ChartManifold, xs: np.ndarray):
     """(g, A, Gamma) at each row of xs: A_alj = 2 Gamma_a,lj and Gamma^i_lj = g^ia A_alj / 2."""
     g = M.metric_at(xs)
     _, ginv = _inverse_spd(g, M.name)
-    dg = _grad_at(M, xs)
+    dg = M.metric_grad(xs)
     B, n = dg.shape[:2]
     A = np.einsum("blaj->balj", dg) + np.einsum("bjal->balj", dg) - dg
     return g, A, 0.5 * (ginv @ A.reshape(B, n, n * n)).reshape(B, n, n, n)
@@ -234,7 +184,7 @@ def _curvature_batch(M: ChartManifold, xs: np.ndarray,
     one jet per call); every row's result depends on that row alone.
     """
     g, A, gamma = _connection_batch(M, xs)
-    d2g = _hess_at(M, xs)
+    d2g = M.metric_hess(xs)
     B, n = A.shape[:2]
     Q = 0.5 * (np.swapaxes(A.reshape(B, n, n * n), 1, 2) @ gamma.reshape(B, n, n * n))
     t = np.take(d2g.reshape(B, -1), _rm_gathers(n)[0], axis=1)

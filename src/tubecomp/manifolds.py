@@ -1,10 +1,10 @@
 """Built-in chart manifolds: space forms, tori, products, warped and bump metrics.
 
-All metric callables are vectorized over leading batch axes. Every
-conformally flat chart (flat tori, stereographic spheres, the upper
-half-space and the conformal bump) is g = phi * I, built by ``_conformal``
-from one 2-jet of phi that its metric, gradient and Hessian callbacks
-share, so ray integration never pays finite-difference costs on them.
+All metric callables are vectorized over leading batch axes, and every
+chart gives its exact metric gradient and Hessian. Every conformally flat
+chart (flat tori, stereographic spheres, the upper half-space and the
+conformal bump) is g = phi * I, built by ``_conformal`` from one 2-jet of
+phi that its metric, gradient and Hessian callbacks share.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "bump_torus",
     "axes_with_pole",
     "sphere_to_chart",
+    "ambient_jet_to_chart",
     "MANIFOLD_BUILDERS",
 ]
 
@@ -134,11 +135,12 @@ def sphere_to_chart(M: ChartManifold, q: np.ndarray) -> np.ndarray:
 
 def ambient_tangent_to_chart(M: ChartManifold, q: np.ndarray,
                              w: np.ndarray) -> np.ndarray:
-    """Push an ambient tangent vector of the round sphere into chart components.
+    """Push an ambient vector at a point of the round sphere into chart components.
 
-    q is the ambient point (|q| = R), w an ambient vector with <q, w> = 0.
-    The stereographic chart metric is the pullback metric, so g-norms of
-    the result equal ambient norms of w exactly.
+    q is the ambient point (|q| = R) and w any ambient vector; the result is
+    the stereographic map's differential at q applied to w. The chart metric
+    is the pullback metric, so for a tangent w (<q, w> = 0) the g-norm of the
+    result equals the ambient norm of w exactly.
     """
     radius = M.extra["radius"]
     axes = M.extra["axes"]
@@ -149,6 +151,31 @@ def ambient_tangent_to_chart(M: ChartManifold, q: np.ndarray,
             + c[..., :-1] * cw[..., -1:]) / (denom**2)[..., None]
 
 
+def ambient_jet_to_chart(M: ChartManifold, q: np.ndarray, dq: np.ndarray,
+                         d2q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chart 2-jet (y, J, H) of a parametrized piece of the round sphere.
+
+    q (..., n+1) are ambient points (|q| = R) and dq (..., n+1, m), d2q
+    (..., m, m, n+1) their first and second parameter derivatives. On
+    c = axes q / R the chart map is y = c' / d with d = 1 - c_n (c' the
+    first n entries), so J = Dy q' (``ambient_tangent_to_chart`` per column)
+    and H_ab = Dy q''_ab + D^2y[q'_a, q'_b], where, on u = axes q'_a / R and
+    w = axes q'_b / R, D^2y = (u' w_n + w' u_n) / d^2 + 2 c' u_n w_n / d^3.
+    """
+    q = np.asarray(q, dtype=float)
+    rows = np.swapaxes(np.asarray(dq, dtype=float), -1, -2)          # (..., m, n+1)
+    c = (q / M.extra["radius"]) @ M.extra["axes"].T
+    u = (rows / M.extra["radius"]) @ M.extra["axes"].T
+    d = (1.0 - c[..., -1])[..., None, None, None]
+    un = u[..., :, None, -1:] * u[..., None, :, -1:]                  # (..., m, m, 1)
+    H = (ambient_tangent_to_chart(M, q[..., None, None, :], d2q)
+         + (u[..., :, None, :-1] * u[..., None, :, -1:]
+            + u[..., None, :, :-1] * u[..., :, None, -1:]) / d**2
+         + 2.0 * c[..., None, None, :-1] * un / d**3)
+    return (sphere_to_chart(M, q),
+            np.swapaxes(ambient_tangent_to_chart(M, q[..., None, :], rows), -1, -2), H)
+
+
 def sphere_colatitude(n: int, radius: float = 1.0) -> ChartManifold:
     """Round S^n in hyperspherical angles; good for chart-box integrals.
 
@@ -157,24 +184,43 @@ def sphere_colatitude(n: int, radius: float = 1.0) -> ChartManifold:
     poles, so only interior quadrature uses this chart.
     """
     R2 = radius * radius
+    idx = np.arange(n)
+    below = np.triu(np.ones((n, n)), 1)   # below[k, i] = 1 where t_k enters g_ii
+
+    def diagonal(d):   # (..., i) -> (..., i, i)
+        out = np.zeros(d.shape + d.shape[-1:])
+        out[..., idx, idx] = d
+        return out
+
+    def g_ii(x):
+        x = np.asarray(x, dtype=float)
+        return R2 * np.concatenate([np.ones(x.shape[:-1] + (1,)),
+                                    np.cumprod(np.sin(x[..., :n - 1]) ** 2, axis=-1)], axis=-1)
+
+    def log_jet(x):
+        """d_k log g_ii = 2 cot t_k and d_k d_l log g_ii = -2 csc^2 t_k delta_kl (k < i)."""
+        t = np.asarray(x, dtype=float)[..., :n - 1]
+        pad = np.zeros(t.shape[:-1] + (1,))
+        d1 = np.concatenate([2.0 / np.tan(t), pad], axis=-1)[..., :, None] * below
+        d2 = np.concatenate([-2.0 / np.sin(t) ** 2, pad], axis=-1)[..., :, None] * below
+        return d1, d2[..., :, None, :] * np.eye(n)[:, :, None]
 
     def metric(x):
-        x = np.asarray(x, dtype=float)
-        diag = np.empty(x.shape[:-1] + (n,))
-        diag[..., 0] = R2
-        running = np.ones(x.shape[:-1])
-        for i in range(1, n):
-            running = running * np.sin(x[..., i - 1]) ** 2
-            diag[..., i] = R2 * running
-        out = np.zeros(x.shape[:-1] + (n, n))
-        idx = np.arange(n)
-        out[..., idx, idx] = diag
-        return out
+        return diagonal(g_ii(x))
+
+    def grad(x):
+        return diagonal(g_ii(x)[..., None, :] * log_jet(x)[0])
+
+    def hess(x):
+        d1, d2 = log_jet(x)
+        return diagonal(g_ii(x)[..., None, None, :]
+                        * (d1[..., :, None, :] * d1[..., None, :, :] + d2))
 
     lo = np.concatenate([np.full(n - 1, 1e-8), [0.0]])
     hi = np.concatenate([np.full(n - 1, math.pi - 1e-8), [2.0 * math.pi]])
     periodic = tuple([False] * (n - 1) + [True])
     return ChartManifold(dim=n, metric=metric, domain=Box(lo, hi, periodic),
+                         metric_grad=grad, metric_hess=hess,
                          name=f"sphere{n}_colat_r{radius:g}",
                          rho_exact={k: k / R2 for k in range(1, n)},
                          extra={"kind": "sphere_colatitude", "radius": radius})
@@ -215,26 +261,19 @@ def product(Ma: ChartManifold, Mb: ChartManifold,
         out[..., na:, na:] = gb
         return out
 
-    grad = hess = None
-    if Ma.metric_grad is not None and Mb.metric_grad is not None:
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            da = np.asarray(Ma.metric_grad(x[..., :na]), dtype=float)
-            db = np.asarray(Mb.metric_grad(x[..., na:]), dtype=float)
-            out = np.zeros(x.shape[:-1] + (n, n, n))
-            out[..., :na, :na, :na] = da
-            out[..., na:, na:, na:] = db
-            return out
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (n, n, n))
+        out[..., :na, :na, :na] = Ma.metric_grad(x[..., :na])
+        out[..., na:, na:, na:] = Mb.metric_grad(x[..., na:])
+        return out
 
-    if Ma.metric_hess is not None and Mb.metric_hess is not None:
-        def hess(x):
-            x = np.asarray(x, dtype=float)
-            da = np.asarray(Ma.metric_hess(x[..., :na]), dtype=float)
-            db = np.asarray(Mb.metric_hess(x[..., na:]), dtype=float)
-            out = np.zeros(x.shape[:-1] + (n, n, n, n))
-            out[..., :na, :na, :na, :na] = da
-            out[..., na:, na:, na:, na:] = db
-            return out
+    def hess(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (n, n, n, n))
+        out[..., :na, :na, :na, :na] = Ma.metric_hess(x[..., :na])
+        out[..., na:, na:, na:, na:] = Mb.metric_hess(x[..., na:])
+        return out
 
     domain = Box(np.concatenate([Ma.domain.lo, Mb.domain.lo]),
                  np.concatenate([Ma.domain.hi, Mb.domain.hi]),
@@ -245,10 +284,13 @@ def product(Ma: ChartManifold, Mb: ChartManifold,
                          extra={"kind": "product", "factors": (Ma, Mb)})
 
 
-def warped_product(fiber_dim: int, warp, dwarp=None, d2warp=None,
+def warped_product(fiber_dim: int, warp, dwarp, d2warp,
                    base_interval: tuple[float, float] = (-2.0, 2.0),
                    fiber_side: float = 2.0 * math.pi) -> ChartManifold:
-    """Warped product over an interval: g = dt^2 + warp(t)^2 * flat fiber torus."""
+    """Warped product over an interval: g = dt^2 + warp(t)^2 * flat fiber torus.
+
+    ``dwarp`` and ``d2warp`` are the warp's first and second derivatives.
+    """
     n = 1 + fiber_dim
 
     def metric(x):
@@ -260,29 +302,26 @@ def warped_product(fiber_dim: int, warp, dwarp=None, d2warp=None,
             out[..., i, i] = w * w
         return out
 
-    grad = hess = None
-    if dwarp is not None:
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            t = x[..., 0]
-            w = np.asarray(warp(t), dtype=float)
-            dw = np.asarray(dwarp(t), dtype=float)
-            out = np.zeros(x.shape[:-1] + (n, n, n))
-            for i in range(1, n):
-                out[..., 0, i, i] = 2.0 * w * dw
-            return out
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        t = x[..., 0]
+        w = np.asarray(warp(t), dtype=float)
+        dw = np.asarray(dwarp(t), dtype=float)
+        out = np.zeros(x.shape[:-1] + (n, n, n))
+        for i in range(1, n):
+            out[..., 0, i, i] = 2.0 * w * dw
+        return out
 
-    if dwarp is not None and d2warp is not None:
-        def hess(x):
-            x = np.asarray(x, dtype=float)
-            t = x[..., 0]
-            w = np.asarray(warp(t), dtype=float)
-            dw = np.asarray(dwarp(t), dtype=float)
-            d2w = np.asarray(d2warp(t), dtype=float)
-            out = np.zeros(x.shape[:-1] + (n, n, n, n))
-            for i in range(1, n):
-                out[..., 0, 0, i, i] = 2.0 * (dw * dw + w * d2w)
-            return out
+    def hess(x):
+        x = np.asarray(x, dtype=float)
+        t = x[..., 0]
+        w = np.asarray(warp(t), dtype=float)
+        dw = np.asarray(dwarp(t), dtype=float)
+        d2w = np.asarray(d2warp(t), dtype=float)
+        out = np.zeros(x.shape[:-1] + (n, n, n, n))
+        for i in range(1, n):
+            out[..., 0, 0, i, i] = 2.0 * (dw * dw + w * d2w)
+        return out
 
     lo = np.concatenate([[base_interval[0]], np.zeros(fiber_dim)])
     hi = np.concatenate([[base_interval[1]], fiber_side * np.ones(fiber_dim)])

@@ -313,14 +313,19 @@ class BoundReport:
 
 
 def _jsonable(obj):
-    """Recursively coerce numpy scalars/arrays so json.dumps accepts the tree."""
+    """Recursively coerce numpy scalars/arrays into JSON (RFC 8259) values.
+
+    JSON has no NaN or infinity, so a non-finite float becomes None (null).
+    """
+    if hasattr(obj, "tolist"):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
     if isinstance(obj, BoundConstants):
         return obj.as_dict()

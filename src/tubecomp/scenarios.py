@@ -19,7 +19,7 @@ from .submanifolds import (
     build_submanifold,
     great_circle,
     point,
-    polar_direction,
+    polar_jet,
     round_sphere,
     sub_torus,
 )
@@ -101,10 +101,12 @@ def s2xs2_factor() -> Scenario:
     M.volume_validity_radius = 0.5
     c0 = manifolds.sphere_to_chart(Ma, np.array([1.0, 0.0, 0.0]))
 
-    def embedding(s):
-        second = manifolds.sphere_to_chart(Mb, polar_direction(s))
-        first = np.broadcast_to(c0, second.shape[:-1] + (2,))
-        return np.concatenate([first, second], axis=-1)
+    def jet(s):
+        y, J, H = manifolds.ambient_jet_to_chart(Mb, *polar_jet(s))
+        lead = y.shape[:-1]
+        return (np.concatenate([np.broadcast_to(c0, lead + (2,)), y], axis=-1),
+                np.concatenate([np.zeros(lead + (2, 2)), J], axis=-2),
+                np.concatenate([np.zeros(lead + (2, 2, 2)), H], axis=-1))
 
     def normal_frame(_s, x, g, _tangent):
         # normal space is the first factor's tangent plane; its coordinate
@@ -115,8 +117,8 @@ def s2xs2_factor() -> Scenario:
         e1[1] = 1.0 / math.sqrt(g[1, 1])
         return np.stack([e0, e1])
 
-    sigma = EmbeddedSubmanifold(dim=2, embedding=embedding, param_domain=POLAR_BOX,
-                                name="factor_sphere", normal_frame_fn=normal_frame)
+    sigma = EmbeddedSubmanifold.from_jet(2, jet, POLAR_BOX, name="factor_sphere",
+                                         normal_frame_fn=normal_frame)
     return Scenario(
         name="s2xs2_factor", manifold=M, sigma=sigma, k=1, H=0.0, p=4.0,
         radii=(0.4,), quad=QuadratureSpec(base_resolution=6, fiber_resolution=8),

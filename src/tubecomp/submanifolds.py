@@ -18,9 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import FD_STEP_FIRST, FD_STEP_SECOND, Box, ChartManifold, christoffel_at
-from .geometry import complete_euclidean, complete_frame, fd_gradient, fd_hessian
-from .manifolds import ambient_tangent_to_chart, sphere_to_chart
+from .geometry import Box, ChartManifold, christoffel_at, complete_euclidean, complete_frame
+from .manifolds import ambient_jet_to_chart, ambient_tangent_to_chart
 from .quadrature import unit_sphere_quadrature
 
 __all__ = [
@@ -40,7 +39,7 @@ __all__ = [
     "equator",
     "round_sphere",
     "POLAR_BOX",
-    "polar_direction",
+    "polar_jet",
     "SUBMANIFOLD_BUILDERS",
     "build_submanifold",
 ]
@@ -60,17 +59,16 @@ class EmbeddedSubmanifold:
 
     ``embedding`` maps (..., m) parameter arrays into chart coordinates
     (..., n); for m = 0 use param_domain None and an embedding ignoring
-    its argument. Analytic jacobian/hessian callbacks are optional;
-    central differences (steps FD_STEP_FIRST / 20 * FD_STEP_SECOND) are
-    the fallback.
+    its argument. The exact ``jacobian`` (d embedding / d s as columns) and
+    ``hessian`` (second parameter derivatives) are required callbacks.
     """
 
     dim: int
     embedding: Callable[[np.ndarray], np.ndarray]
     param_domain: Box | None
+    jacobian: Callable[[np.ndarray], np.ndarray]   # (..., n, m)
+    hessian: Callable[[np.ndarray], np.ndarray]    # (..., m, m, n)
     name: str = "submanifold"
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None   # (..., n, m)
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None    # (..., m, m, n)
     normal_frame_fn: Callable | None = None   # (s, x, g, tangent) -> (n-m, n)
 
     def __post_init__(self):
@@ -85,28 +83,12 @@ class EmbeddedSubmanifold:
             return np.broadcast_to(base, shape + base.shape).copy()
         return np.asarray(self.embedding(np.asarray(s, dtype=float)), dtype=float)
 
-    def jacobian_at(self, s: np.ndarray) -> np.ndarray:
-        """d embedding / d s as columns: shape (n, m)."""
-        s = np.asarray(s, dtype=float)
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(s), dtype=float)
-        return fd_gradient(self.embed, s, FD_STEP_FIRST).T
-
-    def hessian_at(self, s: np.ndarray) -> np.ndarray:
-        """Second parameter derivatives of the embedding: shape (m, m, n).
-
-        Central differences with one Richardson level (steps 2e-3 and
-        1e-3); keeps the noise floor near 1e-9 so totally geodesic cases
-        test clean at 1e-8.
-        """
-        s = np.asarray(s, dtype=float)
-        if self.hessian is not None:
-            return np.asarray(self.hessian(s), dtype=float)
-        def one_by_one(points):     # an embedding's batched call may round differently
-            return np.array([self.embed(p) for p in points])
-
-        h = 20.0 * FD_STEP_SECOND
-        return (4.0 * fd_hessian(one_by_one, s, h / 2.0) - fd_hessian(one_by_one, s, h)) / 3.0
+    @classmethod
+    def from_jet(cls, dim: int, jet, param_domain: Box | None, **fields):
+        """Submanifold whose embedding, jacobian and hessian are the parts of
+        one 2-jet callback s -> (x, J, H)."""
+        return cls(dim=dim, embedding=lambda s: jet(s)[0], param_domain=param_domain,
+                   jacobian=lambda s: jet(s)[1], hessian=lambda s: jet(s)[2], **fields)
 
     def base_quadrature(self, resolution) -> tuple[np.ndarray, np.ndarray]:
         """Parameter nodes and coordinate-measure weights (no metric factor)."""
@@ -151,7 +133,7 @@ def base_node(sigma: EmbeddedSubmanifold, M: ChartManifold, s) -> BaseNode:
     x = sigma.embed(s)
     g = M.metric_at(x)
     m = sigma.dim
-    J = sigma.jacobian_at(s)                  # (n, m)
+    J = sigma.jacobian(s)                     # (n, m)
     gram = J.T @ g @ J
     try:
         L = np.linalg.cholesky(gram)
@@ -161,7 +143,7 @@ def base_node(sigma: EmbeddedSubmanifold, M: ChartManifold, s) -> BaseNode:
     coeff = np.linalg.inv(L)                  # tangent frame = coeff @ J.T
     tangent = coeff @ J.T
     normal = _normal_frame(sigma, s, x, g, tangent)
-    H2 = sigma.hessian_at(s)                  # (m, m, n) coordinate second derivatives
+    H2 = sigma.hessian(s)                     # (m, m, n) coordinate second derivatives
     K_coord = H2 + np.einsum("ijk,ja,kb->abi", christoffel_at(M, x), J, J)
     K = np.einsum("ac,bd,cdi->abi", coeff, coeff, K_coord)
     # eta = -sum over normal rows nu of <tr K, nu> nu / m
@@ -242,41 +224,51 @@ def unit_normal_grid(sigma: EmbeddedSubmanifold, M: ChartManifold,
 POLAR_BOX = Box([1e-8, 0.0], [math.pi - 1e-8, 2.0 * math.pi], (False, True))
 
 
-def polar_direction(s) -> np.ndarray:
-    """Unit vector (sin t cos p, sin t sin p, cos t) of polar parameters (..., 2) -> (..., 3)."""
+def polar_jet(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit vector v = (sin t cos p, sin t sin p, cos t) of polar parameters s = (t, p)
+    (..., 2) with its first and second derivatives: (..., 3), (..., 3, 2), (..., 2, 2, 3)."""
     s = np.asarray(s, dtype=float)
-    theta, phi = s[..., 0], s[..., 1]
-    return np.stack([np.sin(theta) * np.cos(phi),
-                     np.sin(theta) * np.sin(phi),
-                     np.cos(theta)], axis=-1)
+    st, ct, sp, cp = np.sin(s[..., 0]), np.cos(s[..., 0]), np.sin(s[..., 1]), np.cos(s[..., 1])
+    zero = np.zeros_like(st)
+    v = np.stack([st * cp, st * sp, ct], axis=-1)
+    v_tp = np.stack([-ct * sp, ct * cp, zero], axis=-1)
+    return (v, np.stack([np.stack([ct * cp, ct * sp, -st], axis=-1),
+                         np.stack([-st * sp, st * cp, zero], axis=-1)], axis=-1),
+            np.stack([np.stack([-v, v_tp], axis=-2),
+                      np.stack([v_tp, np.stack([-st * cp, -st * sp, zero], axis=-1)], axis=-2)],
+                     axis=-3))
 
 
-def _on_sphere(M: ChartManifold, dim: int, box: Box | None, ambient_point,
+def _on_sphere(M: ChartManifold, dim: int, box: Box | None, ambient_jet,
                ambient_normals, name: str) -> EmbeddedSubmanifold:
     """Submanifold of a stereographic round sphere from its ambient parametrization.
 
-    ``ambient_point`` maps parameters (..., dim) to points of the sphere of
-    radius R in R^(n+1); ``ambient_normals`` maps one parameter to the rows
-    of an ambient orthonormal normal frame there. The frame is pushed into
-    the chart, so fiber angles correspond exactly to ambient directions.
+    ``ambient_jet`` maps parameters (..., dim) to points q of the sphere of
+    radius R in R^(n+1) and their first and second parameter derivatives,
+    (..., n+1), (..., n+1, dim) and (..., dim, dim, n+1), which
+    ``ambient_jet_to_chart`` pushes into the chart. ``ambient_normals`` maps
+    one parameter to the rows of an ambient orthonormal normal frame there.
+    The frame is pushed into the chart, so fiber angles correspond exactly
+    to ambient directions.
     """
-    def embedding(s):
-        return sphere_to_chart(M, ambient_point(np.asarray(s, dtype=float)))
-
     def normal_frame(s, _x, _g, _tangent):
         s = np.asarray(s, dtype=float)
-        q = ambient_point(s)
+        q = ambient_jet(s)[0]
         return np.stack([ambient_tangent_to_chart(M, q, w) for w in ambient_normals(s)])
 
-    return EmbeddedSubmanifold(dim=dim, embedding=embedding, param_domain=box,
-                               name=name, normal_frame_fn=normal_frame)
+    return EmbeddedSubmanifold.from_jet(
+        dim, lambda s: ambient_jet_to_chart(M, *ambient_jet(np.asarray(s, dtype=float))),
+        box, name=name, normal_frame_fn=normal_frame)
 
 
 def point(M: ChartManifold, location) -> EmbeddedSubmanifold:
+    n = M.dim
     loc = np.asarray(location, dtype=float)
-    if loc.shape != (M.dim,):
-        raise ValueError(f"point location must have length {M.dim}, got shape {loc.shape}")
+    if loc.shape != (n,):
+        raise ValueError(f"point location must have length {n}, got shape {loc.shape}")
     return EmbeddedSubmanifold(dim=0, embedding=lambda _s: loc.copy(), param_domain=None,
+                               jacobian=lambda s: np.zeros(np.shape(s)[:-1] + (n, 0)),
+                               hessian=lambda s: np.zeros(np.shape(s)[:-1] + (0, 0, n)),
                                name="point")
 
 
@@ -286,7 +278,13 @@ def sphere_point(M: ChartManifold, ambient_location) -> EmbeddedSubmanifold:
     unit = unit / np.linalg.norm(unit)
     q0 = M.extra["radius"] * unit
     basis = complete_euclidean(unit)[1:]
-    return _on_sphere(M, 0, None, lambda _s: q0, lambda _s: basis, "point")
+
+    def ambient_jet(s):
+        lead = np.shape(s)[:-1]
+        return (np.broadcast_to(q0, lead + q0.shape), np.zeros(lead + (len(q0), 0)),
+                np.zeros(lead + (0, 0, len(q0))))
+
+    return _on_sphere(M, 0, None, ambient_jet, lambda _s: basis, "point")
 
 
 def sub_torus(M: ChartManifold, axes, offset) -> EmbeddedSubmanifold:
@@ -354,11 +352,13 @@ def great_circle(M: ChartManifold, plane=(0, 1), phase: float = 0.0) -> Embedded
     e2 = np.eye(n_amb)[plane[1]]
     others = [np.eye(n_amb)[c] for c in range(n_amb) if c not in plane]
 
-    def ambient_point(s):
+    def ambient_jet(s):
         ang = s[..., 0] + phase
-        return radius * (np.cos(ang)[..., None] * e1 + np.sin(ang)[..., None] * e2)
+        c, sn = np.cos(ang)[..., None], np.sin(ang)[..., None]
+        q = radius * (c * e1 + sn * e2)
+        return q, (radius * (c * e2 - sn * e1))[..., None], -q[..., None, None, :]
 
-    return _on_sphere(M, 1, Box([0.0], [2.0 * math.pi], (True,)), ambient_point,
+    return _on_sphere(M, 1, Box([0.0], [2.0 * math.pi], (True,)), ambient_jet,
                       lambda _s: others, "great_circle")
 
 
@@ -373,12 +373,17 @@ def equator(M: ChartManifold) -> EmbeddedSubmanifold:
     if n != 3:
         raise ValueError("equator builder implemented for S^2 and S^3 ambients")
 
-    def ambient_point(s):
-        v = polar_direction(s)
-        return radius * np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
-
     e4 = np.eye(4)[3:]
-    return _on_sphere(M, 2, POLAR_BOX, ambient_point, lambda _s: e4, "equator")
+    return _on_sphere(M, 2, POLAR_BOX, lambda s: _latitude(radius, 1.0, 0.0, s),
+                      lambda _s: e4, "equator")
+
+
+def _latitude(R: float, sin: float, cos: float, s):
+    """Ambient 2-jet of the 2-sphere q = R (sin * v, cos) of S^3(R), v = polar_jet(s)."""
+    v, dv, d2v = polar_jet(s)
+    return (R * np.concatenate([sin * v, cos * np.ones(v.shape[:-1] + (1,))], axis=-1),
+            R * np.concatenate([sin * dv, np.zeros(v.shape[:-1] + (1, 2))], axis=-2),
+            R * np.concatenate([sin * d2v, np.zeros(v.shape[:-1] + (2, 2, 1))], axis=-1))
 
 
 def round_sphere(M: ChartManifold, radius: float,
@@ -393,28 +398,22 @@ def round_sphere(M: ChartManifold, radius: float,
     if kind == "sphere":
         if M.dim != 3:
             raise ValueError("geodesic round_sphere implemented for S^3 ambients")
-        R = M.extra["radius"]
-        rho = radius
-
-        def ambient_point(s):
-            v = polar_direction(s)
-            return R * np.concatenate([math.sin(rho) * v,
-                                       math.cos(rho) * np.ones(v.shape[:-1] + (1,))], axis=-1)
+        R, sin, cos = M.extra["radius"], math.sin(radius), math.cos(radius)
 
         def ambient_normal(s):
-            return np.concatenate([math.cos(rho) * polar_direction(s), [-math.sin(rho)]])[None]
+            return np.concatenate([cos * polar_jet(s)[0], [-sin]])[None]
 
-        return _on_sphere(M, 2, POLAR_BOX, ambient_point, ambient_normal,
+        return _on_sphere(M, 2, POLAR_BOX, lambda s: _latitude(R, sin, cos, s), ambient_normal,
                           f"round_sphere_rho{radius:g}")
     if M.dim != 3:
         raise ValueError("euclidean round_sphere implemented for R^3 ambients")
     c = np.zeros(3) if center is None else np.asarray(center, dtype=float)
 
-    def embedding(s):
-        return c + radius * polar_direction(s)
+    def jet(s):
+        v, dv, d2v = polar_jet(s)
+        return c + radius * v, radius * dv, radius * d2v
 
-    return EmbeddedSubmanifold(dim=2, embedding=embedding, param_domain=POLAR_BOX,
-                               name=f"round_sphere_a{radius:g}")
+    return EmbeddedSubmanifold.from_jet(2, jet, POLAR_BOX, name=f"round_sphere_a{radius:g}")
 
 
 SUBMANIFOLD_BUILDERS = {

@@ -194,6 +194,30 @@ class TestVerify:
                          (out / "report.csv").read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_json_files_are_strict(self, tmp_path):
+        # JSON has no NaN or Infinity: a precondition violation's NaN and the
+        # flat lemma_52 ratio's +inf are written as null; the CSV keeps repr
+        def refuse(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        cfg = dict(FAST_CONFIG, parameters={"k": 1, "H": 0.5, "p": 4.0},
+                   checks=["lemmas", "integral"])
+        path, out = write_config(tmp_path, cfg), tmp_path / "out"
+        out.mkdir()
+        assert main(["verify", "--config", path, "--out", str(out)]) == 0
+        assert main(["tube-volume", "--config", path, "--out", str(out),
+                     "--format", "json"]) == 0
+        json.loads((out / "tube_volume.json").read_text(), parse_constant=refuse)
+        reports = {rep["name"]: rep for rep in json.loads(
+            (out / "report.json").read_text(), parse_constant=refuse)["reports"]}
+        assert reports["lemma_52"]["details"]["min_rhs_over_lhs"] is None
+        violation = reports["integral_bound"]
+        assert violation["status"] == "precondition-violation"
+        assert violation["measured"] is violation["bound"] is violation["slack"] is None
+        rows = (out / "report.csv").read_text().splitlines()
+        assert [row for row in rows if "integral_bound" in row][0].split(",")[3:6] == [
+            "nan", "nan", "nan"]
+
 
 class TestEarnedVerdicts:
     """A verdict follows what the checks measure, never a declared flag."""
@@ -451,7 +475,9 @@ class TestExitCodes:
                 refused = rep["status"] == "precondition-violation"
                 assert (row[column] == "") is refused, (rep, row)
                 if not refused:
-                    assert rep["passed"] and float(row[column]) == rep["bound"]
+                    # report.json writes a non-finite bound as null
+                    bound = math.inf if rep["bound"] is None else rep["bound"]
+                    assert rep["passed"] and float(row[column]) == bound
                     assert not rep["equality"] or math.isfinite(rep["slack"])
 
     def test_hk_at_radius_zero_exit_0(self, tmp_path):

@@ -20,8 +20,8 @@ from tubecomp.geometry import (
     rho_k_at,
     rho_method,
 )
-from tubecomp.geometry import _connection_batch, _curvature_batch, _grad_at, _hess_at
-from tubecomp.geometry import FD_STEP_FIRST, FD_STEP_SECOND, fd_gradient, fd_hessian
+from tubecomp.geometry import _connection_batch, _curvature_batch
+from fd import FD_STEP_FIRST, FD_STEP_SECOND, fd_gradient, fd_hessian
 from tubecomp.geometry import _frame_tensor, _rho_bracket
 from tubecomp.quadrature import product_angle_sphere
 
@@ -73,8 +73,10 @@ def check_tensor_symmetries(Rm, tol):
 
 
 def strip_analytic(M):
-    """Copy of a manifold forced onto the finite-difference derivative path."""
+    """Copy of a manifold whose metric derivatives are the central differences of its metric."""
     return ChartManifold(dim=M.dim, metric=M.metric, domain=M.domain,
+                         metric_grad=lambda X: fd_gradient(M.metric_at, X, FD_STEP_FIRST),
+                         metric_hess=lambda X: fd_hessian(M.metric_at, X, FD_STEP_SECOND),
                          name=M.name + "_fd")
 
 
@@ -103,8 +105,11 @@ class TestChristoffel:
             out[..., 0, 0] = 1.0
             return out  # rank 1
 
-        M = ChartManifold(dim=2, metric=bad_metric,
-                          domain=Box([-1, -1], [1, 1], (False, False)))
+        def zero_jet(order):
+            return lambda x: np.zeros(np.shape(x)[:-1] + (2,) * (order + 2))
+
+        M = ChartManifold(dim=2, metric=bad_metric, domain=Box([-1, -1], [1, 1], (False, False)),
+                          metric_grad=zero_jet(1), metric_hess=zero_jet(2))
         with pytest.raises(SingularMetricError):
             christoffel_at(M, np.zeros(2))
 
@@ -113,7 +118,7 @@ def einsum_chain_curvature(M, xs):
     """(Gamma, Rm) by the raised-index chain: dg^-1, dGamma, R^i_jkl, then lowered."""
     g = M.metric_at(xs)
     ginv = np.linalg.inv(g)
-    dg, d2g = _grad_at(M, xs), _hess_at(M, xs)
+    dg, d2g = M.metric_grad(xs), M.metric_hess(xs)
     A = np.einsum("blaj->balj", dg) + np.einsum("bjal->balj", dg) - dg
     gamma = 0.5 * np.einsum("bia,balj->bilj", ginv, A)
     dA = np.einsum("bklaj->bkalj", d2g) + np.einsum("bkjal->bkalj", d2g) - d2g
@@ -141,7 +146,7 @@ KERNEL_CASES = {
 
 
 class TestFiniteDifferences:
-    """``fd_gradient`` and ``fd_hessian``: the charts' and embeddings' one central-difference stencil."""
+    """``fd_gradient`` and ``fd_hessian``: the test oracle's central-difference stencils."""
 
     def test_exact_on_a_cubic_with_leading_axes(self):
         rng = np.random.default_rng(8)
@@ -186,6 +191,16 @@ ANALYTIC_CHARTS = {
     "cosh_warped3": (lambda: manifolds.warped_product(2, np.cosh, np.sinh, np.cosh),
                      lambda rng, k: np.hstack([rng.uniform(-1.5, 1.5, (k, 1)),
                                                rng.uniform(0, 6, (k, 2))])),
+    "constant_warped3": (lambda: manifolds.warped_product(2, np.ones_like, np.zeros_like,
+                                                          np.zeros_like),
+                         lambda rng, k: np.hstack([rng.uniform(-1.5, 1.5, (k, 1)),
+                                                   rng.uniform(0, 6, (k, 2))])),
+    "colatitude2": (lambda: manifolds.sphere_colatitude(2, radius=1.3),
+                    lambda rng, k: np.hstack([rng.uniform(0.3, 2.8, (k, 1)),
+                                              rng.uniform(0, 6, (k, 1))])),
+    "colatitude3": (lambda: manifolds.sphere_colatitude(3, radius=1.3),
+                    lambda rng, k: np.hstack([rng.uniform(0.3, 2.8, (k, 2)),
+                                              rng.uniform(0, 6, (k, 1))])),
 }
 
 
@@ -229,7 +244,7 @@ class TestLoweredKernel:
         lo, hi = M.domain.lo, M.domain.hi
         X = lo + np.random.default_rng(batch).uniform(0.35, 0.65, (batch, M.dim)) * (hi - lo)
         _, A, gamma = _connection_batch(M, X)
-        d2g = _hess_at(M, X)
+        d2g = M.metric_hess(X)
         n = M.dim
         Q = 0.5 * (np.swapaxes(A.reshape(batch, n, n * n), 1, 2)
                    @ gamma.reshape(batch, n, n * n)).reshape((batch,) + (n,) * 4)
@@ -382,7 +397,7 @@ class TestCurvatureTensor:
         u = np.array([1.0, 0.0])
         eigs = curvature_eigenvalues(M, x, u)
         assert eigs[0] == pytest.approx(-1.0, abs=1e-9)
-        M_const = manifolds.warped_product(2, lambda t: np.ones_like(t),
+        M_const = manifolds.warped_product(2, np.ones_like, np.zeros_like, np.zeros_like,
                                            base_interval=(-1.5, 1.5))
         Rm = curvature_tensor_at(M_const, np.array([0.2, 1.0, 2.0]))
         assert np.max(np.abs(Rm)) <= 1e-7  # constant warp is flat

@@ -170,8 +170,6 @@ def test_conformal_charts_share_one_jet_helper():
     conformal, other = [], []
     for name, build in manifolds.MANIFOLD_BUILDERS.items():
         M = build(*args.get(name, (3,)))
-        if M.metric_grad is None or M.metric_hess is None:
-            continue
         lo, hi = M.domain.lo, M.domain.hi
         g = M.metric_at(lo + rng.uniform(0.1, 0.9, (5, M.dim)) * (hi - lo))
         multiple_of_eye = np.allclose(g, g[:, :1, :1] * np.eye(M.dim), rtol=0.0, atol=1e-14)
@@ -179,7 +177,45 @@ def test_conformal_charts_share_one_jet_helper():
         if multiple_of_eye:
             assert M.metric.__qualname__.startswith("_conformal."), name
     assert {"bump_torus", "euclidean", "flat_torus", "hyperbolic", "sphere"} <= set(conformal)
-    assert sorted(other) == ["product", "warped_product"]
+    assert sorted(other) == ["product", "sphere_colatitude", "warped_product"]
+
+
+JET_CALLBACKS = ("metric_grad", "metric_hess", "jacobian", "hessian")
+
+
+def derivative_fallbacks(source: str) -> list[str]:
+    """Finite-difference names and ``is None`` tests of a jet callback in ``source``."""
+    found = re.findall(r"\bfd_gradient\b|\bfd_hessian\b|\bFD_STEP\w*", source)
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)):
+            text = ast.unparse(node)
+            found += [text for name in JET_CALLBACKS if re.search(rf"\b{name}\b", text)]
+    return found
+
+
+def test_derivative_fallback_detector():
+    source = ("from .geometry import fd_gradient\nh = FD_STEP_SECOND\n"
+              "if M.metric_hess is None: pass\nif sigma.jacobian is not None: pass\n"
+              "if sigma.normal_frame_fn is not None: pass\nhessian = M.metric_hess(x)\n")
+    assert derivative_fallbacks(source) == [
+        "fd_gradient", "FD_STEP_SECOND", "M.metric_hess is None", "sigma.jacobian is not None"]
+
+
+def test_one_derivative_path():
+    # every chart and submanifold gives its exact jet: src/ holds no
+    # finite-difference stencil and no fallback for a missing callback
+    import dataclasses
+
+    from tubecomp.geometry import ChartManifold
+    from tubecomp.submanifolds import EmbeddedSubmanifold
+
+    assert {path.name: derivative_fallbacks(path.read_text()) for path in SOURCES} == {
+        path.name: [] for path in SOURCES}
+    required = {f.name for cls in (ChartManifold, EmbeddedSubmanifold)
+                for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+    assert set(JET_CALLBACKS) <= required
 
 
 # a parameter hypothesis of a bound, as code would spell it: k's ceiling, p

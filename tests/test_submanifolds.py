@@ -8,11 +8,13 @@ import pytest
 from tubecomp import manifolds
 from tubecomp.models import sphere_volume
 from tubecomp.submanifolds import (
+    SUBMANIFOLD_BUILDERS,
     NonNormalVectorError,
     RankDeficiencyError,
     EmbeddedSubmanifold,
     base_node,
     build_submanifold,
+    closed_geodesic,
     great_circle,
     point,
     round_sphere,
@@ -24,6 +26,7 @@ from tubecomp.submanifolds import (
 from tubecomp.scenarios import build_scenario
 from tubecomp.geometry import Box
 from tubecomp.transport import NormalRay, integrate_ray
+from fd import embedding_hessian, embedding_jacobian
 
 
 def torus4():
@@ -72,7 +75,9 @@ class TestFrames:
 
         sigma = EmbeddedSubmanifold(
             dim=1, embedding=degenerate,
-            param_domain=Box([0.0], [2.0 * math.pi], (True,)))
+            param_domain=Box([0.0], [2.0 * math.pi], (True,)),
+            jacobian=lambda s: np.zeros(np.shape(s)[:-1] + (4, 1)),
+            hessian=lambda s: np.zeros(np.shape(s)[:-1] + (1, 1, 4)))
         with pytest.raises(RankDeficiencyError):
             base_node(sigma, M, np.array([0.1]))
 
@@ -108,7 +113,17 @@ class TestWeingarten:
         s = np.array([0.9, 2.2])
         node = base_node(sigma, M, s)
         S = weingarten(node.second_fundamental, node.metric, node.normal[0])
-        assert np.max(np.abs(S)) <= 1e-8
+        assert np.max(np.abs(S)) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["sn_equator", "s3_great_circle"])
+    def test_shipped_geodesic_scenarios_at_rounding(self, name):
+        # the exact jets leave |S_xi| at rounding on every node of the shipped grid
+        sc = build_scenario(name)
+        grid = unit_normal_grid(sc.sigma, sc.manifold, sc.quad.base_resolution,
+                                sc.quad.fiber_resolution)
+        K = np.stack([node.second_fundamental for node in grid.nodes])
+        g = np.stack([node.metric for node in grid.nodes])
+        assert np.max(np.abs(weingarten(K[:, None], g[:, None], grid.normals))) <= 1e-13
 
     def test_non_normal_vector_rejected(self):
         M = torus4()
@@ -133,7 +148,7 @@ class TestMeanCurvature:
             eta = base_node(sigma, M, np.array([s])).mean_curvature
             x = sigma.embed(np.array([s]))
             g = M.metric_at(x)
-            assert math.sqrt(eta @ g @ eta) <= 1e-8
+            assert math.sqrt(eta @ g @ eta) <= 1e-13
 
     def test_point_returns_zero(self):
         M = manifolds.hyperbolic(3)
@@ -171,9 +186,19 @@ class TestMeanCurvature:
                              2.0 + 0.2 * np.cos(2.0 * ang),
                              np.full_like(ang, 3.0)], axis=-1)
 
+        def wobbly_jet(s, order):
+            ang = np.asarray(s, dtype=float)[..., 0]
+            zero = np.zeros_like(ang)
+            if order == 1:
+                return np.stack([np.ones_like(ang), 0.3 * np.cos(ang),
+                                 -0.4 * np.sin(2.0 * ang), zero], axis=-1)[..., :, None]
+            return np.stack([zero, -0.3 * np.sin(ang), -0.8 * np.cos(2.0 * ang),
+                             zero], axis=-1)[..., None, None, :]
+
         sigma = EmbeddedSubmanifold(
             dim=1, embedding=wobbly,
             param_domain=Box([0.0], [2.0 * math.pi], (True,)),
+            jacobian=lambda s: wobbly_jet(s, 1), hessian=lambda s: wobbly_jet(s, 2),
             name="wobbly")
         rng = np.random.default_rng(8)
         s = np.array([0.9])
@@ -211,13 +236,61 @@ SPHERE_SUBMANIFOLDS = {
                      ([0.0], [2.0 * math.pi], (True,))),
     "equator": (lambda: on(tilted_s3(), lambda M: build_submanifold("equator", M)),
                 "equator", POLAR),
-    # the tilted pole lies near this sphere, where its finite-difference frames miss 1e-10
     "geodesic_round_sphere": (lambda: on(manifolds.sphere(3), lambda M: round_sphere(M, 0.8)),
                               "round_sphere_rho0.8", POLAR),
+    # the tilted pole lies about 0.04 rad from this sphere
+    "geodesic_round_sphere_near_pole": (lambda: on(tilted_s3(), lambda M: round_sphere(M, 0.8)),
+                                        "round_sphere_rho0.8", POLAR),
     "sphere_point": (lambda: on(tilted_s3(), lambda M: sphere_point(M, [1.0, 2.0, 0.5, 0.3])),
                      "point", None),
     "s2xs2_factor": (factor_sphere, "factor_sphere", POLAR),
 }
+
+
+# every builder's embedding with its exact jet: SUBMANIFOLD_BUILDERS' entries,
+# round_sphere in both ambients, sphere_point and the s2xs2_factor sphere
+EMBEDDING_JETS = {
+    "point": lambda: on(manifolds.hyperbolic(3), lambda M: point(M, [0.1, -0.2, 1.3])),
+    "closed_geodesic": lambda: on(torus4(), lambda M: closed_geodesic(M, axis=1)),
+    "sub_torus": lambda: on(manifolds.flat_torus(5),
+                            lambda M: sub_torus(M, [0, 3], np.arange(5.0))),
+    "equator": lambda: on(tilted_s3(), lambda M: build_submanifold("equator", M)),
+    "equator_s2": lambda: on(manifolds.sphere(2, axes=manifolds.axes_with_pole([0.3, -0.5, 0.8])),
+                             lambda M: build_submanifold("equator", M)),
+    "great_circle": lambda: on(tilted_s3(), lambda M: great_circle(M, plane=(1, 3), phase=0.3)),
+    "round_sphere": lambda: on(manifolds.euclidean(3),
+                               lambda M: round_sphere(M, 1.7, center=[0.1, -0.2, 0.3])),
+    "geodesic_round_sphere": lambda: on(tilted_s3(), lambda M: round_sphere(M, 0.8)),
+    "sphere_point": lambda: on(tilted_s3(), lambda M: sphere_point(M, [1.0, 2.0, 0.5, 0.3])),
+    "s2xs2_factor": factor_sphere,
+}
+
+
+class TestEmbeddingJets:
+    """Each embedding's exact Jacobian and Hessian against central differences of the embedding."""
+
+    def test_every_builder_is_covered(self):
+        assert set(SUBMANIFOLD_BUILDERS) <= set(EMBEDDING_JETS)
+
+    @pytest.mark.parametrize("name", sorted(EMBEDDING_JETS))
+    def test_jets_match_central_differences(self, name):
+        M, sigma = EMBEDDING_JETS[name]()
+        m, n = sigma.dim, M.dim
+        if m == 0:
+            S = np.zeros((1, 0))
+        else:
+            box = sigma.param_domain
+            S = box.lo + np.random.default_rng(5).uniform(0.05, 0.95, (12, m)) * box.widths()
+        J, H = sigma.jacobian(S), sigma.hessian(S)
+        assert J.shape == (len(S), n, m) and H.shape == (len(S), m, m, n)
+        for s, J_s, H_s in zip(S, J, H):
+            # a row's jet is its own, up to the rounding of a batched product
+            assert np.allclose(sigma.jacobian(s), J_s, rtol=1e-14, atol=1e-14)
+            assert np.allclose(sigma.hessian(s), H_s, rtol=1e-14, atol=1e-14)
+            assert np.max(np.abs(J_s - embedding_jacobian(sigma, s)), initial=0.0) <= (
+                1e-8 * max(1.0, np.max(np.abs(J_s), initial=0.0)))
+            assert np.max(np.abs(H_s - embedding_hessian(sigma, s)), initial=0.0) <= (
+                1e-7 * max(1.0, np.max(np.abs(H_s), initial=0.0)))
 
 
 class TestUnitNormalGrid:
@@ -260,7 +333,7 @@ class TestUnitNormalGrid:
         for node in grid.nodes:
             g = M.metric_at(node.position)
             full = np.vstack([node.tangent, node.normal])
-            assert np.max(np.abs(full @ g @ full.T - np.eye(M.dim))) <= 1e-10
+            assert np.max(np.abs(full @ g @ full.T - np.eye(M.dim))) <= 1e-13
 
     def test_eta_dot_xi_matches_weingarten_trace(self):
         M = manifolds.sphere(3)

@@ -269,9 +269,18 @@ class TestIntegralCheck:
                            axis=-1)
             return out
 
+        def wobbly_jet(s, order):
+            ang = np.asarray(s, dtype=float)[..., 0]
+            zero = np.zeros_like(ang)
+            if order == 1:
+                return np.stack([np.ones_like(ang), 0.2 * np.cos(ang), zero, zero],
+                                axis=-1)[..., :, None]
+            return np.stack([zero, -0.2 * np.sin(ang), zero, zero], axis=-1)[..., None, None, :]
+
         sigma = EmbeddedSubmanifold(
             dim=1, embedding=wobbly,
             param_domain=Box([0.0], [2.0 * math.pi], (True,)),
+            jacobian=lambda s: wobbly_jet(s, 1), hessian=lambda s: wobbly_jet(s, 2),
             name="wobbly_circle")
         sc = Scenario(name="nonminimal", manifold=M, sigma=sigma, k=1, H=0.0,
                       p=4.0, radii=(0.2,),
