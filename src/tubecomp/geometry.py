@@ -187,10 +187,10 @@ def _curvature_batch(M: ChartManifold, xs: np.ndarray,
     d2g = M.metric_hess(xs)
     B, n = A.shape[:2]
     Q = 0.5 * (np.swapaxes(A.reshape(B, n, n * n), 1, 2) @ gamma.reshape(B, n, n * n))
-    t = np.take(d2g.reshape(B, -1), _rm_gathers(n)[0], axis=1)
+    t = np.take(d2g.reshape(B, n**4), _rm_gathers(n)[0], axis=1)
     rm = 0.5 * (t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3])
     del t   # the Q gather reuses its memory; holding both makes calls page-fault
-    t = np.take(Q.reshape(B, -1), _rm_gathers(n)[1], axis=1)
+    t = np.take(Q.reshape(B, n**4), _rm_gathers(n)[1], axis=1)
     rm = (rm + t[:, 0] - t[:, 1]).reshape(B, n, n, n, n)
     if want_gamma:
         return g, gamma, rm

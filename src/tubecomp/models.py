@@ -21,6 +21,7 @@ __all__ = [
     "BoundReport",
     "sn_cs",
     "model_shape_trace",
+    "model_shape_traces",
     "hk_integrand",
     "first_zero",
     "sphere_volume",
@@ -92,14 +93,26 @@ def model_shape_trace(H: float, k: int, tangential_w0: float | None, t: float) -
     zero = _denominator_first_zero(H, tangential_w0)
     if np.any(ts >= zero):
         raise DomainError(f"t={t} at/beyond first denominator zero {zero}")
-    pairs = np.array([sn_cs(H, s) for s in ts.ravel()]).reshape(ts.shape + (2,))
-    sn, cs = pairs[..., 0], pairs[..., 1]
-    if tangential_w0 is None:
-        out = k * cs / sn
-    else:
-        w0 = tangential_w0
-        out = k * (w0 * cs - H * sn) / (cs + w0 * sn)
+    w0 = math.nan if tangential_w0 is None else tangential_w0
+    out = model_shape_traces(H, k, [w0], ts.ravel()).reshape(ts.shape)
     return out if ts.ndim else float(out)
+
+
+def model_shape_traces(H: float, k: int, w0s, ts) -> np.ndarray:
+    """``model_shape_trace`` at every time of ts (..., T) and w0 of w0s (..., F).
+
+    Gives (..., T, F), the leading axes broadcast; a NaN w0 takes the
+    generic branch. sn_cs runs once per time, shared by every w0. No
+    domain is checked: an entry at or past its denominator's first zero
+    is a value of the formula, not of the model, and the caller leaves it
+    out.
+    """
+    ts = np.asarray(ts, dtype=float)
+    pairs = np.array([sn_cs(H, s) for s in ts.ravel()]).reshape(ts.shape + (2,))
+    sn, cs = pairs[..., 0, None], pairs[..., 1, None]
+    w0 = np.asarray(w0s, dtype=float)[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.isnan(w0), k * cs / sn, k * (w0 * cs - H * sn) / (cs + w0 * sn))
 
 
 def hk_integrand(H: float, n: int, m: int, eta_dot_xi: float, t: float) -> float:

@@ -199,6 +199,51 @@ class RayBatch(Sequence):
         """det J of rays ``rows`` (default all) at their own times ts (rows, q)."""
         return np.linalg.det(self.fields(ts, rows, ("J",))[0])
 
+    def shape_fields(self, ts, rows=None):
+        """(S, (x, v, E, J, J')) of rays ``rows`` (default all) at their own times ts (rows, q).
+
+        S = J' J^{-1} comes from the same single read as the fields. Each
+        row is guarded against its own ray: a ValueError for a time outside
+        [0, t_max], and FocalSingularityError for t <= 0, t at or past the
+        ray's first focal time (within 1e-9), or |det J| below 1e-12 times
+        ``det_scale``. A guard names the first offending time in row order.
+        """
+        rows = np.arange(len(self)) if rows is None else np.asarray(rows)
+        ts = np.asarray(ts, dtype=float)
+        t_max = np.array([float(self.rays[i].t_max) for i in rows])[:, None]
+        out = ~((ts >= 0.0) & (ts <= t_max + 1e-12))
+        if out.any():
+            i = np.argwhere(out)[0]
+            raise ValueError(f"t={ts[tuple(i)]} outside integrated range "
+                             f"[0, {t_max[i[0], 0]}]")
+        if (ts <= 0.0).any():
+            raise FocalSingularityError("shape operator singular at t = 0")
+        focal = self.focal_times()[rows][:, None]
+        late = ts >= focal - 1e-9
+        if late.any():
+            i = np.argwhere(late)[0]
+            raise FocalSingularityError(
+                f"t={ts[tuple(i)]} at/beyond focal time {focal[i[0], 0]:.9g}")
+        fields = self.fields(np.minimum(ts, t_max), rows)
+        J = fields[3]
+        det = np.linalg.det(J)
+        small = np.abs(det) < 1e-12 * self.det_scale(ts, rows)
+        if small.any():
+            i = tuple(np.argwhere(small)[0])
+            raise FocalSingularityError(
+                f"det J = {det[i]:.3e} at t={ts[i]}: at/beyond focal time")
+        return shape_operator(J, fields[4]), fields
+
+    def det_scale(self, ts, rows=None) -> np.ndarray:
+        """max(1, |det J|) over each ray's det grid up to its own times ts (rows, q)."""
+        rows = np.arange(len(self)) if rows is None else np.asarray(rows)
+        grid, dets = (a[rows] for a in self.det_grid)
+        running = np.maximum(1.0, np.maximum.accumulate(np.abs(dets), axis=1))
+        # the grid nodes at or below t, counted, are searchsorted(side="right")
+        last = (grid[:, None, :] <= np.asarray(ts)[..., None] + 1e-12).sum(axis=-1) - 1
+        return np.where(last >= 0, np.take_along_axis(running, np.maximum(last, 0), axis=1),
+                        1.0)
+
     @cached_property
     def det_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """(ts, det J(ts)), each (rays, 1025): every ray's uniform grid on [0, t_max]."""
@@ -327,37 +372,20 @@ class RaySolution:
     def shape_fields(self, ts):
         """(S, (x, v, E, J, J')) at a time t or along a 1-D array of times ts.
 
-        S = J' J^{-1} comes from the same single read as the fields. Raises
+        The ray's row of ``RayBatch.shape_fields``, with its guards: a
         ValueError for a time outside [0, t_max], and FocalSingularityError
         for t <= 0, t at or past the first focal time (within 1e-9), or
         |det J| below 1e-12 times ``det_scale(t)``.
         """
         ts = np.asarray(ts, dtype=float)
-        out = ~((ts >= 0.0) & (ts <= self.t_max + 1e-12))
-        if out.any():
-            raise ValueError(f"t={ts[out].flat[0]} outside integrated range [0, {self.t_max}]")
-        if (ts <= 0.0).any():
-            raise FocalSingularityError("shape operator singular at t = 0")
-        focal = self.focal_time()
-        if (ts >= focal - 1e-9).any():
-            raise FocalSingularityError(
-                f"t={ts[ts >= focal - 1e-9].flat[0]} at/beyond focal time {focal:.9g}")
-        fields = self.fields(np.minimum(ts, self.t_max))
-        J = fields[3]
-        det = np.linalg.det(J)
-        small = np.abs(det) < 1e-12 * self.det_scale(ts)
-        if small.any():
-            raise FocalSingularityError(
-                f"det J = {det[small].flat[0]:.3e} at t={ts[small].flat[0]}:"
-                " at/beyond focal time")
-        return shape_operator(J, fields[4]), fields
+        S, fields = self.batch.shape_fields(ts.reshape(1, -1), [self.index])
+        return (S[0].reshape(ts.shape + S.shape[2:]),
+                tuple(p[0].reshape(ts.shape + p.shape[2:]) for p in fields))
 
     def det_scale(self, ts):
         """max(1, |det J|) over the ray's det grid up to each time of ts."""
-        grid, dets = (a[self.index] for a in self.batch.det_grid)
-        running = np.maximum(1.0, np.maximum.accumulate(np.abs(dets)))
-        last = np.searchsorted(grid, np.asarray(ts) + 1e-12, side="right") - 1
-        return np.where(last >= 0, running[np.maximum(last, 0)], 1.0)
+        ts = np.asarray(ts, dtype=float)
+        return self.batch.det_scale(ts.reshape(1, -1), [self.index])[0].reshape(ts.shape)
 
     def focal_time(self) -> float:
         """The ray's first focal time from ``RayBatch.focal_times``, inf if none."""
@@ -601,14 +629,20 @@ def shape_operator(J: np.ndarray, Jp: np.ndarray) -> np.ndarray:
 def partial_trace(S: np.ndarray, W) -> np.ndarray:
     """Trace of S (..., r, r) over the span of orthonormal frame-coefficient rows W.
 
-    A stack of frames W (F, k, r) gives (..., F): every pair in one einsum.
+    W (k, r) gives (...). A stack of frames W (..., F, k, r) gives (..., F),
+    every pair in one einsum, with W's leading axes broadcast against S's:
+    W (F, k, r) reads every frame on every S, and W (R, 1, F, k, r) reads
+    row R's own frames on S (..., R, T, r, r). W is read C-ordered, since
+    einsum's summation order follows its operands' strides.
     """
-    W = np.asarray(W, dtype=float)
+    W = np.ascontiguousarray(W, dtype=float)
     frames = W.reshape((-1,) + np.atleast_2d(W).shape[-2:])
-    if np.max(np.abs(frames @ np.swapaxes(frames, 1, 2) - np.eye(frames.shape[1]))) > 1e-8:
+    if np.max(np.abs(frames @ np.swapaxes(frames, 1, 2) - np.eye(frames.shape[1])),
+              initial=0.0) > 1e-8:
         raise ValueError("W rows must be orthonormal frame coefficients")
-    traces = np.einsum("fai,...ij,faj->...f", frames, S, frames)
-    return traces if W.ndim == 3 else traces[..., 0]
+    stack = W if W.ndim >= 3 else frames
+    traces = np.einsum("...fai,...ij,...faj->...f", stack, S, stack)
+    return traces if W.ndim >= 3 else traces[..., 0]
 
 
 def split_traces(J: np.ndarray, Jp: np.ndarray, m: int):

@@ -22,7 +22,7 @@ from .models import (
     BoundReport,
     _denominator_first_zero,
     lemma52_coefficient,
-    model_shape_trace,
+    model_shape_traces,
     thm1_bound,
     thm1_constants,
     unmet_hypothesis,
@@ -178,10 +178,9 @@ def _ray_subsample(total: int, limit: int, rng: np.random.Generator) -> list[int
     return sorted(rng.choice(total, size=limit, replace=False).tolist())
 
 
-def _random_orthonormal(rng: np.random.Generator, k: int, dim: int) -> np.ndarray:
-    A = rng.standard_normal((dim, k))
-    q, _ = np.linalg.qr(A)
-    return q[:, :k].T
+def _orthonormal_rows(A: np.ndarray) -> np.ndarray:
+    """Orthonormal rows (..., k, dim) spanning the columns of A (..., dim, k): one stacked QR."""
+    return np.swapaxes(np.linalg.qr(A)[0], -1, -2)
 
 
 def check_hessian_comparison(scenario: Scenario) -> list[BoundReport]:
@@ -192,64 +191,68 @@ def check_hessian_comparison(scenario: Scenario) -> list[BoundReport]:
     hypothesis Ric_k(velocity, W_t) >= kH is evaluated exactly from the
     parallel-frame curvature matrix; a hypothesis failure, or a branch
     with no sampled time inside the usable ray horizon, yields a
-    precondition-violation report instead of a bound verdict. A ray's
-    traces over all its (time, frame) pairs are one ``partial_trace`` read,
-    and its model traces one ``model_shape_trace`` call per frame.
+    precondition-violation report instead of a bound verdict. All sampled
+    rays are read at once: one guarded ``RayBatch.shape_fields`` read at
+    every ray's 8 times, one curvature call, one ``partial_trace`` of S and
+    of the curvature matrix over every (ray, time, frame), and one
+    ``model_shape_traces`` call. The random frames are drawn ray by ray
+    and orthonormalized by one stacked QR per branch.
     """
     M, sigma = scenario.manifold, scenario.sigma
     k = scenario.k
     H = scenario.hessian_H if scenario.hessian_H is not None else scenario.H
-    m = sigma.dim
+    m, r = sigma.dim, M.dim - 1
     rng = scenario.rng()
-    sampler = scenario.sampler(scenario.horizon())
-    idx = _ray_subsample(len(sampler.rays), scenario.check_rays, rng)
+    rays = scenario.sampler(scenario.horizon()).rays
+    idx = np.array(_ray_subsample(len(rays), scenario.check_rays, rng), dtype=int)
     err_est = max(1e-7, 100.0 * scenario.quad.ray_tolerance)
     branches = ("generic",) if m < k else ("tangential", "generic")
-    # branch -> per-ray columns (t, model, trace, Ric_k, w0 or nan, ray) in
-    # (ray, time, frame) order, and the longest usable horizon of its frames
-    samples = {branch: [] for branch in branches}
-    horizon = dict.fromkeys(branches, 0.0)
-    for i in idx:
-        sol = sampler.rays[i]
-        frames = []   # (branch, W, w0); w0 is None on the generic branch
+    # frames (ray, frame, k, r): four per branch, drawn ray by ray; w0 is
+    # the tangential frames' mean Weingarten trace, NaN on the generic branch
+    draws = {branch: [] for branch in branches}
+    for _ in idx:
         if "tangential" in branches:
-            cands = [np.eye(sol.n - 1)[:k]] + [
-                np.pad(_random_orthonormal(rng, k, m), ((0, 0), (0, sol.n - 1 - m)))
-                for _ in range(3)]
-            frames += [("tangential", W, float(partial_trace(sol.weingarten0, W[:, :m])) / k)
-                       for W in cands]
-        frames += [("generic", _random_orthonormal(rng, k, sol.n - 1), None)
-                   for _ in range(4)]
-        hi_all = min(scenario.horizon(), 0.98 * sol.focal_time())
-        # each frame's model trace is defined up to its denominator's first zero
-        hi_frame = [min(hi_all, 0.98 * _denominator_first_zero(H, w0))
-                    for _, _, w0 in frames]
-        for (branch, _, _), hi in zip(frames, hi_frame):
-            horizon[branch] = max(horizon[branch], hi)
-        hi_max = max(hi_frame, default=0.0)
-        if hi_max < 0.05:
-            continue
-        ts = np.linspace(max(0.05, hi_max / 8), hi_max, 8)
-        shapes, (x, v, E, _, _) = sol.shape_fields(ts)
-        rmats = frame_curvature(_curvature_batch(M, x)[1], E, v)
-        traces = partial_trace(np.stack([shapes, rmats]), np.array([W for _, W, _ in frames]))
-        use = ts[:, None] <= np.array(hi_frame)       # (time, frame)
-        model = np.zeros(use.shape)
-        for f, (_, _, w0) in enumerate(frames):
-            model[use[:, f], f] = model_shape_trace(H, k, w0, ts[use[:, f]])
-        w0s = np.array([math.nan if w0 is None else w0 for _, _, w0 in frames])
-        for branch in branches:
-            cols = [f for f, frame in enumerate(frames) if frame[0] == branch]
-            sel = use[:, cols]
-            samples[branch].append(np.stack([
-                np.broadcast_to(ts[:, None], sel.shape)[sel], model[:, cols][sel],
-                traces[0][:, cols][sel], traces[1][:, cols][sel],
-                np.broadcast_to(w0s[cols], sel.shape)[sel], np.full(sel.sum(), i)]))
+            draws["tangential"].append(rng.standard_normal((3, m, k)))
+        draws["generic"].append(rng.standard_normal((4, r, k)))
+    W = _orthonormal_rows(np.array(draws["generic"]).reshape(len(idx), 4, r, k))
+    w0 = np.full((len(idx), 4), math.nan)
+    if "tangential" in branches:
+        tangential = np.zeros((len(idx), 4, k, r))
+        tangential[:, 0] = np.eye(r)[:k]
+        tangential[:, 1:, :, :m] = _orthonormal_rows(
+            np.array(draws["tangential"]).reshape(len(idx), 3, m, k))
+        weingarten0 = np.array([rays.weingarten0[i] for i in idx]).reshape(len(idx), m, m)
+        w0 = np.concatenate([partial_trace(weingarten0, tangential[..., :m]) / k, w0], axis=1)
+        W = np.concatenate([tangential, W], axis=1)
+    columns = {branch: slice(4 * b, 4 * b + 4) for b, branch in enumerate(branches)}
+    # each frame's model trace is defined up to its denominator's first zero
+    hi_all = np.minimum(scenario.horizon(), 0.98 * rays.focal_times()[idx])
+    zeros = np.array([[_denominator_first_zero(H, None if math.isnan(w) else w)
+                       for w in row] for row in w0.tolist()]).reshape(w0.shape)
+    hi_frame = np.minimum(hi_all[:, None], 0.98 * zeros)
+    horizon = {branch: float(np.max(hi_frame[:, cols], initial=0.0))
+               for branch, cols in columns.items()}
+    hi_max = np.max(hi_frame, axis=1, initial=0.0)
+    read = hi_max >= 0.05
+    rows, W, w0, hi_frame, hi_max = idx[read], W[read], w0[read], hi_frame[read], hi_max[read]
+    ts = np.linspace(np.maximum(0.05, hi_max / 8), hi_max, 8, axis=-1)    # (ray, time)
+    shapes, (x, v, E, _, _) = rays.shape_fields(ts, rows)
+    rmats = frame_curvature(_curvature_batch(M, x.reshape(-1, M.dim))[1],
+                            E.reshape((-1,) + E.shape[2:]), v.reshape(-1, M.dim))
+    traces = partial_trace(np.stack([shapes, rmats.reshape(shapes.shape)]), W[:, None])
+    use = ts[:, :, None] <= hi_frame[:, None, :]            # (ray, time, frame)
+    model = model_shape_traces(H, k, w0, ts)
+    # branch -> columns (t, model, trace, Ric_k, w0, ray) in (ray, time, frame) order
+    samples = {}
+    for branch, cols in columns.items():
+        sel = use[:, :, cols]
+        samples[branch] = [np.broadcast_to(a, sel.shape)[sel] for a in (
+            ts[:, :, None], model[:, :, cols], traces[0][:, :, cols], traces[1][:, :, cols],
+            w0[:, None, cols], rows[:, None, None])]
 
     reports = []
     for branch in branches:
-        t, model, trace, ric, w0, ray = np.concatenate(samples[branch] + [np.zeros((6, 0))],
-                                                       axis=1)
+        t, model, trace, ric, w0, ray = samples[branch]
         if len(t) == 0:
             reports.append(BoundReport.precondition_violation(
                 f"hessian_comparison[{branch}]",

@@ -578,29 +578,31 @@ def curvature_rows(monkeypatch):
 
 
 class TestOneReadPerRay:
-    """Per-ray checks read each ray's times together: one curvature call per ray."""
+    """Checks read their sampled rays' times together: the Hessian check all
+    its rays in one curvature call, the residual check one call per ray."""
 
     def test_hessian_check(self, monkeypatch):
         sc = fast_flat_scenario(check_rays=4)
         sc.sampler(sc.horizon())      # rays integrated before counting
         rows = curvature_rows(monkeypatch)
         check_hessian_comparison(sc)
-        assert rows == [8, 8, 8, 8]
+        assert rows == [32]
 
-    def test_hessian_traces_in_one_read_per_ray(self, monkeypatch):
+    def test_hessian_traces_in_one_read_per_check(self, monkeypatch):
         from tubecomp.models import model_shape_trace
         from tubecomp.transport import partial_trace
 
         shapes = []
 
         def counted(S, W):
-            shapes.append(np.shape(W))
+            shapes.append((np.shape(S), np.shape(W)))
             return partial_trace(S, W)
         monkeypatch.setattr(verification, "partial_trace", counted)
         sc = fast_flat_scenario(check_rays=4)
         reports = check_hessian_comparison(sc)
-        # per ray: four w0 reads, then all (time, frame) pairs of both branches
-        assert shapes == ([(1, 1)] * 4 + [(8, 1, 3)]) * 4
+        # the tangential frames' w0 on every ray, then every (S or curvature
+        # matrix, ray, time, frame) of both branches
+        assert shapes == [((4, 1, 1), (4, 4, 1, 1)), ((2, 4, 8, 3, 3), (4, 1, 8, 1, 3))]
         for rep in reports:
             worst = rep.details["worst"]
             H = sc.hessian_H if sc.hessian_H is not None else sc.H
