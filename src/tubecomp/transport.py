@@ -25,8 +25,8 @@ from scipy.integrate._ivp.ivp import MESSAGES
 from scipy.integrate._ivp.rk import DOP853 as _DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
-from .geometry import ChartManifold, _curvature_batch
-from .geometry import complete_euclidean, complete_frame, frame_curvature
+from .geometry import ChartManifold, _jacobi_batch
+from .geometry import complete_euclidean, complete_frame, frame_matrix
 from .quadrature import cumulative_trapezoid
 from .submanifolds import BaseNode, EmbeddedSubmanifold, NonNormalVectorError
 from .submanifolds import base_node, weingarten
@@ -395,14 +395,15 @@ class RaySolution:
 def _ray_rhs(M: ChartManifold, Y: np.ndarray) -> np.ndarray:
     """Derivative of every row of Y: geodesic, parallel frame, Jacobi pair.
 
-    One curvature evaluation covers all rows; each row's result does not
+    One ``_jacobi_batch`` call covers all rows: the geodesic term
+    -Gamma(v, v) and the frame term -E (Gamma v)^T come from its Gamma v,
+    and J'' = -R(t) J from its Jacobi operator w on the frame
+    (``frame_matrix``); Rm is never formed. Each row's result does not
     depend on the other rows.
     """
     x, v, E, J, Jp = _split(Y, M.dim)
-    _, gamma, rm = _curvature_batch(M, x, want_gamma=True)
-    acc = -np.einsum("bijk,bj,bk->bi", gamma, v, v)
-    dE = -np.einsum("bijk,bj,bak->bai", gamma, v, E)
-    return _pack(v, acc, dE, Jp, -frame_curvature(rm, E, v) @ J)
+    gamma_v, gamma_vv, w = _jacobi_batch(M, x, v)
+    return _pack(v, -gamma_vv, -E @ np.swapaxes(gamma_v, 1, 2), Jp, -frame_matrix(w, E) @ J)
 
 
 def _chart_exit_fn(M: ChartManifold):
@@ -490,7 +491,8 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
     """Integrate geodesic + parallel frame + Jacobi system along many rays.
 
     All rays advance together as one (rays, state) array through scipy's
-    DOP853 tables, so each Runge-Kutta stage makes one curvature call.
+    DOP853 tables, so each Runge-Kutta stage makes one ``_jacobi_batch``
+    call.
     Every step rule of ``solve_ivp(method="DOP853")`` applies per ray: the
     initial step, the RMS error norm over the ray's own state (rtol is the
     ray's tolerance, atol 1e-2 rtol), the step factors, the minimum-step
@@ -667,9 +669,10 @@ def structural_residuals(solution: RaySolution) -> dict | None:
     horizon, when that is below 0.3) to the usable horizon, min(t_max -
     2h, 0.9 focal time), each with its derivative stencil t +- h/2, t +- h,
     t +- 2h (h = 1e-4). All 64 times are one ``shape_fields`` read and the 9
-    curvature matrices one curvature call. Returns None, the ray too short,
-    when the first sample would come before t = 0.025: there the stencil's
-    own error on the 1/t block of S, h^4 / (4 t^6) per entry, passes 1e-7.
+    curvature matrices one ``_jacobi_batch`` call. Returns None, the ray
+    too short, when the first sample would come before t = 0.025: there the
+    stencil's own error on the 1/t block of S, h^4 / (4 t^6) per entry,
+    passes 1e-7.
 
     ``error`` holds each residual's error estimate in its own units. A
     central difference errs by c(h) - f' = a h^2 + b h^4 + ...: log_density
@@ -696,8 +699,7 @@ def structural_residuals(solution: RaySolution) -> dict | None:
     central = [(S[:, i] - S[:, i + 1]) / (2.0 * step)
                for i, step in ((1, h / 2.0), (3, h), (5, 2.0 * h))]
     Sdot = (4.0 * central[0] - central[1]) / 3.0
-    rmat = frame_curvature(_curvature_batch(solution.batch.manifold, x[at_t])[1],
-                           E[at_t], v[at_t])
+    rmat = frame_matrix(_jacobi_batch(solution.batch.manifold, x[at_t], v[at_t])[2], E[at_t])
     dlog = (dets_t[:, 3] - dets_t[:, 4]) / (2.0 * h * dets_t[:, 0])
     dlog_half = (dets_t[:, 1] - dets_t[:, 2]) / (h * dets_t[:, 0])
     out = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ChartManifold, DeficitNorm, _curvature_batch, frame_curvature
+from .geometry import ChartManifold, DeficitNorm, _jacobi_batch, frame_matrix
 from .geometry import lp_deficit_norm, rho_k, rho_method
 from .models import (
     BoundReport,
@@ -189,12 +189,13 @@ def check_hessian_comparison(scenario: Scenario) -> list[BoundReport]:
     Each ray gets four k-frames W per branch (tangential: the first k
     tangent directions and three random ones). For every (ray, W, t) the
     hypothesis Ric_k(velocity, W_t) >= kH is evaluated exactly from the
-    parallel-frame curvature matrix; a hypothesis failure, or a branch
+    parallel-frame curvature matrix (``frame_matrix`` of the Jacobi
+    operator from ``_jacobi_batch``); a hypothesis failure, or a branch
     with no sampled time inside the usable ray horizon, yields a
     precondition-violation report instead of a bound verdict. All sampled
     rays are read at once: one guarded ``RayBatch.shape_fields`` read at
-    every ray's 8 times, one curvature call, one ``partial_trace`` of S and
-    of the curvature matrix over every (ray, time, frame), and one
+    every ray's 8 times, one ``_jacobi_batch`` call, one ``partial_trace``
+    of S and of the curvature matrix over every (ray, time, frame), and one
     ``model_shape_traces`` call. The random frames are drawn ray by ray
     and orthonormalized by one stacked QR per branch.
     """
@@ -237,8 +238,8 @@ def check_hessian_comparison(scenario: Scenario) -> list[BoundReport]:
     rows, W, w0, hi_frame, hi_max = idx[read], W[read], w0[read], hi_frame[read], hi_max[read]
     ts = np.linspace(np.maximum(0.05, hi_max / 8), hi_max, 8, axis=-1)    # (ray, time)
     shapes, (x, v, E, _, _) = rays.shape_fields(ts, rows)
-    rmats = frame_curvature(_curvature_batch(M, x.reshape(-1, M.dim))[1],
-                            E.reshape((-1,) + E.shape[2:]), v.reshape(-1, M.dim))
+    rmats = frame_matrix(_jacobi_batch(M, x.reshape(-1, M.dim), v.reshape(-1, M.dim))[2],
+                         E.reshape((-1,) + E.shape[2:]))
     traces = partial_trace(np.stack([shapes, rmats.reshape(shapes.shape)]), W[:, None])
     use = ts[:, :, None] <= hi_frame[:, None, :]            # (ray, time, frame)
     model = model_shape_traces(H, k, w0, ts)

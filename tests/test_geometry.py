@@ -20,7 +20,7 @@ from tubecomp.geometry import (
     rho_k_at,
     rho_method,
 )
-from tubecomp.geometry import _connection_batch, _curvature_batch
+from tubecomp.geometry import _connection_batch, _curvature_batch, _jacobi_batch, frame_matrix
 from fd import FD_STEP_FIRST, FD_STEP_SECOND, fd_gradient, fd_hessian
 from tubecomp.geometry import _frame_tensor, _rho_bracket
 from tubecomp.quadrature import product_angle_sphere
@@ -263,6 +263,70 @@ class TestLoweredKernel:
         for i, x in enumerate(X):
             _, gamma_1, rm_1 = _curvature_batch(M, x[None], want_gamma=True)
             assert np.array_equal(gamma_1[0], gamma[i]) and np.array_equal(rm_1[0], rm[i])
+
+
+def jacobi_case(name, batch):
+    """A chart of ``MANIFOLD_BUILDERS`` with ``batch`` points in the middle of
+    its box and a g-unit direction at each."""
+    args = {"product": (manifolds.sphere(2), manifolds.hyperbolic(2)),
+            "warped_product": (2, np.cosh, np.sinh, np.cosh)}
+    M = manifolds.MANIFOLD_BUILDERS[name](*args.get(name, (4,)))
+    rng = np.random.default_rng(batch)
+    lo, hi = M.domain.lo, M.domain.hi
+    X = lo + rng.uniform(0.35, 0.65, (batch, M.dim)) * (hi - lo)
+    V = rng.standard_normal((batch, M.dim))
+    V /= np.sqrt(np.einsum("bi,bij,bj->b", V, M.metric_at(X), V))[:, None]
+    return M, X, V
+
+
+class TestJacobiKernel:
+    """``_jacobi_batch`` gives Gamma v, Gamma(v, v) and Rm(., v, ., v) without Rm."""
+
+    @pytest.mark.parametrize("batch", [1, 65])
+    @pytest.mark.parametrize("name", sorted(manifolds.MANIFOLD_BUILDERS))
+    def test_equals_the_contracted_tensors(self, name, batch):
+        # max|Rm| is floored at 1, as in the lowered-kernel tests: far out on
+        # a stereographic chart both kernels lose digits to the same cancellation
+        M, X, V = jacobi_case(name, batch)
+        gamma_v, gamma_vv, w = _jacobi_batch(M, X, V)
+        rm = _curvature_batch(M, X)[1]
+        want = np.einsum("bijkl,bj,bl->bik", rm, V, V)
+        assert np.max(np.abs(w - want)) <= 1e-14 * max(1.0, np.max(np.abs(rm)))
+        # a contraction rounds in proportion to the sum of its terms' sizes
+        gamma = np.array([christoffel_at(M, x) for x in X])
+        want_v = np.einsum("bijk,bk->bij", gamma, V)
+        size = np.einsum("bijk,bj,bk->bi", np.abs(gamma), np.abs(V), np.abs(V))
+        assert np.max(np.abs(gamma_v - want_v)) <= 1e-14 * max(
+            1.0, np.max(np.abs(gamma)) * np.max(np.abs(V)))
+        assert np.max(np.abs(gamma_vv - np.einsum("bij,bj->bi", want_v, V))) <= 1e-14 * max(
+            1.0, np.max(size))
+        assert np.any(w != 0.0) == (name not in ("euclidean", "flat_torus"))
+
+    @pytest.mark.parametrize("name", sorted(manifolds.MANIFOLD_BUILDERS))
+    def test_batch_one_equals_batch_n(self, name):
+        M, X, V = jacobi_case(name, 65)
+        together = _jacobi_batch(M, X, V)
+        for i in range(len(X)):
+            alone = _jacobi_batch(M, X[i:i + 1], V[i:i + 1])
+            for a, b in zip(alone, together):
+                assert a[0].tobytes() == b[i].tobytes()
+
+    def test_frame_matrix_is_frame_curvature(self):
+        M, X, V = jacobi_case("bump_torus", 65)
+        E = np.random.default_rng(2).standard_normal((65, 3, 4))
+        rm = _curvature_batch(M, X)[1]
+        got = frame_matrix(_jacobi_batch(M, X, V)[2], E)
+        assert np.array_equal(got, np.swapaxes(got, 1, 2))
+        assert np.max(np.abs(got - frame_curvature(rm, E, V))) <= 1e-14 * max(
+            1.0, np.max(np.abs(rm)) * np.max(np.abs(E)) ** 2)
+
+    def test_singular_metric_error(self):
+        M = ChartManifold(dim=2, metric=lambda x: np.zeros(np.shape(x)[:-1] + (2, 2)),
+                          domain=Box([-1, -1], [1, 1], (False, False)),
+                          metric_grad=lambda x: np.zeros(np.shape(x)[:-1] + (2,) * 3),
+                          metric_hess=lambda x: np.zeros(np.shape(x)[:-1] + (2,) * 4))
+        with pytest.raises(SingularMetricError):
+            _jacobi_batch(M, np.zeros((3, 2)), np.ones((3, 2)))
 
 
 def bump_jet_by_pairs(b, db, d2b, amplitude):

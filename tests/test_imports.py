@@ -246,3 +246,77 @@ def test_hypotheses_are_stated_once_in_models():
     assert len(set(hypothesis_spellings((src / "models.py").read_text()))) >= 4
     for name in ("verification.py", "cli.py"):
         assert hypothesis_spellings((src / name).read_text()) == [], name
+
+
+def _transposed(node: ast.AST) -> str | None:
+    """Source of A when ``node`` transposes it (A.T, A.mT, swapaxes, transpose, moveaxis)."""
+    if isinstance(node, ast.Attribute) and node.attr in ("T", "mT"):
+        return ast.unparse(node.value)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr in ("swapaxes", "transpose", "moveaxis"):
+            # np.swapaxes(A, ...) or A.swapaxes(...)
+            if ast.unparse(node.func.value) in ("np", "numpy"):
+                return ast.unparse(node.args[0]) if node.args else None
+            return ast.unparse(node.func.value)
+    return None
+
+
+def curvature_sources(source: str) -> list[str]:
+    """Reads of ``_curvature_batch`` and frame products E w E^T formed in ``source``.
+
+    A frame product is ``E @ w @ T(E)`` with T a transpose, or a
+    three-operand einsum whose outer operands are the same array and whose
+    result keeps both of their row indices (a partial trace, which sums the
+    rows together, is not one).
+    """
+    tree = ast.parse(source)
+    found = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names if a.name == "_curvature_batch"]
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and node.id == "_curvature_batch")
+                or (isinstance(node, ast.Attribute) and node.attr == "_curvature_batch")):
+            found.append(ast.unparse(node))
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+              and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.MatMult)
+              and _transposed(node.right) == ast.unparse(node.left.left)):
+            found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("einsum")
+              and len(node.args) == 4 and isinstance(node.args[0], ast.Constant)
+              and ast.unparse(node.args[1]) == ast.unparse(node.args[3])):
+            inputs, _, output = node.args[0].value.partition("->")
+            first, _, third = inputs.split(",")
+            rows = {first[-2], third[-2]}
+            if len(rows) == 2 and rows <= set(output):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_curvature_source_detector():
+    source = ("from .geometry import _curvature_batch, frame_matrix\n"
+              "rm = geometry._curvature_batch(M, x)[1]\n"
+              "mat = E @ w @ np.swapaxes(E, -1, -2)\n"
+              "mat = E @ w @ E.T\n"
+              "mat = np.einsum('...ai,...ij,...bj->...ab', E, w, E)\n"
+              "tr = np.einsum('...fai,...ij,...faj->...f', W, S, W)\n"
+              "q = xi @ g @ xi\n"
+              "gram = J.T @ g @ J\n"
+              "mat = frame_matrix(w, E)\n")
+    assert sorted(curvature_sources(source)) == sorted([
+        "_curvature_batch", "geometry._curvature_batch",
+        "E @ w @ np.swapaxes(E, -1, -2)", "E @ w @ E.T",
+        "np.einsum('...ai,...ij,...bj->...ab', E, w, E)"])
+
+
+def test_one_curvature_source_along_rays():
+    # the ray ODE and the checks read curvature only through
+    # geometry._jacobi_batch, and the parallel-frame curvature matrix is
+    # formed only in geometry (frame_matrix)
+    src = ROOT / "src" / "tubecomp"
+    for name in ("transport.py", "verification.py"):
+        text = (src / name).read_text()
+        assert curvature_sources(text) == [], name
+        assert "_jacobi_batch" in text and "frame_matrix" in text, name
+    assert {path.name: curvature_sources(path.read_text()) for path in SOURCES
+            if path.name != "geometry.py"} == {
+        path.name: [] for path in SOURCES if path.name != "geometry.py"}
+    assert len(curvature_sources((src / "geometry.py").read_text())) >= 1

@@ -563,23 +563,23 @@ def short_bump_config(horizon):
 
 
 def curvature_rows(monkeypatch):
-    """Rows of every ``_curvature_batch`` call from here on, wherever it is bound."""
+    """Rows of every ``_jacobi_batch`` call from here on, wherever it is bound."""
     from tubecomp import geometry, transport, verification
 
     rows = []
-    original = geometry._curvature_batch
+    original = geometry._jacobi_batch
 
-    def counted(M, xs, *args, **kwargs):
+    def counted(M, xs, vs):
         rows.append(len(xs))
-        return original(M, xs, *args, **kwargs)
+        return original(M, xs, vs)
     for module in (geometry, transport, verification):
-        monkeypatch.setattr(module, "_curvature_batch", counted, raising=False)
+        monkeypatch.setattr(module, "_jacobi_batch", counted, raising=False)
     return rows
 
 
 class TestOneReadPerRay:
     """Checks read their sampled rays' times together: the Hessian check all
-    its rays in one curvature call, the residual check one call per ray."""
+    its rays in one Jacobi-operator call, the residual check one per ray."""
 
     def test_hessian_check(self, monkeypatch):
         sc = fast_flat_scenario(check_rays=4)
