@@ -487,7 +487,8 @@ def _dense_coefficients(M, K, y_old, y_new, h) -> np.ndarray:
 
 
 def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
-                   rays: Sequence[NormalRay]) -> RayBatch:
+                   rays: Sequence[NormalRay],
+                   nodes: Sequence[BaseNode] | None = None) -> RayBatch:
     """Integrate geodesic + parallel frame + Jacobi system along many rays.
 
     All rays advance together as one (rays, state) array through scipy's
@@ -498,23 +499,26 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
     ray's tolerance, atol 1e-2 rtol), the step factors, the minimum-step
     collapse and the chart-exit event, rooted on the ray's dense segment.
     A ray's solution therefore does not depend on the batch it is in.
-    Each distinct base parameter's ``base_node`` is built once, and every
-    ray starts from its node. Every accepted step's dense coefficients go
-    into one RayBatch store (an empty list for no rays). Raises
-    NonNormalVectorError for a ray whose xi is not a unit normal, and
-    RayIntegrationError for the lowest-index ray that fails.
+    Every ray starts from its base node: ``nodes[i]``, the
+    ``base_node(sigma, M, rays[i].base_param)`` a caller already holds, or
+    else one node built per distinct base parameter. Every accepted step's
+    dense coefficients go into one RayBatch store (an empty list for no
+    rays). Raises NonNormalVectorError for a ray whose xi is not a unit
+    normal, and RayIntegrationError for the lowest-index ray that fails.
     """
     rays = list(rays)
     if not rays:
         return []
-    nodes = {}      # one base node per distinct base parameter
-    initial = []
-    for ray in rays:
-        s = np.asarray(ray.base_param, dtype=float)
-        key = s.tobytes()
-        if key not in nodes:
-            nodes[key] = base_node(sigma, M, s)
-        initial.append(_initial_state(nodes[key], ray.xi))
+    if nodes is None:
+        built = {}      # one base node per distinct base parameter
+        for ray in rays:
+            s = np.asarray(ray.base_param, dtype=float)
+            if s.tobytes() not in built:
+                built[s.tobytes()] = base_node(sigma, M, s)
+        nodes = [built[np.asarray(ray.base_param, dtype=float).tobytes()] for ray in rays]
+    elif len(nodes) != len(rays):
+        raise ValueError(f"{len(nodes)} base nodes for {len(rays)} rays")
+    initial = [_initial_state(node, ray.xi) for node, ray in zip(nodes, rays)]
     y = np.array([state for state, _ in initial])
     y_init = y.copy()
     R = len(rays)

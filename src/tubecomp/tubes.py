@@ -86,7 +86,8 @@ class TubeSampler:
                 for s, row in zip(grid.base_params, grid.normals) for xi in row]
         self.weights = (grid.base_weights[:, None] * grid.fiber_weights).ravel()
         self.eta_xi = grid.eta_xi.ravel()
-        self.rays: RayBatch = integrate_rays(M, sigma, rays)
+        self.rays: RayBatch = integrate_rays(
+            M, sigma, rays, [node for node in grid.nodes for _ in grid.fiber_coeffs])
 
     def _check_horizon(self, r: float):
         if r > self.r_max + 1e-12:
@@ -173,7 +174,7 @@ def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,
     param_measure = 1.0 if m == 0 else float(np.prod(box.widths()))
 
     # draw every ray's randomness first, in the order of one ray at a time
-    rays, scales, t_samples = [], [], []
+    rays, nodes, scales, t_samples = [], [], [], []
     for _ in range(n_rays):
         s = (np.zeros(0) if m == 0
              else rng.uniform(box.lo, box.hi))
@@ -181,9 +182,10 @@ def tube_volume_monte_carlo(M: ChartManifold, sigma: EmbeddedSubmanifold,
         c = rng.standard_normal(n - m)
         c /= np.linalg.norm(c)
         rays.append(NormalRay(s, c @ node.normal, t_max=r, tolerance=spec.ray_tolerance))
+        nodes.append(node)
         scales.append(param_measure * node.gram_density * sphere_volume(d) * r)
         t_samples.append(rng.uniform(0.0, r, size=t_draws))
-    batch = integrate_rays(M, sigma, rays)
+    batch = integrate_rays(M, sigma, rays, nodes)
     ts = np.array(t_samples)
     dens = np.where(ts < batch.focal_times()[:, None], batch.density(ts), 0.0)
     values = np.array(scales) * np.mean(dens, axis=1)

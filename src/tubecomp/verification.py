@@ -312,7 +312,8 @@ def check_focal_radius(scenario: Scenario) -> BoundReport:
     rays = [NormalRay(grid.base_params[i // lines.shape[1]], sign * normals[i],
                       t_max=horizon, tolerance=quad.ray_tolerance)
             for i in idx for sign in (1.0, -1.0)]
-    batch = integrate_rays(M, sigma, rays)
+    batch = integrate_rays(M, sigma, rays,
+                           [grid.nodes[i // lines.shape[1]] for i in idx for _ in (1, -1)])
     pair_minima = batch.focal_times().reshape(-1, 2).min(axis=1)
     for i, pair in zip(idx, pair_minima):
         if pair == math.inf:
@@ -328,6 +329,12 @@ def check_focal_radius(scenario: Scenario) -> BoundReport:
     # the equality case needs Sigma totally geodesic: every S_xi vanishes
     rep.equality = abs(worst - bound) <= 1e-6 and weingarten_max <= 1e-6
     return rep
+
+
+def _bound_rounding(bound: float) -> float:
+    """1e-10 max(1, bound), a bound's rounding allowance; 0 for a bound past
+    the floats, which leaves nothing to round and would make the estimate inf."""
+    return 1e-10 * max(1.0, bound) if math.isfinite(bound) else 0.0
 
 
 def check_hk_bound(scenario: Scenario, radii) -> list[BoundReport]:
@@ -346,7 +353,7 @@ def check_hk_bound(scenario: Scenario, radii) -> list[BoundReport]:
         sampler = scenario.sampler(max(r, max(scenario.radii, default=r)))
         measured = sampler.volume(r)
         rhs = sampler.hk_bound(H, r)
-        err = measured.error_estimate + 1e-10 * max(1.0, rhs)
+        err = measured.error_estimate + _bound_rounding(rhs)
         reports.append(BoundReport.from_values(
             "hk_bound", measured=measured.value, bound=rhs,
             tolerance=scenario.tolerance, error_estimate=max(err, 1e-9),
@@ -411,7 +418,7 @@ def check_integral_bound(scenario: Scenario, radii,
 
         def report(label, norm):
             bound = thm1_bound(constants, vol_sigma, norm.value, r)
-            err = measured.error_estimate + abs(norm.error_estimate) + 1e-10 * max(1.0, bound)
+            err = measured.error_estimate + abs(norm.error_estimate) + _bound_rounding(bound)
             return BoundReport.from_values(
                 f"integral_bound[{label}]", measured=measured.value, bound=bound,
                 tolerance=scenario.tolerance, constants=constants,

@@ -479,6 +479,9 @@ class TestExitCodes:
                     bound = math.inf if rep["bound"] is None else rep["bound"]
                     assert rep["passed"] and float(row[column]) == bound
                     assert not rep["equality"] or math.isfinite(rep["slack"])
+                    # an infinite bound adds no rounding term to the estimate
+                    assert rep["error_estimate"] is not None
+                    assert math.isfinite(rep["error_estimate"])
 
     def test_hk_at_radius_zero_exit_0(self, tmp_path):
         cfg = dict(FAST_CONFIG, radii=[0.0])

@@ -170,6 +170,18 @@ class TestBatchedRays:
             if i % 2:
                 assert np.array_equal(alone, _states(odd[i // 2], ts))
 
+    def test_given_nodes_equal_built_nodes(self):
+        # a caller's nodes give the same bits as the nodes integrate_rays builds
+        M, sigma, rays = s3_grid_rays()
+        rays = rays[:5]
+        ts = np.linspace(0.0, 2.0, 41)
+        nodes = [base_node(sigma, M, ray.base_param) for ray in rays]
+        given, built = integrate_rays(M, sigma, rays, nodes), integrate_rays(M, sigma, rays)
+        for a, b in zip(given, built):
+            assert np.array_equal(_states(a, ts), _states(b, ts))
+        with pytest.raises(ValueError, match="4 base nodes for 5 rays"):
+            integrate_rays(M, sigma, rays, nodes[:4])
+
     @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays])
     def test_matches_solve_ivp(self, maker):
         # same tables and step rules; only rounding differs, far below the

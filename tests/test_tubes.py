@@ -148,30 +148,42 @@ class TestTubeLpDeficit:
         assert computed == pytest.approx(declared, rel=1e-6)
 
 
+def count_node_builds(monkeypatch) -> list:
+    """Arguments of every ``base_node`` call from here on, wherever it is bound."""
+    original = submanifolds.base_node
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tubecomp") and vars(module).get("base_node") is original:
+            monkeypatch.setattr(module, "base_node", counted)
+    return calls
+
+
 class TestBaseNodes:
-    """A sampler builds each base node at most twice, and every ray starts from it."""
+    """A sampler builds each base node once, and every ray starts from it."""
 
     @pytest.mark.parametrize("make", [
         lambda: (manifolds.sphere(3), great_circle),
         lambda: (manifolds.hyperbolic(3), lambda M: point(M, [0.0, 0.0, 1.0])),
     ], ids=["great_circle", "point"])
-    def test_node_routine_runs_at_most_twice_per_node(self, monkeypatch, make):
+    def test_node_routine_runs_once_per_node(self, monkeypatch, make):
         M, build = make()
-        original = submanifolds.base_node
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("tubecomp") and vars(module).get("base_node") is original:
-                monkeypatch.setattr(module, "base_node", counted)
+        calls = count_node_builds(monkeypatch)
         sampler = TubeSampler(M, build(M), 0.3,
                               QuadratureSpec(base_resolution=4, fiber_resolution=4))
         B, F = len(sampler.grid.base_params), len(sampler.grid.fiber_coeffs)
         assert F > 1 and len(sampler.rays) == B * F
-        assert 0 < len(calls) <= 2 * B
+        assert len(calls) == B
+
+    def test_monte_carlo_builds_each_random_node_once(self, monkeypatch):
+        M = manifolds.sphere(3)
+        calls = count_node_builds(monkeypatch)
+        tube_volume_monte_carlo(M, great_circle(M), 0.3, QuadratureSpec(mc_samples=64))
+        assert len(calls) == 8      # max(8, 64 // 8) rays, one random node each
 
     def test_every_ray_starts_from_its_grid_node(self):
         M = manifolds.sphere(3)

@@ -424,8 +424,8 @@ class TestFocalCheck:
         integrate_rays = transport.integrate_rays
         batches = []
 
-        def counted_rays(M, sigma, rays):
-            batches.append(integrate_rays(M, sigma, rays))
+        def counted_rays(M, sigma, rays, nodes=None):
+            batches.append(integrate_rays(M, sigma, rays, nodes))
             return batches[-1]
         monkeypatch.setattr(verification, "integrate_rays", counted_rays)
         rep = check_focal_radius(sc)
@@ -444,10 +444,11 @@ class TestFocalCheck:
         sc = build_scenario("sn_equator")
         sc.quad = QuadratureSpec(base_resolution=4)
         integrate_rays, sampler_class = transport.integrate_rays, tubes.TubeSampler
-        batches, builds = [], []
+        batches, builds, given = [], [], []
 
-        def counted_rays(M, sigma, rays):
-            batches.append(integrate_rays(M, sigma, rays))
+        def counted_rays(M, sigma, rays, nodes=None):
+            given.append(nodes)     # the grid's nodes: no node is built again
+            batches.append(integrate_rays(M, sigma, rays, nodes))
             return batches[-1]
 
         def counted_sampler(*args, **kwargs):
@@ -463,6 +464,7 @@ class TestFocalCheck:
         rep = check_focal_radius(sc)
         lines = rep.details["n_lines"]
         assert len(batches) == 1 and len(batches[0]) == 2 * lines and not builds
+        assert len(given[0]) == 2 * lines
         (batch,) = batches
         pairs = batch.focal_times().reshape(-1, 2).min(axis=1)
         assert rep.measured == max(pairs) and rep.details["focal_radius"] == min(pairs)
