@@ -232,10 +232,10 @@ def _jacobi_batch(M: ChartManifold, xs: np.ndarray, vs: np.ndarray):
     def lowered(c):
         """(G, D_c g) for vectors c (B, n, 1): G_ki = d_k g_ij c^j, D_c g = c^j d_j g."""
         return ((dg.reshape(B, n * n, n) @ c).reshape(B, n, n),
-                (np.swapaxes(c, 1, 2) @ dg.reshape(B, n, n * n)).reshape(B, n, n))
+                (c.mT @ dg.reshape(B, n, n * n)).reshape(B, n, n))
 
     G, Dv = lowered(v)
-    Av = np.swapaxes(G, 1, 2) - G + Dv
+    Av = G.mT - G + Dv
     gamma_v = 0.5 * (ginv @ Av)
     gamma_vv = gamma_v @ v
     Gc, Dc = lowered(gamma_vv)
@@ -245,8 +245,7 @@ def _jacobi_batch(M: ChartManifold, xs: np.ndarray, vs: np.ndarray):
     X = (vt @ U.reshape(B, n, n * n)).reshape(B, n, n)
     hvv = (U.reshape(B, n * n, n) @ v).reshape(B, n, n)
     dvv = (vt @ (vt @ d2g.reshape(B, n, n**3)).reshape(B, n, n * n)).reshape(B, n, n)
-    w = 0.5 * (X + np.swapaxes(X, 1, 2) - hvv - dvv
-               + np.swapaxes(Av, 1, 2) @ gamma_v - (Gc + np.swapaxes(Gc, 1, 2) - Dc))
+    w = 0.5 * (X + X.mT - hvv - dvv + Av.mT @ gamma_v - (Gc + Gc.mT - Dc))
     return gamma_v, gamma_vv[:, :, 0], w
 
 
@@ -280,8 +279,8 @@ def frame_matrix(w: np.ndarray, E: np.ndarray) -> np.ndarray:
     With w from ``_jacobi_batch`` this is the parallel-frame curvature
     matrix R(E_a, v, E_b, v) of the ray ODE and of the checks.
     """
-    mat = E @ w @ np.swapaxes(E, -1, -2)
-    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
+    mat = E @ w @ E.mT
+    return 0.5 * (mat + mat.mT)
 
 
 # ---------------------------------------------------------------------------

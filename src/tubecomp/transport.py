@@ -403,7 +403,7 @@ def _ray_rhs(M: ChartManifold, Y: np.ndarray) -> np.ndarray:
     """
     x, v, E, J, Jp = _split(Y, M.dim)
     gamma_v, gamma_vv, w = _jacobi_batch(M, x, v)
-    return _pack(v, -gamma_vv, -E @ np.swapaxes(gamma_v, 1, 2), Jp, -frame_matrix(w, E) @ J)
+    return _pack(v, -gamma_vv, -E @ gamma_v.mT, Jp, -frame_matrix(w, E) @ J)
 
 
 def _chart_exit_fn(M: ChartManifold):
