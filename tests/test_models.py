@@ -20,6 +20,7 @@ from tubecomp.models import (
     hk_integrand,
     lemma52_coefficient,
     model_shape_trace,
+    model_shape_traces,
     sn_cs,
     sphere_volume,
     thm1_bound,
@@ -147,6 +148,17 @@ class TestModelShapeTrace:
         assert model_shape_trace(1.0, 2, None, ts[:0]).shape == (0,)
         with pytest.raises(DomainError):
             model_shape_trace(1.0, 1, None, np.array([0.5, math.pi]))
+
+    def test_every_time_and_frame_equals_scalar_calls(self):
+        # rows (rays) of times and of w0, NaN for the generic branch
+        ts = np.array([[0.1, 0.4, 0.7], [0.2, 0.5, 0.8]])
+        w0s = np.array([[math.nan, 0.2, -0.3], [0.1, math.nan, 0.0]])
+        for H in (1.0, -1.0, 0.0):
+            got = model_shape_traces(H, 2, w0s, ts)
+            assert got.shape == (2, 3, 3)
+            for r, t, f in np.ndindex(got.shape):
+                w0 = None if math.isnan(w0s[r, f]) else float(w0s[r, f])
+                assert got[r, t, f] == model_shape_trace(H, 2, w0, float(ts[r, t]))
 
     def test_tangential_initial_value(self):
         # w(t) -> w0 as t -> 0 in the tangential branch

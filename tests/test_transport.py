@@ -337,6 +337,25 @@ class TestShapeFields:
             assert np.array_equal(S[i], _shape_reference(sol, t))
         assert np.array_equal(sol.shape_fields(ts[7])[0], _shape_reference(sol, ts[7]))
 
+    def test_rows_read_together_equal_rows_alone(self):
+        # every row guarded against its own ray; one bad row fails the read
+        M, sigma, rays = s3_grid_rays()
+        batch = integrate_rays(M, sigma, rays[:6])
+        rows = np.array([4, 1, 5])
+        his = np.minimum([batch.rays[i].t_max for i in rows], 0.9 * batch.focal_times()[rows])
+        ts = np.linspace(0.05, his, 7, axis=-1)
+        S, fields = batch.shape_fields(ts, rows)
+        for j, i in enumerate(rows):
+            S_i, fields_i = batch[i].shape_fields(ts[j])
+            assert np.array_equal(S[j], S_i)
+            assert all(np.array_equal(a[j], b) for a, b in zip(fields, fields_i))
+        late = ts.copy()
+        late[1, 3] = batch.focal_times()[rows[1]]
+        with pytest.raises(FocalSingularityError, match=f"t={late[1, 3]}"):
+            batch.shape_fields(late, rows)
+        with pytest.raises(ValueError, match="outside integrated range"):
+            batch.shape_fields(ts + np.array([[0.0], [0.0], [10.0]]), rows)
+
     def test_out_of_range_is_a_value_error(self):
         M, sigma, ray = s3_circle_ray(t_max=1.5)
         sol = integrate_ray(M, sigma, ray)
@@ -414,6 +433,14 @@ class TestPartialTrace:
         assert together.shape == (8, 5)
         for f, W in enumerate(frames):
             assert np.allclose(together[:, f], partial_trace(S, W), rtol=1e-15, atol=1e-15)
+        # each row of S (rows, times, r, r) with its own frames (rows, 1, F, k, r)
+        per_row = np.array([np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+                            for _ in range(4 * 5)]).reshape(4, 5, 2, 3)
+        S_rows = S.reshape(4, 2, 3, 3)
+        rows = partial_trace(S_rows, per_row[:, None])
+        assert rows.shape == (4, 2, 5)
+        for i in range(4):
+            assert np.array_equal(rows[i], partial_trace(S_rows[i], per_row[i]))
         frames[3, 1] *= 1.5
         with pytest.raises(ValueError):
             partial_trace(S, frames)
