@@ -145,19 +145,19 @@ class ChartManifold:
 # connection and curvature from the chart's exact metric jet
 
 
-def _inverse_spd(g: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(cholesky factor, inverse) of a batch of SPD matrices."""
+def _inverse_spd(g: np.ndarray, name: str) -> np.ndarray:
+    """Inverse of a batch of SPD matrices; a Cholesky factorization checks definiteness."""
     try:
-        chol = np.linalg.cholesky(g)
+        np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError(f"metric not positive definite on {name}") from exc
-    return chol, np.linalg.inv(g)
+    return np.linalg.inv(g)
 
 
 def _connection_batch(M: ChartManifold, xs: np.ndarray):
     """(g, A, Gamma) at each row of xs: A_alj = 2 Gamma_a,lj and Gamma^i_lj = g^ia A_alj / 2."""
     g = M.metric_at(xs)
-    _, ginv = _inverse_spd(g, M.name)
+    ginv = _inverse_spd(g, M.name)
     dg = M.metric_grad(xs)
     B, n = dg.shape[:2]
     A = np.einsum("blaj->balj", dg) + np.einsum("bjal->balj", dg) - dg
@@ -222,7 +222,7 @@ def _jacobi_batch(M: ChartManifold, xs: np.ndarray, vs: np.ndarray):
     positive-definiteness check, and every row's result depends on that
     row alone.
     """
-    _, ginv = _inverse_spd(M.metric_at(xs), M.name)
+    ginv = _inverse_spd(M.metric_at(xs), M.name)
     dg = M.metric_grad(xs)
     d2g = M.metric_hess(xs)
     B, n = dg.shape[:2]
