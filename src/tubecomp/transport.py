@@ -15,7 +15,7 @@ the guards that keep it away from t = 0 and the first focal time, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Sequence
 
@@ -134,27 +134,37 @@ def _initial_state(node: BaseNode, xi) -> tuple[np.ndarray, np.ndarray]:
 def _dense_states(knots, starts, coeffs, last, ts, rows=None, cols=None) -> list[np.ndarray]:
     """Columns (k, q, width) of store rows ``rows`` (default all) at their own times ts (k, q).
 
-    One array per column slice of ``cols`` (default the whole state); no other
-    column is evaluated. Repeats scipy's ``OdeSolution`` and ``Dop853DenseOutput``
-    operation for operation, so every value is bitwise what scipy returns: a
-    time picks the segment whose knot interval holds it (the lower one at a
-    knot), clamped to the ray's first and last segment, and that segment's
-    interpolant is evaluated by the same Horner scheme in x = (t - t_old) / h.
+    ``starts`` (state, rays * segments) and ``coeffs`` (7, state, rays *
+    segments) are a ``RayBatch``'s plane-major store, in which segment s of
+    ray i is column i * segments + s. One array per column slice of ``cols``
+    (default the whole state); no other column is evaluated. Repeats scipy's
+    ``OdeSolution`` and ``Dop853DenseOutput`` operation for operation, so
+    every value is bitwise what scipy returns: a time picks the segment
+    whose knot interval holds it (the lower one at a knot), clamped to the
+    ray's first and last segment, and that segment's interpolant is
+    evaluated by the same Horner scheme in x = (t - t_old) / h. Each of the
+    seven coefficient planes is gathered by its own ``np.take`` of the
+    requested rows, which are contiguous in the store, so a read holds at
+    most one gathered plane besides its Horner sum; one gather of all seven
+    planes would hold seven.
     """
     rows = (np.arange(len(knots)) if rows is None else np.asarray(rows))[:, None]
     # knots[:, 0] = 0, so counting the later knots below t gives
     # searchsorted(knots, t) - 1 already floored at segment 0
     seg = np.minimum((knots[rows][..., 1:] < ts[..., None]).sum(axis=-1), last[rows])
     t_old = knots[rows, seg]
-    x = ((ts - t_old) / (knots[rows, seg + 1] - t_old))[..., None]
+    x = ((ts - t_old) / (knots[rows, seg + 1] - t_old)).ravel()
     one_minus_x = 1.0 - x
+    at = (rows * (knots.shape[1] - 1) + seg).ravel()
     out = []
     for c in cols or [slice(None)]:
-        y = np.zeros(ts.shape + starts[0, 0, c].shape)
-        for i in range(coeffs.shape[2]):
-            y += coeffs[rows, seg, -1 - i, c]
+        y = np.zeros((len(starts[c]), len(at)))
+        for i in range(len(coeffs)):
+            y += np.take(coeffs[-1 - i, c], at, axis=1)
             y *= x if i % 2 == 0 else one_minus_x
-        out.append(y + starts[rows, seg, c])
+        y += np.take(starts[c], at, axis=1)
+        # C order, (k, q, width), as the matrix products downstream read it
+        out.append(np.ascontiguousarray(y.T).reshape(ts.shape + y.shape[:1]))
     return out
 
 
@@ -169,6 +179,14 @@ class RayBatch(Sequence):
     with zero coefficients, so it evaluates to its initial state. Only this
     module knows the layout. A read evaluates only the columns of the parts it
     asks for. ``det_grid`` and ``focal_times()`` are cached read-only.
+
+    The store is held plane-major: ``coeff_planes`` (7, state, rays *
+    segments) and ``start_planes`` (state, rays * segments), segment s of
+    ray i in column i * segments + s, so the values of one state column
+    in one coefficient plane are one contiguous row and a read gathers
+    them plane by plane (``_dense_states``). ``starts`` and ``coeffs`` are
+    views of these arrays in the (rays, segments[, 7], state) shapes they
+    are built from; arrays that are already such views are not copied.
     """
 
     manifold: ChartManifold
@@ -179,6 +197,17 @@ class RayBatch(Sequence):
     starts: np.ndarray       # (rays, segments, state)
     coeffs: np.ndarray       # (rays, segments, 7, state)
     last: np.ndarray         # (rays,)
+    start_planes: np.ndarray = field(init=False, repr=False)   # (state, rays * segments)
+    coeff_planes: np.ndarray = field(init=False, repr=False)   # (7, state, rays * segments)
+
+    def __post_init__(self):
+        rays, segments, power, state = np.shape(self.coeffs)
+        self.coeff_planes = np.ascontiguousarray(
+            np.transpose(self.coeffs, (2, 3, 0, 1)), dtype=float).reshape(power, state, -1)
+        self.start_planes = np.ascontiguousarray(
+            np.transpose(self.starts, (2, 0, 1)), dtype=float).reshape(state, -1)
+        self.coeffs = self.coeff_planes.reshape(power, state, rays, segments).transpose(2, 3, 0, 1)
+        self.starts = self.start_planes.reshape(state, rays, segments).transpose(1, 2, 0)
 
     def __len__(self) -> int:
         return len(self.rays)
@@ -190,7 +219,8 @@ class RayBatch(Sequence):
         """``parts`` (x v E J Jp by default) of rays ``rows`` at their own times ts (rows, q)."""
         n, ts = self.manifold.dim, np.asarray(ts, dtype=float)
         cols = parts and [_layout(n)[p][0] for p in parts]
-        ys = _dense_states(self.knots, self.starts, self.coeffs, self.last, ts, rows, cols)
+        ys = _dense_states(self.knots, self.start_planes, self.coeff_planes, self.last, ts,
+                           rows, cols)
         if parts is None:
             return _split(ys[0], n)
         return tuple(y.reshape(y.shape[:-1] + _layout(n)[p][1]) for y, p in zip(ys, parts))
@@ -392,18 +422,29 @@ class RaySolution:
         return float(self.batch.focal_times()[self.index])
 
 
-def _ray_rhs(M: ChartManifold, Y: np.ndarray) -> np.ndarray:
+def _ray_rhs(M: ChartManifold, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Derivative of every row of Y: geodesic, parallel frame, Jacobi pair.
 
     One ``_jacobi_batch`` call covers all rows: the geodesic term
     -Gamma(v, v) and the frame term -E (Gamma v)^T come from its Gamma v,
     and J'' = -R(t) J from its Jacobi operator w on the frame
     (``frame_matrix``); Rm is never formed. Each row's result does not
-    depend on the other rows.
+    depend on the other rows. The five parts are written straight into
+    their columns of ``out`` (a new array by default), such as a stage slot
+    of the integrator, so no packed copy is made. Each part is formed in an
+    array of its own and then copied in, so its bits do not depend on
+    ``out``'s layout.
     """
     x, v, E, J, Jp = _split(Y, M.dim)
     gamma_v, gamma_vv, w = _jacobi_batch(M, x, v)
-    return _pack(v, -gamma_vv, -E @ gamma_v.mT, Jp, -frame_matrix(w, E) @ J)
+    out = np.empty_like(Y) if out is None else out
+    dx, dv, dE, dJ, dJp = _split(out, M.dim)
+    dx[...] = v
+    np.negative(gamma_vv, out=dv)
+    dE[...] = -E @ gamma_v.mT
+    dJ[...] = Jp
+    dJp[...] = -frame_matrix(w, E) @ J
+    return out
 
 
 def _chart_exit_fn(M: ChartManifold):
@@ -422,13 +463,32 @@ def _chart_exit_fn(M: ChartManifold):
     return chart_exit
 
 
-def _combine(coeffs: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """sum_s coeffs[s] K[s] over the nonzero coefficients, elementwise."""
-    out = None
-    for c, k in zip(coeffs, K):
-        if c != 0.0:
-            out = c * k if out is None else out + c * k
-    return out
+def _nonzero(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nonzero coefficients, their stage indices) of one tableau row."""
+    stages = np.flatnonzero(coeffs)
+    return coeffs[stages], stages
+
+
+# every stage sum's nonzero coefficients, computed once: the A rows (row 12
+# is never formed, stage 12 being f(y_new)), B, the four dense-output rows D,
+# and the error rows E5 and E3
+_A_ROWS = [_nonzero(row[:s]) for s, row in enumerate(dop853_coefficients.A)]
+_B = _nonzero(_DOP853.B)
+_D_ROWS = [_nonzero(row) for row in dop853_coefficients.D]
+_E5, _E3 = _nonzero(_DOP853.E5), _nonzero(_DOP853.E3)
+
+
+def _combine(row: tuple[np.ndarray, np.ndarray], K: np.ndarray) -> np.ndarray:
+    """sum_s c_s K[s] over a tableau row's nonzero (c_s, s), in one einsum.
+
+    The einsum adds the products into a zeroed output stage by stage, left
+    to right, so each element is (((0 + c_0 K[0]) + c_1 K[1]) + ...), the
+    same operations whatever the batch size. A BLAS product (``tensordot``,
+    ``@``) would choose its own summation order, which may depend on the
+    batch.
+    """
+    coeffs, stages = row
+    return np.einsum("s,s...->...", coeffs, K[stages])
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -453,16 +513,16 @@ def _dop853_step(M, y, h, K) -> np.ndarray:
     """One DOP853 step of every row; K[0] holds f(y), K[1:13] get the stages."""
     hcol = h[:, None]
     for s in range(1, _DOP853.n_stages):
-        K[s] = _ray_rhs(M, y + _combine(_DOP853.A[s, :s], K[:s]) * hcol)
-    y_new = y + hcol * _combine(_DOP853.B, K[:_DOP853.n_stages])
-    K[_DOP853.n_stages] = _ray_rhs(M, y_new)
+        _ray_rhs(M, y + _combine(_A_ROWS[s], K) * hcol, out=K[s])
+    y_new = y + hcol * _combine(_B, K)
+    _ray_rhs(M, y_new, out=K[_DOP853.n_stages])
     return y_new
 
 
 def _error_norms(K, h, scale) -> np.ndarray:
     """DOP853's blended 5th/3rd-order RMS error norm of every row."""
-    err5 = _combine(_DOP853.E5, K) / scale
-    err3 = _combine(_DOP853.E3, K) / scale
+    err5 = _combine(_E5, K) / scale
+    err3 = _combine(_E3, K) / scale
     e5 = np.sum(err5 * err5, axis=1)
     e3 = np.sum(err3 * err3, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -474,14 +534,14 @@ def _dense_coefficients(M, K, y_old, y_new, h) -> np.ndarray:
     """DOP853 dense-output coefficients F (7, rows, state) of accepted steps."""
     hcol = h[:, None]
     for s in range(_DOP853.n_stages + 1, dop853_coefficients.N_STAGES_EXTENDED):
-        K[s] = _ray_rhs(M, y_old + _combine(dop853_coefficients.A[s, :s], K[:s]) * hcol)
+        _ray_rhs(M, y_old + _combine(_A_ROWS[s], K) * hcol, out=K[s])
     f_old, f_new = K[0], K[_DOP853.n_stages]
     delta = y_new - y_old
     F = np.empty((dop853_coefficients.INTERPOLATOR_POWER,) + y_old.shape)
     F[0] = delta
     F[1] = hcol * f_old - delta
     F[2] = 2 * delta - hcol * (f_new + f_old)
-    for row, d in enumerate(dop853_coefficients.D, start=3):
+    for row, d in enumerate(_D_ROWS, start=3):
         F[row] = hcol * _combine(d, K)
     return F
 
@@ -580,14 +640,15 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
         acc = idx[ok]
         y_old, y_acc, t_old, t_acc = y0[ok], y_new[ok], t0[ok], t_new[ok]
         K_acc = K[:, ok]
-        F = np.moveaxis(_dense_coefficients(M, K_acc, y_old, y_acc, h[ok]), 0, 1)
+        F = _dense_coefficients(M, K_acc, y_old, y_acc, h[ok])
         steps.append((acc, counts[acc], t_acc, y_old, F))
         counts[acc] += 1
         g_new = chart_exit(y_acc)
         crossed = (((g[acc] <= 0) & (g_new >= 0)) | ((g[acc] >= 0) & (g_new <= 0)))
         for j in np.flatnonzero(crossed):
-            step = (np.array([[t_old[j], t_acc[j]]]), y_old[None, j:j + 1],
-                    F[None, j:j + 1], np.zeros(1, dtype=int))
+            # ray j's step as a one-ray, one-segment plane-major store
+            step = (np.array([[t_old[j], t_acc[j]]]), y_old[j, :, None], F[:, j, :, None],
+                    np.zeros(1, dtype=int))
             root = brentq(lambda s: chart_exit(_dense_states(*step, np.array([[s]]))[0][0, 0]),
                           float(t_old[j]), float(t_acc[j]), xtol=4 * _EPS, rtol=4 * _EPS)
             fail(int(acc[j]), root, _EVENT_MESSAGE)
@@ -605,16 +666,18 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
     S = max(int(counts.max()), 1)
     knots = np.full((R, S + 1), np.inf)
     knots[:, 0] = 0.0
-    starts = np.zeros((R, S) + y.shape[1:])
-    starts[:, 0] = y_init
-    coeffs = np.zeros((R, S, dop853_coefficients.INTERPOLATOR_POWER) + y.shape[1:])
+    # the plane-major store, filled in place and handed over as views
+    starts = np.zeros(y.shape[1:] + (R, S))
+    starts[:, :, 0] = y_init.T
+    coeffs = np.zeros((dop853_coefficients.INTERPOLATOR_POWER,) + y.shape[1:] + (R, S))
     for acc, seg, t_new, y_old, F in steps:
         knots[acc, seg + 1] = t_new
-        starts[acc, seg] = y_old
-        coeffs[acc, seg] = F
+        starts[:, acc, seg] = y_old.T
+        coeffs[:, :, acc, seg] = F.transpose(0, 2, 1)
     return RayBatch(manifold=M, sigma=sigma, rays=rays,
                     weingarten0=[S_xi for _, S_xi in initial], knots=knots,
-                    starts=starts, coeffs=coeffs, last=np.maximum(counts - 1, 0))
+                    starts=starts.transpose(1, 2, 0), coeffs=coeffs.transpose(2, 3, 0, 1),
+                    last=np.maximum(counts - 1, 0))
 
 
 def integrate_ray(M: ChartManifold, sigma: EmbeddedSubmanifold,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,18 @@ class TestIntegrateRay:
         with pytest.raises(RayIntegrationError) as err:
             integrate_ray(M, sigma, ray)
         assert 1.9 <= err.value.t <= 2.3
+
+    @pytest.mark.parametrize("xi, t_exit", [
+        (np.array([1.0, 0.0, 0.0]), 2.2),
+        (np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0), 2.2 * math.sqrt(2.0))])
+    def test_chart_exit_root_is_the_chart_margin(self, xi, t_exit):
+        # the chart [-2, 2]^3 with its margin of 5 % of the width 4 ends at
+        # x_0 = 2.2; the root is found on the exit step's dense segment
+        M = manifolds.euclidean(3, halfwidth=2.0)
+        sigma = point(M, [0.0, 0.0, 0.0])
+        with pytest.raises(RayIntegrationError) as err:
+            integrate_ray(M, sigma, NormalRay(np.zeros(0), xi, t_max=10.0))
+        assert err.value.t == pytest.approx(t_exit, abs=1e-12)
 
 
 def _grid_rays(M, sigma, t_max):
@@ -220,6 +233,52 @@ class TestBatchedRays:
         assert integrate_rays(M, sigma, []) == []
 
 
+def _stage_tables():
+    """Every stage sum's scipy table row, next to the integrator's nonzero row.
+
+    Stage 12 is f(y_new), so A's row 12 is not a stage sum of the integrator.
+    """
+    from scipy.integrate._ivp import dop853_coefficients
+    from scipy.integrate._ivp.rk import DOP853
+
+    stages = [s for s in range(1, 16) if s != DOP853.n_stages]
+    tables = ([dop853_coefficients.A[s, :s] for s in stages] + [DOP853.B]
+              + list(dop853_coefficients.D) + [DOP853.E5, DOP853.E3])
+    rows = ([transport._A_ROWS[s] for s in stages] + [transport._B] + transport._D_ROWS
+            + [transport._E5, transport._E3])
+    return tables, rows
+
+
+class TestStageSums:
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    def test_every_stage_sum_adds_left_to_right(self, batch):
+        # bitwise ((0 + c_0 K_0) + c_1 K_1) + ... over the nonzero c_s, at any
+        # batch size, on the integrator's strided slice of its stage slots
+        rng = np.random.default_rng(batch)
+        K_all = (rng.standard_normal((16, batch + 3, 20))
+                 * 10.0 ** rng.integers(-8, 9, (16, batch + 3, 20)))
+        K_all[:, :, :2] = rng.choice([0.0, -0.0], (16, batch + 3, 2))
+        K = K_all[:, :batch]
+        tables, rows = _stage_tables()
+        assert len(rows) == 21
+        for table, row in zip(tables, rows):
+            expected = np.zeros(K.shape[1:])
+            for c, k in zip(table, K):
+                if c != 0.0:
+                    expected = expected + c * k
+            got = transport._combine(row, K)
+            assert got.tobytes() == expected.tobytes()
+            assert got[:1].tobytes() == transport._combine(row, K[:, :1]).tobytes()
+
+    def test_integrator_forms_every_stage_sum_through_one_function(self, monkeypatch):
+        used = []
+        combine = transport._combine
+        monkeypatch.setattr(transport, "_combine",
+                            lambda row, K: used.append(id(row)) or combine(row, K))
+        integrate_rays(*equator_rays(3))
+        assert set(used) == {id(row) for row in _stage_tables()[1]}
+
+
 def _scipy_reference(batch, i):
     """Ray i of a store rebuilt as scipy's OdeSolution of Dop853DenseOutput segments."""
     from scipy.integrate import OdeSolution
@@ -255,6 +314,42 @@ class TestRayStore:
         states = _pack(*batch.fields(times))
         for i in range(len(batch)):
             assert np.array_equal(states[i], _scipy_reference(batch, i)(times[i]).T)
+
+    def test_store_is_plane_major_with_views_in_the_built_shapes(self):
+        M, sigma, rays = s3_grid_rays()
+        batch = integrate_rays(M, sigma, rays[:5])
+        R, S = len(batch), batch.knots.shape[1] - 1
+        state = batch.starts.shape[-1]
+        assert batch.coeff_planes.shape == (7, state, R * S)
+        assert batch.start_planes.shape == (state, R * S)
+        assert batch.coeff_planes.flags.c_contiguous and batch.start_planes.flags.c_contiguous
+        assert batch.coeffs.shape == (R, S, 7, state) and batch.starts.shape == (R, S, state)
+        assert np.shares_memory(batch.coeffs, batch.coeff_planes)
+        assert np.shares_memory(batch.starts, batch.start_planes)
+        i, s = 3, int(batch.last[3])
+        assert np.array_equal(batch.coeffs[i, s], batch.coeff_planes[:, :, i * S + s])
+        assert np.array_equal(batch.starts[i, s], batch.start_planes[:, i * S + s])
+        # a store rebuilt from the views shares their memory, not a copy
+        again = dataclasses.replace(batch)
+        assert np.shares_memory(again.coeff_planes, batch.coeff_planes)
+
+    def test_reads_hold_bounded_temporaries(self):
+        # one gathered plane at a time: the peak traced allocation of a read
+        # stays within 5 times the bytes it returns
+        M, sigma, rays = bump_grid_rays()
+        batch = integrate_rays(M, sigma, rays)
+        one_ray = np.linspace(0.0, 2.0, 1025)[None]
+        every_ray = np.linspace(0.0, 2.0, 129)[None].repeat(len(batch), axis=0)
+        for read in (lambda: batch.fields(one_ray, [5], ("J",)),
+                     lambda: batch.fields(every_ray)):
+            tracemalloc.start()
+            try:
+                values = read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            returned = sum(v.nbytes for v in values)
+            assert peak <= 5 * returned
 
     def test_zero_horizon_ray_is_its_initial_state(self):
         from tubecomp.transport import _initial_state
