@@ -116,6 +116,10 @@ class ChartManifold:
     (``metric_grad``, layout dg[..., k, i, j] = d_k g_ij) and second
     derivatives (``metric_hess``, d2g[..., k, l, i, j]) are required
     callbacks, batched the same way.
+    ``conformal_jet`` is set only on a conformally flat chart, g = phi * I:
+    it maps points (..., n) to the 2-jet (phi, d_k phi, d_k d_l phi), shapes
+    (...), (..., n) and (..., n, n), from which ``_jacobi_batch`` reads the
+    ray data in closed form.
     ``extra`` holds builder facts such as a sphere's radius and chart axes.
     """
 
@@ -128,6 +132,7 @@ class ChartManifold:
     volume_validity_radius: float | None = None
     rho_exact: dict[int, float] | None = None
     curvature_support: Box | None = None
+    conformal_jet: Callable[[np.ndarray], tuple] | None = None
     extra: dict = field(default_factory=dict)
 
     def metric_at(self, pts: np.ndarray) -> np.ndarray:
@@ -203,11 +208,26 @@ def _jacobi_batch(M: ChartManifold, xs: np.ndarray, vs: np.ndarray):
 
     Gamma v is (Gamma v)^d_k = Gamma^d_kj v^j (B, n, n), Gamma(v, v) its
     product with v (B, n), and w_pk = Rm_pjkl v^j v^l (B, n, n), the
-    Jacobi operator R(., v)v as a form. All come straight from the 2-jet,
-    in O(n^4) per row, where Rm costs n^5.
+    Jacobi operator R(., v)v as a form. Every row's result depends on that
+    row alone.
 
-    Derivation: with A_alj = d_l g_aj + d_j g_al - d_a g_lj, Gamma v =
-    g^-1 (A v) / 2, where (A v)_al = A_alj v^j = G_la - G_al + (D_v g)_al
+    A conformally flat chart, g = phi * I = e^(2u) * I, gives them in
+    closed form from its ``conformal_jet``, in O(n^2) per row. With
+    u_k = d_k phi / (2 phi), Gamma^i_jk = delta^i_j u_k + delta^i_k u_j -
+    delta_jk u_i, so, with Euclidean dot products and matrices indexed
+    [d, k], Gamma v = (u.v) I + v u^T - u v^T and Gamma(v, v) =
+    2 (u.v) v - |v|^2 u. Under g = e^(2u) delta the curvature is
+    Rm = -e^(2u) A (.) delta (Besse, Einstein Manifolds, 1987, 1.J), with
+    A = Hess u - du du^T + |du|^2 I / 2 = d d phi / (2 phi) - 3 u u^T +
+    |u|^2 I / 2 and the Kulkarni-Nomizu product (h (.) k)_pjkl =
+    h_pk k_jl + h_jl k_pk - h_pl k_jk - h_jk k_pl; in this module's sign
+    convention the unit sphere's Rm is (g (.) g) / 2. Contracting with
+    v^j v^l gives w = phi ((A v) v^T + v (A v)^T - |v|^2 A - (v^T A v) I).
+    phi > 0 on every row stands for the positive-definiteness check.
+
+    Any other chart takes the general formula, straight from the metric's
+    2-jet in O(n^4) per row, where Rm costs n^5. Derivation: with A_alj =
+    d_l g_aj + d_j g_al - d_a g_lj, Gamma v = g^-1 (A v) / 2, where (A v)_al = A_alj v^j = G_la - G_al + (D_v g)_al
     with G_ki = d_k g_ij v^j and D_v g = v^j d_j g. Contracting
     ``_curvature_batch``'s Rm_pjkl = (d_k d_j g_pl - d_k d_p g_lj -
     d_l d_j g_pk + d_l d_p g_kj) / 2 + Q_lpkj - Q_kplj, Q_lpkj =
@@ -219,9 +239,30 @@ def _jacobi_batch(M: ChartManifold, xs: np.ndarray, vs: np.ndarray):
     two indices, and A_dkp c^d = G'_kp + G'_pk - (D_c g)_kp for the vector
     c = Gamma(v, v), G'_kp = d_k g_pd c^d. The metric, gradient and
     Hessian callbacks each read xs once, the metric behind ``_inverse_spd``'s
-    positive-definiteness check, and every row's result depends on that
-    row alone.
+    positive-definiteness check.
     """
+    if M.conformal_jet is not None:
+        phi, dphi, d2phi = M.conformal_jet(xs)
+        if not (phi > 0.0).all():   # False on NaN too
+            raise SingularMetricError(f"metric not positive definite on {M.name}")
+        h = 0.5 / phi
+        u = dphi * h[:, None]
+        uv = np.vecdot(u, vs)[:, None]
+        vv = np.vecdot(vs, vs)[:, None]
+        vu = vs[:, :, None] * u[:, None, :]
+        gamma_v = vu - vu.mT
+        # einsum("bii->bi") is a writeable view of each row's diagonal
+        np.einsum("bii->bi", gamma_v)[...] += uv
+        A = d2phi * h[:, None, None]
+        A -= (3.0 * u)[:, :, None] * u[:, None, :]
+        np.einsum("bii->bi", A)[...] += 0.5 * np.vecdot(u, u)[:, None]
+        Av = (A @ vs[:, :, None])[:, :, 0]
+        w = Av[:, :, None] * vs[:, None, :]
+        w += w.mT
+        w -= vv[:, :, None] * A
+        np.einsum("bii->bi", w)[...] -= np.vecdot(Av, vs)[:, None]
+        w *= phi[:, None, None]
+        return gamma_v, 2.0 * uv * vs - vv * u, w
     ginv = _inverse_spd(M.metric_at(xs), M.name)
     dg = M.metric_grad(xs)
     d2g = M.metric_hess(xs)

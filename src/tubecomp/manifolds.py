@@ -4,7 +4,10 @@ All metric callables are vectorized over leading batch axes, and every
 chart gives its exact metric gradient and Hessian. Every conformally flat
 chart (flat tori, stereographic spheres, the upper half-space and the
 conformal bump) is g = phi * I, built by ``_conformal`` from one 2-jet of
-phi that its metric, gradient and Hessian callbacks share.
+phi. The chart keeps that jet as ``conformal_jet``, from which the ray
+kernel ``geometry._jacobi_batch`` reads its Jacobi data in closed form; the
+metric, gradient and Hessian callbacks, which the full curvature tensor
+reads, share one memoized evaluation of it.
 """
 
 from __future__ import annotations
@@ -32,11 +35,14 @@ __all__ = [
 
 
 def _conformal(n, jet):
-    """metric, grad and hess of g = phi * I from the 2-jet (phi, d_k phi, d_k d_l phi).
+    """``ChartManifold`` fields of g = phi * I from the 2-jet (phi, d_k phi, d_k d_l phi).
 
     ``jet`` maps rows x (..., n) to arrays (...), (..., n) and (..., n, n).
-    The three callbacks read the same rows in every curvature call, so the
-    last rows' jet is kept, keyed on their shape and bytes.
+    It is handed to the chart as ``conformal_jet`` as it is, and the ray
+    kernel (``geometry._jacobi_batch``) calls it once per batch. The metric,
+    grad and hess callbacks serve ``_connection_batch`` and
+    ``_curvature_batch``, which read all three on the same rows, so they
+    keep the last rows' jet, keyed on their shape and bytes.
     """
     eye = np.eye(n)
     memo = {}
@@ -57,7 +63,8 @@ def _conformal(n, jet):
     def hess(x):
         return shared(x)[2][..., :, :, None, None] * eye
 
-    return metric, grad, hess
+    return {"dim": n, "metric": metric, "metric_grad": grad, "metric_hess": hess,
+            "conformal_jet": jet}
 
 
 def _flat_jet(x):
@@ -68,19 +75,15 @@ def _flat_jet(x):
 
 def euclidean(n: int, halfwidth: float = 6.0) -> ChartManifold:
     """Flat R^n on an open box chart."""
-    metric, grad, hess = _conformal(n, _flat_jet)
     domain = Box(-halfwidth * np.ones(n), halfwidth * np.ones(n), (False,) * n)
-    return ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
-                         metric_hess=hess, name=f"euclidean{n}",
+    return ChartManifold(**_conformal(n, _flat_jet), domain=domain, name=f"euclidean{n}",
                          rho_exact={k: 0.0 for k in range(1, n)})
 
 
 def flat_torus(n: int, side: float = 2.0 * math.pi) -> ChartManifold:
     """Flat torus with all periods equal to ``side``."""
-    metric, grad, hess = _conformal(n, _flat_jet)
     domain = Box(np.zeros(n), side * np.ones(n), (True,) * n)
-    return ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
-                         metric_hess=hess, name=f"flat_torus{n}",
+    return ChartManifold(**_conformal(n, _flat_jet), domain=domain, name=f"flat_torus{n}",
                          rho_exact={k: 0.0 for k in range(1, n)})
 
 
@@ -115,10 +118,8 @@ def sphere(n: int, radius: float = 1.0, axes: np.ndarray | None = None,
                 -16.0 * R2 * eye * (u**-3)[..., None, None]
                 + 96.0 * R2 * (x[..., :, None] * x[..., None, :]) * (u**-4)[..., None, None])
 
-    metric, grad, hess = _conformal(n, jet)
     domain = Box(-halfwidth * np.ones(n), halfwidth * np.ones(n), (False,) * n)
-    return ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
-                         metric_hess=hess, name=f"sphere{n}_r{radius:g}",
+    return ChartManifold(**_conformal(n, jet), domain=domain, name=f"sphere{n}_r{radius:g}",
                          rho_exact={k: k / R2 for k in range(1, n)},
                          extra={"kind": "sphere", "radius": radius, "axes": axes})
 
@@ -238,11 +239,10 @@ def hyperbolic(n: int, z_range: tuple[float, float] = (0.02, 20.0),
         d2phi[..., n - 1, n - 1] = 6.0 * z**-4.0
         return z**-2.0, dphi, d2phi
 
-    metric, grad, hess = _conformal(n, jet)
     lo = np.concatenate([-halfwidth * np.ones(n - 1), [z_range[0]]])
     hi = np.concatenate([halfwidth * np.ones(n - 1), [z_range[1]]])
-    return ChartManifold(dim=n, metric=metric, domain=Box(lo, hi, (False,) * n),
-                         metric_grad=grad, metric_hess=hess, name=f"hyperbolic{n}",
+    return ChartManifold(**_conformal(n, jet), domain=Box(lo, hi, (False,) * n),
+                         name=f"hyperbolic{n}",
                          rho_exact={k: -float(k) for k in range(1, n)})
 
 
@@ -389,12 +389,11 @@ def bump_torus(n: int, side: float = 2.0 * math.pi, amplitude: float = 0.1,
         return (phi, 2.0 * fk * phi[..., None],
                 (2.0 * fkl + 4.0 * fk[..., :, None] * fk[..., None, :]) * phi[..., None, None])
 
-    metric, grad, hess = _conformal(n, jet)
     domain = Box(np.zeros(n), side * np.ones(n), (True,) * n)
     lo, hi = np.mod(center, side) - width, np.mod(center, side) + width
     support = Box(lo, hi, (False,) * n) if np.all((lo >= 0) & (hi <= side)) else None
-    return ChartManifold(dim=n, metric=metric, domain=domain, metric_grad=grad,
-                         metric_hess=hess, name=f"bump_torus{n}_eps{amplitude:g}",
+    return ChartManifold(**_conformal(n, jet), domain=domain,
+                         name=f"bump_torus{n}_eps{amplitude:g}",
                          curvature_support=support,
                          extra={"kind": "bump_torus", "amplitude": amplitude,
                                 "center": center.copy(), "width": width.copy(),

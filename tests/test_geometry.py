@@ -1,5 +1,6 @@
 """Curvature, k-Ricci, and deficit-norm tests on the built-in manifolds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -279,6 +280,47 @@ def jacobi_case(name, batch):
     return M, X, V
 
 
+def conformal_rows(name, batch):
+    """A conformally flat builder chart with ``batch`` rows and g-unit directions:
+    the sphere on a tilted chart with rows 2 to 40 from the origin, the
+    upper half-space from z = 0.03 to 15, and the bump half inside its
+    support and half outside."""
+    rng = np.random.default_rng([batch, len(name)])
+    if name == "sphere":
+        M = manifolds.sphere(4, radius=1.5, axes=manifolds.axes_with_pole([1.0, 2.0, -1.0, 0.5, 3.0]))
+        d = rng.standard_normal((batch, 4))
+        X = np.geomspace(2.0, 40.0, batch)[:, None] * d / np.linalg.norm(d, axis=1)[:, None]
+    elif name == "hyperbolic":
+        M = manifolds.hyperbolic(4)
+        X = np.column_stack([rng.uniform(-3.0, 3.0, (batch, 3)), np.geomspace(0.03, 15.0, batch)])
+    elif name == "bump_torus":
+        M = manifolds.bump_torus(4)
+        inside = np.arange(batch) % 2 == 0
+        X = math.pi + rng.uniform(-0.9, 0.9, (batch, 4))
+        X[~inside, 0] += 2.0                      # |x_0 - pi| > 1, outside the support
+    else:
+        M = manifolds.MANIFOLD_BUILDERS[name](4)
+        lo, hi = M.domain.lo, M.domain.hi
+        X = lo + rng.uniform(0.1, 0.9, (batch, 4)) * (hi - lo)
+    V = rng.standard_normal((batch, 4))
+    V /= np.sqrt(np.einsum("bi,bij,bj->b", V, M.metric_at(X), V))[:, None]
+    return M, X, V
+
+
+def general_formula(M):
+    """The same chart without its conformal jet, so ``_jacobi_batch`` takes the 2-jet formula."""
+    return dataclasses.replace(M, conformal_jet=None)
+
+
+def conformal_chart_with(bad):
+    """g = phi * I on R^2 with phi = 1, but phi = ``bad`` on the line x_0 = 0.5."""
+
+    def jet(x):
+        return (np.where(x[..., 0] == 0.5, bad, 1.0), np.zeros(x.shape),
+                np.zeros(x.shape + (2,)))
+    return ChartManifold(**manifolds._conformal(2, jet), domain=Box([-1, -1], [1, 1], (False, False)))
+
+
 class TestJacobiKernel:
     """``_jacobi_batch`` gives Gamma v, Gamma(v, v) and Rm(., v, ., v) without Rm."""
 
@@ -327,6 +369,43 @@ class TestJacobiKernel:
                           metric_hess=lambda x: np.zeros(np.shape(x)[:-1] + (2,) * 4))
         with pytest.raises(SingularMetricError):
             _jacobi_batch(M, np.zeros((3, 2)), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("name", ["euclidean", "flat_torus", "sphere", "hyperbolic",
+                                      "bump_torus"])
+    def test_closed_form_equals_the_general_formula(self, name):
+        M, X, V = conformal_rows(name, 64)
+        assert M.conformal_jet is not None
+        got = _jacobi_batch(M, X, V)
+        want = _jacobi_batch(general_formula(M), X, V)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(b)))
+        if name == "bump_torus":   # rows outside the support are flat on both paths
+            outside = np.abs(X[:, 0] - math.pi) > 1.0
+            assert np.all(outside[1::2]) and not np.any(outside[::2])
+            assert all(np.all(a[outside] == 0.0) for a in want)
+            assert np.all(got[2][~outside].any(axis=(1, 2)))
+        for i in range(len(X)):
+            alone = _jacobi_batch(M, X[i:i + 1], V[i:i + 1])
+            for a, b in zip(alone, got):
+                assert a[0].tobytes() == b[i].tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_closed_form_refuses_a_nonpositive_phi(self, bad):
+        # one bad row of seven: the closed form refuses the batch and that row
+        # alone, as the general path's Cholesky check does; numpy's Cholesky
+        # lets a NaN through, so for NaN only the closed form is checked
+        X, V = np.zeros((7, 2)), np.ones((7, 2))
+        X[3, 0] = 0.5
+        M = conformal_chart_with(bad)
+        for chart in (M,) if np.isnan(bad) else (M, general_formula(M)):
+            with pytest.raises(SingularMetricError):
+                _jacobi_batch(chart, X, V)
+            for i in range(7):
+                if i == 3:
+                    with pytest.raises(SingularMetricError):
+                        _jacobi_batch(chart, X[i:i + 1], V[i:i + 1])
+                else:
+                    _jacobi_batch(chart, X[i:i + 1], V[i:i + 1])
 
 
 def bump_jet_by_pairs(b, db, d2b, amplitude):

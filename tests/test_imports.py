@@ -176,6 +176,7 @@ def test_conformal_charts_share_one_jet_helper():
         (conformal if multiple_of_eye else other).append(name)
         if multiple_of_eye:
             assert M.metric.__qualname__.startswith("_conformal."), name
+        assert (M.conformal_jet is not None) == multiple_of_eye, name
     assert {"bump_torus", "euclidean", "flat_torus", "hyperbolic", "sphere"} <= set(conformal)
     assert sorted(other) == ["product", "sphere_colatitude", "warped_product"]
 
@@ -309,8 +310,9 @@ def test_curvature_source_detector():
 
 def test_one_curvature_source_along_rays():
     # the ray ODE and the checks read curvature only through
-    # geometry._jacobi_batch, and the parallel-frame curvature matrix is
-    # formed only in geometry (frame_matrix)
+    # geometry._jacobi_batch, the parallel-frame curvature matrix is
+    # formed only in geometry (frame_matrix), and only geometry reads a
+    # chart's phi-jet (manifolds hands it over as a keyword)
     src = ROOT / "src" / "tubecomp"
     for name in ("transport.py", "verification.py"):
         text = (src / name).read_text()
@@ -320,3 +322,5 @@ def test_one_curvature_source_along_rays():
             if path.name != "geometry.py"} == {
         path.name: [] for path in SOURCES if path.name != "geometry.py"}
     assert len(curvature_sources((src / "geometry.py").read_text())) >= 1
+    assert [path.name for path in SOURCES
+            if "conformal_jet" in attributes_read(ast.parse(path.read_text()))] == ["geometry.py"]
