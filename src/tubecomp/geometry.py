@@ -151,7 +151,12 @@ class ChartManifold:
 
 
 def _inverse_spd(g: np.ndarray, name: str) -> np.ndarray:
-    """Inverse of a batch of SPD matrices; a Cholesky factorization checks definiteness."""
+    """Inverse of a batch of SPD matrices; a Cholesky factorization checks definiteness.
+
+    A non-finite entry is refused first: Cholesky passes a NaN row.
+    """
+    if not np.isfinite(g).all():
+        raise SingularMetricError(f"metric not finite on {name}")
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:

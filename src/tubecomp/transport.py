@@ -5,7 +5,12 @@ linear Jacobi system J'' = -R(t) J with block initial conditions
 J(0) = diag(I_m, 0), J'(0) = diag(S_xi, I_{n-m-1}) carries the same
 information and is regular at t = 0. The shape operator of the distance
 level sets is recovered as S(t) = J'(t) J(t)^{-1} by ``shape_operator``,
-the one place that forms it, and the polar volume density as det J(t).
+the one place that forms it, and the polar volume density as det J(t)
+by ``jacobi_det``, the one place that forms that. J is (n-1) x (n-1),
+3 x 3 or smaller on every shipped scenario but ``flat_t5_torus2``, and
+``jacobi_det`` writes such determinants out in closed form: LAPACK's LU
+followed by sign * exp(sum log |u_ii|) costs several times as much per
+matrix and rounds even a 1 x 1 one.
 A ray is read through arrays of times only: ``RaySolution.fields(ts)``
 gives the state parts, and ``RaySolution.shape_fields(ts)`` adds S behind
 the guards that keep it away from t = 0 and the first focal time, which
@@ -39,6 +44,7 @@ __all__ = [
     "RayBatch",
     "integrate_ray",
     "integrate_rays",
+    "jacobi_det",
     "shape_operator",
     "partial_trace",
     "split_traces",
@@ -131,6 +137,21 @@ def _initial_state(node: BaseNode, xi) -> tuple[np.ndarray, np.ndarray]:
     return _pack(node.position, xi, frame0, J0, Jp0), S_xi
 
 
+def _row_searchsorted(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(a[i], v[i], side)`` for every row i of a (rows, k) and v (rows, q).
+
+    One search serves all rows, since a loop would cost a Python call per
+    row: entry (i, j) becomes the complex key i k + 1j a[i, j], and numpy
+    orders complex numbers real part first, so v[i, j], keyed alike, lands
+    among row i's entries alone, by the same float comparisons, at i k
+    plus its place in the row.
+    """
+    offsets = np.arange(0, a.size, a.shape[1])[:, None]
+    keys, probes = np.empty(a.shape, complex), np.empty(v.shape, complex)
+    keys.real, keys.imag, probes.real, probes.imag = offsets, a, offsets, v
+    return np.searchsorted(keys.ravel(), probes, side) - offsets
+
+
 def _dense_states(knots, starts, coeffs, last, ts, rows=None, cols=None) -> list[np.ndarray]:
     """Columns (k, q, width) of store rows ``rows`` (default all) at their own times ts (k, q).
 
@@ -149,9 +170,9 @@ def _dense_states(knots, starts, coeffs, last, ts, rows=None, cols=None) -> list
     planes would hold seven.
     """
     rows = (np.arange(len(knots)) if rows is None else np.asarray(rows))[:, None]
-    # knots[:, 0] = 0, so counting the later knots below t gives
+    # knots[:, 0] = 0, so the count of later knots below t is
     # searchsorted(knots, t) - 1 already floored at segment 0
-    seg = np.minimum((knots[rows][..., 1:] < ts[..., None]).sum(axis=-1), last[rows])
+    seg = np.minimum(_row_searchsorted(knots[rows[:, 0], 1:], ts, "left"), last[rows])
     t_old = knots[rows, seg]
     x = ((ts - t_old) / (knots[rows, seg + 1] - t_old)).ravel()
     one_minus_x = 1.0 - x
@@ -227,7 +248,7 @@ class RayBatch(Sequence):
 
     def density(self, ts, rows=None) -> np.ndarray:
         """det J of rays ``rows`` (default all) at their own times ts (rows, q)."""
-        return np.linalg.det(self.fields(ts, rows, ("J",))[0])
+        return jacobi_det(self.fields(ts, rows, ("J",))[0])
 
     def shape_fields(self, ts, rows=None):
         """(S, (x, v, E, J, J')) of rays ``rows`` (default all) at their own times ts (rows, q).
@@ -256,7 +277,7 @@ class RayBatch(Sequence):
                 f"t={ts[tuple(i)]} at/beyond focal time {focal[i[0], 0]:.9g}")
         fields = self.fields(np.minimum(ts, t_max), rows)
         J = fields[3]
-        det = np.linalg.det(J)
+        det = jacobi_det(J)
         small = np.abs(det) < 1e-12 * self.det_scale(ts, rows)
         if small.any():
             i = tuple(np.argwhere(small)[0])
@@ -269,8 +290,8 @@ class RayBatch(Sequence):
         rows = np.arange(len(self)) if rows is None else np.asarray(rows)
         grid, dets = (a[rows] for a in self.det_grid)
         running = np.maximum(1.0, np.maximum.accumulate(np.abs(dets), axis=1))
-        # the grid nodes at or below t, counted, are searchsorted(side="right")
-        last = (grid[:, None, :] <= np.asarray(ts)[..., None] + 1e-12).sum(axis=-1) - 1
+        # the last grid node at or below t
+        last = _row_searchsorted(grid, np.asarray(ts) + 1e-12, "right") - 1
         return np.where(last >= 0, np.take_along_axis(running, np.maximum(last, 0), axis=1),
                         1.0)
 
@@ -397,7 +418,8 @@ class RaySolution:
 
     def density(self, ts):
         """Polar volume density det J at the time or times ts."""
-        return np.linalg.det(self.fields(ts, ("J",))[0])
+        ts = np.asarray(ts, dtype=float)
+        return self.batch.density(ts.reshape(1, -1), [self.index])[0].reshape(ts.shape)
 
     def shape_fields(self, ts):
         """(S, (x, v, E, J, J')) at a time t or along a 1-D array of times ts.
@@ -687,7 +709,27 @@ def integrate_ray(M: ChartManifold, sigma: EmbeddedSubmanifold,
 
 
 # ---------------------------------------------------------------------------
-# the shape operator and its traces
+# the density, the shape operator and its traces
+
+
+def jacobi_det(J: np.ndarray) -> np.ndarray:
+    """det J of (..., r, r) Jacobi matrices over any leading batch axes.
+
+    For r <= 3 the closed form: the entry, ad - bc, or the cofactor
+    expansion along the first row, the same products for every matrix
+    whatever the batch. ``np.linalg.det`` for r >= 4 (the module
+    docstring says why not throughout).
+    """
+    J = np.asarray(J, dtype=float)
+    r = J.shape[-1]
+    if r == 1:
+        return np.positive(J[..., 0, 0])
+    if r == 2:
+        return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    if r == 3:
+        (a, b, c), (d, e, f), (g, h, i) = ([J[..., k, l] for l in range(3)] for k in range(3))
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return np.linalg.det(J)
 
 
 def shape_operator(J: np.ndarray, Jp: np.ndarray) -> np.ndarray:
@@ -759,7 +801,7 @@ def structural_residuals(solution: RaySolution) -> dict | None:
     offsets = np.array([0.0, h / 2.0, -h / 2.0, h, -h, 2.0 * h, -2.0 * h])
     S_all, (x, v, E, J_all, Jp_all) = solution.shape_fields(
         np.append((ts[:, None] + offsets).ravel(), t0))
-    dets = np.linalg.det(J_all)
+    dets = jacobi_det(J_all)
     S, dets_t = S_all[:-1].reshape((9, 7) + S_all.shape[1:]), dets[:-1].reshape(9, 7)
     at_t = slice(0, -1, 7)
     S0, J, Jp = S[:, 0], J_all[at_t], Jp_all[at_t]

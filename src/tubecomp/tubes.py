@@ -18,7 +18,7 @@ from .geometry import ChartManifold
 from .models import first_zero, hk_integrand, sphere_volume
 from .quadrature import gauss_legendre_panels
 from .submanifolds import EmbeddedSubmanifold, NormalFiberGrid, base_node, unit_normal_grid
-from .transport import NormalRay, RayBatch, integrate_rays
+from .transport import NormalRay, RayBatch, integrate_rays, jacobi_det
 
 __all__ = [
     "QuadratureSpec",
@@ -133,7 +133,7 @@ class TubeSampler:
                                        self.spec.t_nodes_per_panel)
         positions, J = self.rays.fields(ts, parts=("x", "J"))
         deficit = np.maximum(H - rho(positions.reshape(-1, self.M.dim)), 0.0)
-        integrand = deficit.reshape(ts.shape) ** p * np.linalg.det(J)
+        integrand = deficit.reshape(ts.shape) ** p * jacobi_det(J)
         return _ray_sum(self.weights * _row_dots(tw, integrand)) ** (1.0 / p)
 
     def hk_bound(self, H: float, r: float) -> float:

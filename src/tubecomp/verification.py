@@ -33,6 +33,7 @@ from .transport import (
     NormalRay,
     growth_factors,
     integrate_rays,
+    jacobi_det,
     partial_trace,
     structural_residuals,
 )
@@ -468,7 +469,7 @@ def check_lemma_51_52(scenario: Scenario) -> list[BoundReport]:
     ts = np.linspace(eps, his, 129, axis=-1)          # (rays, times)
     positions, Js, Jps = sampler.rays.fields(ts, idx, ("x", "J", "Jp"))
     phi, psi, j_scalar, y_scalar = growth_factors(ts, Js, Jps, m)
-    A = np.linalg.det(Js)
+    A = jacobi_det(Js)
     points = positions.reshape(-1, n)
     rho_m = scenario.rho(points, m).reshape(ts.shape)
     rho_k = rho_m if k == m else scenario.rho(points, k).reshape(ts.shape)

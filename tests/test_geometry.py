@@ -392,12 +392,11 @@ class TestJacobiKernel:
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
     def test_closed_form_refuses_a_nonpositive_phi(self, bad):
         # one bad row of seven: the closed form refuses the batch and that row
-        # alone, as the general path's Cholesky check does; numpy's Cholesky
-        # lets a NaN through, so for NaN only the closed form is checked
+        # alone, as the general path's finiteness and Cholesky checks do
         X, V = np.zeros((7, 2)), np.ones((7, 2))
         X[3, 0] = 0.5
         M = conformal_chart_with(bad)
-        for chart in (M,) if np.isnan(bad) else (M, general_formula(M)):
+        for chart in (M, general_formula(M)):
             with pytest.raises(SingularMetricError):
                 _jacobi_batch(chart, X, V)
             for i in range(7):

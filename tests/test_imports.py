@@ -324,3 +324,47 @@ def test_one_curvature_source_along_rays():
     assert len(curvature_sources((src / "geometry.py").read_text())) >= 1
     assert [path.name for path in SOURCES
             if "conformal_jet" in attributes_read(ast.parse(path.read_text()))] == ["geometry.py"]
+
+
+def det_reads(source: str) -> list[str]:
+    """The function (``<module>`` at top level) around each read of numpy's det.
+
+    A read is an attribute ``det`` of anything named ``linalg``
+    (``np.linalg.det``, ``numpy.linalg.det``, ``linalg.det``) or a name
+    imported as ``det`` from ``numpy.linalg``; called or not, it counts.
+    """
+    tree = ast.parse(source)
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+               for a in node.names if a.name == "det"}
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if ((isinstance(child, ast.Attribute) and child.attr == "det"
+                 and ast.unparse(child.value).split(".")[-1] == "linalg")
+                    or (isinstance(child, ast.Name) and child.id in aliases)):
+                found.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+    visit(tree, "<module>")
+    return found
+
+
+def test_det_read_detector():
+    source = ("import numpy as np\nimport numpy\nfrom numpy import linalg\n"
+              "from numpy.linalg import det as lu_det, inv\n"
+              "d0 = np.linalg.det(g)\n"
+              "def f(J):\n    return numpy.linalg.det(J) + linalg.det(J)\n"
+              "class A:\n    def g(self, J):\n        return lu_det(J), inv(J)\n"
+              "def h(J):\n    det = np.prod(J)\n    return J.det + det + np.linalg.slogdet(J)\n"
+              "reader = np.linalg.det\n")
+    assert det_reads(source) == ["<module>", "f", "f", "g", "<module>"]
+
+
+def test_one_det_of_the_jacobi_matrix():
+    # det J is formed only by transport.jacobi_det; np.linalg.det is its
+    # r >= 4 fallback and is read nowhere else along the rays
+    src = ROOT / "src" / "tubecomp"
+    assert {name: det_reads((src / name).read_text())
+            for name in ("transport.py", "tubes.py", "verification.py")} == {
+        "transport.py": ["jacobi_det"], "tubes.py": [], "verification.py": []}

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -351,6 +352,31 @@ class TestRayStore:
             returned = sum(v.nbytes for v in values)
             assert peak <= 5 * returned
 
+    def test_segment_search_equals_the_comparison_count(self):
+        # rows at t_max = 0 (padded to [0, inf, ...]), 0.7 and 2.5, read in
+        # order, reversed and repeated, at every knot, between knots, before
+        # 0 and past t_max
+        M, sigma, rays = sphere_point_rays(3)
+        batch = integrate_rays(M, sigma, rays)
+        later = batch.knots[:, 1:]
+        assert batch.last[0] == 0 and np.isinf(later[0]).all()
+        ends = np.array([ray.t_max for ray in rays])[:, None]
+        finite = np.where(np.isfinite(later), later, ends)
+        ts = np.concatenate([finite, 0.5 * (finite[:, :-1] + finite[:, 1:]),
+                             [[-1e-3, -0.0, 0.0]] * 3, ends + [0.0, 1e-12, 0.4, np.inf]],
+                            axis=1)
+        for rows in ([0, 1, 2], [2, 1, 0], [1, 1, 2, 0, 2]):
+            a, v = later[rows], ts[rows]
+            for side, below in (("left", np.less), ("right", np.less_equal)):
+                want = below(a[:, None, :], v[..., None]).sum(axis=-1)
+                assert np.array_equal(transport._row_searchsorted(a, v, side), want)
+        # det_scale's search of each ray's det grid
+        grid = batch.det_grid[0]
+        ts = np.concatenate([grid[:, ::31], grid[:, 5::31] + 1e-13, grid[:, 7::31] + 2e-12,
+                             [[-1.0, 0.0]] * 3, grid[:, -1:] + 0.1], axis=1) + 1e-12
+        want = (grid[:, None, :] <= ts[..., None]).sum(axis=-1)
+        assert np.array_equal(transport._row_searchsorted(grid, ts, "right"), want)
+
     def test_zero_horizon_ray_is_its_initial_state(self):
         from tubecomp.transport import _initial_state
 
@@ -471,7 +497,10 @@ class TestShapeFields:
         M, sigma, ray = hyperbolic_point_ray(t_max=2.0)
         sol = integrate_ray(M, sigma, ray)
         grid, dets = (a[0] for a in sol.batch.det_grid)
-        ts = np.concatenate([[-1.0, 0.0], grid[::37], grid[::41] + 1e-13, [2.0]])
+        # grid - 1e-12 + 1e-12 lands on the node itself for some nodes
+        ts = np.concatenate([[-1.0, 0.0], grid[::37], grid[::41] + 1e-13, grid[::43] - 1e-12,
+                             [2.0]])
+        assert np.any(ts[-25:-1] + 1e-12 == grid[::43])
         want = [max(1.0, float(np.max(np.abs(dets[grid <= t + 1e-12]))))
                 if (grid <= t + 1e-12).any() else 1.0 for t in ts]
         assert np.array_equal(sol.det_scale(ts), want)
@@ -733,7 +762,7 @@ def sphere_point_rays(n):
 
 def full_state_density(batch, ts, rows=None):
     """det J from a read of the whole state: what a J-only read must equal bitwise."""
-    return np.linalg.det(batch.fields(ts, rows)[3])
+    return transport.jacobi_det(batch.fields(ts, rows)[3])
 
 
 class TestPartialReads:
@@ -829,6 +858,98 @@ class TestPartialReads:
         batch.fields(np.zeros((len(batch), 3)))
         batch.fields(np.zeros((len(batch), 3)), None, ("x", "J", "Jp"))
         assert widths == [state, n + 2 * (n - 1) ** 2]
+
+
+def exact_det(rows) -> Fraction:
+    """det of a small matrix given as rows of Fractions, by Laplace expansion."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * rows[0][j] * exact_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def det_tolerance(J, lapack):
+    """8 ulp of Hadamard's bound prod |row| on |det J|, plus np.linalg.det's own
+    rounding: it forms sign * exp(sum log |u_ii|), whose relative error grows
+    like |log |det J|| ulp."""
+    hadamard = np.prod(np.linalg.norm(J, axis=-1), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drift = np.where(lapack != 0.0, np.abs(lapack * np.log(np.abs(lapack))), 0.0)
+    return np.finfo(float).eps * (8.0 * hadamard + drift)
+
+
+def synthetic_jacobians(r, kind):
+    """(64, r, r) random J, scaled to entries near 1e-100 or 1e100, or near-singular."""
+    rng = np.random.default_rng(r)
+    J = rng.standard_normal((64, r, r))
+    if kind == "near_singular":
+        J[:, -1] = np.einsum("ki,kij->kj", rng.standard_normal((64, r - 1)), J[:, :-1])
+        J[:, -1] += 1e-12 * rng.standard_normal((64, r))
+    return J * {"tiny": 1e-100, "huge": 1e100}.get(kind, 1.0)
+
+
+def ray_jacobians(r, kind):
+    """J (rays, 33, r, r) along rays from a point of S^(r+1), or from a sub-torus
+    of the bump torus T^(r+1) with a normal fiber of dimension 1 or 2, at 33
+    times in [0, 2]."""
+    if kind == "point":
+        M, sigma, rays = sphere_point_rays(r + 1)
+    else:
+        M = manifolds.bump_torus(r + 1, amplitude=0.1, width=1.2)
+        sigma = sub_torus(M, range(max(1, r - 2)), np.full(r + 1, math.pi - 0.5))
+        rays = _grid_rays(M, sigma, 2.0)[::3]
+    batch = integrate_rays(M, sigma, rays)
+    ts = np.linspace(0.0, 2.0, 33)[None].repeat(len(batch), axis=0)
+    return batch.fields(ts, None, ("J",))[0]
+
+
+def jacobian_cases(kinds):
+    return [(r, kind) for kind in kinds for r in range(1, 6)
+            if not (kind in ("near_singular", "sub_torus") and r == 1)]
+
+
+class TestJacobiDet:
+    """jacobi_det: closed forms for r <= 3, np.linalg.det beyond."""
+
+    @pytest.mark.parametrize("r, kind", jacobian_cases(
+        ["random", "tiny", "huge", "near_singular", "point", "sub_torus"]))
+    def test_agrees_with_lapack(self, r, kind):
+        J = (ray_jacobians(r, kind) if kind in ("point", "sub_torus")
+             else synthetic_jacobians(r, kind))
+        with np.errstate(over="ignore"):     # r >= 4 at entries 1e100: det = inf
+            got, lapack = transport.jacobi_det(J), np.linalg.det(J)
+        assert got.shape == J.shape[:-2]
+        if r >= 4:
+            assert got.tobytes() == lapack.tobytes()
+            return
+        assert np.all(np.abs(got - lapack) <= det_tolerance(J, lapack))
+        # and the closed form against the exact determinant of its entries
+        hadamard = np.prod(np.linalg.norm(J, axis=-1), axis=-1)
+        eps = Fraction(np.finfo(float).eps)
+        for k in np.ndindex(J.shape[:-2]):
+            if k[-1] % 4 == 0:
+                want = exact_det([[Fraction(x) for x in row] for row in J[k].tolist()])
+                assert abs(Fraction(got[k]) - want) <= 8 * eps * Fraction(hadamard[k])
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_exact_zero_at_the_start(self, r):
+        # J(0) = diag(I_m, 0) with a zero block, from every m < r, and as the rays read it
+        for m in range(r):
+            J0 = np.diag(np.r_[np.ones(m), np.zeros(r - m)])
+            assert transport.jacobi_det(J0) == 0.0
+        assert transport.jacobi_det(np.eye(r)) == 1.0
+        for kind in ("point", "sub_torus") if r > 1 else ("point",):
+            assert np.all(transport.jacobi_det(ray_jacobians(r, kind)[:, 0]) == 0.0)
+
+    @pytest.mark.parametrize("r, kind", jacobian_cases(["random", "near_singular",
+                                                        "point", "sub_torus"]))
+    def test_batch_one_equals_batch_n(self, r, kind):
+        J = (ray_jacobians(r, kind) if kind in ("point", "sub_torus")
+             else synthetic_jacobians(r, kind).reshape(8, 8, r, r))
+        got = transport.jacobi_det(J)
+        for i in range(len(J)):
+            assert transport.jacobi_det(J[i:i + 1]).tobytes() == got[i:i + 1].tobytes()
+            assert transport.jacobi_det(J[i, 3]) == got[i, 3]
 
 
 def jy_at(sol, t):
