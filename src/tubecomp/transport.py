@@ -5,12 +5,10 @@ linear Jacobi system J'' = -R(t) J with block initial conditions
 J(0) = diag(I_m, 0), J'(0) = diag(S_xi, I_{n-m-1}) carries the same
 information and is regular at t = 0. The shape operator of the distance
 level sets is recovered as S(t) = J'(t) J(t)^{-1} by ``shape_operator``,
-the one place that forms it, and the polar volume density as det J(t)
-by ``jacobi_det``, the one place that forms that. J is (n-1) x (n-1),
-3 x 3 or smaller on every shipped scenario but ``flat_t5_torus2``, and
-``jacobi_det`` writes such determinants out in closed form: LAPACK's LU
-followed by sign * exp(sum log |u_ii|) costs several times as much per
-matrix and rounds even a 1 x 1 one.
+the one place that forms it, and the polar volume density det J(t) by one
+Laplace expansion (``_laplace_det``): ``jacobi_det`` applies it to values,
+and the focal search to the J of each dense segment in Bernstein form, on
+which det J is a polynomial of degree 7(n-1).
 A ray is read through arrays of times only: ``RaySolution.fields(ts)``
 gives the state parts, and ``RaySolution.shape_fields(ts)`` adds S behind
 the guards that keep it away from t = 0 and the first focal time, which
@@ -199,7 +197,7 @@ class RayBatch(Sequence):
     past it are +inf. A ray with t_max = 0 has the one segment [0, inf)
     with zero coefficients, so it evaluates to its initial state. Only this
     module knows the layout. A read evaluates only the columns of the parts it
-    asks for. ``det_grid`` and ``focal_times()`` are cached read-only.
+    asks for. det J in Bernstein form and ``focal_times()`` are cached read-only.
 
     The store is held plane-major: ``coeff_planes`` (7, state, rays *
     segments) and ``start_planes`` (state, rays * segments), segment s of
@@ -286,97 +284,83 @@ class RayBatch(Sequence):
         return shape_operator(J, fields[4]), fields
 
     def det_scale(self, ts, rows=None) -> np.ndarray:
-        """max(1, |det J|) over each ray's det grid up to its own times ts (rows, q)."""
+        """An upper bound of max(1, |det J|) on [0, t], rays ``rows`` at their own times ts.
+
+        The largest |coefficient| of det J in Bernstein form on each earlier
+        segment and on the segment holding t, cut at t by de Casteljau.
+        """
         rows = np.arange(len(self)) if rows is None else np.asarray(rows)
-        grid, dets = (a[rows] for a in self.det_grid)
-        running = np.maximum(1.0, np.maximum.accumulate(np.abs(dets), axis=1))
-        # the last grid node at or below t
-        last = _row_searchsorted(grid, np.asarray(ts) + 1e-12, "right") - 1
-        return np.where(last >= 0, np.take_along_axis(running, np.maximum(last, 0), axis=1),
-                        1.0)
+        ts, knots, b = np.asarray(ts, dtype=float), self.knots[rows], self._det_bernstein[0]
+        S = knots.shape[1] - 1
+        seg = np.minimum(_row_searchsorted(knots[:, 1:], ts, "left"), self.last[rows, None])
+        t_old, t_new = (np.take_along_axis(knots, seg + i, axis=1) for i in (0, 1))
+        x, c = np.clip((ts - t_old) / (t_new - t_old), 0.0, 1.0), b[:, rows[:, None] * S + seg]
+        cut = np.abs(c[0])
+        for _ in range(len(b) - 1):     # c[0] of each level is a coefficient on [t_old, t]
+            c = c[:-1] + x * (c[1:] - c[:-1])
+            cut = np.maximum(cut, np.abs(c[0]))
+        top = np.pad(np.abs(b).max(axis=0).reshape(-1, S)[rows, :-1], ((0, 0), (1, 0)))
+        earlier = np.take_along_axis(np.maximum.accumulate(top, axis=1), seg, axis=1)
+        return np.maximum(1.0, np.maximum(earlier, cut))
 
     @cached_property
-    def det_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ts, det J(ts)), each (rays, 1025): every ray's uniform grid on [0, t_max]."""
-        ts = np.linspace(0.0, [float(ray.t_max) for ray in self.rays], 1025, axis=-1)
-        # one ray per read: a whole-batch read holds (rays, 1025, (n-1)^2) temporaries
-        dets = np.concatenate([self.density(ts[i:i + 1], [i]) for i in range(len(self))])
-        ts.flags.writeable = dets.flags.writeable = False
-        return ts, dets
+    def _det_bernstein(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_bernstein_det`` of every store segment, column i * segments + s; read-only."""
+        J = _layout(self.manifold.dim)["J"][0]
+        out = _bernstein_det(self.start_planes[J], self.coeff_planes[:, J], self.manifold.dim - 1)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def focal_times(self) -> np.ndarray:
-        """Every ray's first zero of det J in (0, t_max], inf where there is none.
+        """Every ray's first zero of det J in (0, t_max], inf where there is none; read-only.
 
-        Every candidate of every ray is bisected to width 1e-10 in lockstep,
-        one store read per step. Candidates are det-grid steps where det J
-        changes sign, and nodes where |det J| has a local minimum below 1e-4
-        of the ray's scale max(1, max |det J|). Such a touching zero is
-        bisected on the sign of det J's central-difference slope (h =
-        min(1e-4, 5 % of the bracket)) and kept if |det J| <= 1e-9 scale
-        there. A ray takes its first kept candidate in grid order, else its
-        last node if |det J| <= 1e-9 scale there. The t -> 0 degeneracy
-        det ~ t^(n-m-1) is never reported.
+        It reads det J in Bernstein form, never the store; on a first segment det
+        J / t^d (d = n - m - 1), 1 at t = 0, stands in for det J. With tol = 1e-9
+        max(1, |coefficient|) over the ray, a segment whose coefficients all pass
+        tol by their rounding allowance holds no zero and no minimum at or below
+        tol. The others are split (``_first_crossings``) for det J's first sign
+        change x_r and first local minimum x_m at or below tol. The focal time is
+        x_m if det J(x_m) >= -tol (a touching zero, or the sign changes rounding
+        puts around one), else x_r, else t_max if |det J(t_max)| <= tol, else inf.
         """
         return self._focal_times
 
     @cached_property
     def _focal_times(self) -> np.ndarray:
-        grid, dets = self.det_grid
-        scale = np.maximum(1.0, np.maximum(dets.max(axis=1), -dets.min(axis=1)))
-        found = []      # one ray at a time, so no (rays, 1025) temporaries
-        for i, (row, s) in enumerate(zip(dets, scale)):
-            size = np.abs(row)
-            # sign[j]: det changes sign on [ts[j], ts[j+1]]; touch[j]: |det|
-            # has a near-zero local minimum at the interior node ts[j+1]
-            sign = ((row[:-1] > 0.0) & (row[1:] < 0.0)) | ((row[:-1] < 0.0) & (row[1:] > 0.0))
-            touch = np.append((size[1:-1] <= 1e-4 * s) & (size[1:-1] < size[:-2])
-                              & (size[1:-1] <= size[2:]), False)
-            j = np.flatnonzero(sign | touch)
-            found.append((np.full(len(j), i), j, sign[j]))
-        ray, j, is_sign = (np.concatenate(c) for c in zip(*found))    # grid order per ray
-        a, f, cap = grid[ray, j], dets[ray, j], grid[ray, -1]
-        b = grid[ray, j + np.where(is_sign, 1, 2)]
-        # h = 0 reads a sign bracket's det J at the probe time itself
-        h = np.where(is_sign, 0.0, np.minimum(1e-4, 0.05 * (b - a)))
-        orient = np.ones(len(ray))
-        kept = is_sign.copy()
-
-        def stencil(k, t):
-            """(k, 2) times t -+ h of the brackets k, clamped to [0, t_max]."""
-            return np.stack([np.maximum(t - h[k], 0.0), np.minimum(t + h[k], cap[k])], axis=-1)
-
-        def slopes(k, times, d):
-            """Oriented central-difference slopes of the brackets k from dets d at times."""
-            return orient[k] * ((d[:, 1] - d[:, 0]) / (times[:, 1] - times[:, 0]))
-
-        # a touch bracket is bisected only if its slope goes from - to +
-        k = np.flatnonzero(~is_sign)
-        at_a, at_b = stencil(k, a[k]), stencil(k, b[k])
-        d = self.density(np.column_stack([0.5 * (a[k] + b[k]), at_a, at_b]), ray[k])
-        orient[k] = np.where(d[:, 0] >= 0.0, 1.0, -1.0)
-        f[k] = slopes(k, at_a, d[:, 1:3])
-        kept[k] = (f[k] < 0.0) & (0.0 < slopes(k, at_b, d[:, 3:]))
-        live = kept & (b - a > 1e-10)
-        while live.any():
-            k = np.flatnonzero(live)
-            mid = 0.5 * (a[k] + b[k])
-            times = stencil(k, mid)
-            d = self.density(times, ray[k])
-            # a sign bracket probes det J, a touch bracket its oriented slope
-            fm = d[:, 0]
-            touching = ~is_sign[k]
-            fm[touching] = slopes(k[touching], times[touching], d[touching])
-            low = np.where(is_sign[k], (f[k] > 0) == (fm > 0), (f[k] < 0) == (fm < 0))
-            a[k] = np.where(low, mid, a[k])
-            f[k] = np.where(low, fm, f[k])
-            b[k] = np.where(low, b[k], mid)
-            live[k] = b[k] - a[k] > 1e-10
-        root = 0.5 * (a + b)
-        k = np.flatnonzero(kept & ~is_sign)
-        kept[k] = np.abs(self.density(root[k, None], ray[k])[:, 0]) <= 1e-9 * scale[ray[k]]
-        focal = np.where(np.abs(dets[:, -1]) <= 1e-9 * scale, grid[:, -1], math.inf)
-        first_rays, first = np.unique(ray[kept], return_index=True)
-        focal[first_rays] = root[kept][first]
+        (b, allowance), n, m, R = self._det_bernstein, self.manifold.dim, self.sigma.dim, len(self)
+        ray, seg = np.divmod(np.arange(b.shape[1]), self.knots.shape[1] - 1)
+        live = np.flatnonzero(seg <= self.last[ray])
+        ray, seg, P, allowance = ray[live], seg[live], b[:, live], allowance[live]
+        t_old, first = self.knots[ray, seg], np.flatnonzero(seg == 0)
+        h, tol = self.knots[ray, seg + 1] - t_old, np.full(R, 1e-9)
+        np.maximum.at(tol, ray, 1e-9 * np.abs(P).max(axis=0))
+        # first segments: det J / t^d, from J with its last d columns divided by x
+        J = _layout(n)["J"][0]
+        q = _bernstein_det(self.start_planes[J][:, live[first]],
+                           self.coeff_planes[:, J][:, :, live[first]], n - 1, m)
+        P[:, first], allowance[first] = (a / h[first] ** (n - m - 1) for a in q)
+        at_end = P[-1, seg == self.last[ray]]
+        k = np.flatnonzero(P.min(axis=0) - allowance <= tol[ray])
+        # -(det J)' raised to degree D: its + to - sign changes are det J's minima
+        slope = np.pad(np.diff(P[:, k], axis=0), ((1, 1), (0, 0)))
+        w = np.linspace(0.0, 1.0, len(P))[:, None]
+        f = np.hstack([P[:, k], -w * slope[:-1] - (1.0 - w) * slope[1:]])
+        g, thr, segs = np.hstack([P[:, k]] * 2), np.tile(tol[ray[k]], 2), np.tile(k, 2)
+        col, x, gx = _first_crossings(f, g, thr)
+        # and at a later segment's start, where det J (or -(det J)') is already <= 0
+        knot = np.flatnonzero((f[0] <= 0.0) & (g[0] <= thr) & (seg[segs] > 0))
+        col, x, gx = np.r_[col, knot], np.r_[x, 0.0 * knot], np.r_[gx, g[0, knot]]
+        t, ray, is_min = t_old[segs[col]] + x * h[segs[col]], ray[segs[col]], col >= len(k)
+        x_r, x_m, at_m = np.full(R, math.inf), np.full(R, math.inf), np.full(R, np.nan)
+        np.fmin.at(x_r, ray[~is_min], t[~is_min])
+        np.fmin.at(x_m, ray[is_min], t[is_min])
+        first_min = is_min & (t == x_m[ray])
+        at_m[ray[first_min]] = gx[first_min]
+        t_max = np.array([float(r.t_max) for r in self.rays])
+        focal = np.where(at_m >= -tol, x_m, x_r)
+        focal = np.where(np.isinf(focal) & (np.abs(at_end) <= tol), t_max, focal)
+        focal = np.where(t_max > 0.0, focal, math.inf)
         focal.flags.writeable = False
         return focal
 
@@ -435,7 +419,7 @@ class RaySolution:
                 tuple(p[0].reshape(ts.shape + p.shape[2:]) for p in fields))
 
     def det_scale(self, ts):
-        """max(1, |det J|) over the ray's det grid up to each time of ts."""
+        """An upper bound of max(1, |det J|) on [0, t] for each time t of ts."""
         ts = np.asarray(ts, dtype=float)
         return self.batch.det_scale(ts.reshape(1, -1), [self.index])[0].reshape(ts.shape)
 
@@ -712,24 +696,108 @@ def integrate_ray(M: ChartManifold, sigma: EmbeddedSubmanifold,
 # the density, the shape operator and its traces
 
 
+def _laplace_det(entry, r: int, mul):
+    """det of the r x r matrix of entries entry(i, l) by Laplace expansion along the
+    first row, each minor formed once; mul multiplies an entry by a minor, and the
+    terms add left to right."""
+    @cache
+    def minor(k: int, cols: tuple):      # of rows k.. and columns cols
+        if len(cols) == 1:
+            return entry(k, cols[0])
+        total = None
+        for j, c in enumerate(cols):
+            term = mul(entry(k, c), minor(k + 1, cols[:j] + cols[j + 1:]))
+            total = term if total is None else total - term if j % 2 else total + term
+        return total
+    return minor(0, tuple(range(r)))
+
+
 def jacobi_det(J: np.ndarray) -> np.ndarray:
     """det J of (..., r, r) Jacobi matrices over any leading batch axes.
 
-    For r <= 3 the closed form: the entry, ad - bc, or the cofactor
-    expansion along the first row, the same products for every matrix
-    whatever the batch. ``np.linalg.det`` for r >= 4 (the module
-    docstring says why not throughout).
+    ``_laplace_det`` for r <= 4, the same products for every matrix whatever the
+    batch: LAPACK's LU and sign * exp(sum log |u_ii|) cost more per matrix and
+    err by about |ln |det J|| ulp, even at 1 x 1. ``np.linalg.det`` for r >= 5.
     """
     J = np.asarray(J, dtype=float)
-    r = J.shape[-1]
-    if r == 1:
-        return np.positive(J[..., 0, 0])
-    if r == 2:
-        return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    if r == 3:
-        (a, b, c), (d, e, f), (g, h, i) = ([J[..., k, l] for l in range(3)] for k in range(3))
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return np.linalg.det(J)
+    if J.shape[-1] >= 5:
+        return np.linalg.det(J)
+    return np.positive(_laplace_det(lambda i, l: J[..., i, l], J.shape[-1], np.multiply))
+
+
+# scipy's DOP853 dense output is y_old + sum_k F_k x^a (1 - x)^b, (a, b) = ((k + 2) // 2,
+# (k + 1) // 2). Row [e, k + 1] is that term over x^e, and row [e, 0] y_old's (zero at
+# e = 1), in the scaled degree-7 Bernstein form c_j of sum_j c_j x^j (1 - x)^(7 - j).
+_DENSE_BERNSTEIN = np.array([[[math.comb(7 - a - b, j - a) if 0 <= a <= j <= 7 - b else 0
+                               for j in range(8)]
+                              for a, b in [(-e, 0)] + [((k + 2) // 2 - e, (k + 1) // 2)
+                                                        for k in range(7)]]
+                             for e in (0, 1)], dtype=float)
+
+
+def _scaled_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of polynomials in scaled Bernstein form (deg + 1, ...): a convolution."""
+    out = np.zeros((len(p) + len(q) - 1,) + q.shape[1:])
+    for i, c in enumerate(p):
+        out[i:i + len(q)] += c * q
+    return out
+
+
+def _bernstein_det(starts: np.ndarray, coeffs: np.ndarray, r: int, m: int | None = None):
+    """(b, allowance): det J (7r + 1, N) of N dense segments in Bernstein form in x.
+
+    starts (r*r, N) and coeffs (7, r*r, N) are J's store columns; given m, J's
+    columns m.., zero at x = 0, are divided by x. ``_DENSE_BERNSTEIN`` puts the
+    entries in scaled form and ``_laplace_det`` multiplies them, with no
+    interpolation. Scaled, a product's coefficients are sums of its factors'
+    coefficient products, so |b_j| <= A = prod_i sum_l (|start_il| + sum_k
+    |F_k,il|), and after at most 8r + (r - 1)(r + 7) + 1 roundings b_j errs by
+    less than allowance = (r^2 + 24r) eps A, also once both are divided by h^d.
+    """
+    terms = np.concatenate([starts[None], coeffs])
+    table = _DENSE_BERNSTEIN[(np.arange(r * r) % r >= (r if m is None else m)).astype(int)]
+    entries = sum(table[:, k].T[:, :, None] * y for k, y in enumerate(terms))
+    b = _laplace_det(lambda i, l: entries[:, i * r + l], r, _scaled_product)
+    size = np.prod(np.abs(terms).sum(axis=0).reshape(r, r, -1).sum(axis=1), axis=0)
+    unscale = np.array([math.comb(7 * r, j) for j in range(7 * r + 1)], dtype=float)
+    return b / unscale[:, None], (r * r + 24 * r) * _EPS * size
+
+
+@cache
+def _halves(D: int) -> np.ndarray:
+    """(D + 1, D + 1, 2): [i, j, side] takes coefficient j on [0, 1] to coefficient i
+    on its left (side 0) or right (side 1) half."""
+    left = np.array([[math.comb(i, j) / 2.0**i for j in range(D + 1)] for i in range(D + 1)])
+    return np.stack([left, left[::-1, ::-1]], axis=-1)
+
+
+def _first_crossings(f: np.ndarray, g: np.ndarray,
+                     thr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(col, x, g(x)) of the + to - sign changes in (0, 1] of f's columns where g <= thr.
+
+    f and g (D + 1, K) are Bernstein forms on [0, 1]. A polynomial stays within
+    its coefficients, so pieces are halved by de Casteljau and dropped once f's
+    keep one sign or g's all pass thr; a column keeps its leftmost ``budget``.
+    After ``levels`` halvings x is read off the chord of each piece whose ends
+    change sign, which errs by w^2 / 8 |f'' / f'| at w = 2^-levels.
+    """
+    levels, budget = 30, 8
+    pieces, col, lo = np.stack([f, g], axis=1), np.arange(f.shape[1]), np.zeros(f.shape[1])
+    for level in range(levels + 1):
+        fp, gp = pieces[:, 0], pieces[:, 1]
+        keep = np.flatnonzero((fp.min(axis=0) <= 0.0) & (fp.max(axis=0) > 0.0)
+                              & (gp.min(axis=0) <= thr[col]))
+        keep = keep[np.arange(len(keep)) - np.searchsorted(col[keep], col[keep]) < budget]
+        pieces, col, lo = pieces[..., keep], col[keep], lo[keep]
+        if level == levels or not len(col):
+            break
+        pieces = np.einsum("ijs,jck->icks", _halves(len(f) - 1), pieces).reshape(
+            pieces.shape[:2] + (-1,))
+        col, lo = np.repeat(col, 2), np.stack([lo, lo + 0.5**(level + 1)], axis=-1).ravel()
+    (f0, g0), (f1, g1) = pieces[0], pieces[-1]
+    down = (f0 > 0.0) & (f1 <= 0.0)
+    frac = f0[down] / (f0[down] - f1[down])
+    return col[down], lo[down] + frac * 0.5**levels, g0[down] + frac * (g1[down] - g0[down])
 
 
 def shape_operator(J: np.ndarray, Jp: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Ray integration: Jacobi matrices, shape operators, focal times, residual laws."""
 
 import dataclasses
+import decimal
 import math
 import tracemalloc
 from fractions import Fraction
@@ -370,12 +371,6 @@ class TestRayStore:
             for side, below in (("left", np.less), ("right", np.less_equal)):
                 want = below(a[:, None, :], v[..., None]).sum(axis=-1)
                 assert np.array_equal(transport._row_searchsorted(a, v, side), want)
-        # det_scale's search of each ray's det grid
-        grid = batch.det_grid[0]
-        ts = np.concatenate([grid[:, ::31], grid[:, 5::31] + 1e-13, grid[:, 7::31] + 2e-12,
-                             [[-1.0, 0.0]] * 3, grid[:, -1:] + 0.1], axis=1) + 1e-12
-        want = (grid[:, None, :] <= ts[..., None]).sum(axis=-1)
-        assert np.array_equal(transport._row_searchsorted(grid, ts, "right"), want)
 
     def test_zero_horizon_ray_is_its_initial_state(self):
         from tubecomp.transport import _initial_state
@@ -413,7 +408,7 @@ class TestShapeOperator:
         assert psi == pytest.approx(1.0, abs=1e-8)
 
     def test_det_scale_independent_of_call_order(self):
-        # one det grid serves det_scale and focal_time, whichever runs first
+        # one Bernstein form of det J serves det_scale and focal_time, whichever runs first
         M, sigma, ray = hyperbolic_point_ray(t_max=2.0)
         before = integrate_ray(M, sigma, ray)
         scale = before.det_scale(1.0025)
@@ -493,17 +488,23 @@ class TestShapeFields:
             with pytest.raises(FocalSingularityError):
                 sol.shape_fields(ts)
 
-    def test_det_scale_is_the_masked_grid_maximum(self):
+    def test_det_scale_bounds_the_density(self):
+        # at least max(1, |det J|) sampled on [0, t], at and between the knots,
+        # and on the hyperbolic point ray, where det J = sinh^2 t grows, equal to it
+        for M, sigma, rays in (s3_grid_rays(), bump_grid_rays(), equator_rays(12)):
+            batch = integrate_rays(M, sigma, rays)
+            ends = np.array([ray.t_max for ray in rays])[:, None]
+            ts = np.sort(np.concatenate([np.linspace(0.0, 1.0, 1025) * ends,
+                                         np.minimum(batch.knots, ends)], axis=1), axis=1)
+            running = np.maximum.accumulate(np.abs(batch.density(ts)), axis=1)
+            assert np.all(batch.det_scale(ts) >= np.maximum(1.0, running) * (1.0 - 1e-14))
         M, sigma, ray = hyperbolic_point_ray(t_max=2.0)
         sol = integrate_ray(M, sigma, ray)
-        grid, dets = (a[0] for a in sol.batch.det_grid)
-        # grid - 1e-12 + 1e-12 lands on the node itself for some nodes
-        ts = np.concatenate([[-1.0, 0.0], grid[::37], grid[::41] + 1e-13, grid[::43] - 1e-12,
-                             [2.0]])
-        assert np.any(ts[-25:-1] + 1e-12 == grid[::43])
-        want = [max(1.0, float(np.max(np.abs(dets[grid <= t + 1e-12]))))
-                if (grid <= t + 1e-12).any() else 1.0 for t in ts]
-        assert np.array_equal(sol.det_scale(ts), want)
+        ts = np.concatenate([np.linspace(0.0, 2.0, 97), sol.batch.knots[0, :sol.batch.last[0] + 2]])
+        want = np.maximum(1.0, sol.density(ts))
+        assert np.allclose(sol.det_scale(ts), want, rtol=1e-14, atol=0.0)
+        assert np.allclose(want, np.maximum(1.0, np.sinh(ts) ** 2), rtol=1e-8, atol=0.0)
+        assert np.array_equal(sol.det_scale([-1.0, 0.0]), [1.0, 1.0])
 
 
 class TestPartialTrace:
@@ -621,7 +622,8 @@ def equator_rays(count, t_max=1.8):
 
 
 def reference_focal_time(sol):
-    """One ray's focal time by the per-ray search: one single-time read per step."""
+    """One ray's focal time by the grid search the Bernstein search replaced: det
+    J on 1025 uniform times, bisected to width 1e-10 with one read per step."""
     ts = np.linspace(0.0, sol.t_max, 1025)
     dets = sol.density(ts)
     size = np.abs(dets)
@@ -667,13 +669,49 @@ def reference_focal_time(sol):
 
 
 def assert_batch_focal_is_per_ray(M, sigma, rays):
-    """The batch's focal times equal every ray's own, integrated alone, and
-    the per-ray search's, bitwise."""
+    """The batch's focal times and det_scale equal every ray's own, integrated
+    alone, bitwise, and its focal times the grid search's within 1e-10."""
     batch = integrate_rays(M, sigma, rays)
     got = batch.focal_times()
-    assert np.array_equal(got, [integrate_ray(M, sigma, ray).focal_time() for ray in rays])
-    assert np.array_equal(got, [reference_focal_time(sol) for sol in batch])
+    alone = [integrate_ray(M, sigma, ray) for ray in rays]
+    assert np.array_equal(got, [sol.focal_time() for sol in alone])
+    ts = np.linspace(-0.1, 1.0, 45) * np.array([ray.t_max for ray in rays])[:, None]
+    assert batch.det_scale(ts).tobytes() == np.array(
+        [sol.det_scale(t) for sol, t in zip(alone, ts)]).tobytes()
+    np.testing.assert_allclose(got, [reference_focal_time(sol) for sol in batch],
+                               rtol=0.0, atol=1e-10)
     return got
+
+
+def det_curve(knots, starts, F):
+    """A RayBatch of one ray on [0, knots[-1]] around a closed geodesic of the flat
+    T^2, whose det J, its one entry, has on segment s the start starts[s] and the
+    dense coefficients F[s] (7,)."""
+    M = manifolds.flat_torus(2)
+    zero = (np.zeros(2), np.zeros(2), np.zeros((1, 2)))
+
+    def state(value):
+        return _pack(*zero, np.array([[value]]), np.zeros((1, 1)))
+    return transport.RayBatch(
+        manifold=M, sigma=sub_torus(M, [0], np.zeros(2)),
+        rays=[NormalRay(np.zeros(1), np.eye(2)[1], t_max=knots[-1])],
+        weingarten0=[np.zeros((1, 1))], knots=np.array([knots], dtype=float),
+        starts=np.array([[state(v) for v in starts]]),
+        coeffs=np.array([[[state(c) for c in row] for row in F]]), last=np.array([len(starts) - 1]))
+
+
+def great_circle_rays():
+    """Rays around a great circle of the round S^5 at horizons 1.2 to 2: J is 4 x 4 and
+    det J = cos t sin^3 t changes sign at pi/2."""
+    M = manifolds.sphere(5)
+    sigma = great_circle(M)
+    rays = []
+    for k, s in enumerate(np.linspace(0.3, 5.5, 4)):
+        normal = base_node(sigma, M, [s]).normal      # g-orthonormal rows
+        for j, c in enumerate(np.eye(4)[:3] + 0.5 * np.eye(4)[1:]):
+            rays.append(NormalRay(np.array([s]), c @ normal / math.sqrt(1.25),
+                                  t_max=1.2 + 0.1 * (k + 2 * j)))
+    return M, sigma, rays
 
 
 class TestFocalSearch:
@@ -708,42 +746,90 @@ class TestFocalSearch:
 
     @pytest.mark.parametrize("gap, focal", [(0.0, 0.5), (1e-7, math.inf)])
     def test_touching_minimum_is_focal_only_at_a_zero(self, gap, focal):
-        # a one-segment store whose det J is (t - 1/2)^2 + gap on [0, 1]
-        M = manifolds.flat_torus(2)
-        sigma = point(M, [0.0, 0.0])
-        zero = (np.zeros(2), np.zeros(2), np.zeros((1, 2)))
-        start = _pack(*zero, np.array([[0.25 + gap]]), np.zeros((1, 1)))
-        coeffs = np.zeros((7, len(start)))
-        coeffs[1] = _pack(*zero, -np.ones((1, 1)), np.zeros((1, 1)))   # - x (1 - x)
-        batch = transport.RayBatch(
-            manifold=M, sigma=sigma, rays=[NormalRay(np.zeros(0), np.eye(2)[0], t_max=1.0)],
-            weingarten0=[np.zeros((0, 0))], knots=np.array([[0.0, 1.0]]),
-            starts=start[None, None], coeffs=coeffs[None, None], last=np.array([0]))
+        # a one-segment store whose det J is (t - 1/2)^2 + gap on [0, 1]: 0.25 + gap - x (1 - x)
+        batch = det_curve([0.0, 1.0], [0.25 + gap], [[0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         assert batch.focal_times()[0] == pytest.approx(focal, abs=1e-9)
-        assert batch.focal_times()[0] == reference_focal_time(batch[0])
+        assert batch.focal_times()[0] == pytest.approx(reference_focal_time(batch[0]), abs=1e-10)
 
-    @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays])
+    def test_two_roots_inside_one_grid_step(self):
+        # det J = (t - c)^2 - 2.5e-9 = c^2 - 2.5e-9 + (1 - 2c) x - x (1 - x): roots c -+ 5e-5,
+        # both inside the grid step [300, 301] / 1024, and a dip deeper than 1e-9
+        c = 300.5 / 1024.0
+        batch = det_curve([0.0, 1.0], [c * c - 2.5e-9],
+                          [[1.0 - 2.0 * c, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        # the exact first root of the stored quadratic, in decimal arithmetic
+        J = transport._layout(2)["J"][0].start
+        a, b = (decimal.Decimal(float(v)) for v in (batch.starts[0, 0, J], batch.coeffs[0, 0, 0, J]))
+        root = float((1 - b - ((1 - b) ** 2 - 4 * a).sqrt()) / 2)
+        assert abs(batch.focal_times()[0] - root) <= 1e-12
+        assert reference_focal_time(batch[0]) == math.inf
+
+    @pytest.mark.parametrize("start, slope", [(-1e-13, -1.0), (1e-13, 1.0)])
+    def test_change_at_a_knot(self, start, slope):
+        # det J = 1 - x on [0, 1/2] ends at 1e-13; the next segment starts at -1e-13 and
+        # falls (a sign change at the knot) or at 1e-13 and rises (a touching minimum there)
+        batch = det_curve([0.0, 0.5, 1.0], [1.0, start],
+                          [[1e-13 - 1.0] + [0.0] * 6, [slope] + [0.0] * 6])
+        assert batch.focal_times()[0] == 0.5
+
+    @pytest.mark.parametrize("t_max", [0.0, 1e-4, 1e-3, 0.5])
+    def test_short_point_ray_never_focuses(self, t_max):
+        # det J = t^3 on a point ray of the flat T^4 is small near 0, but never zero
+        M = manifolds.flat_torus(4)
+        sol = integrate_ray(M, point(M, [0.5, 1.0, 1.5, 2.0]),
+                            NormalRay(np.zeros(0), np.array([0.6, 0.0, 0.8, 0.0]), t_max=t_max))
+        assert sol.focal_time() == math.inf
+
+    @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays, lambda: equator_rays(12),
+                                       great_circle_rays])
     def test_grid_batches(self, maker):
         assert_batch_focal_is_per_ray(*maker())
 
-    def test_search_reads_in_lockstep(self, monkeypatch):
-        # the store reads of the search do not grow with the number of rays
-        reads = []
+    def test_search_makes_no_store_read(self, monkeypatch):
+        # det J's Bernstein form comes from the store's planes, and the search from it
+        calls = []
+        dense = transport._dense_states
+        monkeypatch.setattr(transport, "_dense_states",
+                            lambda *args, **kwargs: calls.append(1) or dense(*args, **kwargs))
         for count in (8, 72):
             batch = integrate_rays(*equator_rays(count))
-            batch.det_grid     # the per-ray grid reads are not counted
-            calls = []
-            dense = transport._dense_states
-            monkeypatch.setattr(transport, "_dense_states",
-                                lambda *args: calls.append(1) or dense(*args))
             assert np.allclose(batch.focal_times(), math.pi / 2.0, atol=1e-9)
-            monkeypatch.undo()
-            reads.append(len(calls))
-        assert reads[0] == reads[1] < 40
+            batch.det_scale(np.full((count, 3), 1.0))
+        assert not calls
+
+    @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays, lambda: equator_rays(12),
+                                       great_circle_rays])
+    def test_certified_segments_keep_one_sign(self, maker):
+        # a segment whose det J coefficients all clear 0 by their allowance (on a
+        # first segment those of det J / t^d) holds no zero: sampled on 257 points
+        M, sigma, rays = maker()
+        batch = integrate_rays(M, sigma, rays)
+        r, m = M.dim - 1, sigma.dim
+        b, allowance = batch._det_bernstein
+        cols = transport._layout(M.dim)["J"][0]
+        S = batch.knots.shape[1] - 1
+        first = np.arange(len(batch)) * S
+        q, q_allowance = transport._bernstein_det(batch.start_planes[cols][:, first],
+                                                  batch.coeff_planes[:, cols][:, :, first], r, m)
+        b, allowance = b.copy(), allowance.copy()
+        b[:, first], allowance[first] = q, q_allowance
+        x = np.linspace(0.0, 1.0, 257)
+        certified = 0
+        for i in range(len(batch)):
+            for s in range(batch.last[i] + 1):
+                sign = np.sign(b[:, i * S + s])
+                if not (np.all(np.abs(b[:, i * S + s]) > allowance[i * S + s])
+                        and np.all(sign == sign[0])):
+                    continue
+                t0, t1 = batch.knots[i, s:s + 2]
+                dens = batch.density((t0 + x * (t1 - t0))[None], [i])[0]
+                assert np.all(np.sign(dens[1:] if s == 0 else dens) == sign[0])
+                certified += 1
+        assert certified >= len(batch)
 
     def test_cached_arrays_are_read_only(self):
         batch = integrate_rays(*equator_rays(2))
-        for a in (batch.focal_times(), *batch.det_grid):
+        for a in (batch.focal_times(), *batch._det_bernstein):
             with pytest.raises(ValueError):
                 a[0] = 0.0
         assert batch.focal_times() is batch.focal_times()
@@ -797,18 +883,21 @@ class TestPartialReads:
 
     @pytest.mark.parametrize("maker", [s3_grid_rays, bump_grid_rays,
                                        lambda: equator_rays(12)])
-    def test_det_grid_and_focal_times_equal_the_full_read(self, maker, monkeypatch):
-        M, sigma, rays = maker()
-        batch = integrate_rays(M, sigma, rays)
-        got_grid, got_focal = batch.det_grid[1], batch.focal_times()
-        ts = batch.det_grid[0]
-        grid = np.concatenate([full_state_density(batch, ts[i:i + 1], [i])
-                               for i in range(len(batch))])
-        assert got_grid.tobytes() == grid.tobytes()
-        monkeypatch.setattr(transport.RayBatch, "density", full_state_density)
-        again = dataclasses.replace(batch)
-        assert again.det_grid[1].tobytes() == grid.tobytes()
-        assert again.focal_times().tobytes() == got_focal.tobytes()
+    def test_bernstein_det_equals_the_full_read(self, maker):
+        # det J in Bernstein form, evaluated by de Casteljau on 17 times of each segment,
+        # equals det J of a whole-state read within its rounding allowance
+        batch = integrate_rays(*maker())
+        b, allowance = batch._det_bernstein
+        S = batch.knots.shape[1] - 1
+        x = np.linspace(0.0, 1.0, 17)
+        for i in range(len(batch)):
+            for s in range(batch.last[i] + 1):
+                c = b[:, i * S + s, None] * np.ones_like(x)
+                for _ in range(len(c) - 1):
+                    c = c[:-1] + x * (c[1:] - c[:-1])
+                t0, t1 = batch.knots[i, s:s + 2]
+                want = full_state_density(batch, (t0 + x * (t1 - t0))[None], [i])[0]
+                assert np.all(np.abs(c[0] - want) <= 2.0 * allowance[i * S + s])
 
     def test_deficit_and_lemma_reads_equal_the_full_read(self, monkeypatch):
         from tubecomp.tubes import QuadratureSpec, TubeSampler
@@ -850,10 +939,6 @@ class TestPartialReads:
         monkeypatch.setattr(transport, "_dense_states", counted)
         batch.density(np.zeros((len(batch), 3)))
         assert widths == [(n - 1) ** 2]
-        for read in (lambda: batch.det_grid, batch.focal_times):
-            widths.clear()
-            read()
-            assert widths and set(widths) == {(n - 1) ** 2}
         widths.clear()
         batch.fields(np.zeros((len(batch), 3)))
         batch.fields(np.zeros((len(batch), 3)), None, ("x", "J", "Jp"))
@@ -909,22 +994,29 @@ def jacobian_cases(kinds):
 
 
 class TestJacobiDet:
-    """jacobi_det: closed forms for r <= 3, np.linalg.det beyond."""
+    """jacobi_det: a Laplace expansion for r <= 4, np.linalg.det beyond."""
 
     @pytest.mark.parametrize("r, kind", jacobian_cases(
         ["random", "tiny", "huge", "near_singular", "point", "sub_torus"]))
     def test_agrees_with_lapack(self, r, kind):
         J = (ray_jacobians(r, kind) if kind in ("point", "sub_torus")
              else synthetic_jacobians(r, kind))
-        with np.errstate(over="ignore"):     # r >= 4 at entries 1e100: det = inf
+        # r >= 4 at entries 1e-100 or 1e100: |det J| leaves the float range
+        with np.errstate(over="ignore", invalid="ignore"):
             got, lapack = transport.jacobi_det(J), np.linalg.det(J)
+            hadamard = np.prod(np.linalg.norm(J, axis=-1), axis=-1)
         assert got.shape == J.shape[:-2]
-        if r >= 4:
+        if r >= 5:
             assert got.tobytes() == lapack.tobytes()
+            return
+        if kind == "tiny" and r == 4:
+            assert np.all((got == 0.0) & (lapack == 0.0) & (hadamard == 0.0))
+            return
+        if kind == "huge" and r == 4:
+            assert not np.any(np.isfinite(got) | np.isfinite(lapack) | np.isfinite(hadamard))
             return
         assert np.all(np.abs(got - lapack) <= det_tolerance(J, lapack))
         # and the closed form against the exact determinant of its entries
-        hadamard = np.prod(np.linalg.norm(J, axis=-1), axis=-1)
         eps = Fraction(np.finfo(float).eps)
         for k in np.ndindex(J.shape[:-2]):
             if k[-1] % 4 == 0:
