@@ -287,27 +287,34 @@ class RayBatch(Sequence):
         """An upper bound of max(1, |det J|) on [0, t], rays ``rows`` at their own times ts.
 
         The largest |coefficient| of det J in Bernstein form on each earlier
-        segment and on the segment holding t, cut at t by de Casteljau.
+        segment and on the segment holding t, cut at t by de Casteljau; on a
+        first segment det J = x^d q, and x^d <= 1.
         """
         rows = np.arange(len(self)) if rows is None else np.asarray(rows)
         ts, knots, b = np.asarray(ts, dtype=float), self.knots[rows], self._det_bernstein[0]
-        S = knots.shape[1] - 1
+        S, d = knots.shape[1] - 1, self.manifold.dim - self.sigma.dim - 1
         seg = np.minimum(_row_searchsorted(knots[:, 1:], ts, "left"), self.last[rows, None])
         t_old, t_new = (np.take_along_axis(knots, seg + i, axis=1) for i in (0, 1))
-        x, c = np.clip((ts - t_old) / (t_new - t_old), 0.0, 1.0), b[:, rows[:, None] * S + seg]
-        cut = np.abs(c[0])
-        for _ in range(len(b) - 1):     # c[0] of each level is a coefficient on [t_old, t]
-            c = c[:-1] + x * (c[1:] - c[:-1])
-            cut = np.maximum(cut, np.abs(c[0]))
+        x = np.clip((ts - t_old) / (t_new - t_old), 0.0, 1.0)
+        cut = np.abs(_cut(b[:, rows[:, None] * S + seg], x)).max(axis=0)
+        cut *= np.where(seg == 0, x**d, 1.0)
         top = np.pad(np.abs(b).max(axis=0).reshape(-1, S)[rows, :-1], ((0, 0), (1, 0)))
         earlier = np.take_along_axis(np.maximum.accumulate(top, axis=1), seg, axis=1)
         return np.maximum(1.0, np.maximum(earlier, cut))
 
+    def _jacobi_terms(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(terms, divide) of store columns cols: J's start and coefficients (8, r*r,
+        cols), and on first segments J's columns m.., zero at t = 0, to divide by x."""
+        n, m, J = self.manifold.dim, self.sigma.dim, _layout(self.manifold.dim)["J"][0]
+        terms = np.concatenate([self.start_planes[None, J, cols], self.coeff_planes[:, J, cols]])
+        first = cols % (self.knots.shape[1] - 1) == 0
+        return terms, (np.arange((n - 1) ** 2) % (n - 1) >= m)[:, None] & first
+
     @cached_property
     def _det_bernstein(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_bernstein_det`` of every store segment, column i * segments + s; read-only."""
-        J = _layout(self.manifold.dim)["J"][0]
-        out = _bernstein_det(self.start_planes[J], self.coeff_planes[:, J], self.manifold.dim - 1)
+        """``_bernstein_det`` of every store segment, column i * segments + s; on a first
+        segment of q = det J / x^d (d = n - m - 1). Read-only."""
+        out = _bernstein_det(*self._jacobi_terms(np.arange(self.coeff_planes.shape[-1])))
         for a in out:
             a.flags.writeable = False
         return out
@@ -316,53 +323,94 @@ class RayBatch(Sequence):
         """Every ray's first zero of det J in (0, t_max], inf where there is none; read-only.
 
         It reads det J in Bernstein form, never the store; on a first segment det
-        J / t^d (d = n - m - 1), 1 at t = 0, stands in for det J. With tol = 1e-9
-        max(1, |coefficient|) over the ray, a segment whose coefficients all pass
-        tol by their rounding allowance holds no zero and no minimum at or below
-        tol. The others are split (``_first_crossings``) for det J's first sign
-        change x_r and first local minimum x_m at or below tol. The focal time is
-        x_m if det J(x_m) >= -tol (a touching zero, or the sign changes rounding
-        puts around one), else x_r, else t_max if |det J(t_max)| <= tol, else inf.
+        J / t^d, 1 at t = 0, stands in for det J. With tol = 1e-9 max(1,
+        |coefficient|) over the ray, a segment whose coefficients all pass tol by
+        their rounding allowance holds no zero and no minimum at or below tol. The
+        others are split (``_first_crossings``) for det J's first sign change x_r
+        and first local minimum x_m at or below tol; a minimum at a knot counts
+        only if det J falls into it. The focal time is x_m if det J(x_m) >= -tol
+        (a touching zero, or the sign changes rounding puts around one), else x_r,
+        else t_max if det J falls to at most tol there, else inf. ``_refine``
+        settles x_r or x_m where the polynomial leaves it imprecise.
         """
         return self._focal_times
 
     @cached_property
     def _focal_times(self) -> np.ndarray:
-        (b, allowance), n, m, R = self._det_bernstein, self.manifold.dim, self.sigma.dim, len(self)
+        (b, allowance), R = self._det_bernstein, len(self)
+        d, D = self.manifold.dim - self.sigma.dim - 1, len(b) - 1
         ray, seg = np.divmod(np.arange(b.shape[1]), self.knots.shape[1] - 1)
         live = np.flatnonzero(seg <= self.last[ray])
         ray, seg, P, allowance = ray[live], seg[live], b[:, live], allowance[live]
-        t_old, first = self.knots[ray, seg], np.flatnonzero(seg == 0)
+        t_old, first = self.knots[ray, seg], seg == 0
         h, tol = self.knots[ray, seg + 1] - t_old, np.full(R, 1e-9)
         np.maximum.at(tol, ray, 1e-9 * np.abs(P).max(axis=0))
-        # first segments: det J / t^d, from J with its last d columns divided by x
-        J = _layout(n)["J"][0]
-        q = _bernstein_det(self.start_planes[J][:, live[first]],
-                           self.coeff_planes[:, J][:, :, live[first]], n - 1, m)
-        P[:, first], allowance[first] = (a / h[first] ** (n - m - 1) for a in q)
-        at_end = P[-1, seg == self.last[ray]]
-        k = np.flatnonzero(P.min(axis=0) - allowance <= tol[ray])
+        P[:, first] /= h[first] ** d
+        allowance[first] /= h[first] ** d
+        # the sign of (det J)' at each segment's end, where det J = (h x)^d P on a first
+        falls = d * first * P[-1] + D * (P[-1] - P[-2]) < 0.0
+        at_end = seg == self.last[ray]
+        k = np.flatnonzero(~(P.min(axis=0) - allowance > tol[ray]))
         # -(det J)' raised to degree D: its + to - sign changes are det J's minima
         slope = np.pad(np.diff(P[:, k], axis=0), ((1, 1), (0, 0)))
         w = np.linspace(0.0, 1.0, len(P))[:, None]
         f = np.hstack([P[:, k], -w * slope[:-1] - (1.0 - w) * slope[1:]])
         g, thr, segs = np.hstack([P[:, k]] * 2), np.tile(tol[ray[k]], 2), np.tile(k, 2)
         col, x, gx = _first_crossings(f, g, thr)
-        # and at a later segment's start, where det J (or -(det J)') is already <= 0
-        knot = np.flatnonzero((f[0] <= 0.0) & (g[0] <= thr) & (seg[segs] > 0))
+        # and at a later segment's start, where det J is already <= 0, or where
+        # -(det J)' is and det J fell into the knot
+        knot = np.flatnonzero((f[0] <= 0.0) & (g[0] <= thr) & (seg[segs] > 0)
+                              & ((np.arange(len(segs)) < len(k)) | falls[segs - 1]))
         col, x, gx = np.r_[col, knot], np.r_[x, 0.0 * knot], np.r_[gx, g[0, knot]]
-        t, ray, is_min = t_old[segs[col]] + x * h[segs[col]], ray[segs[col]], col >= len(k)
+        c, is_min = segs[col], col >= len(k)
+        t, ray = t_old[c] + x * h[c], ray[c]
         x_r, x_m, at_m = np.full(R, math.inf), np.full(R, math.inf), np.full(R, np.nan)
         np.fmin.at(x_r, ray[~is_min], t[~is_min])
         np.fmin.at(x_m, ray[is_min], t[is_min])
         first_min = is_min & (t == x_m[ray])
         at_m[ray[first_min]] = gx[first_min]
+        use_min = at_m >= -tol
+        focal = np.where(use_min, x_m, x_r)
+        # the chosen zero of det J (of (det J)' at a minimum) moves by at most allowance
+        # / |(det J)'| (2 D allowance / |(det J)''|); past 2^-30, at a zero of
+        # multiplicity 3 or more, it is refined
+        chosen = np.flatnonzero((t == focal[ray]) & (is_min == use_min[ray]))
+        chosen = chosen[np.unique(ray[chosen], return_index=True)[1]]
+        c, x = c[chosen], x[chosen]
+        dP = D * np.diff(P[:, c], axis=0)
+        bend = np.abs(_cut(np.diff(dP, axis=0), x)[-1]) * (D - 1) / (2 * D)
+        sharp = np.where(is_min[chosen], bend, np.abs(_cut(dP, x)[-1]))
+        loose = np.flatnonzero(~(allowance[c] <= 2.0**-30 * sharp))
+        if len(loose):
+            c, x = c[loose], x[loose]
+            focal[ray[chosen[loose]]] = t_old[c] + h[c] * self._refine(live[c], x)
         t_max = np.array([float(r.t_max) for r in self.rays])
-        focal = np.where(at_m >= -tol, x_m, x_r)
-        focal = np.where(np.isinf(focal) & (np.abs(at_end) <= tol), t_max, focal)
-        focal = np.where(t_max > 0.0, focal, math.inf)
+        ends = np.isinf(focal) & (np.abs(P[-1, at_end]) <= tol) & falls[at_end]
+        focal = np.where(t_max > 0.0, np.where(ends, t_max, focal), math.inf)
         focal.flags.writeable = False
         return focal
+
+    def _refine(self, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """x in [0, 1] on store columns cols moved to det J's first zero within 2^-9 of
+        it, det J from the entries' values: on 17 points, the first where det J <= 0,
+        or else its minimum, and 2 of their 16 steps around it, 13 times.
+
+        The Bernstein product keeps only absolute accuracy, so it places a zero of
+        multiplicity 3 or more to about 1e-8; each entry has a simple zero, so
+        their values, multiplied (``jacobi_det``), keep relative accuracy.
+        """
+        terms, divide = self._jacobi_terms(cols)
+        r, entries = self.manifold.dim - 1, _dense_entries(terms, divide)
+        entries /= np.array([math.comb(7, j) for j in range(8)])[:, None, None]
+        lo, hi = np.maximum(x - 2.0**-9, 0.0), np.minimum(x + 2.0**-9, 1.0)
+        for _ in range(13):
+            xs = lo + (hi - lo) * np.linspace(0.0, 1.0, 17)[:, None]
+            v = _cut(np.broadcast_to(entries[:, :, None], (8, r * r) + xs.shape), xs)[-1]
+            det = jacobi_det(np.moveaxis(v, 0, -1).reshape(xs.shape + (r, r)))
+            i = np.where((det <= 0.0).any(axis=0), (det <= 0.0).argmax(axis=0), det.argmin(axis=0))
+            x = xs[i, np.arange(len(x))]
+            lo, hi = np.maximum(lo, x - (hi - lo) / 16), np.minimum(hi, x + (hi - lo) / 16)
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -717,12 +765,16 @@ def jacobi_det(J: np.ndarray) -> np.ndarray:
 
     ``_laplace_det`` for r <= 4, the same products for every matrix whatever the
     batch: LAPACK's LU and sign * exp(sum log |u_ii|) cost more per matrix and
-    err by about |ln |det J|| ulp, even at 1 x 1. ``np.linalg.det`` for r >= 5.
+    err by about |ln |det J|| ulp, even at 1 x 1. ``np.linalg.det`` for r >= 5,
+    and where the products overflow (inf - inf).
     """
     J = np.asarray(J, dtype=float)
-    if J.shape[-1] >= 5:
-        return np.linalg.det(J)
-    return np.positive(_laplace_det(lambda i, l: J[..., i, l], J.shape[-1], np.multiply))
+    if J.shape[-1] <= 4:
+        det = np.positive(_laplace_det(lambda i, l: J[..., i, l], J.shape[-1], np.multiply))
+        if np.isfinite(det).all():
+            return det
+    lu = np.linalg.det(J)
+    return lu if J.shape[-1] >= 5 else np.where(np.isfinite(det), det, lu)
 
 
 # scipy's DOP853 dense output is y_old + sum_k F_k x^a (1 - x)^b, (a, b) = ((k + 2) // 2,
@@ -735,6 +787,18 @@ _DENSE_BERNSTEIN = np.array([[[math.comb(7 - a - b, j - a) if 0 <= a <= j <= 7 -
                              for e in (0, 1)], dtype=float)
 
 
+def _dense_entries(terms: np.ndarray, divide: np.ndarray) -> np.ndarray:
+    """J's entries (8, r*r, N) of N dense segments in scaled Bernstein form in x.
+
+    terms (8, r*r, N) are J's store columns, start then coefficients; an entry
+    where divide (r*r, N) holds, zero at x = 0, is divided by x.
+    """
+    entries = sum(_DENSE_BERNSTEIN[0, k][:, None, None] * y for k, y in enumerate(terms))
+    entries[:, divide] = sum(_DENSE_BERNSTEIN[1, k][:, None] * y[divide]
+                             for k, y in enumerate(terms))
+    return entries
+
+
 def _scaled_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Product of polynomials in scaled Bernstein form (deg + 1, ...): a convolution."""
     out = np.zeros((len(p) + len(q) - 1,) + q.shape[1:])
@@ -743,31 +807,38 @@ def _scaled_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bernstein_det(starts: np.ndarray, coeffs: np.ndarray, r: int, m: int | None = None):
+def _bernstein_det(terms: np.ndarray, divide: np.ndarray):
     """(b, allowance): det J (7r + 1, N) of N dense segments in Bernstein form in x.
 
-    starts (r*r, N) and coeffs (7, r*r, N) are J's store columns; given m, J's
-    columns m.., zero at x = 0, are divided by x. ``_DENSE_BERNSTEIN`` puts the
-    entries in scaled form and ``_laplace_det`` multiplies them, with no
-    interpolation. Scaled, a product's coefficients are sums of its factors'
-    coefficient products, so |b_j| <= A = prod_i sum_l (|start_il| + sum_k
-    |F_k,il|), and after at most 8r + (r - 1)(r + 7) + 1 roundings b_j errs by
-    less than allowance = (r^2 + 24r) eps A, also once both are divided by h^d.
+    ``_dense_entries`` puts the entries in scaled form and ``_laplace_det``
+    multiplies them, with no interpolation. Scaled, a product's coefficients are
+    sums of its factors' coefficient products, so |b_j| <= A = prod_i sum_l
+    (|start_il| + sum_k |F_k,il|), and after at most 8r + (r - 1)(r + 7) + 1
+    roundings b_j errs by less than allowance = (r^2 + 24r) eps A, also once both
+    are divided by h^d.
     """
-    terms = np.concatenate([starts[None], coeffs])
-    table = _DENSE_BERNSTEIN[(np.arange(r * r) % r >= (r if m is None else m)).astype(int)]
-    entries = sum(table[:, k].T[:, :, None] * y for k, y in enumerate(terms))
+    r, entries = math.isqrt(terms.shape[1]), _dense_entries(terms, divide)
     b = _laplace_det(lambda i, l: entries[:, i * r + l], r, _scaled_product)
     size = np.prod(np.abs(terms).sum(axis=0).reshape(r, r, -1).sum(axis=1), axis=0)
     unscale = np.array([math.comb(7 * r, j) for j in range(7 * r + 1)], dtype=float)
     return b / unscale[:, None], (r * r + 24 * r) * _EPS * size
 
 
+def _cut(c: np.ndarray, x) -> np.ndarray:
+    """Bernstein coefficients on [0, x] of the polynomial with coefficients c (D + 1, ...)
+    on [0, 1], by de Casteljau; the last is its value at x."""
+    out = [c[0]]
+    for _ in range(len(c) - 1):
+        c = c[:-1] + x * (c[1:] - c[:-1])
+        out.append(c[0])
+    return np.stack(out)
+
+
 @cache
 def _halves(D: int) -> np.ndarray:
     """(D + 1, D + 1, 2): [i, j, side] takes coefficient j on [0, 1] to coefficient i
     on its left (side 0) or right (side 1) half."""
-    left = np.array([[math.comb(i, j) / 2.0**i for j in range(D + 1)] for i in range(D + 1)])
+    left = _cut(np.eye(D + 1), 0.5)
     return np.stack([left, left[::-1, ::-1]], axis=-1)
 
 

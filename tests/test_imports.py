@@ -363,7 +363,7 @@ def test_det_read_detector():
 
 def test_one_det_of_the_jacobi_matrix():
     # det J is formed only by transport.jacobi_det; np.linalg.det is its
-    # r >= 4 fallback and is read nowhere else along the rays
+    # r >= 5 and overflow fallback, read nowhere else along the rays
     src = ROOT / "src" / "tubecomp"
     assert {name: det_reads((src / name).read_text())
             for name in ("transport.py", "tubes.py", "verification.py")} == {
