@@ -2,7 +2,9 @@
 
 Builds a few model metrics, checks curvature against space-form closed
 forms, and shows the eigenvalue picture behind rho_k on the product of two
-round spheres (where rho_2 = 0 but rho_3 = 1).
+round spheres (where rho_2 = 0 but rho_3 = 1): R(., u)u on u-perp has the
+eigenvalues 0, sin^2 and cos^2 of u's mixing angle, so the least Ric_k sits
+at a factor direction, and rho_k reads it from the factors' own rho_j.
 """
 
 import math
@@ -55,9 +57,9 @@ for theta in (0.0, math.pi / 6, math.pi / 4):
 print("\n== rho_k: minimum of Ric_k over directions and k-planes ==")
 for k in (1, 2, 3):
     lo, hi = rho_k(P, [xp], k)
-    print(f"  rho_{k}(S^2 x S^2) in [{lo[0]:.2e}, {hi[0]:.2e}] ({rho_method(4, k)})")
-print("  (rho_2 = 0: a mixed direction with its worst 2-plane kills the sum;"
-      " rho_3 = 1: the full trace is rigid)")
+    print(f"  rho_{k}(S^2 x S^2) in [{lo[0]:.2e}, {hi[0]:.2e}] ({rho_method(P, k)})")
+print("  (rho_1 = rho_2 = 0: a factor direction with planes in the other factor;"
+      " rho_3 = 1: the whole of u-perp takes in the factor's own curvature 1)")
 
 print("\n== L^p deficit norms ==")
 M2big = manifolds.sphere_colatitude(2, radius=2.0)

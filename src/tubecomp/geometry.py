@@ -208,6 +208,30 @@ def _curvature_batch(M: ChartManifold, xs: np.ndarray,
     return g, rm
 
 
+def _conformal_form(M: ChartManifold, xs: np.ndarray):
+    """(phi, u, A) at each row of xs (B, n) on a conformally flat chart, from its
+    ``conformal_jet``: the one place the ray kernel and ``rho_k`` read A from.
+
+    Under g = phi * I = e^(2u) * I, with u_k = d_k phi / (2 phi), the
+    curvature is Rm = -e^(2u) A (.) delta (Besse, Einstein Manifolds, 1987,
+    1.J), with A = Hess u - du du^T + |du|^2 I / 2 = d d phi / (2 phi) -
+    3 u u^T + |u|^2 I / 2 and the Kulkarni-Nomizu product (h (.) k)_pjkl =
+    h_pk k_jl + h_jl k_pk - h_pl k_jk - h_jk k_pl; in this module's sign
+    convention the unit sphere's Rm is (g (.) g) / 2. phi > 0 on every row
+    stands for the positive-definiteness check.
+    """
+    phi, dphi, d2phi = M.conformal_jet(xs)
+    if not (phi > 0.0).all():   # False on NaN too
+        raise SingularMetricError(f"metric not positive definite on {M.name}")
+    h = 0.5 / phi
+    u = dphi * h[:, None]
+    A = d2phi * h[:, None, None]
+    A -= (3.0 * u)[:, :, None] * u[:, None, :]
+    # einsum("bii->bi") is a writeable view of each row's diagonal
+    np.einsum("bii->bi", A)[...] += 0.5 * np.vecdot(u, u)[:, None]
+    return phi, u, A
+
+
 def _jacobi_batch(M: ChartManifold, xs: np.ndarray, vs: np.ndarray):
     """(Gamma v, Gamma(v, v), w) at each row (x, v) of xs, vs (B, n), without Rm.
 
@@ -217,18 +241,12 @@ def _jacobi_batch(M: ChartManifold, xs: np.ndarray, vs: np.ndarray):
     row alone.
 
     A conformally flat chart, g = phi * I = e^(2u) * I, gives them in
-    closed form from its ``conformal_jet``, in O(n^2) per row. With
-    u_k = d_k phi / (2 phi), Gamma^i_jk = delta^i_j u_k + delta^i_k u_j -
+    closed form from its ``conformal_jet``, in O(n^2) per row. With u and
+    A of ``_conformal_form``, Gamma^i_jk = delta^i_j u_k + delta^i_k u_j -
     delta_jk u_i, so, with Euclidean dot products and matrices indexed
     [d, k], Gamma v = (u.v) I + v u^T - u v^T and Gamma(v, v) =
-    2 (u.v) v - |v|^2 u. Under g = e^(2u) delta the curvature is
-    Rm = -e^(2u) A (.) delta (Besse, Einstein Manifolds, 1987, 1.J), with
-    A = Hess u - du du^T + |du|^2 I / 2 = d d phi / (2 phi) - 3 u u^T +
-    |u|^2 I / 2 and the Kulkarni-Nomizu product (h (.) k)_pjkl =
-    h_pk k_jl + h_jl k_pk - h_pl k_jk - h_jk k_pl; in this module's sign
-    convention the unit sphere's Rm is (g (.) g) / 2. Contracting with
-    v^j v^l gives w = phi ((A v) v^T + v (A v)^T - |v|^2 A - (v^T A v) I).
-    phi > 0 on every row stands for the positive-definiteness check.
+    2 (u.v) v - |v|^2 u, and contracting Rm = -phi A (.) delta with v^j v^l
+    gives w = phi ((A v) v^T + v (A v)^T - |v|^2 A - (v^T A v) I).
 
     Any other chart takes the general formula, straight from the metric's
     2-jet in O(n^4) per row, where Rm costs n^5. Derivation: with A_alj =
@@ -247,20 +265,12 @@ def _jacobi_batch(M: ChartManifold, xs: np.ndarray, vs: np.ndarray):
     positive-definiteness check.
     """
     if M.conformal_jet is not None:
-        phi, dphi, d2phi = M.conformal_jet(xs)
-        if not (phi > 0.0).all():   # False on NaN too
-            raise SingularMetricError(f"metric not positive definite on {M.name}")
-        h = 0.5 / phi
-        u = dphi * h[:, None]
+        phi, u, A = _conformal_form(M, xs)
         uv = np.vecdot(u, vs)[:, None]
         vv = np.vecdot(vs, vs)[:, None]
         vu = vs[:, :, None] * u[:, None, :]
         gamma_v = vu - vu.mT
-        # einsum("bii->bi") is a writeable view of each row's diagonal
         np.einsum("bii->bi", gamma_v)[...] += uv
-        A = d2phi * h[:, None, None]
-        A -= (3.0 * u)[:, :, None] * u[:, None, :]
-        np.einsum("bii->bi", A)[...] += 0.5 * np.vecdot(u, u)[:, None]
         Av = (A @ vs[:, :, None])[:, :, 0]
         w = Av[:, :, None] * vs[:, None, :]
         w += w.mT
@@ -398,169 +408,134 @@ def _frame_tensor(rm: np.ndarray, linv: np.ndarray) -> np.ndarray:
     return np.einsum("bel,bacdl->bacde", linv, rf)
 
 
-def _k_plane_minima(rf: np.ndarray, dirs: np.ndarray, k: int):
-    """(least, argmin) over unit directions dirs (B, S, n) of the minimum of
-    Ric_k over k-planes, per row of frame tensors rf (B, n, n, n, n).
-
-    The form B_s = Rm(., s, ., s) has s in its kernel; its spectrum is the
-    s-perp spectrum plus one spurious zero, which is dropped, and the
-    minimum over k-planes is the sum of the k smallest of the rest (exact).
-    """
-    w = np.linalg.eigvalsh(np.einsum("bajcl,bsj,bsl->bsac", rf, dirs, dirs))
-    keep = np.ones(w.shape, dtype=bool)
-    np.put_along_axis(keep, np.argmin(np.abs(w), axis=-1)[..., None], False, axis=-1)
-    vals = w[keep].reshape(w.shape[:-1] + (-1,))[..., :k].sum(axis=-1)
-    pick = np.arange(len(rf)), np.argmin(vals, axis=1)
-    return vals[pick], dirs[pick]
-
-
-def _plane_directions(forms: np.ndarray, n: int) -> np.ndarray:
-    """Top two eigenvectors of sum_i W_i^T W_i for 2-forms (B, i, pairs): (B, 2, n).
-
-    W_i is the i-th form as an n x n skew matrix on the pairs of
-    ``np.triu_indices(n, 1)``. For orthonormal forms u ^ e_i the sum is
-    k u u^T + sum_i e_i e_i^T, whose top eigenvector is u; for one form the
-    top two span the plane of its largest singular value.
-    """
-    I, J = np.triu_indices(n, 1)
-    W = np.zeros(forms.shape[:-1] + (n, n))
-    W[..., I, J] = forms
-    W[..., J, I] = -forms
-    _, V = np.linalg.eigh(np.einsum("biac,biad->bcd", W, W))
-    return np.swapaxes(V[:, :, -2:], 1, 2)
-
-
-# On Lambda^2 R^4's pairs (01, 02, 03, 12, 13, 23) the Hodge star maps
-# e01 <-> e23, e02 <-> -e13, e03 <-> e12: its matrix is the flipped diagonal
-# of these (palindromic) signs, symmetric, and a product with it is exact.
-_STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
-THORPE_STEPS = 48   # bisection halvings of [-2|R|, 2|R|]
 RHO_ROUNDING = 32.0 * np.finfo(float).eps   # eigh error per unit of |A|
-PATTERN_ROUNDS = 3  # pattern-search rounds on a row whose bracket stays open
+RHO_BLOCK = 64   # points per curvature batch; bounds the (rows, n, n, n, n) temporaries
 
 
-def _thorpe_search(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, candidate directions) for the minimum sectional curvature per row
-    of curvature operators R (B, 6, 6) on Lambda^2 R^4.
+def _k_sums(vals: np.ndarray) -> np.ndarray:
+    """k vals_0 + vals_1 + ... + vals_k for k = 1 ... n - 1, per row of vals (B, n)."""
+    k = np.arange(1, vals.shape[1])
+    return (k - 1) * vals[:, :1] + np.cumsum(vals, axis=1)[:, 1:]
 
-    Thorpe's trick: min sec = max_t lambda_min(R + t *), with equality
-    because the joint numerical range of two real quadratic forms is convex
-    (Brickman). lambda_min(R + t *) is concave and 1-Lipschitz in t, and its
-    maximum lies in |t| <= 2 |R|, since lambda_min(R + t *) <= |R| - |t| and
-    lambda_min(R) >= -|R|. Every row bisects that interval in lockstep on
-    the supergradient v.*v of the bottom eigenvector v, so after
-    THORPE_STEPS the maximizer is known to 4 |R| 2^-48 and lo to as much.
-    ``lo`` is the largest lambda_min met, less eigh's rounding allowance: a
-    lower bound at any t. The directions (B, 6, 4) span the planes of the
-    bottom eigenvector at the best t and of the two decomposable elements of
-    the span of the two bottom eigenvectors there, which a double bottom
-    eigenvalue (a kink of the concave function) needs.
+
+def _conformal_rho(M: ChartManifold, xs: np.ndarray):
+    """(lo, hi), each (B, n - 1), of rho_1 ... rho_(n-1) on a conformally flat chart.
+
+    Rm = P (.) g with the Schouten tensor P = -A / phi in the orthonormal
+    frame of g = phi * I (A from ``_conformal_form``), so sec(X, Y) =
+    P(X, X) + P(Y, Y) for orthonormal X, Y and Ric_k(u, span e_i) =
+    k P(u, u) + sum_i P(e_i, e_i). Over orthonormal u, e_1 ... e_k that is
+    at least (k - 1) lambda_1 + (lambda_1 + ... + lambda_(k+1)) with P's
+    eigenvalues lambda ascending (Ky Fan, and P(u, u) >= lambda_1), with
+    equality at the eigenvectors. lo is that sum less eigh's allowance and
+    hi the same sum of P's Rayleigh quotients at its eigenvectors.
     """
-    radius = 2.0 * np.linalg.norm(R, axis=(1, 2))   # Frobenius >= operator norm
-    a, b = -radius, radius
-    lo = np.full(len(R), -np.inf)
-    vecs = np.zeros_like(R)
-    for _ in range(THORPE_STEPS):
-        t = 0.5 * (a + b)
-        w, V = np.linalg.eigh(R + t[:, None, None] * _STAR)
-        better = w[:, 0] > lo
-        lo[better] = w[better, 0]
-        vecs[better] = V[better]
-        v = V[:, :, 0]
-        rising = np.sum(v * (v @ _STAR), axis=1) > 0.0
-        a = np.where(rising, t, a)
-        b = np.where(rising, b, t)
-
-    # c -> c.Qc on the unit circle, Q = (v1, v2).*(v1, v2), reads
-    # m + r cos(2 theta - phi); its zeros are 2 theta = phi +- arccos(-m / r)
-    # (where r < |m| there is none, and the forms are mere candidates)
-    pair = vecs[:, :, :2]
-    Q = np.einsum("zia,zib->zab", pair, _STAR @ pair)
-    half_diff = 0.5 * (Q[:, 0, 0] - Q[:, 1, 1])
-    m = 0.5 * (Q[:, 0, 0] + Q[:, 1, 1])
-    r = np.hypot(half_diff, Q[:, 0, 1])
-    phi = np.arctan2(Q[:, 0, 1], half_diff)
-    turn = np.arccos(np.clip(-m / np.where(r > 0.0, r, 1.0), -1.0, 1.0))
-    forms = [pair[:, :, 0]] + [
-        np.einsum("bia,ba->bi", pair, np.stack([np.cos(theta), np.sin(theta)], axis=-1))
-        for theta in (0.5 * (phi + turn), 0.5 * (phi - turn))]
-    dirs = np.concatenate([_plane_directions(f[:, None], 4) for f in forms], axis=1)
-    # eigh's eigenvalues are exact for a matrix within a few eps |A| of A,
-    # |A| <= |R| + |t| <= 3 |R|_F; lo gives that back
-    return lo - RHO_ROUNDING * 1.5 * radius, dirs
+    phi, _, A = _conformal_form(M, xs)
+    P = (A + A.mT) / (-2.0 * phi[:, None, None])   # A's u u^T rounds asymmetrically
+    w, V = np.linalg.eigh(P)
+    allowance = (2.0 * RHO_ROUNDING * np.arange(1, M.dim)
+                 * np.linalg.norm(P, axis=(1, 2))[:, None])
+    return _k_sums(w) - allowance, _k_sums(np.vecdot(V, P @ V, axis=1))
 
 
-def _pattern_search(rf: np.ndarray, best: np.ndarray, best_s: np.ndarray,
-                    k: int) -> np.ndarray:
-    """Least ``_k_plane_minima`` found by a greedy coordinate pattern search
-    from the directions best_s (B, n), whose values are best (B,); updates both.
+def _schouten_rho(M: ChartManifold, xs: np.ndarray):
+    """(lo, hi), each (B, n - 1), of rho_1 ... rho_(n-1) on any chart, from Rm.
 
-    Each round moves a row to its best of the 2n neighbours best_s +- step
-    e_i (normalized) while that drops the value by more than 1e-15, at most
-    24 times; the step starts at 0.15 and shrinks by 5 per round.
+    Rm in an orthonormal frame is first projected onto the symmetries of a
+    curvature tensor (antisymmetric in each pair, symmetric under the pair
+    swap), so that Ric, the Schouten tensor P = (Ric - s g / (2 (n - 1))) /
+    (n - 2) and the Weyl part W = Rm - P (.) g all come from the tensor hi
+    is read on. Ric_k(u, span e_i) = k P(u, u) + sum_i P(e_i, e_i) +
+    sum_i W(u ^ e_i, u ^ e_i), and the forms u ^ e_i are orthonormal on
+    Lambda^2, so rho_k is at least the Schouten sum of ``_conformal_rho``
+    less k |W|_op, and equals that sum where W = 0. At k = n - 1 the W
+    terms sum to W's Ricci contraction, 0, and rho_(n-1) is Ric's least
+    eigenvalue. Ric and P share their eigenvectors v; hi is
+    Ric_k(v_1, span(v_2 ... v_(k+1))), and at k = n - 1 the Ricci form at v_1.
     """
-    eye = np.eye(rf.shape[1])
-    step = 0.15
-    for _ in range(PATTERN_ROUNDS):
-        active = np.arange(len(rf))
-        for _ in range(24):
-            cands = np.concatenate([best_s[active, None] + step * eye,
-                                    best_s[active, None] - step * eye], axis=1)
-            cands /= np.linalg.norm(cands, axis=-1, keepdims=True)
-            vals, dirs = _k_plane_minima(rf[active], cands, k)
-            better = vals < best[active] - 1e-15
-            active = active[better]
-            best[active] = vals[better]
-            best_s[active] = dirs[better]
-            if len(active) == 0:
-                break
-        step *= 0.2
-    return best
-
-
-def _rho_bracket(rf: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of rho_k per row of frame tensors rf (B, n, n, n, n), k <= n - 2
-    (or n = 3, k = 1).
-
-    R is the curvature operator on Lambda^2 on the pairs of
-    ``np.triu_indices(n, 1)``. For a unit u and orthonormal e_i in u-perp
-    the forms u ^ e_i are orthonormal and Ric_k(u, span e_i) =
-    sum_i R(u ^ e_i, u ^ e_i), so the sum of the k smallest eigenvalues of
-    R (Ky Fan), less eigh's rounding allowance, is ``lo``. ``hi`` is the
-    least exact inner minimum ``_k_plane_minima`` over candidate directions
-    (``_plane_directions`` of the k bottom eigenvectors, and the frame
-    axes), so rho_k attains it. A row whose bracket is wider than four
-    allowances is open: in dimension 4 with k = 1 it runs Thorpe's
-    bisection (``_thorpe_search``), whose lo is exact to rounding and which
-    gives hi more candidates; a row still open runs ``_pattern_search`` on
-    hi.
-    """
-    B, n = rf.shape[:2]
-    I, J = np.triu_indices(n, 1)
-    R = rf[:, I[:, None], J[:, None], I, J]
-    R = 0.5 * (R + np.swapaxes(R, 1, 2))
-    allowance = k * RHO_ROUNDING * np.linalg.norm(R, axis=(1, 2))
-    w, V = np.linalg.eigh(R)
-    lo = w[:, :k].sum(axis=1) - allowance
-    dirs = np.concatenate([_plane_directions(np.swapaxes(V[:, :, :k], 1, 2), n),
-                           np.broadcast_to(np.eye(n), (B, n, n))], axis=1)
-    hi, best_s = _k_plane_minima(rf, dirs, k)
-    rows = np.flatnonzero(hi - lo > 4.0 * allowance)
-    if rho_method(n, k) == "thorpe" and len(rows):
-        lo[rows], more = _thorpe_search(R[rows])
-        hi[rows], best_s[rows] = _k_plane_minima(
-            rf[rows], np.concatenate([dirs[rows], more], axis=1), k)
-        rows = rows[hi[rows] - lo[rows] > 4.0 * allowance[rows]]
-    if len(rows):
-        hi[rows] = _pattern_search(rf[rows], hi[rows], best_s[rows], k)
+    g, rm = _curvature_batch(M, xs)
+    t = _frame_tensor(rm, np.linalg.inv(np.linalg.cholesky(g)))
+    t = t - t.transpose(0, 2, 1, 3, 4)
+    t = t - t.transpose(0, 1, 2, 4, 3)
+    t = 0.125 * (t + t.transpose(0, 3, 4, 1, 2))
+    ric = np.einsum("bijil->bjl", t)
+    w, V = np.linalg.eigh(ric)
+    n = M.dim
+    sec = np.diagonal(frame_curvature(t, V.mT, V[:, :, 0]), axis1=1, axis2=2)
+    lo, hi = np.empty((2, len(xs), n - 1))
+    hi[:, :-1] = np.cumsum(sec[:, 1:-1], axis=1)
+    lo[:, -1] = w[:, 0] - RHO_ROUNDING * np.linalg.norm(ric, axis=(1, 2))
+    hi[:, -1] = np.einsum("bi,bij,bj->b", V[:, :, 0], ric, V[:, :, 0])
+    if n > 2:
+        shift = np.trace(ric, axis1=1, axis2=2) / (2 * (n - 1))
+        P = (ric - shift[:, None, None] * np.eye(n)) / (n - 2)
+        lam = (w - shift[:, None]) / (n - 2)
+        scale = np.linalg.norm(ric, axis=(1, 2)) / (n - 2)
+        I, J = np.triu_indices(n, 1)
+        a, b, eye = I[:, None], J[:, None], np.eye(n)
+        W = t[:, a, b, I, J] - (P[:, a, I] * eye[b, J] + P[:, b, J] * eye[a, I]
+                                - P[:, a, J] * eye[b, I] - P[:, b, I] * eye[a, J])
+        weyl = np.abs(np.linalg.eigvalsh(W)).max(axis=1)
+        k = np.arange(1, n - 1)
+        lo[:, :-1] = (_k_sums(lam)[:, :-1] - k * weyl[:, None]
+                      - k * RHO_ROUNDING * (2.0 * scale + np.linalg.norm(W, axis=(1, 2)))[:, None])
     return lo, hi
 
 
-def rho_method(n: int, k: int) -> str:
-    """How ``rho_k`` evaluates (n, k): "thorpe", "curvature_operator" or "ricci"."""
-    if k == n - 1:
-        return "ricci"
-    return "thorpe" if (n, k) == (4, 1) else "curvature_operator"
+def _product_rho(M: ChartManifold, X: np.ndarray):
+    """(lo, hi), each (P, n - 1), of rho_1 ... rho_(n-1) on a product M_a x M_b.
+
+    A unit u = cos(a) u_a + sin(a) u_b (u_a, u_b unit in the factors) has
+    R_u = R(., u)u block-diagonal on u-perp: cos^2(a) R_(u_a) on u_a-perp in
+    M_a, sin^2(a) R_(u_b) on u_b-perp in M_b, and 0 on -sin(a) u_a + cos(a)
+    u_b. The least Ric_k over k-planes, the sum of R_u's k smallest
+    eigenvalues, is a minimum over splits of functions affine in cos^2(a),
+    so concave in it, and least at cos^2(a) = 0 or 1. At u = u_a the
+    spectrum is R_(u_a)'s and n_b zeros, so rho_k = min over factors i and
+    max(0, k - n_other) <= j <= min(k, n_i - 1) of rho_j(M_i), rho_0 = 0,
+    each attained with k - j directions of the other factor. lo and hi are
+    the same minima of the factors' lo and hi; each factor is evaluated
+    once, and a factor that is a product recurses.
+    """
+    Ma, Mb = M.extra["factors"]
+    n, na, nb = M.dim, Ma.dim, Mb.dim
+    (lo_a, hi_a), (lo_b, hi_b) = _rho_brackets(Ma, X[:, :na]), _rho_brackets(Mb, X[:, na:])
+    lo, hi = np.empty((2, len(X), n - 1))
+    for k in range(1, n):
+        a = slice(max(0, k - nb), min(k, na - 1) + 1)
+        b = slice(max(0, k - na), min(k, nb - 1) + 1)
+        lo[:, k - 1] = np.minimum(lo_a[:, a].min(axis=1), lo_b[:, b].min(axis=1))
+        hi[:, k - 1] = np.minimum(hi_a[:, a].min(axis=1), hi_b[:, b].min(axis=1))
+    return lo, hi
+
+
+def rho_method(M: ChartManifold, k: int) -> str:
+    """The route ``rho_k`` takes on M at k, read from the chart's structure:
+    "product" (a ``product`` chart), "conformal" (``conformal_jet`` set),
+    else "ricci" at k = n - 1 and "schouten" below it."""
+    if M.extra.get("kind") == "product":
+        return "product"
+    if M.conformal_jet is not None:
+        return "conformal"
+    return "ricci" if k == M.dim - 1 else "schouten"
+
+
+def _rho_brackets(M: ChartManifold, X: np.ndarray):
+    """(lo, hi), each (P, n): column k brackets rho_k at each row of X, and
+    column 0 is rho_0 = 0. Rows outside a declared curvature support are 0."""
+    lo, hi = np.zeros((2, len(X), M.dim))
+    if M.dim == 1:   # a curve has only rho_0
+        return lo, hi
+    rows = np.arange(len(X))
+    if M.curvature_support is not None:
+        # the metric is exactly flat outside the declared support
+        rows = rows[M.curvature_support.contains(M.domain.wrap(X))]
+    route = {"product": _product_rho, "conformal": _conformal_rho}.get(rho_method(M, 1),
+                                                                        _schouten_rho)
+    for start in range(0, len(rows), RHO_BLOCK):
+        block = rows[start:start + RHO_BLOCK]
+        lo[block, 1:], hi[block, 1:] = route(M, X[block])
+    return lo, hi
 
 
 class RhoBracket(NamedTuple):
@@ -570,46 +545,20 @@ class RhoBracket(NamedTuple):
     hi: np.ndarray
 
 
-RHO_BLOCK = 64   # points per curvature batch; bounds the (rows, n, n, n, n) temporaries
-
-
 def rho_k(M: ChartManifold, X: np.ndarray, k: int) -> RhoBracket:
     """Pointwise minimum of Ric_k over unit directions and k-planes, per row of X.
 
-    For k = n - 1 (``rho_method`` "ricci") rho_k is the least eigenvalue
-    of Ricci (Ric_(n-1)(u) = Ric(u, u)): lo is eigh's value less its
-    rounding allowance and hi the Ricci form at its eigenvector. Every
-    other k is bracketed on the curvature operator by ``_rho_bracket``
-    ("thorpe" at n = 4, k = 1, where an open row runs Thorpe's bisection,
-    and "curvature_operator" otherwise). lo is always a certified lower
-    bound and hi a value rho_k attains; on conformally flat metrics,
-    space forms and products of space forms hi - lo is at rounding level,
-    elsewhere (products of curved factors among them) it may stay open.
-    No value depends on the other rows. Rows outside a declared curvature
-    support are 0.0.
+    Bracketed on the route ``rho_method`` reads from the chart: lo is a
+    certified lower bound and hi a value rho_k attains, and hi - lo is at
+    rounding level wherever the Weyl tensor vanishes (on every conformally
+    flat chart) and on products of such charts. No value depends on the
+    other rows. Rows outside a declared curvature support are 0.0.
     """
     n = M.dim
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    X = np.asarray(X, dtype=float)
-    lo, hi = np.zeros(len(X)), np.zeros(len(X))
-    rows = np.arange(len(X))
-    if M.curvature_support is not None:
-        # the metric is exactly flat outside the declared support
-        rows = rows[M.curvature_support.contains(M.domain.wrap(X))]
-    for start in range(0, len(rows), RHO_BLOCK):
-        block = rows[start:start + RHO_BLOCK]
-        g, rm = _curvature_batch(M, X[block])
-        rf = _frame_tensor(rm, np.linalg.inv(np.linalg.cholesky(g)))
-        if k == n - 1:
-            A = np.einsum("bijil->bjl", rf)
-            A = 0.5 * (A + np.swapaxes(A, 1, 2))
-            w, V = np.linalg.eigh(A)
-            lo[block] = w[:, 0] - RHO_ROUNDING * np.linalg.norm(A, axis=(1, 2))
-            hi[block] = np.einsum("bi,bij,bj->b", V[:, :, 0], A, V[:, :, 0])
-        else:
-            lo[block], hi[block] = _rho_bracket(rf, k)
-    return RhoBracket(lo, hi)
+    lo, hi = _rho_brackets(M, np.asarray(X, dtype=float))
+    return RhoBracket(lo[:, k], hi[:, k])
 
 
 def rho_k_at(M: ChartManifold, x: np.ndarray, k: int) -> float:

@@ -140,13 +140,14 @@ def certify_rho_lower_bound(scenario: Scenario, k: int, H: float) -> dict:
 
     A declared rho_k is constant: ``rho_k``'s lower end (never the declared
     value, which this guards) must clear k H at CERTIFY_POINTS random chart
-    points (``samples``; ``bracket_width`` is the largest hi - lo there).
+    points (``samples``; ``bracket_width`` is the largest hi - lo there,
+    and ``rho_k_method`` the route ``rho_method`` reads from the chart).
     An undeclared rho_k is refused unevaluated, with a ``reason``: samples
     bound nothing between them without a bound on rho_k's variation
     (Piyavskii, USSR Comput. Math. 12, 1972), and none is known.
     """
     M = scenario.manifold
-    method = rho_method(M.dim, k)
+    method = rho_method(M, k)
     declared = scenario.declared_rho(k)
     if declared is None:
         return {"ok": False, "basis": None, "k": k, "H": H, "rho_k_method": method,
@@ -373,9 +374,9 @@ def check_integral_bound(scenario: Scenario, radii,
     norm (the theorem as stated; this is the pass/fail one) and one with
     the tube-restricted norm (``Scenario.tube_deficit_norm``). The global
     norm is computed once for all radii. ``rho_k_method`` names how rho_k
-    is read ("declared", or ``rho_method``'s "thorpe", "curvature_operator"
-    or "ricci"). The norms read ``rho_k``'s attained end hi, so a pass is
-    earned; a global failure at an evaluated rho_k stands only if it also
+    is read ("declared", or ``rho_method``'s "conformal", "product",
+    "ricci" or "schouten"). The norms read ``rho_k``'s attained end hi, so
+    a pass is earned; a global failure at an evaluated rho_k stands only if it also
     fails at the norm from the certified end lo, walked only then, and is
     otherwise a precondition violation that names both norms. With
     ``monte_carlo_check``,
@@ -407,7 +408,7 @@ def check_integral_bound(scenario: Scenario, radii,
         tube_norm = scenario.tube_deficit_norm(sampler, r, measured.value)
         details_common = {
             "vol_sigma": vol_sigma, "eta_max": eta_max, "r": r,
-            "rho_k_method": rho_method(n, k) if declared is None else "declared",
+            "rho_k_method": rho_method(M, k) if declared is None else "declared",
             "mean_curvature_check": "passed",
         }
         if monte_carlo_check:

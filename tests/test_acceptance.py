@@ -52,24 +52,9 @@ def product_reports():
     return run_suite([build_scenario("s2xs2_factor")]).entries
 
 
-BUMP_THORPE_SEARCHES = []   # rows sent to Thorpe's bisection by the bump_torus suite
-
-
 @pytest.fixture(scope="module")
 def bump_reports():
-    from tubecomp import geometry
-
-    original = geometry._thorpe_search
-
-    def counted(R):
-        BUMP_THORPE_SEARCHES.append(len(R))
-        return original(R)
-
-    geometry._thorpe_search = counted
-    try:
-        return run_suite([build_scenario("bump_torus")]).entries
-    finally:
-        geometry._thorpe_search = original
+    return run_suite([build_scenario("bump_torus")]).entries
 
 
 @pytest.fixture(scope="module")
@@ -227,12 +212,23 @@ def test_criterion_8_bump_integral_bound(bump_reports):
           f"MC={mc:.4f}+-{mc_err:.4f}")
 
 
-def test_bump_suite_reads_thorpe_brackets(bump_reports):
-    """The shipped bump_torus run brackets rho_1 on the curvature operator; every
-    row closes at t = 0, so none runs Thorpe's bisection."""
-    assert BUMP_THORPE_SEARCHES == []
+def test_bump_suite_reads_conformal_brackets(bump_reports, monkeypatch):
+    """The shipped bump_torus run reads rho_k by the conformal route, which
+    forms no Rm: rho_k on the bump calls ``_curvature_batch`` zero times."""
+    from tubecomp import geometry
+
     glob = _one(bump_reports, "bump_torus", "integral_bound[global]")
-    assert glob.details["rho_k_method"] == "thorpe"
+    assert glob.details["rho_k_method"] == "conformal"
+    calls = []
+    original = geometry._curvature_batch
+    monkeypatch.setattr(geometry, "_curvature_batch",
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    M = build_scenario("bump_torus").manifold
+    X = M.extra["center"] + np.random.default_rng(0).uniform(-1.0, 1.0, (200, M.dim))
+    for k in range(1, M.dim):
+        lo, hi = geometry.rho_k(M, X, k)
+        assert np.all(lo <= hi) and np.any(hi < 0.0)
+    assert calls == []
     z = (glob.details["mc_volume"] - glob.measured) / glob.details["mc_stderr"]
     assert glob.details["mc_z"] == pytest.approx(z, rel=1e-12)
 

@@ -23,7 +23,8 @@ from tubecomp.geometry import (
 )
 from tubecomp.geometry import _connection_batch, _curvature_batch, _jacobi_batch, frame_matrix
 from fd import FD_STEP_FIRST, FD_STEP_SECOND, fd_gradient, fd_hessian
-from tubecomp.geometry import _frame_tensor, _rho_bracket
+from rho_oracle import _k_plane_minima, _rho_bracket, _thorpe_search, oracle_rho_k
+from tubecomp.geometry import RHO_ROUNDING, _frame_tensor
 from tubecomp.quadrature import product_angle_sphere
 
 
@@ -907,19 +908,20 @@ class TestRhoBracket:
             assert lo_i <= oracle
             assert hi_i <= oracle + 1e-12 * scale   # hi is attained, the oracle only sampled
 
-    @pytest.mark.parametrize("make", [
-        lambda rng: (manifolds.bump_torus(4),
-                     np.pi + rng.uniform(-1.1, 1.1, size=(12, 4))),
-        lambda rng: (manifolds.bump_torus(4),
-                     np.pi + np.sign(rng.standard_normal((6, 4))) * rng.uniform(1.3, 2.5, (6, 4))),
-        lambda rng: (manifolds.product(manifolds.sphere(2), manifolds.sphere(2)),
-                     rng.uniform(-1.5, 1.5, size=(12, 4))),
-        lambda rng: (manifolds.flat_torus(4), rng.uniform(0.0, 6.0, size=(6, 4))),
+    @pytest.mark.parametrize("make, method", [
+        (lambda rng: (manifolds.bump_torus(4),
+                      np.pi + rng.uniform(-1.1, 1.1, size=(12, 4))), "conformal"),
+        (lambda rng: (manifolds.bump_torus(4),
+                      np.pi + np.sign(rng.standard_normal((6, 4))) * rng.uniform(1.3, 2.5, (6, 4))),
+         "conformal"),
+        (lambda rng: (manifolds.product(manifolds.sphere(2), manifolds.sphere(2)),
+                      rng.uniform(-1.5, 1.5, size=(12, 4))), "product"),
+        (lambda rng: (manifolds.flat_torus(4), rng.uniform(0.0, 6.0, size=(6, 4))), "conformal"),
     ], ids=["bump_inside", "bump_outside", "s2xs2_kink", "flat"])
-    def test_manifold_points(self, make):
+    def test_manifold_points(self, make, method):
         rng = np.random.default_rng(17)
         M, X = make(rng)
-        assert rho_method(M.dim, 1) == "thorpe"
+        assert rho_method(M, 1) == method
         lo, hi = rho_k(M, X, 1)
         rms = [curvature_tensor_at(M, x) for x in X]
         self.check_bracket(lo, hi, rms, M.metric_at(X), rng)
@@ -949,8 +951,6 @@ class TestRhoBracket:
         # min sec = (a_1 + b_1) / 2 on a kink of t -> lambda_min(R + t *):
         # the bottom eigenvector's plane and both decomposable elements of
         # the bottom pair attain it
-        from tubecomp.geometry import _k_plane_minima, _thorpe_search
-
         I, J = np.triu_indices(4, 1)
         sd = np.sqrt(0.5) * np.array([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0]])
         asd = np.sqrt(0.5) * np.array([[1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]])
@@ -999,31 +999,35 @@ def sampled_ricci_minimum(rm, g, rng, count=20000):
 
 
 class TestExactBrackets:
-    """rho_k for k = n - 1 (least Ricci eigenvalue) and n = 3, k = 1 (curvature operator)."""
+    """rho_k for k = n - 1 (least Ricci eigenvalue) and n = 3, k = 1 (least sectional curvature)."""
 
     @pytest.mark.parametrize("make, k, method", [
         (lambda rng: (manifolds.bump_torus(3, width=1.2),
-                      math.pi + rng.uniform(-1.0, 1.0, (10, 3))), 1, "curvature_operator"),
+                      math.pi + rng.uniform(-1.0, 1.0, (10, 3))), 1, "conformal"),
         (lambda rng: (manifolds.bump_torus(3, width=1.2),
-                      math.pi + rng.uniform(-1.0, 1.0, (10, 3))), 2, "ricci"),
+                      math.pi + rng.uniform(-1.0, 1.0, (10, 3))), 2, "conformal"),
         (lambda rng: (manifolds.sphere(3, radius=1.3), rng.uniform(-1, 1, (6, 3))),
-         1, "curvature_operator"),
-        (lambda rng: (manifolds.hyperbolic(3), rng.uniform(0.5, 2.0, (6, 3))), 2, "ricci"),
+         1, "conformal"),
+        (lambda rng: (manifolds.hyperbolic(3), rng.uniform(0.5, 2.0, (6, 3))), 2, "conformal"),
         (lambda rng: (manifolds.bump_torus(4), math.pi + rng.uniform(-1.0, 1.0, (10, 4))),
-         3, "ricci"),
+         3, "conformal"),
         (lambda rng: (manifolds.product(manifolds.sphere(2), manifolds.hyperbolic(2)),
                       np.hstack([rng.uniform(-1, 1, (6, 2)), rng.uniform(0.5, 2, (6, 2))])),
-         3, "ricci"),
+         3, "product"),
         (lambda rng: (manifolds.bump_torus(2), math.pi + rng.uniform(-1.0, 1.0, (6, 2))),
-         1, "ricci"),
+         1, "conformal"),
+        (lambda rng: (manifolds.sphere_colatitude(3, radius=1.3),
+                      rng.uniform([0.3, 0.3, 0.0], [2.8, 2.8, 6.0], (6, 3))), 1, "schouten"),
+        (lambda rng: (manifolds.sphere_colatitude(3, radius=1.3),
+                      rng.uniform([0.3, 0.3, 0.0], [2.8, 2.8, 6.0], (6, 3))), 2, "ricci"),
     ], ids=["bump3_k1", "bump3_k2", "sphere3_k1", "hyperbolic3_k2", "bump4_k3",
-            "s2xh2_k3", "bump2_k1"])
+            "s2xh2_k3", "bump2_k1", "colatitude3_k1", "colatitude3_k2"])
     def test_bracket_against_random_directions(self, make, k, method):
         rng = np.random.default_rng(23)
         M, X = make(rng)
-        assert rho_method(M.dim, k) == method
+        assert rho_method(M, k) == method
         lo, hi = rho_k(M, X, k)
-        oracle = sampled_ricci_minimum if method == "ricci" else sampled_plane_minimum
+        oracle = sampled_ricci_minimum if k == M.dim - 1 else sampled_plane_minimum
         for lo_i, hi_i, x in zip(lo, hi, X):
             rm, g = curvature_tensor_at(M, x), M.metric_at(x)
             scale = max(1.0, operator_norm_bound(rm, g))
@@ -1048,6 +1052,174 @@ class TestExactBrackets:
             parts = [rho_k(M, X[i:i + batch], k) for i in range(0, len(X), batch)]
             assert np.array_equal(np.concatenate([p.lo for p in parts]), lo), batch
             assert np.array_equal(np.concatenate([p.hi for p in parts]), hi), batch
+
+
+def rounding_scale(M, x):
+    """Frame size of the terms whose cancellation forms Rm at x, at least 1:
+    the curvature operator's norm and |Gamma|^2 |g^-1|. Both ``rho_k`` and the
+    oracle read curvature formed from them, so both round at eps times it."""
+    g = M.metric_at(x)
+    return max(1.0, operator_norm_bound(curvature_tensor_at(M, x), g),
+               float(np.sum(christoffel_at(M, x) ** 2)) * np.linalg.norm(np.linalg.inv(g), 2))
+
+
+def allowances(M, X, k):
+    """One rounding allowance per row: k RHO_ROUNDING ``rounding_scale``."""
+    return k * RHO_ROUNDING * np.array([rounding_scale(M, x) for x in X])
+
+
+def diagonal_chart(a):
+    """g = diag(exp(2 a sin x)) on T^n, a (n, n): not conformally flat for a generic a."""
+    n = len(a)
+    idx = np.arange(n)
+
+    def diagonal(d):
+        out = np.zeros(d.shape + d.shape[-1:])
+        out[..., idx, idx] = d
+        return out
+
+    def g_ii(x):
+        return np.exp(2.0 * np.sin(x) @ a.T)
+
+    def grad(x):
+        return diagonal(2.0 * np.cos(x)[..., :, None] * a.T * g_ii(x)[..., None, :])
+
+    def hess(x):
+        d1 = 2.0 * np.cos(x)[..., :, None] * a.T
+        d2 = -2.0 * (np.sin(x)[..., :, None] * a.T)[..., :, None, :] * np.eye(n)[:, :, None]
+        return diagonal((d1[..., :, None, :] * d1[..., None, :, :] + d2)
+                        * g_ii(x)[..., None, None, :])
+
+    return ChartManifold(dim=n, metric=lambda x: diagonal(g_ii(x)),
+                         domain=Box(np.zeros(n), 2.0 * math.pi * np.ones(n), (True,) * n),
+                         metric_grad=grad, metric_hess=hess, name="diagonal")
+
+
+def bump_product_points(M, rng, count=40):
+    """Points of a product with bump factors, each bump's coordinates within
+    0.6 of its centre and the others inside their factor's chart."""
+    cols = []
+    for F in M.extra["factors"]:
+        if F.extra.get("kind") == "bump_torus":
+            cols.append(F.extra["center"] + rng.uniform(-0.6, 0.6, (count, F.dim)))
+        else:
+            cols.append(F.domain.lo + rng.uniform(0.4, 0.6, (count, F.dim)) * F.domain.widths())
+    return np.hstack(cols)
+
+
+ROUTE_ARGS = {"product": (manifolds.sphere(2), manifolds.hyperbolic(3)),
+              "warped_product": (3, np.cosh, np.sinh, np.cosh)}
+
+
+class TestRhoRoutes:
+    """rho_k's three routes against the search oracle of ``tests/rho_oracle.py``."""
+
+    @pytest.mark.parametrize("M, box", [
+        (manifolds.sphere_colatitude(4), None),
+        (manifolds.sphere(4, 1.5), (-32.0, 32.0)),
+    ], ids=["colatitude4", "sphere4"])
+    def test_lo_never_above_hi(self, M, box):
+        rng = np.random.default_rng(1)
+        lo_box, hi_box = (M.domain.lo, M.domain.hi) if box is None else box
+        X = rng.uniform(lo_box, hi_box, size=(1000, M.dim))
+        for k in range(1, M.dim):
+            lo, hi = rho_k(M, X, k)
+            assert np.all(lo <= hi), (k, int(np.sum(lo > hi)), float(np.max(lo - hi)))
+
+    @pytest.mark.parametrize("name", sorted(manifolds.MANIFOLD_BUILDERS))
+    def test_brackets_meet_the_oracle(self, name):
+        # each widened by four allowances, the two brackets intersect
+        M = manifolds.MANIFOLD_BUILDERS[name](*ROUTE_ARGS.get(name, (4,)))
+        X = M.domain.lo + np.random.default_rng(2).uniform(size=(12, M.dim)) * M.domain.widths()
+        for k in range(1, M.dim):
+            lo, hi = rho_k(M, X, k)
+            olo, ohi = oracle_rho_k(M, X, k)
+            slack = 8.0 * allowances(M, X, k)
+            assert np.all(lo <= ohi + slack) and np.all(olo <= hi + slack), (name, k)
+
+    def test_weyl_chart_contains_the_oracle(self):
+        # W != 0: the Schouten bracket is open, but certified on both ends
+        rng = np.random.default_rng(0)
+        M = diagonal_chart(0.3 * rng.standard_normal((4, 4)))
+        X = rng.uniform(0.0, 2.0 * math.pi, (24, 4))
+        assert np.allclose(M.metric_grad(X), fd_gradient(M.metric, X, FD_STEP_FIRST), atol=1e-8)
+        assert np.allclose(M.metric_hess(X), fd_hessian(M.metric, X, FD_STEP_SECOND), atol=1e-5)
+        for k in (1, 2, 3):
+            assert rho_method(M, k) == ("ricci" if k == 3 else "schouten")
+            lo, hi = rho_k(M, X, k)
+            olo, ohi = oracle_rho_k(M, X, k)
+            tol = 4.0 * allowances(M, X, k)
+            assert np.all(lo <= olo + tol) and np.all(ohi <= hi + tol), k
+            if k < 3:
+                assert np.max(hi - lo) > 0.1, k
+
+    @pytest.mark.parametrize("method, M, k", [
+        ("conformal", manifolds.bump_torus(4), 2),
+        ("product", manifolds.product(manifolds.bump_torus(3, amplitude=0.3, width=1.2),
+                                      manifolds.hyperbolic(2)), 2),
+        ("ricci", manifolds.sphere_colatitude(3), 2),
+        ("schouten", manifolds.sphere_colatitude(4), 1),
+    ], ids=["conformal", "product", "ricci", "schouten"])
+    def test_batch_one_equals_batch_n(self, method, M, k):
+        assert rho_method(M, k) == method
+        rng = np.random.default_rng(9)
+        X = M.domain.lo + rng.uniform(0.3, 0.7, (130, M.dim)) * M.domain.widths()
+        lo, hi = rho_k(M, X, k)
+        for batch in (1, 63, 64, 65):
+            got = batched_rho_k(M, X, k, batch)
+            assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi), batch
+
+    @pytest.mark.parametrize("M", [
+        manifolds.product(manifolds.bump_torus(3, amplitude=0.3, width=1.2),
+                          manifolds.hyperbolic(2)),
+        manifolds.product(manifolds.bump_torus(3, amplitude=0.3, width=1.2),
+                          manifolds.bump_torus(3, amplitude=0.3, width=1.2)),
+        manifolds.product(manifolds.bump_torus(4, amplitude=0.3, width=1.2), manifolds.sphere(2)),
+    ], ids=["bump3xh2", "bump3xbump3", "bump4xs2"])
+    def test_products_of_curved_factors_close(self, M):
+        # the search left these open by up to 1.22; the factor reduction
+        # closes them, inside the oracle's bracket
+        X = bump_product_points(M, np.random.default_rng(0))
+        for k in range(1, M.dim):
+            lo, hi = rho_k(M, X, k)
+            tol = 4.0 * allowances(M, X, k)
+            assert np.all(hi - lo <= tol), k
+            olo, ohi = oracle_rho_k(M, X, k)
+            assert np.all(olo <= lo + tol) and np.all(hi <= ohi + tol), k
+
+    def test_each_factor_is_read_once(self):
+        # every rho_j of a factor comes from one evaluation of its jet
+        factors = manifolds.bump_torus(3, amplitude=0.3, width=1.2), manifolds.hyperbolic(3)
+        calls = []
+        for F in factors:
+            F.conformal_jet = (lambda jet, name: lambda x: calls.append(name) or jet(x))(
+                F.conformal_jet, F.name)
+        M = manifolds.product(*factors)
+        X = bump_product_points(M, np.random.default_rng(1), count=20)
+        rho_k(M, X, 3)
+        assert sorted(calls) == sorted(F.name for F in factors)
+
+    def test_s2xs2_from_brackets_alone(self):
+        M = manifolds.product(manifolds.sphere(2), manifolds.sphere(2))
+        assert M.rho_exact is None
+        X = np.random.default_rng(2).uniform(-1.5, 1.5, size=(32, 4))
+        for k, exact in {1: 0.0, 2: 0.0, 3: 1.0}.items():
+            lo, hi = rho_k(M, X, k)
+            assert np.all(np.abs(lo - exact) <= 1e-13) and np.all(np.abs(hi - exact) <= 1e-13)
+            assert np.all(lo <= hi)
+
+    @pytest.mark.parametrize("flat_first", [True, False])
+    def test_one_dimensional_factor(self, flat_first):
+        # S^1 x H^3: rho_0 = 0 of the circle, so rho_1 = -1 and rho_2 = rho_3 = -2
+        circle, H = manifolds.flat_torus(1), manifolds.hyperbolic(3)
+        M = manifolds.product(circle, H) if flat_first else manifolds.product(H, circle)
+        rng = np.random.default_rng(4)
+        t = rng.uniform(0.0, 2.0 * math.pi, (10, 1))
+        h = np.hstack([rng.uniform(-1.0, 1.0, (10, 2)), rng.uniform(0.5, 2.0, (10, 1))])
+        X = np.hstack([t, h] if flat_first else [h, t])
+        for k, exact in {1: -1.0, 2: -2.0, 3: -2.0}.items():
+            lo, hi = rho_k(M, X, k)
+            assert np.all(np.abs(lo - exact) <= 1e-12) and np.all(np.abs(hi - exact) <= 1e-12)
 
 
 def rho_hi(M, k):

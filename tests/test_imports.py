@@ -368,3 +368,45 @@ def test_one_det_of_the_jacobi_matrix():
     assert {name: det_reads((src / name).read_text())
             for name in ("transport.py", "tubes.py", "verification.py")} == {
         "transport.py": ["jacobi_det"], "tubes.py": [], "verification.py": []}
+
+
+def jet_callers(source: str) -> list[str]:
+    """Module-level functions of ``source`` that call a chart's ``conformal_jet``
+    (a test such as ``M.conformal_jet is None`` is not a call)."""
+    return [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                    and c.func.attr == "conformal_jet" for c in ast.walk(node))]
+
+
+def reaches(source: str, start: str, target: str) -> bool:
+    """Whether module-level function ``start`` reads ``target``, directly or
+    through the module-level functions it reads."""
+    graph = {node.name: names_read(node) for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name == target:
+            return True
+        if name in graph and name not in seen:
+            seen.add(name)
+            todo += graph[name]
+    return False
+
+
+def test_jet_caller_detector():
+    source = ("def form(M, x):\n    return M.conformal_jet(x)\n"
+              "def route(M, x):\n    return form(M, x) if M.conformal_jet is not None else 0\n"
+              "def top(M, x):\n    pick = {'a': route}.get('a')\n    return pick(M, x)\n"
+              "def other(M, x):\n    return M.metric(x)\n")
+    assert jet_callers(source) == ["form"]
+    assert reaches(source, "top", "form") and not reaches(source, "other", "form")
+
+
+def test_one_conformal_curvature_form():
+    # the conformal curvature form A needs the phi-jet, which one function
+    # reads; the ray kernel and rho_k both take A from it
+    source = (ROOT / "src" / "tubecomp" / "geometry.py").read_text()
+    assert jet_callers(source) == ["_conformal_form"]
+    for reader in ("_jacobi_batch", "rho_k"):
+        assert reaches(source, reader, "_conformal_form"), reader

@@ -90,16 +90,16 @@ class TestCertification:
 
     def test_method_and_bracket_width(self, flat_scenario, monkeypatch):
         cert = certify_rho_lower_bound(flat_scenario, 1, 0.0)
-        assert cert["rho_k_method"] == "thorpe" and cert["bracket_width"] == 0.0
+        assert cert["rho_k_method"] == "conformal" and cert["bracket_width"] == 0.0
         assert cert["basis"] == "declared" and cert["samples"] == verification.CERTIFY_POINTS
         cert = certify_rho_lower_bound(flat_scenario, 2, 0.0)
-        assert cert["rho_k_method"] == "curvature_operator" and cert["bracket_width"] == 0.0
+        assert cert["rho_k_method"] == "conformal" and cert["bracket_width"] == 0.0
         # a declared value on the bump is checked against the evaluated lower end
         sc = build_scenario("bump_torus")
         sc.manifold.rho_exact = {1: -0.3}
         monkeypatch.setattr(verification, "CERTIFY_POINTS", 16)
         cert = certify_rho_lower_bound(sc, 1, -0.1)
-        assert cert["rho_k_method"] == "thorpe"
+        assert cert["rho_k_method"] == "conformal"
         assert 0.0 < cert["bracket_width"] <= 1e-12
         assert cert["min_rho_k"] < 0.0 < cert["declared_gap"]
 
@@ -112,12 +112,13 @@ class TestCertification:
         for H in (-0.01, -0.1):
             cert = certify_rho_lower_bound(sc, 1, H)
             assert not cert["ok"] and cert["basis"] is None
-            assert cert["rho_k_method"] == "thorpe"
+            assert cert["rho_k_method"] == "conformal"
             assert "no bound on rho_k between chart points is known" in cert["reason"]
 
     def test_exact_lower_end_off_the_thorpe_path(self):
-        for name, k, method in (("s3_great_circle", 1, "curvature_operator"),
-                                ("hyperbolic_point", 2, "ricci")):
+        for name, k, method in (("s3_great_circle", 1, "conformal"),
+                                ("hyperbolic_point", 2, "conformal"),
+                                ("s2xs2_factor", 3, "product")):
             sc = build_scenario(name)
             cert = certify_rho_lower_bound(sc, k, sc.H)
             assert cert["rho_k_method"] == method
@@ -233,7 +234,7 @@ class TestIntegralCheck:
         sc = toy_bump_scenario(radii=(0.4,))
         (glob, tube) = check_integral_bound(sc, sc.radii, monte_carlo_check=True)
         for rep in (glob, tube):
-            assert rep.details["rho_k_method"] == "curvature_operator"
+            assert rep.details["rho_k_method"] == "conformal"
             z = (rep.details["mc_volume"] - rep.measured) / rep.details["mc_stderr"]
             assert rep.details["mc_z"] == pytest.approx(z, rel=1e-12)
             assert rep.details["mc_consistent"] == (abs(rep.details["mc_z"]) <= 3.0)
