@@ -63,6 +63,6 @@ print(f"  tr S(1) = {np.trace(solh.shape_fields(1.0)[0]):.9f} "
 print(f"  det J(1) = {solh.density(1.0):.9f} (= sinh^2 1 = {math.sinh(1.0)**2:.9f})")
 
 print("\n== evolution-law residuals along the hyperbolic ray ==")
-res = structural_residuals(solh)
+res = structural_residuals(solh.batch, [solh.index])
 for key, err in res.pop("error").items():
     print(f"  {key:>14}: {res[key]:.3e}  (stencil error {err:.1e})")

@@ -84,7 +84,7 @@ _SCHEMA = {
                  "check_rays": _POSITIVE_INT},
     # manifold specs that no builder signature describes, walked when built;
     # the product's a and b are manifold specs in turn
-    "product": {"name": _STRING, "a": _OBJECT, "b": _OBJECT, "rho_exact": _OBJECT},
+    "product": {"name": _STRING, "a": _OBJECT, "b": _OBJECT},
     "warped_product": {"name": _STRING, "fiber_dim": _POSITIVE_INT, "warp": _STRING,
                        "base_interval": _INTERVAL, "fiber_side": _POSITIVE},
 }
@@ -111,11 +111,6 @@ def _reject_unknown(given: dict, allowed, where: str):
         if key not in allowed:
             raise ConfigError(
                 f"unknown field '{key}' in {where} (allowed: {sorted(allowed)})")
-
-
-def _rho_table(value, where: str) -> dict[int, float]:
-    """A declared rho_k table: integer k -> value."""
-    return {int(k): float(v) for k, v in _check(_OBJECT, value, where).items()}
 
 
 def _walk_schema(given: dict, section: str = "") -> None:
@@ -156,10 +151,8 @@ def _build_manifold_from_config(spec: dict):
     if name == "product":
         if "a" not in spec or "b" not in spec:
             raise ConfigError("product manifold needs nested 'a' and 'b' configs")
-        rho = spec.get("rho_exact")
         return manifold_registry.product(
-            _build_manifold_from_config(spec["a"]), _build_manifold_from_config(spec["b"]),
-            rho_exact=None if rho is None else _rho_table(rho, "product 'rho_exact'"))
+            _build_manifold_from_config(spec["a"]), _build_manifold_from_config(spec["b"]))
     if name == "warped_product":
         params = {k: v for k, v in spec.items() if k != "name"}
         warp_name = params.pop("warp", "constant")
@@ -223,13 +216,18 @@ def _apply_settings(sc: Scenario, cfg: dict, seed: int | None,
     sc.radii = tuple(radii if radii is not None else cfg.get("radii", sc.radii))
     quad = {key: value for key, value in cfg.get("quadrature", {}).items()
             if ("quadrature", key) not in _RETIRED}
+    base = quad.get("base_resolution")
+    if isinstance(base, list) and len(base) != sc.sigma.dim:
+        raise ConfigError(f"quadrature 'base_resolution' must list one entry per submanifold"
+                          f" dimension ({sc.sigma.dim}), got {base!r}")
     sc.quad = dataclasses.replace(sc.quad, **dict(quad, seed=sc.seed))
     for key, value in cfg.get("declared", {}).items():
         if key == "validity_radius":
             sc.manifold.volume_validity_radius = float(value)
         elif key == "rho_exact":
+            table = _check(_OBJECT, value, "declared 'rho_exact'")
             sc.manifold.rho_exact = {**(sc.manifold.rho_exact or {}),
-                                     **_rho_table(value, "declared 'rho_exact'")}
+                                     **{int(k): float(v) for k, v in table.items()}}
         elif key in ("hessian_H", "ray_horizon", "check_rays"):
             setattr(sc, key, value)
     sc.checks = tuple(cfg.get("checks", sc.checks))

@@ -90,6 +90,8 @@ class Box:
         """Tensor-product quadrature: trapezoid on periodic axes, GL otherwise."""
         if np.isscalar(resolution):
             resolution = [int(resolution)] * self.dim
+        if len(resolution) != self.dim:
+            raise ValueError(f"resolution {resolution!r} needs one entry per axis ({self.dim})")
         axes, weights = [], []
         for i, res in enumerate(resolution):
             if self.periodic[i]:
@@ -482,6 +484,11 @@ def _schouten_rho(M: ChartManifold, xs: np.ndarray):
     return lo, hi
 
 
+def _product_splits(k: int, na: int, nb: int) -> tuple[range, range]:
+    """The j whose rho_j of each factor bound rho_k of an na + nb product (``_product_rho``)."""
+    return range(max(0, k - nb), min(k, na - 1) + 1), range(max(0, k - na), min(k, nb - 1) + 1)
+
+
 def _product_rho(M: ChartManifold, X: np.ndarray):
     """(lo, hi), each (P, n - 1), of rho_1 ... rho_(n-1) on a product M_a x M_b.
 
@@ -502,8 +509,7 @@ def _product_rho(M: ChartManifold, X: np.ndarray):
     (lo_a, hi_a), (lo_b, hi_b) = _rho_brackets(Ma, X[:, :na]), _rho_brackets(Mb, X[:, na:])
     lo, hi = np.empty((2, len(X), n - 1))
     for k in range(1, n):
-        a = slice(max(0, k - nb), min(k, na - 1) + 1)
-        b = slice(max(0, k - na), min(k, nb - 1) + 1)
+        a, b = _product_splits(k, na, nb)
         lo[:, k - 1] = np.minimum(lo_a[:, a].min(axis=1), lo_b[:, b].min(axis=1))
         hi[:, k - 1] = np.minimum(hi_a[:, a].min(axis=1), hi_b[:, b].min(axis=1))
     return lo, hi

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .geometry import Box, ChartManifold, complete_euclidean
+from .geometry import Box, ChartManifold, _product_splits, complete_euclidean
 
 __all__ = [
     "euclidean",
@@ -246,11 +246,21 @@ def hyperbolic(n: int, z_range: tuple[float, float] = (0.02, 20.0),
                          rho_exact={k: -float(k) for k in range(1, n)})
 
 
-def product(Ma: ChartManifold, Mb: ChartManifold,
-            rho_exact: dict[int, float] | None = None) -> ChartManifold:
-    """Riemannian product on the concatenated chart."""
+def product(Ma: ChartManifold, Mb: ChartManifold) -> ChartManifold:
+    """Riemannian product on the concatenated chart.
+
+    It declares the rho_k that ``rho_k``'s product rule (``_product_splits``,
+    rho_0 = 0) gives on the factors' declared tables, and nothing if a
+    factor declares nothing; a k that needs an undeclared rho_j stays out.
+    """
     na, nb = Ma.dim, Mb.dim
     n = na + nb
+    rho_exact = None
+    if Ma.rho_exact is not None and Mb.rho_exact is not None:
+        tables = [{0: 0.0, **Ma.rho_exact}, {0: 0.0, **Mb.rho_exact}]
+        values = {k: [t.get(j) for t, js in zip(tables, _product_splits(k, na, nb)) for j in js]
+                  for k in range(1, n)}
+        rho_exact = {k: min(v) for k, v in values.items() if None not in v}
 
     def metric(x):
         x = np.asarray(x, dtype=float)

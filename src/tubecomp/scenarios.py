@@ -97,7 +97,7 @@ def s3_small_sphere() -> Scenario:
 def s2xs2_factor() -> Scenario:
     Ma = manifolds.sphere(2)
     Mb = manifolds.sphere(2)
-    M = manifolds.product(Ma, Mb, rho_exact={1: 0.0, 2: 0.0, 3: 1.0})
+    M = manifolds.product(Ma, Mb)
     M.volume_validity_radius = 0.5
     c0 = manifolds.sphere_to_chart(Ma, np.array([1.0, 0.0, 0.0]))
 

@@ -408,6 +408,8 @@ def round_sphere(M: ChartManifold, radius: float,
     if M.dim != 3:
         raise ValueError("euclidean round_sphere implemented for R^3 ambients")
     c = np.zeros(3) if center is None else np.asarray(center, dtype=float)
+    if c.shape != (3,):
+        raise ValueError(f"round_sphere center must have length 3, got shape {c.shape}")
 
     def jet(s):
         v, dv, d2v = polar_jet(s)

@@ -9,10 +9,11 @@ the one place that forms it, and the polar volume density det J(t) by one
 Laplace expansion (``_laplace_det``): ``jacobi_det`` applies it to values,
 and the focal search to the J of each dense segment in Bernstein form, on
 which det J is a polynomial of degree 7(n-1).
-A ray is read through arrays of times only: ``RaySolution.fields(ts)``
-gives the state parts, and ``RaySolution.shape_fields(ts)`` adds S behind
-the guards that keep it away from t = 0 and the first focal time, which
-``RayBatch.focal_times`` finds for all rays of a batch at once.
+Rays are read together, each at its own array of times:
+``RayBatch.fields(ts, rows)`` gives the state parts, and
+``RayBatch.shape_fields(ts, rows)`` adds S behind the guards that keep it
+away from t = 0 and the first focal time, which ``RayBatch.focal_times``
+finds for all rays of a batch at once. ``RaySolution`` is one ray's view.
 """
 
 from __future__ import annotations
@@ -211,15 +212,17 @@ class RayBatch(Sequence):
     manifold: ChartManifold
     sigma: EmbeddedSubmanifold
     rays: list[NormalRay]
-    weingarten0: list[np.ndarray]
+    weingarten0: np.ndarray  # (rays, m, m): S_xi of each ray
     knots: np.ndarray        # (rays, segments + 1)
     starts: np.ndarray       # (rays, segments, state)
     coeffs: np.ndarray       # (rays, segments, 7, state)
     last: np.ndarray         # (rays,)
+    t_max: np.ndarray = field(init=False, repr=False)          # (rays,): each ray's horizon
     start_planes: np.ndarray = field(init=False, repr=False)   # (state, rays * segments)
     coeff_planes: np.ndarray = field(init=False, repr=False)   # (7, state, rays * segments)
 
     def __post_init__(self):
+        self.t_max = np.array([float(ray.t_max) for ray in self.rays])
         rays, segments, power, state = np.shape(self.coeffs)
         self.coeff_planes = np.ascontiguousarray(
             np.transpose(self.coeffs, (2, 3, 0, 1)), dtype=float).reshape(power, state, -1)
@@ -259,7 +262,7 @@ class RayBatch(Sequence):
         """
         rows = np.arange(len(self)) if rows is None else np.asarray(rows)
         ts = np.asarray(ts, dtype=float)
-        t_max = np.array([float(self.rays[i].t_max) for i in rows])[:, None]
+        t_max = self.t_max[rows][:, None]
         out = ~((ts >= 0.0) & (ts <= t_max + 1e-12))
         if out.any():
             i = np.argwhere(out)[0]
@@ -384,9 +387,8 @@ class RayBatch(Sequence):
         if len(loose):
             c, x = c[loose], x[loose]
             focal[ray[chosen[loose]]] = t_old[c] + h[c] * self._refine(live[c], x)
-        t_max = np.array([float(r.t_max) for r in self.rays])
         ends = np.isinf(focal) & (np.abs(P[-1, at_end]) <= tol) & falls[at_end]
-        focal = np.where(t_max > 0.0, np.where(ends, t_max, focal), math.inf)
+        focal = np.where(self.t_max > 0.0, np.where(ends, self.t_max, focal), math.inf)
         focal.flags.writeable = False
         return focal
 
@@ -415,20 +417,11 @@ class RayBatch(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class RaySolution:
-    """Ray ``index`` of a RayBatch, a stateless view read at times in [0, t_max].
-
-    ``fields(ts)`` gives (x, v, E, J, J'): position, velocity, parallel
-    frame rows (rows 0..m-1 start tangent, the rest normal), and the Jacobi
-    pair; ``density(ts)`` gives det J; ``shape_fields(ts)`` gives the shape
-    operator S = J' J^{-1} together with the fields it was formed from.
-    """
+    """Ray ``index`` of a RayBatch, a stateless view: each read is the batch's
+    read of this one row, at a time t or along a 1-D array of times ts."""
 
     batch: RayBatch
     index: int
-
-    @property
-    def n(self) -> int:
-        return self.batch.manifold.dim
 
     @property
     def m(self) -> int:
@@ -436,7 +429,7 @@ class RaySolution:
 
     @property
     def t_max(self) -> float:
-        return self.batch.rays[self.index].t_max
+        return float(self.batch.t_max[self.index])
 
     @property
     def weingarten0(self) -> np.ndarray:
@@ -454,13 +447,7 @@ class RaySolution:
         return self.batch.density(ts.reshape(1, -1), [self.index])[0].reshape(ts.shape)
 
     def shape_fields(self, ts):
-        """(S, (x, v, E, J, J')) at a time t or along a 1-D array of times ts.
-
-        The ray's row of ``RayBatch.shape_fields``, with its guards: a
-        ValueError for a time outside [0, t_max], and FocalSingularityError
-        for t <= 0, t at or past the first focal time (within 1e-9), or
-        |det J| below 1e-12 times ``det_scale(t)``.
-        """
+        """(S, (x, v, E, J, J')): the ray's row of ``RayBatch.shape_fields``, guards included."""
         ts = np.asarray(ts, dtype=float)
         S, fields = self.batch.shape_fields(ts.reshape(1, -1), [self.index])
         return (S[0].reshape(ts.shape + S.shape[2:]),
@@ -729,7 +716,7 @@ def integrate_rays(M: ChartManifold, sigma: EmbeddedSubmanifold,
         starts[:, acc, seg] = y_old.T
         coeffs[:, :, acc, seg] = F.transpose(0, 2, 1)
     return RayBatch(manifold=M, sigma=sigma, rays=rays,
-                    weingarten0=[S_xi for _, S_xi in initial], knots=knots,
+                    weingarten0=np.array([S_xi for _, S_xi in initial]), knots=knots,
                     starts=starts.transpose(1, 2, 0), coeffs=coeffs.transpose(2, 3, 0, 1),
                     last=np.maximum(counts - 1, 0))
 
@@ -905,77 +892,75 @@ def split_traces(J: np.ndarray, Jp: np.ndarray, m: int):
             np.trace(S[..., m:, m:], axis1=-2, axis2=-1))
 
 
-def structural_residuals(solution: RaySolution) -> dict | None:
-    """Max magnitudes of the evolution-law residuals along one ray.
+def structural_residuals(batch: RayBatch, rows) -> dict | int:
+    """Largest magnitudes of the evolution-law residuals along rays ``rows`` of a batch.
 
     Keys: wronskian (J'^T J - J^T J' drift), log_density (d/dt log det J
     vs tr S), riccati (S' + S^2 + R in Frobenius norm), density_power
     (det J / t^(n-m-1) - 1 at t = 1e-3) and taylor_shape (t S - the block
     limit, plus tangential block vs the Weingarten map, at t = 1e-3).
 
-    The laws are sampled at 9 times from 0.25 (or a quarter of the usable
-    horizon, when that is below 0.3) to the usable horizon, min(t_max -
-    2h, 0.9 focal time), each with its derivative stencil t +- h/2, t +- h,
-    t +- 2h (h = 1e-4). All 64 times are one ``shape_fields`` read and the 9
-    curvature matrices one ``_jacobi_batch`` call. Returns None, the ray
-    too short, when the first sample would come before t = 0.025: there the
-    stencil's own error on the 1/t block of S, h^4 / (4 t^6) per entry,
-    passes 1e-7.
+    Each ray's laws are sampled at 9 times from 0.25 (or a quarter of its
+    usable horizon, when that is below 0.3) to its usable horizon, min(t_max
+    - 2h, 0.9 focal time), each with its derivative stencil t +- h/2, t +- h,
+    t +- 2h (h = 1e-4): one ``shape_fields`` read and one ``_jacobi_batch``
+    call for all rows. Returns the index of the first ray of ``rows`` whose
+    first sample would come before t = 0.025: there the stencil's own error
+    on the 1/t block of S, h^4 / (4 t^6) per entry, passes 1e-7.
 
-    ``error`` holds each residual's error estimate in its own units. A
-    central difference errs by c(h) - f' = a h^2 + b h^4 + ...: log_density
+    ``error`` holds each residual's largest error estimate in its own units.
+    A central difference errs by c(h) - f' = a h^2 + b h^4 + ...: log_density
     reads c(h) and gets 4/3 |c(h) - c(h/2)|; riccati reads R(h/2) = (4
     c(h/2) - c(h)) / 3, which errs by -b h^4 / 4, and gets |R(h/2) - R(h)|
     / 15 (Frobenius). The other three are direct evaluations and get 0.
     """
-    n, m = solution.n, solution.m
+    rows = np.asarray(rows)
+    n, m = batch.manifold.dim, batch.sigma.dim
     d = n - m - 1
     h, t0 = 1e-4, 1e-3
-    hi = min(0.9 * solution.focal_time(), solution.t_max - 2.0 * h)
-    lo = 0.25 if hi >= 0.3 else hi / 4.0
-    if lo < 0.025:
-        return None
-    ts = np.linspace(lo, hi, 9)
-    # rows 7i..7i+6: ts[i] + (0, h/2, -h/2, h, -h, 2h, -2h); the last row is t0
+    hi = np.minimum(0.9 * batch.focal_times()[rows], batch.t_max[rows] - 2.0 * h)
+    lo = np.where(hi >= 0.3, 0.25, hi / 4.0)
+    if (lo < 0.025).any():
+        return int(rows[np.argmax(lo < 0.025)])
+    ts = np.linspace(lo, hi, 9, axis=-1)
+    # columns 7i..7i+6: ts[:, i] + (0, h/2, -h/2, h, -h, 2h, -2h); the last column is t0
     offsets = np.array([0.0, h / 2.0, -h / 2.0, h, -h, 2.0 * h, -2.0 * h])
-    S_all, (x, v, E, J_all, Jp_all) = solution.shape_fields(
-        np.append((ts[:, None] + offsets).ravel(), t0))
+    S_all, (x, v, E, J_all, Jp_all) = batch.shape_fields(np.hstack(
+        [(ts[:, :, None] + offsets).reshape(len(rows), -1), np.full((len(rows), 1), t0)]), rows)
     dets = jacobi_det(J_all)
-    S, dets_t = S_all[:-1].reshape((9, 7) + S_all.shape[1:]), dets[:-1].reshape(9, 7)
-    at_t = slice(0, -1, 7)
-    S0, J, Jp = S[:, 0], J_all[at_t], Jp_all[at_t]
-    central = [(S[:, i] - S[:, i + 1]) / (2.0 * step)
+    S, dets_t = S_all[:, :-1].reshape(ts.shape + (7, n - 1, n - 1)), dets[:, :-1].reshape(-1, 9, 7)
+    at_t = (slice(None), slice(0, -1, 7))
+    S0, J, Jp = S[:, :, 0], J_all[at_t], Jp_all[at_t]
+    central = [(S[:, :, i] - S[:, :, i + 1]) / (2.0 * step)
                for i, step in ((1, h / 2.0), (3, h), (5, 2.0 * h))]
     Sdot = (4.0 * central[0] - central[1]) / 3.0
-    rmat = frame_matrix(_jacobi_batch(solution.batch.manifold, x[at_t], v[at_t])[2], E[at_t])
-    dlog = (dets_t[:, 3] - dets_t[:, 4]) / (2.0 * h * dets_t[:, 0])
-    dlog_half = (dets_t[:, 1] - dets_t[:, 2]) / (h * dets_t[:, 0])
+    rmat = frame_matrix(_jacobi_batch(batch.manifold, x[at_t].reshape(-1, n),
+                                      v[at_t].reshape(-1, n))[2],
+                        E[at_t].reshape(-1, n - 1, n)).reshape(S0.shape)
+    dlog = (dets_t[:, :, 3] - dets_t[:, :, 4]) / (2.0 * h * dets_t[:, :, 0])
+    dlog_half = (dets_t[:, :, 1] - dets_t[:, :, 2]) / (h * dets_t[:, :, 0])
     out = {
-        "wronskian": float(np.max(np.abs(np.swapaxes(Jp, -1, -2) @ J
-                                         - np.swapaxes(J, -1, -2) @ Jp))),
+        "wronskian": float(np.max(np.abs(Jp.mT @ J - J.mT @ Jp))),
         "log_density": float(np.max(np.abs(dlog - np.trace(S0, axis1=-2, axis2=-1)))),
         # one matrix at a time: a 2-D Frobenius norm sums by a dot product,
         # a batched one by a reduction, so the two round differently
         "riccati": max(float(np.linalg.norm(r, ord="fro"))
-                       for r in Sdot + S0 @ S0 + rmat),
+                       for r in (Sdot + S0 @ S0 + rmat).reshape(-1, n - 1, n - 1)),
     }
     # A / t^d = 1 + t tr(S_xi) + O(t^2); compare against the linear Taylor
     # (the linear term vanishes on totally geodesic submanifolds)
-    linear = 1.0 + t0 * float(np.trace(solution.weingarten0)) if m > 0 else 1.0
-    ratio = float(dets[-1]) / (t0**d if d > 0 else 1.0)
-    out["density_power"] = abs(ratio - linear)
-    S_small = S_all[-1]
+    weingarten0 = batch.weingarten0[rows]
+    linear = 1.0 + t0 * np.trace(weingarten0, axis1=-2, axis2=-1)
+    out["density_power"] = float(np.max(np.abs(dets[:, -1] / t0**d - linear)))
+    S_small = S_all[:, -1]
     block_limit = np.zeros((n - 1, n - 1))
     block_limit[m:, m:] = np.eye(d)
-    taylor = float(np.max(np.abs(t0 * S_small - block_limit)))
-    if m > 0:
-        taylor = max(taylor, float(np.max(np.abs(
-            S_small[:m, :m] - solution.weingarten0))))
-    out["taylor_shape"] = taylor
+    out["taylor_shape"] = float(max(np.max(np.abs(t0 * S_small - block_limit)),
+                                    np.max(np.abs(S_small[:, :m, :m] - weingarten0), initial=0.0)))
     out["error"] = dict.fromkeys(out, 0.0)
     out["error"]["log_density"] = float(np.max(np.abs(dlog - dlog_half))) * 4.0 / 3.0
-    out["error"]["riccati"] = max(float(np.linalg.norm(e, ord="fro")) for e in
-                                  Sdot - (4.0 * central[1] - central[2]) / 3.0) / 15.0
+    out["error"]["riccati"] = max(float(np.linalg.norm(e, ord="fro")) for e in (
+        Sdot - (4.0 * central[1] - central[2]) / 3.0).reshape(-1, n - 1, n - 1)) / 15.0
     return out
 
 

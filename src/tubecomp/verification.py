@@ -224,8 +224,8 @@ def check_hessian_comparison(scenario: Scenario) -> list[BoundReport]:
         tangential[:, 0] = np.eye(r)[:k]
         tangential[:, 1:, :, :m] = _orthonormal_rows(
             np.array(draws["tangential"]).reshape(len(idx), 3, m, k))
-        weingarten0 = np.array([rays.weingarten0[i] for i in idx]).reshape(len(idx), m, m)
-        w0 = np.concatenate([partial_trace(weingarten0, tangential[..., :m]) / k, w0], axis=1)
+        w0 = np.concatenate([partial_trace(rays.weingarten0[idx], tangential[..., :m]) / k, w0],
+                            axis=1)
         W = np.concatenate([tangential, W], axis=1)
     columns = {branch: slice(4 * b, 4 * b + 4) for b, branch in enumerate(branches)}
     # each frame's model trace is defined up to its denominator's first zero
@@ -460,8 +460,7 @@ def check_lemma_51_52(scenario: Scenario) -> list[BoundReport]:
         return [BoundReport.precondition_violation("lemma_51_52", reason)]
     coef_52 = lemma52_coefficient(n, k, p)
     eps = 1e-6
-    his = np.minimum([sampler.rays.rays[i].t_max for i in idx],
-                     0.95 * sampler.rays.focal_times()[idx])
+    his = np.minimum(sampler.rays.t_max[idx], 0.95 * sampler.rays.focal_times()[idx])
     for i, hi in zip(idx, his):
         if hi <= eps:
             return [BoundReport.precondition_violation("lemma_51_52", (
@@ -508,31 +507,25 @@ def check_lemma_51_52(scenario: Scenario) -> list[BoundReport]:
 
 
 def check_structural_residuals(scenario: Scenario) -> BoundReport:
-    """Evolution-law residuals on RESIDUAL_RAYS of the scenario's rays.
+    """Evolution-law residuals on RESIDUAL_RAYS of the scenario's rays, read in one batch.
 
     measured is the largest residual / limit ratio and its error estimate
     the largest stencil error / limit: a maximum moves by at most the
     largest error of its terms.
     """
-    rng = scenario.rng()
     sampler = scenario.sampler(scenario.horizon())
-    idx = _ray_subsample(len(sampler.rays), RESIDUAL_RAYS, rng)
-    worst = dict.fromkeys(RESIDUAL_LIMITS, 0.0)
-    error = dict.fromkeys(RESIDUAL_LIMITS, 0.0)
-    for i in idx:
-        res = structural_residuals(sampler.rays[i])
-        if res is None:
-            return BoundReport.precondition_violation("structural_residuals", (
-                f"ray {i} too short for the residual stencil from t = 0.025"
-                f" (ray horizon {scenario.horizon():g})"))
-        for key in worst:
-            worst[key] = max(worst[key], res[key])
-            error[key] = max(error[key], res["error"][key])
+    idx = _ray_subsample(len(sampler.rays), RESIDUAL_RAYS, scenario.rng())
+    res = structural_residuals(sampler.rays, idx)
+    if isinstance(res, int):
+        return BoundReport.precondition_violation("structural_residuals", (
+            f"ray {res} too short for the residual stencil from t = 0.025"
+            f" (ray horizon {scenario.horizon():g})"))
+    error = res.pop("error")
     return BoundReport.from_values(
         "structural_residuals", bound=1.0, tolerance=0.0,
-        measured=max(worst[key] / lim for key, lim in RESIDUAL_LIMITS.items()),
+        measured=max(res[key] / lim for key, lim in RESIDUAL_LIMITS.items()),
         error_estimate=max(error[key] / lim for key, lim in RESIDUAL_LIMITS.items()),
-        residuals=worst, residual_errors=error, limits=dict(RESIDUAL_LIMITS),
+        residuals=res, residual_errors=error, limits=dict(RESIDUAL_LIMITS),
         rays=len(idx))
 
 

@@ -105,8 +105,7 @@ class TestTubeVolume:
             "name": "product_point",
             "manifold": {"name": "product",
                          "a": {"name": "sphere", "n": 2},
-                         "b": {"name": "sphere", "n": 2},
-                         "rho_exact": {"1": 0.0, "2": 0.0, "3": 1.0}},
+                         "b": {"name": "sphere", "n": 2}},
             "submanifold": {"name": "point", "location": [0.1, 0.2, 0.0, 0.3]},
             "parameters": {"k": 1, "H": 0.0, "p": 5.0},
             "radii": [0.3],
@@ -262,8 +261,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("manifold, fragment", [
         ({"name": "bump_torus", "n": 4, "width": 4.0}, "width"),
         ({"name": "flat_torus", "n": "four"}, "cannot build"),
-        ({"name": "product", "a": {"name": "sphere", "n": 2},
-          "b": {"name": "sphere", "n": 2}, "rho_exact": 5}, "product 'rho_exact'"),
+        pytest.param({"name": "product", "a": {"name": "sphere", "n": 2},
+                      "b": {"name": "sphere", "n": 2}, "rho_exact": 5},
+                     "unknown field 'rho_exact' in product",
+                     id="manifold2-product 'rho_exact'"),
     ])
     def test_builder_rejection_exit_2(self, tmp_path, capsys, manifold, fragment):
         cfg = dict(FAST_CONFIG, manifold=manifold)
@@ -410,15 +411,23 @@ class TestExitCodes:
          "warped_product 'fiber_side'"),
         (dict(FAST_CONFIG, manifold={"name": "warped_product", "warp": 3}), [],
          "warped_product 'warp'"),
+        ({"scenario": "flat_t4_circle", "checks": ["hk"],
+          "quadrature": {"base_resolution": [4, 4]}}, [], "'base_resolution'"),
+        ({"scenario": "sn_equator", "checks": ["residuals"],
+          "quadrature": {"base_resolution": [3]}}, [], "'base_resolution'"),
+        ({"manifold": {"name": "euclidean", "n": 3},
+          "submanifold": {"name": "round_sphere", "radius": 1.0, "center": [0, 0]},
+          "checks": ["residuals"]}, [], "center"),
     ], ids=["parameters", "tolerance", "tolerance-flag", "resolution-text",
             "resolution-zero", "ray-tolerance", "seed", "seed-flag", "checks", "k",
             "builtin-declared", "suite-name", "product-a", "product-nested",
             "warped-interval", "warped-interval-order", "warped-fiber-dim",
-            "warped-fiber-side", "warped-warp"])
+            "warped-fiber-side", "warped-warp", "resolution-too-long",
+            "resolution-too-short", "round-sphere-center"])
     def test_malformed_setting_exit_2(self, tmp_path, capsys, cfg, argv, key):
         assert main(["verify", "--config", write_config(tmp_path, cfg)] + argv) == 2
         err = capsys.readouterr().err
-        assert key in err and err.count("\n") == 1
+        assert err.startswith("error: ") and key in err and err.count("\n") == 1
 
     def test_hessian_without_samples_is_a_precondition_violation(self, tmp_path,
                                                                   capsys):

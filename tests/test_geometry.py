@@ -1201,9 +1201,10 @@ class TestRhoRoutes:
 
     def test_s2xs2_from_brackets_alone(self):
         M = manifolds.product(manifolds.sphere(2), manifolds.sphere(2))
-        assert M.rho_exact is None
+        M.rho_exact = None     # the brackets alone, with no declared table to read
         X = np.random.default_rng(2).uniform(-1.5, 1.5, size=(32, 4))
         for k, exact in {1: 0.0, 2: 0.0, 3: 1.0}.items():
+            assert rho_method(M, k) == "product"
             lo, hi = rho_k(M, X, k)
             assert np.all(np.abs(lo - exact) <= 1e-13) and np.all(np.abs(hi - exact) <= 1e-13)
             assert np.all(lo <= hi)
@@ -1225,6 +1226,43 @@ class TestRhoRoutes:
 def rho_hi(M, k):
     """rho_k's hi on M as the (P, n) -> (P,) callable lp_deficit_norm takes."""
     return lambda X: rho_k(M, X, k).hi
+
+
+class TestProductDeclaredRho:
+    """A product declares the rho_k that its factors' declared tables give."""
+
+    @pytest.mark.parametrize("b, table", [
+        (lambda: manifolds.sphere(2), {1: 0.0, 2: 0.0, 3: 1.0}),
+        (lambda: manifolds.hyperbolic(2), {1: -1.0, 2: -1.0, 3: -1.0}),
+    ], ids=["s2xs2", "s2xh2"])
+    def test_two_surfaces(self, b, table):
+        assert manifolds.product(manifolds.sphere(2), b()).rho_exact == table
+
+    def test_nested_product(self):
+        # S^2 x (S^2 x S^2), the inner table feeding the outer one: a unit
+        # vector of one sphere is curved only against its own factor, so
+        # rho_k = 0 below k = n - 1 = 5
+        inner = manifolds.product(manifolds.sphere(2), manifolds.sphere(2))
+        M = manifolds.product(manifolds.sphere(2), inner)
+        assert M.rho_exact == {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0, 5: 1.0}
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(16, 6))
+        for k, value in M.rho_exact.items():
+            lo, hi = rho_k(M, X, k)
+            assert np.all(np.abs(lo - value) <= 1e-13) and np.all(np.abs(hi - value) <= 1e-13)
+
+    @pytest.mark.parametrize("bump_first", [True, False])
+    def test_bump_factor_declares_nothing(self, bump_first):
+        factors = [manifolds.bump_torus(2, amplitude=0.1), manifolds.sphere(2)]
+        assert manifolds.product(*(factors if bump_first else factors[::-1])).rho_exact is None
+
+
+class TestQuadratureGrid:
+    @pytest.mark.parametrize("resolution", [[4], [4, 4, 4]])
+    def test_resolution_list_of_the_wrong_length(self, resolution):
+        box = manifolds.flat_torus(2).domain
+        with pytest.raises(ValueError, match="one entry per axis"):
+            box.quadrature_grid(resolution)
+        assert len(box.quadrature_grid([4, 3])[0]) == 12
 
 
 class TestLpDeficitNorm:

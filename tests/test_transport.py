@@ -695,7 +695,7 @@ def det_curve(knots, starts, F):
     return transport.RayBatch(
         manifold=M, sigma=sub_torus(M, [0], np.zeros(2)),
         rays=[NormalRay(np.zeros(1), np.eye(2)[1], t_max=knots[-1])],
-        weingarten0=[np.zeros((1, 1))], knots=np.array([knots], dtype=float),
+        weingarten0=np.zeros((1, 1, 1)), knots=np.array([knots], dtype=float),
         starts=np.array([[state(v) for v in starts]]),
         coeffs=np.array([[[state(c) for c in row] for row in F]]), last=np.array([len(starts) - 1]))
 
@@ -1113,24 +1113,43 @@ class TestJYFactors:
                 assert a.shape == (3, len(ts)) and np.allclose(a[i], b, rtol=1e-12, atol=0)
 
 
+def residuals_of(M, sigma, ray):
+    """``structural_residuals`` of one ray, integrated alone."""
+    return structural_residuals(integrate_rays(M, sigma, [ray]), [0])
+
+
 class TestStructuralResiduals:
     @pytest.mark.parametrize("maker", [flat_circle_ray, s3_circle_ray,
                                        hyperbolic_point_ray])
     def test_space_form_rays(self, maker):
-        M, sigma, ray = maker()
-        sol = integrate_ray(M, sigma, ray)
-        res = structural_residuals(sol)
+        res = residuals_of(*maker())
         assert res["wronskian"] <= 1e-8
         assert res["log_density"] <= 1e-6
         assert res["riccati"] <= 1e-5
         assert res["density_power"] <= 1e-3
         assert res["taylor_shape"] <= 1e-2
 
+    @pytest.mark.parametrize("maker, variants", [
+        (flat_circle_ray, [{"t_max": t} for t in (2.0, 0.2, 1.0, 0.5)]),
+        (s3_circle_ray, [{"t_max": 1.5, "psi": p} for p in (0.0, 0.4, 1.1, 2.5)]),
+        (hyperbolic_point_ray, [{"t_max": t} for t in (2.2, 0.8, 1.7, 0.25)]),
+    ])
+    def test_batch_is_the_maximum_of_its_rows(self, maker, variants):
+        # the batched read keeps each row's arithmetic, so the batch's values
+        # and error estimates are bitwise its single rows' largest
+        M, sigma, _ = maker()
+        batch = integrate_rays(M, sigma, [maker(**kw)[2] for kw in variants])
+        rows = [2, 0, 3, 1]
+        together = structural_residuals(batch, rows)
+        alone = [structural_residuals(batch, [i]) for i in rows]
+        for key in alone[0]["error"]:
+            assert together[key] == max(res[key] for res in alone)
+            assert together["error"][key] == max(res["error"][key] for res in alone)
+
     def test_log_density_error_is_the_stencil_error(self):
         # det J = sinh^2 t: the h-central difference of log det J errs by
         # exactly 2 coth t (sinh(2h) / (2h) - 1), largest at the first sample 0.25
-        M, sigma, ray = hyperbolic_point_ray()
-        res = structural_residuals(integrate_ray(M, sigma, ray))
+        res = residuals_of(*hyperbolic_point_ray())
         h = 1e-4
         exact = 2.0 / math.tanh(0.25) * ((2.0 * h) ** 2 / 6.0 + (2.0 * h) ** 4 / 120.0)
         assert res["error"]["log_density"] == pytest.approx(exact, rel=1e-3)
@@ -1146,10 +1165,18 @@ class TestStructuralResiduals:
         # before it the stencil's own error on the 1/t block of S, which is
         # the whole Riccati residual of a flat ray, could pass the 1e-5 limit
         M, sigma, _ = flat_circle_ray()
-        short = integrate_ray(M, sigma, flat_circle_ray(t_max=0.0995)[2])
-        assert structural_residuals(short) is None
-        res = structural_residuals(integrate_ray(M, sigma, flat_circle_ray(t_max=0.11)[2]))
+        assert residuals_of(M, sigma, flat_circle_ray(t_max=0.0995)[2]) == 0
+        res = residuals_of(M, sigma, flat_circle_ray(t_max=0.11)[2])
         assert 0.0 < res["riccati"] <= 1e-6
+
+    def test_first_short_row_is_named(self):
+        # the first too-short ray in the order of rows, not of the batch
+        M, sigma, _ = flat_circle_ray()
+        batch = integrate_rays(M, sigma, [flat_circle_ray(t_max=t)[2]
+                                          for t in (2.0, 0.05, 1.0, 0.0995)])
+        assert structural_residuals(batch, [0, 3, 2, 1]) == 3
+        assert structural_residuals(batch, [1, 3]) == 1
+        assert isinstance(structural_residuals(batch, [0, 2]), dict)
 
     def test_bump_ray(self):
         M = manifolds.bump_torus(4, amplitude=0.1, width=1.2)
@@ -1157,8 +1184,7 @@ class TestStructuralResiduals:
         g = M.metric_at(sigma.embed(np.array([0.4])))
         xi = np.array([0.0, 1.0, 0.0, 0.0])
         xi = xi / math.sqrt(xi @ g @ xi)
-        sol = integrate_ray(M, sigma, NormalRay(np.array([0.4]), xi, t_max=1.8))
-        res = structural_residuals(sol)
+        res = residuals_of(M, sigma, NormalRay(np.array([0.4]), xi, t_max=1.8))
         assert res["wronskian"] <= 1e-8
         assert res["log_density"] <= 1e-6
         assert res["riccati"] <= 1e-5

@@ -144,8 +144,7 @@ class TestDeclaredRho:
 
         (sc,) = scenarios_from_config({
             "manifold": {"name": "product", "a": {"name": "sphere", "n": 2},
-                         "b": {"name": "sphere", "n": 2},
-                         "rho_exact": {"1": 0.0, "2": 0.0, "3": 1.0}},
+                         "b": {"name": "sphere", "n": 2}},
             "submanifold": {"name": "point", "location": [0.1, 0.2, 0.0, 0.3]},
             "declared": {"rho_exact": {"1": -0.25}},
         })
@@ -549,6 +548,9 @@ class TestResidualCheck:
         rep = check_structural_residuals(sc)
         assert rep.status == "precondition-violation"
         assert "horizon 0.004" in rep.details["reason"]
+        # every ray is too short, and the first sampled one is named
+        first = verification._ray_subsample(len(sc.sampler(sc.horizon()).rays), 2, sc.rng())[0]
+        assert rep.details["reason"].startswith(f"ray {first} too short ")
 
 
 def short_bump_config(horizon):
@@ -581,8 +583,8 @@ def curvature_rows(monkeypatch):
 
 
 class TestOneReadPerRay:
-    """Checks read their sampled rays' times together: the Hessian check all
-    its rays in one Jacobi-operator call, the residual check one per ray."""
+    """Checks read their sampled rays' times together: the Hessian and residual
+    checks each read all their rays in one Jacobi-operator call."""
 
     def test_hessian_check(self, monkeypatch):
         sc = fast_flat_scenario(check_rays=4)
@@ -613,12 +615,47 @@ class TestOneReadPerRay:
             assert rep.details["samples"] == 4 * 8 * 4
 
     def test_residual_check(self, monkeypatch):
+        from tubecomp.transport import RayBatch
+
         sc = fast_flat_scenario()
         sc.sampler(sc.horizon())
         rows = curvature_rows(monkeypatch)
+        reads = []
+        shape_fields = RayBatch.shape_fields
+
+        def counted(batch, ts, which=None):
+            reads.append(np.shape(ts))
+            return shape_fields(batch, ts, which)
+        monkeypatch.setattr(RayBatch, "shape_fields", counted)
         monkeypatch.setattr(verification, "RESIDUAL_RAYS", 3)
-        check_structural_residuals(sc)
-        assert rows == [9, 9, 9]
+        rep = check_structural_residuals(sc)
+        assert rep.passed and rep.details["rays"] == 3
+        # one read of every ray's 63 stencil times and t0, and one call for
+        # every ray's 9 sample points
+        assert reads == [(3, 64)]
+        assert rows == [27]
+
+
+class TestSingleReadPath:
+    def test_no_check_builds_a_ray_view(self, monkeypatch):
+        # every check reads its rays through the batch, never ray by ray
+        from tubecomp.transport import RayBatch
+
+        def refuse(batch, i):
+            raise AssertionError(f"a check built the RaySolution of ray {i}")
+        monkeypatch.setattr(RayBatch, "__getitem__", refuse)
+        toy = {"base_resolution": 2, "fiber_resolution": 2}
+        plans = {"flat_t4_circle": ("integral", "hk", "hessian", "lemmas", "residuals"),
+                 "sn_equator": ("focal", "hessian", "residuals")}
+        scenarios = []
+        for name, checks in plans.items():
+            sc = build_scenario(name)
+            sc.quad = dataclasses.replace(sc.quad, **toy)
+            sc.check_rays, sc.checks = 4, checks
+            scenarios.append(sc)
+        report = run_suite(scenarios)
+        assert sum(rep.name == "structural_residuals" for _, rep in report.entries) == 2
+        assert all(rep.status == "ok" for _, rep in report.entries)
 
 
 class TestRunSuite:
